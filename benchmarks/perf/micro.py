@@ -3,14 +3,13 @@
 The scenario benchmarks (:mod:`benchmarks.perf.scenarios`) time whole
 seeded runs, which is the number that matters — but a 5% regression in one
 primitive drowns in scenario noise.  These micros time each hot primitive
-of the columnar packet core in isolation, with deterministic digests over
+of the packet core in isolation, with deterministic digests over
 their structural counters, so ``tools/check_perf.py`` can gate them like
 any other scenario row:
 
 * ``micro_pool_cycle`` — the :class:`~repro.sim.pool.PacketPool`
-  allocate/release cycle with the endpoints' inlined revive fast path and
-  the full set of hot-path field writes, over a small in-flight window
-  (the steady-state shape of a transfer).
+  ``get``/``release`` cycle with the full set of hot-path field writes,
+  over a small in-flight window (the steady-state shape of a transfer).
 * ``micro_raw_entry`` — raw-entry schedule/dispatch round-trips through
   :class:`~repro.sim.eventlist.EventList`: self-rescheduling arity-0
   callbacks at staggered periods, the shape of every recurring service.
@@ -104,21 +103,10 @@ def run_pool_cycle(seed: int = 1, repeats: int = MICRO_REPEATS) -> PerfResult:
 
     def once() -> PerfResult:
         pool = PacketPool()
-        free = pool.free_list(NdpDataPacket)
-        generation = pool.generation
-        live_cls = pool.live_cls
         ring: Deque[NdpDataPacket] = deque()
         wall_start = time.perf_counter()
         for index in range(_POOL_CYCLES):
-            # the endpoints' inlined revive-or-adopt fast path, verbatim
-            if free:
-                packet = free.pop()
-                packet._gen = generation[packet._handle]
-                live_cls[packet._handle] = NdpDataPacket
-                pool.reused += 1
-            else:
-                packet = NdpDataPacket.__new__(NdpDataPacket)
-                pool.adopt(packet)
+            packet = pool.get(NdpDataPacket)
             _write_data_fields(packet, seqno=index, size=9000)
             ring.append(packet)
             if len(ring) > _POOL_WINDOW:
@@ -222,22 +210,12 @@ def _run_queue_drain(scenario: str, packet_bytes: int, repeats: int) -> PerfResu
         )
         route = Route([queue, sink])
         pool = PacketPool()
-        free = pool.free_list(NdpDataPacket)
-        generation = pool.generation
-        live_cls = pool.live_cls
         start_events = eventlist.events_executed
         peak_pending = 0
         wall_start = time.perf_counter()
         for burst in range(_DRAIN_BURSTS):
             for index in range(_DRAIN_BURST):
-                if free:
-                    packet = free.pop()
-                    packet._gen = generation[packet._handle]
-                    live_cls[packet._handle] = NdpDataPacket
-                    pool.reused += 1
-                else:
-                    packet = NdpDataPacket.__new__(NdpDataPacket)
-                    pool.adopt(packet)
+                packet = pool.get(NdpDataPacket)
                 _write_data_fields(packet, seqno=index, size=packet_bytes)
                 packet.route = route
                 packet.hop = 1  # next element after the queue: the sink

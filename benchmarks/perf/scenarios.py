@@ -31,7 +31,7 @@ from repro.core.config import NdpConfig
 from repro.core.switch import NdpSwitchQueue
 from repro.harness.experiment import start_incast, start_permutation
 from repro.harness.ndp_network import NdpNetwork
-from repro.sim.eventlist import _SHADOW_SEQ_BASE, EventList
+from repro.sim.eventlist import EventList
 from repro.sim.packet import construction_count
 from repro.topology.fattree import FatTreeTopology
 from repro.topology.leafspine import LeafSpineTopology
@@ -142,34 +142,19 @@ def _timed_run(eventlist: EventList, flows, until_ps: int) -> tuple:
 def _alloc_metrics(eventlist: EventList, events: int, pool, constructions_before: int) -> Dict[str, float]:
     """Per-event allocation metrics for one scenario run.
 
+    ``allocs_per_event`` is real allocations per executed event: scheduler
+    entry-pool misses, packets built through ``__init__`` (unpooled
+    transports), and packet-pool misses (``PacketPool.constructed``).
     Exact, deterministic internal counters — not gc/tracemalloc statistics,
     which would be skewed by the gc being disabled inside ``run()`` and by
-    interpreter-internal churn:
-
-    * ``allocs_per_event`` — real allocations per executed event: scheduler
-      entry-pool misses, packets built through ``__init__`` (unpooled
-      transports), and packet-pool misses (``PacketPool.constructed``).
-    * ``legacy_allocs_per_event`` — what the same (bit-identical) run
-      allocated before the recycling pools: every scheduled entry (ordinary
-      plus shadow sequence numbers) and every packet allocation whether it
-      hit a pool or not.  A conservative lower bound — fast-forwarded
-      service completions consume no sequence number here but each cost an
-      entry in the legacy scheduler.
+    interpreter-internal churn.
     """
     if events <= 0:
         return {}
     constructions = construction_count() - constructions_before
     pool_constructed = pool.constructed if pool is not None else 0
-    pool_reused = pool.reused if pool is not None else 0
     allocs = eventlist.entry_allocs + constructions + pool_constructed
-    entries_scheduled = eventlist._sequence + (
-        eventlist._shadow_sequence - _SHADOW_SEQ_BASE
-    )
-    legacy = entries_scheduled + constructions + pool_constructed + pool_reused
-    return {
-        "allocs_per_event": round(allocs / events, 4),
-        "legacy_allocs_per_event": round(legacy / events, 4),
-    }
+    return {"allocs_per_event": round(allocs / events, 4)}
 
 
 def _best_of(runner, repeats: int) -> PerfResult:
@@ -286,7 +271,6 @@ def run_transport_matrix(seed: int = 1, repeats: int = 3) -> PerfResult:
         final_time = 0
         extra: Dict[str, float] = {}
         allocs_total = 0.0
-        legacy_total = 0.0
         hasher = hashlib.sha256()
         for spec in registry.specs():
             eventlist = EventList()
@@ -298,7 +282,6 @@ def run_transport_matrix(seed: int = 1, repeats: int = 3) -> PerfResult:
                 eventlist, events, getattr(network, "pool", None), constructions_before
             )
             allocs_total += metrics.get("allocs_per_event", 0.0) * events
-            legacy_total += metrics.get("legacy_allocs_per_event", 0.0) * events
             digest = generic_flow_digest(network)
             hasher.update(f"{spec.display}:{digest}".encode())
             wall_total += wall
@@ -311,7 +294,6 @@ def run_transport_matrix(seed: int = 1, repeats: int = 3) -> PerfResult:
             extra[f"digest_{spec.name}"] = digest
         if events_total > 0:
             extra["allocs_per_event"] = round(allocs_total / events_total, 4)
-            extra["legacy_allocs_per_event"] = round(legacy_total / events_total, 4)
         return PerfResult(
             scenario="transport_matrix_8x45kB",
             wall_seconds=wall_total,

@@ -45,11 +45,12 @@ SCHEMA = "repro.perf_history"
 #: current record version; bump on incompatible field changes.
 #:
 #: * **v1** — the PR 8 layout: the required measurement fields below.
-#: * **v2** — adds the optional allocation metrics ``allocs_per_event`` and
-#:   ``legacy_allocs_per_event`` (the columnar packet core's headline
-#:   numbers).  Optional means exactly that: a v2 record without them is
-#:   valid, and a v1 record (which cannot have them) reads unchanged — the
-#:   reader accepts every version ``<= SCHEMA_VERSION``.
+#: * **v2** — adds the optional allocation metric ``allocs_per_event``.
+#:   Optional means exactly that: a v2 record without it is valid, and a v1
+#:   record (which cannot have it) reads unchanged — the reader accepts
+#:   every version ``<= SCHEMA_VERSION``.  Captures up to PR 12 also carry
+#:   ``legacy_allocs_per_event`` (a modelled figure no longer produced);
+#:   such records still load, the field is simply not tabulated.
 #: * **v3** — adds the optional sharded-run metrics
 #:   ``aggregate_events_per_second`` (total events over the slowest shard's
 #:   CPU-busy seconds — the parallel-capacity figure ``shard_scale`` is
@@ -92,9 +93,9 @@ def make_records(
     *scenarios* is the ``{name: measurement}`` mapping a perf run produces
     (``PerfResult.as_dict()`` values); per-transport extras (the
     ``transport_matrix`` sub-digests) are carried along untouched, as are
-    the schema-v2 optional allocation metrics (``allocs_per_event`` /
-    ``legacy_allocs_per_event``) — present when the scenario has a packet
-    pool to count, absent otherwise, never required.
+    the schema-v2 optional allocation metric ``allocs_per_event`` — present
+    when the scenario has a packet pool to count, absent otherwise, never
+    required.
     """
     records = []
     for name, measurement in scenarios.items():

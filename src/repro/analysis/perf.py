@@ -66,7 +66,6 @@ PERF_COLUMNS = (
     "completed_flows",
     "total_flows",
     "allocs_per_event",
-    "legacy_allocs_per_event",
     "flow_digest",
 )
 

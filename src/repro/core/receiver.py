@@ -72,9 +72,6 @@ class NdpSink(NetworkEndpoint):
         "nacks_sent",
         "pulls_emitted",
         "pool",
-        "_ack_free",
-        "_nack_free",
-        "_pull_free",
     )
 
     def __init__(
@@ -113,12 +110,8 @@ class NdpSink(NetworkEndpoint):
         self.nacks_sent = 0
         self.pulls_emitted = 0
         # slot pool for outgoing control packets (shared network-wide when
-        # the harness provides one): the free lists are hoisted so each
-        # emission is a pop + field writes on the fast path
+        # the harness provides one)
         self.pool = pool if pool is not None else PacketPool()
-        self._ack_free = self.pool.free_list(NdpAck)
-        self._nack_free = self.pool.free_list(NdpNack)
-        self._pull_free = self.pool.free_list(NdpPull)
         self.pacer.register(self)
 
     # --- wiring -----------------------------------------------------------------
@@ -214,16 +207,7 @@ class NdpSink(NetworkEndpoint):
         # protocol-visible field is written (a revived facade carries its
         # previous life's values); route/hop/send_time are stamped by
         # _send_control immediately below.
-        pool = self.pool
-        free = self._ack_free
-        if free:
-            ack = free.pop()
-            ack._gen = pool.generation[ack._handle]
-            pool.live_cls[ack._handle] = NdpAck
-            pool.reused += 1
-        else:
-            ack = NdpAck.__new__(NdpAck)
-            pool.adopt(ack)
+        ack = self.pool.get(NdpAck)
         header_bytes = self.config.header_bytes
         ack.flow_id = self.flow_id
         ack.src = self.node_id
@@ -263,16 +247,7 @@ class NdpSink(NetworkEndpoint):
     def _handle_header(self, packet: NdpDataPacket) -> None:
         self.record.headers_received += 1
         # slot-pool allocation: one NACK per trimmed header (see _handle_data)
-        pool = self.pool
-        free = self._nack_free
-        if free:
-            nack = free.pop()
-            nack._gen = pool.generation[nack._handle]
-            pool.live_cls[nack._handle] = NdpNack
-            pool.reused += 1
-        else:
-            nack = NdpNack.__new__(NdpNack)
-            pool.adopt(nack)
+        nack = self.pool.get(NdpNack)
         header_bytes = self.config.header_bytes
         nack.flow_id = self.flow_id
         nack.src = self.node_id
@@ -319,16 +294,7 @@ class NdpSink(NetworkEndpoint):
         self._pull_counter += 1
         self.pulls_emitted += 1
         # slot-pool allocation: one PULL per pacer grant (see _handle_data)
-        pool = self.pool
-        free = self._pull_free
-        if free:
-            pull = free.pop()
-            pull._gen = pool.generation[pull._handle]
-            pool.live_cls[pull._handle] = NdpPull
-            pool.reused += 1
-        else:
-            pull = NdpPull.__new__(NdpPull)
-            pool.adopt(pull)
+        pull = self.pool.get(NdpPull)
         header_bytes = self.config.header_bytes
         counter = self._pull_counter
         pull.flow_id = self.flow_id

@@ -83,7 +83,6 @@ class NdpSrc(NetworkEndpoint):
         "_started",
         "_handlers",
         "pool",
-        "_data_free",
         "packets_sent",
         "acks_received",
         "nacks_received",
@@ -120,7 +119,6 @@ class NdpSrc(NetworkEndpoint):
         # slot pool for outgoing data packets; shared network-wide when the
         # harness provides one (sinks revive what other sources freed)
         self.pool = pool if pool is not None else PacketPool()
-        self._data_free = self.pool.free_list(NdpDataPacket)
 
         self.paths = PathManager(
             routes,
@@ -257,21 +255,11 @@ class NdpSrc(NetworkEndpoint):
             route = self.paths.next_route()
         is_last = seqno == self.total_packets - 1
         payload = self._tail_payload if is_last else self.payload_per_packet
-        # slot-pool allocation (once per transmitted packet): revive a freed
-        # NdpDataPacket facade when one exists, else pay one real allocation
-        # and adopt it.  Every field the protocol reads is written below —
-        # a revived facade still carries its previous life's values
-        # (trimmed/bounced/ECN state included).
-        pool = self.pool
-        free = self._data_free
-        if free:
-            packet = free.pop()
-            packet._gen = pool.generation[packet._handle]
-            pool.live_cls[packet._handle] = NdpDataPacket
-            pool.reused += 1
-        else:
-            packet = NdpDataPacket.__new__(NdpDataPacket)
-            pool.adopt(packet)
+        # slot-pool allocation (once per transmitted packet).  Every field
+        # the protocol reads is written below — a revived facade still
+        # carries its previous life's values (trimmed/bounced/ECN state
+        # included).
+        packet = self.pool.get(NdpDataPacket)
         size = payload + self.config.header_bytes
         packet.flow_id = self.flow_id
         packet.src = self.node_id

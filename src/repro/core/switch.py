@@ -23,15 +23,11 @@ import random
 from collections import deque
 from typing import Deque, Optional
 
-from bisect import insort as _insort
-from heapq import heappush as _heappush
-
 from repro.core.config import NdpConfig
 from repro.core.packets import NdpDataPacket
-from repro.sim.eventlist import _WHEEL_MASK, _WHEEL_SHIFT, _WHEEL_SLOTS, EventList
+from repro.sim.eventlist import EventList
 from repro.sim.packet import Packet, PacketPriority
-from repro.sim.pipe import Pipe
-from repro.sim.queues import _BITS_PS, BaseQueue
+from repro.sim.queues import BaseQueue
 
 #: hoisted enum member: attribute + enum lookups are measurable per packet
 _HIGH = PacketPriority.HIGH
@@ -197,13 +193,8 @@ class NdpSwitchQueue(BaseQueue):
             self._admit_data(packet)
 
     def _admit_data(self, packet: Packet) -> None:
-        if len(self._data_queue) < self._data_cap_packets:
-            self._data_queue.append(packet)
-            self._data_bytes += packet.size
-            self._record_enqueue(packet)
-            self._maybe_start_service()
-            return
-        # Data queue full: trim either the arriving packet or the tail packet.
+        # Data queue full (receive_packet admitted the other case inline):
+        # trim either the arriving packet or the tail packet.
         if self.rng.random() < self._trim_arriving_p:
             victim = packet
             self.trimmed_arriving += 1
@@ -214,12 +205,7 @@ class NdpSwitchQueue(BaseQueue):
             self._data_bytes += packet.size
             self._record_enqueue(packet)
             self.trimmed_from_tail += 1
-        # inlined Packet.trim (once per trimmed packet)
-        if not victim.is_header_only:
-            victim.original_size = victim.size
-        victim.size = self._trim_header_bytes
-        victim.is_header_only = True
-        victim.priority = _HIGH
+        victim.trim(self._trim_header_bytes)
         self.stats.packets_trimmed += 1
         self._admit_header(victim)
         self._maybe_start_service()
@@ -278,6 +264,8 @@ class NdpSwitchQueue(BaseQueue):
     # --- scheduling -----------------------------------------------------------
 
     def _select_next(self) -> Optional[Packet]:
+        # the 10:1 WRR of §3.1: headers first, but at most `_wrr_ratio` of
+        # them between two data packets while data is waiting
         header_queue = self._header_queue
         data_queue = self._data_queue
         if header_queue and (
@@ -294,185 +282,6 @@ class NdpSwitchQueue(BaseQueue):
             return None
         self.queue_bytes = self._data_bytes + self._header_bytes
         return packet
-
-    def _maybe_start_service(self) -> None:
-        # WRR selection inlined ahead of the shared starter: this runs once
-        # per serialized packet on every switch port (semantics identical to
-        # BaseQueue._maybe_start_service with _select_next above)
-        if self._busy or self._paused:
-            return
-        header_queue = self._header_queue
-        data_queue = self._data_queue
-        if header_queue and (
-            not data_queue or self._headers_since_data < self._wrr_ratio
-        ):
-            packet = header_queue.popleft()
-            self._header_bytes -= packet.size
-            self._headers_since_data += 1
-        elif data_queue:
-            packet = data_queue.popleft()
-            self._data_bytes -= packet.size
-            self._headers_since_data = 0
-        else:
-            return
-        self.queue_bytes = self._data_bytes + self._header_bytes
-        # body of BaseQueue._start_service, duplicated to save a call frame
-        self._busy = True
-        self._in_service = packet
-        size = packet.size
-        try:
-            delay = self._ser_cache[size]
-        except KeyError:
-            delay = self._ser_cache[size] = (
-                size * _BITS_PS + self._rate_half
-            ) // self.service_rate_bps
-        if self.serialization_jitter_ps:
-            delay += self._jitter_rng.randint(0, self.serialization_jitter_ps)
-        eventlist = self.eventlist
-        when = eventlist._now + delay
-        seq = eventlist._sequence = eventlist._sequence + 1
-        pool = eventlist._entry_pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = when
-            entry[1] = seq
-            entry[2] = None
-            entry[3] = 0
-            entry[4] = self._complete_cb
-            entry[5] = None
-        else:
-            eventlist.entry_allocs += 1
-            entry = [when, seq, None, 0, self._complete_cb, None]
-        delta = (when >> _WHEEL_SHIFT) - eventlist._cursor
-        if delta <= 0:
-            _insort(eventlist._cur_spill, entry)
-            eventlist._wheel_count += 1
-        elif delta < _WHEEL_SLOTS:
-            eventlist._wheel[(when >> _WHEEL_SHIFT) & _WHEEL_MASK].append(entry)
-            eventlist._wheel_count += 1
-        else:
-            _heappush(eventlist._far, entry)
-
-    def _complete_service(self) -> None:
-        # Specialized copy of BaseQueue._complete_service with the WRR
-        # selection and service start fused into the drain loop — the
-        # congested port of an incast lives in this method, so every saved
-        # call frame counts.  Keep semantics in sync with the base
-        # implementation, including the fast-forward guard (a batched
-        # completion may only run inline when it strictly precedes every
-        # other pending event).
-        eventlist = self.eventlist
-        while True:
-            packet = self._in_service
-            self._in_service = None
-            self._busy = False
-            if packet is not None:
-                stats = self.stats
-                size = packet.size
-                stats.packets_forwarded += 1
-                stats.bytes_forwarded += size
-                if not packet.is_header_only:
-                    stats.data_bytes_forwarded += size
-                if self._has_departed_hook:
-                    self._packet_departed(packet)
-                hop = packet.hop
-                elements = packet.route.elements
-                nxt = elements[hop]
-                if type(nxt) is Pipe:
-                    nxt.packets_carried += 1
-                    nxt.bytes_carried += size
-                    packet.hop = hop + 2
-                    when = eventlist._now + nxt.delay_ps
-                    seq = eventlist._sequence = eventlist._sequence + 1
-                    pool = eventlist._entry_pool
-                    if pool:
-                        entry = pool.pop()
-                        entry[0] = when
-                        entry[1] = seq
-                        entry[2] = None
-                        entry[3] = 1
-                        entry[4] = elements[hop + 1].receive_packet
-                        entry[5] = packet
-                    else:
-                        eventlist.entry_allocs += 1
-                        entry = [when, seq, None, 1,
-                                 elements[hop + 1].receive_packet, packet]
-                    delta = (when >> _WHEEL_SHIFT) - eventlist._cursor
-                    if delta <= 0:
-                        _insort(eventlist._cur_spill, entry)
-                        eventlist._wheel_count += 1
-                    elif delta < _WHEEL_SLOTS:
-                        eventlist._wheel[(when >> _WHEEL_SHIFT) & _WHEEL_MASK].append(entry)
-                        eventlist._wheel_count += 1
-                    else:
-                        _heappush(eventlist._far, entry)
-                else:
-                    packet.hop = hop + 1
-                    nxt.receive_packet(packet)
-            # fused _maybe_start_service (forwarding above can re-enter, so
-            # the busy re-check is required)
-            if self._busy or self._paused:
-                return
-            header_queue = self._header_queue
-            data_queue = self._data_queue
-            if header_queue and (
-                not data_queue or self._headers_since_data < self._wrr_ratio
-            ):
-                packet = header_queue.popleft()
-                self._header_bytes -= packet.size
-                self._headers_since_data += 1
-            elif data_queue:
-                packet = data_queue.popleft()
-                self._data_bytes -= packet.size
-                self._headers_since_data = 0
-            else:
-                return
-            self.queue_bytes = self._data_bytes + self._header_bytes
-            self._busy = True
-            self._in_service = packet
-            size = packet.size
-            try:
-                delay = self._ser_cache[size]
-            except KeyError:
-                delay = self._ser_cache[size] = (
-                    size * _BITS_PS + self._rate_half
-                ) // self.service_rate_bps
-            if self.serialization_jitter_ps:
-                delay += self._jitter_rng.randint(0, self.serialization_jitter_ps)
-            when = eventlist._now + delay
-            if when < eventlist._ff_bound:
-                cur = eventlist._cur
-                pos = eventlist._cur_pos
-                if pos >= len(cur) or cur[pos][0] > when:
-                    spill = eventlist._cur_spill
-                    spos = eventlist._spill_pos
-                    if spos >= len(spill) or spill[spos][0] > when:
-                        eventlist._now = when
-                        eventlist.events_executed += 1
-                        continue
-            seq = eventlist._sequence = eventlist._sequence + 1
-            pool = eventlist._entry_pool
-            if pool:
-                entry = pool.pop()
-                entry[0] = when
-                entry[1] = seq
-                entry[2] = None
-                entry[3] = 0
-                entry[4] = self._complete_cb
-                entry[5] = None
-            else:
-                eventlist.entry_allocs += 1
-                entry = [when, seq, None, 0, self._complete_cb, None]
-            delta = (when >> _WHEEL_SHIFT) - eventlist._cursor
-            if delta <= 0:
-                _insort(eventlist._cur_spill, entry)
-                eventlist._wheel_count += 1
-            elif delta < _WHEEL_SLOTS:
-                eventlist._wheel[(when >> _WHEEL_SHIFT) & _WHEEL_MASK].append(entry)
-                eventlist._wheel_count += 1
-            else:
-                _heappush(eventlist._far, entry)
-            return
 
 
 class CpSwitchQueue(BaseQueue):

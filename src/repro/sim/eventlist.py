@@ -43,14 +43,19 @@ The ``obj``/``gen`` slots are overloaded by entry kind:
   instead of letting them linger until they surface.
 * **raw entries** (``obj is None``) use ``gen`` as the *call arity*:
   ``0`` → ``callback()`` with ``arg`` unused, ``1`` → ``callback(arg)``
-  with ``arg`` the single positional argument (the ``(callback, handle)``
-  pair of the columnar packet core — no argument tuple exists at all),
+  with ``arg`` the single positional argument (the ``(callback, packet)``
+  pair of a packet delivery — no argument tuple exists at all),
   ``2`` → ``callback(*arg)`` with ``arg`` a tuple.
 
-Hot-path producers (queues, pipes, pacers) use :meth:`EventList.schedule_raw`
-/ :meth:`EventList.schedule_raw_in` (or call :meth:`EventList._insert`
-directly from inside the ``sim``/``core`` packages), which enqueue a bare
-callback without allocating an :class:`Event` handle; use the classic
+:meth:`EventList._insert` is the one scheduling primitive — sequence number
+(ordinary or shadow), entry fill, tier routing — behind every public
+``schedule*`` method, :meth:`Timer.schedule_at`, ``Pipe.receive_packet`` and
+``BaseQueue._start_service``.  It is hand-inlined in exactly two places, both
+inside the queue drain loop ``BaseQueue._complete_service`` (the fused pipe
+delivery and the next completion), which issue 55-88 % of all inserts on the
+measured workloads; docs/architecture.md carries the traffic table.  Use
+:meth:`EventList.schedule_raw` / :meth:`EventList.schedule_raw_in` to enqueue
+a bare callback without allocating an :class:`Event` handle, and the classic
 :meth:`EventList.schedule` whenever the caller may need to cancel.
 
 While a batch drains, :attr:`EventList._cur_pos` / :attr:`EventList._spill_pos`
@@ -234,34 +239,9 @@ class Timer:
         self.when = when
         gen = self._gen = self._gen + 1
         self._armed_gen = gen
-        # inlined EventList._insert (re-arming is once per retransmission);
         # shadow timers consume shadow sequence numbers so they cannot shift
         # the tie-breaking order of ordinary events
-        if self._shadow:
-            seq = eventlist._shadow_sequence = eventlist._shadow_sequence + 1
-        else:
-            seq = eventlist._sequence = eventlist._sequence + 1
-        pool = eventlist._entry_pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = when
-            entry[1] = seq
-            entry[2] = self
-            entry[3] = gen
-            entry[4] = self.callback
-            entry[5] = self.args
-        else:
-            eventlist.entry_allocs += 1
-            entry = [when, seq, self, gen, self.callback, self.args]
-        delta = (when >> _WHEEL_SHIFT) - eventlist._cursor
-        if delta <= 0:
-            _insort(eventlist._cur_spill, entry)
-            eventlist._wheel_count += 1
-        elif delta < _WHEEL_SLOTS:
-            eventlist._wheel[(when >> _WHEEL_SHIFT) & _WHEEL_MASK].append(entry)
-            eventlist._wheel_count += 1
-        else:
-            _heappush(eventlist._far, entry)
+        eventlist._insert(when, self, gen, self.callback, self.args, self._shadow)
 
     def schedule_in(self, delay: int) -> None:
         """(Re-)arm the timer *delay* picoseconds from now."""
@@ -358,31 +338,22 @@ class EventList:
         self,
         when: int,
         obj: Optional[object],
-        gen: Any,
+        gen: int,
         callback: Callable[..., Any],
-        args: tuple,
+        arg: Any,
+        shadow: bool = False,
     ) -> None:
-        """Route one entry to the correct tier (see the module docstring).
+        """The one scheduling primitive: fill an entry and route it to its tier.
 
-        Callers inside the simulator's hot paths may invoke this directly
-        with ``obj=None, gen=0`` (the :meth:`schedule_raw` contract) after
-        ensuring ``when >= now``; the argument tuple is unpacked into the
-        arity encoding here.
+        ``obj``/``gen``/``arg`` are stored as given (see the module docstring
+        for their meaning per entry kind); the caller has ensured
+        ``when >= now``.  ``shadow=True`` draws the tie-breaking sequence
+        number from the shadow counter instead of the ordinary one.
         """
-        seq = self._sequence = self._sequence + 1
-        if obj is None:
-            n = len(args)
-            if n == 1:
-                gen = 1
-                arg: Any = args[0]
-            elif n == 0:
-                gen = 0
-                arg = None
-            else:
-                gen = 2
-                arg = args
+        if shadow:
+            seq = self._shadow_sequence = self._shadow_sequence + 1
         else:
-            arg = args
+            seq = self._sequence = self._sequence + 1
         pool = self._entry_pool
         if pool:
             entry = pool.pop()
@@ -431,21 +402,27 @@ class EventList:
     def schedule_raw(self, when: int, callback: Callable[..., Any], args: tuple = ()) -> None:
         """Fast-path schedule: no :class:`Event` handle, not cancellable.
 
-        Used by the per-packet hot paths (queue service completions, pipe
-        deliveries, pacer ticks) where the callback always runs and the
-        allocation of a handle per packet would be pure overhead.
+        Used where the callback always runs (pipe deliveries, pacer ticks,
+        fault re-admissions) and a handle per packet would be pure overhead.
+        The argument tuple is unpacked into the raw entry's arity encoding.
         """
         if when < self._now:
             raise ValueError(
                 f"cannot schedule event at {when} ps: current time is {self._now} ps"
             )
-        self._insert(when, None, 0, callback, args)
+        arity = len(args)
+        if arity == 1:
+            self._insert(when, None, 1, callback, args[0])
+        elif arity == 0:
+            self._insert(when, None, 0, callback, None)
+        else:
+            self._insert(when, None, 2, callback, args)
 
     def schedule_raw_in(self, delay: int, callback: Callable[..., Any], args: tuple = ()) -> None:
         """Fast-path relative schedule (see :meth:`schedule_raw`)."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        self._insert(self._now + delay, None, 0, callback, args)
+        self.schedule_raw(self._now + delay, callback, args)
 
     def new_timer(
         self, callback: Callable[..., Any], *args: Any, shadow: bool = False
@@ -579,19 +556,27 @@ class EventList:
         ----------
         until:
             Optional absolute timestamp (picoseconds).  Events scheduled
-            strictly after this time are left in the queue and the clock is
-            advanced to *until* when the run completes.
+            strictly after this time are left in the queue, and the clock is
+            advanced to *until* when that bound (or running out of events)
+            ends the run.  A run ended by *max_events* or :meth:`stop` leaves
+            the clock at the last dispatched event, so it is never ahead of
+            an event still pending.
         max_events:
-            Optional safety limit on the number of callbacks *dispatched by
-            the scheduler*.  Completions fast-forwarded inside a recurring
-            service callback count toward :attr:`events_executed` but not
-            toward this limit (they never re-enter the scheduler).
+            Optional limit on the number of callbacks *dispatched by the
+            scheduler* (``0`` dispatches none).  Completions fast-forwarded
+            inside a recurring service callback count toward
+            :attr:`events_executed` but not toward this limit (they never
+            re-enter the scheduler).
 
         Returns
         -------
         int
             The simulated time at which the run stopped.
         """
+        return self._run(until, max_events, until)
+
+    def _run(self, until: Optional[int], max_events: Optional[int], park_at: Optional[int]) -> int:
+        """:meth:`run`, parking the clock at *park_at* if the bound ended it."""
         self._stopped = False
         time_limit = _NO_LIMIT if until is None else until
         self._time_limit = time_limit
@@ -604,7 +589,7 @@ class EventList:
         counted = 0  # scheduler dispatches already added to events_executed
         base_executed = self.events_executed  # fast-forwards add here directly
         spill = self._cur_spill
-        done = False
+        done = budget <= 0
         gc_was_enabled = _gc.isenabled()
         if gc_was_enabled:
             _gc.disable()
@@ -692,8 +677,15 @@ class EventList:
             self._ff_bound = 0  # fast-forwards are only legal mid-run
             if gc_was_enabled:
                 _gc.enable()
-        if until is not None and not self._stopped and self._now < until:
-            self._now = until
+        # only the bound (or exhaustion) parks the clock: after a budget or
+        # stop() exit, events at or before `until` may still be pending
+        if (
+            park_at is not None
+            and not self._stopped
+            and executed < budget
+            and self._now < park_at
+        ):
+            self._now = park_at
         return self._now
 
     def run_until(self, when: int, max_events: Optional[int] = None) -> int:
@@ -708,13 +700,11 @@ class EventList:
         window (they may be preceded by boundary traffic flushed at the
         barrier), so this runs strictly-before semantics — ``run(until=
         end_ps - 1)`` — and then parks the clock at *end_ps* so ingress
-        arrivals at ``when >= end_ps`` remain schedulable.
+        arrivals at ``when >= end_ps`` remain schedulable (under the same
+        rule as :meth:`run`: not after a *max_events* or :meth:`stop` exit).
         """
         if end_ps <= self._now:
             raise ValueError(
                 f"window end {end_ps} not ahead of current time {self._now}"
             )
-        self.run(until=end_ps - 1, max_events=max_events)
-        if not self._stopped and self._now < end_ps:
-            self._now = end_ps
-        return self._now
+        return self._run(end_ps - 1, max_events, end_ps)

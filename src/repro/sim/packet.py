@@ -24,8 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.sim.pool import PacketPool
 
 #: Packets constructed through ``__init__`` since interpreter start (pooled
-#: allocations go through ``__new__`` + ``PacketPool.adopt`` and are counted
-#: by the pool instead).  Deterministic — unlike gc counters it is unaffected
+#: allocations go through ``PacketPool.get`` and are counted by the pool
+#: instead).  Deterministic — unlike gc counters it is unaffected
 #: by interpreter internals, which matters with gc disabled during runs.
 _CONSTRUCTIONS = 0
 

@@ -9,10 +9,7 @@ pipe at once.
 
 from __future__ import annotations
 
-from bisect import insort as _insort
-from heapq import heappush as _heappush
-
-from repro.sim.eventlist import _WHEEL_MASK, _WHEEL_SHIFT, _WHEEL_SLOTS, EventList
+from repro.sim.eventlist import EventList
 from repro.sim.network import PacketSink
 from repro.sim.packet import Packet
 
@@ -45,41 +42,17 @@ class Pipe(PacketSink):
         """Deliver *packet* to its next hop after the propagation delay."""
         self.packets_carried += 1
         self.bytes_carried += packet.size
-        # Raw scheduler entry, inlined (the EventList._insert fast path): a
-        # delivery is never cancelled and delay_ps >= 0, so neither the guard
-        # nor an Event handle — nor even the call frame — is worth paying on
-        # the busiest per-packet path in the simulator.  The hop pointer is
-        # advanced now (the route cannot change in flight), so the delivery
-        # event calls the downstream element directly.
+        # The hop pointer is advanced now (the route cannot change in
+        # flight), so the delivery event calls the downstream element
+        # directly: a raw arity-1 entry carrying the bare (callback, packet)
+        # pair — never cancelled, delay_ps >= 0, no argument tuple.  Fabric
+        # pipes that directly follow a queue never get here: the queue drain
+        # loop fuses this hop in (BaseQueue._complete_service).
         hop = packet.hop
         sink = packet.route.elements[hop]
         packet.hop = hop + 1
         eventlist = self.eventlist
-        when = eventlist._now + self.delay_ps
-        seq = eventlist._sequence = eventlist._sequence + 1
-        # recycled six-slot entry carrying a bare (callback, packet) pair
-        # (arity 1) — no argument tuple is ever allocated for a delivery
-        pool = eventlist._entry_pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = when
-            entry[1] = seq
-            entry[2] = None
-            entry[3] = 1
-            entry[4] = sink.receive_packet
-            entry[5] = packet
-        else:
-            eventlist.entry_allocs += 1
-            entry = [when, seq, None, 1, sink.receive_packet, packet]
-        delta = (when >> _WHEEL_SHIFT) - eventlist._cursor
-        if delta <= 0:
-            _insort(eventlist._cur_spill, entry)
-            eventlist._wheel_count += 1
-        elif delta < _WHEEL_SLOTS:
-            eventlist._wheel[(when >> _WHEEL_SHIFT) & _WHEEL_MASK].append(entry)
-            eventlist._wheel_count += 1
-        else:
-            _heappush(eventlist._far, entry)
+        eventlist._insert(eventlist._now + self.delay_ps, None, 1, sink.receive_packet, packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Pipe({self.name}, {self.delay_ps} ps)"

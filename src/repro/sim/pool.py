@@ -1,43 +1,32 @@
-"""Slot-pool / struct-of-arrays packet core.
+"""Recycling slot pool for flyweight packets.
 
 Per-packet heap allocation (``NdpDataPacket(...)`` once per transmit, one
 ACK/NACK/PULL object per control emission) dominated the allocator profile
 of the hot scenarios.  The :class:`PacketPool` replaces it with a slot pool:
 
-* **Columns.** The pool owns contiguous parallel ``array('q')`` columns for
-  the hot packet fields — size, seqno, flow id, path id, priority, the
-  header-trim flag and the route cursor (hop) — plus a generation column.
-  Every slot is identified by an integer *handle* indexing all columns.
-* **Handles + generation stamps.** ``generation[h]`` is bumped on every
-  :meth:`release`.  A facade whose ``_gen`` no longer matches its slot's
-  generation is *stale*: releasing it again raises (double-free detection),
+* **Handles + generation stamps.** Every slot is identified by an integer
+  *handle*; ``generation[h]`` is bumped on every :meth:`~PacketPool.release`.
+  A facade whose ``_gen`` no longer matches its slot's generation is
+  *stale*: releasing it again raises (double-free detection),
   :meth:`~repro.sim.packet.Packet.is_freed` reports it, and the debug
   renderers (``repr``, :func:`repro.sim.logger.describe_packet`) refuse to
   show its field values.
 * **Flyweight facades.** Packet *objects* are recycled alongside their
   slots: each per-class free list holds fully-built facade instances
-  (``NdpDataPacket`` etc.), so an allocation on the fast path is a
-  ``list.pop()`` plus plain field writes — no ``__new__``, no ``__init__``,
-  no allocator traffic.  The facade's ``__slots__`` carry the live field
-  values (attribute access stays a single C-level slot load, which is what
-  the per-event budget can afford in CPython); the columns are synchronised
-  at the slot-lifecycle boundaries — placeholders at :meth:`adopt`, the
-  final on-wire state at :meth:`release` — giving O(1) columnar
-  introspection (leak reports, post-mortem audits) without touching the
-  Python objects.
+  (``NdpDataPacket`` etc.), so an allocation is a ``list.pop()`` plus plain
+  field writes — no ``__new__``, no ``__init__``, no allocator traffic.
+  The facade's ``__slots__`` carry the live field values (attribute access
+  stays a single C-level slot load, which is what the per-event budget can
+  afford in CPython).
+* **Always-on accounting.** ``live_cls`` / :meth:`~PacketPool.live_handles`
+  (the leak report) and the ``constructed`` / ``reused`` / ``freed`` /
+  :meth:`~PacketPool.live` counters cost two list/int writes per cycle.
 
-Allocation fast path (inlined at the endpoints, which hoist their class's
-free list at construction time)::
+:meth:`PacketPool.get` is the one allocation path; the NDP endpoints call
+it once per transmitted packet (allocations are 8-12 % of events on the
+ledger workloads, so its call frame is below measurement)::
 
-    free = self._ack_free                  # pool.free_list(NdpAck), hoisted
-    if free:
-        packet = free.pop()
-        packet._gen = pool.generation[packet._handle]
-        pool.live_cls[packet._handle] = NdpAck
-        pool.reused += 1
-    else:
-        packet = NdpAck.__new__(NdpAck)    # pool miss: one real allocation
-        pool.adopt(packet)
+    packet = pool.get(NdpAck)
     # ... caller writes EVERY field the protocol reads; a revived facade
     # still carries its previous life's values (trimmed flag, bounce flag,
     # ECN bits included) and nothing resets them implicitly.
@@ -45,8 +34,8 @@ free list at construction time)::
 Ownership rules (documented for callers; see docs/architecture.md):
 
 * a handle (facade) may be held across events only by the code that will
-  eventually :meth:`release` it — the endpoint a packet is in flight to, or
-  the queue currently buffering it;
+  eventually :meth:`~PacketPool.release` it — the endpoint a packet is in
+  flight to, or the queue currently buffering it;
 * whoever consumes a packet frees it: sinks release data/headers after the
   handler returns, sources release control and bounced packets, queues and
   taps release what they drop;
@@ -54,17 +43,20 @@ Ownership rules (documented for callers; see docs/architecture.md):
   ``_pool is None`` and :meth:`Packet.release` is a no-op for them, so
   shared drop paths call ``packet.release()`` unconditionally.
 
-Set ``REPRO_POOL_DEBUG=1`` to poison freed facades (size/seqno/flow id/hop
-forced to ``-1``, route detached): any use-after-free then either crashes
-immediately or shows sentinel values instead of silently reading recycled
-state.
+Set ``REPRO_POOL_DEBUG=1`` (or build the pool with ``debug=True``) to
+debug use-after-free: every release then snapshots the packet's last
+on-wire state (what :meth:`PacketPool.slot_state` returns and
+``describe_packet`` renders for a freed packet) and poisons the freed
+facade (size/seqno/flow id/hop forced to ``-1``, route detached), so a
+stale read either crashes immediately or shows sentinel values instead of
+silently reading recycled state.  Without it a freed packet renders as its
+class, slot and generation only.
 """
 
 from __future__ import annotations
 
 import os
-from array import array
-from typing import Dict, List, Optional, Tuple, Type, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.packet import Packet
@@ -75,7 +67,7 @@ class PacketPoolError(RuntimeError):
 
 
 class PacketPool:
-    """A recycling slot pool with columnar per-slot state.
+    """A recycling slot pool of flyweight packet facades.
 
     One pool is shared by every endpoint of a network (see
     :class:`repro.harness.ndp_network.NdpNetwork`): data packets freed at
@@ -84,16 +76,10 @@ class PacketPool:
     """
 
     __slots__ = (
-        "size_col",
-        "seqno_col",
-        "flow_col",
-        "path_col",
-        "prio_col",
-        "header_col",
-        "hop_col",
         "generation",
         "live_cls",
         "_free",
+        "_last_wire",
         "constructed",
         "reused",
         "freed",
@@ -104,68 +90,29 @@ class PacketPool:
         if debug is None:
             debug = os.environ.get("REPRO_POOL_DEBUG", "") not in ("", "0")
         self.debug = debug
-        # struct-of-arrays hot-field columns, indexed by handle
-        self.size_col = array("q")
-        self.seqno_col = array("q")
-        self.flow_col = array("q")
-        self.path_col = array("q")
-        self.prio_col = array("q")
-        self.header_col = array("q")
-        self.hop_col = array("q")
         #: generation stamp per slot; bumped on every release
         self.generation: List[int] = []
         #: class of the facade currently live in each slot, or None if free
         self.live_cls: List[Optional[type]] = []
         self._free: Dict[type, List["Packet"]] = {}
-        #: pool misses — real ``__new__`` allocations (one column row each)
+        #: handle -> last on-wire field snapshot; filled only when ``debug``
+        self._last_wire: Dict[int, Dict[str, int]] = {}
+        #: pool misses — real ``__new__`` allocations (one new slot each)
         self.constructed = 0
-        #: fast-path revivals from a free list
+        #: revivals from a free list
         self.reused = 0
         #: successful releases
         self.freed = 0
 
     # --- allocation ---------------------------------------------------------
 
-    def free_list(self, cls: type) -> List["Packet"]:
-        """The free list of *cls* facades (created on first use).
-
-        Endpoints hoist this list once and inline the pop/adopt fast path
-        shown in the module docstring.
-        """
-        free = self._free.get(cls)
-        if free is None:
-            free = self._free[cls] = []
-        return free
-
-    def adopt(self, packet: "Packet") -> "Packet":
-        """Bind a freshly ``__new__``-ed facade to a new slot.
-
-        Called *before* the caller writes the packet's fields (the facade
-        has no readable state yet), so the new slot's columns start as
-        placeholders; :meth:`release` writes the real values.
-        """
-        handle = len(self.generation)
-        self.generation.append(0)
-        self.live_cls.append(type(packet))
-        self.size_col.append(0)
-        self.seqno_col.append(0)
-        self.flow_col.append(0)
-        self.path_col.append(0)
-        self.prio_col.append(0)
-        self.header_col.append(0)
-        self.hop_col.append(0)
-        packet._pool = self
-        packet._handle = handle
-        packet._gen = 0
-        self.constructed += 1
-        return packet
-
     def get(self, cls: type) -> "Packet":
         """Allocate a facade of *cls* (revive from the free list, else miss).
 
         The caller **must write every field** the protocol will read before
         letting the packet out of hand: a revived facade still carries the
-        values of its previous life.
+        values of its previous life, and a missed one has no field values
+        at all.
         """
         free = self._free.get(cls)
         if free:
@@ -176,7 +123,13 @@ class PacketPool:
             self.reused += 1
             return packet
         packet = cls.__new__(cls)
-        return self.adopt(packet)
+        packet._pool = self
+        packet._handle = len(self.generation)
+        packet._gen = 0
+        self.generation.append(0)
+        self.live_cls.append(cls)
+        self.constructed += 1
+        return packet
 
     # --- release ------------------------------------------------------------
 
@@ -195,19 +148,21 @@ class PacketPool:
                 f"{handle} generation {packet._gen} != {generation[handle]}"
             )
         generation[handle] += 1
-        # audit columns: the slot's last on-wire state, readable without
-        # touching (possibly poisoned) facade attributes
-        self.size_col[handle] = packet.size
-        self.seqno_col[handle] = packet.seqno
-        self.flow_col[handle] = packet.flow_id
-        self.path_col[handle] = packet.path_id
-        self.prio_col[handle] = packet.priority
-        self.header_col[handle] = 1 if packet.is_header_only else 0
-        self.hop_col[handle] = packet.hop
         cls = type(packet)
         self.live_cls[handle] = None
         self.freed += 1
         if self.debug:
+            # the slot's last on-wire state, readable afterwards without
+            # touching the facade attributes poisoned just below
+            self._last_wire[handle] = {
+                "size": packet.size,
+                "seqno": packet.seqno,
+                "flow_id": packet.flow_id,
+                "path_id": packet.path_id,
+                "priority": packet.priority,
+                "is_header_only": packet.is_header_only,
+                "hop": packet.hop,
+            }
             packet.size = -1
             packet.seqno = -1
             packet.flow_id = -1
@@ -238,17 +193,9 @@ class PacketPool:
         ]
 
     def slot_state(self, handle: int) -> Dict[str, int]:
-        """Columnar snapshot of one slot (last release, or placeholders)."""
-        return {
-            "size": self.size_col[handle],
-            "seqno": self.seqno_col[handle],
-            "flow_id": self.flow_col[handle],
-            "path_id": self.path_col[handle],
-            "priority": self.prio_col[handle],
-            "is_header_only": self.header_col[handle],
-            "hop": self.hop_col[handle],
-            "generation": self.generation[handle],
-        }
+        """One slot's generation plus, on a ``debug`` pool, the field
+        snapshot its last release took (absent before the first release)."""
+        return {**self._last_wire.get(handle, {}), "generation": self.generation[handle]}
 
     def reserve(self, cls: type, count: int) -> None:
         """Preallocate *count* free slots (and facades) for *cls*.
@@ -257,22 +204,14 @@ class PacketPool:
         region runs entirely on revivals.  Reserved slots start on the free
         list with ``generation == 1`` (born-freed).
         """
-        free = self.free_list(cls)
+        free = self._free.setdefault(cls, [])
         for _ in range(count):
             packet = cls.__new__(cls)
-            handle = len(self.generation)
+            packet._pool = self
+            packet._handle = len(self.generation)
+            packet._gen = 0  # stale vs generation 1: the slot is free
             self.generation.append(1)
             self.live_cls.append(None)
-            self.size_col.append(0)
-            self.seqno_col.append(0)
-            self.flow_col.append(0)
-            self.path_col.append(0)
-            self.prio_col.append(0)
-            self.header_col.append(0)
-            self.hop_col.append(0)
-            packet._pool = self
-            packet._handle = handle
-            packet._gen = 0  # stale vs generation 1: the slot is free
             free.append(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -248,54 +248,9 @@ class BaseQueue(PacketSink):
     def _maybe_start_service(self) -> None:
         if self._busy or self._paused:
             return
-        if self._plain_fifo:
-            # inlined FIFO _select_next (the overwhelmingly common policy)
-            fifo = self._fifo
-            if not fifo:
-                return
-            packet = fifo.popleft()
-            self.queue_bytes -= packet.size
-        else:
-            packet = self._select_next()
-            if packet is None:
-                return
-        # body of _start_service, duplicated here to save a call frame on
-        # the once-per-packet path (keep the two in sync)
-        self._busy = True
-        self._in_service = packet
-        size = packet.size
-        try:
-            delay = self._ser_cache[size]
-        except KeyError:
-            delay = self._ser_cache[size] = (
-                size * _BITS_PS + self._rate_half
-            ) // self.service_rate_bps
-        if self.serialization_jitter_ps:
-            delay += self._jitter_rng.randint(0, self.serialization_jitter_ps)
-        eventlist = self.eventlist
-        when = eventlist._now + delay
-        seq = eventlist._sequence = eventlist._sequence + 1
-        pool = eventlist._entry_pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = when
-            entry[1] = seq
-            entry[2] = None
-            entry[3] = 0
-            entry[4] = self._complete_cb
-            entry[5] = None
-        else:
-            eventlist.entry_allocs += 1
-            entry = [when, seq, None, 0, self._complete_cb, None]
-        delta = (when >> _WHEEL_SHIFT) - eventlist._cursor
-        if delta <= 0:
-            _insort(eventlist._cur_spill, entry)
-            eventlist._wheel_count += 1
-        elif delta < _WHEEL_SLOTS:
-            eventlist._wheel[(when >> _WHEEL_SHIFT) & _WHEEL_MASK].append(entry)
-            eventlist._wheel_count += 1
-        else:
-            _heappush(eventlist._far, entry)
+        packet = self._select_next()
+        if packet is not None:
+            self._start_service(packet)
 
     def _start_service(self, packet: Packet) -> None:
         """Begin serializing *packet* (caller has checked busy/paused)."""
@@ -312,35 +267,18 @@ class BaseQueue(PacketSink):
             ) // self.service_rate_bps
         if self.serialization_jitter_ps:
             delay += self._jitter_rng.randint(0, self.serialization_jitter_ps)
-        # inlined EventList._insert fast path (raw, non-cancellable entry)
         eventlist = self.eventlist
-        when = eventlist._now + delay
-        seq = eventlist._sequence = eventlist._sequence + 1
-        pool = eventlist._entry_pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = when
-            entry[1] = seq
-            entry[2] = None
-            entry[3] = 0
-            entry[4] = self._complete_cb
-            entry[5] = None
-        else:
-            eventlist.entry_allocs += 1
-            entry = [when, seq, None, 0, self._complete_cb, None]
-        delta = (when >> _WHEEL_SHIFT) - eventlist._cursor
-        if delta <= 0:
-            _insort(eventlist._cur_spill, entry)
-            eventlist._wheel_count += 1
-        elif delta < _WHEEL_SLOTS:
-            eventlist._wheel[(when >> _WHEEL_SHIFT) & _WHEEL_MASK].append(entry)
-            eventlist._wheel_count += 1
-        else:
-            _heappush(eventlist._far, entry)
+        eventlist._insert(eventlist._now + delay, None, 0, self._complete_cb, None)
 
     def _complete_service(self) -> None:
-        # Batched drain: each loop iteration is one service completion.  The
-        # first is the one the scheduler dispatched; subsequent iterations are
+        # The one drain loop of every queue discipline (subclasses vary
+        # admission and _select_next only).  Each iteration is one service
+        # completion: it forwards the serialized packet, then selects and
+        # starts the next — _maybe_start_service + _start_service fused in,
+        # with EventList._insert hand-inlined at the two sites below (pipe
+        # delivery, next completion), because this loop issues the majority
+        # of all scheduler inserts (traffic table: docs/architecture.md).  The
+        # first iteration is the one the scheduler dispatched; the rest are
         # *fast-forwarded* completions — when the next packet's completion
         # time provably precedes every other pending event (strictly: a
         # timestamp tie falls back to the scheduler, which preserves the
@@ -405,6 +343,8 @@ class BaseQueue(PacketSink):
             if self._busy or self._paused:
                 return
             if self._plain_fifo:
+                # inlined BaseQueue._select_next, for every discipline that
+                # keeps the plain FIFO policy
                 fifo = self._fifo
                 if not fifo:
                     return

@@ -61,7 +61,7 @@ class TestDescribePacket:
         assert packet.seqno == -1  # the facade really is poisoned
 
     def test_freed_trimmed_packet_reports_header_flag(self):
-        pool = PacketPool()
+        pool = PacketPool(debug=True)  # the last-on-wire snapshot is debug-only
         packet = _pooled_data(pool)
         packet.trim(64)
         packet.release()

@@ -97,6 +97,39 @@ class TestRunControl:
         assert eventlist.events_executed == 3
         assert eventlist.pending_events() == 7
 
+    def test_zero_budget_dispatches_nothing(self, eventlist):
+        eventlist.schedule(10, lambda: None)
+        assert eventlist.run(max_events=0) == 0
+        assert eventlist.events_executed == 0
+        assert eventlist.pending_events() == 1
+
+    def test_budgeted_bounded_run_never_passes_a_pending_event(self, eventlist):
+        # the chunked drivers' call shape: only the bound may park the clock
+        executed = []
+        for t in (10, 20, 30):
+            eventlist.schedule(t, executed.append, t)
+        assert eventlist.run(until=100, max_events=1) == 10
+        assert eventlist.now() == 10
+        # "in 0 ps" between two chunks lands before the pending events
+        eventlist.schedule_in(0, executed.append, "between")
+        assert eventlist.run(until=100, max_events=2) == 20
+        assert executed == [10, "between", 20]
+        assert eventlist.run(until=100, max_events=5) == 100
+        assert executed == [10, "between", 20, 30]
+
+    def test_budgeted_window_parks_only_at_the_bound(self, eventlist):
+        for t in (10, 20):
+            eventlist.schedule(t, lambda: None)
+        assert eventlist.run_window(50, max_events=1) == 10
+        assert eventlist.run_window(50, max_events=1) == 20
+        assert eventlist.run_window(50, max_events=1) == 50
+
+    def test_stopped_bounded_run_leaves_clock_at_the_stop(self, eventlist):
+        eventlist.schedule(20, eventlist.stop)
+        eventlist.schedule(30, lambda: None)
+        assert eventlist.run(until=100) == 20
+        assert eventlist.run(until=100) == 100
+
     def test_cancelled_events_do_not_run(self, eventlist):
         executed = []
         event = eventlist.schedule(10, executed.append, "cancelled")

@@ -155,9 +155,11 @@ class TestTiers:
 
 
 class TestInlinedInsertParity:
-    """The per-packet producers (queues, switch, pipe, Timer) inline the
-    EventList._insert tier routing; this exercises the same boundary deltas
-    through those producers and checks ordering/accounting parity."""
+    """EventList._insert is hand-inlined at two sites, both inside the drain
+    loop BaseQueue._complete_service: the fused pipe delivery and the next
+    service completion.  This exercises the tier-edge deltas through _insert
+    itself and a queue -> pipe hop through the inline sites, and checks
+    ordering/accounting parity between them."""
 
     def test_boundary_deltas_execute_in_order(self, eventlist):
         order = []

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.eventlist import EventList
-from repro.sim.network import CountingSink
+from repro.core.switch import CpSwitchQueue, NdpSwitchQueue
+from repro.sim.eventlist import _WHEEL_SHIFT, EventList
+from repro.sim.network import CountingSink, PacketSink
 from repro.sim.packet import Packet, Route
 from repro.sim.pipe import Pipe
 from repro.sim.queues import DropTailQueue, ECNQueue, LosslessQueue
@@ -187,3 +188,133 @@ class TestWorkConservation:
         admitted = queue.stats.packets_enqueued
         assert sink.packets_received == admitted
         assert admitted + queue.stats.packets_dropped == 50
+
+
+class _RecordingSink(PacketSink):
+    """Logs ``(seqno, arrival time)``; optionally stops the run at one seqno."""
+
+    def __init__(self, eventlist, stop_at_seqno=None):
+        self.eventlist = eventlist
+        self.stop_at_seqno = stop_at_seqno
+        self.log = []
+
+    def receive_packet(self, packet):
+        self.log.append((packet.seqno, self.eventlist.now()))
+        if packet.seqno == self.stop_at_seqno:
+            self.eventlist.stop()
+
+
+#: burst that one port serializes well inside a single timing-wheel slot and
+#: that fits the 8-packet data queue of the trimming switches untrimmed
+_FF_BURST = 6
+_FF_BYTES = 640
+
+_DRAIN_QUEUES = {
+    "droptail": lambda el: DropTailQueue(el, gbps(10), 1_000_000),
+    "lossless": lambda el: LosslessQueue(el, gbps(10), 1_000_000),
+    "cp": lambda el: CpSwitchQueue(el, gbps(10)),
+    "ndp": lambda el: NdpSwitchQueue(el, gbps(10)),
+}
+
+
+#: where the burst starts decides which tier holds the entries it races: at
+#: time 0 they land in the cursor slot's sorted spill, two slots later in a
+#: wheel bucket that becomes the sorted batch
+_FF_STARTS = {"spill": 0, "batch": 2 << _WHEEL_SHIFT}
+
+
+@pytest.mark.parametrize("start", _FF_STARTS.values(), ids=_FF_STARTS.keys())
+@pytest.mark.parametrize("make_queue", _DRAIN_QUEUES.values(), ids=_DRAIN_QUEUES.keys())
+class TestFastForwardGuard:
+    """The drain loop shared by every discipline may complete the next packet
+    inline only when that provably precedes every other pending event.
+    ``run(max_events=1)`` exposes it: the budget counts scheduler dispatches,
+    not fast-forwarded completions."""
+
+    def _burst(self, eventlist, make_queue, start, *after_queue, stop_at_seqno=None):
+        """Inject the burst at *start*; returns the k-th completion time."""
+        eventlist.run(until=start)
+        queue = make_queue(eventlist)
+        sink = _RecordingSink(eventlist, stop_at_seqno)
+        route = Route([queue, *after_queue, sink])
+        for seq in range(_FF_BURST):
+            packet = _packet(_FF_BYTES, seq=seq)
+            packet.set_route(route)
+            packet.send_to_next_hop()
+        ser = queue.serialization_time(_FF_BYTES)
+        return queue, sink, lambda k: start + k * ser
+
+    def test_uncontended_burst_drains_in_one_dispatch(self, eventlist, make_queue, start):
+        queue, sink, done = self._burst(eventlist, make_queue, start)
+        eventlist.run(max_events=1)
+        assert sink.log == [(seq, done(seq + 1)) for seq in range(_FF_BURST)]
+        assert eventlist.events_executed == _FF_BURST  # inline completions count
+        assert eventlist.pending_events() == 0
+
+    def test_timestamp_tie_goes_through_the_scheduler_in_insertion_order(
+        self, eventlist, make_queue, start
+    ):
+        queue, sink, done = self._burst(eventlist, make_queue, start)
+        eventlist.schedule_raw(done(2), sink.log.append, ("marker",))
+        eventlist.run(max_events=1)
+        assert sink.log == [(0, done(1))]  # the tied completion was not run inline
+        assert eventlist.events_executed == 1
+        eventlist.run()
+        # the marker was inserted before the second completion: it runs first
+        assert sink.log[:3] == [(0, done(1)), "marker", (1, done(2))]
+        assert len(sink.log) == _FF_BURST + 1
+
+    def test_strictly_later_entry_lets_the_completion_run_inline(
+        self, eventlist, make_queue, start
+    ):
+        queue, sink, done = self._burst(eventlist, make_queue, start)
+        eventlist.schedule_raw(done(2) + 1, sink.log.append, ("marker",))
+        eventlist.run(max_events=1)
+        assert sink.log == [(0, done(1)), (1, done(2))]
+        assert eventlist.events_executed == 2
+        assert eventlist.now() == done(2)
+        eventlist.run()
+        assert sink.log[2:4] == ["marker", (2, done(3))]
+        assert eventlist.events_executed == _FF_BURST + 1
+
+    def test_until_bound_is_never_passed_mid_burst(self, eventlist, make_queue, start):
+        queue, sink, done = self._burst(eventlist, make_queue, start)
+        bound = done(2) + 1
+        assert eventlist.run(until=bound) == bound
+        assert sink.log == [(0, done(1)), (1, done(2))]
+        eventlist.run(until=done(3))  # a completion exactly at the bound runs
+        assert sink.log[-1] == (2, done(3))
+        eventlist.run()
+        assert len(sink.log) == _FF_BURST
+
+    def test_stop_from_the_sink_ends_fast_forwarding(self, eventlist, make_queue, start):
+        queue, sink, done = self._burst(eventlist, make_queue, start, stop_at_seqno=1)
+        assert eventlist.run() == done(2)
+        assert sink.log == [(0, done(1)), (1, done(2))]
+        assert len(queue) == _FF_BURST - 2
+        eventlist.run()
+        assert len(sink.log) == _FF_BURST
+
+    def test_pause_raised_by_its_own_forward_call_stops_the_drain(
+        self, eventlist, make_queue, start
+    ):
+        # a directly attached, ten times slower PFC port: its first packet
+        # goes into service, the next two cross its pause threshold — from
+        # inside the draining queue's third forward call
+        downstream = LosslessQueue(
+            eventlist,
+            gbps(1),
+            max_queue_bytes=100 * _FF_BYTES,
+            pause_threshold_bytes=2 * _FF_BYTES,
+            resume_threshold_bytes=_FF_BYTES,
+        )
+        queue, sink, done = self._burst(eventlist, make_queue, start, downstream)
+        downstream.register_upstream(queue)
+        eventlist.run(max_events=1)
+        assert queue.paused
+        assert queue.stats.packets_forwarded == 3
+        assert len(queue) == _FF_BURST - 3
+        assert eventlist.now() == done(3)
+        eventlist.run()
+        assert not queue.paused
+        assert [seq for seq, _when in sink.log] == list(range(_FF_BURST))
