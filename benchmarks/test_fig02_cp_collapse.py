@@ -9,7 +9,8 @@ def test_figure2_cp_collapse(benchmark, sim_cache):
     rows = run_cached(
         benchmark,
         sim_cache,
-        figures.figure2_switch_overload,
+        figures.run,
+        "fig2",
         flow_counts=(4, 16, 64),
         duration_ps=units.milliseconds(10),
     )

@@ -8,7 +8,8 @@ def test_figure9_testbed_incast(benchmark, sim_cache):
     rows = run_cached(
         benchmark,
         sim_cache,
-        figures.figure9_testbed_incast,
+        figures.run,
+        "fig9",
         response_sizes=(10_000, 50_000, 100_000, 250_000, 500_000, 1_000_000),
     )
     print_table("Figure 9: 7:1 incast completion time vs response size", rows)

@@ -5,8 +5,8 @@ from repro.harness import figures
 
 
 def _both(windows):
-    perfect = figures.figure11_initial_window_throughput(windows=windows, jittered=False)
-    jittered = figures.figure11_initial_window_throughput(windows=windows, jittered=True)
+    perfect = figures.run("fig11", windows=windows, jittered=False)
+    jittered = figures.run("fig11", windows=windows, jittered=True)
     rows = []
     for ideal, real in zip(perfect, jittered):
         rows.append(

@@ -8,7 +8,8 @@ def test_figure15_short_flow_fct(benchmark, sim_cache):
     results = run_cached(
         benchmark,
         sim_cache,
-        figures.figure15_short_flow_fct,
+        figures.run,
+        "fig15",
         short_flows=8,
         background_bytes=20_000_000,
         background_flows_per_host=2,

@@ -8,7 +8,8 @@ def test_figure17_buffer_sensitivity(benchmark, sim_cache):
     rows = run_cached(
         benchmark,
         sim_cache,
-        figures.figure17_buffer_sensitivity,
+        figures.run,
+        "fig17",
         windows=(5, 10, 15, 20, 30),
         configurations=(
             ("6pkt 9K MTU", 6, 9000),

@@ -19,7 +19,8 @@ def test_figure19_collateral_damage(benchmark, sim_cache):
     results = run_cached(
         benchmark,
         sim_cache,
-        figures.figure19_collateral_damage,
+        figures.run,
+        "fig19",
         protocols=("NDP", "DCTCP", "DCQCN"),
         incast_senders=14,
         duration_ps=units.milliseconds(22),

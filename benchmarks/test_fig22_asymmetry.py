@@ -9,7 +9,8 @@ def test_figure22_asymmetry(benchmark, sim_cache):
     results = run_cached(
         benchmark,
         sim_cache,
-        figures.figure22_asymmetry,
+        figures.run,
+        "fig22",
         k=4,
         degraded_rate_bps=units.gbps(1),
         duration_ps=units.milliseconds(3),

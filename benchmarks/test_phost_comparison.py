@@ -8,7 +8,8 @@ def test_phost_comparison(benchmark, sim_cache):
     result = run_cached(
         benchmark,
         sim_cache,
-        figures.phost_comparison,
+        figures.run,
+        "phost",
         incast_senders=24,
         incast_bytes=270_000,
     )

@@ -5,7 +5,7 @@ from repro.harness import figures
 
 
 def test_uplink_trimming(benchmark, sim_cache):
-    results = run_cached(benchmark, sim_cache, figures.uplink_trimming_study, k=4)
+    results = run_cached(benchmark, sim_cache, figures.run, "uplinks", k=4)
     rows = [
         {"path_selection": mode, **stats} for mode, stats in results.items()
     ]

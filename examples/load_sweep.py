@@ -17,11 +17,11 @@ Run with::
 takes a few seconds per point.)
 """
 
-from repro.harness.figures import load_fct_slowdowns
+from repro.harness import figures
 
 
 def main() -> None:
-    rows = load_fct_slowdowns(loads=(0.1, 0.5, 0.9))
+    rows = figures.run("load_fct", loads=(0.1, 0.5, 0.9))
     print("FCT slowdown vs offered load (16-host FatTree, Facebook-web mix)")
     print(f"{'load':>5} {'protocol':>9} {'flows':>6} {'censored':>8} "
           f"{'small p50':>10} {'small p99':>10} {'all p99':>9}")

@@ -21,14 +21,13 @@ from repro.analysis.canonical import (
     rows_to_csv,
 )
 from repro.analysis.registry import (
-    REGISTERED_FIGURES,
     RegisteredFigure,
     UnknownFigureError,
+    registered_figures,
 )
 from repro.analysis.render import RenderReport, render_figures, vega_lite_spec
 
 __all__ = [
-    "REGISTERED_FIGURES",
     "RegisteredFigure",
     "RenderReport",
     "UnknownFigureError",
@@ -36,6 +35,7 @@ __all__ = [
     "canonical_float",
     "canonical_json",
     "flatten_row",
+    "registered_figures",
     "render_figures",
     "rows_to_csv",
     "vega_lite_spec",

@@ -35,10 +35,11 @@ __all__ = [
 #: environment variable overriding the history file location
 HISTORY_ENV = "REPRO_PERF_HISTORY"
 
-#: chart metadata of the ``perf`` figure (the analysis registry's only
-#: non-simulation figure — its data source is the history file, not a plan)
+#: chart metadata of the ``perf`` figure (with ``perf_allocs``, the only
+#: figures whose data source is the history file, not a family's plan)
 PERF_META = ArtifactMeta(
     "Scheduler throughput trajectory (events/sec per capture)",
+    "events/sec trajectory per perf scenario",
     "line", "capture", "events_per_second", series="scenario",
 )
 
@@ -47,6 +48,7 @@ PERF_META = ArtifactMeta(
 #: metric and render as gaps, not zeros — Vega-Lite skips null y values
 PERF_ALLOCS_META = ArtifactMeta(
     "Allocation trajectory (allocations per executed event)",
+    "allocations/event trajectory per perf scenario",
     "line", "capture", "allocs_per_event", series="scenario",
 )
 

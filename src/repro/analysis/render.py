@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.canonical import canonical_cell, canonical_json, flatten_row, rows_to_csv
-from repro.analysis.registry import REGISTERED_FIGURES, RegisteredFigure, UnknownFigureError
+from repro.analysis.registry import RegisteredFigure, UnknownFigureError, registered_figures
 from repro.harness import sweep
-from repro.harness.figures import FIGURE_PLANS, ArtifactMeta
+from repro.harness.figures import ArtifactMeta
 
 __all__ = ["RenderReport", "render_figures", "vega_lite_spec"]
 
@@ -56,6 +56,7 @@ class RenderReport:
     figures: List[str] = field(default_factory=list)
     artifacts: List[str] = field(default_factory=list)  # paths relative to out_dir
     rows_per_figure: Dict[str, int] = field(default_factory=dict)
+    runs: int = 0  # simulation specs the render executed or read from cache
     png_written: bool = False
     png_note: Optional[str] = None
 
@@ -65,34 +66,38 @@ def render_figures(
     out_dir: str,
     jobs: int = 1,
     cache: Any = sweep.USE_DEFAULT_CACHE,
-    on_result: Optional[Callable[[sweep.RunSpec, int, str], None]] = None,
+    progress: Optional[
+        Callable[[int], Callable[[sweep.RunSpec, int, str], None]]
+    ] = None,
     png: bool = False,
 ) -> RenderReport:
-    """Render *names* (registry order-preserving) into *out_dir*.
+    """Render *names* (in the order given, repeats dropped) into *out_dir*.
 
     Unknown names raise :class:`UnknownFigureError` before any simulation
-    starts.  All family plans are built first and their specs executed in
-    one batch — figures interleave across the worker pool exactly like a
-    multi-figure CLI run.
+    starts.  Every plan is built once, up front, and all their specs are
+    executed in one batch — figures interleave across the worker pool
+    exactly like a multi-figure CLI run.  *progress*, called with the
+    batch's spec count, returns the per-result callback handed to
+    :func:`~repro.harness.sweep.run_specs`.
     """
-    figures = [_resolve(name) for name in names]
+    figures = [_resolve(name) for name in dict.fromkeys(names)]
     plans = {
-        figure.name: FIGURE_PLANS[figure.family]()
-        for figure in figures
-        if figure.family is not None
+        figure.name: figure.plan() for figure in figures if figure.plan is not None
     }
     all_specs: List[sweep.RunSpec] = []
-    for figure in figures:
-        if figure.family is not None:
-            all_specs.extend(plans[figure.name].specs)
-    spec_results = sweep.run_specs(all_specs, jobs=jobs, cache=cache, on_result=on_result)
+    for plan in plans.values():
+        all_specs.extend(plan.specs)
+    spec_results = sweep.run_specs(
+        all_specs, jobs=jobs, cache=cache,
+        on_result=progress(len(all_specs)) if progress is not None else None,
+    )
 
     os.makedirs(out_dir, exist_ok=True)
-    report = RenderReport(out_dir=out_dir)
+    report = RenderReport(out_dir=out_dir, runs=len(all_specs))
     tables: Dict[str, List[Mapping[str, Any]]] = {}
     offset = 0
     for figure in figures:
-        if figure.family is not None:
+        if figure.name in plans:
             plan = plans[figure.name]
             assembled = plan.assemble(spec_results[offset:offset + len(plan.specs)])
             offset += len(plan.specs)
@@ -122,7 +127,7 @@ def render_figures(
 
 def _resolve(name: str) -> RegisteredFigure:
     try:
-        return REGISTERED_FIGURES[name]
+        return registered_figures()[name]
     except KeyError:
         raise UnknownFigureError(name) from None
 
@@ -184,7 +189,7 @@ def _index_html(
         parts.append(
             f'<li><a href="#{html.escape(figure.name)}">'
             f"{html.escape(figure.name)}</a> — "
-            f"{html.escape(figure.description)}</li>\n"
+            f"{html.escape(figure.meta.caption)}</li>\n"
         )
     parts.append("</ul></nav>\n")
     for figure in figures:

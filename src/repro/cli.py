@@ -22,10 +22,12 @@ processes in conservative lookahead-bounded time windows; with
 (exit 1) unless the merged shard digest matches bit-for-bit — the
 determinism smoke check CI runs on every push.
 
-Each experiment name maps to a generator in :mod:`repro.harness.figures`.
-Experiments are decomposed into independent per-point runs (see
-:mod:`repro.harness.sweep`): ``--jobs N`` fans those runs across worker
-processes, and results are memoized in a persistent on-disk cache
+Each experiment name is a family declared in
+:data:`repro.harness.figures.FAMILIES` — the one table the catalogue,
+``all``, ``sweep`` and ``render`` all read.  Experiments are decomposed
+into independent per-point runs (see :mod:`repro.harness.sweep`):
+``--jobs N`` fans those runs across worker processes, and results are
+memoized in a persistent on-disk cache
 (``$REPRO_CACHE_DIR``, default ``~/.cache/repro``) keyed by experiment,
 parameters and a fingerprint of the simulator source — a second invocation
 of ``all`` is served from disk in seconds.  ``--no-cache`` (or
@@ -36,7 +38,7 @@ The ``sweep`` subcommand runs one experiment over the cartesian product of
 user-supplied parameter values.  ``--set key=v1,v2`` sweeps ``key`` over
 the listed values (each parsed as JSON, so ``--set 'windows=[1,2,4]'``
 passes a list as a *single* value); valid keys are the keyword arguments
-of the experiment's generator.  As a shorthand, ``--set`` with a single
+of the experiment's plan builder.  As a shorthand, ``--set`` with a single
 experiment name implies ``sweep``::
 
     python -m repro.cli load_fct --set load=0.3,0.6,0.9
@@ -80,37 +82,6 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence
 from repro.harness import figures, sweep
 from repro.transports.registry import IncompatibleTransportError
 
-#: experiment name -> (description, callable)
-EXPERIMENTS: Dict[str, tuple[str, Callable[[], object]]] = {
-    "fig2": ("CP congestion collapse vs the NDP switch", figures.figure2_switch_overload),
-    "fig4": ("delivery latency CDF (permutation/random/incast)", figures.figure4_latency_cdf),
-    "fig8": ("1 KB RPC latency across stacks", figures.figure8_rpc_latency),
-    "fig9": ("7:1 incast on the testbed topology", figures.figure9_testbed_incast),
-    "fig10": ("receiver-side prioritization of a short flow", figures.figure10_prioritization),
-    "fig11": ("throughput vs initial window", figures.figure11_initial_window_throughput),
-    "fig12": ("pull spacing distribution", figures.figure12_pull_spacing),
-    "fig13": ("incast FCT with jittered pulls", figures.figure13_incast_pull_jitter),
-    "fig14": ("permutation throughput across protocols", figures.figure14_permutation_throughput),
-    "fig15": ("90 KB FCT with background load", figures.figure15_short_flow_fct),
-    "fig16": ("incast completion vs number of senders", figures.figure16_incast_scaling),
-    "fig17": ("IW / buffer-size sensitivity", figures.figure17_buffer_sensitivity),
-    "fig19": ("collateral damage of an incast (goodput traces)", figures.figure19_collateral_damage),
-    "fig20": ("very large incasts: overhead and RTX mechanisms", figures.figure20_large_incast),
-    "fig21": ("sender-limited traffic throughput table", figures.figure21_sender_limited),
-    "fig22": ("permutation with a degraded core link", figures.figure22_asymmetry),
-    "fig23": ("oversubscribed fabric, web workload", figures.figure23_oversubscribed_web),
-    "phost": ("NDP vs pHost (no trimming)", figures.phost_comparison),  # transport-name-ok: experiment family
-    "scaling": ("permutation utilization vs topology size", figures.scaling_utilization),
-    "uplinks": ("where packets get trimmed (load balancing)", figures.uplink_trimming_study),
-    "failures_degraded": ("permutation FCTs over a degraded core link", figures.failures_degraded),
-    "failures_recovery": ("mid-transfer link failure + recovery timeline", figures.failures_recovery),
-    "failures_klinks": ("permutation FCTs with k core links down", figures.failures_klinks),
-    "load_fct": ("open-loop load sweep: size-binned FCT slowdowns", figures.load_fct_slowdowns),
-    "rpc_deadline": ("partition-aggregate RPCs: SLO-met fraction vs load", figures.rpc_deadline_slo),
-    "coflow_ct": ("K-round shuffle coflows: completion times vs load", figures.coflow_ct_times),
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the requested experiments and print their results."""
     parser = argparse.ArgumentParser(
@@ -133,7 +104,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--set", action="append", default=[], metavar="KEY=V1,V2,...",
-        dest="grid", help="(sweep only) sweep a generator parameter over values",
+        dest="grid", help="(sweep only) sweep a plan-builder parameter over values",
     )
     parser.add_argument(
         "--quiet", "-q", action="store_true",
@@ -197,10 +168,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             print("'all' already selects every experiment; do not combine it "
                   "with other names", file=sys.stderr)
             return 2
-        names = list(EXPERIMENTS)
+        names = list(figures.FAMILIES)
     else:
-        names = list(args.experiments)
-    unknown = [name for name in names if name not in EXPERIMENTS]
+        names = list(dict.fromkeys(args.experiments))  # a repeated name runs once
+    unknown = [name for name in names if name not in figures.FAMILIES]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
         _print_catalogue()
@@ -211,7 +182,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _run_experiments(names: List[str], jobs: int, cache, quiet: bool) -> int:
     """Fan every figure's run specs across one worker pool, then assemble."""
-    plans = {name: figures.FIGURE_PLANS[name]() for name in names}
+    plans = {name: figures.FAMILIES[name].plan() for name in names}
     all_specs: List[sweep.RunSpec] = []
     for name in names:
         all_specs.extend(plans[name].specs)
@@ -232,8 +203,7 @@ def _run_experiments(names: List[str], jobs: int, cache, quiet: bool) -> int:
         plan = plans[name]
         figure_results = results[offset:offset + len(plan.specs)]
         offset += len(plan.specs)
-        description, _generator = EXPERIMENTS[name]
-        print(f"\n### {name} — {description}")
+        print(f"\n### {name} — {figures.FAMILIES[name].description}")
         _print_result(plan.assemble(figure_results))
     _print_run_summary(len(all_specs), cache, baseline, started)
     return 0
@@ -243,13 +213,13 @@ def _run_sweep(
     positional: List[str], grid_args: List[str], jobs: int, cache, quiet: bool
 ) -> int:
     """Run one experiment over the cartesian product of ``--set`` values."""
-    if len(positional) != 1 or positional[0] not in figures.FIGURE_PLANS:
-        known = ", ".join(figures.FIGURE_PLANS)
+    if len(positional) != 1 or positional[0] not in figures.FAMILIES:
+        known = ", ".join(figures.FAMILIES)
         print(f"usage: sweep EXPERIMENT --set key=v1,v2 (experiments: {known})",
               file=sys.stderr)
         return 2
     name = positional[0]
-    plan_builder = figures.FIGURE_PLANS[name]
+    plan_builder = figures.FAMILIES[name].plan
     valid = set(inspect.signature(plan_builder).parameters)
     try:
         grid = _parse_grid(grid_args)
@@ -400,28 +370,24 @@ def _run_render(
         print("render requires --out DIR (where to write the artifacts)",
               file=sys.stderr)
         return 2
+    registered = analysis.registered_figures()
     if not names:
-        names = list(analysis.REGISTERED_FIGURES)
-    unknown = [name for name in names if name not in analysis.REGISTERED_FIGURES]
+        names = list(registered)
+    unknown = [name for name in names if name not in registered]
     if unknown:
         print(
             f"unknown figure(s): {', '.join(unknown)} "
-            f"(registered: {', '.join(analysis.REGISTERED_FIGURES)})",
+            f"(registered: {', '.join(registered)})",
             file=sys.stderr,
         )
         return 2
 
     started = time.time()
     baseline = _cache_counters(cache)
-    total_specs = sum(
-        len(figures.FIGURE_PLANS[figure.family]().specs)
-        for figure in (analysis.REGISTERED_FIGURES[name] for name in names)
-        if figure.family is not None
-    )
-    progress = None if quiet else _progress_printer(total_specs)
     try:
         report = analysis.render_figures(
-            names, out_dir, jobs=jobs, cache=cache, on_result=progress, png=png
+            names, out_dir, jobs=jobs, cache=cache,
+            progress=None if quiet else _progress_printer, png=png,
         )
     except RuntimeError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -435,7 +401,7 @@ def _run_render(
     if report.png_note:
         print(f"note: {report.png_note}", file=sys.stderr)
     print(f"index: {os.path.join(report.out_dir, 'index.html')}")
-    _print_run_summary(total_specs, cache, baseline, started)
+    _print_run_summary(report.runs, cache, baseline, started)
     return 0
 
 
@@ -528,14 +494,16 @@ def _print_run_summary(total: int, cache, baseline: tuple[int, int], started: fl
 
 
 def _print_catalogue() -> None:
+    width = max(map(len, figures.FAMILIES))
     print("available experiments:")
-    for name, (description, _fn) in EXPERIMENTS.items():
-        print(f"  {name:8s} {description}")
-    print("\n  all      run every experiment (combine with --jobs N)")
-    print("  sweep    run one experiment over a parameter grid (--set key=v1,v2)")
-    print("  render   write figure artifacts (CSV + Vega-Lite + index.html) "
-          "to --out DIR")
-    print("  shard    run a partitioned multi-process simulation "
+    for declared in figures.FAMILIES.values():
+        print(f"  {declared.name:{width}s} {declared.description}")
+    print(f"\n  {'all':{width}s} run every experiment (combine with --jobs N)")
+    print(f"  {'sweep':{width}s} run one experiment over a parameter grid "
+          "(--set key=v1,v2)")
+    print(f"  {'render':{width}s} write figure artifacts (CSV + Vega-Lite + "
+          "index.html) to --out DIR")
+    print(f"  {'shard':{width}s} run a partitioned multi-process simulation "
           "(--shards N, --reference to diff against one process)")
 
 

@@ -8,9 +8,9 @@ computes the metrics the paper reports (flow completion times, utilization,
 goodput time series, CDFs).
 
 :mod:`repro.harness.sweep` is the execution layer: figures decompose into
-independent :class:`~repro.harness.sweep.RunSpec` units
-(:data:`repro.harness.figures.FIGURE_PLANS`) that can be fanned across
-worker processes and are memoized in a persistent on-disk result cache
+independent :class:`~repro.harness.sweep.RunSpec` units (one plan builder
+per family, all declared in :data:`repro.harness.figures.FAMILIES`) that
+can be fanned across worker processes and are memoized in a persistent on-disk result cache
 (``$REPRO_CACHE_DIR``, default ``~/.cache/repro``; ``REPRO_NO_CACHE=1``
 disables).  See ``python -m repro.cli all --jobs 4``.
 

@@ -1,37 +1,43 @@
-"""Data generators for every figure in the paper's evaluation.
+"""The paper's evaluation as one table of experiment families.
 
-Each ``figure*`` function runs the corresponding experiment (at a scale
-suitable for a laptop) and returns plain dictionaries / lists that the
-benchmarks print as the paper's rows and the examples plot or tabulate.
+Every experiment is declared exactly once, at its plan builder::
 
-Every figure is decomposed into a :class:`~repro.harness.sweep.Plan`: a list
+    @family("fig16", "incast completion vs number of senders",
+            chart=ArtifactMeta(...), tabulate=_rows_fig16)
+    def figure16_plan(sender_counts=(4, 8, 16, 32), ..., protocol=None) -> Plan:
+
+The decorator files a :class:`Family` record in :data:`FAMILIES` and returns
+the builder unchanged.  Every entry point reads that one table: the CLI's
+catalogue, ``all`` and ``sweep`` / ``--set`` key validation
+(:mod:`repro.cli`), the figures ``render`` knows
+(:mod:`repro.analysis.registry`: the families declared with a ``chart``) and
+the docs checker (``tools/check_docs.py``).  :func:`run` executes a family by
+name.
+
+A plan builder is an ordinary function whose keyword arguments (and their
+defaults) are the family's parameters — what ``sweep`` overrides to run
+user-defined grids.  It returns a :class:`~repro.harness.sweep.Plan`: a list
 of independent :class:`~repro.harness.sweep.RunSpec` units (one seeded
 simulator run each — a single point of a sweep, one protocol of a
 comparison) plus an ``assemble`` step that builds the public rows from the
-unit results.  The ``figure*_plan`` builders expose that decomposition; the
-``figure*`` generators are thin wrappers that execute their plan through
-:func:`~repro.harness.sweep.run_plan`, which consults the persistent result
-cache (``$REPRO_CACHE_DIR``, default ``~/.cache/repro``; disable with
-``REPRO_NO_CACHE=1``) and can fan the units across worker processes
-(``python -m repro.cli all --jobs 4``).
+unit results.  :func:`~repro.harness.sweep.run_plan` executes it, consulting
+the persistent result cache (``$REPRO_CACHE_DIR``, default
+``~/.cache/repro``; disable with ``REPRO_NO_CACHE=1``) and optionally
+fanning the units across worker processes (``python -m repro.cli all
+--jobs 4``).
 
 Determinism: every unit is an independent module-level function that builds
 its own :class:`~repro.sim.eventlist.EventList` and seeds its own RNGs, so
 parallel, cached and cold serial executions return bit-identical results
 (see :mod:`repro.harness.sweep` for the normalization contract, and
 ``tests/harness/test_sweep.py`` for the assertion).
-
-``FIGURE_PLANS`` maps every CLI experiment name to its plan builder; plan
-builders accept the same keyword arguments (and defaults) as their
-generator, which is what the CLI ``sweep`` subcommand overrides to run
-user-defined parameter grids.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.config import NdpConfig
 from repro.core.switch import CpSwitchQueue, NdpSwitchQueue
@@ -77,47 +83,149 @@ from repro.workloads.trace import trace_digest
 COMPARISON_PROTOCOLS = (registry.NDP, registry.MPTCP, registry.DCTCP, registry.DCQCN)
 
 
-def _resolve_protocols(requested, default, traits: FamilyTraits) -> List[str]:
+class ArtifactMeta(NamedTuple):
+    """How a figure family's tabulated rows become a chart.
+
+    The results-to-figures pipeline (:mod:`repro.analysis`) renders every
+    charted family as a canonical CSV plus a Vega-Lite spec; this tuple
+    carries the chart-level facts that live with the experiment rather than
+    the renderer: what to call it (``title`` heads the chart, ``caption`` is
+    its one-line entry in the HTML index), which columns form the axes,
+    which column splits the series, and the mark type.  Column names refer
+    to the *tabulated* (flattened) CSV columns, not the raw result keys.
+    ``x_type`` is the Vega-Lite encoding type of the x column
+    (``quantitative`` / ``ordinal`` / ``nominal``).
+    """
+
+    title: str
+    caption: str
+    mark: str
+    x: str
+    y: str
+    series: Optional[str] = None
+    x_type: str = "quantitative"
+
+
+class Family(NamedTuple):
+    """One experiment family, as every entry point sees it.
+
+    ``plan`` is the builder (its keyword names are the valid ``--set``
+    keys); ``chart`` is set for the families ``render`` draws, and
+    ``tabulate`` turns such a family's assembled result into the flat,
+    long-format mapping rows the canonical CSV and the chart share.
+    Tabulators must be pure and deterministic: row order may depend only on
+    the result's content.
+    """
+
+    name: str
+    description: str
+    plan: Callable[..., Plan]
+    chart: Optional[ArtifactMeta]
+    tabulate: Callable[[Any], List[Mapping[str, Any]]]
+
+
+#: experiment name (as used by ``python -m repro.cli``) -> its declaration,
+#: in catalogue order; filled by the :func:`family` decorators below
+FAMILIES: Dict[str, Family] = {}
+
+
+def family(
+    name: str,
+    description: str,
+    chart: Optional[ArtifactMeta] = None,
+    tabulate: Callable[[Any], List[Mapping[str, Any]]] = list,
+) -> Callable[[Callable[..., Plan]], Callable[..., Plan]]:
+    """Register the decorated plan builder as family *name*; returns it unchanged.
+
+    The default tabulator suits families whose assembled result already is a
+    list of long-format rows.
+    """
+
+    def register(plan: Callable[..., Plan]) -> Callable[..., Plan]:
+        FAMILIES[name] = Family(name, description, plan, chart, tabulate)
+        return plan
+
+    return register
+
+
+def run(name: str, **kwargs: Any) -> Any:
+    """Build family *name*'s plan from *kwargs*, execute it, return its rows."""
+    return run_plan(FAMILIES[name].plan(**kwargs))
+
+
+def _protocols(protocols, protocol, default, traits: FamilyTraits) -> List[str]:
     """Canonical display names for a family's protocol axis.
 
-    Accepts any registered spelling (``ndp``, ``NDP``, ``PHOST``, ...) and
-    validates each protocol against the family's :class:`FamilyTraits` —
-    an incompatible (protocol, family) pair raises
+    ``protocol`` (a single transport — the axis ``sweep`` grids over)
+    overrides ``protocols``, which falls back to the family's *default*
+    set.  Accepts any registered spelling (``ndp``, ``NDP``, ``PHOST``, ...)
+    and validates each protocol against the family's :class:`FamilyTraits`
+    — an incompatible (protocol, family) pair raises
     :class:`~repro.transports.registry.IncompatibleTransportError` at plan
     build time, which the sweep CLI reports as a skipped grid point.
     """
-    names = registry.normalize(requested if requested is not None else default)
+    if protocol is not None:
+        protocols = (protocol,)
+    names = registry.normalize(protocols if protocols is not None else default)
     for name in names:
         registry.require_compatible(name, traits)
     return names
+
+
+def _validated_loads(load, loads) -> Tuple[float, ...]:
+    """Shared load-axis validation: scalar overrides sweep, all positive finite."""
+    if load is not None:
+        loads = (load,)
+    loads = tuple(float(level) for level in loads)
+    if not loads or not all(math.isfinite(level) and level > 0 for level in loads):
+        raise ValueError(f"loads must be positive finite fractions, got {loads}")
+    return loads
+
+
+def _specs(
+    label: str,
+    fn: Callable[..., Any],
+    cases: Sequence[Tuple[str, Mapping[str, Any]]],
+    **common: Any,
+) -> List[RunSpec]:
+    """One :class:`RunSpec` per ``(tag, kwargs)`` case of a family.
+
+    The spec is named ``label[tag]`` and runs ``fn(**kwargs, **common)``:
+    *kwargs* are the arguments that vary between the family's units,
+    *common* the ones they share.
+    """
+    return [
+        RunSpec(f"{label}[{tag}]", fn, {**kwargs, **common}) for tag, kwargs in cases
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Figure 2 — CP congestion collapse and phase effects
 # ---------------------------------------------------------------------------
 
+@family("fig2", "CP congestion collapse vs the NDP switch")
 def figure2_plan(
     flow_counts: Sequence[int] = (4, 16, 64, 128),
     duration_ps: int = units.milliseconds(20),
     packet_bytes: int = 9000,
     seed: int = 1,
 ) -> Plan:
-    """One spec per (switch kind, flow count) overload run."""
+    """Percent of fair-share goodput under N unresponsive flows.
+
+    Reproduces Figure 2: many constant-rate senders converge on a single
+    10 Gb/s output port served either by an NDP switch queue (dual priority
+    queue, WRR, probabilistic trim) or a CP queue (single FIFO, deterministic
+    trim).  One spec per (switch kind, flow count) overload run; one row per
+    (switch type, flow count) with the mean and worst-10% fair-share
+    percentage.
+    """
     cases = [(kind, flows) for kind in (registry.NDP, "CP") for flows in flow_counts]
-    specs = [
-        RunSpec(
-            f"fig2[{kind},flows={flows}]",
-            _run_overload,
-            dict(
-                switch_kind=kind,
-                flows=flows,
-                duration_ps=duration_ps,
-                packet_bytes=packet_bytes,
-                seed=seed,
-            ),
-        )
-        for kind, flows in cases
-    ]
+    specs = _specs(
+        "fig2", _run_overload,
+        [(f"{kind},flows={flows}", dict(switch_kind=kind, flows=flows))
+         for kind, flows in cases],
+        duration_ps=duration_ps, packet_bytes=packet_bytes, seed=seed,
+    )
 
     def assemble(results: List[List[float]]) -> List[Dict[str, float]]:
         rows = []
@@ -135,23 +243,6 @@ def figure2_plan(
         return rows
 
     return Plan(specs, assemble)
-
-
-def figure2_switch_overload(
-    flow_counts: Sequence[int] = (4, 16, 64, 128),
-    duration_ps: int = units.milliseconds(20),
-    packet_bytes: int = 9000,
-    seed: int = 1,
-) -> List[Dict[str, float]]:
-    """Percent of fair-share goodput under N unresponsive flows.
-
-    Reproduces Figure 2: many constant-rate senders converge on a single
-    10 Gb/s output port served either by an NDP switch queue (dual priority
-    queue, WRR, probabilistic trim) or a CP queue (single FIFO, deterministic
-    trim).  Returns one row per (switch type, flow count) with the mean and
-    worst-10% fair-share percentage.
-    """
-    return run_plan(figure2_plan(flow_counts, duration_ps, packet_bytes, seed))
 
 
 def _run_overload(switch_kind, flows, duration_ps, packet_bytes, seed):
@@ -198,6 +289,7 @@ def _run_overload(switch_kind, flows, duration_ps, packet_bytes, seed):
 # Figure 4 — delivery latency CDF under permutation / random / incast
 # ---------------------------------------------------------------------------
 
+@family("fig4", "delivery latency CDF (permutation/random/incast)")
 def figure4_plan(
     k: int = 4,
     permutation_flow_bytes: int = 3_000_000,
@@ -206,51 +298,25 @@ def figure4_plan(
     duration_ps: int = units.milliseconds(8),
     seed: int = 1,
 ) -> Plan:
-    """One spec per traffic matrix (permutation / random / incast)."""
+    """Per-packet delivery latency (send to sender-side ACK) distributions.
+
+    One spec per traffic matrix; returns latency samples in microseconds for
+    ``permutation``, ``random`` and ``incast`` (the paper's Figure 4, scaled
+    from a 432-host to a ``k``-ary FatTree).
+    """
     matrices = ("permutation", "random", "incast")
-    specs = [
-        RunSpec(
-            f"fig4[{matrix}]",
-            _figure4_matrix,
-            dict(
-                matrix=matrix,
-                k=k,
-                permutation_flow_bytes=permutation_flow_bytes,
-                incast_senders=incast_senders,
-                incast_flow_bytes=incast_flow_bytes,
-                duration_ps=duration_ps,
-                seed=seed,
-            ),
-        )
-        for matrix in matrices
-    ]
+    specs = _specs(
+        "fig4", _figure4_matrix,
+        [(matrix, dict(matrix=matrix)) for matrix in matrices],
+        k=k, permutation_flow_bytes=permutation_flow_bytes,
+        incast_senders=incast_senders, incast_flow_bytes=incast_flow_bytes,
+        duration_ps=duration_ps, seed=seed,
+    )
 
     def assemble(results: List[List[float]]) -> Dict[str, List[float]]:
         return {matrix: samples for matrix, samples in zip(matrices, results)}
 
     return Plan(specs, assemble)
-
-
-def figure4_latency_cdf(
-    k: int = 4,
-    permutation_flow_bytes: int = 3_000_000,
-    incast_senders: int = 15,
-    incast_flow_bytes: int = 135_000,
-    duration_ps: int = units.milliseconds(8),
-    seed: int = 1,
-) -> Dict[str, List[float]]:
-    """Per-packet delivery latency (send to sender-side ACK) distributions.
-
-    Returns latency samples in microseconds for three traffic matrices:
-    ``permutation``, ``random`` and ``incast`` (the paper's Figure 4, scaled
-    from a 432-host to a ``k``-ary FatTree).
-    """
-    return run_plan(
-        figure4_plan(
-            k, permutation_flow_bytes, incast_senders, incast_flow_bytes,
-            duration_ps, seed,
-        )
-    )
 
 
 def _figure4_matrix(
@@ -299,22 +365,19 @@ def _permutation(network, rng):
 # Figure 8 — 1 KB RPC latency across stacks
 # ---------------------------------------------------------------------------
 
+@family("fig8", "1 KB RPC latency across stacks")
 def figure8_plan(samples: int = 500, seed: int = 1) -> Plan:
-    """A single spec: the host-model study shares one simulated network RTT."""
-    specs = [RunSpec("fig8", _figure8_run, dict(samples=samples, seed=seed))]
-    return Plan(specs, lambda results: results[0])
-
-
-def figure8_rpc_latency(samples: int = 500, seed: int = 1) -> Dict[str, Dict[str, float]]:
     """Median/p99 latency of a 1 KB RPC over NDP, TFO and TCP stacks.
 
     The network component (a request and a response over back-to-back
     10 Gb/s hosts) is simulated; host-side overheads come from
     :class:`~repro.hosts.processing.HostProcessingModel`, with and without
     deep CPU sleep states, exactly mirroring the two groups of curves in
-    Figure 8.
+    Figure 8.  A single spec: the host-model study shares one simulated
+    network RTT.
     """
-    return run_plan(figure8_plan(samples, seed))
+    specs = [RunSpec("fig8", _figure8_run, dict(samples=samples, seed=seed))]
+    return Plan(specs, lambda results: results[0])
 
 
 def _figure8_run(samples, seed):
@@ -359,25 +422,31 @@ def _measure_rpc_network_rtt() -> int:
 # Figure 9 — 7:1 incast on the testbed topology, NDP vs TCP
 # ---------------------------------------------------------------------------
 
+@family("fig9", "7:1 incast on the testbed topology")
 def figure9_plan(
     response_sizes: Sequence[int] = (10_000, 50_000, 100_000, 250_000, 500_000, 1_000_000),
     seed: int = 1,
 ) -> Plan:
-    """One spec per (protocol, response size) incast run."""
+    """Completion time of a 7-to-1 incast vs response size (NDP vs TCP).
+
+    The topology is the paper's 8-server, six-switch leaf-spine testbed; TCP
+    uses the Linux defaults (handshake, 200 ms minimum RTO), NDP the 1500-byte
+    MTU of the prototype.  One spec per (protocol, response size) incast run;
+    one row per response size with the completion time of the last flow and
+    the theoretical optimum.
+    """
     response_sizes = tuple(response_sizes)
     cases = [
         (protocol, size)
         for size in response_sizes
         for protocol in (registry.NDP, registry.TCP)
     ]
-    specs = [
-        RunSpec(
-            f"fig9[{protocol},kb={size // 1000}]",
-            _figure9_point,
-            dict(protocol=protocol, response_bytes=size, seed=seed),
-        )
-        for protocol, size in cases
-    ]
+    specs = _specs(
+        "fig9", _figure9_point,
+        [(f"{protocol},kb={size // 1000}", dict(protocol=protocol, response_bytes=size))
+         for protocol, size in cases],
+        seed=seed,
+    )
 
     def assemble(results: List[int]) -> List[Dict[str, float]]:
         by_case = {case: value for case, value in zip(cases, results)}
@@ -397,20 +466,6 @@ def figure9_plan(
         return rows
 
     return Plan(specs, assemble)
-
-
-def figure9_testbed_incast(
-    response_sizes: Sequence[int] = (10_000, 50_000, 100_000, 250_000, 500_000, 1_000_000),
-    seed: int = 1,
-) -> List[Dict[str, float]]:
-    """Completion time of a 7-to-1 incast vs response size (NDP vs TCP).
-
-    The topology is the paper's 8-server, six-switch leaf-spine testbed; TCP
-    uses the Linux defaults (handshake, 200 ms minimum RTO), NDP the 1500-byte
-    MTU of the prototype.  Returns one row per response size with the
-    completion time of the last flow and the theoretical optimum.
-    """
-    return run_plan(figure9_plan(response_sizes, seed))
 
 
 def _figure9_point(protocol, response_bytes, seed):
@@ -457,48 +512,51 @@ def _incast_last_fct(
 # Figure 10 — receiver-side prioritization of a short flow
 # ---------------------------------------------------------------------------
 
+def _rows_fig10(result: Mapping[str, float]) -> List[Mapping[str, Any]]:
+    """``{"idle_us": v, ...}`` -> one (scenario, fct_us) row per case."""
+    return [
+        {"scenario": label[: -len("_us")] if label.endswith("_us") else label,
+         "fct_us": value}
+        for label, value in result.items()
+    ]
+
+
+@family(
+    "fig10", "receiver-side prioritization of a short flow",
+    chart=ArtifactMeta(
+        "Short-flow FCT with receiver-side prioritization",
+        "short-flow FCT: idle vs prioritized vs not",
+        "bar", "scenario", "fct_us", x_type="nominal",
+    ),
+    tabulate=_rows_fig10,
+)
 def figure10_plan(
     short_bytes: int = 200_000,
     long_bytes: int = 2_000_000,
     long_flows: int = 6,
     seed: int = 1,
 ) -> Plan:
-    """One spec per scenario: idle, prioritized, not prioritized."""
+    """FCT of a short flow: idle, prioritized, and not prioritized (in us).
+
+    One spec per scenario.
+    """
     cases = [
         ("idle_us", False, False),
         ("with_prioritization_us", True, True),
         ("without_prioritization_us", True, False),
     ]
-    specs = [
-        RunSpec(
-            f"fig10[{label}]",
-            _figure10_case,
-            dict(
-                background=background,
-                priority=priority,
-                short_bytes=short_bytes,
-                long_bytes=long_bytes,
-                long_flows=long_flows,
-                seed=seed,
-            ),
-        )
-        for label, background, priority in cases
-    ]
+    specs = _specs(
+        "fig10", _figure10_case,
+        [(label, dict(background=background, priority=priority))
+         for label, background, priority in cases],
+        short_bytes=short_bytes, long_bytes=long_bytes, long_flows=long_flows,
+        seed=seed,
+    )
 
     def assemble(results: List[float]) -> Dict[str, float]:
         return {label: value for (label, _b, _p), value in zip(cases, results)}
 
     return Plan(specs, assemble)
-
-
-def figure10_prioritization(
-    short_bytes: int = 200_000,
-    long_bytes: int = 2_000_000,
-    long_flows: int = 6,
-    seed: int = 1,
-) -> Dict[str, float]:
-    """FCT of a short flow: idle, prioritized, and not prioritized (in us)."""
-    return run_plan(figure10_plan(short_bytes, long_bytes, long_flows, seed))
 
 
 def _figure10_case(background, priority, short_bytes, long_bytes, long_flows, seed):
@@ -522,22 +580,31 @@ def _figure10_case(background, priority, short_bytes, long_bytes, long_flows, se
 # Figures 11 / 12 / 13 — host-model fidelity experiments
 # ---------------------------------------------------------------------------
 
+@family(
+    "fig11", "throughput vs initial window",
+    chart=ArtifactMeta(
+        "Throughput vs initial window (back-to-back hosts)",
+        "throughput vs initial window",
+        "line", "initial_window", "throughput_gbps",
+    ),
+)
 def figure11_plan(
     windows: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128),
     flow_bytes: int = 20_000_000,
     jittered: bool = False,
     seed: int = 1,
 ) -> Plan:
-    """One spec per initial-window setting."""
+    """Throughput of a back-to-back transfer as a function of the IW.
+
+    One spec per initial-window setting.
+    """
     windows = tuple(windows)
-    specs = [
-        RunSpec(
-            f"fig11[iw={window}{',jitter' if jittered else ''}]",
-            _figure11_window,
-            dict(window=window, flow_bytes=flow_bytes, jittered=jittered, seed=seed),
-        )
-        for window in windows
-    ]
+    specs = _specs(
+        "fig11", _figure11_window,
+        [(f"iw={window}{',jitter' if jittered else ''}", dict(window=window))
+         for window in windows],
+        flow_bytes=flow_bytes, jittered=jittered, seed=seed,
+    )
 
     def assemble(results: List[float]) -> List[Dict[str, float]]:
         return [
@@ -546,16 +613,6 @@ def figure11_plan(
         ]
 
     return Plan(specs, assemble)
-
-
-def figure11_initial_window_throughput(
-    windows: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128),
-    flow_bytes: int = 20_000_000,
-    jittered: bool = False,
-    seed: int = 1,
-) -> List[Dict[str, float]]:
-    """Throughput of a back-to-back transfer as a function of the IW."""
-    return run_plan(figure11_plan(windows, flow_bytes, jittered, seed))
 
 
 def _figure11_window(window, flow_bytes, jittered, seed):
@@ -581,12 +638,31 @@ def _figure11_window(window, flow_bytes, jittered, seed):
     return flow.record.throughput_bps() / 1e9 if flow.complete else 0.0
 
 
+def _rows_fig12(result: Mapping[int, Mapping[str, float]]) -> List[Mapping[str, Any]]:
+    """``{packet_bytes: {stat: value}}`` -> one row per packet size."""
+    return [
+        {"packet_bytes": size, **result[size]} for size in sorted(result)
+    ]
+
+
+@family(
+    "fig12", "pull spacing distribution",
+    chart=ArtifactMeta(
+        "Pull-spacing distribution of the experimental pacer",
+        "pull-spacing percentiles per packet size",
+        "bar", "packet_bytes", "median_us", x_type="ordinal",
+    ),
+    tabulate=_rows_fig12,
+)
 def figure12_plan(
     packet_sizes: Sequence[int] = (1500, 9000),
     samples: int = 5000,
     seed: int = 1,
 ) -> Plan:
-    """A single (pure host-model) spec; exercises the non-string-key codec."""
+    """Distribution of pull spacing for 1500 B and 9000 B packets (us).
+
+    A single (pure host-model) spec; exercises the non-string-key codec.
+    """
     specs = [
         RunSpec(
             "fig12",
@@ -595,15 +671,6 @@ def figure12_plan(
         )
     ]
     return Plan(specs, lambda results: results[0])
-
-
-def figure12_pull_spacing(
-    packet_sizes: Sequence[int] = (1500, 9000),
-    samples: int = 5000,
-    seed: int = 1,
-) -> Dict[int, Dict[str, float]]:
-    """Distribution of pull spacing for 1500 B and 9000 B packets (us)."""
-    return run_plan(figure12_plan(packet_sizes, samples, seed))
 
 
 def _figure12_run(packet_sizes, samples, seed):
@@ -624,22 +691,44 @@ def _figure12_run(packet_sizes, samples, seed):
     return result
 
 
+def _rows_fig13(result: List[Mapping[str, Any]]) -> List[Mapping[str, Any]]:
+    """Wide (perfect_us, experimental_us) rows -> long (pacer, fct_us) rows."""
+    rows: List[Mapping[str, Any]] = []
+    for entry in result:
+        rows.append({"flow_kb": entry["flow_kb"], "pacer": "perfect",
+                     "fct_us": entry["perfect_us"]})
+        rows.append({"flow_kb": entry["flow_kb"], "pacer": "experimental",
+                     "fct_us": entry["experimental_us"]})
+    return rows
+
+
+@family(
+    "fig13", "incast FCT with jittered pulls",
+    chart=ArtifactMeta(
+        "Incast FCT with perfect vs jittered pull spacing",
+        "incast FCT, perfect vs jittered pulls",
+        "line", "flow_kb", "fct_us", series="pacer",
+    ),
+    tabulate=_rows_fig13,
+)
 def figure13_plan(
     flow_sizes: Sequence[int] = (15_000, 30_000, 60_000, 90_000, 120_000),
     senders: int = 32,
     seed: int = 1,
 ) -> Plan:
-    """One spec per (flow size, pacer kind) incast run."""
+    """Incast completion with perfect vs experimentally-jittered pull spacing.
+
+    One spec per (flow size, pacer kind) incast run.
+    """
     flow_sizes = tuple(flow_sizes)
     cases = [(size, jittered) for size in flow_sizes for jittered in (False, True)]
-    specs = [
-        RunSpec(
-            f"fig13[kb={size // 1000}{',jitter' if jittered else ''}]",
-            _incast_fct_with_pacer,
-            dict(size=size, senders=senders, jittered=jittered, seed=seed),
-        )
-        for size, jittered in cases
-    ]
+    specs = _specs(
+        "fig13", _incast_fct_with_pacer,
+        [(f"kb={size // 1000}{',jitter' if jittered else ''}",
+          dict(size=size, jittered=jittered))
+         for size, jittered in cases],
+        senders=senders, seed=seed,
+    )
 
     def assemble(results: List[int]) -> List[Dict[str, float]]:
         by_case = {case: value for case, value in zip(cases, results)}
@@ -653,15 +742,6 @@ def figure13_plan(
         ]
 
     return Plan(specs, assemble)
-
-
-def figure13_incast_pull_jitter(
-    flow_sizes: Sequence[int] = (15_000, 30_000, 60_000, 90_000, 120_000),
-    senders: int = 32,
-    seed: int = 1,
-) -> List[Dict[str, float]]:
-    """Incast completion with perfect vs experimentally-jittered pull spacing."""
-    return run_plan(figure13_plan(flow_sizes, senders, seed))
 
 
 def _incast_fct_with_pacer(size, senders, jittered, seed):
@@ -691,6 +771,7 @@ def _incast_fct_with_pacer(size, senders, jittered, seed):
 # Figure 14 — permutation throughput across protocols
 # ---------------------------------------------------------------------------
 
+@family("fig14", "permutation throughput across protocols")
 def figure14_plan(
     k: int = 4,
     flow_bytes: int = 200_000_000,
@@ -699,40 +780,23 @@ def figure14_plan(
     seed: int = 3,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per protocol (``protocol`` narrows the set to one for sweeps)."""
-    if protocol is not None:
-        protocols = (protocol,)
-    protocols = _resolve_protocols(
-        protocols, COMPARISON_PROTOCOLS, FamilyTraits(family="fig14")
+    """Per-flow goodput of a permutation matrix for each protocol.
+
+    One spec per protocol (``protocol`` narrows the set to one for sweeps).
+    """
+    protocols = _protocols(
+        protocols, protocol, COMPARISON_PROTOCOLS, FamilyTraits(family="fig14")
     )
-    specs = [
-        RunSpec(
-            f"fig14[{name}]",
-            _figure14_protocol,
-            dict(protocol=name, k=k, flow_bytes=flow_bytes,
-                 duration_ps=duration_ps, seed=seed),
-        )
-        for name in protocols
-    ]
+    specs = _specs(
+        "fig14", _figure14_protocol,
+        [(name, dict(protocol=name)) for name in protocols],
+        k=k, flow_bytes=flow_bytes, duration_ps=duration_ps, seed=seed,
+    )
 
     def assemble(results) -> Dict[str, experiment.ThroughputResult]:
         return {name: result for name, result in zip(protocols, results)}
 
     return Plan(specs, assemble)
-
-
-def figure14_permutation_throughput(
-    k: int = 4,
-    flow_bytes: int = 200_000_000,
-    duration_ps: int = units.milliseconds(2),
-    protocols: Optional[Sequence[str]] = None,
-    seed: int = 3,
-    protocol: Optional[str] = None,
-) -> Dict[str, experiment.ThroughputResult]:
-    """Per-flow goodput of a permutation matrix for each protocol."""
-    return run_plan(
-        figure14_plan(k, flow_bytes, duration_ps, protocols, seed, protocol)
-    )
 
 
 def _figure14_protocol(protocol, k, flow_bytes, duration_ps, seed):
@@ -747,6 +811,7 @@ def _figure14_protocol(protocol, k, flow_bytes, duration_ps, seed):
 # Figure 15 — short-flow FCT with background load
 # ---------------------------------------------------------------------------
 
+@family("fig15", "90 KB FCT with background load")
 def figure15_plan(
     k: int = 4,
     short_bytes: int = 90_000,
@@ -757,53 +822,28 @@ def figure15_plan(
     seed: int = 5,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per protocol (``protocol`` narrows the set to one for sweeps)."""
-    if protocol is not None:
-        protocols = (protocol,)
-    protocols = _resolve_protocols(
-        protocols, COMPARISON_PROTOCOLS, FamilyTraits(family="fig15")
+    """FCTs (us) of repeated 90 KB transfers between two otherwise idle hosts.
+
+    Every other host sources long-running background flows to random
+    destinations, loading the fabric; the 90 KB transfers between hosts 0
+    and 1 then measure the queueing those background flows induce.  One
+    spec per protocol (``protocol`` narrows the set to one for sweeps).
+    """
+    protocols = _protocols(
+        protocols, protocol, COMPARISON_PROTOCOLS, FamilyTraits(family="fig15")
     )
-    specs = [
-        RunSpec(
-            f"fig15[{name}]",
-            _figure15_protocol,
-            dict(
-                protocol=name, k=k, short_bytes=short_bytes,
-                short_flows=short_flows, background_bytes=background_bytes,
-                background_flows_per_host=background_flows_per_host, seed=seed,
-            ),
-        )
-        for name in protocols
-    ]
+    specs = _specs(
+        "fig15", _figure15_protocol,
+        [(name, dict(protocol=name)) for name in protocols],
+        k=k, short_bytes=short_bytes, short_flows=short_flows,
+        background_bytes=background_bytes,
+        background_flows_per_host=background_flows_per_host, seed=seed,
+    )
 
     def assemble(results: List[List[float]]) -> Dict[str, List[float]]:
         return {name: fcts for name, fcts in zip(protocols, results)}
 
     return Plan(specs, assemble)
-
-
-def figure15_short_flow_fct(
-    k: int = 4,
-    short_bytes: int = 90_000,
-    short_flows: int = 12,
-    background_bytes: int = 50_000_000,
-    background_flows_per_host: int = 2,
-    protocols: Optional[Sequence[str]] = None,
-    seed: int = 5,
-    protocol: Optional[str] = None,
-) -> Dict[str, List[float]]:
-    """FCTs (us) of repeated 90 KB transfers between two otherwise idle hosts.
-
-    Every other host sources long-running background flows to random
-    destinations, loading the fabric; the 90 KB transfers between hosts 0
-    and 1 then measure the queueing those background flows induce.
-    """
-    return run_plan(
-        figure15_plan(
-            k, short_bytes, short_flows, background_bytes,
-            background_flows_per_host, protocols, seed, protocol,
-        )
-    )
 
 
 def _figure15_protocol(
@@ -842,6 +882,33 @@ def _figure15_protocol(
 # Figure 16 — incast completion time vs number of senders
 # ---------------------------------------------------------------------------
 
+def _rows_fig16(result: List[Mapping[str, Any]]) -> List[Mapping[str, Any]]:
+    """Wide per-protocol columns -> long (senders, protocol, completion_ms).
+
+    The ``ideal_ms`` bound becomes the pseudo-protocol ``ideal`` so the
+    chart carries the paper's reference line as just another series.
+    """
+    rows: List[Mapping[str, Any]] = []
+    for entry in result:
+        senders = entry["senders"]
+        for key in sorted(entry):
+            if key == "senders":
+                continue
+            protocol = "ideal" if key == "ideal_ms" else key
+            rows.append({"senders": senders, "protocol": protocol,
+                         "completion_ms": entry[key]})
+    return rows
+
+
+@family(
+    "fig16", "incast completion vs number of senders",
+    chart=ArtifactMeta(
+        "Incast completion time vs number of senders",
+        "incast scaling across protocols",
+        "line", "senders", "completion_ms", series="protocol",
+    ),
+    tabulate=_rows_fig16,
+)
 def figure16_plan(
     sender_counts: Sequence[int] = (4, 8, 16, 32),
     response_bytes: int = 450_000,
@@ -849,23 +916,21 @@ def figure16_plan(
     seed: int = 7,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per (sender count, protocol) incast point."""
+    """Last-flow completion time of an incast vs the number of senders (ms).
+
+    One spec per (sender count, protocol) incast point.
+    """
     sender_counts = tuple(sender_counts)
-    if protocol is not None:
-        protocols = (protocol,)
-    protocols = _resolve_protocols(
-        protocols, COMPARISON_PROTOCOLS, FamilyTraits(family="fig16")
+    protocols = _protocols(
+        protocols, protocol, COMPARISON_PROTOCOLS, FamilyTraits(family="fig16")
     )
     cases = [(senders, name) for senders in sender_counts for name in protocols]
-    specs = [
-        RunSpec(
-            f"fig16[{name},senders={senders}]",
-            _figure16_point,
-            dict(protocol=name, senders=senders,
-                 response_bytes=response_bytes, seed=seed),
-        )
-        for senders, name in cases
-    ]
+    specs = _specs(
+        "fig16", _figure16_point,
+        [(f"{name},senders={senders}", dict(protocol=name, senders=senders))
+         for senders, name in cases],
+        response_bytes=response_bytes, seed=seed,
+    )
 
     def assemble(results: List[int]) -> List[Dict[str, float]]:
         by_case = {case: value for case, value in zip(cases, results)}
@@ -883,19 +948,6 @@ def figure16_plan(
     return Plan(specs, assemble)
 
 
-def figure16_incast_scaling(
-    sender_counts: Sequence[int] = (4, 8, 16, 32),
-    response_bytes: int = 450_000,
-    protocols: Optional[Sequence[str]] = None,
-    seed: int = 7,
-    protocol: Optional[str] = None,
-) -> List[Dict[str, float]]:
-    """Last-flow completion time of an incast vs the number of senders (ms)."""
-    return run_plan(
-        figure16_plan(sender_counts, response_bytes, protocols, seed, protocol)
-    )
-
-
 def _figure16_point(protocol, senders, response_bytes, seed):
     """Unit run: last-flow completion (ps) of one incast point."""
     return _incast_last_fct(
@@ -908,6 +960,7 @@ def _figure16_point(protocol, senders, response_bytes, seed):
 # Figure 17 — IW / buffer-size sensitivity
 # ---------------------------------------------------------------------------
 
+@family("fig17", "IW / buffer-size sensitivity")
 def figure17_plan(
     windows: Sequence[int] = (5, 10, 15, 20, 30, 40),
     configurations: Optional[Sequence[Tuple[str, int, int]]] = None,
@@ -916,7 +969,12 @@ def figure17_plan(
     duration_ps: int = units.milliseconds(2),
     seed: int = 9,
 ) -> Plan:
-    """One spec per (buffer/MTU configuration, initial window) point."""
+    """Permutation utilization vs IW for several buffer/MTU configurations.
+
+    ``configurations`` is a list of ``(label, buffer_packets, mtu_bytes)``;
+    the default matches the four curves of Figure 17.  One spec per
+    (configuration, initial window) point.
+    """
     windows = tuple(windows)
     if configurations is None:
         configurations = (
@@ -931,17 +989,13 @@ def figure17_plan(
         for label, buffer_packets, mtu in configurations
         for window in windows
     ]
-    specs = [
-        RunSpec(
-            f"fig17[{label},iw={window}]",
-            _figure17_point,
-            dict(
-                buffer_packets=buffer_packets, mtu=mtu, window=window, k=k,
-                flow_bytes=flow_bytes, duration_ps=duration_ps, seed=seed,
-            ),
-        )
-        for label, buffer_packets, mtu, window in cases
-    ]
+    specs = _specs(
+        "fig17", _figure17_point,
+        [(f"{label},iw={window}",
+          dict(buffer_packets=buffer_packets, mtu=mtu, window=window))
+         for label, buffer_packets, mtu, window in cases],
+        k=k, flow_bytes=flow_bytes, duration_ps=duration_ps, seed=seed,
+    )
 
     def assemble(results: List[float]) -> List[Dict[str, float]]:
         return [
@@ -954,24 +1008,6 @@ def figure17_plan(
         ]
 
     return Plan(specs, assemble)
-
-
-def figure17_buffer_sensitivity(
-    windows: Sequence[int] = (5, 10, 15, 20, 30, 40),
-    configurations: Optional[Sequence[Tuple[str, int, int]]] = None,
-    k: int = 4,
-    flow_bytes: int = 200_000_000,
-    duration_ps: int = units.milliseconds(2),
-    seed: int = 9,
-) -> List[Dict[str, float]]:
-    """Permutation utilization vs IW for several buffer/MTU configurations.
-
-    ``configurations`` is a list of ``(label, buffer_packets, mtu_bytes)``;
-    the default matches the four curves of Figure 17.
-    """
-    return run_plan(
-        figure17_plan(windows, configurations, k, flow_bytes, duration_ps, seed)
-    )
 
 
 def _figure17_point(buffer_packets, mtu, window, k, flow_bytes, duration_ps, seed):
@@ -993,6 +1029,7 @@ def _figure17_point(buffer_packets, mtu, window, k, flow_bytes, duration_ps, see
 # Figure 19 — collateral damage of an incast on a nearby long flow
 # ---------------------------------------------------------------------------
 
+@family("fig19", "collateral damage of an incast (goodput traces)")
 def figure19_plan(
     protocols: Optional[Sequence[str]] = None,
     incast_senders: int = 16,
@@ -1002,55 +1039,29 @@ def figure19_plan(
     seed: int = 11,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per protocol (``protocol`` narrows the set to one for sweeps)."""
-    if protocol is not None:
-        protocols = (protocol,)
-    protocols = _resolve_protocols(
-        protocols,
-        (registry.NDP, registry.DCTCP, registry.DCQCN),
+    """Goodput-vs-time of a long flow while an incast hits a neighbour host.
+
+    Setup of Figure 18: the long flow and the incast target are on the same
+    ToR; the incast starts a few milliseconds into the run.  One spec per
+    protocol (``protocol`` narrows the set to one for sweeps); returns, per
+    protocol, two time series (``long_flow`` and ``incast``) of goodput in
+    bits/second.
+    """
+    protocols = _protocols(
+        protocols, protocol, (registry.NDP, registry.DCTCP, registry.DCQCN),
         FamilyTraits(family="fig19"),
     )
-    specs = [
-        RunSpec(
-            f"fig19[{name}]",
-            _figure19_protocol,
-            dict(
-                protocol=name, incast_senders=incast_senders,
-                incast_bytes=incast_bytes, sample_period_ps=sample_period_ps,
-                duration_ps=duration_ps, seed=seed,
-            ),
-        )
-        for name in protocols
-    ]
+    specs = _specs(
+        "fig19", _figure19_protocol,
+        [(name, dict(protocol=name)) for name in protocols],
+        incast_senders=incast_senders, incast_bytes=incast_bytes,
+        sample_period_ps=sample_period_ps, duration_ps=duration_ps, seed=seed,
+    )
 
     def assemble(results) -> Dict[str, Dict[str, List[Tuple[int, float]]]]:
         return {name: series for name, series in zip(protocols, results)}
 
     return Plan(specs, assemble)
-
-
-def figure19_collateral_damage(
-    protocols: Optional[Sequence[str]] = None,
-    incast_senders: int = 16,
-    incast_bytes: int = 900_000,
-    sample_period_ps: int = units.microseconds(250),
-    duration_ps: int = units.milliseconds(30),
-    seed: int = 11,
-    protocol: Optional[str] = None,
-) -> Dict[str, Dict[str, List[Tuple[int, float]]]]:
-    """Goodput-vs-time of a long flow while an incast hits a neighbour host.
-
-    Setup of Figure 18: the long flow and the incast target are on the same
-    ToR; the incast starts a few milliseconds into the run.  Returns, per
-    protocol, two time series (``long_flow`` and ``incast``) of goodput in
-    bits/second.
-    """
-    return run_plan(
-        figure19_plan(
-            protocols, incast_senders, incast_bytes, sample_period_ps,
-            duration_ps, seed, protocol,
-        )
-    )
 
 
 def _figure19_protocol(
@@ -1102,42 +1113,30 @@ def _figure19_protocol(
 # Figure 20 — very large incasts: overhead and retransmission mechanisms
 # ---------------------------------------------------------------------------
 
+@family("fig20", "very large incasts: overhead and RTX mechanisms")
 def figure20_plan(
     sender_counts: Sequence[int] = (8, 32, 128, 256),
     initial_windows: Sequence[int] = (1, 10, 23),
     packets_per_flow: int = 30,
     seed: int = 13,
 ) -> Plan:
-    """One spec per (initial window, sender count) incast point."""
+    """Completion-time overhead and retransmission mechanism vs incast size.
+
+    One spec per (initial window, sender count) incast point.
+    """
     sender_counts = tuple(sender_counts)
     initial_windows = tuple(initial_windows)
     cases = [
         (window, senders) for window in initial_windows for senders in sender_counts
     ]
-    specs = [
-        RunSpec(
-            f"fig20[iw={window},senders={senders}]",
-            _figure20_point,
-            dict(
-                initial_window=window, senders=senders,
-                packets_per_flow=packets_per_flow, seed=seed,
-            ),
-        )
-        for window, senders in cases
-    ]
-    return Plan(specs, lambda results: list(results))
-
-
-def figure20_large_incast(
-    sender_counts: Sequence[int] = (8, 32, 128, 256),
-    initial_windows: Sequence[int] = (1, 10, 23),
-    packets_per_flow: int = 30,
-    seed: int = 13,
-) -> List[Dict[str, float]]:
-    """Completion-time overhead and retransmission mechanism vs incast size."""
-    return run_plan(
-        figure20_plan(sender_counts, initial_windows, packets_per_flow, seed)
+    specs = _specs(
+        "fig20", _figure20_point,
+        [(f"iw={window},senders={senders}",
+          dict(initial_window=window, senders=senders))
+         for window, senders in cases],
+        packets_per_flow=packets_per_flow, seed=seed,
     )
+    return Plan(specs, lambda results: list(results))
 
 
 def _figure20_point(initial_window, senders, packets_per_flow, seed):
@@ -1175,21 +1174,17 @@ def _figure20_point(initial_window, senders, packets_per_flow, seed):
 # Figure 21 — sender-limited traffic
 # ---------------------------------------------------------------------------
 
+@family("fig21", "sender-limited traffic throughput table")
 def figure21_plan(
     duration_ps: int = units.milliseconds(4),
     seed: int = 15,
 ) -> Plan:
-    """A single spec: the five flows share one simulator."""
+    """Throughput of A→{B,C,D,E} plus F→E (Gb/s), as in the Figure 21 table.
+
+    A single spec: the five flows share one simulator.
+    """
     specs = [RunSpec("fig21", _figure21_run, dict(duration_ps=duration_ps, seed=seed))]
     return Plan(specs, lambda results: results[0])
-
-
-def figure21_sender_limited(
-    duration_ps: int = units.milliseconds(4),
-    seed: int = 15,
-) -> Dict[str, float]:
-    """Throughput of A→{B,C,D,E} plus F→E (Gb/s), as in the Figure 21 table."""
-    return run_plan(figure21_plan(duration_ps, seed))
 
 
 def _figure21_run(duration_ps, seed):
@@ -1215,6 +1210,7 @@ def _figure21_run(duration_ps, seed):
 # Figure 22 — asymmetry (a degraded core link)
 # ---------------------------------------------------------------------------
 
+@family("fig22", "permutation with a degraded core link")
 def figure22_plan(
     k: int = 4,
     degraded_rate_bps: int = units.gbps(1),
@@ -1224,49 +1220,27 @@ def figure22_plan(
     cases: Optional[Sequence[str]] = None,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per protocol/ablation case."""
-    if protocol is not None:
-        cases = (protocol,)
-    cases = _resolve_protocols(
-        cases,
+    """Permutation throughput with one core↔aggregation link at 1 Gb/s.
+
+    Compares NDP, NDP without the path-penalty scoreboard (the ablation),
+    MPTCP and DCTCP; one spec per protocol/ablation case.
+    """
+    cases = _protocols(
+        cases, protocol,
         (registry.NDP, registry.NDP_NO_PATH_PENALTY, registry.MPTCP, registry.DCTCP),
         FamilyTraits(family="fig22", mutates_link_rates=True),
     )
-    specs = [
-        RunSpec(
-            f"fig22[{case}]",
-            _figure22_case,
-            dict(
-                case=case, k=k, degraded_rate_bps=degraded_rate_bps,
-                flow_bytes=flow_bytes, duration_ps=duration_ps, seed=seed,
-            ),
-        )
-        for case in cases
-    ]
+    specs = _specs(
+        "fig22", _figure22_case,
+        [(case, dict(case=case)) for case in cases],
+        k=k, degraded_rate_bps=degraded_rate_bps, flow_bytes=flow_bytes,
+        duration_ps=duration_ps, seed=seed,
+    )
 
     def assemble(results) -> Dict[str, experiment.ThroughputResult]:
         return {case: result for case, result in zip(cases, results)}
 
     return Plan(specs, assemble)
-
-
-def figure22_asymmetry(
-    k: int = 4,
-    degraded_rate_bps: int = units.gbps(1),
-    flow_bytes: int = 200_000_000,
-    duration_ps: int = units.milliseconds(3),
-    seed: int = 17,
-    cases: Optional[Sequence[str]] = None,
-    protocol: Optional[str] = None,
-) -> Dict[str, experiment.ThroughputResult]:
-    """Permutation throughput with one core↔aggregation link at 1 Gb/s.
-
-    Compares NDP, NDP without the path-penalty scoreboard (the ablation),
-    MPTCP and DCTCP.
-    """
-    return run_plan(
-        figure22_plan(k, degraded_rate_bps, flow_bytes, duration_ps, seed, cases, protocol)
-    )
 
 
 def _figure22_case(case, k, degraded_rate_bps, flow_bytes, duration_ps, seed):
@@ -1282,6 +1256,7 @@ def _figure22_case(case, k, degraded_rate_bps, flow_bytes, duration_ps, seed):
 # Figure 23 — oversubscribed fabric, Facebook web workload
 # ---------------------------------------------------------------------------
 
+@family("fig23", "oversubscribed fabric, web workload")
 def figure23_plan(
     k: int = 4,
     oversubscription: float = 4.0,
@@ -1291,50 +1266,25 @@ def figure23_plan(
     seed: int = 19,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per (protocol, load level)."""
-    connections_per_host = tuple(connections_per_host)
-    if protocol is not None:
-        protocols = (protocol,)
-    protocols = _resolve_protocols(
-        protocols, (registry.NDP, registry.DCTCP), FamilyTraits(family="fig23")
-    )
-    cases = [(name, load) for name in protocols for load in connections_per_host]
-    specs = [
-        RunSpec(
-            f"fig23[{name},load={load}]",
-            _figure23_point,
-            dict(
-                protocol=name, connections_per_host=load, k=k,
-                oversubscription=oversubscription, duration_ps=duration_ps,
-                seed=seed,
-            ),
-        )
-        for name, load in cases
-    ]
-    return Plan(specs, lambda results: list(results))
-
-
-def figure23_oversubscribed_web(
-    k: int = 4,
-    oversubscription: float = 4.0,
-    connections_per_host: Sequence[int] = (2, 5),
-    duration_ps: int = units.milliseconds(40),
-    protocols: Optional[Sequence[str]] = None,
-    seed: int = 19,
-    protocol: Optional[str] = None,
-) -> List[Dict[str, object]]:
     """FCT distribution of a web-like workload on a 4:1 oversubscribed fabric.
 
-    Closed-loop flow arrivals with Facebook-web flow sizes; one row per
-    (protocol, load level) with median/p99 FCT in us, completed flow count
-    and the fraction of packets trimmed at ToR uplinks (NDP only).
+    Closed-loop flow arrivals with Facebook-web flow sizes; one spec and one
+    row per (protocol, load level) with median/p99 FCT in us, completed flow
+    count and the fraction of packets trimmed at ToR uplinks (NDP only).
     """
-    return run_plan(
-        figure23_plan(
-            k, oversubscription, connections_per_host, duration_ps, protocols,
-            seed, protocol,
-        )
+    connections_per_host = tuple(connections_per_host)
+    protocols = _protocols(
+        protocols, protocol, (registry.NDP, registry.DCTCP),
+        FamilyTraits(family="fig23"),
     )
+    cases = [(name, load) for name in protocols for load in connections_per_host]
+    specs = _specs(
+        "fig23", _figure23_point,
+        [(f"{name},load={load}", dict(protocol=name, connections_per_host=load))
+         for name, load in cases],
+        k=k, oversubscription=oversubscription, duration_ps=duration_ps, seed=seed,
+    )
+    return Plan(specs, lambda results: list(results))
 
 
 def _figure23_point(protocol, connections_per_host, k, oversubscription, duration_ps, seed):
@@ -1381,6 +1331,7 @@ def _figure23_point(protocol, connections_per_host, k, oversubscription, duratio
 # §6.2 text — pHost comparison and uplink-trimming load-balancing study
 # ---------------------------------------------------------------------------
 
+@family("phost", "NDP vs pHost (no trimming)")  # transport-name-ok: experiment family
 def phost_plan(
     k: int = 4,
     incast_senders: int = 24,
@@ -1391,25 +1342,20 @@ def phost_plan(
     protocols: Optional[Sequence[str]] = None,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per protocol (each runs its incast + permutation pair)."""
-    if protocol is not None:
-        protocols = (protocol,)
-    cases = _resolve_protocols(
-        protocols, (registry.NDP, registry.PHOST),
+    """NDP vs pHost: incast completion (ms) and permutation utilization.
+
+    One spec per protocol (each runs its incast + permutation pair).
+    """
+    cases = _protocols(
+        protocols, protocol, (registry.NDP, registry.PHOST),
         FamilyTraits(family="phost"),  # transport-name-ok: experiment family
     )
-    specs = [
-        RunSpec(
-            f"phost[{name}]",
-            _phost_case,
-            dict(
-                protocol=name, k=k, incast_senders=incast_senders,
-                incast_bytes=incast_bytes, permutation_bytes=permutation_bytes,
-                duration_ps=duration_ps, seed=seed,
-            ),
-        )
-        for name in cases
-    ]
+    specs = _specs(
+        "phost", _phost_case,  # transport-name-ok: experiment family
+        [(name, dict(protocol=name)) for name in cases],
+        k=k, incast_senders=incast_senders, incast_bytes=incast_bytes,
+        permutation_bytes=permutation_bytes, duration_ps=duration_ps, seed=seed,
+    )
 
     def assemble(results: List[Dict[str, float]]) -> Dict[str, float]:
         merged: Dict[str, float] = {}
@@ -1421,25 +1367,6 @@ def phost_plan(
         return merged
 
     return Plan(specs, assemble)
-
-
-def phost_comparison(
-    k: int = 4,
-    incast_senders: int = 24,
-    incast_bytes: int = 270_000,
-    permutation_bytes: int = 100_000_000,
-    duration_ps: int = units.milliseconds(2),
-    seed: int = 21,
-    protocols: Optional[Sequence[str]] = None,
-    protocol: Optional[str] = None,
-) -> Dict[str, float]:
-    """NDP vs pHost: incast completion (ms) and permutation utilization."""
-    return run_plan(
-        phost_plan(
-            k, incast_senders, incast_bytes, permutation_bytes, duration_ps,
-            seed, protocols, protocol,
-        )
-    )
 
 
 def _phost_case(
@@ -1460,43 +1387,64 @@ def _phost_case(
     }
 
 
+@family("scaling", "permutation utilization vs topology size")
+def scaling_plan(
+    ks: Sequence[int] = (4, 6, 8),
+    flow_bytes: int = 200_000_000,
+    duration_ps: int = units.milliseconds(2),
+    seed: int = 25,
+) -> Plan:
+    """NDP permutation utilization as the FatTree grows (§6.2 'Larger topologies').
+
+    One spec per topology size.
+    """
+    ks = tuple(ks)
+    specs = _specs(
+        "scaling", _scaling_point,
+        [(f"k={k}", dict(k=k)) for k in ks],
+        flow_bytes=flow_bytes, duration_ps=duration_ps, seed=seed,
+    )
+    return Plan(specs, lambda results: list(results))
+
+
+def _scaling_point(k, flow_bytes, duration_ps, seed):
+    """Unit run: one row of the topology-scaling utilization table."""
+    eventlist = EventList()
+    network = NdpNetwork.build(eventlist, FatTreeTopology, k=k, seed=seed)
+    flows = experiment.start_permutation(network, flow_bytes, rng=random.Random(seed))
+    result = experiment.measure_throughput(network, flows, duration_ps)
+    return {
+        "k": k,
+        "hosts": network.topology.host_count,
+        "utilization_percent": 100 * result.utilization,
+    }
+
+
+@family("uplinks", "where packets get trimmed (load balancing)")
 def uplink_trimming_plan(
     k: int = 4,
     flow_bytes: int = 100_000_000,
     duration_ps: int = units.milliseconds(2),
     seed: int = 23,
 ) -> Plan:
-    """One spec per path-selection mode."""
-    modes = ["permutation", "random"]
-    specs = [
-        RunSpec(
-            f"uplinks[{mode}]",
-            _uplink_mode,
-            dict(mode=mode, k=k, flow_bytes=flow_bytes,
-                 duration_ps=duration_ps, seed=seed),
-        )
-        for mode in modes
-    ]
-
-    def assemble(results) -> Dict[str, Dict[str, float]]:
-        return {mode: result for mode, result in zip(modes, results)}
-
-    return Plan(specs, assemble)
-
-
-def uplink_trimming_study(
-    k: int = 4,
-    flow_bytes: int = 100_000_000,
-    duration_ps: int = units.milliseconds(2),
-    seed: int = 23,
-) -> Dict[str, Dict[str, float]]:
     """Fraction of packets trimmed on uplinks: sender permutation vs random ECMP.
 
     Reproduces the load-balancing claim of §"Congestion Control": with
     sender-driven path permutation almost nothing is trimmed above the ToR,
     whereas per-packet random path choice (switch ECMP) trims noticeably more.
+    One spec per path-selection mode.
     """
-    return run_plan(uplink_trimming_plan(k, flow_bytes, duration_ps, seed))
+    modes = ["permutation", "random"]
+    specs = _specs(
+        "uplinks", _uplink_mode,
+        [(mode, dict(mode=mode)) for mode in modes],
+        k=k, flow_bytes=flow_bytes, duration_ps=duration_ps, seed=seed,
+    )
+
+    def assemble(results) -> Dict[str, Dict[str, float]]:
+        return {mode: result for mode, result in zip(modes, results)}
+
+    return Plan(specs, assemble)
 
 
 def _uplink_mode(mode, k, flow_bytes, duration_ps, seed):
@@ -1520,48 +1468,6 @@ def _uplink_mode(mode, k, flow_bytes, duration_ps, seed):
     }
 
 
-def scaling_plan(
-    ks: Sequence[int] = (4, 6, 8),
-    flow_bytes: int = 200_000_000,
-    duration_ps: int = units.milliseconds(2),
-    seed: int = 25,
-) -> Plan:
-    """One spec per topology size."""
-    ks = tuple(ks)
-    specs = [
-        RunSpec(
-            f"scaling[k={k}]",
-            _scaling_point,
-            dict(k=k, flow_bytes=flow_bytes, duration_ps=duration_ps, seed=seed),
-        )
-        for k in ks
-    ]
-    return Plan(specs, lambda results: list(results))
-
-
-def scaling_utilization(
-    ks: Sequence[int] = (4, 6, 8),
-    flow_bytes: int = 200_000_000,
-    duration_ps: int = units.milliseconds(2),
-    seed: int = 25,
-) -> List[Dict[str, float]]:
-    """NDP permutation utilization as the FatTree grows (§6.2 'Larger topologies')."""
-    return run_plan(scaling_plan(ks, flow_bytes, duration_ps, seed))
-
-
-def _scaling_point(k, flow_bytes, duration_ps, seed):
-    """Unit run: one row of the topology-scaling utilization table."""
-    eventlist = EventList()
-    network = NdpNetwork.build(eventlist, FatTreeTopology, k=k, seed=seed)
-    flows = experiment.start_permutation(network, flow_bytes, rng=random.Random(seed))
-    result = experiment.measure_throughput(network, flows, duration_ps)
-    return {
-        "k": k,
-        "hosts": network.topology.host_count,
-        "utilization_percent": 100 * result.utilization,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Failures family — fabric dynamics (link failure / degradation / recovery).
 # No single paper figure: this extends Figure 22's static-asymmetry axis with
@@ -1578,6 +1484,7 @@ _FAILURE_DEFAULT_CASES = (
 )
 
 
+@family("failures_degraded", "permutation FCTs over a degraded core link")
 def failures_degraded_plan(
     k: int = 4,
     degraded_rate_bps: int = units.gbps(1),
@@ -1587,50 +1494,25 @@ def failures_degraded_plan(
     seed: int = 27,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per transport: permutation FCTs over a degraded-core fabric."""
-    if protocol is not None:
-        cases = (protocol,)
-    cases = _resolve_protocols(
-        cases,
-        _FAILURE_DEFAULT_CASES,
-        FamilyTraits(family="failures_degraded", mutates_link_rates=True),
-    )
-    specs = [
-        RunSpec(
-            f"failures_degraded[{case}]",
-            _failures_degraded_case,
-            dict(
-                case=case, k=k, degraded_rate_bps=degraded_rate_bps,
-                flow_bytes=flow_bytes, timeout_ps=timeout_ps, seed=seed,
-            ),
-        )
-        for case in cases
-    ]
-    return Plan(specs, lambda results: list(results))
-
-
-def failures_degraded(
-    k: int = 4,
-    degraded_rate_bps: int = units.gbps(1),
-    flow_bytes: int = 1_000_000,
-    timeout_ps: int = units.milliseconds(60),
-    cases: Optional[Sequence[str]] = None,
-    seed: int = 27,
-    protocol: Optional[str] = None,
-) -> List[Dict[str, object]]:
     """Permutation FCTs with one core↔agg link degraded, NDP vs ECMP controls.
 
     The FCT view of Figure 22: every host sends one *finite* transfer over a
     fabric whose core0↔pod(k-1) link renegotiated down.  NDP's scoreboard
     steers spraying off the slow path so FCTs stay near the healthy fabric's;
     per-flow-ECMP TCP/DCTCP flows hashed onto the degraded core are stuck
-    behind it, which shows up in the p99/max columns.
+    behind it, which shows up in the p99/max columns.  One spec per transport.
     """
-    return run_plan(
-        failures_degraded_plan(
-            k, degraded_rate_bps, flow_bytes, timeout_ps, cases, seed, protocol
-        )
+    cases = _protocols(
+        cases, protocol, _FAILURE_DEFAULT_CASES,
+        FamilyTraits(family="failures_degraded", mutates_link_rates=True),
     )
+    specs = _specs(
+        "failures_degraded", _failures_degraded_case,
+        [(case, dict(case=case)) for case in cases],
+        k=k, degraded_rate_bps=degraded_rate_bps, flow_bytes=flow_bytes,
+        timeout_ps=timeout_ps, seed=seed,
+    )
+    return Plan(specs, lambda results: list(results))
 
 
 def _failures_degraded_case(case, k, degraded_rate_bps, flow_bytes, timeout_ps, seed):
@@ -1648,6 +1530,7 @@ def _failures_degraded_case(case, k, degraded_rate_bps, flow_bytes, timeout_ps, 
     }
 
 
+@family("failures_recovery", "mid-transfer link failure + recovery timeline")
 def failures_recovery_plan(
     k: int = 4,
     flow_bytes: int = 4_000_000,
@@ -1659,60 +1542,32 @@ def failures_recovery_plan(
     seed: int = 29,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per protocol: goodput timeline through a fail→recover cycle."""
-    if protocol is not None:
-        protocols = (protocol,)
-    protocols = _resolve_protocols(
-        protocols,
-        (registry.NDP, registry.TCP),
-        FamilyTraits(family="failures_recovery", severs_links=True),
-    )
-    specs = [
-        RunSpec(
-            f"failures_recovery[{name}]",
-            _failures_recovery_case,
-            dict(
-                protocol=name, k=k, flow_bytes=flow_bytes, fail_at_ps=fail_at_ps,
-                recover_at_ps=recover_at_ps, duration_ps=duration_ps,
-                sample_period_ps=sample_period_ps, seed=seed,
-            ),
-        )
-        for name in protocols
-    ]
-
-    def assemble(results) -> Dict[str, Dict[str, object]]:
-        return {name: result for name, result in zip(protocols, results)}
-
-    return Plan(specs, assemble)
-
-
-def failures_recovery(
-    k: int = 4,
-    flow_bytes: int = 4_000_000,
-    fail_at_ps: int = units.milliseconds(1),
-    recover_at_ps: int = units.milliseconds(3),
-    duration_ps: int = units.milliseconds(8),
-    sample_period_ps: int = units.microseconds(100),
-    protocols: Optional[Sequence[str]] = None,
-    seed: int = 29,
-    protocol: Optional[str] = None,
-) -> Dict[str, Dict[str, object]]:
     """Mid-transfer core-link failure and recovery: aggregate goodput vs time.
 
     A permutation of finite transfers is mid-flight when the core0↔pod(k-1)
     cable is cut at ``fail_at_ps`` and spliced back at ``recover_at_ps``
     (both applied by a :class:`~repro.topology.FabricController` on shadow
-    timers).  Returns, per protocol, the aggregate-goodput time series plus
-    completion counts: NDP dips for one round-trip and recovers as the path
-    manager prunes the dead path; per-flow-ECMP TCP flows on the cut path
-    stall until the link returns.
+    timers).  One spec per protocol; returns, per protocol, the
+    aggregate-goodput time series plus completion counts: NDP dips for one
+    round-trip and recovers as the path manager prunes the dead path;
+    per-flow-ECMP TCP flows on the cut path stall until the link returns.
     """
-    return run_plan(
-        failures_recovery_plan(
-            k, flow_bytes, fail_at_ps, recover_at_ps, duration_ps,
-            sample_period_ps, protocols, seed, protocol,
-        )
+    protocols = _protocols(
+        protocols, protocol, (registry.NDP, registry.TCP),
+        FamilyTraits(family="failures_recovery", severs_links=True),
     )
+    specs = _specs(
+        "failures_recovery", _failures_recovery_case,
+        [(name, dict(protocol=name)) for name in protocols],
+        k=k, flow_bytes=flow_bytes, fail_at_ps=fail_at_ps,
+        recover_at_ps=recover_at_ps, duration_ps=duration_ps,
+        sample_period_ps=sample_period_ps, seed=seed,
+    )
+
+    def assemble(results) -> Dict[str, Dict[str, object]]:
+        return {name: result for name, result in zip(protocols, results)}
+
+    return Plan(specs, assemble)
 
 
 def _failures_recovery_case(
@@ -1745,6 +1600,7 @@ def _failures_recovery_case(
     }
 
 
+@family("failures_klinks", "permutation FCTs with k core links down")
 def failures_klinks_plan(
     links_down: int = 1,
     k: int = 4,
@@ -1754,43 +1610,6 @@ def failures_klinks_plan(
     seed: int = 31,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per protocol at one ``links_down`` level (sweep via the CLI)."""
-    core_count = (k // 2) ** 2
-    if not 0 <= links_down < core_count:
-        raise ValueError(
-            f"links_down must be in [0, {core_count}) for k={k} "
-            f"(failing every core link into one pod partitions it)"
-        )
-    if protocol is not None:
-        protocols = (protocol,)
-    protocols = _resolve_protocols(
-        protocols,
-        (registry.NDP, registry.TCP),
-        FamilyTraits(family="failures_klinks", severs_links=True),
-    )
-    specs = [
-        RunSpec(
-            f"failures_klinks[{name},down={links_down}]",
-            _failures_klinks_case,
-            dict(
-                protocol=name, links_down=links_down, k=k,
-                flow_bytes=flow_bytes, timeout_ps=timeout_ps, seed=seed,
-            ),
-        )
-        for name in protocols
-    ]
-    return Plan(specs, lambda results: list(results))
-
-
-def failures_klinks(
-    links_down: int = 1,
-    k: int = 4,
-    flow_bytes: int = 500_000,
-    timeout_ps: int = units.milliseconds(40),
-    protocols: Optional[Sequence[str]] = None,
-    seed: int = 31,
-    protocol: Optional[str] = None,
-) -> List[Dict[str, object]]:
     """Permutation FCTs with *links_down* core cables cut before the run.
 
     The k-links-down resilience sweep (``python -m repro.cli sweep
@@ -1799,12 +1618,25 @@ def failures_klinks(
     permutation runs to completion.  Both transports complete (the failures
     precede flow creation) but with fewer core paths NDP degrades gracefully
     while per-flow ECMP's collision probability — and tail FCT — climbs.
+    One spec per protocol at one ``links_down`` level.
     """
-    return run_plan(
-        failures_klinks_plan(
-            links_down, k, flow_bytes, timeout_ps, protocols, seed, protocol
+    core_count = (k // 2) ** 2
+    if not 0 <= links_down < core_count:
+        raise ValueError(
+            f"links_down must be in [0, {core_count}) for k={k} "
+            f"(failing every core link into one pod partitions it)"
         )
+    protocols = _protocols(
+        protocols, protocol, (registry.NDP, registry.TCP),
+        FamilyTraits(family="failures_klinks", severs_links=True),
     )
+    specs = _specs(
+        "failures_klinks", _failures_klinks_case,
+        [(f"{name},down={links_down}", dict(protocol=name)) for name in protocols],
+        links_down=links_down, k=k, flow_bytes=flow_bytes, timeout_ps=timeout_ps,
+        seed=seed,
+    )
+    return Plan(specs, lambda results: list(results))
 
 
 def _failures_klinks_case(protocol, links_down, k, flow_bytes, timeout_ps, seed):
@@ -1845,6 +1677,14 @@ _LOAD_FCT_WORKLOADS = {
 }
 
 
+@family(
+    "load_fct", "open-loop load sweep: size-binned FCT slowdowns",
+    chart=ArtifactMeta(
+        "p99 FCT slowdown vs offered load (open-loop)",
+        "size-binned FCT slowdowns vs load",
+        "line", "load", "slowdown.all.p99", series="protocol",
+    ),
+)
 def load_fct_plan(
     load: Optional[float] = None,
     loads: Sequence[float] = (0.1, 0.5, 0.9),
@@ -1862,64 +1702,6 @@ def load_fct_plan(
     seed: int = 33,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per (load level, protocol) open-loop run.
-
-    ``load`` (a single level) overrides ``loads`` (the default sweep), and
-    ``protocol`` (a single transport) overrides ``protocols`` — this is what
-    makes ``repro.cli load_fct --set load=0.3,0.6 --set protocol=ndp,phost``
-    a natural grid: each grid point builds a single-(load, protocol) plan.
-    """
-    if load is not None:
-        loads = (load,)
-    loads = tuple(float(level) for level in loads)
-    if not loads or not all(math.isfinite(level) and level > 0 for level in loads):
-        raise ValueError(f"loads must be positive finite fractions, got {loads}")
-    if fabric not in ("fattree", "leafspine"):
-        raise ValueError(f"fabric must be 'fattree' or 'leafspine', got {fabric!r}")
-    if workload not in _LOAD_FCT_WORKLOADS:
-        raise ValueError(
-            f"unknown workload {workload!r} (choose from "
-            f"{', '.join(_LOAD_FCT_WORKLOADS)})"
-        )
-    if protocol is not None:
-        protocols = (protocol,)
-    protocols = _resolve_protocols(
-        protocols, _LOAD_FCT_DEFAULT_PROTOCOLS, FamilyTraits(family="load_fct")
-    )
-    cases = [(level, name) for level in loads for name in protocols]
-    specs = [
-        RunSpec(
-            f"load_fct[{name},load={level:g},{fabric},{workload}]",
-            _load_fct_point,
-            dict(
-                protocol=name, load=level, fabric=fabric, k=k, leaves=leaves,
-                spines=spines, hosts_per_leaf=hosts_per_leaf, workload=workload,
-                matrix=matrix, warmup_ps=warmup_ps, measure_ps=measure_ps,
-                drain_ps=drain_ps, seed=seed,
-            ),
-        )
-        for level, name in cases
-    ]
-    return Plan(specs, lambda results: list(results))
-
-
-def load_fct_slowdowns(
-    load: Optional[float] = None,
-    loads: Sequence[float] = (0.1, 0.5, 0.9),
-    protocols: Optional[Sequence[str]] = None,
-    fabric: str = "fattree",
-    k: int = 4,
-    leaves: int = 4,
-    spines: int = 4,
-    hosts_per_leaf: int = 4,
-    workload: str = "fbweb",
-    matrix: str = "all_to_all",
-    warmup_ps: int = units.milliseconds(1),
-    measure_ps: int = units.milliseconds(2),
-    drain_ps: int = units.milliseconds(2),
-    seed: int = 33,
-    protocol: Optional[str] = None,
-) -> List[Dict[str, object]]:
     """Size-binned FCT slowdowns of an open-loop load sweep.
 
     An empirical flow-size mix (``workload``: ``fbweb`` / ``websearch`` /
@@ -1928,18 +1710,39 @@ def load_fct_slowdowns(
     ``fabric`` (``fattree`` with arity ``k``, or ``leafspine``), once per
     protocol.  Flows arriving in the warmup window are discarded, flows in
     the measurement window are scored, and the drain window lets stragglers
-    finish.  One row per (load, protocol) with per-size-bin
+    finish.  One spec and one row per (load, protocol) with per-size-bin
     p50/p99/p999 slowdowns (vs :func:`~repro.harness.metrics.
     ideal_transfer_time_ps`), completion/censoring counts and the seeded
     arrival-sequence digest (cold, cached and parallel runs must agree
-    bit-for-bit).
+    bit-for-bit); nested slowdown stats flatten to dotted columns
+    (``slowdown.all.p99``) in the canonical CSV layer.
+
+    ``load`` (a single level) overrides ``loads`` (the default sweep), and
+    ``protocol`` (a single transport) overrides ``protocols`` — this is what
+    makes ``repro.cli load_fct --set load=0.3,0.6 --set protocol=ndp,phost``
+    a natural grid: each grid point builds a single-(load, protocol) plan.
     """
-    return run_plan(
-        load_fct_plan(
-            load, loads, protocols, fabric, k, leaves, spines, hosts_per_leaf,
-            workload, matrix, warmup_ps, measure_ps, drain_ps, seed, protocol,
+    loads = _validated_loads(load, loads)
+    if fabric not in ("fattree", "leafspine"):
+        raise ValueError(f"fabric must be 'fattree' or 'leafspine', got {fabric!r}")
+    if workload not in _LOAD_FCT_WORKLOADS:
+        raise ValueError(
+            f"unknown workload {workload!r} (choose from "
+            f"{', '.join(_LOAD_FCT_WORKLOADS)})"
         )
+    protocols = _protocols(
+        protocols, protocol, _LOAD_FCT_DEFAULT_PROTOCOLS,
+        FamilyTraits(family="load_fct"),
     )
+    specs = _specs(
+        "load_fct", _load_fct_point,
+        [(f"{name},load={level:g},{fabric},{workload}", dict(protocol=name, load=level))
+         for level in loads for name in protocols],
+        fabric=fabric, k=k, leaves=leaves, spines=spines,
+        hosts_per_leaf=hosts_per_leaf, workload=workload, matrix=matrix,
+        warmup_ps=warmup_ps, measure_ps=measure_ps, drain_ps=drain_ps, seed=seed,
+    )
+    return Plan(specs, lambda results: list(results))
 
 
 def _open_loop_base_rtt_ps(topology) -> int:
@@ -2026,16 +1829,7 @@ def _load_fct_point(
 _SERVICE_DEFAULT_PROTOCOLS = (registry.NDP, registry.DCTCP, registry.TCP)
 
 
-def _validated_loads(load, loads) -> Tuple[float, ...]:
-    """Shared load-axis validation: scalar overrides sweep, all positive finite."""
-    if load is not None:
-        loads = (load,)
-    loads = tuple(float(level) for level in loads)
-    if not loads or not all(math.isfinite(level) and level > 0 for level in loads):
-        raise ValueError(f"loads must be positive finite fractions, got {loads}")
-    return loads
-
-
+@family("rpc_deadline", "partition-aggregate RPCs: SLO-met fraction vs load")
 def rpc_deadline_plan(
     load: Optional[float] = None,
     loads: Sequence[float] = (0.1, 0.3),
@@ -2051,7 +1845,16 @@ def rpc_deadline_plan(
     seed: int = 41,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per (load, protocol) partition-aggregate SLO run.
+    """Fraction of partition-aggregate requests meeting their SLO vs load.
+
+    Seeded open-loop request arrivals (each a frontend scattering
+    ``request_bytes`` to ``fanout`` workers and gathering ``response_bytes``
+    incast responses) on a k=``k`` FatTree, once per (load, protocol).  A
+    request meets its SLO when its slowest leaf delivers within
+    ``deadline_us`` of arrival; censored requests count as misses.  One spec
+    and one row per point with SLO fraction, request-latency percentiles,
+    counts and the trace/request digests (cold == cached == parallel,
+    bit-identical).
 
     ``load`` overrides ``loads`` and ``protocol`` overrides ``protocols``,
     so ``repro.cli sweep rpc_deadline --set load=0.1,0.3 --set
@@ -2065,59 +1868,19 @@ def rpc_deadline_plan(
         raise ValueError("request/response bytes must be positive")
     if not (math.isfinite(deadline_us) and deadline_us > 0):
         raise ValueError(f"deadline_us must be positive and finite, got {deadline_us!r}")
-    if protocol is not None:
-        protocols = (protocol,)
-    protocols = _resolve_protocols(
-        protocols, _SERVICE_DEFAULT_PROTOCOLS, FamilyTraits(family="rpc_deadline")
+    protocols = _protocols(
+        protocols, protocol, _SERVICE_DEFAULT_PROTOCOLS,
+        FamilyTraits(family="rpc_deadline"),
     )
-    specs = [
-        RunSpec(
-            f"rpc_deadline[{name},load={level:g},fanout={fanout}]",
-            _rpc_deadline_point,
-            dict(
-                protocol=name, load=level, fanout=fanout,
-                request_bytes=request_bytes, response_bytes=response_bytes,
-                deadline_us=deadline_us, k=k, warmup_ps=warmup_ps,
-                measure_ps=measure_ps, drain_ps=drain_ps, seed=seed,
-            ),
-        )
-        for level in loads
-        for name in protocols
-    ]
+    specs = _specs(
+        "rpc_deadline", _rpc_deadline_point,
+        [(f"{name},load={level:g},fanout={fanout}", dict(protocol=name, load=level))
+         for level in loads for name in protocols],
+        fanout=fanout, request_bytes=request_bytes, response_bytes=response_bytes,
+        deadline_us=deadline_us, k=k, warmup_ps=warmup_ps, measure_ps=measure_ps,
+        drain_ps=drain_ps, seed=seed,
+    )
     return Plan(specs, lambda results: list(results))
-
-
-def rpc_deadline_slo(
-    load: Optional[float] = None,
-    loads: Sequence[float] = (0.1, 0.3),
-    protocols: Optional[Sequence[str]] = None,
-    fanout: int = 8,
-    request_bytes: int = 2_000,
-    response_bytes: int = 90_000,
-    deadline_us: float = 1_500.0,
-    k: int = 4,
-    warmup_ps: int = units.microseconds(500),
-    measure_ps: int = units.milliseconds(2),
-    drain_ps: int = units.milliseconds(4),
-    seed: int = 41,
-    protocol: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """Fraction of partition-aggregate requests meeting their SLO vs load.
-
-    Seeded open-loop request arrivals (each a frontend scattering
-    ``request_bytes`` to ``fanout`` workers and gathering ``response_bytes``
-    incast responses) on a k=``k`` FatTree, once per (load, protocol).  A
-    request meets its SLO when its slowest leaf delivers within
-    ``deadline_us`` of arrival; censored requests count as misses.  One row
-    per point with SLO fraction, request-latency percentiles, counts and
-    the trace/request digests (cold == cached == parallel, bit-identical).
-    """
-    return run_plan(
-        rpc_deadline_plan(
-            load, loads, protocols, fanout, request_bytes, response_bytes,
-            deadline_us, k, warmup_ps, measure_ps, drain_ps, seed, protocol,
-        )
-    )
 
 
 def _rpc_deadline_point(
@@ -2141,6 +1904,7 @@ def _rpc_deadline_point(
     return row
 
 
+@family("coflow_ct", "K-round shuffle coflows: completion times vs load")
 def coflow_ct_plan(
     load: Optional[float] = None,
     loads: Sequence[float] = (0.1, 0.3),
@@ -2155,61 +1919,31 @@ def coflow_ct_plan(
     seed: int = 43,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per (load, protocol) shuffle-coflow run (grid conventions as
-    :func:`rpc_deadline_plan`)."""
+    """Coflow completion times of open-loop K-round shuffles vs load.
+
+    Each request is a ``width`` x ``width`` bipartite shuffle repeated for
+    ``rounds`` barrier-separated rounds; its CCT is slowest-leaf delivery
+    minus arrival.  One spec and one row per (load, protocol) with
+    size-binned CCT stats (bins shared with the flow-slowdown layer), counts
+    and digests (grid conventions as :func:`rpc_deadline_plan`).
+    """
     loads = _validated_loads(load, loads)
     if width < 1 or rounds < 1:
         raise ValueError(f"width and rounds must be >= 1, got {width}x{rounds}")
     if bytes_per_pair <= 0:
         raise ValueError(f"bytes_per_pair must be positive, got {bytes_per_pair}")
-    if protocol is not None:
-        protocols = (protocol,)
-    protocols = _resolve_protocols(
-        protocols, _SERVICE_DEFAULT_PROTOCOLS, FamilyTraits(family="coflow_ct")
+    protocols = _protocols(
+        protocols, protocol, _SERVICE_DEFAULT_PROTOCOLS,
+        FamilyTraits(family="coflow_ct"),
     )
-    specs = [
-        RunSpec(
-            f"coflow_ct[{name},load={level:g},width={width}x{rounds}]",
-            _coflow_ct_point,
-            dict(
-                protocol=name, load=level, width=width, rounds=rounds,
-                bytes_per_pair=bytes_per_pair, k=k, warmup_ps=warmup_ps,
-                measure_ps=measure_ps, drain_ps=drain_ps, seed=seed,
-            ),
-        )
-        for level in loads
-        for name in protocols
-    ]
+    specs = _specs(
+        "coflow_ct", _coflow_ct_point,
+        [(f"{name},load={level:g},width={width}x{rounds}", dict(protocol=name, load=level))
+         for level in loads for name in protocols],
+        width=width, rounds=rounds, bytes_per_pair=bytes_per_pair, k=k,
+        warmup_ps=warmup_ps, measure_ps=measure_ps, drain_ps=drain_ps, seed=seed,
+    )
     return Plan(specs, lambda results: list(results))
-
-
-def coflow_ct_times(
-    load: Optional[float] = None,
-    loads: Sequence[float] = (0.1, 0.3),
-    protocols: Optional[Sequence[str]] = None,
-    width: int = 4,
-    rounds: int = 2,
-    bytes_per_pair: int = 60_000,
-    k: int = 4,
-    warmup_ps: int = units.milliseconds(1),
-    measure_ps: int = units.milliseconds(4),
-    drain_ps: int = units.milliseconds(4),
-    seed: int = 43,
-    protocol: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """Coflow completion times of open-loop K-round shuffles vs load.
-
-    Each request is a ``width`` x ``width`` bipartite shuffle repeated for
-    ``rounds`` barrier-separated rounds; its CCT is slowest-leaf delivery
-    minus arrival.  One row per (load, protocol) with size-binned CCT stats
-    (bins shared with the flow-slowdown layer), counts and digests.
-    """
-    return run_plan(
-        coflow_ct_plan(
-            load, loads, protocols, width, rounds, bytes_per_pair, k,
-            warmup_ps, measure_ps, drain_ps, seed, protocol,
-        )
-    )
 
 
 def _coflow_ct_point(
@@ -2282,91 +2016,6 @@ def _service_point(
     return row, engine, measured, completed
 
 
-# ---------------------------------------------------------------------------
-# Plan -> artifact metadata (consumed by repro.analysis)
-# ---------------------------------------------------------------------------
-
-class ArtifactMeta(NamedTuple):
-    """How a figure family's tabulated rows become a chart.
-
-    The results-to-figures pipeline (:mod:`repro.analysis`) renders every
-    registered figure as a canonical CSV plus a Vega-Lite spec; this tuple
-    carries the chart-level facts that live with the experiment rather than
-    the renderer: what to call it, which columns form the axes, which
-    column splits the series, and the mark type.  ``x_type`` is the
-    Vega-Lite encoding type of the x column (``quantitative`` /
-    ``ordinal`` / ``nominal``).
-    """
-
-    title: str
-    mark: str
-    x: str
-    y: str
-    series: Optional[str] = None
-    x_type: str = "quantitative"
-
-
-#: figure family -> chart metadata for the families the analysis layer
-#: renders (see ``repro.analysis.registry`` for the row tabulators; the two
-#: registries are cross-checked by ``tests/analysis``).  Column names refer
-#: to the *tabulated* (flattened) CSV columns, not the raw result keys.
-FIGURE_META: Dict[str, ArtifactMeta] = {
-    "fig10": ArtifactMeta(
-        "Short-flow FCT with receiver-side prioritization",
-        "bar", "scenario", "fct_us", x_type="nominal",
-    ),
-    "fig11": ArtifactMeta(
-        "Throughput vs initial window (back-to-back hosts)",
-        "line", "initial_window", "throughput_gbps",
-    ),
-    "fig12": ArtifactMeta(
-        "Pull-spacing distribution of the experimental pacer",
-        "bar", "packet_bytes", "median_us", x_type="ordinal",
-    ),
-    "fig13": ArtifactMeta(
-        "Incast FCT with perfect vs jittered pull spacing",
-        "line", "flow_kb", "fct_us", series="pacer",
-    ),
-    "fig16": ArtifactMeta(
-        "Incast completion time vs number of senders",
-        "line", "senders", "completion_ms", series="protocol",
-    ),
-    "load_fct": ArtifactMeta(
-        "p99 FCT slowdown vs offered load (open-loop)",
-        "line", "load", "slowdown.all.p99", series="protocol",
-    ),
-}
-
-
-#: experiment name (as used by ``python -m repro.cli``) -> plan builder.
-#: Every builder accepts the same keyword arguments as its generator and
-#: returns a :class:`~repro.harness.sweep.Plan`; this is the registry the
-#: CLI uses to fan whole multi-figure runs across one worker pool.
-FIGURE_PLANS = {
-    "fig2": figure2_plan,
-    "fig4": figure4_plan,
-    "fig8": figure8_plan,
-    "fig9": figure9_plan,
-    "fig10": figure10_plan,
-    "fig11": figure11_plan,
-    "fig12": figure12_plan,
-    "fig13": figure13_plan,
-    "fig14": figure14_plan,
-    "fig15": figure15_plan,
-    "fig16": figure16_plan,
-    "fig17": figure17_plan,
-    "fig19": figure19_plan,
-    "fig20": figure20_plan,
-    "fig21": figure21_plan,
-    "fig22": figure22_plan,
-    "fig23": figure23_plan,
-    "phost": phost_plan,  # transport-name-ok: experiment family, not a protocol
-    "scaling": scaling_plan,
-    "uplinks": uplink_trimming_plan,
-    "failures_degraded": failures_degraded_plan,
-    "failures_recovery": failures_recovery_plan,
-    "failures_klinks": failures_klinks_plan,
-    "load_fct": load_fct_plan,
-    "rpc_deadline": rpc_deadline_plan,
-    "coflow_ct": coflow_ct_plan,
-}
+#: name -> plan builder: a view of :data:`FAMILIES` kept for the perf ledger
+#: (``benchmarks/ledger/cli_workloads.py``); code in this repo reads FAMILIES
+FIGURE_PLANS = {name: declared.plan for name, declared in FAMILIES.items()}

@@ -15,15 +15,15 @@ import pytest
 
 from repro import cli
 from repro.analysis import (
-    REGISTERED_FIGURES,
     UnknownFigureError,
+    registered_figures,
     render_figures,
     vega_lite_spec,
 )
 from repro.analysis import history
 from repro.analysis.perf import HISTORY_ENV, PERF_COLUMNS
 from repro.harness import sweep
-from repro.harness.figures import FIGURE_META
+from repro.harness.figures import FAMILIES
 
 
 @pytest.fixture(autouse=True)
@@ -69,7 +69,7 @@ class TestResolution:
         assert cli.main(["render", "nope", "--out", "/tmp/unused"]) == 2
         err = capsys.readouterr().err
         assert "unknown figure(s): nope" in err
-        for name in REGISTERED_FIGURES:
+        for name in registered_figures():
             assert name in err
 
     def test_cli_render_requires_out(self, capsys):
@@ -90,6 +90,12 @@ class TestArtifacts:
         assert report.rows_per_figure["fig12"] > 0
         assert report.rows_per_figure["perf"] == 0  # empty history
         assert not report.png_written and report.png_note is None
+
+    def test_a_repeated_name_renders_once(self, tmp_path):
+        report = render_figures(["fig12", "perf", "fig12"], str(tmp_path / "a"))
+        assert report.figures == ["fig12", "perf"] and report.runs == 1
+        index = (tmp_path / "a" / "index.html").read_text()
+        assert index.count('<section id="fig12">') == 1
 
     def test_csv_is_canonical_lf_with_sorted_header(self, tmp_path):
         render_figures(["fig12"], str(tmp_path / "a"))
@@ -144,15 +150,15 @@ class TestVegaLite:
         render_figures(["fig12"], str(tmp_path / "a"))
         with open(tmp_path / "a" / "fig12.vl.json", "r", encoding="utf-8") as fh:
             on_disk = json.load(fh)
-        assert on_disk == vega_lite_spec(FIGURE_META["fig12"], "fig12.csv")
+        assert on_disk == vega_lite_spec(FAMILIES["fig12"].chart, "fig12.csv")
         assert on_disk["data"] == {"url": "fig12.csv", "format": {"type": "csv"}}
         assert on_disk["$schema"].endswith("vega-lite/v5.json")
 
     def test_line_marks_get_points_and_series_gets_color(self):
-        spec = vega_lite_spec(FIGURE_META["fig16"], "fig16.csv")
+        spec = vega_lite_spec(FAMILIES["fig16"].chart, "fig16.csv")
         assert spec["mark"] == {"type": "line", "point": True}
         assert spec["encoding"]["color"]["field"] == "protocol"
-        bar = vega_lite_spec(FIGURE_META["fig12"], "fig12.csv")
+        bar = vega_lite_spec(FAMILIES["fig12"].chart, "fig12.csv")
         assert bar["mark"] == "bar"
         assert "color" not in bar["encoding"]
 

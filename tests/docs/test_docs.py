@@ -24,7 +24,7 @@ def test_markdown_links_resolve():
 
 
 def test_readme_figure_index_is_complete():
-    assert check_docs.check_figure_index() == []
+    assert [p for p in check_docs.check_families() if p.startswith("README.md")] == []
 
 
 def test_repo_has_the_documentation_front_door():
@@ -33,31 +33,24 @@ def test_repo_has_the_documentation_front_door():
 
 
 def test_experiments_handbook_is_complete():
-    assert check_docs.check_experiments_handbook() == []
+    assert check_docs.check_families() == []
 
 
 def test_handbook_check_catches_an_undocumented_family(monkeypatch):
-    """A FIGURE_PLANS family absent from the handbook/index must fail loudly."""
-    from repro import cli
+    """A registered family absent from the handbook/index must fail loudly;
+    an uncharted one owes nothing to the render section."""
     from repro.harness import figures
 
-    monkeypatch.setitem(figures.FIGURE_PLANS, "fig_unwritten", lambda: None)
-    monkeypatch.setitem(cli.EXPERIMENTS, "fig_unwritten", ("ghost", lambda: None))
-    problems = check_docs.check_experiments_handbook()
+    ghost = figures.Family("fig_unwritten", "ghost", lambda: None, None, list)
+    monkeypatch.setitem(figures.FAMILIES, ghost.name, ghost)
+    problems = check_docs.check_families()
     assert any("docs/experiments.md" in p and "fig_unwritten" in p for p in problems)
     assert any("README.md" in p and "fig_unwritten" in p for p in problems)
-
-
-def test_handbook_check_catches_a_registry_mismatch(monkeypatch):
-    from repro.harness import figures
-
-    monkeypatch.setitem(figures.FIGURE_PLANS, "fig_orphan", lambda: None)
-    problems = check_docs.check_experiments_handbook()
-    assert any("registry mismatch" in p and "fig_orphan" in p for p in problems)
+    assert not any("rendered figure" in p for p in problems)
 
 
 def test_rendered_figures_are_documented_and_wired():
-    assert check_docs.check_rendered_figures() == []
+    assert [p for p in check_docs.check_families() if "rendered figure" in p] == []
 
 
 def test_sharded_docs_are_complete():
@@ -74,25 +67,15 @@ def test_sharded_check_catches_an_undocumented_scenario(monkeypatch):
     )
 
 
-def test_figure_check_catches_an_undocumented_or_dangling_figure(monkeypatch):
-    """A registered render figure must be in the handbook and name a real
-    family — both failure modes must be caught, not discovered at render
-    time."""
-    from repro.analysis import registry
-    from repro.harness.figures import FIGURE_META
+def test_family_check_catches_an_undocumented_chart(monkeypatch):
+    """Giving a documented family a ``chart`` makes it a rendered figure,
+    which must then be listed under "From runs to figures" — caught here,
+    not discovered by a reader of the rendered index."""
+    from repro.harness import figures
 
-    ghost = registry.RegisteredFigure(
-        name="fig_ghost",
-        description="not documented anywhere",
-        meta=FIGURE_META["fig12"],
-        tabulate=lambda assembled: [],
-        family="no_such_family",
-    )
-    monkeypatch.setitem(registry.REGISTERED_FIGURES, "fig_ghost", ghost)
-    problems = check_docs.check_rendered_figures()
-    assert any(
-        "docs/experiments.md" in p and "fig_ghost" in p for p in problems
-    )
-    assert any(
-        "unknown family" in p and "no_such_family" in p for p in problems
-    )
+    charted = figures.FAMILIES["fig2"]._replace(chart=figures.FAMILIES["fig12"].chart)
+    monkeypatch.setitem(figures.FAMILIES, "fig2", charted)
+    assert check_docs.check_families() == [
+        "docs/experiments.md: rendered figure 'fig2' missing from the "
+        "handbook (From runs to figures)"
+    ]

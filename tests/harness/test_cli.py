@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import cli
-from repro.harness import sweep
+from repro.harness import figures, sweep
 
 
 @pytest.fixture(autouse=True)
@@ -20,9 +20,12 @@ class TestCatalogue:
     def test_list_prints_every_experiment(self, capsys):
         assert cli.main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in cli.EXPERIMENTS:
-            assert name in out
-        assert "sweep" in out
+        # every name is padded to the longest one, so no description runs
+        # into its name (failures_degraded is 17 characters)
+        width = max(map(len, figures.FAMILIES))
+        for declared in figures.FAMILIES.values():
+            assert f"  {declared.name:{width}s} {declared.description}\n" in out
+        assert f"  {'sweep':{width}s} run one experiment" in out
 
     def test_no_arguments_means_list(self, capsys):
         assert cli.main([]) == 0
@@ -41,6 +44,12 @@ class TestRun:
         # second invocation is served from the persistent cache
         assert cli.main(["fig12"]) == 0
         assert "1 from cache, 0 simulated" in capsys.readouterr().out
+
+    def test_a_repeated_name_runs_once(self, capsys):
+        assert cli.main(["fig12", "fig10", "fig12", "-q"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("### fig12") == 1 and out.index("### fig12") < out.index("### fig10")
+        assert "4 runs" in out and "4 simulated" in out  # 1 (fig12) + 3 (fig10)
 
     def test_no_cache_flag_bypasses_cache(self, capsys):
         assert cli.main(["fig12", "--no-cache"]) == 0

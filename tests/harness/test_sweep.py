@@ -285,14 +285,57 @@ def _always_failing():
 # ---------------------------------------------------------------------------
 
 class TestFigurePlans:
-    def test_registry_matches_cli_catalogue(self):
+    def test_one_registration_reaches_every_entry_point(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A family is one declaration: ``list``, ``sweep`` (with the plan's
+        keyword names as the valid ``--set`` keys) and ``render`` learn of it
+        from :data:`figures.FAMILIES`, with no other edit."""
         from repro import cli
+        from repro.analysis import registered_figures
 
-        assert set(figures.FIGURE_PLANS) == set(cli.EXPERIMENTS)
+        monkeypatch.setenv(sweep.CACHE_DIR_ENV, str(tmp_path / "cache"))
+        built = []
+
+        def extra_plan(samples: int = 40, seed: int = 1) -> Plan:
+            built.append(samples)
+            spec = RunSpec(
+                f"extra[{samples}]", figures._figure12_run,
+                dict(packet_sizes=(1500,), samples=samples, seed=seed),
+            )
+            return Plan([spec], lambda results: [{"samples": samples, **results[0][1500]}])
+
+        chart = figures.ArtifactMeta(
+            "An extra chart", "one more family", "line", "samples", "median_us"
+        )
+        try:
+            assert figures.family("extra", "an extra family", chart=chart)(
+                extra_plan
+            ) is extra_plan  # registered, and handed back unchanged
+            assert list(registered_figures())[-3:] == ["extra", "perf", "perf_allocs"]
+
+            assert cli.main(["list"]) == 0
+            width = max(map(len, figures.FAMILIES))
+            assert f"  {'extra':{width}s} an extra family\n" in capsys.readouterr().out
+
+            assert cli.main(["sweep", "extra", "--set", "bogus=1"]) == 2
+            assert "(valid: samples, seed)" in capsys.readouterr().err
+            assert cli.main(["sweep", "extra", "--set", "samples=30,40", "-q"]) == 0
+            assert capsys.readouterr().out.count("### extra [samples=") == 2
+
+            built.clear()
+            out = tmp_path / "artifacts"
+            assert cli.main(["render", "extra", "--out", str(out)]) == 0
+            assert "[1/1] extra[40]" in capsys.readouterr().out
+            assert built == [40]  # render builds each requested plan exactly once
+            assert (out / "extra.csv").read_text().startswith("median_us,")
+            assert "one more family" in (out / "index.html").read_text()
+        finally:
+            del figures.FAMILIES["extra"]
 
     def test_every_plan_yields_executable_picklable_specs(self):
-        for name, builder in figures.FIGURE_PLANS.items():
-            plan = builder()
+        for name, declared in figures.FAMILIES.items():
+            plan = declared.plan()
             assert isinstance(plan, Plan) and plan.specs, name
             for spec in plan.specs:
                 # kwargs must canonicalize (stable cache keys) ...

@@ -6,19 +6,16 @@ Checks, without any network access:
 1. every relative markdown link (``[text](path)``) in the repo's ``*.md``
    files resolves to an existing file or directory (anchors are stripped;
    ``http(s)://`` / ``mailto:`` links are skipped);
-2. every experiment name in the CLI catalogue (``repro.cli.EXPERIMENTS``)
-   is mentioned in the README's figure index, so the front door can never
-   silently fall out of date;
+2. every experiment family declared in ``repro.harness.figures.FAMILIES``
+   is covered by the experiments handbook (``docs/experiments.md``) *and*
+   the README figure index, and everything ``render`` draws (the families
+   declared with a ``chart``, plus the perf figures) is listed in the
+   handbook's "From runs to figures" section — the experiment catalogue
+   cannot rot;
 3. every markdown anchor referenced as ``path#anchor`` exists as a heading
    in the target file (GitHub-style slugs);
-4. every experiment family in ``repro.harness.figures.FIGURE_PLANS`` is
-   covered by the experiments handbook (``docs/experiments.md``) *and* the
-   README figure index, and the two registries (``FIGURE_PLANS`` /
-   ``EXPERIMENTS``) agree — the experiment catalogue cannot rot;
-5. every figure registered in the results-to-figures pipeline
-   (``repro.analysis.registry.REGISTERED_FIGURES``) appears in the
-   handbook, and every simulation-backed one names a real ``FIGURE_PLANS``
-   family with chart metadata — ``render`` output cannot go undocumented.
+4. the sharded-simulation surface (``shard`` subcommand, every scenario,
+   the two architecture rules) stays documented.
 
 Run from anywhere: ``python tools/check_docs.py``.  Exits non-zero and
 prints one line per problem; also exercised by ``tests/docs/test_docs.py``
@@ -86,107 +83,50 @@ def check_links() -> List[str]:
     return problems
 
 
-def check_figure_index() -> List[str]:
-    sys.path.insert(0, os.path.join(ROOT, "src"))
-    try:
-        from repro.cli import EXPERIMENTS
-    except Exception as error:  # pragma: no cover - import environment issue
-        return [f"could not import repro.cli to verify the figure index: {error}"]
-    readme = os.path.join(ROOT, "README.md")
-    if not os.path.exists(readme):
-        return ["README.md is missing"]
-    with open(readme, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return [
-        f"README.md: experiment {name!r} missing from the figure index"
-        for name in EXPERIMENTS
-        if f"`{name}`" not in text
-    ]
+def check_families() -> List[str]:
+    """Every registered family must be documented where users look for it.
 
-
-def check_experiments_handbook() -> List[str]:
-    """Every FIGURE_PLANS family must appear in the handbook and README index.
-
-    Names are looked up as backticked code spans (`` `name` ``), the way
-    both documents list experiments.  Also asserts the plan registry and
-    the CLI catalogue name the same families: an experiment reachable from
-    one entry point but not the other is a wiring bug, not a docs bug, but
-    it surfaces here because this is the only place both are imported.
+    ``repro.harness.figures.FAMILIES`` is the only experiment registry there
+    is, so this is the only check over one.  Each name must appear as a
+    backticked code span (`` `name` ``, the way both documents list
+    experiments) in the experiments handbook and in the README figure
+    index; what ``render`` draws — a family declared with a ``chart``, plus
+    the history-backed perf figures — must also be listed in the handbook's
+    "From runs to figures" section.
     """
     sys.path.insert(0, os.path.join(ROOT, "src"))
     try:
-        from repro.cli import EXPERIMENTS
-        from repro.harness.figures import FIGURE_PLANS
+        from repro.analysis.registry import registered_figures
+        from repro.harness.figures import FAMILIES
     except Exception as error:  # pragma: no cover - import environment issue
-        return [f"could not import repro to verify the experiments handbook: {error}"]
-    problems = []
-    for name in sorted(set(FIGURE_PLANS) ^ set(EXPERIMENTS)):
-        problems.append(
-            f"registry mismatch: experiment {name!r} is missing from "
-            f"{'repro.cli.EXPERIMENTS' if name in FIGURE_PLANS else 'FIGURE_PLANS'}"
+        return [f"could not import repro to verify the experiment docs: {error}"]
+    texts = {}
+    for relpath in ("docs/experiments.md", "README.md"):
+        path = os.path.join(ROOT, relpath)
+        if not os.path.exists(path):
+            return [f"{relpath} is missing"]
+        with open(path, "r", encoding="utf-8") as fh:
+            texts[relpath] = fh.read()
+    problems = [
+        f"{relpath}: experiment family {name!r} missing from {where}"
+        for name in FAMILIES
+        for relpath, where in (
+            ("docs/experiments.md", "the handbook"),
+            ("README.md", "the figure index"),
         )
-    handbook = os.path.join(ROOT, "docs", "experiments.md")
-    if not os.path.exists(handbook):
-        return problems + ["docs/experiments.md is missing"]
-    with open(handbook, "r", encoding="utf-8") as fh:
-        handbook_text = fh.read()
-    readme_text = ""
-    readme = os.path.join(ROOT, "README.md")
-    if os.path.exists(readme):
-        with open(readme, "r", encoding="utf-8") as fh:
-            readme_text = fh.read()
-    for name in FIGURE_PLANS:
-        if f"`{name}`" not in handbook_text:
-            problems.append(
-                f"docs/experiments.md: experiment family {name!r} missing "
-                f"from the handbook"
-            )
-        if f"`{name}`" not in readme_text:
-            problems.append(
-                f"README.md: experiment family {name!r} missing from the "
-                f"figure index"
-            )
-    return problems
-
-
-def check_rendered_figures() -> List[str]:
-    """Every registered ``render`` figure must be documented and wired.
-
-    Names are looked up as backticked code spans in the handbook, like the
-    experiment families.  Wiring: a family-backed registration must point
-    at an existing ``FIGURE_PLANS`` entry and carry ``FIGURE_META`` chart
-    metadata — a dangling registration would only surface at render time
-    otherwise.
-    """
-    sys.path.insert(0, os.path.join(ROOT, "src"))
-    try:
-        from repro.analysis.registry import REGISTERED_FIGURES
-        from repro.harness.figures import FIGURE_META, FIGURE_PLANS
-    except Exception as error:  # pragma: no cover - import environment issue
-        return [f"could not import repro.analysis to verify the figure registry: {error}"]
-    problems = []
-    handbook = os.path.join(ROOT, "docs", "experiments.md")
-    if not os.path.exists(handbook):
-        return ["docs/experiments.md is missing"]
-    with open(handbook, "r", encoding="utf-8") as fh:
-        handbook_text = fh.read()
-    for name, figure in REGISTERED_FIGURES.items():
-        if f"`{name}`" not in handbook_text:
-            problems.append(
-                f"docs/experiments.md: rendered figure {name!r} missing from "
-                f"the handbook (From runs to figures)"
-            )
-        if figure.family is not None:
-            if figure.family not in FIGURE_PLANS:
-                problems.append(
-                    f"figure registry: {name!r} names unknown family "
-                    f"{figure.family!r}"
-                )
-            if figure.family not in FIGURE_META:
-                problems.append(
-                    f"figure registry: family {figure.family!r} of {name!r} "
-                    f"has no FIGURE_META chart metadata"
-                )
+        if f"`{name}`" not in texts[relpath]
+    ]
+    render_section = (
+        texts["docs/experiments.md"]
+        .partition("\n## From runs to figures")[2]
+        .partition("\n## ")[0]
+    )
+    problems += [
+        f"docs/experiments.md: rendered figure {name!r} missing from the "
+        f"handbook (From runs to figures)"
+        for name in registered_figures()
+        if f"`{name}`" not in render_section
+    ]
     return problems
 
 
@@ -243,9 +183,7 @@ def check_sharded_docs() -> List[str]:
 def main() -> int:
     problems = (
         check_links()
-        + check_figure_index()
-        + check_experiments_handbook()
-        + check_rendered_figures()
+        + check_families()
         + check_sharded_docs()
     )
     for problem in problems:
