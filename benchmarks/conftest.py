@@ -18,8 +18,8 @@ invocation, which shares the same cache records — is served from
 ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``) without re-simulating.
 Records are keyed on a fingerprint of the ``repro`` package source, so any
 code change invalidates them; set ``REPRO_NO_CACHE=1`` to force fresh runs.
-The scheduler perf benchmarks (``benchmarks/perf/``) never consult any
-cache — they exist to time the simulator.
+The seeded digest scenarios (``benchmarks/perf/``) never consult any
+cache — their digests are the cache-independent ground truth.
 
 Run with ``pytest benchmarks/ --benchmark-only -s`` to see the tables.
 """

@@ -1,6 +1,7 @@
-"""Scheduler micro-benchmarks (events/sec, wall-clock, peak heap size).
+"""The seeded scenarios behind the digest gate (``tools/check_perf.py``).
 
 Unlike the per-figure benchmarks (which validate the *protocols* against the
-paper), this package times the *simulator* itself so every future PR can be
-checked against the perf trajectory.  See ``benchmarks/perf/README.md``.
+paper), this package pins the *simulator's* packet-level behaviour: three
+seeded runs whose digests must stay bit-identical.  It times nothing — speed
+is the perf ledger's job.  See ``benchmarks/perf/README.md``.
 """

@@ -1,12 +1,10 @@
-"""``repro.analysis`` — results-to-figures pipeline and perf dashboard.
+"""``repro.analysis`` — results-to-figures pipeline.
 
 The verification surface between cached sweep results and the paper's
 figures: a figure registry (:mod:`repro.analysis.registry`), canonical
-CSV/JSON serialization (:mod:`repro.analysis.canonical`), the artifact
+CSV/JSON serialization (:mod:`repro.analysis.canonical`) and the artifact
 renderer behind ``python -m repro.cli render``
-(:mod:`repro.analysis.render`), and the perf-history subsystem
-(:mod:`repro.analysis.history`, :mod:`repro.analysis.perf`) that
-``benchmarks/perf`` appends to and ``tools/check_perf.py`` gates CI on.
+(:mod:`repro.analysis.render`).
 
 Everything written here is byte-deterministic: cold, cached and parallel
 renders of the same figures produce identical files, golden-locked by

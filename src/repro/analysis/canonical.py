@@ -1,9 +1,9 @@
 """Canonical serialization for figure artifacts (CSV and JSON).
 
 Every artifact the :mod:`repro.analysis` layer writes — per-figure CSVs,
-Vega-Lite specs, the HTML index, perf-history records — goes through the
-functions here, so a cold serial render, a cache-served render and a
-``--jobs N`` parallel render produce **byte-identical** files.  This
+Vega-Lite specs, the HTML index — goes through the functions here, so a
+cold serial render, a cache-served render and a ``--jobs N`` parallel
+render produce **byte-identical** files.  This
 extends the sweep engine's determinism contract (results are normalized
 through one tagged JSON codec, see :mod:`repro.harness.sweep`) from result
 *values* to result *files*, which is what makes golden-artifact testing
@@ -33,7 +33,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 __all__ = [
     "canonical_float",
@@ -115,23 +115,17 @@ def _quote(cell: str) -> str:
     return cell
 
 
-def rows_to_csv(
-    rows: Iterable[Mapping[str, Any]],
-    columns: Optional[Sequence[str]] = None,
-) -> str:
+def rows_to_csv(rows: Iterable[Mapping[str, Any]]) -> str:
     """Render *rows* as a canonical CSV string (LF lines, trailing newline).
 
-    Rows are flattened first; the header is *columns* when given (for
-    fixed-schema artifacts that must keep their header even when empty),
-    otherwise the sorted union of every row's flattened keys.  Cells absent
-    from a row render empty, like ``None``.
+    Rows are flattened first; the header is the sorted union of every row's
+    flattened keys.  Cells absent from a row render empty, like ``None``.
     """
     flat_rows: List[Dict[str, Any]] = [flatten_row(row) for row in rows]
-    if columns is None:
-        names: set = set()
-        for row in flat_rows:
-            names.update(row)
-        columns = sorted(names)
+    names: set = set()
+    for row in flat_rows:
+        names.update(row)
+    columns = sorted(names)
     out = io.StringIO()
     out.write(",".join(_quote(name) for name in columns) + "\n")
     for row in flat_rows:

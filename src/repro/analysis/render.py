@@ -81,9 +81,7 @@ def render_figures(
     :func:`~repro.harness.sweep.run_specs`.
     """
     figures = [_resolve(name) for name in dict.fromkeys(names)]
-    plans = {
-        figure.name: figure.plan() for figure in figures if figure.plan is not None
-    }
+    plans = {figure.name: figure.plan() for figure in figures}
     all_specs: List[sweep.RunSpec] = []
     for plan in plans.values():
         all_specs.extend(plan.specs)
@@ -97,17 +95,14 @@ def render_figures(
     tables: Dict[str, List[Mapping[str, Any]]] = {}
     offset = 0
     for figure in figures:
-        if figure.name in plans:
-            plan = plans[figure.name]
-            assembled = plan.assemble(spec_results[offset:offset + len(plan.specs)])
-            offset += len(plan.specs)
-        else:
-            assembled = None
-        rows = figure.tabulate(assembled)
+        plan = plans[figure.name]
+        rows = figure.tabulate(
+            plan.assemble(spec_results[offset:offset + len(plan.specs)])
+        )
+        offset += len(plan.specs)
         tables[figure.name] = rows
         csv_name = f"{figure.name}.csv"
-        _write_text(os.path.join(out_dir, csv_name),
-                    rows_to_csv(rows, columns=figure.columns))
+        _write_text(os.path.join(out_dir, csv_name), rows_to_csv(rows))
         spec = vega_lite_spec(figure.meta, csv_name)
         _write_text(os.path.join(out_dir, f"{figure.name}.vl.json"),
                     canonical_json(spec, indent=2) + "\n")

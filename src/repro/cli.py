@@ -11,7 +11,7 @@ Usage::
         --set seed=1,2 --jobs 4              # user-defined parameter grid
     python -m repro.cli render --out artifacts # every registered figure ->
                                              #   CSV + Vega-Lite + index.html
-    python -m repro.cli render fig16 perf --out artifacts --jobs 4
+    python -m repro.cli render fig16 fig12 --out artifacts --jobs 4
     python -m repro.cli shard fattree --shards 4 --seed 2   # partitioned run
     python -m repro.cli shard fattree --shards 2 --reference # + digest diff
 
@@ -60,9 +60,7 @@ canonical CSV plus a Vega-Lite spec and writes one ``index.html`` over
 them all into ``--out DIR``.  Renders consume the same result cache as
 plain runs, and the written artifacts are byte-identical across cold,
 cached and ``--jobs N`` executions (locked down by
-``tests/analysis/test_golden.py``).  The ``perf`` figure charts the
-events/sec trajectory recorded in ``BENCH_history.jsonl`` by
-``benchmarks/perf/run_perf.py``.
+``tests/analysis/test_golden.py``).
 
 See ``docs/experiments.md`` for the catalogue of experiment families, the
 claims they pin and worked invocations.
@@ -119,12 +117,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="(render only) also rasterize plots, when matplotlib is available",
     )
     parser.add_argument(
-        "--shards", type=int, default=2, metavar="N",
-        help="(shard only) number of worker processes to partition across",
+        "--shards", type=int, metavar="N",
+        help="(shard only) number of worker processes to partition across "
+        "(default 2)",
     )
     parser.add_argument(
-        "--seed", type=int, default=1,
-        help="(shard only) seed for the sharded scenario",
+        "--seed", type=int,
+        help="(shard only) seed for the sharded scenario (default 1)",
     )
     parser.add_argument(
         "--reference", action="store_true",
@@ -135,6 +134,26 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
+        return 2
+    if args.shards is not None and args.shards < 1:
+        print("--shards must be >= 1", file=sys.stderr)
+        return 2
+    subcommand = args.experiments[0] if args.experiments else None
+    misplaced = [
+        f"{flag} (only valid with '{owner}')"
+        for flag, owner, given in (
+            ("--out", "render", args.out is not None),
+            ("--png", "render", args.png),
+            ("--shards", "shard", args.shards is not None),
+            ("--seed", "shard", args.seed is not None),
+            ("--reference", "shard", args.reference),
+        )
+        if given and subcommand != owner
+    ]
+    if misplaced:
+        print(f"error: {', '.join(misplaced)} would be ignored here; an "
+              "experiment family takes its seed as --set seed=N",
+              file=sys.stderr)
         return 2
 
     if not args.experiments or args.experiments == ["list"]:
@@ -151,7 +170,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _run_sweep(args.experiments[1:], args.grid, args.jobs, cache, args.quiet)
     if args.experiments[0] == "shard":
         return _run_shard(
-            args.experiments[1:], args.shards, args.seed, args.grid, args.reference
+            args.experiments[1:],
+            2 if args.shards is None else args.shards,
+            1 if args.seed is None else args.seed,
+            args.grid, args.reference,
         )
     if args.grid:
         # shorthand: `load_fct --set load=0.3,0.6` == `sweep load_fct --set ...`
@@ -306,6 +328,7 @@ def _run_shard(
     CI smoke invocation.
     """
     from repro.harness.shard import SHARD_SCENARIOS, run_reference, run_sharded
+    from repro.sim.eventlist import EventList
 
     if len(positional) != 1 or positional[0] not in SHARD_SCENARIOS:
         known = ", ".join(SHARD_SCENARIOS)
@@ -333,6 +356,14 @@ def _run_shard(
               f"{', '.join(multi)}", file=sys.stderr)
         return 2
     kwargs = {key: values[0] for key, values in grid.items()}
+    try:
+        # a shape the builder rejects (shards that do not divide the pods, an
+        # odd or non-numeric k) is reported from this process, once, rather
+        # than as a traceback out of every forked worker
+        builder(EventList(), num_shards, seed, **kwargs)
+    except (ValueError, TypeError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     started = time.time()
     result = run_sharded(name, num_shards, seed=seed, scenario_kwargs=kwargs)
@@ -340,8 +371,7 @@ def _run_shard(
     print(f"  digest: {result.digest}")
     print(f"  windows: {result.windows} (lookahead {result.lookahead_ps} ps)")
     print(f"  events: {result.events_executed} "
-          f"({result.events_per_second:,.0f} ev/s wall, "
-          f"{result.aggregate_events_per_second:,.0f} ev/s aggregate)")
+          f"({result.events_per_second:,.0f} ev/s wall)")
     print(f"  flows: {result.completed_flows}/{result.total_flows} complete, "
           f"{result.boundary_packets} boundary packets")
     for label, stats in result.slowdown_summary.items():

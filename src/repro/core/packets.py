@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
-from repro.sim import packet as _packet_mod
 from repro.sim.packet import Packet, PacketPriority, Route
 from repro.sim.units import HEADER_BYTES
 
@@ -55,7 +54,6 @@ class NdpDataPacket(Packet):
         # so the two-frame super() chain is replaced with direct field writes
         # (the pooled fast path in NdpSrc._transmit bypasses __init__
         # entirely; this constructor serves tests and unpooled callers)
-        _packet_mod._CONSTRUCTIONS += 1
         size = payload_bytes + header_bytes
         self._pool = None
         self._handle = -1
@@ -97,7 +95,6 @@ class NdpControlPacket(Packet):
         header_bytes: int = HEADER_BYTES,
     ) -> None:
         # flattened Packet.__init__ (see NdpDataPacket: one per ACK/NACK/PULL)
-        _packet_mod._CONSTRUCTIONS += 1
         self._pool = None
         self._handle = -1
         self._gen = 0

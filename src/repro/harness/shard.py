@@ -229,9 +229,7 @@ def build_pairs(
     """Degenerate scaling workload: disjoint back-to-back host pairs.
 
     No boundary links, so the shards never exchange traffic — this isolates
-    the window-barrier and digest-merge machinery (conformance) and gives
-    the ``shard_scale`` perf scenario a pure measure of aggregate event
-    throughput.
+    the window-barrier and digest-merge machinery (conformance).
     """
     config = NdpConfig()
     network = _build_network(
@@ -793,20 +791,6 @@ class ShardRunResult:
             return 0.0
         return self.events_executed / self.wall_seconds
 
-    @property
-    def aggregate_events_per_second(self) -> float:
-        """Parallel event capacity: total events over the *slowest shard's*
-        CPU time.  Each worker meters its own busy time with
-        ``time.process_time()``, so the metric reflects what the shard set
-        sustains with one core per shard even when the host machine
-        time-shares fewer cores (CI containers).  The wall-clock rate is
-        reported alongside; see benchmarks/perf/README.md.
-        """
-        busiest = max(self.busy_seconds) if self.busy_seconds else 0.0
-        if busiest <= 0:
-            return 0.0
-        return self.events_executed / busiest
-
     def as_dict(self) -> dict:
         return {
             "scenario": self.scenario,
@@ -820,7 +804,6 @@ class ShardRunResult:
             "wall_seconds": round(self.wall_seconds, 4),
             "events_per_second": round(self.events_per_second, 1),
             "busy_seconds": [round(b, 4) for b in self.busy_seconds],
-            "aggregate_events_per_second": round(self.aggregate_events_per_second, 1),
             "completed_flows": self.completed_flows,
             "total_flows": self.total_flows,
             "final_time_ps": self.final_time_ps,

@@ -43,8 +43,8 @@ Records are one JSON file per key under ``$REPRO_CACHE_DIR`` (default
 it into place, so concurrent writers — parallel workers, two CI jobs on a
 shared volume — can never interleave bytes; readers treat any unreadable or
 structurally invalid record as a miss and delete it.  Set ``REPRO_NO_CACHE=1``
-(or pass ``cache=None`` / ``--no-cache``) to bypass the cache entirely; perf
-benchmarks (``benchmarks/perf/``) never consult it.
+(or pass ``cache=None`` / ``--no-cache``) to bypass the cache entirely; the
+seeded digest scenarios (``benchmarks/perf/``) never consult it.
 """
 
 from __future__ import annotations

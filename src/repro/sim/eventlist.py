@@ -30,8 +30,8 @@ Entries are *recycled*: consumed batches return their lists to a bounded
 free pool (:data:`_ENTRY_POOL_CAP`) and the hot-path producers refill them
 in place, so steady-state scheduling allocates nothing.  The
 :attr:`EventList.entry_allocs` counter records pool misses (entries that
-had to be newly allocated) and feeds the ``allocs_per_event`` benchmark
-metric.  Lists, not tuples, because the containers mix recycled and fresh
+had to be newly allocated; the perf ledger's ``sim.entry_allocs``).
+Lists, not tuples, because the containers mix recycled and fresh
 entries and Python refuses to order a list against a tuple.
 
 The ``obj``/``gen`` slots are overloaded by entry kind:
@@ -323,8 +323,8 @@ class EventList:
         self._ff_bound: int = 0
         #: free pool of consumed six-slot entry lists (bounded)
         self._entry_pool: List[_Entry] = []
-        #: entries newly allocated because the free pool was empty — the
-        #: allocation half of the ``allocs_per_event`` benchmark metric
+        #: entries newly allocated because the free pool was empty (the
+        #: perf ledger's ``sim.entry_allocs``)
         self.entry_allocs: int = 0
         self.events_executed: int = 0
 

@@ -23,18 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.sim.network import PacketSink
     from repro.sim.pool import PacketPool
 
-#: Packets constructed through ``__init__`` since interpreter start (pooled
-#: allocations go through ``PacketPool.get`` and are counted by the pool
-#: instead).  Deterministic — unlike gc counters it is unaffected
-#: by interpreter internals, which matters with gc disabled during runs.
-_CONSTRUCTIONS = 0
-
-
-def construction_count() -> int:
-    """Packets constructed via ``__init__`` so far (monotonic counter)."""
-    return _CONSTRUCTIONS
-
-
 class PacketPriority(enum.IntEnum):
     """Queueing priority of a packet inside an NDP switch.
 
@@ -147,8 +135,6 @@ class Packet:
     ) -> None:
         if size <= 0:
             raise ValueError(f"packet size must be positive, got {size}")
-        global _CONSTRUCTIONS
-        _CONSTRUCTIONS += 1
         self._pool = None
         self._handle = -1
         self._gen = 0

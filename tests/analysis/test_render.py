@@ -2,8 +2,8 @@
 
 Byte-determinism across cold/cached/parallel renders is golden-locked in
 ``test_golden.py``; this file covers everything else: name resolution,
-artifact layout, the perf figure's history plumbing, the HTML index, the
-Vega-Lite specs, and the optional-matplotlib gating.
+artifact layout, the HTML index, the Vega-Lite specs, and the
+optional-matplotlib gating.
 """
 
 from __future__ import annotations
@@ -20,40 +20,16 @@ from repro.analysis import (
     render_figures,
     vega_lite_spec,
 )
-from repro.analysis import history
-from repro.analysis.perf import HISTORY_ENV, PERF_COLUMNS
 from repro.harness import sweep
 from repro.harness.figures import FAMILIES
 
 
 @pytest.fixture(autouse=True)
 def isolated_environment(tmp_path, monkeypatch):
-    """Throwaway result cache + empty perf history for every test."""
+    """Throwaway result cache for every test."""
     monkeypatch.setenv(sweep.CACHE_DIR_ENV, str(tmp_path / "cache"))
     monkeypatch.delenv(sweep.NO_CACHE_ENV, raising=False)
-    monkeypatch.setenv(HISTORY_ENV, str(tmp_path / "history.jsonl"))
     yield
-
-
-def _synthetic_history(path, captures=2):
-    for index in range(captures):
-        measurement = {
-            "scenario": "incast_fanin32",
-            "wall_seconds": 1.0,
-            "events_executed": 1000 * (index + 1),
-            "events_per_second": 1000.0 * (index + 1),
-            "peak_pending_events": 5,
-            "completed_flows": 32,
-            "total_flows": 32,
-            "final_time_ps": 999,
-            "flow_digest": "c" * 64,
-        }
-        history.append_history(path, history.make_records(
-            {"incast": measurement},
-            {"python": "3.11.7", "machine": "x86_64", "seed": 1},
-            f"sha{index}",
-            float(index),
-        ))
 
 
 class TestResolution:
@@ -79,21 +55,21 @@ class TestResolution:
 
 class TestArtifacts:
     def test_layout_and_report(self, tmp_path):
-        report = render_figures(["fig12", "perf"], str(tmp_path / "a"))
-        assert report.figures == ["fig12", "perf"]
+        report = render_figures(["fig12", "fig10"], str(tmp_path / "a"))
+        assert report.figures == ["fig12", "fig10"]
         assert report.artifacts == [
-            "fig12.csv", "fig12.vl.json", "perf.csv", "perf.vl.json",
+            "fig12.csv", "fig12.vl.json", "fig10.csv", "fig10.vl.json",
             "index.html",
         ]
         for artifact in report.artifacts:
             assert os.path.exists(os.path.join(report.out_dir, artifact))
         assert report.rows_per_figure["fig12"] > 0
-        assert report.rows_per_figure["perf"] == 0  # empty history
+        assert report.rows_per_figure["fig10"] > 0
         assert not report.png_written and report.png_note is None
 
     def test_a_repeated_name_renders_once(self, tmp_path):
-        report = render_figures(["fig12", "perf", "fig12"], str(tmp_path / "a"))
-        assert report.figures == ["fig12", "perf"] and report.runs == 1
+        report = render_figures(["fig12", "fig10", "fig12"], str(tmp_path / "a"))
+        assert report.figures == ["fig12", "fig10"] and report.runs == 4
         index = (tmp_path / "a" / "index.html").read_text()
         assert index.count('<section id="fig12">') == 1
 
@@ -125,26 +101,6 @@ class TestArtifacts:
         assert not os.path.exists(os.path.join(out, "fig12.png"))
 
 
-class TestPerfFigure:
-    def test_empty_history_yields_header_only_csv(self, tmp_path):
-        render_figures(["perf"], str(tmp_path / "a"))
-        text = (tmp_path / "a" / "perf.csv").read_text()
-        assert text == ",".join(PERF_COLUMNS) + "\n"
-
-    def test_history_rows_flow_into_the_csv(self, tmp_path):
-        _synthetic_history(os.environ[HISTORY_ENV], captures=2)
-        render_figures(["perf"], str(tmp_path / "a"))
-        lines = (tmp_path / "a" / "perf.csv").read_text().splitlines()
-        assert lines[0] == ",".join(PERF_COLUMNS)
-        assert len(lines) == 3
-        first = dict(zip(PERF_COLUMNS, lines[1].split(",")))
-        assert first["scenario"] == "incast"
-        assert first["capture"] == "0" and first["git_sha"] == "sha0"
-        assert first["events_per_second"] == "1000.0"
-        second = dict(zip(PERF_COLUMNS, lines[2].split(",")))
-        assert second["capture"] == "1" and second["git_sha"] == "sha1"
-
-
 class TestVegaLite:
     def test_spec_file_matches_generator(self, tmp_path):
         render_figures(["fig12"], str(tmp_path / "a"))
@@ -165,12 +121,10 @@ class TestVegaLite:
 
 class TestIndex:
     def test_index_links_every_figure_and_inlines_the_table(self, tmp_path):
-        _synthetic_history(os.environ[HISTORY_ENV], captures=1)
-        render_figures(["fig12", "perf"], str(tmp_path / "a"))
+        render_figures(["fig12", "fig10"], str(tmp_path / "a"))
         text = (tmp_path / "a" / "index.html").read_text()
-        for name in ("fig12", "perf"):
+        for name in ("fig12", "fig10"):
             assert f'<section id="{name}">' in text
             assert f'<a href="{name}.csv">' in text
             assert f"vegaEmbed('#vis-{name}', '{name}.vl.json')" in text
-        assert "<table>" in text  # inline data table
-        assert "sha0" in text  # perf rows are inlined too
+        assert text.count("<table>") == 2  # both data tables are inlined

@@ -69,6 +69,23 @@ class TestRun:
     def test_invalid_jobs_rejected(self, capsys):
         assert cli.main(["fig12", "--jobs", "0"]) == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["fig12", "--seed", "99"], "--seed"),
+        (["fig12", "--shards", "4"], "--shards"),
+        (["fig12", "--reference"], "--reference"),
+        (["fig12", "--out", "unused"], "--out"),
+        (["sweep", "fig12", "--png"], "--png"),
+        (["render", "fig12", "--out", "unused", "--seed", "3"], "--seed"),
+        (["shard", "pairs", "--png"], "--png"),
+    ])
+    def test_a_flag_outside_its_subcommand_is_rejected_not_ignored(
+        self, capsys, argv, flag
+    ):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing ran
+        assert flag in captured.err and "--set seed=" in captured.err
+
     def test_all_combined_with_other_names_rejected(self, capsys):
         assert cli.main(["all", "figg14"]) == 2
         assert "all" in capsys.readouterr().err

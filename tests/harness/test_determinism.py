@@ -1,7 +1,8 @@
 """Determinism guard for the scheduler fast-path.
 
 Runs the same seeded workload twice in fresh simulators and requires
-bit-identical flow records and switch trim counters.  This is the regression
+bit-identical flow records and switch trim counters (the one digest
+definition, ``benchmarks.perf.scenarios.flow_digest``).  This is the regression
 net under the hybrid event engine: any change that perturbs event ordering
 (tie-breaking, timer eviction, recurring-service fast paths) shows up here
 as a diff long before it corrupts a paper figure.
@@ -11,30 +12,12 @@ from __future__ import annotations
 
 import random
 
+from benchmarks.perf.scenarios import flow_digest
 from repro.core.config import NdpConfig
-from repro.core.switch import NdpSwitchQueue
 from repro.harness.experiment import start_incast, start_permutation
 from repro.harness.ndp_network import NdpNetwork
 from repro.sim.eventlist import EventList
 from repro.topology.fattree import FatTreeTopology
-
-
-def _record_tuple(record):
-    return (
-        record.flow_id,
-        record.src,
-        record.dst,
-        record.flow_size_bytes,
-        record.start_time_ps,
-        record.finish_time_ps,
-        record.bytes_delivered,
-        record.packets_delivered,
-        record.headers_received,
-        record.retransmissions,
-        record.rtx_from_nack,
-        record.rtx_from_bounce,
-        record.rtx_from_timeout,
-    )
 
 
 def _run_permutation(seed: int):
@@ -46,15 +29,7 @@ def _run_permutation(seed: int):
         network, flow_size_bytes=90_000, rng=random.Random(seed)
     )
     eventlist.run(until=20_000_000_000)
-    records = [
-        (_record_tuple(f.record), _record_tuple(f.sender_record)) for f in flows
-    ]
-    trims = [
-        (q.name, q.trimmed_arriving, q.trimmed_from_tail)
-        for q in network.topology.all_queues()
-        if isinstance(q, NdpSwitchQueue)
-    ]
-    return records, trims, eventlist.events_executed
+    return flow_digest(network), eventlist.events_executed, flows
 
 
 def _run_incast(seed: int):
@@ -63,42 +38,32 @@ def _run_incast(seed: int):
         eventlist, FatTreeTopology, config=NdpConfig(), seed=seed, k=4
     )
     hosts = network.topology.hosts()
-    flows = start_incast(network, hosts[0], hosts[1:9], bytes_per_sender=45_000)
+    start_incast(network, hosts[0], hosts[1:9], bytes_per_sender=45_000)
     eventlist.run(until=20_000_000_000)
-    records = [
-        (_record_tuple(f.record), _record_tuple(f.sender_record)) for f in flows
-    ]
-    trims = [
-        (q.name, q.trimmed_arriving, q.trimmed_from_tail)
-        for q in network.topology.all_queues()
-        if isinstance(q, NdpSwitchQueue)
-    ]
-    return records, trims, eventlist.events_executed
+    return flow_digest(network), eventlist.events_executed, network
 
 
 class TestSeededDeterminism:
     def test_permutation_is_bit_identical_across_runs(self):
         first = _run_permutation(seed=7)
         second = _run_permutation(seed=7)
-        assert first[0] == second[0]  # flow records, both endpoints
-        assert first[1] == second[1]  # per-switch trim counters
-        assert first[2] == second[2]  # executed event count
+        # flow records of both endpoints + per-switch trim counters, and
+        # the executed event count
+        assert first[:2] == second[:2]
 
     def test_permutation_flows_complete(self):
-        records, _trims, _ = _run_permutation(seed=7)
-        assert all(sink[5] is not None for sink, _src in records)  # finish time
+        _digest, _events, flows = _run_permutation(seed=7)
+        assert all(flow.complete for flow in flows)
 
     def test_incast_is_bit_identical_across_runs(self):
         first = _run_incast(seed=3)
         second = _run_incast(seed=3)
-        assert first == second
+        assert first[:2] == second[:2]
         # the 8:1 incast overflows the 8-packet data queues, so the trim
-        # counters this test guards are actually exercised
-        assert sum(t[1] + t[2] for t in first[1]) > 0
+        # counters the digest covers are actually exercised
+        assert first[2].topology.total_trimmed() > 0
 
     def test_different_seeds_differ(self):
         # sanity check that the digest actually depends on the seed (guards
         # against a digest that ignores its inputs)
-        base = _run_permutation(seed=7)
-        other = _run_permutation(seed=8)
-        assert base[0] != other[0]
+        assert _run_permutation(seed=7)[0] != _run_permutation(seed=8)[0]

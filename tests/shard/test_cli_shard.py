@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro import cli
 
 FAST = ["--set", "pairs=2", "--set", "flows_per_pair=1",
@@ -15,7 +17,7 @@ class TestShardSubcommand:
         assert code == 0
         assert "digest: " in out
         assert "2 shard(s)" in out
-        assert "ev/s aggregate" in out
+        assert "ev/s wall" in out
         assert "slowdown[all]" in out
 
     def test_reference_flag_verifies_digest(self, capsys) -> None:
@@ -41,6 +43,21 @@ class TestShardSubcommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "single value per --set key" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--shards", "0"], "--shards must be >= 1"),
+        (["--shards", "3"], "error: 3 shards do not evenly divide 4 pods"),
+        (["--set", "k=5"], "error: FatTree arity k must be even"),
+        (["--set", "k=abc"], "error: "),
+    ])
+    def test_a_shape_the_scenario_rejects_is_one_error_line(
+        self, capsys, argv, message
+    ) -> None:
+        assert cli.main(["shard", "fattree", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no worker was forked, nothing ran
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_shard_listed_in_catalogue(self, capsys) -> None:
         assert cli.main(["list"]) == 0

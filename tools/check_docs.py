@@ -9,9 +9,8 @@ Checks, without any network access:
 2. every experiment family declared in ``repro.harness.figures.FAMILIES``
    is covered by the experiments handbook (``docs/experiments.md``) *and*
    the README figure index, and everything ``render`` draws (the families
-   declared with a ``chart``, plus the perf figures) is listed in the
-   handbook's "From runs to figures" section — the experiment catalogue
-   cannot rot;
+   declared with a ``chart``) is listed in the handbook's "From runs to
+   figures" section — the experiment catalogue cannot rot;
 3. every markdown anchor referenced as ``path#anchor`` exists as a heading
    in the target file (GitHub-style slugs);
 4. the sharded-simulation surface (``shard`` subcommand, every scenario,
@@ -90,9 +89,8 @@ def check_families() -> List[str]:
     is, so this is the only check over one.  Each name must appear as a
     backticked code span (`` `name` ``, the way both documents list
     experiments) in the experiments handbook and in the README figure
-    index; what ``render`` draws — a family declared with a ``chart``, plus
-    the history-backed perf figures — must also be listed in the handbook's
-    "From runs to figures" section.
+    index; what ``render`` draws — a family declared with a ``chart`` —
+    must also be listed in the handbook's "From runs to figures" section.
     """
     sys.path.insert(0, os.path.join(ROOT, "src"))
     try:
