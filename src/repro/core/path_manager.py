@@ -16,10 +16,13 @@ asymmetry experiment.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.sim.packet import Route
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from repro.sim.network import PacketSink
 
 
 @dataclass(slots=True)
@@ -43,13 +46,33 @@ class PathScore:
         return self.nacks / self.samples
 
 
+#: what an unsampled path looks like to the outlier test
+_UNSCORED = PathScore()
+
+
 class PathManager:
     """Chooses the path for each outgoing packet.
+
+    The manager *shares* its route sequence with every other flow between
+    the same hosts and never copies or iterates it: paths are told apart by
+    id, and the endpoint-terminated :class:`Route` and the
+    :class:`PathScore` of a path are built the first time a packet or a
+    piece of feedback touches it.  A one-packet flow over sixteen paths
+    therefore pays for one route, not sixteen.
 
     Parameters
     ----------
     routes:
-        The forward routes available to the destination, one per path.
+        The routes to the destination, one per path, in path-id order —
+        normally the topology's :class:`~repro.topology.route_table.PathList`
+        (its ``path_ids`` names the paths without building them, its
+        ``terminated`` builds one straight to the terminal), else any
+        sequence of ready-made routes.
+    terminal:
+        The element every route must end at (the peer endpoint, or the fault
+        tap in front of it): a path's route is built to it, by the path
+        list's ``terminated``, when the path is first used.  ``None`` when
+        *routes* are already complete.
     rng:
         Source of randomness for permutations (seeded by the experiment for
         reproducibility).
@@ -68,41 +91,52 @@ class PathManager:
         per-packet ECMP — the ablation of §3.1.1).
     """
 
+    __slots__ = (
+        "routes",
+        "terminal",
+        "rng",
+        "mode",
+        "_random_mode",
+        "penalize",
+        "min_samples",
+        "nack_ratio",
+        "scores",
+        "_path_ids",
+        "_terminated",
+        "_permutation",
+        "_position",
+        "permutations_generated",
+        "currently_excluded",
+    )
+
     def __init__(
         self,
         routes: Sequence[Route],
+        terminal: Optional["PacketSink"] = None,
         rng: Optional[random.Random] = None,
         penalize: bool = True,
         min_samples: int = 16,
         nack_ratio: float = 2.0,
         mode: str = "permutation",
     ) -> None:
-        if not routes:
-            raise ValueError("a PathManager needs at least one route")
         if mode not in ("permutation", "random"):
             raise ValueError(f"unknown path selection mode {mode!r}")
-        self.routes: List[Route] = list(routes)
+        self.terminal = terminal
         self.rng = rng if rng is not None else random.Random(0)
         self.mode = mode
         self._random_mode = mode == "random"
         self.penalize = penalize
         self.min_samples = min_samples
         self.nack_ratio = nack_ratio
-        self.scores: Dict[int, PathScore] = {
-            route.path_id: PathScore() for route in self.routes
-        }
-        self._by_path_id: Dict[int, Route] = {r.path_id: r for r in self.routes}
-        self._permutation: List[Route] = []
-        self._position = 0
+        #: per-path feedback counters; a path absent here is unsampled
+        self.scores: Dict[int, PathScore] = {}
+        self._path_ids: Tuple[int, ...] = ()
         self.permutations_generated = 0
         self.currently_excluded: List[int] = []
+        self.update_routes(routes)
 
     def set_routes(self, routes: Sequence[Route]) -> None:
-        """Replace the route set (keeps any existing per-path scores).
-
-        Used when routes must be finalized after construction, e.g. once the
-        destination endpoint exists and can be appended to each fabric path.
-        """
+        """Replace the route set (keeps any existing per-path scores)."""
         self.update_routes(routes)
 
     def update_routes(self, routes: Sequence[Route]) -> None:
@@ -118,11 +152,17 @@ class PathManager:
         """
         if not routes:
             raise ValueError("a PathManager needs at least one route")
-        self.routes = list(routes)
-        for route in self.routes:
-            self.scores.setdefault(route.path_id, PathScore())
-        self._by_path_id = {route.path_id: route for route in self.routes}
-        self._permutation = []
+        path_ids = getattr(routes, "path_ids", None)
+        if path_ids is None:
+            path_ids = tuple(route.path_id for route in routes)
+        for path_id in self._path_ids:
+            # a pruned path keeps its place on the scoreboard
+            if path_id not in path_ids and path_id not in self.scores:
+                self.scores[path_id] = PathScore()
+        self.routes = routes
+        self._path_ids = path_ids
+        self._terminated: Dict[int, Route] = {}
+        self._permutation: Sequence[int] = ()
         self._position = 0
 
     # --- path selection -------------------------------------------------------
@@ -130,18 +170,26 @@ class PathManager:
     def next_route(self) -> Route:
         """Return the route to use for the next packet."""
         if self._random_mode:
-            return self.rng.choice(self._usable_routes())
-        position = self._position
-        if position >= len(self._permutation):
-            self._generate_permutation()
-            position = 0
-        route = self._permutation[position]
-        self._position = position + 1
+            path_id = self.rng.choice(self._usable_paths())
+        else:
+            position = self._position
+            if position >= len(self._permutation):
+                self._generate_permutation()
+                position = 0
+            path_id = self._permutation[position]
+            self._position = position + 1
+        # inlined route_for_path (once per transmitted packet)
+        route = self._terminated.get(path_id)
+        if route is None:
+            route = self._terminate(path_id)
         return route
 
     def route_for_path(self, path_id: int) -> Route:
         """Look up the route with a given path identifier."""
-        return self._by_path_id[path_id]
+        route = self._terminated.get(path_id)
+        if route is None:
+            route = self._terminate(path_id)
+        return route
 
     def alternative_route(self, avoid_path_id: int) -> Route:
         """A route on a different path than *avoid_path_id* when one exists.
@@ -149,40 +197,67 @@ class PathManager:
         Used for retransmissions: NDP always resends a lost packet on a
         different path.
         """
-        candidates = [r for r in self.routes if r.path_id != avoid_path_id]
+        candidates = [p for p in self._path_ids if p != avoid_path_id]
         if not candidates:
-            return self._by_path_id[avoid_path_id]
-        return self.rng.choice(candidates)
+            return self.route_for_path(avoid_path_id)
+        return self.route_for_path(self.rng.choice(candidates))
+
+    def retire(self) -> None:
+        """The owner will never ask for a route again (its flow is done).
+
+        Drops the built routes, the permutation and the RNG — 2.5 kB of
+        generator state — so they are freed now.  The scoreboard stays: late
+        feedback still lands on it.
+        """
+        self._terminated.clear()
+        self._permutation = ()
+        self.rng = None
 
     def path_count(self) -> int:
         """Total number of paths (before exclusion)."""
-        return len(self.routes)
+        return len(self._path_ids)
+
+    def _terminate(self, path_id: int) -> Route:
+        """First use of a current path: build its route and its score."""
+        try:
+            index = self._path_ids.index(path_id)
+        except ValueError:
+            raise KeyError(path_id) from None
+        if self.terminal is None:
+            route = self.routes[index]
+        else:
+            route = self.routes.terminated(index, self.terminal)
+        self._terminated[path_id] = route
+        if path_id not in self.scores:
+            self.scores[path_id] = PathScore()
+        return route
 
     def _generate_permutation(self) -> None:
-        usable = self._usable_routes()
-        permutation = list(usable)
+        permutation = list(self._usable_paths())
         self.rng.shuffle(permutation)
         self._permutation = permutation
         self._position = 0
         self.permutations_generated += 1
 
-    def _usable_routes(self) -> List[Route]:
-        if not self.penalize or len(self.routes) == 1:
+    def _usable_paths(self) -> Sequence[int]:
+        path_ids = self._path_ids
+        if not self.penalize or len(path_ids) == 1:
             self.currently_excluded = []
-            return self.routes
+            return path_ids
         excluded = set(self._outlier_paths())
         self.currently_excluded = sorted(excluded)
-        usable = [r for r in self.routes if r.path_id not in excluded]
+        usable = [p for p in path_ids if p not in excluded]
         # Never exclude everything: fall back to the full set if the
         # scoreboard would leave no usable path.
-        return usable if usable else self.routes
+        return usable if usable else path_ids
 
     def _outlier_paths(self) -> List[int]:
-        # Judge only the *current* routes: scores of paths pruned by a link
+        # Judge only the *current* paths: scores of paths pruned by a link
         # failure are retained for their eventual recovery, but letting a
         # dead path's stale loss count fill the exclusion budget (and skew
         # the means) would disable the penalty for the survivors.
-        current = {route.path_id: self.scores[route.path_id] for route in self.routes}
+        scores = self.scores
+        current = {p: scores.get(p, _UNSCORED) for p in self._path_ids}
         sampled = [s for s in current.values() if s.samples >= self.min_samples]
         if len(sampled) < 2:
             return []
@@ -202,29 +277,39 @@ class PathManager:
             if bad_nacks or bad_losses:
                 outliers.append(path_id)
         # Keep at least half of the paths in play.
-        max_excluded = max(0, len(self.routes) // 2)
+        max_excluded = max(0, len(current) // 2)
         return outliers[:max_excluded]
 
     # --- scoreboard -----------------------------------------------------------
 
+    def _score(self, path_id: int) -> Optional[PathScore]:
+        """The counter feedback for *path_id* lands on (``None``: never a path)."""
+        score = self.scores.get(path_id)
+        if score is None and path_id in self._path_ids:
+            score = self.scores[path_id] = PathScore()
+        return score
+
     def record_ack(self, path_id: int) -> None:
         """Record positive feedback for *path_id*."""
-        score = self.scores.get(path_id)
+        score = self._score(path_id)
         if score is not None:
             score.acks += 1
 
     def record_nack(self, path_id: int) -> None:
         """Record a trimmed packet (negative feedback) for *path_id*."""
-        score = self.scores.get(path_id)
+        score = self._score(path_id)
         if score is not None:
             score.nacks += 1
 
     def record_loss(self, path_id: int) -> None:
         """Record a true loss (RTO expiry / bounced header) on *path_id*."""
-        score = self.scores.get(path_id)
+        score = self._score(path_id)
         if score is not None:
             score.losses += 1
 
     def nack_fraction(self, path_id: int) -> float:
         """Convenience accessor used by tests and diagnostics."""
-        return self.scores[path_id].nack_fraction
+        score = self._score(path_id)
+        if score is None:
+            raise KeyError(path_id)
+        return score.nack_fraction

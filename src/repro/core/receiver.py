@@ -40,7 +40,7 @@ from repro.core.path_manager import PathManager
 from repro.core.pull_queue import NdpPullPacer
 from repro.sim.eventlist import EventList, Timer
 from repro.sim.logger import FlowRecord
-from repro.sim.network import NetworkEndpoint
+from repro.sim.network import NetworkEndpoint, PacketSink
 from repro.sim.packet import Packet, PacketPriority, Route
 from repro.sim.pool import PacketPool
 
@@ -81,6 +81,7 @@ class NdpSink(NetworkEndpoint):
         node_id: int,
         pacer: NdpPullPacer,
         reverse_routes: Sequence[Route],
+        reverse_terminal: Optional[PacketSink] = None,
         config: Optional[NdpConfig] = None,
         rng: Optional[random.Random] = None,
         priority: bool = False,
@@ -95,7 +96,11 @@ class NdpSink(NetworkEndpoint):
         self.priority = priority
         self.on_complete = on_complete
         self.rng = rng if rng is not None else random.Random(flow_id)
-        self.reverse_paths = PathManager(reverse_routes, rng=self.rng, penalize=False)
+        # control packets travel the reverse fabric routes and are delivered
+        # to reverse_terminal: the source, or the fault tap in front of it
+        self.reverse_paths = PathManager(
+            reverse_routes, reverse_terminal, rng=self.rng, penalize=False
+        )
         self.record = FlowRecord(flow_id=flow_id, src=-1, dst=node_id, flow_size_bytes=0)
         self.src_node_id = -1
         self._received: Set[int] = set()
@@ -133,7 +138,7 @@ class NdpSink(NetworkEndpoint):
         self.priority = priority
 
     def update_reverse_routes(self, routes: Sequence[Route]) -> None:
-        """Adopt new reverse (ACK/NACK/PULL) routes after a link-state change."""
+        """Adopt new reverse (ACK/NACK/PULL) fabric routes after a link-state change."""
         self.reverse_paths.update_routes(routes)
 
     # --- protocol state ------------------------------------------------------------
@@ -382,5 +387,6 @@ class NdpSink(NetworkEndpoint):
             self.pacer.purge(self.flow_id)
             if self._retry_timer is not None:
                 self._retry_timer.cancel()
+                self._retry_timer = None
             if self.on_complete is not None:
                 self.on_complete(self)

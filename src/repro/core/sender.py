@@ -39,7 +39,7 @@ from repro.core.packets import NdpAck, NdpDataPacket, NdpNack, NdpPull
 from repro.core.path_manager import PathManager
 from repro.sim.eventlist import EventList, Timer
 from repro.sim.logger import FlowRecord
-from repro.sim.network import NetworkEndpoint
+from repro.sim.network import NetworkEndpoint, PacketSink
 from repro.sim.packet import Packet, PacketPriority, Route
 from repro.sim.pool import PacketPool
 
@@ -56,7 +56,6 @@ class NdpSrc(NetworkEndpoint):
         "dst_node_id",
         "flow_size_bytes",
         "config",
-        "rng",
         "on_complete",
         "record_packet_latencies",
         "paths",
@@ -81,7 +80,6 @@ class NdpSrc(NetworkEndpoint):
         "_last_pull_ps",
         "_max_pull_gap_ps",
         "_started",
-        "_handlers",
         "pool",
         "packets_sent",
         "acks_received",
@@ -113,16 +111,17 @@ class NdpSrc(NetworkEndpoint):
         self.dst_node_id = dst_node_id
         self.flow_size_bytes = flow_size_bytes
         self.config = config if config is not None else NdpConfig()
-        self.rng = rng if rng is not None else random.Random(flow_id)
         self.on_complete = on_complete
         self.record_packet_latencies = record_packet_latencies
         # slot pool for outgoing data packets; shared network-wide when the
         # harness provides one (sinks revive what other sources freed)
         self.pool = pool if pool is not None else PacketPool()
 
+        # the terminal (the sink, or the tap in front of it) arrives with
+        # connect(): the sink cannot exist before its source does
         self.paths = PathManager(
             routes,
-            rng=self.rng,
+            rng=rng if rng is not None else random.Random(flow_id),
             penalize=self.config.path_penalty,
             min_samples=self.config.path_penalty_min_samples,
             nack_ratio=self.config.path_penalty_nack_ratio,
@@ -163,15 +162,6 @@ class NdpSrc(NetworkEndpoint):
         self._last_pull_ps = -1
         self._max_pull_gap_ps = 0
         self._started = False
-        # exact-type dispatch table for the receive path (cheaper than an
-        # isinstance chain at one lookup per arriving control packet)
-        self._handlers = {
-            NdpAck: self._handle_ack,
-            NdpNack: self._handle_nack,
-            NdpPull: self._handle_pull,
-            NdpDataPacket: self._handle_returned_data,
-        }
-
         self.packets_sent = 0
         self.acks_received = 0
         self.nacks_received = 0
@@ -181,17 +171,18 @@ class NdpSrc(NetworkEndpoint):
 
     # --- wiring -----------------------------------------------------------------
 
-    def connect(self, sink: NdpSink) -> None:
-        """Associate this sender with its receiving sink."""
+    def connect(self, sink: NdpSink, entry: Optional[PacketSink] = None) -> None:
+        """Associate this sender with its receiving sink.
+
+        Every forward route ends at *entry* — the element data packets are
+        delivered to, *sink* itself unless a fault tap sits in front of it.
+        """
         self.sink = sink
+        self.paths.terminal = entry if entry is not None else sink
         sink.expect(self.node_id, self.flow_size_bytes, self.total_packets)
 
-    def set_destination_routes(self, routes: Sequence[Route]) -> None:
-        """Install the final forward routes (each ending at the sink)."""
-        self.paths.set_routes(routes)
-
     def update_routes(self, routes: Sequence[Route]) -> None:
-        """Adopt new forward routes after a fabric link-state change.
+        """Adopt new forward fabric routes after a link-state change.
 
         Called by the network layer when a link fails or recovers: the
         surviving (or restored) paths replace the current set while the path
@@ -317,20 +308,15 @@ class NdpSrc(NetworkEndpoint):
 
     def receive_packet(self, packet: Packet) -> None:
         self._activity_ps = self.eventlist._now
-        handler = self._handlers.get(type(packet))
+        handler = _HANDLERS.get(type(packet))
         if handler is None:
             # subclassed packet types still dispatch correctly, just slower
-            if isinstance(packet, NdpAck):
-                handler = self._handle_ack
-            elif isinstance(packet, NdpNack):
-                handler = self._handle_nack
-            elif isinstance(packet, NdpPull):
-                handler = self._handle_pull
-            elif isinstance(packet, NdpDataPacket):
-                handler = self._handle_returned_data
+            for packet_type, handler in _HANDLERS.items():
+                if isinstance(packet, packet_type):
+                    break
             else:
                 raise TypeError(f"NdpSrc received unexpected packet {packet!r}")
-        handler(packet)
+        handler(self, packet)
         # the source consumes every packet delivered to it (ACK/NACK/PULL
         # and bounced data); a bounce retransmit builds a fresh packet in
         # _transmit, so releasing the original here never aliases it
@@ -540,11 +526,31 @@ class NdpSrc(NetworkEndpoint):
         self._rto_timers.clear()
         if self._keepalive_timer is not None:
             self._keepalive_timer.cancel()
+            self._keepalive_timer = None
         # Everything is ACKed, so any remaining retransmission-queue entries
         # are stale duplicates (a second copy beat the queued one); drop them
         # so a completed sender never looks deadlocked.
         self._rtx_queue.clear()
         self._rtx_queued.clear()
         self._nacked.clear()
+        # ... and nothing is ever transmitted again: a late NACK, bounce,
+        # timeout or pull returns before it picks a path.  What only
+        # transmission needs is released now, while dropping the reference
+        # frees it, rather than kept to the horizon for every collection to
+        # walk (most flows of a churn workload finish long before the run).
+        self._last_path_used.clear()
+        self._first_send_time.clear()
+        self.paths.retire()
         if self.on_complete is not None:
             self.on_complete(self)
+
+
+#: exact-type dispatch for :meth:`NdpSrc.receive_packet` (cheaper than an
+#: isinstance chain at one lookup per arriving control packet); one table for
+#: the class, not a dict of bound methods per flow
+_HANDLERS = {
+    NdpAck: NdpSrc._handle_ack,
+    NdpNack: NdpSrc._handle_nack,
+    NdpPull: NdpSrc._handle_pull,
+    NdpDataPacket: NdpSrc._handle_returned_data,
+}

@@ -45,9 +45,6 @@ class NdpFlow:
     #: endpoints of the transfer, kept for link-state route refreshes
     src_host: int = -1
     dst_host: int = -1
-    #: the (possibly fault-tapped) delivery entries routes terminate at
-    src_entry: Optional[PacketSink] = None
-    sink_entry: Optional[PacketSink] = None
 
     @property
     def record(self) -> FlowRecord:
@@ -189,8 +186,8 @@ class NdpNetwork:
         the sources their shard owns.
         """
         flow_config = config if config is not None else self.config
-        flow_id = self._next_flow_id
-        self._next_flow_id += 1
+        # the fabric path lists are shared by every flow of the host pair;
+        # each endpoint terminates the paths it actually sends on
         forward_paths = self.topology.get_paths(src_host, dst_host)
         reverse_paths = self.topology.get_paths(dst_host, src_host)
         if not forward_paths or not reverse_paths:
@@ -199,6 +196,8 @@ class NdpNetwork:
                 f"the pair is partitioned by link failures "
                 f"({len(self.topology.failed_links())} directed links down)"
             )
+        flow_id = self._next_flow_id
+        self._next_flow_id += 1
 
         src = NdpSrc(
             eventlist=self.eventlist,
@@ -206,7 +205,7 @@ class NdpNetwork:
             node_id=src_host,
             dst_node_id=dst_host,
             flow_size_bytes=size_bytes,
-            routes=forward_paths,  # fabric-only for now; finalized below
+            routes=forward_paths,
             config=flow_config,
             rng=random.Random(self.rng.randrange(2**62)),
             on_complete=on_complete,
@@ -223,17 +222,15 @@ class NdpNetwork:
             flow_id=flow_id,
             node_id=dst_host,
             pacer=self.pacer_for(dst_host),
-            reverse_routes=[route.extended(src_entry) for route in reverse_paths],
+            reverse_routes=reverse_paths,
+            reverse_terminal=src_entry,
             config=flow_config,
             rng=random.Random(self.rng.randrange(2**62)),
             priority=priority,
             pool=self.pool,
         )
         sink_entry: PacketSink = sink if injector is None else injector.tap(sink, self.eventlist)
-        # Forward routes terminate at the sink; they can only be finalized once
-        # the sink exists, hence the two-step wiring.
-        src.set_destination_routes([route.extended(sink_entry) for route in forward_paths])
-        src.connect(sink)
+        src.connect(sink, sink_entry)
         if start:
             src.start(start_time_ps)
         # flow completion time is measured from when the sender starts pushing
@@ -246,8 +243,6 @@ class NdpNetwork:
             sink=sink,
             src_host=src_host,
             dst_host=dst_host,
-            src_entry=src_entry,
-            sink_entry=sink_entry,
         )
         self.flows.append(flow)
         return flow
@@ -259,28 +254,28 @@ class NdpNetwork:
 
         Rate and delay changes do not alter the path set — reacting to a
         degraded-but-alive link is the path scoreboard's job (§5, Figure 22)
-        — so only events that reroute are handled.  For each incomplete flow
-        the surviving fabric paths are re-read from the topology's route
-        table and re-terminated at the flow's existing delivery entries; a
-        fully partitioned pair keeps its stale routes (there is nothing
-        better to install) until a recovery event refreshes it.
+        — so only events that reroute are handled.
         """
-        if event.kind not in ("fail", "recover"):
-            return
-        topology = self.topology
+        if event.kind in ("fail", "recover"):
+            self.refresh_routes()
+
+    def refresh_routes(self) -> None:
+        """Hand every incomplete flow the fabric's current path lists.
+
+        The surviving paths are re-read from the topology's route table;
+        each endpoint keeps its terminal and its scoreboard.  A fully
+        partitioned pair keeps its stale routes (there is nothing better to
+        install) until a recovery event refreshes it.
+        """
+        get_paths = self.topology.get_paths
         for flow in self.flows:
             if flow.sink.complete:
                 continue
-            forward = topology.get_paths(flow.src_host, flow.dst_host)
-            reverse = topology.get_paths(flow.dst_host, flow.src_host)
-            if not forward or not reverse:
-                continue
-            flow.src.update_routes(
-                [route.extended(flow.sink_entry) for route in forward]
-            )
-            flow.sink.update_reverse_routes(
-                [route.extended(flow.src_entry) for route in reverse]
-            )
+            forward = get_paths(flow.src_host, flow.dst_host)
+            reverse = get_paths(flow.dst_host, flow.src_host)
+            if forward and reverse:
+                flow.src.update_routes(forward)
+                flow.sink.update_reverse_routes(reverse)
 
     # --- reporting --------------------------------------------------------------------
 

@@ -448,21 +448,15 @@ class _ShardWorker:
             )
         if self.boundary:
             topology.route_table.invalidate()
-            self._refresh_flow_routes()
+            # same queries, same path ids, same element positions: the
+            # flows' routes now differ only in the substituted pipes
+            self.network.refresh_routes()
             self._validate_bounce_lookahead()
-        # route maps for reviving marshalled packets: identical construction
-        # means path_id -> the same Route object in every worker
-        self.fwd_routes: Dict[int, Dict[int, Any]] = {}
-        self.rev_routes: Dict[int, Dict[int, Any]] = {}
-        self.flows_by_id: Dict[int, NdpFlow] = {}
-        for flow in self.network.flows:
-            self.flows_by_id[flow.flow_id] = flow
-            self.fwd_routes[flow.flow_id] = {
-                route.path_id: route for route in flow.src.paths.routes
-            }
-            self.rev_routes[flow.flow_id] = {
-                route.path_id: route for route in flow.sink.reverse_paths.routes
-            }
+        # a marshalled packet is revived onto its flow's route for its path
+        # id: identical construction means the same elements in every worker
+        self.flows_by_id: Dict[int, NdpFlow] = {
+            flow.flow_id: flow for flow in self.network.flows
+        }
         owner = self.partition.owner_of_host
         self.owned_src_flows = [
             f for f in self.network.flows if owner(f.src_host) == shard_id
@@ -486,25 +480,6 @@ class _ShardWorker:
             packet.release()
 
         return capture
-
-    def _refresh_flow_routes(self) -> None:
-        """Re-resolve every flow's routes so they embed the egress pipes.
-
-        The builder created flows against the original pipes; re-running
-        the same route queries after the swap (same path ids, same element
-        positions) and re-extending with the same endpoint entries yields
-        routes identical except for the substituted boundary pipes.
-        """
-        topology = self.network.topology
-        for flow in self.network.flows:
-            forward = topology.get_paths(flow.src_host, flow.dst_host)
-            reverse = topology.get_paths(flow.dst_host, flow.src_host)
-            flow.src.update_routes(
-                [route.extended(flow.sink_entry) for route in forward]
-            )
-            flow.sink.reverse_paths.update_routes(
-                [route.extended(flow.src_entry) for route in reverse]
-            )
 
     def _validate_bounce_lookahead(self) -> None:
         """Bounces cross shards too: their delay must respect the lookahead."""
@@ -550,7 +525,7 @@ class _ShardWorker:
             packet.last = bool(last)
             packet.payload_bytes = payload_bytes
             packet.is_retransmit = bool(is_rtx)
-            packet.route = self.fwd_routes[flow_id][path_id]
+            packet.route = flow.src.paths.route_for_path(path_id)
             if kind == _KIND_BOUNCE:
                 # returned-to-sender header: deliver straight to the (owned)
                 # source endpoint, exactly as NetworkEndpoint.bounce would
@@ -592,7 +567,7 @@ class _ShardWorker:
         packet.path_id = path_id
         packet.send_time = send_time
         packet.data_path_id = data_path_id
-        packet.route = self.rev_routes[flow_id][path_id]
+        packet.route = flow.sink.reverse_paths.route_for_path(path_id)
         packet.hop = next_hop
         self.ingress.deliver(deliver_at, packet)
 

@@ -15,7 +15,7 @@ attributes defined here (size, priority, ECN bits, trimming support).
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Optional, Sequence, TYPE_CHECKING
+from typing import Iterator, Optional, Sequence, TYPE_CHECKING
 
 from repro.sim.units import HEADER_BYTES
 
@@ -37,27 +37,22 @@ class PacketPriority(enum.IntEnum):
 class Route:
     """An ordered list of network elements a packet traverses.
 
-    Routes are immutable once built; topologies construct one forward route
-    and one reverse route per (source, destination, path) triple and the
-    protocol endpoints reuse them for every packet.
+    Routes are immutable once built.  A topology's route table assembles a
+    fabric route per (source, destination, path) the first time it is asked
+    for; a protocol endpoint appends its peer and reuses the result for
+    every packet it sends on that path.
     """
 
-    __slots__ = ("elements", "path_id", "reverse")
+    __slots__ = ("elements", "path_id")
 
-    def __init__(
-        self,
-        elements: Sequence["PacketSink"],
-        path_id: int = 0,
-        reverse: Optional["Route"] = None,
-    ) -> None:
+    def __init__(self, elements: Sequence["PacketSink"], path_id: int = 0) -> None:
         self.elements: tuple["PacketSink", ...] = tuple(elements)
         self.path_id = path_id
-        self.reverse = reverse
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __iter__(self) -> Iterable["PacketSink"]:
+    def __iter__(self) -> Iterator["PacketSink"]:
         return iter(self.elements)
 
     def __getitem__(self, index: int) -> "PacketSink":
@@ -69,7 +64,7 @@ class Route:
 
     def extended(self, *extra: "PacketSink") -> "Route":
         """Return a new route with *extra* elements appended."""
-        return Route(self.elements + tuple(extra), path_id=self.path_id, reverse=self.reverse)
+        return Route(self.elements + extra, path_id=self.path_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         names = [getattr(e, "name", e.__class__.__name__) for e in self.elements]

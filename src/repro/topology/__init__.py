@@ -35,7 +35,7 @@ from repro.topology.base import (
 from repro.topology.dynamics import FabricController, ScheduledLinkEvent
 from repro.topology.fattree import FatTreeTopology
 from repro.topology.leafspine import LeafSpineTopology
-from repro.topology.route_table import NodePath, RouteTable
+from repro.topology.route_table import NodePath, PathList, RouteTable
 from repro.topology.simple import BackToBackTopology, SingleSwitchTopology
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "LinkStateEvent",
     "QueueFactory",
     "RouteTable",
+    "PathList",
     "NodePath",
     "FabricController",
     "ScheduledLinkEvent",

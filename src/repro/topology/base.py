@@ -114,10 +114,10 @@ class Topology:
         self.host_nic_factory: QueueFactory = host_nic_factory or host_queue_factory
         self.links: Dict[Tuple[str, str], LinkRecord] = {}
         self.host_count = 0
-        #: resolves symbolic node paths to routes against the live link state
-        self.route_table = RouteTable(self)
         #: bumped on changes that alter the surviving path set (fail/recover)
         self.route_version = 0
+        #: resolves symbolic node paths to routes against the live link state
+        self.route_table = RouteTable(self)
         #: bumped on *every* link-state change (rate/delay included)
         self.link_state_version = 0
         self._link_subscribers: List[Callable[[LinkStateEvent], None]] = []
@@ -308,15 +308,23 @@ class Topology:
         Returns node-name tuples ``(src_host_node, ..., dst_host_node)``;
         the ``path_id`` of the resolved route is the tuple's position in
         this list, so implementations must enumerate in a stable order.
+        Hosts are single-homed: every path of a pair leaves over the same
+        first link and arrives over the same last link, and the nodes in
+        between depend only on the two switches those links attach to —
+        the route table resolves that middle once and shares it among all
+        host pairs behind the same two switches.
         """
         raise NotImplementedError
 
-    def get_paths(self, src_host: int, dst_host: int) -> List[Route]:
+    def get_paths(self, src_host: int, dst_host: int) -> Sequence[Route]:
         """Every *surviving* path from *src_host* to *dst_host* as a route.
 
         Resolved through the :class:`~repro.topology.route_table.RouteTable`:
         paths crossing a failed link are pruned (path ids of the survivors
-        are unchanged), and the result may be empty under a partition.
+        are unchanged), and the result may be empty under a partition.  The
+        answer is an immutable, shared
+        :class:`~repro.topology.route_table.PathList` that assembles each
+        route the first time it is indexed or iterated.
         """
         return self.route_table.routes(src_host, dst_host)
 

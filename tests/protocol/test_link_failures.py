@@ -159,6 +159,11 @@ class TestPerFlowEcmpControl:
                 topology.fail_link_pair(src, dst)
             with pytest.raises(RuntimeError, match="partitioned by link failures"):
                 network.create_flow(0, 15, 90_000)
+        # the refused flow did not burn an id: the next one is consecutive
+        first = ndp.create_flow(0, 7, 90_000)
+        with pytest.raises(RuntimeError, match="partitioned by link failures"):
+            ndp.create_flow(0, 15, 90_000)
+        assert ndp.create_flow(1, 6, 90_000).flow_id == first.flow_id + 1 == 1
 
     def test_new_tcp_flows_rehash_over_surviving_paths(self):
         """ECMP groups recompute: flows created after the cut avoid it."""
