@@ -146,16 +146,15 @@ def run_incast(seed: int = 1) -> Pinned:
 def generic_flow_digest(network) -> str:
     """Transport-agnostic digest: flow records plus fabric loss counters.
 
-    Works for every ``*Network`` in the registry: receiver records always
-    exist; sender-side records are hashed when the flow handle exposes them
-    (MPTCP's subflow bundle does not).
+    Works for every network in the registry: the receiver record is always
+    hashed, the sender-side record when it is a record of its own (an MPTCP
+    connection keeps one record for both ends).
     """
     hasher = hashlib.sha256()
     for flow in network.flows:
         hasher.update(repr(_record_tuple(flow.record)).encode())
-        sender = getattr(flow, "sender_record", None)
-        if sender is not None:
-            hasher.update(repr(_record_tuple(sender)).encode())
+        if flow.sender_record is not flow.record:
+            hasher.update(repr(_record_tuple(flow.sender_record)).encode())
     hasher.update(
         f"trimmed={network.topology.total_trimmed()}:"
         f"dropped={network.topology.total_dropped()}".encode()

@@ -135,10 +135,6 @@ class PathManager:
         self.currently_excluded: List[int] = []
         self.update_routes(routes)
 
-    def set_routes(self, routes: Sequence[Route]) -> None:
-        """Replace the route set (keeps any existing per-path scores)."""
-        self.update_routes(routes)
-
     def update_routes(self, routes: Sequence[Route]) -> None:
         """Adopt a new route set after a link-state change (paper §5 behaviour).
 

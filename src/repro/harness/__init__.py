@@ -1,8 +1,9 @@
 """Experiment harness: network builders, workload runners, metrics, sweeps.
 
 The harness is the layer the examples and benchmarks use.  It turns a
-(topology, transport) pair into a *network* object with a uniform
-``create_flow`` interface, provides canonical workload runners (permutation,
+(topology, transport) pair into a :class:`Network` — one ``build``, one
+``create_flow``, one :class:`Flow` handle, shared by every transport —
+provides canonical workload runners (permutation,
 random, incast, short-flows-over-background, closed-loop workloads), and
 computes the metrics the paper reports (flow completion times, utilization,
 goodput time series, CDFs).
@@ -14,7 +15,8 @@ can be fanned across worker processes and are memoized in a persistent on-disk r
 (``$REPRO_CACHE_DIR``, default ``~/.cache/repro``; ``REPRO_NO_CACHE=1``
 disables).  See ``python -m repro.cli all --jobs 4``.
 
-Network builders (one per protocol, all exposing ``build`` + ``create_flow``):
+Networks (:class:`Network` subclasses supplying only their queue and
+endpoint hooks; see :mod:`repro.harness.network`):
 
 * :class:`NdpNetwork` — the paper's contribution (trimming switches).
 * :class:`TcpNetwork` / :class:`DctcpNetwork` / :class:`MptcpNetwork` /
@@ -32,12 +34,11 @@ from repro.harness.metrics import (
     summarize_fcts_us,
     utilization_from_records,
 )
-from repro.harness.ndp_network import NdpFlow, NdpNetwork
+from repro.harness.network import Flow, Network
+from repro.harness.ndp_network import NdpNetwork
 from repro.harness.baseline_networks import (
     DcqcnNetwork,
     DctcpNetwork,
-    EndpointFlow,
-    MptcpFlow,
     MptcpNetwork,
     PHostNetwork,
     TcpNetwork,
@@ -69,15 +70,14 @@ __all__ = [
     "ideal_transfer_time_ps",
     "summarize_fcts_us",
     "utilization_from_records",
+    "Network",
+    "Flow",
     "NdpNetwork",
-    "NdpFlow",
     "TcpNetwork",
     "DctcpNetwork",
     "MptcpNetwork",
     "DcqcnNetwork",
     "PHostNetwork",
-    "EndpointFlow",
-    "MptcpFlow",
     "experiment",
     "metrics",
 ]

@@ -1,13 +1,10 @@
-"""Network builders for the baseline transports.
+"""The baseline transports on the shared :class:`~repro.harness.network.Network` wiring.
 
-Each ``*Network`` class mirrors :class:`~repro.harness.ndp_network.NdpNetwork`:
-``build`` constructs a topology whose switch queues match the protocol's
-assumptions (drop-tail for TCP/MPTCP, ECN marking for DCTCP, lossless PFC
-for DCQCN, shallow drop-tail for pHost), and ``create_flow`` wires a
-connection between two hosts and returns a handle exposing the receiver-side
-:class:`~repro.sim.logger.FlowRecord`.  The workload runners in
-:mod:`repro.harness.experiment` only rely on this uniform interface, which is
-what lets every figure's benchmark sweep protocols with one code path.
+Each class states only what its protocol varies: the switch queues it
+assumes (drop-tail for TCP/MPTCP, ECN marking for DCTCP, lossless PFC for
+DCQCN, shallow drop-tail for pHost) and the endpoints of one transfer.
+``build`` and ``create_flow`` are the base class's, which is what lets every
+figure's benchmark sweep protocols with one code path.
 
 Queue sizing follows §6.1 of the paper: NDP runs 8-packet queues while, "to
 ensure good performance", DCTCP and MPTCP get 200-packet output queues and
@@ -17,14 +14,11 @@ packets respectively.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Type
+from typing import Optional
 
-from repro.routing.ecmp import EcmpFlowSelector
-from repro.sim.eventlist import EventList
-from repro.sim.logger import FlowRecord
-from repro.sim.queues import DropTailQueue, ECNQueue, LosslessQueue
+from repro.harness.network import Network
+from repro.routing.ecmp import ecmp_path
+from repro.sim.queues import ECNQueue, LosslessQueue
 from repro.topology.base import Topology
 from repro.transports.capabilities import CapabilityError, TransportCapabilities
 from repro.transports.dcqcn import DcqcnConfig, DcqcnSink, DcqcnSrc
@@ -34,292 +28,77 @@ from repro.transports.phost import PHostConfig, PHostSink, PHostSrc, PHostTokenP
 from repro.transports.tcp import TcpConfig, TcpSink, TcpSrc
 
 
-@dataclass
-class EndpointFlow:
-    """Handle for single-path (TCP-family, DCQCN, pHost) flows."""
-
-    flow_id: int
-    src: object
-    sink: object
-
-    @property
-    def record(self) -> FlowRecord:
-        """Receiver-side flow record."""
-        return self.sink.record
-
-    @property
-    def sender_record(self) -> FlowRecord:
-        """Sender-side flow record."""
-        return self.src.record
-
-    @property
-    def complete(self) -> bool:
-        """True once the receiver has the whole transfer."""
-        return self.record.finish_time_ps is not None
-
-
-@dataclass
-class MptcpFlow:
-    """Handle for MPTCP connections."""
-
-    flow_id: int
-    connection: MptcpConnection
-
-    @property
-    def record(self) -> FlowRecord:
-        """Receiver-side (connection-level) flow record."""
-        return self.connection.record
-
-    @property
-    def complete(self) -> bool:
-        """True once the receiver has the whole transfer."""
-        return self.connection.complete
-
-
-class _BaseNetwork:
-    """Shared machinery: flow-id allocation, ECMP path choice, bookkeeping.
-
-    Path choice consumes the topology's route table (``get_paths`` returns
-    only surviving paths) through one persistent
-    :class:`~repro.routing.ecmp.EcmpFlowSelector` per (src, dst) pair.  On a
-    link failure or recovery the selectors re-hash over the surviving set —
-    so *new* flows avoid dead paths the way real switches recompute their
-    ECMP groups — while flows already created keep the route they were
-    assigned: per-flow transports stay stuck on a failed path, which is the
-    control behaviour the paper's resilience experiments measure NDP
-    against.
-    """
-
-    def __init__(self, topology: Topology, seed: int = 1) -> None:
-        self.topology = topology
-        self.eventlist = topology.eventlist
-        self.rng = random.Random(seed)
-        self._next_flow_id = 0
-        self.flows: List[object] = []
-        self._selectors: Dict[Tuple[int, int], EcmpFlowSelector] = {}
-        topology.subscribe_link_state(self._on_link_state)
-
-    def _allocate_flow_id(self) -> int:
-        flow_id = self._next_flow_id
-        self._next_flow_id += 1
-        return flow_id
-
-    def _surviving_paths(self, src_host: int, dst_host: int):
-        """``get_paths`` with a clear error when link failures partition the pair."""
-        paths = self.topology.get_paths(src_host, dst_host)
-        if not paths:
-            raise RuntimeError(
-                f"no surviving path from host {src_host} to host {dst_host}: "
-                f"the pair is partitioned by link failures "
-                f"({len(self.topology.failed_links())} directed links down)"
-            )
-        return paths
-
-    def _ecmp_selector(self, src_host: int, dst_host: int) -> EcmpFlowSelector:
-        """The persistent per-pair ECMP group (created on first use)."""
-        key = (src_host, dst_host)
-        selector = self._selectors.get(key)
-        if selector is None:
-            selector = EcmpFlowSelector(self._surviving_paths(src_host, dst_host))
-            self._selectors[key] = selector
-        return selector
-
-    def _ecmp_pair(self, src_host: int, dst_host: int, flow_id: int):
-        """Pick matching forward/reverse paths via per-flow ECMP."""
-        fwd = self._ecmp_selector(src_host, dst_host).path_for_flow(flow_id)
-        reverse = self._surviving_paths(dst_host, src_host)
-        rev = next((p for p in reverse if p.path_id == fwd.path_id), reverse[0])
-        return fwd, rev
-
-    def _on_link_state(self, event) -> None:
-        """Re-hash every ECMP group over the surviving paths (fail/recover)."""
-        if event.kind not in ("fail", "recover"):
-            return
-        for (src_host, dst_host), selector in self._selectors.items():
-            paths = self.topology.get_paths(src_host, dst_host)
-            if paths:  # a fully partitioned pair keeps its stale group
-                selector.update_paths(paths)
-
-    def records(self) -> List[FlowRecord]:
-        """Receiver-side flow records of all flows created so far."""
-        return [flow.record for flow in self.flows]
-
-
-class TcpNetwork(_BaseNetwork):
+class TcpNetwork(Network):
     """TCP NewReno over drop-tail switches with per-flow ECMP."""
 
-    #: what this transport needs from the fabric (see the transport registry)
-    CAPABILITIES = TransportCapabilities()
-
+    CONFIG_CLS = TcpConfig
     #: output-queue depth, packets (the paper's 200-packet buffers)
     BUFFER_PACKETS = 200
+    #: the single-path endpoint classes :meth:`_endpoints` wires
+    SRC_CLS = TcpSrc
+    SINK_CLS = TcpSink
 
-    def __init__(self, topology: Topology, config: Optional[TcpConfig] = None, seed: int = 1):
-        super().__init__(topology, seed)
-        self.config = config if config is not None else TcpConfig()
+    def _endpoints(
+        self, flow_id, src_host, dst_host, size_bytes, forward, reverse, priority, on_complete
+    ):
+        """A single-path sender / sink pair; the *sink* fires *on_complete*.
 
-    @classmethod
-    def build(
-        cls,
-        eventlist: EventList,
-        topology_cls: Type[Topology],
-        config: Optional[TcpConfig] = None,
-        seed: int = 1,
-        buffer_packets: Optional[int] = None,
-        **topology_kwargs,
-    ) -> "TcpNetwork":
-        """Create a topology with drop-tail ports sized for TCP."""
-        config = config if config is not None else cls._default_config()
-        depth = buffer_packets if buffer_packets is not None else cls.BUFFER_PACKETS
-        buffer_bytes = depth * config.packet_bytes
-        # sub-serialization-time NIC jitter models OS/NIC timing variability;
-        # without it, synchronized window-based flows can phase-lock so that
-        # one of them loses every contended buffer slot (see BaseQueue).
-        nic_jitter = 300_000  # 300 ns
-
-        def queue_factory(evl, rate_bps, name):
-            return cls._make_switch_queue(evl, rate_bps, name, buffer_bytes, config)
-
-        def nic_factory(evl, rate_bps, name):
-            return DropTailQueue(
-                evl,
-                rate_bps,
-                1024 * config.packet_bytes,
-                name=name,
-                serialization_jitter_ps=nic_jitter,
-            )
-
-        topology = topology_cls(
-            eventlist,
-            queue_factory=queue_factory,
-            host_nic_factory=nic_factory,
-            **topology_kwargs,
-        )
-        network = cls(topology, config=config, seed=seed)
-        network._post_build()
-        return network
-
-    # hooks overridden by subclasses -------------------------------------------------
-
-    @classmethod
-    def _default_config(cls) -> TcpConfig:
-        return TcpConfig()
-
-    @classmethod
-    def _make_switch_queue(cls, eventlist, rate_bps, name, buffer_bytes, config):
-        return DropTailQueue(eventlist, rate_bps, buffer_bytes, name=name)
-
-    def _post_build(self) -> None:
-        """Topology-level fix-ups (PFC wiring for DCQCN)."""
-
-    def _make_endpoints(self, flow_id, src_host, dst_host, size_bytes, on_complete):
-        fwd, rev = self._ecmp_pair(src_host, dst_host, flow_id)
-        src = TcpSrc(
+        Per-flow ECMP: the flow id hashes over the surviving forward paths
+        and the ACKs return on the matching reverse path, so flows created
+        after a failure avoid the dead paths — the way real switches
+        recompute their ECMP groups — while a live flow never moves.
+        ``priority`` has no meaning here and is ignored.
+        """
+        fwd = ecmp_path(forward, flow_id)
+        rev = next((p for p in reverse if p.path_id == fwd.path_id), reverse[0])
+        src = self.SRC_CLS(
             eventlist=self.eventlist,
             flow_id=flow_id,
             node_id=src_host,
             dst_node_id=dst_host,
             flow_size_bytes=size_bytes,
-            route=fwd,
+            route=fwd,  # finalized below once the sink exists
             config=self.config,
         )
-        sink = TcpSink(
+        sink = self.SINK_CLS(
             eventlist=self.eventlist,
             flow_id=flow_id,
             node_id=dst_host,
             reverse_route=rev.extended(src),
             config=self.config,
             expected_bytes=size_bytes,
-            on_complete=(lambda _s: on_complete(_s)) if on_complete else None,
+            on_complete=on_complete,
         )
         src.route = fwd.extended(sink)
         return src, sink
-
-    # public API ----------------------------------------------------------------------
-
-    def create_flow(
-        self,
-        src_host: int,
-        dst_host: int,
-        size_bytes: int,
-        start_time_ps: int = 0,
-        priority: bool = False,
-        on_complete: Optional[Callable[[object], None]] = None,
-        **_ignored,
-    ) -> EndpointFlow:
-        """Create one transfer from *src_host* to *dst_host*."""
-        flow_id = self._allocate_flow_id()
-        src, sink = self._make_endpoints(flow_id, src_host, dst_host, size_bytes, on_complete)
-        src.start(start_time_ps)
-        # measure FCT from the moment the sender starts, as the paper does
-        sink.record.start_time_ps = start_time_ps
-        flow = EndpointFlow(flow_id=flow_id, src=src, sink=sink)
-        self.flows.append(flow)
-        return flow
 
 
 class DctcpNetwork(TcpNetwork):
     """DCTCP over ECN-marking switches."""
 
     CAPABILITIES = TransportCapabilities(uses_ecn=True)
-
+    CONFIG_CLS = DctcpConfig
+    SRC_CLS = DctcpSrc
+    SINK_CLS = DctcpSink
     #: marking threshold, packets (the paper uses 30 for DCTCP)
     MARKING_THRESHOLD_PACKETS = 30
 
     @classmethod
-    def _default_config(cls) -> DctcpConfig:
-        return DctcpConfig()
-
-    @classmethod
-    def _make_switch_queue(cls, eventlist, rate_bps, name, buffer_bytes, config):
+    def _switch_queue(cls, eventlist, rate_bps, name, config, depth, rng):
         threshold = cls.MARKING_THRESHOLD_PACKETS * config.packet_bytes
-        return ECNQueue(eventlist, rate_bps, buffer_bytes, threshold, name=name)
-
-    def _make_endpoints(self, flow_id, src_host, dst_host, size_bytes, on_complete):
-        fwd, rev = self._ecmp_pair(src_host, dst_host, flow_id)
-        src = DctcpSrc(
-            eventlist=self.eventlist,
-            flow_id=flow_id,
-            node_id=src_host,
-            dst_node_id=dst_host,
-            flow_size_bytes=size_bytes,
-            route=fwd,
-            config=self.config,
-        )
-        sink = DctcpSink(
-            eventlist=self.eventlist,
-            flow_id=flow_id,
-            node_id=dst_host,
-            reverse_route=rev.extended(src),
-            config=self.config,
-            expected_bytes=size_bytes,
-            on_complete=(lambda _s: on_complete(_s)) if on_complete else None,
-        )
-        src.route = fwd.extended(sink)
-        return src, sink
+        return ECNQueue(eventlist, rate_bps, depth * config.packet_bytes, threshold, name=name)
 
 
 class MptcpNetwork(TcpNetwork):
     """MPTCP (LIA) over drop-tail switches, one subflow per path."""
 
     CAPABILITIES = TransportCapabilities(multipath=True)
+    CONFIG_CLS = MptcpConfig
 
-    @classmethod
-    def _default_config(cls) -> MptcpConfig:
-        return MptcpConfig()
-
-    def create_flow(
-        self,
-        src_host: int,
-        dst_host: int,
-        size_bytes: int,
-        start_time_ps: int = 0,
-        priority: bool = False,
-        on_complete: Optional[Callable[[object], None]] = None,
-        **_ignored,
-    ) -> MptcpFlow:
-        """Create one MPTCP connection (one subflow per available path)."""
-        flow_id = self._allocate_flow_id()
+    def _endpoints(
+        self, flow_id, src_host, dst_host, size_bytes, forward, reverse, priority, on_complete
+    ):
+        """One connection, serving as both ends of the handle; it fires *on_complete*."""
         connection = MptcpConnection(
             eventlist=self.eventlist,
             flow_id=flow_id,
@@ -327,32 +106,23 @@ class MptcpNetwork(TcpNetwork):
             dst_node=dst_host,
             flow_size_bytes=size_bytes,
             config=self.config,
-            on_complete=(lambda _c: on_complete(_c)) if on_complete else None,
+            on_complete=on_complete,
         )
-        forward = self._surviving_paths(src_host, dst_host)
-        reverse = self._surviving_paths(dst_host, src_host)
-        connection.build(forward, reverse, rng=random.Random(self.rng.randrange(2**62)))
-        connection.start(start_time_ps)
-        connection.record.start_time_ps = start_time_ps
-        flow = MptcpFlow(flow_id=flow_id, connection=connection)
-        self.flows.append(flow)
-        return flow
+        connection.build(forward, reverse, rng=self._child_rng())
+        return connection, connection
 
 
 class DcqcnNetwork(TcpNetwork):
     """DCQCN over a lossless (PFC) fabric with ECN marking."""
 
     CAPABILITIES = TransportCapabilities(needs_lossless_fabric=True, uses_ecn=True)
-
+    CONFIG_CLS = DcqcnConfig
+    SRC_CLS = DcqcnSrc
+    SINK_CLS = DcqcnSink
     #: ECN marking threshold, packets (the paper uses 20 for DCQCN)
     MARKING_THRESHOLD_PACKETS = 20
 
     def __init__(self, topology: Topology, config: Optional[DcqcnConfig] = None, seed: int = 1):
-        self._validate_lossless_fabric(topology)
-        super().__init__(topology, config=config, seed=seed)
-
-    @staticmethod
-    def _validate_lossless_fabric(topology: Topology) -> None:
         """Refuse fabrics whose switch ports can drop (silent mis-simulation).
 
         DCQCN's congestion control assumes PFC guarantees zero loss; on a
@@ -369,121 +139,41 @@ class DcqcnNetwork(TcpNetwork):
                 f"build the network via DcqcnNetwork.build or the transport "
                 f"registry so the ports are PFC-capable"
             )
+        super().__init__(topology, config, seed)
 
     @classmethod
-    def _default_config(cls) -> DcqcnConfig:
-        return DcqcnConfig()
-
-    @classmethod
-    def _make_switch_queue(cls, eventlist, rate_bps, name, buffer_bytes, config):
-        threshold = cls.MARKING_THRESHOLD_PACKETS * config.packet_bytes
+    def _switch_queue(cls, eventlist, rate_bps, name, config, depth, rng):
         return LosslessQueue(
             eventlist,
             rate_bps,
-            buffer_bytes,
+            depth * config.packet_bytes,
             name=name,
-            marking_threshold_bytes=threshold,
+            marking_threshold_bytes=cls.MARKING_THRESHOLD_PACKETS * config.packet_bytes,
         )
 
     def _post_build(self) -> None:
         self.topology.wire_pfc()
 
-    def _make_endpoints(self, flow_id, src_host, dst_host, size_bytes, on_complete):
-        fwd, rev = self._ecmp_pair(src_host, dst_host, flow_id)
-        src = DcqcnSrc(
-            eventlist=self.eventlist,
-            flow_id=flow_id,
-            node_id=src_host,
-            dst_node_id=dst_host,
-            flow_size_bytes=size_bytes,
-            route=fwd,
-            config=self.config,
-        )
-        sink = DcqcnSink(
-            eventlist=self.eventlist,
-            flow_id=flow_id,
-            node_id=dst_host,
-            reverse_route=rev.extended(src),
-            config=self.config,
-            expected_bytes=size_bytes,
-            on_complete=(lambda _s: on_complete(_s)) if on_complete else None,
-        )
-        src.route = fwd.extended(sink)
-        return src, sink
 
-
-class PHostNetwork(_BaseNetwork):
+class PHostNetwork(Network):
     """pHost over shallow drop-tail switches with per-packet spraying."""
 
     CAPABILITIES = TransportCapabilities(per_packet_spraying=True, multipath=True)
-
+    CONFIG_CLS = PHostConfig
     #: pHost runs the same tiny buffers as NDP (8 packets)
     BUFFER_PACKETS = 8
+    NIC_PACKETS = 512
 
-    def __init__(self, topology: Topology, config: Optional[PHostConfig] = None, seed: int = 1):
-        super().__init__(topology, seed)
-        self.config = config if config is not None else PHostConfig()
-        self._pacers = {}
-
-    @classmethod
-    def build(
-        cls,
-        eventlist: EventList,
-        topology_cls: Type[Topology],
-        config: Optional[PHostConfig] = None,
-        seed: int = 1,
-        buffer_packets: Optional[int] = None,
-        **topology_kwargs,
-    ) -> "PHostNetwork":
-        """Create a topology with shallow drop-tail ports for pHost."""
-        config = config if config is not None else PHostConfig()
-        depth = buffer_packets if buffer_packets is not None else cls.BUFFER_PACKETS
-        buffer_bytes = depth * config.packet_bytes
-
-        def queue_factory(evl, rate_bps, name):
-            return DropTailQueue(evl, rate_bps, buffer_bytes, name=name)
-
-        def nic_factory(evl, rate_bps, name):
-            return DropTailQueue(
-                evl,
-                rate_bps,
-                512 * config.packet_bytes,
-                name=name,
-                serialization_jitter_ps=300_000,
-            )
-
-        topology = topology_cls(
-            eventlist,
-            queue_factory=queue_factory,
-            host_nic_factory=nic_factory,
-            **topology_kwargs,
+    def _make_pacer(self, host: int) -> PHostTokenPacer:
+        return PHostTokenPacer(
+            self.eventlist, self.topology.link_rate_bps, self.config.packet_bytes
         )
-        return cls(topology, config=config, seed=seed)
 
-    def pacer_for(self, host: int) -> PHostTokenPacer:
-        """The per-host token pacer, created on first use."""
-        pacer = self._pacers.get(host)
-        if pacer is None:
-            pacer = PHostTokenPacer(
-                self.eventlist, self.topology.link_rate_bps, self.config.packet_bytes
-            )
-            self._pacers[host] = pacer
-        return pacer
-
-    def create_flow(
-        self,
-        src_host: int,
-        dst_host: int,
-        size_bytes: int,
-        start_time_ps: int = 0,
-        priority: bool = False,
-        on_complete: Optional[Callable[[object], None]] = None,
-        **_ignored,
-    ) -> EndpointFlow:
-        """Create one pHost transfer."""
-        flow_id = self._allocate_flow_id()
-        forward = self._surviving_paths(src_host, dst_host)
-        reverse = self._surviving_paths(dst_host, src_host)
+    def _endpoints(
+        self, flow_id, src_host, dst_host, size_bytes, forward, reverse, priority, on_complete
+    ):
+        """A :class:`PHostSrc` / :class:`PHostSink` pair over the shared fabric
+        paths; the *sink* fires *on_complete*.  ``priority`` is ignored."""
         src = PHostSrc(
             eventlist=self.eventlist,
             flow_id=flow_id,
@@ -492,22 +182,18 @@ class PHostNetwork(_BaseNetwork):
             flow_size_bytes=size_bytes,
             routes=forward,
             config=self.config,
-            rng=random.Random(self.rng.randrange(2**62)),
+            rng=self._child_rng(),
         )
         sink = PHostSink(
             eventlist=self.eventlist,
             flow_id=flow_id,
             node_id=dst_host,
             pacer=self.pacer_for(dst_host),
-            reverse_routes=[route.extended(src) for route in reverse],
+            reverse_routes=reverse,
+            reverse_terminal=src,
             config=self.config,
-            rng=random.Random(self.rng.randrange(2**62)),
-            on_complete=(lambda _s: on_complete(_s)) if on_complete else None,
+            rng=self._child_rng(),
+            on_complete=on_complete,
         )
-        src.set_destination_routes([route.extended(sink) for route in forward])
         src.connect(sink)
-        src.start(start_time_ps)
-        sink.record.start_time_ps = start_time_ps
-        flow = EndpointFlow(flow_id=flow_id, src=src, sink=sink)
-        self.flows.append(flow)
-        return flow
+        return src, sink

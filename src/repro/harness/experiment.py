@@ -1,7 +1,7 @@
 """Canonical workload runners shared by examples, tests and benchmarks.
 
-Every function takes a *network* object (any of the ``*Network`` builders —
-NDP or a baseline) and drives it through one of the paper's workloads,
+Every function takes a :class:`~repro.harness.network.Network` (NDP or a
+baseline) and drives it through one of the paper's workloads,
 returning plain result structures that the per-figure benchmarks format into
 the paper's tables.
 
@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.harness import metrics
+from repro.harness.network import Flow
 from repro.sim import units
 from repro.sim.logger import FlowRecord
 from repro.workloads.traffic_matrices import incast_pairs, permutation_pairs, random_pairs
@@ -207,36 +208,28 @@ class LivenessReport:
         return self.completed_flows == self.total_flows
 
 
-def liveness_report(flows: Sequence[object]) -> LivenessReport:
+def liveness_report(flows: Sequence[Flow]) -> LivenessReport:
     """Summarize completion state and liveness counters for *flows*.
 
-    Works with any network's flow handles; the retry/keepalive counters and
-    retransmit-queue depth are read when the handle exposes them (NDP flows
-    do via ``sink.record`` / ``src.record`` / ``src.retransmit_queue_depth``).
+    Works with every transport's handles: the retry/keepalive counters are
+    plain :class:`FlowRecord` fields (zero where a protocol has no such
+    mechanism) and every sender reports its retransmit-queue depth.
     """
     report = LivenessReport(total_flows=len(flows))
     for flow in flows:
         if flow.complete:
             report.completed_flows += 1
         else:
-            report.incomplete_flow_ids.append(flow.record.flow_id)
-        src = getattr(flow, "src", None)
-        if src is None:
-            continue
-        depth = getattr(src, "retransmit_queue_depth", None)
-        if depth is not None and depth() > 0:
-            report.stuck_senders.append(flow.record.flow_id)
-        sender_record = getattr(src, "record", None)
-        if sender_record is not None:
-            report.keepalive_retransmits += getattr(sender_record, "keepalive_retransmits", 0)
-            report.rtx_from_timeout += getattr(sender_record, "rtx_from_timeout", 0)
-        sink = getattr(flow, "sink", None)
-        if sink is not None and getattr(sink, "record", None) is not None:
-            report.pull_retries += getattr(sink.record, "pull_retries", 0)
+            report.incomplete_flow_ids.append(flow.flow_id)
+        if flow.src.retransmit_queue_depth() > 0:
+            report.stuck_senders.append(flow.flow_id)
+        report.keepalive_retransmits += flow.sender_record.keepalive_retransmits
+        report.rtx_from_timeout += flow.sender_record.rtx_from_timeout
+        report.pull_retries += flow.record.pull_retries
     return report
 
 
-def assert_all_complete(flows: Sequence[object]) -> LivenessReport:
+def assert_all_complete(flows: Sequence[Flow]) -> LivenessReport:
     """Assert every flow completed and no sender is stuck; return the report.
 
     The conformance suite's central invariant: after an adversarial loss

@@ -58,13 +58,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.config import NdpConfig
 from repro.core.packets import NdpAck, NdpDataPacket, NdpNack, NdpPull
 from repro.core.switch import NdpSwitchQueue
-from repro.harness.ndp_network import NdpFlow, NdpNetwork
+from repro.harness.ndp_network import NdpNetwork
+from repro.harness.network import Flow
 from repro.harness.sketch import StreamingSlowdownBins
 from repro.harness.sweep import decode_result, encode_result
 from repro.sim.eventlist import EventList
 from repro.sim.packet import PacketPriority
 from repro.sim.pool import PacketPool
-from repro.sim.queues import DropTailQueue
 from repro.sim.shardlink import ShardEgressPipe, ShardIngressPipe, canonical_entry_key
 from repro.sim.units import microseconds, milliseconds
 from repro.topology.fattree import FatTreeTopology
@@ -143,31 +143,16 @@ def _queue_seed(seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _build_network(
-    eventlist: EventList,
-    topology_cls: type,
-    config: NdpConfig,
-    seed: int,
-    **topology_kwargs: Any,
-) -> NdpNetwork:
-    """`NdpNetwork.build` with per-queue trim RNGs (see :func:`_queue_seed`)."""
+class _ShardNdpNetwork(NdpNetwork):
+    """`NdpNetwork` with per-queue trim RNGs (see :func:`_queue_seed`) and
+    de-tied link delays (see :func:`_jitter_link_delays`)."""
 
-    def queue_factory(evl: EventList, rate_bps: int, name: str) -> NdpSwitchQueue:
-        rng = random.Random(_queue_seed(seed, name))
-        return NdpSwitchQueue(evl, rate_bps, config=config, rng=rng, name=name)
+    @classmethod
+    def _queue_rng(cls, seed: int) -> Callable[[str], random.Random]:
+        return lambda name: random.Random(_queue_seed(seed, name))
 
-    def nic_factory(evl: EventList, rate_bps: int, name: str) -> DropTailQueue:
-        capacity = max(512, 4 * config.initial_window_packets) * config.mtu_bytes
-        return DropTailQueue(evl, rate_bps, capacity, name=name)
-
-    topology = topology_cls(
-        eventlist,
-        queue_factory=queue_factory,
-        host_nic_factory=nic_factory,
-        **topology_kwargs,
-    )
-    _jitter_link_delays(topology)
-    return NdpNetwork(topology, config=config, seed=seed)
+    def _post_build(self) -> None:
+        _jitter_link_delays(self.topology)
 
 
 #: per-link delay jitter span: < 80 ns on 1 µs links, physically negligible
@@ -202,7 +187,7 @@ def _start_flow(
     dst_host: int,
     size_bytes: int,
     start_time_ps: int,
-) -> NdpFlow:
+) -> Flow:
     """Create one flow, arming the sender only if this shard owns it.
 
     Every worker calls this for every flow in the same order, so the seeded
@@ -232,7 +217,7 @@ def build_pairs(
     the window-barrier and digest-merge machinery (conformance).
     """
     config = NdpConfig()
-    network = _build_network(
+    network = _ShardNdpNetwork.build(
         eventlist, IndependentPairsTopology, config, seed, pairs=pairs
     )
     partition = partition_topology(network.topology, num_shards)
@@ -287,7 +272,7 @@ def build_fattree(
     config = NdpConfig()
     if header_queue_bytes is not None:
         config.header_queue_bytes = header_queue_bytes
-    network = _build_network(eventlist, FatTreeTopology, config, seed, k=k)
+    network = _ShardNdpNetwork.build(eventlist, FatTreeTopology, config, seed, k=k)
     partition = partition_topology(network.topology, num_shards)
     topology = network.topology
     flow_index = 0
@@ -454,7 +439,7 @@ class _ShardWorker:
             self._validate_bounce_lookahead()
         # a marshalled packet is revived onto its flow's route for its path
         # id: identical construction means the same elements in every worker
-        self.flows_by_id: Dict[int, NdpFlow] = {
+        self.flows_by_id: Dict[int, Flow] = {
             flow.flow_id: flow for flow in self.network.flows
         }
         owner = self.partition.owner_of_host

@@ -250,7 +250,7 @@ class FaultPoint(PacketSink):
     """A route element that applies a :class:`FaultInjector` before delivery.
 
     Installed as the final element of a route in place of the protocol
-    endpoint (see :meth:`repro.harness.ndp_network.NdpNetwork.create_flow`).
+    endpoint (see :meth:`repro.harness.ndp_network.NdpNetwork._endpoints`).
     Passed packets are handed to the real target in the same call — same
     simulated time, no scheduler entry — so untouched traffic is delivered
     exactly as it would be without the tap.

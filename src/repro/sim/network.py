@@ -88,6 +88,10 @@ class NetworkEndpoint(PacketSink):
         """
         self.eventlist.schedule_raw_in(delay_ps, self.receive_packet, (packet,))
 
+    def retransmit_queue_depth(self) -> int:
+        """Packets queued for retransmission (senders that keep a queue override)."""
+        return 0
+
     @abc.abstractmethod
     def receive_packet(self, packet: Packet) -> None:
         """Handle an arriving packet (protocol specific)."""

@@ -179,6 +179,10 @@ class MptcpConnection:
         """Sum of the subflows' congestion windows (diagnostics)."""
         return sum(s.cwnd for s in self.subflows)
 
+    def retransmit_queue_depth(self) -> int:
+        """Packets queued for retransmission across all subflows."""
+        return sum(s.retransmit_queue_depth() for s in self.subflows)
+
     def total_retransmissions(self) -> int:
         """Retransmissions across all subflows."""
         return sum(s.retransmissions for s in self.subflows)

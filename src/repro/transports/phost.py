@@ -31,7 +31,7 @@ from repro.core.path_manager import PathManager
 from repro.sim import units
 from repro.sim.eventlist import Event, EventList
 from repro.sim.logger import FlowRecord
-from repro.sim.network import NetworkEndpoint
+from repro.sim.network import NetworkEndpoint, PacketSink
 from repro.sim.packet import Packet, PacketPriority, Route
 
 
@@ -170,6 +170,7 @@ class PHostSink(NetworkEndpoint):
         node_id: int,
         pacer: PHostTokenPacer,
         reverse_routes: Sequence[Route],
+        reverse_terminal: Optional[PacketSink] = None,
         config: Optional[PHostConfig] = None,
         rng: Optional[random.Random] = None,
         on_complete: Optional[Callable[["PHostSink"], None]] = None,
@@ -181,7 +182,10 @@ class PHostSink(NetworkEndpoint):
         self.pacer = pacer
         self.on_complete = on_complete
         self.rng = rng if rng is not None else random.Random(flow_id)
-        self.reverse_paths = PathManager(reverse_routes, rng=self.rng, penalize=False)
+        # the fabric's shared path list, each path built to the source on first use
+        self.reverse_paths = PathManager(
+            reverse_routes, reverse_terminal, rng=self.rng, penalize=False
+        )
         self.record = FlowRecord(flow_id=flow_id, src=-1, dst=node_id, flow_size_bytes=0)
         self.src_node_id = -1
         self._expected_packets: Optional[int] = None
@@ -315,6 +319,7 @@ class PHostSrc(NetworkEndpoint):
         self.rng = rng if rng is not None else random.Random(flow_id)
         self.on_complete = on_complete
         # pHost sprays per packet at random (switch-style packet spraying)
+        # over the fabric's shared path list; connect() installs the terminal
         self.paths = PathManager(routes, rng=self.rng, penalize=False, mode="random")
         mss = self.config.mss_bytes
         self.total_packets = (flow_size_bytes + mss - 1) // mss
@@ -334,13 +339,10 @@ class PHostSrc(NetworkEndpoint):
         self.rts_retries = 0
 
     def connect(self, sink: PHostSink) -> None:
-        """Associate the sender with its sink."""
+        """Associate the sender with its sink: every forward route ends there."""
         self.sink = sink
+        self.paths.terminal = sink
         sink.expect(self.node_id, self.flow_size_bytes, self.total_packets)
-
-    def set_destination_routes(self, routes: Sequence[Route]) -> None:
-        """Install forward routes ending at the sink."""
-        self.paths.set_routes(routes)
 
     def start(self, at_time_ps: Optional[int] = None) -> None:
         """Schedule the free first-RTT burst."""

@@ -1,8 +1,8 @@
 """The transport registry: every protocol the harness can run, by name.
 
 This module is the single place where a protocol *name* is bound to the
-machinery that runs it — the ``*Network`` builder class, its
-:class:`~repro.transports.capabilities.TransportCapabilities`, and an
+machinery that runs it — the :class:`~repro.harness.network.Network`
+subclass, whose ``CAPABILITIES`` and ``CONFIG_CLS`` the spec reads, and an
 optional config factory for named variants (e.g. NDP with the path penalty
 disabled).  Everything above this layer — ``harness/figures.py`` plan
 builders, the sweep CLI, the examples, the perf benchmarks — resolves
@@ -43,6 +43,7 @@ from repro.harness.baseline_networks import (
     TcpNetwork,
 )
 from repro.harness.ndp_network import NdpNetwork
+from repro.harness.network import Network
 from repro.transports.capabilities import (
     CapabilityError,
     FamilyTraits,
@@ -102,25 +103,29 @@ class IncompatibleTransportError(ValueError):
 
 @dataclass(frozen=True)
 class TransportSpec:
-    """One registered transport: name, builder, capabilities, default config."""
+    """One registered transport: name, network class, variant config."""
 
     #: short id used on the command line (``ndp``, ``dcqcn``, ...)
     name: str
     #: canonical display name used in plan labels and result tables
     display: str
-    #: ``*Network`` class with the uniform ``build`` / ``create_flow`` API
-    network_cls: type
-    capabilities: TransportCapabilities
+    #: the :class:`~repro.harness.network.Network` subclass that runs it
+    network_cls: Type[Network]
     #: builds the default config for named variants; ``None`` means the
-    #: network class's own default config
+    #: network class's own ``CONFIG_CLS()``
     config_factory: Optional[Callable[[], object]] = None
     #: short id of the primary transport this is a variant of, if any
     variant_of: Optional[str] = None
     description: str = ""
 
-    def default_config(self) -> Optional[object]:
+    @property
+    def capabilities(self) -> TransportCapabilities:
+        """What the transport needs from the fabric, as its class declares."""
+        return self.network_cls.CAPABILITIES
+
+    def default_config(self) -> object:
         """The config this spec runs with when the caller passes none."""
-        return self.config_factory() if self.config_factory is not None else None
+        return (self.config_factory or self.network_cls.CONFIG_CLS)()
 
     def incompatibility(self, traits: FamilyTraits) -> Optional[str]:
         """Why this transport cannot run under *traits*, or ``None`` if it can."""
@@ -132,20 +137,12 @@ class TransportSpec:
             )
         return None
 
-    def build(
-        self,
-        eventlist,
-        topology_cls,
-        config: Optional[object] = None,
-        seed: int = 1,
-        **topology_kwargs,
-    ):
-        """Build topology + network, applying the spec's default config."""
+    def build(self, eventlist, topology_cls, config: Optional[object] = None, **build_kwargs):
+        """``network_cls.build`` with the spec's default config (``seed=``,
+        ``buffer_packets=`` and the topology's keywords pass through)."""
         if config is None:
             config = self.default_config()
-        return self.network_cls.build(
-            eventlist, topology_cls, config=config, seed=seed, **topology_kwargs
-        )
+        return self.network_cls.build(eventlist, topology_cls, config=config, **build_kwargs)
 
 
 _REGISTRY: Dict[str, TransportSpec] = {}  # lookup key (lowercased) -> spec
@@ -191,18 +188,9 @@ def normalize(protocols: Iterable[str]) -> List[str]:
     return [resolve(name).display for name in protocols]
 
 
-def build_network(
-    name: str,
-    eventlist,
-    topology_cls,
-    config: Optional[object] = None,
-    seed: int = 1,
-    **topology_kwargs,
-):
-    """Resolve *name* and build its network over *topology_cls*."""
-    return resolve(name).build(
-        eventlist, topology_cls, config=config, seed=seed, **topology_kwargs
-    )
+def build_network(name: str, eventlist, topology_cls, **build_kwargs):
+    """Resolve *name* and build its network over *topology_cls* (:meth:`TransportSpec.build`)."""
+    return resolve(name).build(eventlist, topology_cls, **build_kwargs)
 
 
 def specs(include_variants: bool = False) -> List[TransportSpec]:
@@ -268,49 +256,42 @@ def _register_builtins() -> None:
         name="ndp",
         display=NDP,
         network_cls=NdpNetwork,
-        capabilities=NdpNetwork.CAPABILITIES,
         description="NDP: packet trimming, per-packet spraying, pull pacing (§3).",
     ))
     register(TransportSpec(
         name="tcp",
         display=TCP,
         network_cls=TcpNetwork,
-        capabilities=TcpNetwork.CAPABILITIES,
         description="TCP NewReno over drop-tail switches, per-flow ECMP.",
     ))
     register(TransportSpec(
         name="dctcp",
         display=DCTCP,
         network_cls=DctcpNetwork,
-        capabilities=DctcpNetwork.CAPABILITIES,
         description="DCTCP over ECN-marking switches (30-packet threshold).",
     ))
     register(TransportSpec(
         name="mptcp",
         display=MPTCP,
         network_cls=MptcpNetwork,
-        capabilities=MptcpNetwork.CAPABILITIES,
         description="MPTCP (LIA), one subflow per ECMP path.",
     ))
     register(TransportSpec(
         name="dcqcn",
         display=DCQCN,
         network_cls=DcqcnNetwork,
-        capabilities=DcqcnNetwork.CAPABILITIES,
         description="DCQCN over a lossless PFC fabric with ECN marking.",
     ))
     register(TransportSpec(
         name="phost",
         display=PHOST,
         network_cls=PHostNetwork,
-        capabilities=PHostNetwork.CAPABILITIES,
         description="pHost: receiver-driven tokens over shallow buffers.",
     ))
     register(TransportSpec(
         name="ndp_nopenalty",
         display=NDP_NO_PATH_PENALTY,
         network_cls=NdpNetwork,
-        capabilities=NdpNetwork.CAPABILITIES,
         config_factory=lambda: NdpConfig(path_penalty=False),
         variant_of="ndp",
         description="NDP with the trimming path penalty disabled (Figure 22).",

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.config import NdpConfig
 from repro.harness import NdpNetwork, metrics
-from repro.harness.ndp_network import NdpFlow
 from repro.sim import units
 from repro.sim.eventlist import EventList
 from repro.topology import (

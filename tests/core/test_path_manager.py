@@ -202,18 +202,18 @@ class TestScoreboard:
         assert 1 not in used
 
 
-class TestSetRoutes:
-    def test_set_routes_preserves_scores(self):
+class TestUpdateRoutes:
+    def test_update_routes_preserves_scores(self):
         manager = PathManager(make_routes(2), rng=random.Random(15))
         manager.record_ack(0)
-        manager.set_routes(make_routes(3))
+        manager.update_routes(make_routes(3))
         assert manager.scores[0].acks == 1
         assert manager.path_count() == 3
 
-    def test_set_routes_rejects_empty(self):
+    def test_update_routes_rejects_empty(self):
         manager = PathManager(make_routes(2), rng=random.Random(16))
         with pytest.raises(ValueError):
-            manager.set_routes([])
+            manager.update_routes([])
 
 
 class TestPathScore:

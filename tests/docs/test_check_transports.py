@@ -1,8 +1,9 @@
-"""Protocol-literal conformance: names live in the registry, nowhere else.
+"""Transport conformance: names live in the registry, wiring in ``Network``.
 
 Thin pytest wrapper around ``tools/check_transports.py`` (which CI also
 runs directly) so a stray ``"DCQCN"`` literal outside the transport
-registry fails the tier-1 suite, mirroring ``test_docs.py``.
+registry, or a network class that re-forks ``create_flow`` / ``build``,
+fails the tier-1 suite, mirroring ``test_docs.py``.
 """
 
 from __future__ import annotations
@@ -42,3 +43,28 @@ def test_lint_flags_a_literal_and_honours_the_pragma(tmp_path):
     problems = check_transports.check_file(str(offender), {"dcqcn"})
     assert len(problems) == 1
     assert "DCQCN" in problems[0]
+
+
+def test_lint_flags_a_network_class_that_reforks_the_shared_wiring():
+    from repro.harness.baseline_networks import TcpNetwork
+    from repro.transports import registry
+
+    assert check_transports.check_network_classes(registry.specs(include_variants=True)) == []
+
+    class Forked(TcpNetwork):
+        def create_flow(self, *args, **kwargs):
+            return super().create_flow(*args, **kwargs)
+
+    class Grandchild(Forked):
+        @classmethod
+        def build(cls, *args, **kwargs):
+            return super().build(*args, **kwargs)
+
+    def spec(cls):
+        return registry.TransportSpec(name="forked", display="Forked", network_cls=cls)
+
+    assert len(check_transports.check_network_classes([spec(Forked)])) == 1
+    problems = check_transports.check_network_classes([spec(Grandchild), spec(object)])
+    assert len(problems) == 3
+    assert "Forked.create_flow" in problems[0] and "Grandchild.build" in problems[1]
+    assert "not a Network subclass" in problems[2]

@@ -15,7 +15,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import NdpConfig
 from repro.harness.experiment import start_incast
-from repro.harness.ndp_network import NdpFlow, NdpNetwork
+from repro.harness.ndp_network import NdpNetwork
+from repro.harness.network import Flow
 from repro.sim.eventlist import EventList
 from repro.sim.faults import FaultInjector
 from repro.topology.simple import SingleSwitchTopology
@@ -31,7 +32,7 @@ def build_incast(
     injector: Optional[FaultInjector] = None,
     seed: int = 1,
     priority_sender: Optional[int] = None,
-) -> Tuple[EventList, NdpNetwork, List[NdpFlow]]:
+) -> Tuple[EventList, NdpNetwork, List[Flow]]:
     """A seeded single-switch incast: hosts 1..senders each send to host 0.
 
     Small enough to run in milliseconds, contended enough that the first-RTT
@@ -104,7 +105,7 @@ def assert_no_leaks(network: NdpNetwork) -> None:
             assert not timer.armed, f"flow {flow.flow_id} RTO for seqno {seqno} armed"
 
 
-def record_tuples(flows: Sequence[NdpFlow]) -> List[tuple]:
+def record_tuples(flows: Sequence[Flow]) -> List[tuple]:
     """Both endpoints' flow records as comparable tuples (digest material)."""
     out = []
     for flow in flows:

@@ -220,11 +220,16 @@ class TestRecovery:
         network = TcpNetwork.build(eventlist, FatTreeTopology, seed=1, k=4)
         topology = network.topology
         pair = topology.core_agg_pair(core=0, pod=3)
+
+        def hashed_paths():
+            # flow ids keep counting, so 64 new flows spread over the whole group
+            return {network.create_flow(0, 12, 90_000).src.route.path_id for _ in range(64)}
+
+        assert hashed_paths() == {0, 1, 2, 3}
         topology.fail_link_pair(*pair)
-        selector = network._ecmp_selector(0, 12)
-        assert {p.path_id for p in selector.paths} == {1, 2, 3}
+        assert hashed_paths() == {1, 2, 3}
         topology.recover_link_pair(*pair)
-        assert {p.path_id for p in selector.paths} == {0, 1, 2, 3}
+        assert hashed_paths() == {0, 1, 2, 3}
 
     def test_flapping_link_converges(self):
         """Two full fail/recover cycles mid-transfer still deliver everything."""

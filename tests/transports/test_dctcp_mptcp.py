@@ -101,8 +101,8 @@ class TestMptcpBehaviour:
             eventlist, FatTreeTopology, k=4, config=MptcpConfig(subflows=4)
         )
         flow = network.create_flow(0, 15, 1_000_000)
-        assert len(flow.connection.subflows) == 4
-        used_paths = {s.route.path_id for s in flow.connection.subflows}
+        assert len(flow.src.subflows) == 4
+        used_paths = {s.route.path_id for s in flow.src.subflows}
         assert used_paths == {0, 1, 2, 3}
 
     def test_transfer_completes_and_uses_multiple_paths(self):
@@ -111,7 +111,7 @@ class TestMptcpBehaviour:
         flow = network.create_flow(0, 15, 10_000_000)
         eventlist.run(until=units.milliseconds(60))
         assert flow.complete
-        per_subflow_sent = [s.packets_sent for s in flow.connection.subflows]
+        per_subflow_sent = [s.packets_sent for s in flow.src.subflows]
         assert sum(1 for count in per_subflow_sent if count > 0) >= 2
 
     def test_aggregate_goodput_beats_single_path_tcp_under_collisions(self):

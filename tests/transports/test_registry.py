@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import NdpConfig
 from repro.harness import figures
 from repro.harness.baseline_networks import DcqcnNetwork
 from repro.sim import units
@@ -49,8 +50,8 @@ class TestRegistryContents:
         spec = registry.resolve("ndp_nopenalty")
         assert spec.variant_of == "ndp"
         assert spec.default_config().path_penalty is False
-        # primaries have no factory: builders apply their own default config
-        assert registry.resolve("ndp").default_config() is None
+        # primaries have no factory: the network class's own default config
+        assert registry.resolve("ndp").default_config() == NdpConfig()
 
 
 class TestLookup:

@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Lint: protocol-name string literals belong in the transport registry.
+"""Two lints that keep each transport mechanism in its one home.
+
+**Protocol-name string literals belong in the transport registry.**
 
 The whole point of :mod:`repro.transports.registry` is that protocol names
 are bound to their machinery in exactly one place.  A stray ``"DCQCN"``
@@ -19,9 +21,16 @@ Sanctioned exceptions:
   places where a name collides with something that is not a protocol
   reference (e.g. the ``phost`` *experiment family* key).
 
+**Every registered network class inherits the shared wiring unchanged.**
+``Network.create_flow`` and ``Network.build`` (``repro.harness.network``)
+are written once so that every transport is wired the same way; a class
+that overrides either has re-forked them.  :func:`check_network_classes`
+flags it — a transport varies through the ``_endpoints`` / ``_switch_queue``
+/ ``_nic_queue`` / ``_post_build`` hooks instead.
+
 Run from anywhere: ``python tools/check_transports.py``.  Exits non-zero
-and prints one ``path:line: literal`` per problem; wired into the test
-suite next to ``check_docs.py`` via ``tests/docs/test_check_transports.py``.
+and prints one line per problem; wired into the test suite and CI next to
+``check_docs.py`` via ``tests/docs/test_check_transports.py``.
 """
 
 from __future__ import annotations
@@ -91,6 +100,26 @@ def check_file(path: str, literals: set) -> List[str]:
     return problems
 
 
+def check_network_classes(specs) -> List[str]:
+    """Every spec's class must be a ``Network`` with the one build / create_flow."""
+    from repro.harness.network import Network
+
+    problems = []
+    for spec in specs:
+        cls = spec.network_cls
+        if not (isinstance(cls, type) and issubclass(cls, Network)):
+            problems.append(f"transport {spec.name!r}: {cls!r} is not a Network subclass")
+            continue
+        for method in ("create_flow", "build"):
+            owner = next(base for base in cls.__mro__ if method in vars(base))
+            if owner is not Network:
+                problems.append(
+                    f"transport {spec.name!r}: {owner.__name__}.{method} overrides "
+                    f"Network.{method} — vary the per-transport hooks instead"
+                )
+    return problems
+
+
 def main() -> int:
     sys.path.insert(0, os.path.join(ROOT, "src"))
     try:
@@ -99,17 +128,19 @@ def main() -> int:
         print(f"could not import the transport registry: {error}", file=sys.stderr)
         return 1
     literals = set(registry.protocol_literals())
-    problems = []
+    specs = registry.specs(include_variants=True)
+    problems = check_network_classes(specs)
     for path in python_files():
         problems.extend(check_file(path, literals))
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
-        print(f"{len(problems)} protocol-literal problem(s)", file=sys.stderr)
+        print(f"{len(problems)} transport problem(s)", file=sys.stderr)
         return 1
     print(
         f"transports OK: {len(python_files())} python files checked against "
-        f"{len(literals)} registered names"
+        f"{len(literals)} registered names; {len(specs)} registered transports "
+        f"share one create_flow and one build"
     )
     return 0
 
