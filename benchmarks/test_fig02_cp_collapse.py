@@ -5,10 +5,9 @@ from repro.harness import figures
 from repro.sim import units
 
 
-def test_figure2_cp_collapse(benchmark, sim_cache):
+def test_figure2_cp_collapse(benchmark):
     rows = run_cached(
         benchmark,
-        sim_cache,
         figures.run,
         "fig2",
         flow_counts=(4, 16, 64),

@@ -5,10 +5,9 @@ from repro.harness import figures, metrics
 from repro.sim import units
 
 
-def test_figure4_latency_cdf(benchmark, sim_cache):
+def test_figure4_latency_cdf(benchmark):
     samples = run_cached(
         benchmark,
-        sim_cache,
         figures.run,
         "fig4",
         k=4,

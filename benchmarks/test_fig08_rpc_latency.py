@@ -4,8 +4,8 @@ from benchmarks.conftest import print_table, run_cached
 from repro.harness import figures
 
 
-def test_figure8_rpc_latency(benchmark, sim_cache):
-    summary = run_cached(benchmark, sim_cache, figures.run, "fig8", samples=1000)
+def test_figure8_rpc_latency(benchmark):
+    summary = run_cached(benchmark, figures.run, "fig8", samples=1000)
     rows = [{"stack": name, **stats} for name, stats in summary.items()]
     print_table("Figure 8: 1 KB RPC latency (microseconds)", rows)
 

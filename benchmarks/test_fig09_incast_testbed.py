@@ -4,10 +4,9 @@ from benchmarks.conftest import print_table, run_cached
 from repro.harness import figures
 
 
-def test_figure9_testbed_incast(benchmark, sim_cache):
+def test_figure9_testbed_incast(benchmark):
     rows = run_cached(
         benchmark,
-        sim_cache,
         figures.run,
         "fig9",
         response_sizes=(10_000, 50_000, 100_000, 250_000, 500_000, 1_000_000),

@@ -4,8 +4,8 @@ from benchmarks.conftest import print_mapping, run_cached
 from repro.harness import figures
 
 
-def test_figure10_prioritization(benchmark, sim_cache):
-    result = run_cached(benchmark, sim_cache, figures.run, "fig10")
+def test_figure10_prioritization(benchmark):
+    result = run_cached(benchmark, figures.run, "fig10")
     print_mapping("Figure 10: 200 KB flow completion time (microseconds)", result)
 
     benchmark.extra_info.update(result)

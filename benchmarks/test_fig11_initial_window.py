@@ -19,8 +19,8 @@ def _both(windows):
     return rows
 
 
-def test_figure11_initial_window(benchmark, sim_cache):
-    rows = run_cached(benchmark, sim_cache, _both, windows=(1, 2, 4, 8, 16, 32, 64))
+def test_figure11_initial_window(benchmark):
+    rows = run_cached(benchmark, _both, windows=(1, 2, 4, 8, 16, 32, 64))
     print_table("Figure 11: back-to-back throughput vs initial window", rows)
 
     benchmark.extra_info["iw1_gbps"] = rows[0]["perfect_gbps"]

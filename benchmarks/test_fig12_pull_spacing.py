@@ -4,8 +4,8 @@ from benchmarks.conftest import print_table, run_cached
 from repro.harness import figures
 
 
-def test_figure12_pull_spacing(benchmark, sim_cache):
-    result = run_cached(benchmark, sim_cache, figures.run, "fig12", samples=20_000)
+def test_figure12_pull_spacing(benchmark):
+    result = run_cached(benchmark, figures.run, "fig12", samples=20_000)
     rows = [{"packet_bytes": size, **stats} for size, stats in result.items()]
     print_table("Figure 12: pull spacing (microseconds)", rows)
 

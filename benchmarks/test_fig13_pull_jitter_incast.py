@@ -4,10 +4,9 @@ from benchmarks.conftest import print_table, run_cached
 from repro.harness import figures
 
 
-def test_figure13_pull_jitter_incast(benchmark, sim_cache):
+def test_figure13_pull_jitter_incast(benchmark):
     rows = run_cached(
         benchmark,
-        sim_cache,
         figures.run,
         "fig13",
         flow_sizes=(15_000, 30_000, 60_000, 90_000, 120_000),

@@ -5,10 +5,9 @@ from repro.harness import figures
 from repro.sim import units
 
 
-def test_figure14_permutation_throughput(benchmark, sim_cache):
+def test_figure14_permutation_throughput(benchmark):
     results = run_cached(
         benchmark,
-        sim_cache,
         figures.run,
         "fig14",
         k=4,

@@ -4,10 +4,9 @@ from benchmarks.conftest import print_table, run_cached
 from repro.harness import figures, metrics
 
 
-def test_figure15_short_flow_fct(benchmark, sim_cache):
+def test_figure15_short_flow_fct(benchmark):
     results = run_cached(
         benchmark,
-        sim_cache,
         figures.run,
         "fig15",
         short_flows=8,

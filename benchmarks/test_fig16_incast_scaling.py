@@ -4,10 +4,9 @@ from benchmarks.conftest import print_table, run_cached
 from repro.harness import figures
 
 
-def test_figure16_incast_scaling(benchmark, sim_cache):
+def test_figure16_incast_scaling(benchmark):
     rows = run_cached(
         benchmark,
-        sim_cache,
         figures.run,
         "fig16",
         sender_counts=(4, 8, 16, 32),

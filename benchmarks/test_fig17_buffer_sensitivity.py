@@ -4,10 +4,9 @@ from benchmarks.conftest import print_table, run_cached
 from repro.harness import figures
 
 
-def test_figure17_buffer_sensitivity(benchmark, sim_cache):
+def test_figure17_buffer_sensitivity(benchmark):
     rows = run_cached(
         benchmark,
-        sim_cache,
         figures.run,
         "fig17",
         windows=(5, 10, 15, 20, 30),

@@ -15,10 +15,9 @@ def _mean_rate(series, start, end):
     return sum(values) / len(values) if values else 0.0
 
 
-def test_figure19_collateral_damage(benchmark, sim_cache):
+def test_figure19_collateral_damage(benchmark):
     results = run_cached(
         benchmark,
-        sim_cache,
         figures.run,
         "fig19",
         protocols=("NDP", "DCTCP", "DCQCN"),

@@ -4,10 +4,9 @@ from benchmarks.conftest import print_table, run_cached
 from repro.harness import figures
 
 
-def test_figure20_large_incast(benchmark, sim_cache):
+def test_figure20_large_incast(benchmark):
     rows = run_cached(
         benchmark,
-        sim_cache,
         figures.run,
         "fig20",
         sender_counts=(2, 8, 32, 128, 256),

@@ -4,8 +4,8 @@ from benchmarks.conftest import print_mapping, run_cached
 from repro.harness import figures
 
 
-def test_figure21_sender_limited(benchmark, sim_cache):
-    result = run_cached(benchmark, sim_cache, figures.run, "fig21")
+def test_figure21_sender_limited(benchmark):
+    result = run_cached(benchmark, figures.run, "fig21")
     print_mapping("Figure 21: achieved throughput (Gb/s)", result)
 
     benchmark.extra_info["total_from_A"] = result["total_from_A"]

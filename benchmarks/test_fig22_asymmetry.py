@@ -5,10 +5,9 @@ from repro.harness import figures
 from repro.sim import units
 
 
-def test_figure22_asymmetry(benchmark, sim_cache):
+def test_figure22_asymmetry(benchmark):
     results = run_cached(
         benchmark,
-        sim_cache,
         figures.run,
         "fig22",
         k=4,

@@ -5,10 +5,9 @@ from repro.harness import figures
 from repro.sim import units
 
 
-def test_figure23_oversubscribed_web(benchmark, sim_cache):
+def test_figure23_oversubscribed_web(benchmark):
     rows = run_cached(
         benchmark,
-        sim_cache,
         figures.run,
         "fig23",
         k=4,

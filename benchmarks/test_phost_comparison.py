@@ -4,10 +4,9 @@ from benchmarks.conftest import print_mapping, run_cached
 from repro.harness import figures
 
 
-def test_phost_comparison(benchmark, sim_cache):
+def test_phost_comparison(benchmark):
     result = run_cached(
         benchmark,
-        sim_cache,
         figures.run,
         "phost",
         incast_senders=24,

@@ -4,8 +4,8 @@ from benchmarks.conftest import print_table, run_cached
 from repro.harness import figures
 
 
-def test_scaling_utilization(benchmark, sim_cache):
-    rows = run_cached(benchmark, sim_cache, figures.run, "scaling", ks=(4, 6, 8))
+def test_scaling_utilization(benchmark):
+    rows = run_cached(benchmark, figures.run, "scaling", ks=(4, 6, 8))
     print_table("Permutation utilization vs FatTree size (8-packet buffers)", rows)
 
     benchmark.extra_info["util_k4"] = rows[0]["utilization_percent"]

@@ -4,8 +4,8 @@ from benchmarks.conftest import print_table, run_cached
 from repro.harness import figures
 
 
-def test_uplink_trimming(benchmark, sim_cache):
-    results = run_cached(benchmark, sim_cache, figures.run, "uplinks", k=4)
+def test_uplink_trimming(benchmark):
+    results = run_cached(benchmark, figures.run, "uplinks", k=4)
     rows = [
         {"path_selection": mode, **stats} for mode, stats in results.items()
     ]

@@ -11,8 +11,17 @@ repro.cli render``.  For every requested figure it writes
   table inline plus a Vega-Embed block per chart (charts render when the
   CDN is reachable; the tables always render).
 
+What ``render`` knows is not registered by hand: a family declared with a
+``chart`` in :data:`repro.harness.figures.FAMILIES` *is* a figure, under the
+family's own name (so ``repro.cli fig16`` and ``repro.cli render fig16``
+always talk about the same experiment), drawn from that
+:class:`~repro.harness.figures.Family`'s ``chart`` / ``tabulate`` / ``plan``
+(:func:`registered_figures`).  Their names must be documented in
+``docs/experiments.md`` ("From runs to figures") — enforced by
+``tools/check_docs.py`` via ``tests/docs``.
+
 Simulation-backed figures execute through one
-:func:`repro.harness.sweep.run_specs` batch, so a render shares the
+:func:`repro.harness.sweep.run_plans` batch, so a render shares the
 persistent result cache with the plain CLI and benchmarks and fans across
 ``--jobs N`` workers; every byte written is identical across cold, cached
 and parallel renders (golden-locked by ``tests/analysis/test_golden.py``).
@@ -32,11 +41,16 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.canonical import canonical_cell, canonical_json, flatten_row, rows_to_csv
-from repro.analysis.registry import RegisteredFigure, UnknownFigureError, registered_figures
 from repro.harness import sweep
-from repro.harness.figures import ArtifactMeta
+from repro.harness.figures import FAMILIES, ArtifactMeta, Family
 
-__all__ = ["RenderReport", "render_figures", "vega_lite_spec"]
+__all__ = [
+    "RenderReport",
+    "UnknownFigureError",
+    "registered_figures",
+    "render_figures",
+    "vega_lite_spec",
+]
 
 #: rows shown inline per figure in the HTML index (full data is in the CSV)
 _INDEX_MAX_ROWS = 40
@@ -46,6 +60,24 @@ _VEGA_CDN = (
     '<script src="https://cdn.jsdelivr.net/npm/vega-lite@5"></script>\n'
     '<script src="https://cdn.jsdelivr.net/npm/vega-embed@6"></script>\n'
 )
+
+
+class UnknownFigureError(ValueError):
+    """Asked to render a name that is not a charted family."""
+
+    def __init__(self, name: str) -> None:
+        super().__init__(
+            f"unknown figure {name!r} (registered: {', '.join(registered_figures())})"
+        )
+
+
+def registered_figures() -> Dict[str, Family]:
+    """Figure name -> its family, in the order ``render`` with no arguments
+    draws them: every family declared with a ``chart``, in catalogue order."""
+    return {
+        name: declared for name, declared in FAMILIES.items()
+        if declared.chart is not None
+    }
 
 
 @dataclass
@@ -78,32 +110,25 @@ def render_figures(
     executed in one batch — figures interleave across the worker pool
     exactly like a multi-figure CLI run.  *progress*, called with the
     batch's spec count, returns the per-result callback handed to
-    :func:`~repro.harness.sweep.run_specs`.
+    :func:`~repro.harness.sweep.run_plans`.
     """
     figures = [_resolve(name) for name in dict.fromkeys(names)]
-    plans = {figure.name: figure.plan() for figure in figures}
-    all_specs: List[sweep.RunSpec] = []
-    for plan in plans.values():
-        all_specs.extend(plan.specs)
-    spec_results = sweep.run_specs(
-        all_specs, jobs=jobs, cache=cache,
-        on_result=progress(len(all_specs)) if progress is not None else None,
+    plans = [figure.plan() for figure in figures]
+    runs = sum(len(plan.specs) for plan in plans)
+    results = sweep.run_plans(
+        plans, jobs=jobs, cache=cache,
+        on_result=progress(runs) if progress is not None else None,
     )
 
     os.makedirs(out_dir, exist_ok=True)
-    report = RenderReport(out_dir=out_dir, runs=len(all_specs))
+    report = RenderReport(out_dir=out_dir, runs=runs)
     tables: Dict[str, List[Mapping[str, Any]]] = {}
-    offset = 0
-    for figure in figures:
-        plan = plans[figure.name]
-        rows = figure.tabulate(
-            plan.assemble(spec_results[offset:offset + len(plan.specs)])
-        )
-        offset += len(plan.specs)
+    for figure, result in zip(figures, results):
+        rows = figure.tabulate(result)
         tables[figure.name] = rows
         csv_name = f"{figure.name}.csv"
         _write_text(os.path.join(out_dir, csv_name), rows_to_csv(rows))
-        spec = vega_lite_spec(figure.meta, csv_name)
+        spec = vega_lite_spec(figure.chart, csv_name)
         _write_text(os.path.join(out_dir, f"{figure.name}.vl.json"),
                     canonical_json(spec, indent=2) + "\n")
         report.figures.append(figure.name)
@@ -120,7 +145,7 @@ def render_figures(
     return report
 
 
-def _resolve(name: str) -> RegisteredFigure:
+def _resolve(name: str) -> Family:
     try:
         return registered_figures()[name]
     except KeyError:
@@ -157,7 +182,7 @@ def vega_lite_spec(meta: ArtifactMeta, csv_url: str) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 def _index_html(
-    figures: Sequence[RegisteredFigure],
+    figures: Sequence[Family],
     tables: Mapping[str, List[Mapping[str, Any]]],
 ) -> str:
     """One deterministic page: nav, then per-figure chart mount + table."""
@@ -184,14 +209,14 @@ def _index_html(
         parts.append(
             f'<li><a href="#{html.escape(figure.name)}">'
             f"{html.escape(figure.name)}</a> — "
-            f"{html.escape(figure.meta.caption)}</li>\n"
+            f"{html.escape(figure.chart.caption)}</li>\n"
         )
     parts.append("</ul></nav>\n")
     for figure in figures:
         name = html.escape(figure.name)
         rows = tables[figure.name]
         parts.append(f'<section id="{name}">\n')
-        parts.append(f"<h2>{name} — {html.escape(figure.meta.title)}</h2>\n")
+        parts.append(f"<h2>{name} — {html.escape(figure.chart.title)}</h2>\n")
         parts.append(
             f'<p><a href="{name}.csv">{name}.csv</a> · '
             f'<a href="{name}.vl.json">{name}.vl.json</a> · '
@@ -237,7 +262,7 @@ def _html_table(rows: List[Mapping[str, Any]]) -> str:
 # ---------------------------------------------------------------------------
 
 def _render_pngs(
-    figures: Sequence[RegisteredFigure],
+    figures: Sequence[Family],
     tables: Mapping[str, List[Mapping[str, Any]]],
     out_dir: str,
 ) -> tuple:
@@ -251,7 +276,7 @@ def _render_pngs(
         return False, "matplotlib is not installed; skipped PNG rendering"
     for figure in figures:
         flat = [flatten_row(row) for row in tables[figure.name]]
-        meta = figure.meta
+        meta = figure.chart
         fig, axes = plt.subplots(figsize=(6.4, 4.0))
         series: Dict[str, List[tuple]] = {}
         for row in flat:

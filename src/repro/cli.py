@@ -75,7 +75,7 @@ import json
 import os
 import sys
 import time
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.harness import figures, sweep
 from repro.transports.registry import IncompatibleTransportError
@@ -199,35 +199,55 @@ def main(argv: Sequence[str] | None = None) -> int:
         _print_catalogue()
         return 2
 
-    return _run_experiments(names, args.jobs, cache, args.quiet)
+    families = [figures.FAMILIES[name] for name in names]
+    return _run_batch(
+        [(f"{declared.name} — {declared.description}", declared.plan())
+         for declared in families],
+        args.jobs, cache, args.quiet,
+        "(completed runs were cached and will be reused)" if cache is not None else None,
+    )
 
 
-def _run_experiments(names: List[str], jobs: int, cache, quiet: bool) -> int:
-    """Fan every figure's run specs across one worker pool, then assemble."""
-    plans = {name: figures.FAMILIES[name].plan() for name in names}
-    all_specs: List[sweep.RunSpec] = []
-    for name in names:
-        all_specs.extend(plans[name].specs)
+def _run_batch(
+    entries: List[Tuple[str, Union[sweep.Plan, str]]],
+    jobs: int,
+    cache,
+    quiet: bool,
+    failure_hint: Optional[str],
+) -> int:
+    """Run every plan of *entries* as one batch; print each under its heading.
 
+    An entry is ``(heading, plan)``, or ``(heading, reason)`` for a grid
+    point that was skipped before any run.  All the plans' specs fan across
+    one worker pool (:func:`repro.harness.sweep.run_plans`); a failing spec
+    ends the batch with exit 1 and *failure_hint* after the error line.
+    """
+    plans = [plan for _heading, plan in entries if isinstance(plan, sweep.Plan)]
+    total = sum(len(plan.specs) for plan in plans)
     started = time.time()
     baseline = _cache_counters(cache)
-    progress = None if quiet else _progress_printer(len(all_specs))
+    progress = None if quiet else _progress_printer(total)
     try:
-        results = sweep.run_specs(all_specs, jobs=jobs, cache=cache, on_result=progress)
+        results = iter(sweep.run_plans(plans, jobs=jobs, cache=cache, on_result=progress))
     except RuntimeError as error:
         print(f"error: {error}", file=sys.stderr)
-        if cache is not None:
-            print("(completed runs were cached and will be reused)", file=sys.stderr)
+        if failure_hint:
+            print(failure_hint, file=sys.stderr)
         return 1
 
-    offset = 0
-    for name in names:
-        plan = plans[name]
-        figure_results = results[offset:offset + len(plan.specs)]
-        offset += len(plan.specs)
-        print(f"\n### {name} — {figures.FAMILIES[name].description}")
-        _print_result(plan.assemble(figure_results))
-    _print_run_summary(len(all_specs), cache, baseline, started)
+    for heading, plan in entries:
+        if isinstance(plan, sweep.Plan):
+            print(f"\n### {heading}")
+            _print_result(next(results))
+        else:
+            print(f"\n### {heading} — skipped: {plan}")
+    skipped = len(entries) - len(plans)
+    if skipped:
+        print(
+            f"\n{skipped} of {len(entries)} grid points skipped "
+            f"(incompatible protocol/family combinations)"
+        )
+    _print_run_summary(total, cache, baseline, started)
     return 0
 
 
@@ -258,59 +278,28 @@ def _run_sweep(
         return 2
 
     keys = list(grid)
-    combos = [
-        dict(zip(keys, values))
-        for values in itertools.product(*(grid[key] for key in keys))
-    ]
     # Build each grid point's plan independently: a combination the transport
     # registry rejects (e.g. protocol=dcqcn under a link-severing family) is
     # skipped with its reason rather than failing the whole sweep.  The skip
     # set is deterministic — it depends only on the grid, in product order.
-    built: List[tuple] = []  # (combo, plan or None, skip reason or None)
-    for combo in combos:
+    entries: List[Tuple[str, Union[sweep.Plan, str]]] = []
+    for values in itertools.product(*(grid[key] for key in keys)):
+        combo = dict(zip(keys, values))
+        label = ", ".join(f"{key}={value}" for key, value in combo.items()) or "defaults"
+        heading = f"{name} [{label}]"
         try:
-            built.append((combo, plan_builder(**combo), None))
+            entries.append((heading, plan_builder(**combo)))
         except IncompatibleTransportError as error:
-            built.append((combo, None, str(error)))
+            entries.append((heading, str(error)))
         except Exception as error:
             print(f"could not build {name} specs from the given grid: {error}",
                   file=sys.stderr)
             return 2
-    all_specs: List[sweep.RunSpec] = []
-    for _combo, plan, _reason in built:
-        if plan is not None:
-            all_specs.extend(plan.specs)
-
-    started = time.time()
-    baseline = _cache_counters(cache)
-    progress = None if quiet else _progress_printer(len(all_specs))
-    try:
-        results = sweep.run_specs(all_specs, jobs=jobs, cache=cache, on_result=progress)
-    except RuntimeError as error:
-        print(f"error: {error}", file=sys.stderr)
-        print("(check the swept values match the parameter's expected shape; "
-              "completed runs were cached)", file=sys.stderr)
-        return 1
-
-    offset = 0
-    skipped = 0
-    for combo, plan, reason in built:
-        label = ", ".join(f"{key}={value}" for key, value in combo.items()) or "defaults"
-        if plan is None:
-            skipped += 1
-            print(f"\n### {name} [{label}] — skipped: {reason}")
-            continue
-        combo_results = results[offset:offset + len(plan.specs)]
-        offset += len(plan.specs)
-        print(f"\n### {name} [{label}]")
-        _print_result(plan.assemble(combo_results))
-    if skipped:
-        print(
-            f"\n{skipped} of {len(built)} grid points skipped "
-            f"(incompatible protocol/family combinations)"
-        )
-    _print_run_summary(len(all_specs), cache, baseline, started)
-    return 0
+    return _run_batch(
+        entries, jobs, cache, quiet,
+        "(check the swept values match the parameter's expected shape; "
+        "completed runs were cached)",
+    )
 
 
 def _run_shard(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
-from repro.sim.packet import Packet, PacketPriority, Route
+from repro.sim.packet import Packet, PacketPriority
 from repro.sim.units import HEADER_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -160,11 +160,3 @@ class NdpPull(NdpControlPacket):
         )
         self.pull_counter = pull_counter
 
-
-def make_route_copy(route: Route) -> Route:
-    """Return *route* itself — routes are immutable and safely shared.
-
-    Exists as an explicit extension point: an implementation that mutated
-    routes per packet (e.g. to model label rewriting) would replace this.
-    """
-    return route

@@ -7,12 +7,13 @@ the paper's tables.
 
 Public API at a glance:
 
-* workload starters — :func:`start_permutation`, :func:`start_random_matrix`,
-  :func:`start_incast`: create the flows of a traffic matrix and return
-  their handles (the simulation has not run yet);
+* workload starters — :func:`start_permutation`, :func:`start_incast`:
+  create the flows of a traffic matrix and return their handles (the
+  simulation has not run yet);
 * drivers — :func:`measure_throughput` (fixed-duration goodput study,
-  returns a :class:`ThroughputResult`) and :func:`run_until_complete`
-  (completion study, returns an :class:`FctResult`);
+  returns a :class:`ThroughputResult`), :func:`run_until_complete`
+  (completion study, returns an :class:`FctResult`), :func:`run_open_loop`
+  and :func:`run_service_requests` (open-loop flow and request arrivals);
 * liveness — :func:`liveness_report` / :func:`assert_all_complete`: the
   conformance suite's completion + leak invariant over a set of flows.
 
@@ -26,13 +27,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.harness import metrics
 from repro.harness.network import Flow
 from repro.sim import units
 from repro.sim.logger import FlowRecord
-from repro.workloads.traffic_matrices import incast_pairs, permutation_pairs, random_pairs
+from repro.workloads.traffic_matrices import incast_pairs, permutation_pairs
 
 
 @dataclass
@@ -96,22 +97,6 @@ def start_permutation(
     ]
 
 
-def start_random_matrix(
-    network,
-    flow_size_bytes: int,
-    rng: Optional[random.Random] = None,
-    flows_per_host: int = 1,
-    start_time_ps: int = 0,
-) -> List[object]:
-    """Start flows from every host to uniformly random destinations."""
-    rng = rng if rng is not None else random.Random(1)
-    pairs = random_pairs(network.topology.hosts(), rng, flows_per_host=flows_per_host)
-    return [
-        network.create_flow(src, dst, flow_size_bytes, start_time_ps=start_time_ps)
-        for src, dst in pairs
-    ]
-
-
 def start_incast(
     network,
     receiver: int,
@@ -143,11 +128,9 @@ def measure_throughput(
     network,
     flows: Sequence[object],
     duration_ps: int,
-    run: bool = True,
 ) -> ThroughputResult:
     """Run the event list for *duration_ps* and compute per-flow goodputs."""
-    if run:
-        network.eventlist.run(until=duration_ps)
+    network.eventlist.run(until=duration_ps)
     per_flow = [metrics.goodput_bps(flow.record, duration_ps) for flow in flows]
     receivers = len({flow.record.dst for flow in flows})
     utilization = metrics.utilization_from_records(
@@ -281,14 +264,3 @@ def run_service_requests(network, specs, horizon_ps, window_fn=None):
     engine.run_until(horizon_ps)
     return engine
 
-
-def permutation_utilization(
-    network_builder,
-    flow_size_bytes: int = 50_000_000,
-    duration_ps: int = units.milliseconds(2),
-    seed: int = 1,
-) -> ThroughputResult:
-    """Convenience wrapper: build → permute → measure (used by sweeps)."""
-    network = network_builder()
-    flows = start_permutation(network, flow_size_bytes, rng=random.Random(seed))
-    return measure_throughput(network, flows, duration_ps)

@@ -10,9 +10,9 @@ The decorator files a :class:`Family` record in :data:`FAMILIES` and returns
 the builder unchanged.  Every entry point reads that one table: the CLI's
 catalogue, ``all`` and ``sweep`` / ``--set`` key validation
 (:mod:`repro.cli`), the figures ``render`` knows
-(:mod:`repro.analysis.registry`: the families declared with a ``chart``) and
-the docs checker (``tools/check_docs.py``).  :func:`run` executes a family by
-name.
+(:func:`repro.analysis.registered_figures`: the families declared with a
+``chart``) and the docs checker (``tools/check_docs.py``).  :func:`run`
+executes a family by name.
 
 A plan builder is an ordinary function whose keyword arguments (and their
 defaults) are the family's parameters — what ``sweep`` overrides to run
@@ -25,6 +25,13 @@ the persistent result cache (``$REPRO_CACHE_DIR``, default
 ``~/.cache/repro``; disable with ``REPRO_NO_CACHE=1``) and optionally
 fanning the units across worker processes (``python -m repro.cli all
 --jobs 4``).
+
+A scenario is simulated by one unit run, whichever family asks: builders
+make their plans with :func:`_plan` (or :func:`_per_protocol` /
+:func:`_single`), and families that draw from the same traffic shape name
+the same function — :func:`_incast_last_fct`, :func:`_permutation_throughput`,
+:func:`_permutation_fcts` — passing what differs (fabric damage, an NDP
+config, pacer jitter) as JSON-codable keyword data in the spec.
 
 Determinism: every unit is an independent module-level function that builds
 its own :class:`~repro.sim.eventlist.EventList` and seeds its own RNGs, so
@@ -63,7 +70,6 @@ from repro.topology import (
 from repro.transports import registry
 from repro.transports.capabilities import FamilyTraits
 from repro.transports.constant_rate import ConstantRateSink, ConstantRateSource
-from repro.transports.tcp import TcpConfig
 from repro.workloads.flowsize import (
     DataMiningFlowSizes,
     FacebookWebFlowSizes,
@@ -78,6 +84,7 @@ from repro.workloads.services import (
     window_of as service_window_of,
 )
 from repro.workloads.trace import trace_digest
+from repro.workloads.traffic_matrices import permutation_pairs, random_pairs
 
 #: default comparison set of the large-scale simulations (Figures 14/15/16)
 COMPARISON_PROTOCOLS = (registry.NDP, registry.MPTCP, registry.DCTCP, registry.DCQCN)
@@ -182,21 +189,90 @@ def _validated_loads(load, loads) -> Tuple[float, ...]:
     return loads
 
 
-def _specs(
+def _plan(
     label: str,
     fn: Callable[..., Any],
     cases: Sequence[Tuple[str, Mapping[str, Any]]],
+    assemble: Callable[[List[Any]], Any] = list,
     **common: Any,
-) -> List[RunSpec]:
-    """One :class:`RunSpec` per ``(tag, kwargs)`` case of a family.
+) -> Plan:
+    """A family's :class:`Plan`: one :class:`RunSpec` per ``(tag, kwargs)`` case.
 
     The spec is named ``label[tag]`` and runs ``fn(**kwargs, **common)``:
     *kwargs* are the arguments that vary between the family's units,
-    *common* the ones they share.
+    *common* the ones they share.  *assemble* builds the public result from
+    the unit results in case order; the default suits a family whose units
+    each return one finished row.
     """
-    return [
+    specs = [
         RunSpec(f"{label}[{tag}]", fn, {**kwargs, **common}) for tag, kwargs in cases
     ]
+    return Plan(specs, assemble)
+
+
+def _per_protocol(
+    label: str, fn: Callable[..., Any], protocols: Sequence[str], **common: Any
+) -> Plan:
+    """One spec per protocol, run as ``fn(protocol=name, **common)``; the
+    result is the ``{protocol: unit result}`` mapping in *protocols* order."""
+    return _plan(
+        label, fn, [(name, dict(protocol=name)) for name in protocols],
+        lambda results: dict(zip(protocols, results)), **common,
+    )
+
+
+def _single(label: str, fn: Callable[..., Any], **kwargs: Any) -> Plan:
+    """A family that is one simulator run: a single spec named *label*
+    whose result is the family's result."""
+    return Plan([RunSpec(label, fn, kwargs)], lambda results: results[0])
+
+
+# ---------------------------------------------------------------------------
+# Prologues and probes the unit runs share
+# ---------------------------------------------------------------------------
+
+def _fattree(protocol: str, k: int, seed: int, config=None, **fabric: Any):
+    """*protocol*'s network on a fresh ``k``-ary FatTree and its own event list.
+
+    ``config=None`` means the transport's registered default; *fabric*
+    passes through to the topology (``oversubscription=``).  The event list
+    is ``network.eventlist``.
+    """
+    return registry.build_network(
+        protocol, EventList(), FatTreeTopology, k=k, config=config, seed=seed, **fabric
+    )
+
+
+def _ndp_1500() -> NdpConfig:
+    """The NDP prototype's configuration: 1500-byte MTU, eight-packet queues."""
+    return NdpConfig(mtu_bytes=1500, header_queue_bytes=8 * 1500)
+
+
+def _jittered_pacers(eventlist: EventList, mtu_bytes: int, jitter: PullSpacingJitter):
+    """A ``pacer_factory`` whose pull pacers all draw their spacing from *jitter*
+    (one shared stream, as one host model would produce)."""
+
+    def pacer_factory(host: int) -> JitteredPullPacer:
+        return JitteredPullPacer(
+            eventlist, link_rate_bps=units.DEFAULT_LINK_RATE_BPS,
+            mtu_bytes=mtu_bytes, jitter=jitter,
+        )
+
+    return pacer_factory
+
+
+def _goodput_series(eventlist: EventList, period_ps: int, flows: Sequence[Any]):
+    """A started sampler of the aggregate goodput (bits/second) of *flows*,
+    one ``(time_ps, rate)`` sample per *period_ps*; read ``.samples`` after the run."""
+    rate = RateEstimator()
+    series = TimeSeriesSampler(
+        eventlist, period_ps,
+        lambda: rate.update(
+            eventlist.now(), sum(flow.record.bytes_delivered for flow in flows)
+        ),
+    )
+    series.start()
+    return series
 
 
 # ---------------------------------------------------------------------------
@@ -219,34 +295,17 @@ def figure2_plan(
     (switch type, flow count) with the mean and worst-10% fair-share
     percentage.
     """
-    cases = [(kind, flows) for kind in (registry.NDP, "CP") for flows in flow_counts]
-    specs = _specs(
+    return _plan(
         "fig2", _run_overload,
         [(f"{kind},flows={flows}", dict(switch_kind=kind, flows=flows))
-         for kind, flows in cases],
+         for kind in (registry.NDP, "CP") for flows in flow_counts],
         duration_ps=duration_ps, packet_bytes=packet_bytes, seed=seed,
     )
 
-    def assemble(results: List[List[float]]) -> List[Dict[str, float]]:
-        rows = []
-        for (kind, flows), shares in zip(cases, results):
-            shares = sorted(shares)
-            worst = shares[: max(1, len(shares) // 10)]
-            rows.append(
-                {
-                    "switch": kind,
-                    "flows": flows,
-                    "mean_percent": 100 * metrics.mean(shares),
-                    "worst10_percent": 100 * metrics.mean(worst),
-                }
-            )
-        return rows
-
-    return Plan(specs, assemble)
-
 
 def _run_overload(switch_kind, flows, duration_ps, packet_bytes, seed):
-    """Unit run: goodput fair-share fractions of *flows* senders on one port."""
+    """Unit run: one row — mean and worst-10% goodput fair-share percentage
+    of *flows* senders on one port."""
     eventlist = EventList()
     config = NdpConfig(mtu_bytes=packet_bytes, header_queue_bytes=8 * packet_bytes)
     rng = random.Random(seed)
@@ -279,10 +338,17 @@ def _run_overload(switch_kind, flows, duration_ps, packet_bytes, seed):
         source.start(0)
         sinks.append(sink)
     eventlist.run(until=duration_ps)
-    return [
+    shares = sorted(
         metrics.fair_share_fraction(sink.goodput_bps(duration_ps), link_rate, flows)
         for sink in sinks
-    ]
+    )
+    worst = shares[: max(1, len(shares) // 10)]
+    return {
+        "switch": switch_kind,
+        "flows": flows,
+        "mean_percent": 100 * metrics.mean(shares),
+        "worst10_percent": 100 * metrics.mean(worst),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -305,18 +371,14 @@ def figure4_plan(
     from a 432-host to a ``k``-ary FatTree).
     """
     matrices = ("permutation", "random", "incast")
-    specs = _specs(
+    return _plan(
         "fig4", _figure4_matrix,
         [(matrix, dict(matrix=matrix)) for matrix in matrices],
+        lambda results: dict(zip(matrices, results)),
         k=k, permutation_flow_bytes=permutation_flow_bytes,
         incast_senders=incast_senders, incast_flow_bytes=incast_flow_bytes,
         duration_ps=duration_ps, seed=seed,
     )
-
-    def assemble(results: List[List[float]]) -> Dict[str, List[float]]:
-        return {matrix: samples for matrix, samples in zip(matrices, results)}
-
-    return Plan(specs, assemble)
 
 
 def _figure4_matrix(
@@ -324,41 +386,26 @@ def _figure4_matrix(
     duration_ps, seed,
 ):
     """Unit run: per-packet delivery latency samples (us) for one matrix."""
-    eventlist = EventList()
-    network = NdpNetwork.build(eventlist, FatTreeTopology, k=k, seed=seed)
+    network = _fattree(registry.NDP, k, seed)
+    hosts = network.topology.hosts()
     rng = random.Random(seed)
+    flow_bytes = incast_flow_bytes if matrix == "incast" else permutation_flow_bytes
     if matrix == "permutation":
-        flows = [
-            network.create_flow(src, dst, permutation_flow_bytes,
-                                record_packet_latencies=True)
-            for src, dst in _permutation(network, rng)
-        ]
+        pairs = permutation_pairs(hosts, rng)
     elif matrix == "random":
-        from repro.workloads.traffic_matrices import random_pairs
-
-        flows = [
-            network.create_flow(src, dst, permutation_flow_bytes,
-                                record_packet_latencies=True)
-            for src, dst in random_pairs(network.topology.hosts(), rng)
-        ]
+        pairs = random_pairs(hosts, rng)
     else:
-        flows = [
-            network.create_flow(src, 0, incast_flow_bytes,
-                                record_packet_latencies=True)
-            for src in range(1, incast_senders + 1)
-        ]
-    eventlist.run(until=duration_ps)
+        pairs = [(src, 0) for src in range(1, incast_senders + 1)]
+    flows = [
+        network.create_flow(src, dst, flow_bytes, record_packet_latencies=True)
+        for src, dst in pairs
+    ]
+    network.eventlist.run(until=duration_ps)
     return [
         latency / units.MICROSECOND
         for flow in flows
         for latency in flow.src.packet_latencies_ps
     ]
-
-
-def _permutation(network, rng):
-    from repro.workloads.traffic_matrices import permutation_pairs
-
-    return permutation_pairs(network.topology.hosts(), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +423,7 @@ def figure8_plan(samples: int = 500, seed: int = 1) -> Plan:
     Figure 8.  A single spec: the host-model study shares one simulated
     network RTT.
     """
-    specs = [RunSpec("fig8", _figure8_run, dict(samples=samples, seed=seed))]
-    return Plan(specs, lambda results: results[0])
+    return _single("fig8", _figure8_run, samples=samples, seed=seed)
 
 
 def _figure8_run(samples, seed):
@@ -441,12 +487,6 @@ def figure9_plan(
         for size in response_sizes
         for protocol in (registry.NDP, registry.TCP)
     ]
-    specs = _specs(
-        "fig9", _figure9_point,
-        [(f"{protocol},kb={size // 1000}", dict(protocol=protocol, response_bytes=size))
-         for protocol, size in cases],
-        seed=seed,
-    )
 
     def assemble(results: List[int]) -> List[Dict[str, float]]:
         by_case = {case: value for case, value in zip(cases, results)}
@@ -465,19 +505,12 @@ def figure9_plan(
             )
         return rows
 
-    return Plan(specs, assemble)
-
-
-def _figure9_point(protocol, response_bytes, seed):
-    """Unit run: last-flow completion (ps) of the 7:1 testbed incast."""
-    if protocol == registry.NDP:
-        config = NdpConfig(mtu_bytes=1500, header_queue_bytes=8 * 1500)
-    else:
-        config = TcpConfig()
-    return _incast_last_fct(
-        protocol, response_bytes, senders=7, topology_cls=LeafSpineTopology,
-        topology_kwargs=dict(leaves=4, spines=2, hosts_per_leaf=2),
-        config=config, seed=seed,
+    return _plan(
+        "fig9", _incast_last_fct,
+        [(f"{protocol},kb={size // 1000}", dict(protocol=protocol, bytes_per_sender=size))
+         for protocol, size in cases],
+        assemble,
+        senders=7, seed=seed, timeout_ps=units.seconds(2), testbed=True, mtu_1500=True,
     )
 
 
@@ -485,22 +518,38 @@ def _incast_last_fct(
     protocol: str,
     bytes_per_sender: int,
     senders: int,
-    topology_cls=SingleSwitchTopology,
-    topology_kwargs: Optional[dict] = None,
-    config=None,
-    seed: int = 1,
-    timeout_ps: int = units.seconds(2),
-    receiver: int = 0,
+    seed: int,
+    timeout_ps: int,
+    testbed: bool = False,
+    mtu_1500: bool = False,
+    pull_jitter_sigma: Optional[float] = None,
 ) -> int:
+    """Unit run: last-flow completion (ps) of a *senders*-to-one incast.
+
+    The first *senders* hosts other than host 0 each send *bytes_per_sender*
+    to host 0 at time zero; an incast that does not complete within
+    *timeout_ps* reports *timeout_ps*.  The scenario is data: ``testbed``
+    swaps the single switch for the paper's 8-server, six-switch leaf-spine;
+    ``mtu_1500`` runs NDP at the prototype's 1500-byte MTU (every other
+    transport keeps its registered default config); ``pull_jitter_sigma``
+    replaces NDP's perfect pull pacers with ones drawing their spacing from
+    the log-normal host model of Figure 12, seeded with *seed*.
+    """
     eventlist = EventList()
-    kwargs = dict(topology_kwargs or {})
-    if topology_cls is SingleSwitchTopology and "hosts" not in kwargs:
-        kwargs["hosts"] = senders + 1
+    config = _ndp_1500() if mtu_1500 and protocol == registry.NDP else None
+    if testbed:
+        topology_cls, fabric = LeafSpineTopology, dict(leaves=4, spines=2, hosts_per_leaf=2)
+    else:
+        topology_cls, fabric = SingleSwitchTopology, dict(hosts=senders + 1)
+    if pull_jitter_sigma is not None:
+        mtu_bytes = (config or NdpConfig()).mtu_bytes
+        jitter = PullSpacingJitter(sigma=pull_jitter_sigma, rng=random.Random(seed))
+        fabric["pacer_factory"] = _jittered_pacers(eventlist, mtu_bytes, jitter)
     network = registry.build_network(
-        protocol, eventlist, topology_cls, config=config, seed=seed, **kwargs
+        protocol, eventlist, topology_cls, config=config, seed=seed, **fabric
     )
-    sender_hosts = [h for h in network.topology.hosts() if h != receiver][:senders]
-    flows = experiment.start_incast(network, receiver, sender_hosts, bytes_per_sender)
+    sender_hosts = [h for h in network.topology.hosts() if h != 0][:senders]
+    flows = experiment.start_incast(network, 0, sender_hosts, bytes_per_sender)
     experiment.run_until_complete(network, flows, timeout_ps)
     finished = [f.record.finish_time_ps for f in flows if f.record.finish_time_ps]
     if len(finished) < len(flows):
@@ -545,26 +594,22 @@ def figure10_plan(
         ("with_prioritization_us", True, True),
         ("without_prioritization_us", True, False),
     ]
-    specs = _specs(
+    return _plan(
         "fig10", _figure10_case,
         [(label, dict(background=background, priority=priority))
          for label, background, priority in cases],
+        lambda results: {label: value for (label, _b, _p), value in zip(cases, results)},
         short_bytes=short_bytes, long_bytes=long_bytes, long_flows=long_flows,
         seed=seed,
     )
 
-    def assemble(results: List[float]) -> Dict[str, float]:
-        return {label: value for (label, _b, _p), value in zip(cases, results)}
-
-    return Plan(specs, assemble)
-
 
 def _figure10_case(background, priority, short_bytes, long_bytes, long_flows, seed):
     """Unit run: FCT (us) of the short flow in one prioritization scenario."""
-    config = NdpConfig(mtu_bytes=1500, header_queue_bytes=8 * 1500)
     eventlist = EventList()
     network = NdpNetwork.build(
-        eventlist, SingleSwitchTopology, hosts=long_flows + 3, config=config, seed=seed
+        eventlist, SingleSwitchTopology, hosts=long_flows + 3, config=_ndp_1500(),
+        seed=seed,
     )
     if background:
         for src in range(2, 2 + long_flows):
@@ -598,44 +643,32 @@ def figure11_plan(
 
     One spec per initial-window setting.
     """
-    windows = tuple(windows)
-    specs = _specs(
+    return _plan(
         "fig11", _figure11_window,
         [(f"iw={window}{',jitter' if jittered else ''}", dict(window=window))
          for window in windows],
         flow_bytes=flow_bytes, jittered=jittered, seed=seed,
     )
 
-    def assemble(results: List[float]) -> List[Dict[str, float]]:
-        return [
-            {"initial_window": window, "throughput_gbps": value}
-            for window, value in zip(windows, results)
-        ]
-
-    return Plan(specs, assemble)
-
 
 def _figure11_window(window, flow_bytes, jittered, seed):
-    """Unit run: throughput (Gb/s) of one back-to-back transfer at one IW."""
+    """Unit run: one row — throughput (Gb/s) of one back-to-back transfer at one IW."""
     config = NdpConfig(initial_window_packets=window)
     eventlist = EventList()
     pacer_factory = None
     if jittered:
         jitter = PullSpacingJitter(rng=random.Random(seed + window))
-
-        def pacer_factory(host, _evl=eventlist, _cfg=config, _jit=jitter):
-            return JitteredPullPacer(
-                _evl, link_rate_bps=units.DEFAULT_LINK_RATE_BPS,
-                mtu_bytes=_cfg.mtu_bytes, jitter=_jit,
-            )
-
+        pacer_factory = _jittered_pacers(eventlist, config.mtu_bytes, jitter)
     network = NdpNetwork.build(
         eventlist, BackToBackTopology, config=config, seed=seed,
         pacer_factory=pacer_factory,
     )
     flow = network.create_flow(0, 1, flow_bytes)
     eventlist.run(until=units.milliseconds(60))
-    return flow.record.throughput_bps() / 1e9 if flow.complete else 0.0
+    return {
+        "initial_window": window,
+        "throughput_gbps": flow.record.throughput_bps() / 1e9 if flow.complete else 0.0,
+    }
 
 
 def _rows_fig12(result: Mapping[int, Mapping[str, float]]) -> List[Mapping[str, Any]]:
@@ -663,14 +696,10 @@ def figure12_plan(
 
     A single (pure host-model) spec; exercises the non-string-key codec.
     """
-    specs = [
-        RunSpec(
-            "fig12",
-            _figure12_run,
-            dict(packet_sizes=tuple(packet_sizes), samples=samples, seed=seed),
-        )
-    ]
-    return Plan(specs, lambda results: results[0])
+    return _single(
+        "fig12", _figure12_run,
+        packet_sizes=tuple(packet_sizes), samples=samples, seed=seed,
+    )
 
 
 def _figure12_run(packet_sizes, samples, seed):
@@ -722,13 +751,6 @@ def figure13_plan(
     """
     flow_sizes = tuple(flow_sizes)
     cases = [(size, jittered) for size in flow_sizes for jittered in (False, True)]
-    specs = _specs(
-        "fig13", _incast_fct_with_pacer,
-        [(f"kb={size // 1000}{',jitter' if jittered else ''}",
-          dict(size=size, jittered=jittered))
-         for size, jittered in cases],
-        senders=senders, seed=seed,
-    )
 
     def assemble(results: List[int]) -> List[Dict[str, float]]:
         by_case = {case: value for case, value in zip(cases, results)}
@@ -741,30 +763,16 @@ def figure13_plan(
             for size in flow_sizes
         ]
 
-    return Plan(specs, assemble)
-
-
-def _incast_fct_with_pacer(size, senders, jittered, seed):
-    """Unit run: last-flow FCT (ps) of an incast with one pacer setting."""
-    config = NdpConfig(mtu_bytes=1500, header_queue_bytes=8 * 1500)
-    eventlist = EventList()
-    pacer_factory = None
-    if jittered:
-        jitter = PullSpacingJitter(sigma=0.35, rng=random.Random(seed))
-
-        def pacer_factory(host, _evl=eventlist, _cfg=config, _jit=jitter):
-            return JitteredPullPacer(
-                _evl, link_rate_bps=units.DEFAULT_LINK_RATE_BPS,
-                mtu_bytes=_cfg.mtu_bytes, jitter=_jit,
-            )
-
-    network = NdpNetwork.build(
-        eventlist, SingleSwitchTopology, hosts=senders + 1, config=config,
-        seed=seed, pacer_factory=pacer_factory,
+    # the jittered runs use the spread Figure 12 measures for 1500-byte packets
+    return _plan(
+        "fig13", _incast_last_fct,
+        [(f"kb={size // 1000}{',jitter' if jittered else ''}",
+          dict(bytes_per_sender=size, pull_jitter_sigma=0.35 if jittered else None))
+         for size, jittered in cases],
+        assemble,
+        protocol=registry.NDP, senders=senders, seed=seed,
+        timeout_ps=units.seconds(1), mtu_1500=True,
     )
-    flows = [network.create_flow(src, 0, size) for src in range(1, senders + 1)]
-    result = experiment.run_until_complete(network, flows, units.seconds(1))
-    return int(result.last_completion_us() * units.MICROSECOND)
 
 
 # ---------------------------------------------------------------------------
@@ -787,22 +795,35 @@ def figure14_plan(
     protocols = _protocols(
         protocols, protocol, COMPARISON_PROTOCOLS, FamilyTraits(family="fig14")
     )
-    specs = _specs(
-        "fig14", _figure14_protocol,
-        [(name, dict(protocol=name)) for name in protocols],
+    return _per_protocol(
+        "fig14", _permutation_throughput, protocols,
         k=k, flow_bytes=flow_bytes, duration_ps=duration_ps, seed=seed,
     )
 
-    def assemble(results) -> Dict[str, experiment.ThroughputResult]:
-        return {name: result for name, result in zip(protocols, results)}
 
-    return Plan(specs, assemble)
+def _permutation_throughput(
+    protocol: str,
+    k: int,
+    flow_bytes: int,
+    duration_ps: int,
+    seed: int,
+    degraded_rate_bps: Optional[int] = None,
+    ndp: Optional[Mapping[str, Any]] = None,
+) -> experiment.ThroughputResult:
+    """Unit run: :class:`ThroughputResult` of a permutation on a ``k``-ary FatTree.
 
-
-def _figure14_protocol(protocol, k, flow_bytes, duration_ps, seed):
-    """Unit run: permutation :class:`ThroughputResult` for one protocol."""
-    eventlist = EventList()
-    network = registry.build_network(protocol, eventlist, FatTreeTopology, k=k, seed=seed)
+    Every host sends *flow_bytes* to its seeded permutation partner for
+    *duration_ps*.  The scenario is data: ``degraded_rate_bps`` renegotiates
+    the core0↔pod(k-1) link down to that rate before the flows start
+    (Figure 22's asymmetry); ``ndp`` holds :class:`NdpConfig` fields that
+    differ from the default (Figure 17's buffer/MTU/IW settings) — omitted,
+    *protocol* runs its registered default config.
+    """
+    network = _fattree(protocol, k, seed, config=NdpConfig(**ndp) if ndp else None)
+    if degraded_rate_bps is not None:
+        network.topology.degrade_core_link(
+            core=0, pod=k - 1, new_rate_bps=degraded_rate_bps
+        )
     flows = experiment.start_permutation(network, flow_bytes, rng=random.Random(seed))
     return experiment.measure_throughput(network, flows, duration_ps)
 
@@ -832,18 +853,12 @@ def figure15_plan(
     protocols = _protocols(
         protocols, protocol, COMPARISON_PROTOCOLS, FamilyTraits(family="fig15")
     )
-    specs = _specs(
-        "fig15", _figure15_protocol,
-        [(name, dict(protocol=name)) for name in protocols],
+    return _per_protocol(
+        "fig15", _figure15_protocol, protocols,
         k=k, short_bytes=short_bytes, short_flows=short_flows,
         background_bytes=background_bytes,
         background_flows_per_host=background_flows_per_host, seed=seed,
     )
-
-    def assemble(results: List[List[float]]) -> Dict[str, List[float]]:
-        return {name: fcts for name, fcts in zip(protocols, results)}
-
-    return Plan(specs, assemble)
 
 
 def _figure15_protocol(
@@ -851,8 +866,8 @@ def _figure15_protocol(
     background_flows_per_host, seed,
 ):
     """Unit run: probe-flow FCTs (us) under background load, one protocol."""
-    eventlist = EventList()
-    network = registry.build_network(protocol, eventlist, FatTreeTopology, k=k, seed=seed)
+    network = _fattree(protocol, k, seed)
+    eventlist = network.eventlist
     rng = random.Random(seed)
     hosts = network.topology.hosts()
     # the two probe hosts sit in different pods so their transfers cross
@@ -925,12 +940,6 @@ def figure16_plan(
         protocols, protocol, COMPARISON_PROTOCOLS, FamilyTraits(family="fig16")
     )
     cases = [(senders, name) for senders in sender_counts for name in protocols]
-    specs = _specs(
-        "fig16", _figure16_point,
-        [(f"{name},senders={senders}", dict(protocol=name, senders=senders))
-         for senders, name in cases],
-        response_bytes=response_bytes, seed=seed,
-    )
 
     def assemble(results: List[int]) -> List[Dict[str, float]]:
         by_case = {case: value for case, value in zip(cases, results)}
@@ -945,14 +954,12 @@ def figure16_plan(
             rows.append(row)
         return rows
 
-    return Plan(specs, assemble)
-
-
-def _figure16_point(protocol, senders, response_bytes, seed):
-    """Unit run: last-flow completion (ps) of one incast point."""
-    return _incast_last_fct(
-        protocol, response_bytes, senders=senders, seed=seed,
-        timeout_ps=units.seconds(3),
+    return _plan(
+        "fig16", _incast_last_fct,
+        [(f"{name},senders={senders}", dict(protocol=name, senders=senders))
+         for senders, name in cases],
+        assemble,
+        bytes_per_sender=response_bytes, seed=seed, timeout_ps=units.seconds(3),
     )
 
 
@@ -989,40 +996,31 @@ def figure17_plan(
         for label, buffer_packets, mtu in configurations
         for window in windows
     ]
-    specs = _specs(
-        "fig17", _figure17_point,
-        [(f"{label},iw={window}",
-          dict(buffer_packets=buffer_packets, mtu=mtu, window=window))
-         for label, buffer_packets, mtu, window in cases],
-        k=k, flow_bytes=flow_bytes, duration_ps=duration_ps, seed=seed,
-    )
 
-    def assemble(results: List[float]) -> List[Dict[str, float]]:
+    def assemble(results: List[experiment.ThroughputResult]) -> List[Dict[str, float]]:
         return [
             {
                 "configuration": label,
                 "initial_window": window,
-                "utilization_percent": 100 * utilization,
+                "utilization_percent": 100 * result.utilization,
             }
-            for (label, _bp, _mtu, window), utilization in zip(cases, results)
+            for (label, _bp, _mtu, window), result in zip(cases, results)
         ]
 
-    return Plan(specs, assemble)
-
-
-def _figure17_point(buffer_packets, mtu, window, k, flow_bytes, duration_ps, seed):
-    """Unit run: permutation utilization for one buffer/MTU/IW setting."""
-    config = NdpConfig(
-        mtu_bytes=mtu,
-        data_queue_packets=buffer_packets,
-        header_queue_bytes=buffer_packets * mtu,
-        initial_window_packets=window,
+    return _plan(
+        "fig17", _permutation_throughput,
+        [(f"{label},iw={window}",
+          dict(ndp=dict(
+              mtu_bytes=mtu,
+              data_queue_packets=buffer_packets,
+              header_queue_bytes=buffer_packets * mtu,
+              initial_window_packets=window,
+          )))
+         for label, buffer_packets, mtu, window in cases],
+        assemble,
+        protocol=registry.NDP, k=k, flow_bytes=flow_bytes, duration_ps=duration_ps,
+        seed=seed,
     )
-    eventlist = EventList()
-    network = NdpNetwork.build(eventlist, FatTreeTopology, k=k, config=config, seed=seed)
-    flows = experiment.start_permutation(network, flow_bytes, rng=random.Random(seed))
-    result = experiment.measure_throughput(network, flows, duration_ps)
-    return result.utilization
 
 
 # ---------------------------------------------------------------------------
@@ -1051,17 +1049,11 @@ def figure19_plan(
         protocols, protocol, (registry.NDP, registry.DCTCP, registry.DCQCN),
         FamilyTraits(family="fig19"),
     )
-    specs = _specs(
-        "fig19", _figure19_protocol,
-        [(name, dict(protocol=name)) for name in protocols],
+    return _per_protocol(
+        "fig19", _figure19_protocol, protocols,
         incast_senders=incast_senders, incast_bytes=incast_bytes,
         sample_period_ps=sample_period_ps, duration_ps=duration_ps, seed=seed,
     )
-
-    def assemble(results) -> Dict[str, Dict[str, List[Tuple[int, float]]]]:
-        return {name: series for name, series in zip(protocols, results)}
-
-    return Plan(specs, assemble)
 
 
 def _figure19_protocol(
@@ -1087,20 +1079,8 @@ def _figure19_protocol(
         network.create_flow(src, incast_dst, incast_bytes, start_time_ps=incast_start)
         for src in incast_srcs
     ]
-    long_rate = RateEstimator()
-    incast_rate = RateEstimator()
-    long_series = TimeSeriesSampler(
-        eventlist, sample_period_ps,
-        lambda: long_rate.update(eventlist.now(), long_flow.record.bytes_delivered),
-    )
-    incast_series = TimeSeriesSampler(
-        eventlist, sample_period_ps,
-        lambda: incast_rate.update(
-            eventlist.now(), sum(f.record.bytes_delivered for f in incast_flows)
-        ),
-    )
-    long_series.start()
-    incast_series.start()
+    long_series = _goodput_series(eventlist, sample_period_ps, [long_flow])
+    incast_series = _goodput_series(eventlist, sample_period_ps, incast_flows)
     eventlist.run(until=duration_ps)
     return {
         "long_flow": long_series.samples,
@@ -1125,18 +1105,13 @@ def figure20_plan(
     One spec per (initial window, sender count) incast point.
     """
     sender_counts = tuple(sender_counts)
-    initial_windows = tuple(initial_windows)
-    cases = [
-        (window, senders) for window in initial_windows for senders in sender_counts
-    ]
-    specs = _specs(
+    return _plan(
         "fig20", _figure20_point,
         [(f"iw={window},senders={senders}",
           dict(initial_window=window, senders=senders))
-         for window, senders in cases],
+         for window in initial_windows for senders in sender_counts],
         packets_per_flow=packets_per_flow, seed=seed,
     )
-    return Plan(specs, lambda results: list(results))
 
 
 def _figure20_point(initial_window, senders, packets_per_flow, seed):
@@ -1183,8 +1158,7 @@ def figure21_plan(
 
     A single spec: the five flows share one simulator.
     """
-    specs = [RunSpec("fig21", _figure21_run, dict(duration_ps=duration_ps, seed=seed))]
-    return Plan(specs, lambda results: results[0])
+    return _single("fig21", _figure21_run, duration_ps=duration_ps, seed=seed)
 
 
 def _figure21_run(duration_ps, seed):
@@ -1230,26 +1204,11 @@ def figure22_plan(
         (registry.NDP, registry.NDP_NO_PATH_PENALTY, registry.MPTCP, registry.DCTCP),
         FamilyTraits(family="fig22", mutates_link_rates=True),
     )
-    specs = _specs(
-        "fig22", _figure22_case,
-        [(case, dict(case=case)) for case in cases],
-        k=k, degraded_rate_bps=degraded_rate_bps, flow_bytes=flow_bytes,
-        duration_ps=duration_ps, seed=seed,
+    return _per_protocol(
+        "fig22", _permutation_throughput, cases,
+        k=k, flow_bytes=flow_bytes, duration_ps=duration_ps, seed=seed,
+        degraded_rate_bps=degraded_rate_bps,
     )
-
-    def assemble(results) -> Dict[str, experiment.ThroughputResult]:
-        return {case: result for case, result in zip(cases, results)}
-
-    return Plan(specs, assemble)
-
-
-def _figure22_case(case, k, degraded_rate_bps, flow_bytes, duration_ps, seed):
-    """Unit run: permutation throughput with a degraded core link, one case."""
-    eventlist = EventList()
-    network = registry.build_network(case, eventlist, FatTreeTopology, k=k, seed=seed)
-    network.topology.degrade_core_link(core=0, pod=k - 1, new_rate_bps=degraded_rate_bps)
-    flows = experiment.start_permutation(network, flow_bytes, rng=random.Random(seed))
-    return experiment.measure_throughput(network, flows, duration_ps)
 
 
 # ---------------------------------------------------------------------------
@@ -1277,30 +1236,21 @@ def figure23_plan(
         protocols, protocol, (registry.NDP, registry.DCTCP),
         FamilyTraits(family="fig23"),
     )
-    cases = [(name, load) for name in protocols for load in connections_per_host]
-    specs = _specs(
+    return _plan(
         "fig23", _figure23_point,
         [(f"{name},load={load}", dict(protocol=name, connections_per_host=load))
-         for name, load in cases],
+         for name in protocols for load in connections_per_host],
         k=k, oversubscription=oversubscription, duration_ps=duration_ps, seed=seed,
     )
-    return Plan(specs, lambda results: list(results))
 
 
 def _figure23_point(protocol, connections_per_host, k, oversubscription, duration_ps, seed):
     """Unit run: one (protocol, load) row of the web-workload table."""
     # NDP runs the prototype's 1500-byte MTU here; every other transport
     # keeps its registered default config
-    config = (
-        NdpConfig(mtu_bytes=1500, header_queue_bytes=8 * 1500)
-        if protocol == registry.NDP
-        else None
-    )
-    eventlist = EventList()
-    network = registry.build_network(
-        protocol, eventlist, FatTreeTopology, k=k,
-        oversubscription=oversubscription, config=config, seed=seed,
-    )
+    config = _ndp_1500() if protocol == registry.NDP else None
+    network = _fattree(protocol, k, seed, config=config, oversubscription=oversubscription)
+    eventlist = network.eventlist
     generator = ClosedLoopGenerator(
         eventlist,
         network,
@@ -1350,12 +1300,6 @@ def phost_plan(
         protocols, protocol, (registry.NDP, registry.PHOST),
         FamilyTraits(family="phost"),  # transport-name-ok: experiment family
     )
-    specs = _specs(
-        "phost", _phost_case,  # transport-name-ok: experiment family
-        [(name, dict(protocol=name)) for name in cases],
-        k=k, incast_senders=incast_senders, incast_bytes=incast_bytes,
-        permutation_bytes=permutation_bytes, duration_ps=duration_ps, seed=seed,
-    )
 
     def assemble(results: List[Dict[str, float]]) -> Dict[str, float]:
         merged: Dict[str, float] = {}
@@ -1366,7 +1310,13 @@ def phost_plan(
             ]
         return merged
 
-    return Plan(specs, assemble)
+    return _plan(
+        "phost", _phost_case,  # transport-name-ok: experiment family
+        [(name, dict(protocol=name)) for name in cases],
+        assemble,
+        k=k, incast_senders=incast_senders, incast_bytes=incast_bytes,
+        permutation_bytes=permutation_bytes, duration_ps=duration_ps, seed=seed,
+    )
 
 
 def _phost_case(
@@ -1374,13 +1324,9 @@ def _phost_case(
 ):
     """Unit run: incast completion + permutation utilization for one stack."""
     last = _incast_last_fct(
-        protocol, incast_bytes, senders=incast_senders, seed=seed,
-        timeout_ps=units.seconds(3),
+        protocol, incast_bytes, incast_senders, seed, timeout_ps=units.seconds(3)
     )
-    eventlist = EventList()
-    network = registry.build_network(protocol, eventlist, FatTreeTopology, k=k, seed=seed)
-    flows = experiment.start_permutation(network, permutation_bytes, rng=random.Random(seed))
-    throughput = experiment.measure_throughput(network, flows, duration_ps)
+    throughput = _permutation_throughput(protocol, k, permutation_bytes, duration_ps, seed)
     return {
         "incast_ms": last / units.MILLISECOND,
         "permutation_utilization": throughput.utilization,
@@ -1399,25 +1345,24 @@ def scaling_plan(
     One spec per topology size.
     """
     ks = tuple(ks)
-    specs = _specs(
-        "scaling", _scaling_point,
+
+    def assemble(results: List[experiment.ThroughputResult]) -> List[Dict[str, float]]:
+        return [
+            {
+                "k": k,
+                # a permutation has exactly one flow per host
+                "hosts": len(result.per_flow_goodput_bps),
+                "utilization_percent": 100 * result.utilization,
+            }
+            for k, result in zip(ks, results)
+        ]
+
+    return _plan(
+        "scaling", _permutation_throughput,
         [(f"k={k}", dict(k=k)) for k in ks],
-        flow_bytes=flow_bytes, duration_ps=duration_ps, seed=seed,
+        assemble,
+        protocol=registry.NDP, flow_bytes=flow_bytes, duration_ps=duration_ps, seed=seed,
     )
-    return Plan(specs, lambda results: list(results))
-
-
-def _scaling_point(k, flow_bytes, duration_ps, seed):
-    """Unit run: one row of the topology-scaling utilization table."""
-    eventlist = EventList()
-    network = NdpNetwork.build(eventlist, FatTreeTopology, k=k, seed=seed)
-    flows = experiment.start_permutation(network, flow_bytes, rng=random.Random(seed))
-    result = experiment.measure_throughput(network, flows, duration_ps)
-    return {
-        "k": k,
-        "hosts": network.topology.host_count,
-        "utilization_percent": 100 * result.utilization,
-    }
 
 
 @family("uplinks", "where packets get trimmed (load balancing)")
@@ -1435,25 +1380,19 @@ def uplink_trimming_plan(
     One spec per path-selection mode.
     """
     modes = ["permutation", "random"]
-    specs = _specs(
+    return _plan(
         "uplinks", _uplink_mode,
         [(mode, dict(mode=mode)) for mode in modes],
+        lambda results: dict(zip(modes, results)),
         k=k, flow_bytes=flow_bytes, duration_ps=duration_ps, seed=seed,
     )
-
-    def assemble(results) -> Dict[str, Dict[str, float]]:
-        return {mode: result for mode, result in zip(modes, results)}
-
-    return Plan(specs, assemble)
 
 
 def _uplink_mode(mode, k, flow_bytes, duration_ps, seed):
     """Unit run: uplink trim statistics for one path-selection mode."""
-    config = NdpConfig(path_selection_mode=mode)
-    eventlist = EventList()
-    network = NdpNetwork.build(eventlist, FatTreeTopology, k=k, config=config, seed=seed)
+    network = _fattree(registry.NDP, k, seed, config=NdpConfig(path_selection_mode=mode))
     flows = experiment.start_permutation(network, flow_bytes, rng=random.Random(seed))
-    eventlist.run(until=duration_ps)
+    utilization = experiment.measure_throughput(network, flows, duration_ps).utilization
     uplink_trims = sum(q.stats.packets_trimmed for q in network.topology.uplink_queues())
     total_forwarded = sum(
         q.stats.packets_forwarded for q in network.topology.uplink_queues()
@@ -1462,9 +1401,7 @@ def _uplink_mode(mode, k, flow_bytes, duration_ps, seed):
         "uplink_trimmed": uplink_trims,
         "uplink_forwarded": total_forwarded,
         "uplink_trim_fraction": uplink_trims / max(total_forwarded, 1),
-        "utilization": experiment.measure_throughput(
-            network, flows, duration_ps, run=False
-        ).utilization,
+        "utilization": utilization,
     }
 
 
@@ -1506,24 +1443,44 @@ def failures_degraded_plan(
         cases, protocol, _FAILURE_DEFAULT_CASES,
         FamilyTraits(family="failures_degraded", mutates_link_rates=True),
     )
-    specs = _specs(
-        "failures_degraded", _failures_degraded_case,
-        [(case, dict(case=case)) for case in cases],
-        k=k, degraded_rate_bps=degraded_rate_bps, flow_bytes=flow_bytes,
-        timeout_ps=timeout_ps, seed=seed,
+    return _plan(
+        "failures_degraded", _permutation_fcts,
+        [(case, dict(protocol=case, row=dict(case=case))) for case in cases],
+        k=k, flow_bytes=flow_bytes, timeout_ps=timeout_ps, seed=seed,
+        degraded_rate_bps=degraded_rate_bps,
     )
-    return Plan(specs, lambda results: list(results))
 
 
-def _failures_degraded_case(case, k, degraded_rate_bps, flow_bytes, timeout_ps, seed):
-    """Unit run: one transport's permutation FCT summary over a degraded core."""
-    eventlist = EventList()
-    network = registry.build_network(case, eventlist, FatTreeTopology, k=k, seed=seed)
-    network.topology.degrade_core_link(core=0, pod=k - 1, new_rate_bps=degraded_rate_bps)
+def _permutation_fcts(
+    protocol: str,
+    row: Mapping[str, Any],
+    k: int,
+    flow_bytes: int,
+    timeout_ps: int,
+    seed: int,
+    degraded_rate_bps: Optional[int] = None,
+    links_down: int = 0,
+) -> Dict[str, Any]:
+    """Unit run: one transport's permutation FCT summary over a damaged fabric.
+
+    Before any flow exists, ``degraded_rate_bps`` renegotiates the
+    core0↔pod(k-1) link down to that rate and ``links_down`` cuts the cables
+    of cores 0..links_down-1 into pod k-1; then every host sends one finite
+    transfer and the run lasts until all complete or *timeout_ps* elapses.
+    Returns *row* (the family's identifying columns) followed by flow
+    counts and the FCT summary.
+    """
+    network = _fattree(protocol, k, seed)
+    if degraded_rate_bps is not None:
+        network.topology.degrade_core_link(
+            core=0, pod=k - 1, new_rate_bps=degraded_rate_bps
+        )
+    for core in range(links_down):
+        network.topology.fail_core_link(core=core, pod=k - 1)
     flows = experiment.start_permutation(network, flow_bytes, rng=random.Random(seed))
     result = experiment.run_until_complete(network, flows, timeout_ps)
     return {
-        "case": case,
+        **row,
         "flows": len(flows),
         "completed": len(result.completed()),
         **result.summary(),
@@ -1556,18 +1513,12 @@ def failures_recovery_plan(
         protocols, protocol, (registry.NDP, registry.TCP),
         FamilyTraits(family="failures_recovery", severs_links=True),
     )
-    specs = _specs(
-        "failures_recovery", _failures_recovery_case,
-        [(name, dict(protocol=name)) for name in protocols],
+    return _per_protocol(
+        "failures_recovery", _failures_recovery_case, protocols,
         k=k, flow_bytes=flow_bytes, fail_at_ps=fail_at_ps,
         recover_at_ps=recover_at_ps, duration_ps=duration_ps,
         sample_period_ps=sample_period_ps, seed=seed,
     )
-
-    def assemble(results) -> Dict[str, Dict[str, object]]:
-        return {name: result for name, result in zip(protocols, results)}
-
-    return Plan(specs, assemble)
 
 
 def _failures_recovery_case(
@@ -1575,22 +1526,14 @@ def _failures_recovery_case(
     sample_period_ps, seed,
 ):
     """Unit run: one protocol's goodput timeline through an outage."""
-    eventlist = EventList()
-    network = registry.build_network(protocol, eventlist, FatTreeTopology, k=k, seed=seed)
+    network = _fattree(protocol, k, seed)
     topology = network.topology
     core_node, agg_node = topology.core_agg_pair(core=0, pod=k - 1)
     controller = FabricController(topology)
     controller.schedule_outage(core_node, agg_node, fail_at_ps, recover_at_ps)
     flows = experiment.start_permutation(network, flow_bytes, rng=random.Random(seed))
-    rate = RateEstimator()
-    series = TimeSeriesSampler(
-        eventlist, sample_period_ps,
-        lambda: rate.update(
-            eventlist.now(), sum(f.record.bytes_delivered for f in flows)
-        ),
-    )
-    series.start()
-    eventlist.run(until=duration_ps)
+    series = _goodput_series(network.eventlist, sample_period_ps, flows)
+    network.eventlist.run(until=duration_ps)
     return {
         "goodput": series.samples,
         "flows": len(flows),
@@ -1630,31 +1573,14 @@ def failures_klinks_plan(
         protocols, protocol, (registry.NDP, registry.TCP),
         FamilyTraits(family="failures_klinks", severs_links=True),
     )
-    specs = _specs(
-        "failures_klinks", _failures_klinks_case,
-        [(f"{name},down={links_down}", dict(protocol=name)) for name in protocols],
-        links_down=links_down, k=k, flow_bytes=flow_bytes, timeout_ps=timeout_ps,
-        seed=seed,
+    return _plan(
+        "failures_klinks", _permutation_fcts,
+        [(f"{name},down={links_down}",
+          dict(protocol=name, row=dict(protocol=name, links_down=links_down)))
+         for name in protocols],
+        k=k, flow_bytes=flow_bytes, timeout_ps=timeout_ps, seed=seed,
+        links_down=links_down,
     )
-    return Plan(specs, lambda results: list(results))
-
-
-def _failures_klinks_case(protocol, links_down, k, flow_bytes, timeout_ps, seed):
-    """Unit run: one transport's permutation with N core links pre-failed."""
-    eventlist = EventList()
-    network = registry.build_network(protocol, eventlist, FatTreeTopology, k=k, seed=seed)
-    topology = network.topology
-    for core in range(links_down):
-        topology.fail_core_link(core=core, pod=k - 1)
-    flows = experiment.start_permutation(network, flow_bytes, rng=random.Random(seed))
-    result = experiment.run_until_complete(network, flows, timeout_ps)
-    return {
-        "protocol": protocol,
-        "links_down": links_down,
-        "flows": len(flows),
-        "completed": len(result.completed()),
-        **result.summary(),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -1734,7 +1660,7 @@ def load_fct_plan(
         protocols, protocol, _LOAD_FCT_DEFAULT_PROTOCOLS,
         FamilyTraits(family="load_fct"),
     )
-    specs = _specs(
+    return _plan(
         "load_fct", _load_fct_point,
         [(f"{name},load={level:g},{fabric},{workload}", dict(protocol=name, load=level))
          for level in loads for name in protocols],
@@ -1742,7 +1668,6 @@ def load_fct_plan(
         hosts_per_leaf=hosts_per_leaf, workload=workload, matrix=matrix,
         warmup_ps=warmup_ps, measure_ps=measure_ps, drain_ps=drain_ps, seed=seed,
     )
-    return Plan(specs, lambda results: list(results))
 
 
 def _open_loop_base_rtt_ps(topology) -> int:
@@ -1765,19 +1690,16 @@ def _load_fct_point(
     matrix, warmup_ps, measure_ps, drain_ps, seed,
 ):
     """Unit run: one (protocol, load) row of the open-loop slowdown sweep."""
-    eventlist = EventList()
     if fabric == "fattree":
-        network = registry.build_network(
-            protocol, eventlist, FatTreeTopology, k=k, seed=seed
-        )
+        network = _fattree(protocol, k, seed)
     else:
         network = registry.build_network(
-            protocol, eventlist, LeafSpineTopology,
+            protocol, EventList(), LeafSpineTopology,
             leaves=leaves, spines=spines, hosts_per_leaf=hosts_per_leaf, seed=seed,
         )
     topology = network.topology
     generator = OpenLoopGenerator(
-        eventlist,
+        network.eventlist,
         network,
         hosts=topology.hosts(),
         flow_sizes=_LOAD_FCT_WORKLOADS[workload](),
@@ -1872,7 +1794,7 @@ def rpc_deadline_plan(
         protocols, protocol, _SERVICE_DEFAULT_PROTOCOLS,
         FamilyTraits(family="rpc_deadline"),
     )
-    specs = _specs(
+    return _plan(
         "rpc_deadline", _rpc_deadline_point,
         [(f"{name},load={level:g},fanout={fanout}", dict(protocol=name, load=level))
          for level in loads for name in protocols],
@@ -1880,7 +1802,6 @@ def rpc_deadline_plan(
         deadline_us=deadline_us, k=k, warmup_ps=warmup_ps, measure_ps=measure_ps,
         drain_ps=drain_ps, seed=seed,
     )
-    return Plan(specs, lambda results: list(results))
 
 
 def _rpc_deadline_point(
@@ -1936,14 +1857,13 @@ def coflow_ct_plan(
         protocols, protocol, _SERVICE_DEFAULT_PROTOCOLS,
         FamilyTraits(family="coflow_ct"),
     )
-    specs = _specs(
+    return _plan(
         "coflow_ct", _coflow_ct_point,
         [(f"{name},load={level:g},width={width}x{rounds}", dict(protocol=name, load=level))
          for level in loads for name in protocols],
         width=width, rounds=rounds, bytes_per_pair=bytes_per_pair, k=k,
         warmup_ps=warmup_ps, measure_ps=measure_ps, drain_ps=drain_ps, seed=seed,
     )
-    return Plan(specs, lambda results: list(results))
 
 
 def _coflow_ct_point(
@@ -1974,10 +1894,7 @@ def _service_point(
     """Shared mechanics of one service-workload point: build the network,
     synthesize the seeded request specs, execute them, and return the
     common row fields plus the engine and measured/completed populations."""
-    eventlist = EventList()
-    network = registry.build_network(
-        protocol, eventlist, FatTreeTopology, k=k, seed=seed
-    )
+    network = _fattree(protocol, k, seed)
     topology = network.topology
     request_specs = synthesize_requests(
         topology.hosts(),

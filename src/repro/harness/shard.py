@@ -791,12 +791,16 @@ def _recv_checked(
             raise ShardFailedError(shard_id, window_start_ps, message[2])
         return message
     if sentinel in ready:
-        # the process died; drain a possibly-raced final message first
-        if conn.poll(0):
-            message = conn.recv()
-            if message[0] == "error":
-                raise ShardFailedError(shard_id, window_start_ps, message[2])
-            return message
+        # the process died; drain a possibly-raced final message first (a
+        # dead worker's closed pipe polls readable, then raises on recv)
+        try:
+            if conn.poll(0):
+                message = conn.recv()
+                if message[0] == "error":
+                    raise ShardFailedError(shard_id, window_start_ps, message[2])
+                return message
+        except (EOFError, OSError):
+            pass
         raise ShardFailedError(shard_id, window_start_ps, "worker process died")
     raise ShardFailedError(
         shard_id, window_start_ps, f"no reply within {timeout_s:.0f}s"

@@ -4,7 +4,8 @@ This module is the execution layer underneath :mod:`repro.harness.figures`
 and ``python -m repro.cli``: every experiment is decomposed into independent
 :class:`RunSpec` units (one simulator run each), which can be
 
-* fanned across worker processes (``run_specs(specs, jobs=N)``), and
+* fanned across worker processes (``run_specs(specs, jobs=N)``; several
+  figures' plans at once through :func:`run_plans`, the one batch loop), and
 * memoized on disk across *processes* (:class:`ResultCache`), so a CI run,
   a benchmark session and an interactive CLI call all reuse each other's
   simulations.
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -63,6 +65,7 @@ __all__ = [
     "Plan",
     "ResultCache",
     "run_specs",
+    "run_plans",
     "run_plan",
     "default_cache",
     "encode_result",
@@ -539,6 +542,31 @@ def run_specs(
     return results
 
 
+def run_plans(
+    plans: Sequence[Plan],
+    jobs: int = 1,
+    cache: Any = USE_DEFAULT_CACHE,
+    on_result: Optional[Callable[[RunSpec, int, str], None]] = None,
+) -> List[Any]:
+    """Execute *plans* as one batch; one assembled result per plan, in order.
+
+    The batch loop of the experiment layer (a multi-figure CLI run, a sweep
+    grid and a render are all this call): every plan's specs go through a
+    single :func:`run_specs`, so plans interleave across the worker pool, a
+    spec that several plans share is simulated once, and ``on_result``'s
+    *index* counts across the concatenated specs.  A plan with no specs
+    assembles from an empty list.
+    """
+    results = iter(run_specs(
+        [spec for plan in plans for spec in plan.specs],
+        jobs=jobs, cache=cache, on_result=on_result,
+    ))
+    return [
+        plan.assemble(list(itertools.islice(results, len(plan.specs))))
+        for plan in plans
+    ]
+
+
 def run_plan(
     plan: Plan,
     jobs: int = 1,
@@ -546,4 +574,4 @@ def run_plan(
     on_result: Optional[Callable[[RunSpec, int, str], None]] = None,
 ) -> Any:
     """Execute a figure plan and assemble its public result."""
-    return plan.assemble(run_specs(plan.specs, jobs=jobs, cache=cache, on_result=on_result))
+    return run_plans([plan], jobs=jobs, cache=cache, on_result=on_result)[0]

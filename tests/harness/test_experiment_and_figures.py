@@ -64,6 +64,23 @@ class TestWorkloadRunners:
             result.last_completion_us()
 
 
+class TestSharedUnitRuns:
+    @pytest.mark.parametrize("pull_jitter_sigma", [None, 0.35])
+    def test_incast_that_cannot_finish_reports_the_timeout(self, pull_jitter_sigma):
+        """4 x 90 KB into one 10 Gb/s port needs ~290 us; the horizon is 50 us.
+
+        Every incast family reports ``timeout_ps`` for an unfinished incast —
+        with jittered pulls too (fig13's own unit run used to report the
+        slowest flow that *did* finish, through a float round trip).
+        """
+        timeout_ps = units.microseconds(50)
+        last = figures._incast_last_fct(
+            "NDP", 90_000, senders=4, seed=1, timeout_ps=timeout_ps,
+            mtu_1500=True, pull_jitter_sigma=pull_jitter_sigma,
+        )
+        assert last == timeout_ps
+
+
 class TestFigureGenerators:
     def test_figure21_saturates_both_bottlenecks(self):
         result = figures.run("fig21", duration_ps=units.milliseconds(2))

@@ -275,6 +275,33 @@ class TestDeterminism:
         assert cache.stores == 1  # one simulation, fanned out to all three
         assert sorted(seen) == [(0, "run"), (1, "run"), (2, "run")]
 
+    def test_run_plans_is_one_batch_assembled_per_plan(self, tmp_path):
+        """Mixed plan sizes (one with no specs), each plan assembled from its
+        own results in order; a spec two plans share simulates once; equal
+        to running every plan on its own."""
+        def tagged(tag):
+            return lambda results: (tag, results)
+
+        plans = [
+            Plan([_cheap_spec(70), _cheap_spec(80)], tagged("two")),
+            Plan([], tagged("none")),
+            Plan([_cheap_spec(80)], tagged("shared")),
+            Plan([_cheap_spec(90), _cheap_spec(70), _cheap_spec(60)], tagged("three")),
+        ]
+        cache = ResultCache(str(tmp_path / "batch"))
+        seen = []
+        batch = sweep.run_plans(
+            plans, cache=cache,
+            on_result=lambda _spec, index, source: seen.append((index, source)),
+        )
+        assert [tag for tag, _results in batch] == ["two", "none", "shared", "three"]
+        assert [len(results) for _tag, results in batch] == [2, 0, 1, 3]
+        assert cache.stores == 4  # samples 60, 70, 80, 90 — once each
+        assert sorted(seen) == [(index, "run") for index in range(6)]
+
+        alone = ResultCache(str(tmp_path / "alone"))
+        assert batch == [sweep.run_plan(plan, cache=alone) for plan in plans]
+
 
 def _always_failing():
     raise ValueError("injected failure")

@@ -9,8 +9,12 @@ shard id and the start timestamp of the window in flight.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import pytest
 
+from repro.harness import shard
 from repro.harness.shard import ShardFailedError, run_sharded
 
 FATTREE_KW = {"flow_size_bytes": 60_000}
@@ -55,3 +59,32 @@ class TestWorkerCrash:
             )
         result = run_sharded("fattree", 2, seed=1, scenario_kwargs=FATTREE_KW)
         assert result.completed_flows == result.total_flows
+
+    def test_sentinel_only_wakeup_of_a_dead_worker_is_a_shard_failure(
+        self, monkeypatch
+    ) -> None:
+        """``wait`` may report only the sentinel of a worker that died.
+
+        Its closed pipe end then polls readable and ``recv`` raises
+        ``EOFError``; that must surface as :class:`ShardFailedError`, like
+        the same error on the pipe-ready branch (it used to escape raw,
+        failing a crash test once in a loaded tier-1 run).
+        """
+        context = multiprocessing.get_context("fork")
+        parent_conn, child_conn = context.Pipe()
+        worker = context.Process(target=os._exit, args=(1,))
+        worker.start()
+        child_conn.close()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        monkeypatch.setattr(
+            shard, "_connection_wait", lambda _waitables, _timeout: [worker.sentinel]
+        )
+        try:
+            with pytest.raises(ShardFailedError) as excinfo:
+                shard._recv_checked(parent_conn, worker.sentinel, 1, 12_345, 1.0)
+        finally:
+            parent_conn.close()
+        assert excinfo.value.shard_id == 1
+        assert excinfo.value.window_start_ps == 12_345
+        assert "worker process died" in str(excinfo.value)

@@ -94,7 +94,7 @@ def check_families() -> List[str]:
     """
     sys.path.insert(0, os.path.join(ROOT, "src"))
     try:
-        from repro.analysis.registry import registered_figures
+        from repro.analysis import registered_figures
         from repro.harness.figures import FAMILIES
     except Exception as error:  # pragma: no cover - import environment issue
         return [f"could not import repro to verify the experiment docs: {error}"]
