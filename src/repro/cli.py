@@ -32,7 +32,10 @@ memoized in a persistent on-disk cache
 parameters and a fingerprint of the simulator source — a second invocation
 of ``all`` is served from disk in seconds.  ``--no-cache`` (or
 ``REPRO_NO_CACHE=1``) bypasses the cache; results are bit-identical either
-way.
+way.  A run served from the cache does not import the simulator: this module
+loads the family declarations, the sweep engine and the transport registry,
+and the engine arrives with :mod:`repro.harness.unit_runs` when the first
+spec has to execute (``docs/architecture.md``, "Import layering").
 
 The ``sweep`` subcommand runs one experiment over the cartesian product of
 user-supplied parameter values.  ``--set key=v1,v2`` sweeps ``key`` over
@@ -78,7 +81,9 @@ import time
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.harness import figures, sweep
+from repro.harness.metrics import ThroughputResult
 from repro.transports.registry import IncompatibleTransportError
+
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the requested experiments and print their results."""
@@ -538,8 +543,6 @@ def _print_result(result: object) -> None:
 
 
 def _summarize(value: object) -> str:
-    from repro.harness.experiment import ThroughputResult
-
     if isinstance(value, ThroughputResult):
         goodputs = value.sorted_goodputs_gbps()
         return (
@@ -560,5 +563,14 @@ def _summarize(value: object) -> str:
     return str(value)
 
 
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess in examples
-    raise SystemExit(main())
+if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
+    try:
+        status = main()
+        sys.stdout.flush()  # a reader that went away must surface here, not at exit
+    except BrokenPipeError:
+        # `... | head -1` closed the pipe.  As the Python docs prescribe: point
+        # stdout at devnull so the interpreter's exit-time flush cannot raise
+        # again, and end quietly with a failing status instead of a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)

@@ -10,10 +10,15 @@ goodput time series, CDFs).
 
 :mod:`repro.harness.sweep` is the execution layer: figures decompose into
 independent :class:`~repro.harness.sweep.RunSpec` units (one plan builder
-per family, all declared in :data:`repro.harness.figures.FAMILIES`) that
+per family, all declared in :data:`repro.harness.figures.FAMILIES`, each
+naming a unit run of :mod:`repro.harness.unit_runs` by reference) that
 can be fanned across worker processes and are memoized in a persistent on-disk result cache
 (``$REPRO_CACHE_DIR``, default ``~/.cache/repro``; ``REPRO_NO_CACHE=1``
 disables).  See ``python -m repro.cli all --jobs 4``.
+
+Importing this package imports none of its modules: the names below resolve
+on first use (:mod:`repro._lazy`), so ``sweep``, ``figures`` and ``metrics``
+— what re-printing cached results needs — cost no simulator.
 
 Networks (:class:`Network` subclasses supplying only their queue and
 endpoint hooks; see :mod:`repro.harness.network`):
@@ -23,61 +28,36 @@ endpoint hooks; see :mod:`repro.harness.network`):
   :class:`DcqcnNetwork` / :class:`PHostNetwork` — the baselines.
 """
 
-from repro.harness.metrics import (
-    cdf_points,
-    fair_share_fraction,
-    goodput_bps,
-    ideal_incast_completion_ps,
-    ideal_transfer_time_ps,
-    mean,
-    percentile,
-    summarize_fcts_us,
-    utilization_from_records,
-)
-from repro.harness.network import Flow, Network
-from repro.harness.ndp_network import NdpNetwork
-from repro.harness.baseline_networks import (
-    DcqcnNetwork,
-    DctcpNetwork,
-    MptcpNetwork,
-    PHostNetwork,
-    TcpNetwork,
-)
-from repro.harness import experiment, metrics, sweep
-from repro.harness.sweep import (
-    Plan,
-    ResultCache,
-    RunSpec,
-    default_cache,
-    run_plan,
-    run_specs,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Plan",
-    "ResultCache",
-    "RunSpec",
-    "default_cache",
-    "run_plan",
-    "run_specs",
-    "sweep",
-    "cdf_points",
-    "percentile",
-    "mean",
-    "fair_share_fraction",
-    "goodput_bps",
-    "ideal_incast_completion_ps",
-    "ideal_transfer_time_ps",
-    "summarize_fcts_us",
-    "utilization_from_records",
-    "Network",
-    "Flow",
-    "NdpNetwork",
-    "TcpNetwork",
-    "DctcpNetwork",
-    "MptcpNetwork",
-    "DcqcnNetwork",
-    "PHostNetwork",
-    "experiment",
-    "metrics",
-]
+# exported name -> defining module, imported on first use: importing this
+# package (which importing any harness submodule does) loads no simulator
+_EXPORTS = {
+    "Plan": "repro.harness.sweep",
+    "ResultCache": "repro.harness.sweep",
+    "RunSpec": "repro.harness.sweep",
+    "default_cache": "repro.harness.sweep",
+    "run_plan": "repro.harness.sweep",
+    "run_specs": "repro.harness.sweep",
+    "sweep": "repro.harness.sweep",
+    "cdf_points": "repro.harness.metrics",
+    "percentile": "repro.harness.metrics",
+    "mean": "repro.harness.metrics",
+    "fair_share_fraction": "repro.harness.metrics",
+    "goodput_bps": "repro.harness.metrics",
+    "ideal_incast_completion_ps": "repro.harness.metrics",
+    "ideal_transfer_time_ps": "repro.harness.metrics",
+    "summarize_fcts_us": "repro.harness.metrics",
+    "utilization_from_records": "repro.harness.metrics",
+    "Network": "repro.harness.network",
+    "Flow": "repro.harness.network",
+    "NdpNetwork": "repro.harness.ndp_network",
+    "TcpNetwork": "repro.harness.baseline_networks",
+    "DctcpNetwork": "repro.harness.baseline_networks",
+    "MptcpNetwork": "repro.harness.baseline_networks",
+    "DcqcnNetwork": "repro.harness.baseline_networks",
+    "PHostNetwork": "repro.harness.baseline_networks",
+    "experiment": "repro.harness.experiment",
+    "metrics": "repro.harness.metrics",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

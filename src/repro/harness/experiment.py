@@ -11,7 +11,8 @@ Public API at a glance:
   create the flows of a traffic matrix and return their handles (the
   simulation has not run yet);
 * drivers — :func:`measure_throughput` (fixed-duration goodput study,
-  returns a :class:`ThroughputResult`), :func:`run_until_complete`
+  returns a :class:`~repro.harness.metrics.ThroughputResult`, re-exported
+  here), :func:`run_until_complete`
   (completion study, returns an :class:`FctResult`), :func:`run_open_loop`
   and :func:`run_service_requests` (open-loop flow and request arrivals);
 * liveness — :func:`liveness_report` / :func:`assert_all_complete`: the
@@ -30,30 +31,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.harness import metrics
+from repro.harness.metrics import ThroughputResult
 from repro.harness.network import Flow
 from repro.sim import units
 from repro.sim.logger import FlowRecord
 from repro.workloads.traffic_matrices import incast_pairs, permutation_pairs
-
-
-@dataclass
-class ThroughputResult:
-    """Outcome of a fixed-duration throughput experiment (e.g. a permutation)."""
-
-    duration_ps: int
-    link_rate_bps: int
-    per_flow_goodput_bps: List[float] = field(default_factory=list)
-    utilization: float = 0.0
-    trimmed_packets: int = 0
-    dropped_packets: int = 0
-
-    def sorted_goodputs_gbps(self) -> List[float]:
-        """Per-flow goodput in Gb/s, ascending — the y-values of Figure 14."""
-        return sorted(g / 1e9 for g in self.per_flow_goodput_bps)
-
-    def min_goodput_gbps(self) -> float:
-        """Goodput of the unluckiest flow."""
-        return min(self.per_flow_goodput_bps) / 1e9 if self.per_flow_goodput_bps else 0.0
 
 
 @dataclass

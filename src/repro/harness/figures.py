@@ -26,65 +26,28 @@ the persistent result cache (``$REPRO_CACHE_DIR``, default
 fanning the units across worker processes (``python -m repro.cli all
 --jobs 4``).
 
-A scenario is simulated by one unit run, whichever family asks: builders
-make their plans with :func:`_plan` (or :func:`_per_protocol` /
-:func:`_single`), and families that draw from the same traffic shape name
-the same function — :func:`_incast_last_fct`, :func:`_permutation_throughput`,
-:func:`_permutation_fcts` — passing what differs (fabric damage, an NDP
-config, pacer jitter) as JSON-codable keyword data in the spec.
-
-Determinism: every unit is an independent module-level function that builds
-its own :class:`~repro.sim.eventlist.EventList` and seeds its own RNGs, so
-parallel, cached and cold serial executions return bit-identical results
-(see :mod:`repro.harness.sweep` for the normalization contract, and
-``tests/harness/test_sweep.py`` for the assertion).
+This module is *declarations*: names, numbers, row assembly and chart
+metadata.  What a spec executes lives in :mod:`repro.harness.unit_runs`;
+builders name it there by reference — :func:`_plan` (or :func:`_per_protocol`
+/ :func:`_single`) takes the unit run's *name* and the spec holds a
+:class:`~repro.harness.sweep.UnitRun`, which imports ``unit_runs``, and with
+it the simulator, when a spec first executes.  Building, keying, serving
+from the cache, assembling and rendering a plan load no engine: nothing here
+may import ``repro.core``, ``repro.topology``, ``repro.workloads``,
+``repro.hosts``, the event list or a network class
+(``tests/harness/test_cli.py`` holds the import budget).
 """
 
 from __future__ import annotations
 
 import math
-import random
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from repro.core.config import NdpConfig
-from repro.core.switch import CpSwitchQueue, NdpSwitchQueue
-from repro.harness import experiment, metrics
-from repro.harness.ndp_network import NdpNetwork
-from repro.harness.sweep import Plan, RunSpec, run_plan
-from repro.hosts.processing import (
-    HostProcessingModel,
-    JitteredPullPacer,
-    PullSpacingJitter,
-    RpcStackModel,
-)
+from repro.harness import metrics
+from repro.harness.sweep import Plan, RunSpec, UnitRun, run_plan
 from repro.sim import units
-from repro.sim.eventlist import EventList
-from repro.sim.logger import RateEstimator, TimeSeriesSampler
-from repro.topology import (
-    BackToBackTopology,
-    FabricController,
-    FatTreeTopology,
-    LeafSpineTopology,
-    SingleSwitchTopology,
-)
 from repro.transports import registry
 from repro.transports.capabilities import FamilyTraits
-from repro.transports.constant_rate import ConstantRateSink, ConstantRateSource
-from repro.workloads.flowsize import (
-    DataMiningFlowSizes,
-    FacebookWebFlowSizes,
-    WebSearchFlowSizes,
-)
-from repro.workloads.generators import ClosedLoopGenerator
-from repro.workloads.openloop import MEASURE, OpenLoopGenerator
-from repro.workloads.services import (
-    CoflowShuffleTemplate,
-    PartitionAggregateTemplate,
-    synthesize_requests,
-    window_of as service_window_of,
-)
-from repro.workloads.trace import trace_digest
-from repro.workloads.traffic_matrices import permutation_pairs, random_pairs
 
 #: default comparison set of the large-scale simulations (Figures 14/15/16)
 COMPARISON_PROTOCOLS = (registry.NDP, registry.MPTCP, registry.DCTCP, registry.DCQCN)
@@ -189,30 +152,36 @@ def _validated_loads(load, loads) -> Tuple[float, ...]:
     return loads
 
 
+def _unit_run(name: str) -> UnitRun:
+    """Function *name* of :mod:`repro.harness.unit_runs`, by reference: the
+    module (and the simulator it imports) loads when the spec first runs."""
+    return UnitRun("repro.harness.unit_runs", name)
+
+
 def _plan(
     label: str,
-    fn: Callable[..., Any],
+    fn: str,
     cases: Sequence[Tuple[str, Mapping[str, Any]]],
     assemble: Callable[[List[Any]], Any] = list,
     **common: Any,
 ) -> Plan:
     """A family's :class:`Plan`: one :class:`RunSpec` per ``(tag, kwargs)`` case.
 
-    The spec is named ``label[tag]`` and runs ``fn(**kwargs, **common)``:
+    The spec is named ``label[tag]`` and runs unit run *fn* (a function name
+    in :mod:`repro.harness.unit_runs`) as ``fn(**kwargs, **common)``:
     *kwargs* are the arguments that vary between the family's units,
     *common* the ones they share.  *assemble* builds the public result from
     the unit results in case order; the default suits a family whose units
     each return one finished row.
     """
+    unit = _unit_run(fn)
     specs = [
-        RunSpec(f"{label}[{tag}]", fn, {**kwargs, **common}) for tag, kwargs in cases
+        RunSpec(f"{label}[{tag}]", unit, {**kwargs, **common}) for tag, kwargs in cases
     ]
     return Plan(specs, assemble)
 
 
-def _per_protocol(
-    label: str, fn: Callable[..., Any], protocols: Sequence[str], **common: Any
-) -> Plan:
+def _per_protocol(label: str, fn: str, protocols: Sequence[str], **common: Any) -> Plan:
     """One spec per protocol, run as ``fn(protocol=name, **common)``; the
     result is the ``{protocol: unit result}`` mapping in *protocols* order."""
     return _plan(
@@ -221,58 +190,10 @@ def _per_protocol(
     )
 
 
-def _single(label: str, fn: Callable[..., Any], **kwargs: Any) -> Plan:
+def _single(label: str, fn: str, **kwargs: Any) -> Plan:
     """A family that is one simulator run: a single spec named *label*
     whose result is the family's result."""
-    return Plan([RunSpec(label, fn, kwargs)], lambda results: results[0])
-
-
-# ---------------------------------------------------------------------------
-# Prologues and probes the unit runs share
-# ---------------------------------------------------------------------------
-
-def _fattree(protocol: str, k: int, seed: int, config=None, **fabric: Any):
-    """*protocol*'s network on a fresh ``k``-ary FatTree and its own event list.
-
-    ``config=None`` means the transport's registered default; *fabric*
-    passes through to the topology (``oversubscription=``).  The event list
-    is ``network.eventlist``.
-    """
-    return registry.build_network(
-        protocol, EventList(), FatTreeTopology, k=k, config=config, seed=seed, **fabric
-    )
-
-
-def _ndp_1500() -> NdpConfig:
-    """The NDP prototype's configuration: 1500-byte MTU, eight-packet queues."""
-    return NdpConfig(mtu_bytes=1500, header_queue_bytes=8 * 1500)
-
-
-def _jittered_pacers(eventlist: EventList, mtu_bytes: int, jitter: PullSpacingJitter):
-    """A ``pacer_factory`` whose pull pacers all draw their spacing from *jitter*
-    (one shared stream, as one host model would produce)."""
-
-    def pacer_factory(host: int) -> JitteredPullPacer:
-        return JitteredPullPacer(
-            eventlist, link_rate_bps=units.DEFAULT_LINK_RATE_BPS,
-            mtu_bytes=mtu_bytes, jitter=jitter,
-        )
-
-    return pacer_factory
-
-
-def _goodput_series(eventlist: EventList, period_ps: int, flows: Sequence[Any]):
-    """A started sampler of the aggregate goodput (bits/second) of *flows*,
-    one ``(time_ps, rate)`` sample per *period_ps*; read ``.samples`` after the run."""
-    rate = RateEstimator()
-    series = TimeSeriesSampler(
-        eventlist, period_ps,
-        lambda: rate.update(
-            eventlist.now(), sum(flow.record.bytes_delivered for flow in flows)
-        ),
-    )
-    series.start()
-    return series
+    return Plan([RunSpec(label, _unit_run(fn), kwargs)], lambda results: results[0])
 
 
 # ---------------------------------------------------------------------------
@@ -296,59 +217,11 @@ def figure2_plan(
     percentage.
     """
     return _plan(
-        "fig2", _run_overload,
+        "fig2", "_run_overload",
         [(f"{kind},flows={flows}", dict(switch_kind=kind, flows=flows))
          for kind in (registry.NDP, "CP") for flows in flow_counts],
         duration_ps=duration_ps, packet_bytes=packet_bytes, seed=seed,
     )
-
-
-def _run_overload(switch_kind, flows, duration_ps, packet_bytes, seed):
-    """Unit run: one row — mean and worst-10% goodput fair-share percentage
-    of *flows* senders on one port."""
-    eventlist = EventList()
-    config = NdpConfig(mtu_bytes=packet_bytes, header_queue_bytes=8 * packet_bytes)
-    rng = random.Random(seed)
-
-    def queue_factory(evl, rate, name):
-        if switch_kind == registry.NDP:
-            return NdpSwitchQueue(evl, rate, config=config, rng=rng, name=name)
-        return CpSwitchQueue(evl, rate, config=config, name=name)
-
-    topology = SingleSwitchTopology(
-        eventlist, hosts=flows + 1, queue_factory=queue_factory
-    )
-    link_rate = topology.link_rate_bps
-    sinks = []
-    for index in range(flows):
-        src_host = index + 1
-        sink = ConstantRateSink(eventlist, flow_id=index, node_id=0)
-        route = topology.get_paths(src_host, 0)[0].extended(sink)
-        source = ConstantRateSource(
-            eventlist,
-            flow_id=index,
-            node_id=src_host,
-            dst_node_id=0,
-            route=route,
-            rate_bps=link_rate,
-            packet_bytes=packet_bytes,
-            jitter_fraction=0.05,
-            rng=random.Random(seed * 1000 + index),
-        )
-        source.start(0)
-        sinks.append(sink)
-    eventlist.run(until=duration_ps)
-    shares = sorted(
-        metrics.fair_share_fraction(sink.goodput_bps(duration_ps), link_rate, flows)
-        for sink in sinks
-    )
-    worst = shares[: max(1, len(shares) // 10)]
-    return {
-        "switch": switch_kind,
-        "flows": flows,
-        "mean_percent": 100 * metrics.mean(shares),
-        "worst10_percent": 100 * metrics.mean(worst),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -372,40 +245,13 @@ def figure4_plan(
     """
     matrices = ("permutation", "random", "incast")
     return _plan(
-        "fig4", _figure4_matrix,
+        "fig4", "_figure4_matrix",
         [(matrix, dict(matrix=matrix)) for matrix in matrices],
         lambda results: dict(zip(matrices, results)),
         k=k, permutation_flow_bytes=permutation_flow_bytes,
         incast_senders=incast_senders, incast_flow_bytes=incast_flow_bytes,
         duration_ps=duration_ps, seed=seed,
     )
-
-
-def _figure4_matrix(
-    matrix, k, permutation_flow_bytes, incast_senders, incast_flow_bytes,
-    duration_ps, seed,
-):
-    """Unit run: per-packet delivery latency samples (us) for one matrix."""
-    network = _fattree(registry.NDP, k, seed)
-    hosts = network.topology.hosts()
-    rng = random.Random(seed)
-    flow_bytes = incast_flow_bytes if matrix == "incast" else permutation_flow_bytes
-    if matrix == "permutation":
-        pairs = permutation_pairs(hosts, rng)
-    elif matrix == "random":
-        pairs = random_pairs(hosts, rng)
-    else:
-        pairs = [(src, 0) for src in range(1, incast_senders + 1)]
-    flows = [
-        network.create_flow(src, dst, flow_bytes, record_packet_latencies=True)
-        for src, dst in pairs
-    ]
-    network.eventlist.run(until=duration_ps)
-    return [
-        latency / units.MICROSECOND
-        for flow in flows
-        for latency in flow.src.packet_latencies_ps
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -423,45 +269,7 @@ def figure8_plan(samples: int = 500, seed: int = 1) -> Plan:
     Figure 8.  A single spec: the host-model study shares one simulated
     network RTT.
     """
-    return _single("fig8", _figure8_run, samples=samples, seed=seed)
-
-
-def _figure8_run(samples, seed):
-    """Unit run: median/p99 RPC latency for every host stack model."""
-    network_rtt = _measure_rpc_network_rtt()
-    rng = random.Random(seed)
-    stacks = {
-        registry.NDP: RpcStackModel(HostProcessingModel.ndp_dpdk(), handshake_rtts=0),
-        "TFO (no sleep)": RpcStackModel(
-            HostProcessingModel.kernel_tfo(deep_sleep=False), handshake_rtts=0
-        ),
-        "TCP (no sleep)": RpcStackModel(
-            HostProcessingModel.kernel_tcp(deep_sleep=False), handshake_rtts=1
-        ),
-        "TFO": RpcStackModel(HostProcessingModel.kernel_tfo(), handshake_rtts=0),
-        registry.TCP: RpcStackModel(HostProcessingModel.kernel_tcp(), handshake_rtts=1),
-    }
-    summary = {}
-    for name, model in stacks.items():
-        values = [v / units.MICROSECOND for v in model.sample_many(network_rtt, rng, samples)]
-        summary[name] = {
-            "median_us": metrics.percentile(values, 0.5),
-            "p99_us": metrics.percentile(values, 0.99),
-        }
-    return summary
-
-
-def _measure_rpc_network_rtt() -> int:
-    """Simulate the 1 KB request + 1 KB response wire time over NDP."""
-    eventlist = EventList()
-    network = NdpNetwork.build(eventlist, BackToBackTopology)
-    request = network.create_flow(0, 1, 1_000)
-    eventlist.run(until=units.milliseconds(1))
-    response = network.create_flow(1, 0, 1_000, start_time_ps=eventlist.now())
-    eventlist.run(until=eventlist.now() + units.milliseconds(1))
-    request_wire = request.record.finish_time_ps - request.sender_record.start_time_ps
-    response_wire = response.record.finish_time_ps - response.sender_record.start_time_ps
-    return request_wire + response_wire
+    return _single("fig8", "_figure8_run", samples=samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -506,55 +314,12 @@ def figure9_plan(
         return rows
 
     return _plan(
-        "fig9", _incast_last_fct,
+        "fig9", "_incast_last_fct",
         [(f"{protocol},kb={size // 1000}", dict(protocol=protocol, bytes_per_sender=size))
          for protocol, size in cases],
         assemble,
         senders=7, seed=seed, timeout_ps=units.seconds(2), testbed=True, mtu_1500=True,
     )
-
-
-def _incast_last_fct(
-    protocol: str,
-    bytes_per_sender: int,
-    senders: int,
-    seed: int,
-    timeout_ps: int,
-    testbed: bool = False,
-    mtu_1500: bool = False,
-    pull_jitter_sigma: Optional[float] = None,
-) -> int:
-    """Unit run: last-flow completion (ps) of a *senders*-to-one incast.
-
-    The first *senders* hosts other than host 0 each send *bytes_per_sender*
-    to host 0 at time zero; an incast that does not complete within
-    *timeout_ps* reports *timeout_ps*.  The scenario is data: ``testbed``
-    swaps the single switch for the paper's 8-server, six-switch leaf-spine;
-    ``mtu_1500`` runs NDP at the prototype's 1500-byte MTU (every other
-    transport keeps its registered default config); ``pull_jitter_sigma``
-    replaces NDP's perfect pull pacers with ones drawing their spacing from
-    the log-normal host model of Figure 12, seeded with *seed*.
-    """
-    eventlist = EventList()
-    config = _ndp_1500() if mtu_1500 and protocol == registry.NDP else None
-    if testbed:
-        topology_cls, fabric = LeafSpineTopology, dict(leaves=4, spines=2, hosts_per_leaf=2)
-    else:
-        topology_cls, fabric = SingleSwitchTopology, dict(hosts=senders + 1)
-    if pull_jitter_sigma is not None:
-        mtu_bytes = (config or NdpConfig()).mtu_bytes
-        jitter = PullSpacingJitter(sigma=pull_jitter_sigma, rng=random.Random(seed))
-        fabric["pacer_factory"] = _jittered_pacers(eventlist, mtu_bytes, jitter)
-    network = registry.build_network(
-        protocol, eventlist, topology_cls, config=config, seed=seed, **fabric
-    )
-    sender_hosts = [h for h in network.topology.hosts() if h != 0][:senders]
-    flows = experiment.start_incast(network, 0, sender_hosts, bytes_per_sender)
-    experiment.run_until_complete(network, flows, timeout_ps)
-    finished = [f.record.finish_time_ps for f in flows if f.record.finish_time_ps]
-    if len(finished) < len(flows):
-        return timeout_ps  # did not complete within the horizon
-    return max(finished)
 
 
 # ---------------------------------------------------------------------------
@@ -595,30 +360,13 @@ def figure10_plan(
         ("without_prioritization_us", True, False),
     ]
     return _plan(
-        "fig10", _figure10_case,
+        "fig10", "_figure10_case",
         [(label, dict(background=background, priority=priority))
          for label, background, priority in cases],
         lambda results: {label: value for (label, _b, _p), value in zip(cases, results)},
         short_bytes=short_bytes, long_bytes=long_bytes, long_flows=long_flows,
         seed=seed,
     )
-
-
-def _figure10_case(background, priority, short_bytes, long_bytes, long_flows, seed):
-    """Unit run: FCT (us) of the short flow in one prioritization scenario."""
-    eventlist = EventList()
-    network = NdpNetwork.build(
-        eventlist, SingleSwitchTopology, hosts=long_flows + 3, config=_ndp_1500(),
-        seed=seed,
-    )
-    if background:
-        for src in range(2, 2 + long_flows):
-            network.create_flow(src, 0, long_bytes)
-    short = network.create_flow(1, 0, short_bytes, priority=priority)
-    eventlist.run(until=units.milliseconds(60))
-    if not short.complete:
-        raise RuntimeError("short flow did not complete")
-    return short.record.completion_time_ps() / units.MICROSECOND
 
 
 # ---------------------------------------------------------------------------
@@ -644,31 +392,11 @@ def figure11_plan(
     One spec per initial-window setting.
     """
     return _plan(
-        "fig11", _figure11_window,
+        "fig11", "_figure11_window",
         [(f"iw={window}{',jitter' if jittered else ''}", dict(window=window))
          for window in windows],
         flow_bytes=flow_bytes, jittered=jittered, seed=seed,
     )
-
-
-def _figure11_window(window, flow_bytes, jittered, seed):
-    """Unit run: one row — throughput (Gb/s) of one back-to-back transfer at one IW."""
-    config = NdpConfig(initial_window_packets=window)
-    eventlist = EventList()
-    pacer_factory = None
-    if jittered:
-        jitter = PullSpacingJitter(rng=random.Random(seed + window))
-        pacer_factory = _jittered_pacers(eventlist, config.mtu_bytes, jitter)
-    network = NdpNetwork.build(
-        eventlist, BackToBackTopology, config=config, seed=seed,
-        pacer_factory=pacer_factory,
-    )
-    flow = network.create_flow(0, 1, flow_bytes)
-    eventlist.run(until=units.milliseconds(60))
-    return {
-        "initial_window": window,
-        "throughput_gbps": flow.record.throughput_bps() / 1e9 if flow.complete else 0.0,
-    }
 
 
 def _rows_fig12(result: Mapping[int, Mapping[str, float]]) -> List[Mapping[str, Any]]:
@@ -697,27 +425,9 @@ def figure12_plan(
     A single (pure host-model) spec; exercises the non-string-key codec.
     """
     return _single(
-        "fig12", _figure12_run,
+        "fig12", "_figure12_run",
         packet_sizes=tuple(packet_sizes), samples=samples, seed=seed,
     )
-
-
-def _figure12_run(packet_sizes, samples, seed):
-    """Unit run: pull-spacing percentiles for each packet size."""
-    result = {}
-    for size in packet_sizes:
-        target = units.serialization_time_ps(size, units.DEFAULT_LINK_RATE_BPS)
-        jitter = PullSpacingJitter(
-            sigma=0.35 if size <= 1500 else 0.15, rng=random.Random(seed)
-        )
-        values = [v / units.MICROSECOND for v in jitter.sample_many(target, samples)]
-        result[size] = {
-            "target_us": target / units.MICROSECOND,
-            "median_us": metrics.percentile(values, 0.5),
-            "p10_us": metrics.percentile(values, 0.1),
-            "p90_us": metrics.percentile(values, 0.9),
-        }
-    return result
 
 
 def _rows_fig13(result: List[Mapping[str, Any]]) -> List[Mapping[str, Any]]:
@@ -765,7 +475,7 @@ def figure13_plan(
 
     # the jittered runs use the spread Figure 12 measures for 1500-byte packets
     return _plan(
-        "fig13", _incast_last_fct,
+        "fig13", "_incast_last_fct",
         [(f"kb={size // 1000}{',jitter' if jittered else ''}",
           dict(bytes_per_sender=size, pull_jitter_sigma=0.35 if jittered else None))
          for size, jittered in cases],
@@ -796,36 +506,9 @@ def figure14_plan(
         protocols, protocol, COMPARISON_PROTOCOLS, FamilyTraits(family="fig14")
     )
     return _per_protocol(
-        "fig14", _permutation_throughput, protocols,
+        "fig14", "_permutation_throughput", protocols,
         k=k, flow_bytes=flow_bytes, duration_ps=duration_ps, seed=seed,
     )
-
-
-def _permutation_throughput(
-    protocol: str,
-    k: int,
-    flow_bytes: int,
-    duration_ps: int,
-    seed: int,
-    degraded_rate_bps: Optional[int] = None,
-    ndp: Optional[Mapping[str, Any]] = None,
-) -> experiment.ThroughputResult:
-    """Unit run: :class:`ThroughputResult` of a permutation on a ``k``-ary FatTree.
-
-    Every host sends *flow_bytes* to its seeded permutation partner for
-    *duration_ps*.  The scenario is data: ``degraded_rate_bps`` renegotiates
-    the core0↔pod(k-1) link down to that rate before the flows start
-    (Figure 22's asymmetry); ``ndp`` holds :class:`NdpConfig` fields that
-    differ from the default (Figure 17's buffer/MTU/IW settings) — omitted,
-    *protocol* runs its registered default config.
-    """
-    network = _fattree(protocol, k, seed, config=NdpConfig(**ndp) if ndp else None)
-    if degraded_rate_bps is not None:
-        network.topology.degrade_core_link(
-            core=0, pod=k - 1, new_rate_bps=degraded_rate_bps
-        )
-    flows = experiment.start_permutation(network, flow_bytes, rng=random.Random(seed))
-    return experiment.measure_throughput(network, flows, duration_ps)
 
 
 # ---------------------------------------------------------------------------
@@ -854,43 +537,11 @@ def figure15_plan(
         protocols, protocol, COMPARISON_PROTOCOLS, FamilyTraits(family="fig15")
     )
     return _per_protocol(
-        "fig15", _figure15_protocol, protocols,
+        "fig15", "_figure15_protocol", protocols,
         k=k, short_bytes=short_bytes, short_flows=short_flows,
         background_bytes=background_bytes,
         background_flows_per_host=background_flows_per_host, seed=seed,
     )
-
-
-def _figure15_protocol(
-    protocol, k, short_bytes, short_flows, background_bytes,
-    background_flows_per_host, seed,
-):
-    """Unit run: probe-flow FCTs (us) under background load, one protocol."""
-    network = _fattree(protocol, k, seed)
-    eventlist = network.eventlist
-    rng = random.Random(seed)
-    hosts = network.topology.hosts()
-    # the two probe hosts sit in different pods so their transfers cross
-    # the core, where the background flows' standing queues live
-    probe_a, probe_b = hosts[0], hosts[-1]
-    for src in hosts:
-        if src in (probe_a, probe_b):
-            continue
-        for _ in range(background_flows_per_host):
-            dst = src
-            while dst == src or dst in (probe_a, probe_b):
-                dst = rng.choice(hosts)
-            network.create_flow(src, dst, background_bytes)
-    # let the background flows load the network before measuring
-    eventlist.run(until=units.milliseconds(1))
-    fcts = []
-    for index in range(short_flows):
-        src, dst = (probe_a, probe_b) if index % 2 == 0 else (probe_b, probe_a)
-        flow = network.create_flow(src, dst, short_bytes, start_time_ps=eventlist.now())
-        experiment.run_until_complete(network, [flow], units.milliseconds(400))
-        if flow.record.completed:
-            fcts.append(flow.record.completion_time_ps() / units.MICROSECOND)
-    return fcts
 
 
 # ---------------------------------------------------------------------------
@@ -955,7 +606,7 @@ def figure16_plan(
         return rows
 
     return _plan(
-        "fig16", _incast_last_fct,
+        "fig16", "_incast_last_fct",
         [(f"{name},senders={senders}", dict(protocol=name, senders=senders))
          for senders, name in cases],
         assemble,
@@ -997,7 +648,7 @@ def figure17_plan(
         for window in windows
     ]
 
-    def assemble(results: List[experiment.ThroughputResult]) -> List[Dict[str, float]]:
+    def assemble(results: List[metrics.ThroughputResult]) -> List[Dict[str, float]]:
         return [
             {
                 "configuration": label,
@@ -1008,7 +659,7 @@ def figure17_plan(
         ]
 
     return _plan(
-        "fig17", _permutation_throughput,
+        "fig17", "_permutation_throughput",
         [(f"{label},iw={window}",
           dict(ndp=dict(
               mtu_bytes=mtu,
@@ -1050,43 +701,10 @@ def figure19_plan(
         FamilyTraits(family="fig19"),
     )
     return _per_protocol(
-        "fig19", _figure19_protocol, protocols,
+        "fig19", "_figure19_protocol", protocols,
         incast_senders=incast_senders, incast_bytes=incast_bytes,
         sample_period_ps=sample_period_ps, duration_ps=duration_ps, seed=seed,
     )
-
-
-def _figure19_protocol(
-    protocol, incast_senders, incast_bytes, sample_period_ps, duration_ps, seed
-):
-    """Unit run: long-flow / incast goodput time series for one protocol."""
-    eventlist = EventList()
-    network = registry.build_network(
-        protocol, eventlist, LeafSpineTopology,
-        leaves=2, spines=2, hosts_per_leaf=max(2, incast_senders // 2), seed=seed,
-    )
-    hosts = network.topology.hosts()
-    long_dst, incast_dst = 0, 1
-    remote_hosts = [h for h in hosts if network.topology.leaf_of_host(h) != network.topology.leaf_of_host(0)]
-    long_src = remote_hosts[0]
-    incast_srcs = [h for h in remote_hosts[1:]] + [
-        h for h in hosts if h not in (long_dst, incast_dst, long_src) and h not in remote_hosts
-    ]
-    incast_srcs = incast_srcs[:incast_senders]
-    long_flow = network.create_flow(long_src, long_dst, 10 * incast_bytes * incast_senders)
-    incast_start = units.milliseconds(5)
-    incast_flows = [
-        network.create_flow(src, incast_dst, incast_bytes, start_time_ps=incast_start)
-        for src in incast_srcs
-    ]
-    long_series = _goodput_series(eventlist, sample_period_ps, [long_flow])
-    incast_series = _goodput_series(eventlist, sample_period_ps, incast_flows)
-    eventlist.run(until=duration_ps)
-    return {
-        "long_flow": long_series.samples,
-        "incast": incast_series.samples,
-        "pause_events": sum(q.stats.pause_events for q in network.topology.all_queues()),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -1106,43 +724,12 @@ def figure20_plan(
     """
     sender_counts = tuple(sender_counts)
     return _plan(
-        "fig20", _figure20_point,
+        "fig20", "_figure20_point",
         [(f"iw={window},senders={senders}",
           dict(initial_window=window, senders=senders))
          for window in initial_windows for senders in sender_counts],
         packets_per_flow=packets_per_flow, seed=seed,
     )
-
-
-def _figure20_point(initial_window, senders, packets_per_flow, seed):
-    """Unit run: one row (overhead + RTX mechanism split) of Figure 20."""
-    mtu = 9000
-    payload = mtu - 64
-    flow_bytes = packets_per_flow * payload
-    config = NdpConfig(initial_window_packets=initial_window)
-    eventlist = EventList()
-    network = NdpNetwork.build(
-        eventlist, SingleSwitchTopology, hosts=senders + 1, config=config, seed=seed
-    )
-    flows = [
-        network.create_flow(src, 0, flow_bytes) for src in range(1, senders + 1)
-    ]
-    experiment.run_until_complete(network, flows, units.seconds(3))
-    finish = max(f.record.finish_time_ps or 0 for f in flows)
-    ideal = metrics.ideal_incast_completion_ps(
-        senders, flow_bytes, units.DEFAULT_LINK_RATE_BPS, mtu, 64
-    )
-    total_packets = senders * packets_per_flow
-    nack_rtx = sum(f.src.nacks_received for f in flows)
-    bounce_rtx = sum(f.src.bounces_received for f in flows)
-    return {
-        "initial_window": initial_window,
-        "senders": senders,
-        "overhead_percent": 100 * (finish - ideal) / ideal,
-        "rtx_per_packet_nack": nack_rtx / total_packets,
-        "rtx_per_packet_bounce": bounce_rtx / total_packets,
-        "all_complete": all(f.complete for f in flows),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -1158,26 +745,7 @@ def figure21_plan(
 
     A single spec: the five flows share one simulator.
     """
-    return _single("fig21", _figure21_run, duration_ps=duration_ps, seed=seed)
-
-
-def _figure21_run(duration_ps, seed):
-    """Unit run: the sender-limited throughput table."""
-    eventlist = EventList()
-    network = NdpNetwork.build(eventlist, SingleSwitchTopology, hosts=6, seed=seed)
-    labels = {0: "A", 1: "B", 2: "C", 3: "D", 4: "E", 5: "F"}
-    flows = {}
-    for dst in (1, 2, 3, 4):
-        flows[f"A->{labels[dst]}"] = network.create_flow(0, dst, 20_000_000)
-    flows["F->E"] = network.create_flow(5, 4, 20_000_000)
-    eventlist.run(until=duration_ps)
-    result = {
-        name: metrics.goodput_bps(flow.record, duration_ps) / 1e9
-        for name, flow in flows.items()
-    }
-    result["total_from_A"] = sum(v for k, v in result.items() if k.startswith("A->"))
-    result["total_to_E"] = result["A->E"] + result["F->E"]
-    return result
+    return _single("fig21", "_figure21_run", duration_ps=duration_ps, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -1205,7 +773,7 @@ def figure22_plan(
         FamilyTraits(family="fig22", mutates_link_rates=True),
     )
     return _per_protocol(
-        "fig22", _permutation_throughput, cases,
+        "fig22", "_permutation_throughput", cases,
         k=k, flow_bytes=flow_bytes, duration_ps=duration_ps, seed=seed,
         degraded_rate_bps=degraded_rate_bps,
     )
@@ -1237,44 +805,11 @@ def figure23_plan(
         FamilyTraits(family="fig23"),
     )
     return _plan(
-        "fig23", _figure23_point,
+        "fig23", "_figure23_point",
         [(f"{name},load={load}", dict(protocol=name, connections_per_host=load))
          for name in protocols for load in connections_per_host],
         k=k, oversubscription=oversubscription, duration_ps=duration_ps, seed=seed,
     )
-
-
-def _figure23_point(protocol, connections_per_host, k, oversubscription, duration_ps, seed):
-    """Unit run: one (protocol, load) row of the web-workload table."""
-    # NDP runs the prototype's 1500-byte MTU here; every other transport
-    # keeps its registered default config
-    config = _ndp_1500() if protocol == registry.NDP else None
-    network = _fattree(protocol, k, seed, config=config, oversubscription=oversubscription)
-    eventlist = network.eventlist
-    generator = ClosedLoopGenerator(
-        eventlist,
-        network,
-        hosts=network.topology.hosts(),
-        flow_sizes=FacebookWebFlowSizes(),
-        connections_per_host=connections_per_host,
-        think_time_ps=units.milliseconds(1),
-        rng=random.Random(seed),
-    )
-    generator.start()
-    eventlist.run(until=duration_ps)
-    fcts = [
-        record.completion_time_ps() / units.MICROSECOND
-        for record in generator.completed_records()
-    ]
-    trimmed = network.topology.total_trimmed()
-    return {
-        "protocol": protocol,
-        "connections_per_host": connections_per_host,
-        "completed_flows": len(fcts),
-        "median_fct_us": metrics.percentile(fcts, 0.5) if fcts else None,
-        "p99_fct_us": metrics.percentile(fcts, 0.99) if fcts else None,
-        "packets_trimmed": trimmed,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -1311,26 +846,12 @@ def phost_plan(
         return merged
 
     return _plan(
-        "phost", _phost_case,  # transport-name-ok: experiment family
+        "phost", "_phost_case",  # transport-name-ok: experiment family
         [(name, dict(protocol=name)) for name in cases],
         assemble,
         k=k, incast_senders=incast_senders, incast_bytes=incast_bytes,
         permutation_bytes=permutation_bytes, duration_ps=duration_ps, seed=seed,
     )
-
-
-def _phost_case(
-    protocol, k, incast_senders, incast_bytes, permutation_bytes, duration_ps, seed
-):
-    """Unit run: incast completion + permutation utilization for one stack."""
-    last = _incast_last_fct(
-        protocol, incast_bytes, incast_senders, seed, timeout_ps=units.seconds(3)
-    )
-    throughput = _permutation_throughput(protocol, k, permutation_bytes, duration_ps, seed)
-    return {
-        "incast_ms": last / units.MILLISECOND,
-        "permutation_utilization": throughput.utilization,
-    }
 
 
 @family("scaling", "permutation utilization vs topology size")
@@ -1346,7 +867,7 @@ def scaling_plan(
     """
     ks = tuple(ks)
 
-    def assemble(results: List[experiment.ThroughputResult]) -> List[Dict[str, float]]:
+    def assemble(results: List[metrics.ThroughputResult]) -> List[Dict[str, float]]:
         return [
             {
                 "k": k,
@@ -1358,7 +879,7 @@ def scaling_plan(
         ]
 
     return _plan(
-        "scaling", _permutation_throughput,
+        "scaling", "_permutation_throughput",
         [(f"k={k}", dict(k=k)) for k in ks],
         assemble,
         protocol=registry.NDP, flow_bytes=flow_bytes, duration_ps=duration_ps, seed=seed,
@@ -1381,28 +902,11 @@ def uplink_trimming_plan(
     """
     modes = ["permutation", "random"]
     return _plan(
-        "uplinks", _uplink_mode,
+        "uplinks", "_uplink_mode",
         [(mode, dict(mode=mode)) for mode in modes],
         lambda results: dict(zip(modes, results)),
         k=k, flow_bytes=flow_bytes, duration_ps=duration_ps, seed=seed,
     )
-
-
-def _uplink_mode(mode, k, flow_bytes, duration_ps, seed):
-    """Unit run: uplink trim statistics for one path-selection mode."""
-    network = _fattree(registry.NDP, k, seed, config=NdpConfig(path_selection_mode=mode))
-    flows = experiment.start_permutation(network, flow_bytes, rng=random.Random(seed))
-    utilization = experiment.measure_throughput(network, flows, duration_ps).utilization
-    uplink_trims = sum(q.stats.packets_trimmed for q in network.topology.uplink_queues())
-    total_forwarded = sum(
-        q.stats.packets_forwarded for q in network.topology.uplink_queues()
-    )
-    return {
-        "uplink_trimmed": uplink_trims,
-        "uplink_forwarded": total_forwarded,
-        "uplink_trim_fraction": uplink_trims / max(total_forwarded, 1),
-        "utilization": utilization,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -1444,47 +948,11 @@ def failures_degraded_plan(
         FamilyTraits(family="failures_degraded", mutates_link_rates=True),
     )
     return _plan(
-        "failures_degraded", _permutation_fcts,
+        "failures_degraded", "_permutation_fcts",
         [(case, dict(protocol=case, row=dict(case=case))) for case in cases],
         k=k, flow_bytes=flow_bytes, timeout_ps=timeout_ps, seed=seed,
         degraded_rate_bps=degraded_rate_bps,
     )
-
-
-def _permutation_fcts(
-    protocol: str,
-    row: Mapping[str, Any],
-    k: int,
-    flow_bytes: int,
-    timeout_ps: int,
-    seed: int,
-    degraded_rate_bps: Optional[int] = None,
-    links_down: int = 0,
-) -> Dict[str, Any]:
-    """Unit run: one transport's permutation FCT summary over a damaged fabric.
-
-    Before any flow exists, ``degraded_rate_bps`` renegotiates the
-    core0↔pod(k-1) link down to that rate and ``links_down`` cuts the cables
-    of cores 0..links_down-1 into pod k-1; then every host sends one finite
-    transfer and the run lasts until all complete or *timeout_ps* elapses.
-    Returns *row* (the family's identifying columns) followed by flow
-    counts and the FCT summary.
-    """
-    network = _fattree(protocol, k, seed)
-    if degraded_rate_bps is not None:
-        network.topology.degrade_core_link(
-            core=0, pod=k - 1, new_rate_bps=degraded_rate_bps
-        )
-    for core in range(links_down):
-        network.topology.fail_core_link(core=core, pod=k - 1)
-    flows = experiment.start_permutation(network, flow_bytes, rng=random.Random(seed))
-    result = experiment.run_until_complete(network, flows, timeout_ps)
-    return {
-        **row,
-        "flows": len(flows),
-        "completed": len(result.completed()),
-        **result.summary(),
-    }
 
 
 @family("failures_recovery", "mid-transfer link failure + recovery timeline")
@@ -1514,33 +982,11 @@ def failures_recovery_plan(
         FamilyTraits(family="failures_recovery", severs_links=True),
     )
     return _per_protocol(
-        "failures_recovery", _failures_recovery_case, protocols,
+        "failures_recovery", "_failures_recovery_case", protocols,
         k=k, flow_bytes=flow_bytes, fail_at_ps=fail_at_ps,
         recover_at_ps=recover_at_ps, duration_ps=duration_ps,
         sample_period_ps=sample_period_ps, seed=seed,
     )
-
-
-def _failures_recovery_case(
-    protocol, k, flow_bytes, fail_at_ps, recover_at_ps, duration_ps,
-    sample_period_ps, seed,
-):
-    """Unit run: one protocol's goodput timeline through an outage."""
-    network = _fattree(protocol, k, seed)
-    topology = network.topology
-    core_node, agg_node = topology.core_agg_pair(core=0, pod=k - 1)
-    controller = FabricController(topology)
-    controller.schedule_outage(core_node, agg_node, fail_at_ps, recover_at_ps)
-    flows = experiment.start_permutation(network, flow_bytes, rng=random.Random(seed))
-    series = _goodput_series(network.eventlist, sample_period_ps, flows)
-    network.eventlist.run(until=duration_ps)
-    return {
-        "goodput": series.samples,
-        "flows": len(flows),
-        "completed": sum(1 for f in flows if f.record.completed),
-        "bytes_delivered": sum(f.record.bytes_delivered for f in flows),
-        "link_events": [e.describe() for e in controller.fired],
-    }
 
 
 @family("failures_klinks", "permutation FCTs with k core links down")
@@ -1574,7 +1020,7 @@ def failures_klinks_plan(
         FamilyTraits(family="failures_klinks", severs_links=True),
     )
     return _plan(
-        "failures_klinks", _permutation_fcts,
+        "failures_klinks", "_permutation_fcts",
         [(f"{name},down={links_down}",
           dict(protocol=name, row=dict(protocol=name, links_down=links_down)))
          for name in protocols],
@@ -1595,12 +1041,9 @@ def failures_klinks_plan(
 #: registered transport can be requested via ``protocols`` / ``protocol``
 _LOAD_FCT_DEFAULT_PROTOCOLS = (registry.NDP, registry.DCTCP, registry.TCP)
 
-#: empirical flow-size mixes selectable via the ``workload`` parameter
-_LOAD_FCT_WORKLOADS = {
-    "fbweb": FacebookWebFlowSizes,
-    "websearch": WebSearchFlowSizes,
-    "datamining": DataMiningFlowSizes,
-}
+#: the ``workload`` names: the keys of ``unit_runs._LOAD_FCT_WORKLOADS``, the
+#: table of empirical flow-size mixes the unit run instantiates
+_LOAD_FCT_WORKLOADS = ("fbweb", "websearch", "datamining")
 
 
 @family(
@@ -1661,82 +1104,13 @@ def load_fct_plan(
         FamilyTraits(family="load_fct"),
     )
     return _plan(
-        "load_fct", _load_fct_point,
+        "load_fct", "_load_fct_point",
         [(f"{name},load={level:g},{fabric},{workload}", dict(protocol=name, load=level))
          for level in loads for name in protocols],
         fabric=fabric, k=k, leaves=leaves, spines=spines,
         hosts_per_leaf=hosts_per_leaf, workload=workload, matrix=matrix,
         warmup_ps=warmup_ps, measure_ps=measure_ps, drain_ps=drain_ps, seed=seed,
     )
-
-
-def _open_loop_base_rtt_ps(topology) -> int:
-    """Propagation RTT of the fabric's longest host-to-host path.
-
-    The slowdown baseline's RTT component: twice the hop count of the
-    longest path between the first and last host (a cross-pod / cross-leaf
-    pair in the fabrics used here) times the per-hop propagation delay.
-    Serialization and queueing are deliberately excluded — they are what
-    the slowdown numerator measures.
-    """
-    hosts = topology.hosts()
-    paths = topology.node_paths(hosts[0], hosts[-1])
-    hops = max(len(path) - 1 for path in paths)
-    return 2 * hops * topology.link_delay_ps
-
-
-def _load_fct_point(
-    protocol, load, fabric, k, leaves, spines, hosts_per_leaf, workload,
-    matrix, warmup_ps, measure_ps, drain_ps, seed,
-):
-    """Unit run: one (protocol, load) row of the open-loop slowdown sweep."""
-    if fabric == "fattree":
-        network = _fattree(protocol, k, seed)
-    else:
-        network = registry.build_network(
-            protocol, EventList(), LeafSpineTopology,
-            leaves=leaves, spines=spines, hosts_per_leaf=hosts_per_leaf, seed=seed,
-        )
-    topology = network.topology
-    generator = OpenLoopGenerator(
-        network.eventlist,
-        network,
-        hosts=topology.hosts(),
-        flow_sizes=_LOAD_FCT_WORKLOADS[workload](),
-        target_load=load,
-        link_rate_bps=topology.link_rate_bps,
-        warmup_ps=warmup_ps,
-        measure_ps=measure_ps,
-        drain_ps=drain_ps,
-        matrix=matrix,
-        rng=random.Random(seed),
-    )
-    completed = experiment.run_open_loop(network, generator)
-    measured = generator.measured_records(completed_only=False)
-    # one normalization across all protocols: jumbo framing and the fabric's
-    # longest-path propagation RTT, so rows are comparable on a single axis
-    slowdown = metrics.binned_slowdown_summary(
-        completed,
-        link_rate_bps=topology.link_rate_bps,
-        mtu_bytes=units.JUMBO_MTU_BYTES,
-        header_bytes=units.HEADER_BYTES,
-        base_rtt_ps=_open_loop_base_rtt_ps(topology),
-    )
-    return {
-        "protocol": protocol,
-        "load": load,
-        "fabric": fabric,
-        "workload": workload,
-        "hosts": len(topology.hosts()),
-        "arrival_rate_per_second": generator.arrival_rate_per_second,
-        "offered_gbps": generator.offered_load_bps / 1e9,
-        "flows_offered": generator.flows_started,
-        "flows_measured": len(measured),
-        "measured_completed": len(completed),
-        "measured_censored": len(measured) - len(completed),
-        "arrival_digest": generator.arrival_digest(),
-        "slowdown": slowdown,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -1795,34 +1169,13 @@ def rpc_deadline_plan(
         FamilyTraits(family="rpc_deadline"),
     )
     return _plan(
-        "rpc_deadline", _rpc_deadline_point,
+        "rpc_deadline", "_rpc_deadline_point",
         [(f"{name},load={level:g},fanout={fanout}", dict(protocol=name, load=level))
          for level in loads for name in protocols],
         fanout=fanout, request_bytes=request_bytes, response_bytes=response_bytes,
         deadline_us=deadline_us, k=k, warmup_ps=warmup_ps, measure_ps=measure_ps,
         drain_ps=drain_ps, seed=seed,
     )
-
-
-def _rpc_deadline_point(
-    protocol, load, fanout, request_bytes, response_bytes, deadline_us,
-    k, warmup_ps, measure_ps, drain_ps, seed,
-):
-    """Unit run: one (protocol, load) row of the partition-aggregate SLO sweep."""
-    template = PartitionAggregateTemplate(fanout, request_bytes, response_bytes)
-    deadline_ps = int(round(deadline_us * units.MICROSECOND))
-    row, engine, measured, completed = _service_point(
-        protocol, load, template, k, warmup_ps, measure_ps, drain_ps, seed,
-        deadline_ps=deadline_ps,
-    )
-    row.update(
-        fanout=fanout,
-        deadline_us=deadline_us,
-        slo_met_fraction=metrics.slo_met_fraction(
-            (run.latency_ps for run in completed), deadline_ps, total=len(measured)
-        ),
-    )
-    return row
 
 
 @family("coflow_ct", "K-round shuffle coflows: completion times vs load")
@@ -1858,79 +1211,12 @@ def coflow_ct_plan(
         FamilyTraits(family="coflow_ct"),
     )
     return _plan(
-        "coflow_ct", _coflow_ct_point,
+        "coflow_ct", "_coflow_ct_point",
         [(f"{name},load={level:g},width={width}x{rounds}", dict(protocol=name, load=level))
          for level in loads for name in protocols],
         width=width, rounds=rounds, bytes_per_pair=bytes_per_pair, k=k,
         warmup_ps=warmup_ps, measure_ps=measure_ps, drain_ps=drain_ps, seed=seed,
     )
-
-
-def _coflow_ct_point(
-    protocol, load, width, rounds, bytes_per_pair, k,
-    warmup_ps, measure_ps, drain_ps, seed,
-):
-    """Unit run: one (protocol, load) row of the coflow CCT sweep."""
-    template = CoflowShuffleTemplate(width, bytes_per_pair, rounds)
-    row, engine, measured, completed = _service_point(
-        protocol, load, template, k, warmup_ps, measure_ps, drain_ps, seed
-    )
-    row.update(
-        width=width,
-        rounds=rounds,
-        coflow_bytes=width * width * bytes_per_pair * rounds,
-        cct_us=metrics.binned_cct_summary(
-            (run.spec.total_bytes(), run.latency_ps / units.MICROSECOND)
-            for run in completed
-        ),
-    )
-    return row
-
-
-def _service_point(
-    protocol, load, template, k, warmup_ps, measure_ps, drain_ps, seed,
-    deadline_ps=None,
-):
-    """Shared mechanics of one service-workload point: build the network,
-    synthesize the seeded request specs, execute them, and return the
-    common row fields plus the engine and measured/completed populations."""
-    network = _fattree(protocol, k, seed)
-    topology = network.topology
-    request_specs = synthesize_requests(
-        topology.hosts(),
-        [template],
-        target_load=load,
-        link_rate_bps=topology.link_rate_bps,
-        warmup_ps=warmup_ps,
-        measure_ps=measure_ps,
-        drain_ps=drain_ps,
-        rng=random.Random(seed),
-        deadline_ps=deadline_ps,
-    )
-    horizon_ps = warmup_ps + measure_ps + drain_ps
-    engine = experiment.run_service_requests(
-        network,
-        request_specs,
-        horizon_ps=horizon_ps,
-        window_fn=lambda arrival: service_window_of(arrival, warmup_ps, measure_ps),
-    )
-    measured = engine.requests_in_window(MEASURE)
-    completed = [run for run in measured if run.completed]
-    latencies_us = sorted(run.latency_ps / units.MICROSECOND for run in completed)
-    row = {
-        "protocol": protocol,
-        "load": load,
-        "template": template.name,
-        "hosts": len(topology.hosts()),
-        "requests_offered": len(request_specs),
-        "requests_measured": len(measured),
-        "measured_completed": len(completed),
-        "measured_censored": len(measured) - len(completed),
-        "latency_us": metrics.population_stats(latencies_us),
-        "trace_digest": trace_digest(request_specs),
-        "request_digest": engine.request_digest(),
-    }
-    return row, engine, measured, completed
 
 
 #: name -> plan builder: a view of :data:`FAMILIES` kept for the perf ledger

@@ -3,7 +3,8 @@
 Nothing here depends on the protocols; the functions operate on plain
 numbers and :class:`~repro.sim.logger.FlowRecord` objects so that every
 transport (NDP, TCP, DCTCP, MPTCP, DCQCN, pHost, CP) is measured the same
-way.
+way.  Nothing here imports the simulator either (``FlowRecord`` is named for
+annotations only): the cache-hit path of the CLI stands on this module.
 
 The **slowdown layer** (:func:`flow_slowdown`, :func:`slowdown_bin`,
 :func:`binned_slowdown_summary`) normalizes each flow's completion time by
@@ -14,10 +15,39 @@ where a 3 MB transfer and a 600 B RPC must be comparable on one axis.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.sim.logger import FlowRecord
 from repro.sim.units import SECOND, serialization_time_ps
+
+if TYPE_CHECKING:  # annotations only: the result cache's hit path imports this module
+    from repro.sim.logger import FlowRecord
+
+
+@dataclass
+class ThroughputResult:
+    """Outcome of a fixed-duration throughput experiment (e.g. a permutation).
+
+    Built by :func:`repro.harness.experiment.measure_throughput` (and
+    importable from there); it lives here because the result codec
+    (:mod:`repro.harness.sweep`) and the CLI's printer must know it without
+    importing the simulator.
+    """
+
+    duration_ps: int
+    link_rate_bps: int
+    per_flow_goodput_bps: List[float] = field(default_factory=list)
+    utilization: float = 0.0
+    trimmed_packets: int = 0
+    dropped_packets: int = 0
+
+    def sorted_goodputs_gbps(self) -> List[float]:
+        """Per-flow goodput in Gb/s, ascending — the y-values of Figure 14."""
+        return sorted(g / 1e9 for g in self.per_flow_goodput_bps)
+
+    def min_goodput_gbps(self) -> float:
+        """Goodput of the unluckiest flow."""
+        return min(self.per_flow_goodput_bps) / 1e9 if self.per_flow_goodput_bps else 0.0
 
 
 def mean(values: Sequence[float]) -> float:

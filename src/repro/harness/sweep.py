@@ -17,7 +17,10 @@ Two mechanisms guarantee this:
 
 1. every unit run is an independent, seeded, module-level function — no
    state is shared between specs, so process boundaries cannot reorder
-   anything inside a simulation;
+   anything inside a simulation.  A spec usually holds it as a
+   :class:`UnitRun` (module and function *name*, imported at the call), so
+   this module and the plans built on it load no simulator: what a cache
+   hit imports is the codec, the cache and the names;
 2. every result (cold, cached or parallel) is normalized through the same
    JSON codec (:func:`encode_result` / :func:`decode_result`) before being
    returned, so the value a caller sees never depends on whether it came
@@ -50,18 +53,19 @@ seeded digest scenarios (``benchmarks/perf/``) never consult it.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
+import importlib
 import itertools
 import json
-import multiprocessing
 import os
-import tempfile
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
+from repro.harness.metrics import ThroughputResult
+
 __all__ = [
     "RunSpec",
+    "UnitRun",
     "Plan",
     "ResultCache",
     "run_specs",
@@ -85,11 +89,8 @@ _TYPE_TAG = "__repro__"
 # Result codec — exact JSON round-tripping for experiment results
 # ---------------------------------------------------------------------------
 
-def _registered_dataclasses() -> Dict[str, type]:
-    # imported lazily: experiment imports metrics, not the other way round
-    from repro.harness.experiment import ThroughputResult
-
-    return {"ThroughputResult": ThroughputResult}
+#: result dataclasses the codec tags by class name and restores on decode
+_REGISTERED_DATACLASSES: Dict[str, type] = {"ThroughputResult": ThroughputResult}
 
 
 def encode_result(value: Any) -> Any:
@@ -97,7 +98,7 @@ def encode_result(value: Any) -> Any:
 
     Supported: JSON scalars, lists, tuples, dicts with arbitrary scalar
     keys, and the registered result dataclasses (currently
-    :class:`~repro.harness.experiment.ThroughputResult`).  Anything else
+    :class:`~repro.harness.metrics.ThroughputResult`).  Anything else
     raises ``TypeError`` — unit runs are required to return simple data.
     """
     if value is None or isinstance(value, (bool, int, str)):
@@ -118,7 +119,7 @@ def encode_result(value: Any) -> Any:
         }
     if is_dataclass(value) and not isinstance(value, type):
         name = type(value).__name__
-        if name in _registered_dataclasses():
+        if name in _REGISTERED_DATACLASSES:
             return {
                 _TYPE_TAG: name,
                 "fields": {
@@ -143,7 +144,7 @@ def decode_result(value: Any) -> Any:
             return tuple(decode_result(v) for v in value["items"])
         if tag == "dict":
             return {decode_result(k): decode_result(v) for k, v in value["items"]}
-        cls = _registered_dataclasses().get(tag)
+        cls = _REGISTERED_DATACLASSES.get(tag)
         if cls is not None:
             return cls(**{k: decode_result(v) for k, v in value["fields"].items()})
         raise ValueError(f"unknown result tag {tag!r}")
@@ -199,15 +200,35 @@ def code_fingerprint() -> str:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class UnitRun:
+    """A module-level function named by where it lives, imported when called.
+
+    ``UnitRun("repro.harness.unit_runs", "_figure12_run")`` stands for that
+    function as a :class:`RunSpec`'s ``fn`` without importing its module:
+    a plan can be built, keyed and served from the cache while the simulator
+    the unit runs import stays unloaded, and the first *executed* spec pays
+    for it — in whichever process executes it.  Equal, hashable and
+    picklable by value; a name the module lacks raises ``AttributeError``
+    (``module 'm' has no attribute 'f'``) at the call.
+    """
+
+    module: str
+    name: str
+
+    def __call__(self, *args: Any, **kwargs: Any) -> Any:
+        return getattr(importlib.import_module(self.module), self.name)(*args, **kwargs)
+
+
+@dataclass(frozen=True)
 class RunSpec:
     """One independent, seeded experiment run.
 
-    ``fn`` must be a module-level callable (so worker processes can import
-    it) and ``kwargs`` must be JSON-codable (so the cache key is stable);
-    calling ``fn(**kwargs)`` must be deterministic and return codec-friendly
-    data.  ``experiment`` names the run for cache records and progress
-    output — include the varying parameters (e.g. ``"fig17[8pkt,iw=10]"``)
-    so records are self-describing.
+    ``fn`` must be a module-level callable, or a :class:`UnitRun` naming one
+    (so worker processes can import it), and ``kwargs`` must be JSON-codable
+    (so the cache key is stable); calling ``fn(**kwargs)`` must be
+    deterministic and return codec-friendly data.  ``experiment`` names the
+    run for cache records and progress output — include the varying
+    parameters (e.g. ``"fig17[8pkt,iw=10]"``) so records are self-describing.
     """
 
     experiment: str
@@ -313,6 +334,8 @@ class ResultCache:
             "fingerprint": code_fingerprint(),
             "result": encoded_result,
         }
+        import tempfile  # only a miss stores: a run served from the cache never loads it
+
         try:
             os.makedirs(self.root, exist_ok=True)
             fd, staging = tempfile.mkstemp(
@@ -445,7 +468,9 @@ def _execute_spec_encoded(spec: RunSpec) -> Any:
     return encode_result(spec.execute())
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
+def _pool_context():
+    import multiprocessing
+
     # fork keeps sys.path (src/ layout without installation) and is cheap;
     # fall back to the platform default where fork is unavailable
     try:
@@ -513,6 +538,8 @@ def run_specs(
                 on_result(specs[index], index, "run")
 
     if jobs > 1 and len(leaders) > 1:
+        import concurrent.futures  # with multiprocessing, ~20 ms only this branch uses
+
         workers = min(jobs, len(leaders))
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, mp_context=_pool_context()

@@ -20,46 +20,34 @@ by the sending host, which is what lets NDP do per-packet source-routed
 multipath forwarding.
 """
 
-from repro.sim.eventlist import EventList, Event, Timer
-from repro.sim.packet import Packet, Route, PacketPriority
-from repro.sim.network import PacketSink, NetworkEndpoint
-from repro.sim.pipe import Pipe, TappedPipe
-from repro.sim.faults import FaultInjector, FaultPoint, FaultRule
-from repro.sim.queues import (
-    BaseQueue,
-    DropTailQueue,
-    ECNQueue,
-    LosslessQueue,
-    TappedQueue,
-    PAUSE_THRESHOLD_FRACTION,
-    RESUME_THRESHOLD_FRACTION,
-)
-from repro.sim.logger import QueueStats, FlowRecord, TimeSeriesSampler
-from repro.sim import units
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EventList",
-    "Event",
-    "Timer",
-    "Packet",
-    "Route",
-    "PacketPriority",
-    "PacketSink",
-    "NetworkEndpoint",
-    "Pipe",
-    "TappedPipe",
-    "FaultInjector",
-    "FaultPoint",
-    "FaultRule",
-    "BaseQueue",
-    "DropTailQueue",
-    "ECNQueue",
-    "LosslessQueue",
-    "TappedQueue",
-    "PAUSE_THRESHOLD_FRACTION",
-    "RESUME_THRESHOLD_FRACTION",
-    "QueueStats",
-    "FlowRecord",
-    "TimeSeriesSampler",
-    "units",
-]
+# exported name -> defining module, imported on first use: ``repro.sim.units``
+# alone costs neither the event list nor the queues
+_EXPORTS = {
+    "EventList": "repro.sim.eventlist",
+    "Event": "repro.sim.eventlist",
+    "Timer": "repro.sim.eventlist",
+    "Packet": "repro.sim.packet",
+    "Route": "repro.sim.packet",
+    "PacketPriority": "repro.sim.packet",
+    "PacketSink": "repro.sim.network",
+    "NetworkEndpoint": "repro.sim.network",
+    "Pipe": "repro.sim.pipe",
+    "TappedPipe": "repro.sim.pipe",
+    "FaultInjector": "repro.sim.faults",
+    "FaultPoint": "repro.sim.faults",
+    "FaultRule": "repro.sim.faults",
+    "BaseQueue": "repro.sim.queues",
+    "DropTailQueue": "repro.sim.queues",
+    "ECNQueue": "repro.sim.queues",
+    "LosslessQueue": "repro.sim.queues",
+    "TappedQueue": "repro.sim.queues",
+    "PAUSE_THRESHOLD_FRACTION": "repro.sim.queues",
+    "RESUME_THRESHOLD_FRACTION": "repro.sim.queues",
+    "QueueStats": "repro.sim.logger",
+    "FlowRecord": "repro.sim.logger",
+    "TimeSeriesSampler": "repro.sim.logger",
+    "units": "repro.sim.units",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -31,24 +31,18 @@ the resulting :class:`IncompatibleTransportError` into a deterministic
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type
+import importlib
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
-from repro.core.config import NdpConfig
-from repro.harness.baseline_networks import (
-    DcqcnNetwork,
-    DctcpNetwork,
-    MptcpNetwork,
-    PHostNetwork,
-    TcpNetwork,
-)
-from repro.harness.ndp_network import NdpNetwork
-from repro.harness.network import Network
 from repro.transports.capabilities import (
     CapabilityError,
     FamilyTraits,
     TransportCapabilities,
 )
+
+if TYPE_CHECKING:  # annotations only: importing the registry loads no network class
+    from repro.harness.network import Network
 
 __all__ = [
     "TransportSpec",
@@ -101,6 +95,27 @@ class IncompatibleTransportError(ValueError):
         self.reason = reason
 
 
+class _NetworkClass:
+    """The ``network_cls`` field of :class:`TransportSpec`: set to a class or
+    to its ``"module:Class"`` path, it always reads as the class — a path is
+    imported on the first read, which is what keeps the registry (and every
+    name lookup, ``normalize`` and plan build on top of it) free of the
+    simulator until a transport's class is actually needed."""
+
+    def __get__(self, spec: Optional["TransportSpec"], owner: Optional[type] = None):
+        if spec is None:
+            raise AttributeError("network_cls has no default")  # a required field
+        value = spec.__dict__["_network_cls"]
+        if isinstance(value, str):
+            module, _, name = value.partition(":")
+            value = getattr(importlib.import_module(module), name)
+            spec.__dict__["_network_cls"] = value
+        return value
+
+    def __set__(self, spec: "TransportSpec", value) -> None:
+        spec.__dict__["_network_cls"] = value
+
+
 @dataclass(frozen=True)
 class TransportSpec:
     """One registered transport: name, network class, variant config."""
@@ -109,8 +124,9 @@ class TransportSpec:
     name: str
     #: canonical display name used in plan labels and result tables
     display: str
-    #: the :class:`~repro.harness.network.Network` subclass that runs it
-    network_cls: Type[Network]
+    #: the :class:`~repro.harness.network.Network` subclass that runs it,
+    #: given as the class or as its ``"module:Class"`` path (see above)
+    network_cls: Type[Network] = _NetworkClass()
     #: builds the default config for named variants; ``None`` means the
     #: network class's own ``CONFIG_CLS()``
     config_factory: Optional[Callable[[], object]] = None
@@ -251,48 +267,56 @@ PHOST = "pHost"
 NDP_NO_PATH_PENALTY = "NDP (no path penalty)"
 
 
+def _ndp_without_path_penalty():
+    from repro.core.config import NdpConfig
+
+    return NdpConfig(path_penalty=False)
+
+
 def _register_builtins() -> None:
+    ndp = "repro.harness.ndp_network:NdpNetwork"
+    baselines = "repro.harness.baseline_networks"
     register(TransportSpec(
         name="ndp",
         display=NDP,
-        network_cls=NdpNetwork,
+        network_cls=ndp,
         description="NDP: packet trimming, per-packet spraying, pull pacing (§3).",
     ))
     register(TransportSpec(
         name="tcp",
         display=TCP,
-        network_cls=TcpNetwork,
+        network_cls=f"{baselines}:TcpNetwork",
         description="TCP NewReno over drop-tail switches, per-flow ECMP.",
     ))
     register(TransportSpec(
         name="dctcp",
         display=DCTCP,
-        network_cls=DctcpNetwork,
+        network_cls=f"{baselines}:DctcpNetwork",
         description="DCTCP over ECN-marking switches (30-packet threshold).",
     ))
     register(TransportSpec(
         name="mptcp",
         display=MPTCP,
-        network_cls=MptcpNetwork,
+        network_cls=f"{baselines}:MptcpNetwork",
         description="MPTCP (LIA), one subflow per ECMP path.",
     ))
     register(TransportSpec(
         name="dcqcn",
         display=DCQCN,
-        network_cls=DcqcnNetwork,
+        network_cls=f"{baselines}:DcqcnNetwork",
         description="DCQCN over a lossless PFC fabric with ECN marking.",
     ))
     register(TransportSpec(
         name="phost",
         display=PHOST,
-        network_cls=PHostNetwork,
+        network_cls=f"{baselines}:PHostNetwork",
         description="pHost: receiver-driven tokens over shallow buffers.",
     ))
     register(TransportSpec(
         name="ndp_nopenalty",
         display=NDP_NO_PATH_PENALTY,
-        network_cls=NdpNetwork,
-        config_factory=lambda: NdpConfig(path_penalty=False),
+        network_cls=ndp,
+        config_factory=_ndp_without_path_penalty,
         variant_of="ndp",
         description="NDP with the trimming path penalty disabled (Figure 22).",
     ))

@@ -63,6 +63,11 @@ def test_lint_flags_a_network_class_that_reforks_the_shared_wiring():
     def spec(cls):
         return registry.TransportSpec(name="forked", display="Forked", network_cls=cls)
 
+    # a class named by its "module:Class" path (how the built-ins register)
+    # is checked as the class it imports to
+    by_path = spec(f"{TcpNetwork.__module__}:{TcpNetwork.__name__}")
+    assert by_path.network_cls is TcpNetwork
+    assert check_transports.check_network_classes([by_path]) == []
     assert len(check_transports.check_network_classes([spec(Forked)])) == 1
     problems = check_transports.check_network_classes([spec(Grandchild), spec(object)])
     assert len(problems) == 3

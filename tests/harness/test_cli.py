@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro import cli
 from repro.harness import figures, sweep
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 @pytest.fixture(autouse=True)
@@ -194,3 +202,93 @@ class TestGridParsing:
     def test_stray_closing_bracket_does_not_disable_splitting(self):
         grid = cli._parse_grid(["v=],1,2"])
         assert grid == {"v": ["]", 1, 2]}
+
+
+def _child_env(cache_dir) -> dict:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env[sweep.CACHE_DIR_ENV] = str(cache_dir)
+    env.pop(sweep.NO_CACHE_ENV, None)
+    return env
+
+
+class TestClosedPipe:
+    def test_a_reader_that_goes_away_ends_the_run_quietly(self, tmp_path):
+        """``python -m repro.cli ... | head -1``: no traceback, failing status.
+
+        Progress lines are flushed as specs resolve, so after the first one
+        the next write is a whole simulation away — by then the read end is
+        closed and the write raises ``BrokenPipeError`` inside the batch.
+        """
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "fig12", "fig10"],
+            env=_child_env(tmp_path / "cache"),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        first = child.stdout.readline()
+        child.stdout.close()
+        stderr = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 1
+        assert first.startswith(b"  [1/4] fig12")
+        assert stderr == b""
+
+
+# what building, keying, reading, assembling, printing and rendering a cached
+# plan may not load: the unit runs, the engine beneath them, and the
+# process-pool machinery only a parallel run uses
+_ENGINE = (
+    "repro.harness.unit_runs", "repro.harness.network", "repro.harness.experiment",
+    "repro.sim.eventlist", "repro.core", "repro.topology", "repro.workloads",
+    "multiprocessing", "concurrent.futures",
+)
+
+_RUN_AND_REPORT = """
+import contextlib, io, json, sys
+from repro import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    status = cli.main(json.loads(sys.argv[1]))
+print(json.dumps({"status": status, "out": out.getvalue(), "modules": sorted(sys.modules)}))
+"""
+
+
+class TestImportBudget:
+    """A cache hit imports no simulator (and a miss still does)."""
+
+    @staticmethod
+    def _cli_child(argv, cache_dir) -> dict:
+        done = subprocess.run(
+            [sys.executable, "-c", _RUN_AND_REPORT, json.dumps(argv)],
+            env=_child_env(cache_dir), check=True, stdout=subprocess.PIPE, text=True,
+        )
+        report = json.loads(done.stdout)
+        assert report["status"] == 0, argv
+        report["engine"] = [
+            module for module in report["modules"]
+            if module in _ENGINE or module.startswith(tuple(f"{name}." for name in _ENGINE))
+        ]
+        return report
+
+    @staticmethod
+    def _rows(out: str) -> list:
+        return [line for line in out.splitlines() if " runs in " not in line]
+
+    def test_cached_runs_load_no_engine_and_cold_runs_print_the_same(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        fill = self._cli_child(["fig12", "-q"], cache_dir)
+        assert "0 from cache, 1 simulated" in fill["out"]
+        assert "repro.harness.unit_runs" in fill["engine"]
+
+        hit = self._cli_child(["fig12", "-q"], cache_dir)
+        assert "1 from cache, 0 simulated" in hit["out"]
+        assert hit["engine"] == []
+        assert self._cli_child(["list"], cache_dir)["engine"] == []
+        render = self._cli_child(
+            ["render", "fig12", "--out", str(tmp_path / "artifacts"), "-q"], cache_dir
+        )
+        assert "1 from cache, 0 simulated" in render["out"]
+        assert render["engine"] == []
+
+        cold = self._cli_child(["fig12", "--no-cache", "-q"], cache_dir)
+        assert {"repro.harness.unit_runs", "repro.sim.eventlist"} <= set(cold["engine"])
+        assert self._rows(cold["out"]) == self._rows(hit["out"]) == self._rows(fill["out"])

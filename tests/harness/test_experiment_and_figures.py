@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.harness import experiment, figures
+from repro.harness import experiment, figures, unit_runs
 from repro.harness.ndp_network import NdpNetwork
 from repro.sim import units
 from repro.sim.eventlist import EventList
@@ -74,7 +74,7 @@ class TestSharedUnitRuns:
         slowest flow that *did* finish, through a float round trip).
         """
         timeout_ps = units.microseconds(50)
-        last = figures._incast_last_fct(
+        last = unit_runs._incast_last_fct(
             "NDP", 90_000, senders=4, seed=1, timeout_ps=timeout_ps,
             mtu_1500=True, pull_jitter_sigma=pull_jitter_sigma,
         )

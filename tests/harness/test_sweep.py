@@ -8,6 +8,7 @@ figure must return bit-identical results.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import pickle
@@ -16,8 +17,8 @@ import sys
 
 import pytest
 
-from repro.harness import experiment, figures, sweep
-from repro.harness.sweep import Plan, ResultCache, RunSpec
+from repro.harness import experiment, figures, sweep, unit_runs
+from repro.harness.sweep import Plan, ResultCache, RunSpec, UnitRun
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +81,7 @@ class TestResultCodec:
 
 def _cheap_spec(samples: int = 50) -> RunSpec:
     return RunSpec(
-        "fig12", figures._figure12_run,
+        "fig12", unit_runs._figure12_run,
         dict(packet_sizes=(1500, 9000), samples=samples, seed=1),
     )
 
@@ -142,8 +143,8 @@ class TestResultCache:
             "import sys\n"
             "sys.path.insert(0, sys.argv[2])\n"
             "from repro.harness.sweep import ResultCache, RunSpec\n"
-            "from repro.harness import figures\n"
-            "spec = RunSpec('fig12', figures._figure12_run,\n"
+            "from repro.harness import unit_runs\n"
+            "spec = RunSpec('fig12', unit_runs._figure12_run,\n"
             "    dict(packet_sizes=(1500, 9000), samples=50, seed=1))\n"
             "cache = ResultCache(sys.argv[1])\n"
             "result = spec.execute()\n"
@@ -327,7 +328,7 @@ class TestFigurePlans:
         def extra_plan(samples: int = 40, seed: int = 1) -> Plan:
             built.append(samples)
             spec = RunSpec(
-                f"extra[{samples}]", figures._figure12_run,
+                f"extra[{samples}]", unit_runs._figure12_run,
                 dict(packet_sizes=(1500,), samples=samples, seed=seed),
             )
             return Plan([spec], lambda results: [{"samples": samples, **results[0][1500]}])
@@ -361,14 +362,38 @@ class TestFigurePlans:
             del figures.FAMILIES["extra"]
 
     def test_every_plan_yields_executable_picklable_specs(self):
+        """Unit runs are named by reference, so a reference is checked here,
+        without simulating: it must resolve to a function of ``unit_runs``
+        that accepts exactly the keywords its spec carries."""
         for name, declared in figures.FAMILIES.items():
             plan = declared.plan()
             assert isinstance(plan, Plan) and plan.specs, name
             for spec in plan.specs:
                 # kwargs must canonicalize (stable cache keys) ...
                 sweep.canonical_params(spec.kwargs)
-                # ... and the unit fn must be picklable for worker processes
-                assert pickle.loads(pickle.dumps(spec.fn)) is spec.fn, name
+                # ... the unit fn must be picklable for worker processes ...
+                assert isinstance(spec.fn, UnitRun), spec.experiment
+                clone = pickle.loads(pickle.dumps(spec.fn))
+                assert clone == spec.fn and hash(clone) == hash(spec.fn), name
+                # ... and name a module-level unit run taking these keywords
+                assert spec.fn.module == unit_runs.__name__, spec.experiment
+                target = vars(unit_runs)[spec.fn.name]
+                assert inspect.isfunction(target), spec.experiment
+                assert target.__module__ == unit_runs.__name__, spec.experiment
+                inspect.signature(target).bind(**spec.kwargs)  # TypeError if not
+
+    def test_a_misspelt_unit_run_fails_naming_module_and_function(self):
+        spec = RunSpec("typo", UnitRun(unit_runs.__name__, "_figure12_rum"), {})
+        with pytest.raises(AttributeError) as error:
+            spec.execute()
+        message = str(error.value)
+        assert unit_runs.__name__ in message and "_figure12_rum" in message
+        assert "\n" not in message
+
+    def test_load_fct_validates_the_flow_size_mixes_the_unit_run_knows(self):
+        assert tuple(figures._LOAD_FCT_WORKLOADS) == tuple(unit_runs._LOAD_FCT_WORKLOADS)
+        with pytest.raises(ValueError, match="unknown workload"):
+            figures.load_fct_plan(workload="bogus")
 
     def test_sweep_figures_decompose_per_point(self):
         assert len(figures.figure16_plan().specs) == 16  # 4 sender counts x 4 protos
