@@ -214,7 +214,8 @@ class Network:
     ) -> Flow:
         """Create one transfer of *size_bytes* from *src_host* to *dst_host*.
 
-        The sender is armed to start at *start_time_ps*.  ``priority`` marks
+        The sender is armed to start at *start_time_ps*; one already in the
+        past is a ``ValueError`` before anything is built.  ``priority`` marks
         the flow for receiver-side prioritisation where the transport has it
         (NDP); *on_complete* is called once, with the endpoint that detects
         completion.  Pass ``start=False`` to build the endpoints without
@@ -223,6 +224,11 @@ class Network:
         the sources their shard owns.  *endpoint_options* are the
         transport's own (see its ``_endpoints``).
         """
+        if start and start_time_ps < self.eventlist.now():
+            raise ValueError(
+                f"cannot start a flow at {start_time_ps} ps: "
+                f"current time is {self.eventlist.now()} ps"
+            )
         forward = self.topology.get_paths(src_host, dst_host)
         reverse = self.topology.get_paths(dst_host, src_host)
         if not forward or not reverse:
@@ -236,8 +242,8 @@ class Network:
             flow_id, src_host, dst_host, size_bytes, forward, reverse,
             priority, on_complete, **endpoint_options,
         )
-        # a refused flow (partitioned pair, unknown option, bad size) takes
-        # no id, so it cannot shift a later flow's ECMP hash
+        # a refused flow (past start, partitioned pair, unknown option, bad
+        # size) takes no id, so it cannot shift a later flow's ECMP hash
         self._next_flow_id += 1
         if start:
             src.start(start_time_ps)
@@ -245,6 +251,7 @@ class Network:
         # (not from the first arrival), so single-packet transfers have a
         # meaningful FCT
         sink.record.start_time_ps = start_time_ps
+        sink.record.src = src_host
         flow = Flow(flow_id, src, sink, src_host, dst_host)
         self.flows.append(flow)
         return flow

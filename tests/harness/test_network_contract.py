@@ -52,7 +52,8 @@ def test_handle_exposes_both_ends_and_their_records(network):
     assert flow.record is flow.sink.record and flow.sender_record is flow.src.record
     for record in (flow.record, flow.sender_record):
         assert isinstance(record, FlowRecord) and record.flow_id == 0
-    assert (flow.sender_record.src, flow.record.dst) == (1, 0)
+        # both ends know both hosts from creation, not from a first arrival
+        assert (record.src, record.dst) == (flow.src_host, flow.dst_host) == (1, 0)
     assert not flow.complete and network.completed_flows() == []
     _run(network, [flow])
     assert flow.complete and flow.record.bytes_delivered == 45_000
@@ -132,8 +133,17 @@ def test_refused_flow_consumes_no_flow_id(spec):
     for src, dst in ((0, 12), (12, 0)):  # data path cut / ACK path cut
         with pytest.raises(RuntimeError, match="partitioned by link failures"):
             network.create_flow(src, dst, 30_000)
+    network.eventlist.run(until=units.microseconds(1))
+    with pytest.raises(ValueError, match="current time is"):  # default start: 0
+        network.create_flow(5, 8, 30_000)
     assert network.flows == [first]
-    assert network.create_flow(5, 8, 30_000).flow_id == first.flow_id + 1 == 1
+    second = network.create_flow(5, 8, 30_000, start_time_ps=network.eventlist.now())
+    assert second.flow_id == first.flow_id + 1 == 1
+    # ... nor a draw of the seeded stream the endpoints' RNGs come from
+    clean = spec.build(EventList(), FatTreeTopology, seed=1, k=4)
+    clean.create_flow(4, 9, 30_000)
+    clean.create_flow(5, 8, 30_000)
+    assert network.rng.getstate() == clean.rng.getstate()
 
 
 def test_buffer_packets_is_refused_where_the_config_sizes_the_ports():
