@@ -49,8 +49,6 @@ class NdpConfig:
     rto_ps:
         Retransmission timeout covering corruption and header loss.  The
         paper argues 1 ms is safe given the 400 us worst-case RTT.
-    min_rto_ps:
-        Lower bound applied when adaptive RTO estimation is enabled.
     pull_rto_ps:
         Receiver-side pull-retry timeout: when a transfer has received
         nothing for this long while packets are still missing (and no pull
@@ -100,7 +98,6 @@ class NdpConfig:
     trim_arriving_probability: float = 0.5
     return_to_sender: bool = True
     rto_ps: int = units.milliseconds(1)
-    min_rto_ps: int = units.microseconds(200)
     pull_rto_ps: int = units.milliseconds(1)
     max_pull_retries: int = 8
     sender_keepalive: bool = True

@@ -27,41 +27,38 @@ pull requests queued at the pacer, and re-emits PULLs for the outstanding
 packets (up to ``max_pull_retries`` consecutive rounds without progress).
 Shadow timers never perturb the event order of a healthy run (see
 :mod:`repro.sim.eventlist`).
+
+The flow record, ``expect`` and the once-only ``_finish`` come from
+:class:`~repro.sim.network.FlowSink`; the arrival path below (completion
+test, delivery accounting, pooled control emission) is NDP's own — measured
+hot path, one call per packet.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Sequence, Set
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.config import NdpConfig
 from repro.core.packets import NdpAck, NdpDataPacket, NdpNack, NdpPull
 from repro.core.path_manager import PathManager
 from repro.core.pull_queue import NdpPullPacer
 from repro.sim.eventlist import EventList, Timer
-from repro.sim.logger import FlowRecord
-from repro.sim.network import NetworkEndpoint, PacketSink
+from repro.sim.network import FlowSink, PacketSink
 from repro.sim.packet import Packet, PacketPriority, Route
 from repro.sim.pool import PacketPool
 
 _HIGH = PacketPriority.HIGH
 
 
-class NdpSink(NetworkEndpoint):
+class NdpSink(FlowSink):
     """Receiving endpoint of one NDP connection."""
 
     __slots__ = (
-        "flow_id",
-        "config",
         "pacer",
         "priority",
-        "on_complete",
         "rng",
         "reverse_paths",
-        "record",
-        "src_node_id",
-        "_received",
-        "_expected_packets",
         "_pull_counter",
         "_saw_last",
         "_highest_seqno_seen",
@@ -89,22 +86,18 @@ class NdpSink(NetworkEndpoint):
         name: Optional[str] = None,
         pool: Optional[PacketPool] = None,
     ) -> None:
-        super().__init__(eventlist, node_id, name or f"ndp-sink-{flow_id}")
-        self.flow_id = flow_id
-        self.config = config if config is not None else NdpConfig()
+        super().__init__(
+            eventlist, flow_id, node_id, config if config is not None else NdpConfig(),
+            on_complete, name or f"ndp-sink-{flow_id}",
+        )
         self.pacer = pacer
         self.priority = priority
-        self.on_complete = on_complete
         self.rng = rng if rng is not None else random.Random(flow_id)
         # control packets travel the reverse fabric routes and are delivered
         # to reverse_terminal: the source, or the fault tap in front of it
         self.reverse_paths = PathManager(
             reverse_routes, reverse_terminal, rng=self.rng, penalize=False
         )
-        self.record = FlowRecord(flow_id=flow_id, src=-1, dst=node_id, flow_size_bytes=0)
-        self.src_node_id = -1
-        self._received: Set[int] = set()
-        self._expected_packets: Optional[int] = None
         self._pull_counter = 0
         self._saw_last = False
         self._highest_seqno_seen = -1
@@ -120,22 +113,6 @@ class NdpSink(NetworkEndpoint):
         self.pacer.register(self)
 
     # --- wiring -----------------------------------------------------------------
-
-    def expect(self, src_node_id: int, flow_size_bytes: int, total_packets: int) -> None:
-        """Tell the sink how large the incoming transfer will be.
-
-        In a real deployment this is carried by the SYN-flagged first-RTT
-        packets; in the simulator the connection helper calls it when wiring
-        a sender to its sink.
-        """
-        self.src_node_id = src_node_id
-        self.record.src = src_node_id
-        self.record.flow_size_bytes = flow_size_bytes
-        self._expected_packets = total_packets
-
-    def set_priority(self, priority: bool) -> None:
-        """Mark (or unmark) this connection as high priority at the pull queue."""
-        self.priority = priority
 
     def update_reverse_routes(self, routes: Sequence[Route]) -> None:
         """Adopt new reverse (ACK/NACK/PULL) fabric routes after a link-state change."""
@@ -381,12 +358,8 @@ class NdpSink(NetworkEndpoint):
         packet.send_time = self.eventlist._now
         route.elements[0].receive_packet(packet)
 
-    def _finish(self) -> None:
-        if self.record.finish_time_ps is None:
-            self.record.finish_time_ps = self.now()
-            self.pacer.purge(self.flow_id)
-            if self._retry_timer is not None:
-                self._retry_timer.cancel()
-                self._retry_timer = None
-            if self.on_complete is not None:
-                self.on_complete(self)
+    def _release(self) -> None:
+        self.pacer.purge(self.flow_id)
+        if self._retry_timer is not None:
+            self._retry_timer.cancel()
+            self._retry_timer = None

@@ -26,6 +26,10 @@ The sender's job is deliberately simple (§3.2 of the paper):
   per-seqno RTO coverage.  The timer is a shadow timer
   (:mod:`repro.sim.eventlist`), so runs in which it never fires are
   bit-identical to runs without it.
+
+Identity, sizing, the flow record, ``start`` and the once-only ``_finish``
+come from :class:`~repro.sim.network.FlowSource`; the transmit path, the
+handler dispatch and the timers below are NDP's own (measured hot path).
 """
 
 from __future__ import annotations
@@ -38,8 +42,7 @@ from repro.core.config import NdpConfig
 from repro.core.packets import NdpAck, NdpDataPacket, NdpNack, NdpPull
 from repro.core.path_manager import PathManager
 from repro.sim.eventlist import EventList, Timer
-from repro.sim.logger import FlowRecord
-from repro.sim.network import NetworkEndpoint, PacketSink
+from repro.sim.network import FlowSource, PacketSink
 from repro.sim.packet import Packet, PacketPriority, Route
 from repro.sim.pool import PacketPool
 
@@ -48,21 +51,12 @@ from repro.core.receiver import NdpSink
 _LOW = PacketPriority.LOW
 
 
-class NdpSrc(NetworkEndpoint):
+class NdpSrc(FlowSource):
     """Sending endpoint of one NDP connection."""
 
     __slots__ = (
-        "flow_id",
-        "dst_node_id",
-        "flow_size_bytes",
-        "config",
-        "on_complete",
         "record_packet_latencies",
         "paths",
-        "payload_per_packet",
-        "total_packets",
-        "_tail_payload",
-        "record",
         "sink",
         "_next_new_seqno",
         "_acked",
@@ -79,9 +73,7 @@ class NdpSrc(NetworkEndpoint):
         "_ka_stall_spanned",
         "_last_pull_ps",
         "_max_pull_gap_ps",
-        "_started",
         "pool",
-        "packets_sent",
         "acks_received",
         "nacks_received",
         "pulls_received",
@@ -104,14 +96,11 @@ class NdpSrc(NetworkEndpoint):
         name: Optional[str] = None,
         pool: Optional[PacketPool] = None,
     ) -> None:
-        super().__init__(eventlist, node_id, name or f"ndp-src-{flow_id}")
-        if flow_size_bytes <= 0:
-            raise ValueError(f"flow size must be positive, got {flow_size_bytes}")
-        self.flow_id = flow_id
-        self.dst_node_id = dst_node_id
-        self.flow_size_bytes = flow_size_bytes
-        self.config = config if config is not None else NdpConfig()
-        self.on_complete = on_complete
+        config = config if config is not None else NdpConfig()
+        super().__init__(
+            eventlist, flow_id, node_id, dst_node_id, flow_size_bytes, config,
+            config.mtu_bytes - config.header_bytes, on_complete, name or f"ndp-src-{flow_id}",
+        )
         self.record_packet_latencies = record_packet_latencies
         # slot pool for outgoing data packets; shared network-wide when the
         # harness provides one (sinks revive what other sources freed)
@@ -122,20 +111,10 @@ class NdpSrc(NetworkEndpoint):
         self.paths = PathManager(
             routes,
             rng=rng if rng is not None else random.Random(flow_id),
-            penalize=self.config.path_penalty,
-            min_samples=self.config.path_penalty_min_samples,
-            nack_ratio=self.config.path_penalty_nack_ratio,
-            mode=self.config.path_selection_mode,
-        )
-
-        payload = self.config.mtu_bytes - self.config.header_bytes
-        self.payload_per_packet = payload
-        self.total_packets = (flow_size_bytes + payload - 1) // payload
-        remainder = flow_size_bytes - (self.total_packets - 1) * payload
-        self._tail_payload = remainder if remainder > 0 else payload
-
-        self.record = FlowRecord(
-            flow_id=flow_id, src=node_id, dst=dst_node_id, flow_size_bytes=flow_size_bytes
+            penalize=config.path_penalty,
+            min_samples=config.path_penalty_min_samples,
+            nack_ratio=config.path_penalty_nack_ratio,
+            mode=config.path_selection_mode,
         )
 
         self.sink: Optional[NdpSink] = None
@@ -161,8 +140,6 @@ class NdpSrc(NetworkEndpoint):
         self._ka_stall_spanned = False
         self._last_pull_ps = -1
         self._max_pull_gap_ps = 0
-        self._started = False
-        self.packets_sent = 0
         self.acks_received = 0
         self.nacks_received = 0
         self.pulls_received = 0
@@ -194,11 +171,6 @@ class NdpSrc(NetworkEndpoint):
         """
         self.paths.update_routes(routes)
 
-    def start(self, at_time_ps: Optional[int] = None) -> None:
-        """Schedule the first-RTT burst (defaults to the current time)."""
-        when = self.now() if at_time_ps is None else at_time_ps
-        self.eventlist.schedule(when, self._send_initial_window)
-
     # --- state inspection ---------------------------------------------------------
 
     @property
@@ -206,21 +178,14 @@ class NdpSrc(NetworkEndpoint):
         """True once every packet of the transfer has been ACKed."""
         return len(self._acked) >= self.total_packets
 
-    def packets_acked(self) -> int:
-        """Number of packets positively acknowledged so far."""
-        return len(self._acked)
-
     def retransmit_queue_depth(self) -> int:
         """Packets waiting to be retransmitted on the next PULLs."""
         return len(self._rtx_queue)
 
     # --- sending ---------------------------------------------------------------------
 
-    def _send_initial_window(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self.record.start_time_ps = self.now()
+    def _begin(self) -> None:
+        """The first-RTT burst: a full initial window at line rate."""
         self._last_pull_ps = self.now()  # first pull gap measured from start
         # idle time is measured from here until the first feedback arrives,
         # so a total first-window blackout still respects the keepalive's
@@ -282,11 +247,6 @@ class NdpSrc(NetworkEndpoint):
         packet.send_time = self.eventlist._now
         route.elements[0].receive_packet(packet)
 
-    def _payload_size(self, seqno: int) -> int:
-        if seqno < self.total_packets - 1:
-            return self.payload_per_packet
-        return self._tail_payload
-
     def _send_pulled_packets(self, count: int) -> None:
         for _ in range(count):
             if self._rtx_queue:
@@ -345,7 +305,7 @@ class NdpSrc(NetworkEndpoint):
         if timer is not None and timer._gen == timer._armed_gen:
             timer._gen += 1
             self.eventlist._note_stale()
-        self.record.bytes_delivered += self._payload_size(seqno)
+        self.record.bytes_delivered += self.payload_for(seqno)
         self.record.packets_delivered += 1
         if self.record_packet_latencies and seqno in self._first_send_time:
             self.packet_latencies_ps.append(self.now() - self._first_send_time[seqno])
@@ -517,10 +477,7 @@ class NdpSrc(NetworkEndpoint):
 
     # --- completion ----------------------------------------------------------------------
 
-    def _finish(self) -> None:
-        if self.record.finish_time_ps is not None:
-            return
-        self.record.finish_time_ps = self.now()
+    def _release(self) -> None:
         for timer in self._rto_timers.values():
             timer.cancel()
         self._rto_timers.clear()
@@ -541,8 +498,6 @@ class NdpSrc(NetworkEndpoint):
         self._last_path_used.clear()
         self._first_send_time.clear()
         self.paths.retire()
-        if self.on_complete is not None:
-            self.on_complete(self)
 
 
 #: exact-type dispatch for :meth:`NdpSrc.receive_packet` (cheaper than an

@@ -118,10 +118,6 @@ class NdpSwitchQueue(BaseQueue):
         """Number of full data packets queued."""
         return len(self._data_queue)
 
-    def header_queue_depth(self) -> int:
-        """Number of headers / control packets queued."""
-        return len(self._header_queue)
-
     def __len__(self) -> int:
         in_service = 1 if self._in_service is not None else 0
         return len(self._data_queue) + len(self._header_queue) + in_service

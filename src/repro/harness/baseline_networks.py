@@ -66,10 +66,10 @@ class TcpNetwork(Network):
             node_id=dst_host,
             reverse_route=rev.extended(src),
             config=self.config,
-            expected_bytes=size_bytes,
             on_complete=on_complete,
         )
         src.route = fwd.extended(sink)
+        sink.expect(src_host, size_bytes, src.total_packets)
         return src, sink
 
 

@@ -167,10 +167,12 @@ class Network:
         """Build and connect the two ends of one transfer; return ``(src, sink)``.
 
         *forward* / *reverse* are the fabric's surviving path lists, shared
-        by every flow of the host pair.  ``src.start(at_ps)`` arms the sender,
-        each end keeps a :class:`FlowRecord` as ``.record``, and exactly one
-        end fires *on_complete* (with itself) when the transfer finishes.  A
-        transport's own per-flow options are further keyword parameters.
+        by every flow of the host pair.  The ends are a
+        :class:`~repro.sim.network.FlowSource` and a
+        :class:`~repro.sim.network.FlowSink` — which give them ``start``,
+        ``.record`` and the once-only finish — wired with ``sink.expect``;
+        exactly one end is handed *on_complete*.  A transport's own per-flow
+        options are further keyword parameters.
         """
         raise NotImplementedError
 
@@ -251,7 +253,6 @@ class Network:
         # (not from the first arrival), so single-packet transfers have a
         # meaningful FCT
         sink.record.start_time_ps = start_time_ps
-        sink.record.src = src_host
         flow = Flow(flow_id, src, sink, src_host, dst_host)
         self.flows.append(flow)
         return flow

@@ -31,8 +31,12 @@ _EXPORTS = {
     "Packet": "repro.sim.packet",
     "Route": "repro.sim.packet",
     "PacketPriority": "repro.sim.packet",
+    "DataPacket": "repro.sim.packet",
+    "ControlPacket": "repro.sim.packet",
     "PacketSink": "repro.sim.network",
     "NetworkEndpoint": "repro.sim.network",
+    "FlowSource": "repro.sim.network",
+    "FlowSink": "repro.sim.network",
     "Pipe": "repro.sim.pipe",
     "TappedPipe": "repro.sim.pipe",
     "FaultInjector": "repro.sim.faults",

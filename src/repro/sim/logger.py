@@ -61,13 +61,6 @@ class QueueStats:
     max_queue_bytes: int = 0
     pause_events: int = 0
 
-    def record_forward(self, size: int, is_header_only: bool) -> None:
-        """Record a packet leaving the queue."""
-        self.packets_forwarded += 1
-        self.bytes_forwarded += size
-        if not is_header_only:
-            self.data_bytes_forwarded += size
-
     def record_drop(self, size: int) -> None:
         """Record a packet dropped on arrival."""
         self.packets_dropped += 1

@@ -1,20 +1,28 @@
 """Core interfaces implemented by every network element.
 
-Two abstractions tie the simulator together:
+Three layers tie the simulator together:
 
 * :class:`PacketSink` — anything that can receive a packet (queues, pipes,
   protocol endpoints, loss generators used in tests).
 * :class:`NetworkEndpoint` — a protocol entity attached to a host; provides
   the plumbing shared by every sender/receiver implementation (clock access,
   packet injection onto a route).
+* :class:`FlowSource` / :class:`FlowSink` — the two ends of one transfer.
+  They own what a *flow* is on every transport: how it is sized into
+  packets, when its :class:`~repro.sim.logger.FlowRecord` starts and
+  finishes, who is told.  A transport's sender and receiver subclass them
+  and write only protocol logic: ``_begin`` (the first transmission),
+  ``receive_packet`` (feedback and retransmission) and ``_release`` (cancel
+  timers, drop per-transfer state).
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.sim.eventlist import EventList
+from repro.sim.logger import FlowRecord
 from repro.sim.packet import Packet, Route
 
 
@@ -95,3 +103,174 @@ class NetworkEndpoint(PacketSink):
     @abc.abstractmethod
     def receive_packet(self, packet: Packet) -> None:
         """Handle an arriving packet (protocol specific)."""
+
+
+class FlowSource(NetworkEndpoint):
+    """Sending end of one transfer: identity, sizing, record and lifecycle.
+
+    The transfer is cut into ``total_packets`` packets of
+    ``payload_per_packet`` bytes, the last carrying the remainder.
+    :meth:`start` arms a once-only ``_start`` that stamps the record and
+    calls the protocol's ``_begin``; the protocol calls :meth:`_finish` when
+    it knows the transfer is done.
+    """
+
+    __slots__ = (
+        "flow_id",
+        "dst_node_id",
+        "flow_size_bytes",
+        "config",
+        "on_complete",
+        "payload_per_packet",
+        "total_packets",
+        "_tail_payload",
+        "record",
+        "packets_sent",
+        "_started",
+    )
+
+    def __init__(
+        self,
+        eventlist: EventList,
+        flow_id: int,
+        node_id: int,
+        dst_node_id: int,
+        flow_size_bytes: int,
+        config: object,
+        payload_per_packet: int,
+        on_complete: Optional[Callable[["FlowSource"], None]],
+        name: str,
+    ) -> None:
+        super().__init__(eventlist, node_id, name)
+        if flow_size_bytes <= 0:
+            raise ValueError(f"flow size must be positive, got {flow_size_bytes}")
+        self.flow_id = flow_id
+        self.dst_node_id = dst_node_id
+        self.flow_size_bytes = flow_size_bytes
+        self.config = config
+        self.on_complete = on_complete
+        self.payload_per_packet = payload_per_packet
+        self.total_packets = (flow_size_bytes + payload_per_packet - 1) // payload_per_packet
+        self._tail_payload = flow_size_bytes - (self.total_packets - 1) * payload_per_packet
+        self.record = FlowRecord(
+            flow_id=flow_id, src=node_id, dst=dst_node_id, flow_size_bytes=flow_size_bytes
+        )
+        self.packets_sent = 0
+        self._started = False
+
+    def payload_for(self, seqno: int) -> int:
+        """Payload bytes of packet *seqno* (the last one carries the remainder)."""
+        if seqno < self.total_packets - 1:
+            return self.payload_per_packet
+        return self._tail_payload
+
+    def start(self, at_time_ps: Optional[int] = None) -> None:
+        """Arm the transfer to begin at *at_time_ps* (now by default)."""
+        when = self.now() if at_time_ps is None else at_time_ps
+        self.eventlist.schedule(when, self._start)
+
+    def _start(self) -> None:
+        if self._started:
+            return
+        self._started = True
+        self.record.start_time_ps = self.now()
+        self._begin()
+
+    def _begin(self) -> None:
+        """Protocol hook: make the first transmission."""
+        raise NotImplementedError
+
+    def _finish(self) -> None:
+        """Stamp the record, release the protocol's state, tell the owner — once."""
+        if self.record.finish_time_ps is not None:
+            return
+        self.record.finish_time_ps = self.now()
+        self._release()
+        if self.on_complete is not None:
+            self.on_complete(self)
+
+    def _release(self) -> None:
+        """Protocol hook: cancel timers and drop per-transfer state."""
+
+
+class FlowSink(NetworkEndpoint):
+    """Receiving end of one transfer: expectation, delivery accounting, completion.
+
+    :meth:`expect` is called where the flow is wired and tells the sink who
+    sends and how much; :meth:`_deliver` counts each distinct data packet
+    once.  The protocol calls :meth:`_finish` when :attr:`complete` turns
+    true.
+    """
+
+    __slots__ = (
+        "flow_id",
+        "config",
+        "on_complete",
+        "record",
+        "src_node_id",
+        "_expected_packets",
+        "_received",
+    )
+
+    def __init__(
+        self,
+        eventlist: EventList,
+        flow_id: int,
+        node_id: int,
+        config: object,
+        on_complete: Optional[Callable[["FlowSink"], None]],
+        name: str,
+    ) -> None:
+        super().__init__(eventlist, node_id, name)
+        self.flow_id = flow_id
+        self.config = config
+        self.on_complete = on_complete
+        self.record = FlowRecord(flow_id=flow_id, src=-1, dst=node_id, flow_size_bytes=0)
+        self.src_node_id = -1
+        self._expected_packets: Optional[int] = None
+        self._received: set[int] = set()
+
+    def expect(self, src_node_id: int, flow_size_bytes: int, total_packets: int) -> None:
+        """Tell the sink who sends the transfer and how large it is.
+
+        In a deployment the first packets carry this; in the simulator
+        whoever wires a sender to its sink calls it.
+        """
+        self.src_node_id = src_node_id
+        self.record.src = src_node_id
+        self.record.flow_size_bytes = flow_size_bytes
+        self._expected_packets = total_packets
+
+    @property
+    def complete(self) -> bool:
+        """True once every byte of the expected transfer has been delivered."""
+        record = self.record
+        return 0 < record.flow_size_bytes <= record.bytes_delivered
+
+    def remaining_packets(self) -> int:
+        """Packets of the expected transfer still missing."""
+        return self._expected_packets - len(self._received)
+
+    def _deliver(self, packet: Packet) -> None:
+        """Account one arriving data packet; a duplicate seqno counts once."""
+        record = self.record
+        if record.start_time_ps is None:
+            record.start_time_ps = self.now()
+            record.src = packet.src
+        seqno = packet.seqno
+        if seqno not in self._received:
+            self._received.add(seqno)
+            record.bytes_delivered += packet.payload_bytes
+            record.packets_delivered += 1
+
+    def _finish(self) -> None:
+        """Stamp the record, release the protocol's state, tell the owner — once."""
+        if self.record.finish_time_ps is not None:
+            return
+        self.record.finish_time_ps = self.now()
+        self._release()
+        if self.on_complete is not None:
+            self.on_complete(self)
+
+    def _release(self) -> None:
+        """Protocol hook: cancel timers and drop per-transfer state."""

@@ -7,9 +7,13 @@ sending host chooses.  This models source routing, the mechanism NDP uses to
 spread the packets of a single flow over every available path of a Clos
 topology (see §3.1.1 of the paper).
 
-Protocol packages subclass :class:`Packet` (``NdpDataPacket``, ``TcpPacket``,
-…) to add protocol fields; the switch and link code only relies on the base
-attributes defined here (size, priority, ECN bits, trimming support).
+Protocol packages subclass :class:`Packet` to add protocol fields; the switch
+and link code only relies on the base attributes defined here (size,
+priority, ECN bits, trimming support).  The unpooled transports build on two
+ready-made shapes, :class:`DataPacket` (payload plus header) and
+:class:`ControlPacket` (a bare header), and declare only their own fields;
+NDP's pooled packets (``repro.core.packets``) flatten their constructors
+instead, because one is filled per transmitted packet.
 """
 
 from __future__ import annotations
@@ -232,3 +236,44 @@ class Packet:
             f"{kind}(flow={self.flow_id}, seq={self.seqno}, {self.src}->{self.dst},"
             f" {self.size}B{extra})"
         )
+
+
+class DataPacket(Packet):
+    """A packet carrying *payload_bytes* of a transfer behind a header."""
+
+    __slots__ = ("payload_bytes",)
+
+    def __init__(
+        self,
+        flow_id: int,
+        src: int,
+        dst: int,
+        seqno: int,
+        payload_bytes: int,
+        header_bytes: int,
+        ecn_capable: bool = False,
+    ) -> None:
+        super().__init__(
+            flow_id, src, dst, payload_bytes + header_bytes, seqno, ecn_capable=ecn_capable
+        )
+        self.payload_bytes = payload_bytes
+
+
+class ControlPacket(Packet):
+    """A header-sized feedback packet (ACK, CNP, token)."""
+
+    __slots__ = ()
+
+    def __init__(
+        self,
+        flow_id: int,
+        src: int,
+        dst: int,
+        seqno: int = 0,
+        header_bytes: int = HEADER_BYTES,
+        priority: PacketPriority = PacketPriority.LOW,
+    ) -> None:
+        super().__init__(flow_id, src, dst, header_bytes, seqno, priority=priority)
+
+    def is_control(self) -> bool:
+        return True

@@ -283,15 +283,6 @@ class Topology:
         except ValueError:
             pass
 
-    def route_from_nodes(self, nodes: Sequence[str], path_id: int = 0) -> Route:
-        """Build a route from an explicit node path ``[src_host, ..., dst_host]``.
-
-        Raw access for tests and ad-hoc wiring: resolves through the route
-        table without link-state pruning or caching (a deliberately built
-        route over a failed link is the caller's business).
-        """
-        return self.route_table.resolve(nodes, path_id=path_id)
-
     # --- queries -----------------------------------------------------------------
 
     def host_name(self, host: int) -> str:

@@ -37,7 +37,7 @@ from repro.sim.eventlist import EventList, Timer
 from repro.topology.base import Topology
 
 #: actions a controller can schedule, in the order they appear in reports
-ACTIONS = ("fail", "recover", "rate", "delay")
+ACTIONS = ("fail", "recover", "rate")
 
 
 @dataclass(frozen=True)
@@ -50,15 +50,12 @@ class ScheduledLinkEvent:
     src_node: str
     dst_node: str
     rate_bps: Optional[int] = None
-    delay_ps: Optional[int] = None
 
     def describe(self) -> str:
         """Human-readable one-liner for timelines and logs."""
         detail = ""
         if self.rate_bps is not None:
             detail = f" -> {self.rate_bps / 1e9:g} Gb/s"
-        elif self.delay_ps is not None:
-            detail = f" -> {self.delay_ps} ps"
         return f"t={self.when_ps}ps {self.action} {self.src_node}->{self.dst_node}{detail}"
 
 
@@ -115,21 +112,6 @@ class FabricController:
             raise ValueError(f"link rate must be positive, got {rate_bps}")
         self._schedule(when_ps, "rate", node_a, node_b, bidirectional, rate_bps=rate_bps)
 
-    def schedule_delay_change(
-        self,
-        when_ps: int,
-        node_a: str,
-        node_b: str,
-        delay_ps: int,
-        bidirectional: bool = True,
-    ) -> None:
-        """Change the link(s) propagation delay to *delay_ps* at *when_ps*."""
-        if delay_ps < 0:
-            raise ValueError(f"link delay must be non-negative, got {delay_ps}")
-        self._schedule(
-            when_ps, "delay", node_a, node_b, bidirectional, delay_ps=delay_ps
-        )
-
     def schedule_outage(
         self,
         node_a: str,
@@ -168,7 +150,6 @@ class FabricController:
         node_b: str,
         bidirectional: bool,
         rate_bps: Optional[int] = None,
-        delay_ps: Optional[int] = None,
     ) -> None:
         directions = [(node_a, node_b)]
         if bidirectional:
@@ -176,9 +157,7 @@ class FabricController:
         for src_node, dst_node in directions:
             # validate the link now: a typo should fail at scheduling time
             self.topology.link(src_node, dst_node)
-            event = ScheduledLinkEvent(
-                when_ps, action, src_node, dst_node, rate_bps=rate_bps, delay_ps=delay_ps
-            )
+            event = ScheduledLinkEvent(when_ps, action, src_node, dst_node, rate_bps=rate_bps)
             self.scheduled.append(event)
             timer = self.eventlist.new_timer(self._fire, event, shadow=True)
             timer.schedule_at(when_ps)
@@ -190,10 +169,8 @@ class FabricController:
             topology.fail_link(event.src_node, event.dst_node)
         elif event.action == "recover":
             topology.recover_link(event.src_node, event.dst_node)
-        elif event.action == "rate":
-            topology.set_link_rate(event.src_node, event.dst_node, event.rate_bps)
         else:
-            topology.set_link_delay_ps(event.src_node, event.dst_node, event.delay_ps)
+            topology.set_link_rate(event.src_node, event.dst_node, event.rate_bps)
         self.fired.append(event)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -14,6 +14,13 @@
 * :mod:`repro.transports.constant_rate` — unresponsive constant-rate senders
   used for the Figure 2 switch-overload study.
 
+Every sender and receiver here is a :class:`~repro.sim.network.FlowSource` /
+:class:`~repro.sim.network.FlowSink`: sizing, flow records, ``start`` and the
+once-only finish come from those bases, deadlines are re-armable
+:class:`~repro.sim.eventlist.Timer` s and packets derive from
+:class:`~repro.sim.packet.DataPacket` / :class:`~repro.sim.packet.ControlPacket`,
+so each module holds its protocol's logic and nothing else.
+
 The Cut Payload (CP) *switch* lives in :mod:`repro.core.switch` next to the
 NDP queue it is contrasted with.
 """

@@ -4,7 +4,9 @@ Figure 2 of the paper studies the *switch* service model in isolation: many
 unresponsive flows converge on one 10 Gb/s output port and the metric is the
 fraction of the ideal fair-share goodput each flow's receiver actually gets.
 The senders deliberately perform no congestion control — that is the point —
-so they are modelled here as simple paced packet generators.
+so they are modelled here as simple paced packet generators.  The source is
+open-ended — no size, no record, no completion — so only the sink shares the
+:class:`~repro.sim.network.FlowSink` delivery accounting.
 """
 
 from __future__ import annotations
@@ -14,26 +16,14 @@ from typing import Callable, Optional
 
 from repro.sim import units
 from repro.sim.eventlist import EventList
-from repro.sim.logger import FlowRecord
-from repro.sim.network import NetworkEndpoint
-from repro.sim.packet import Packet, PacketPriority, Route
+from repro.sim.network import FlowSink, NetworkEndpoint
+from repro.sim.packet import DataPacket, Packet, Route
 
 
-class ConstantRatePacket(Packet):
+class ConstantRatePacket(DataPacket):
     """A data packet from an unresponsive source."""
 
-    __slots__ = ("payload_bytes",)
-
-    def __init__(self, flow_id, src, dst, seqno, payload_bytes, header_bytes):
-        super().__init__(
-            flow_id=flow_id,
-            src=src,
-            dst=dst,
-            size=payload_bytes + header_bytes,
-            seqno=seqno,
-            priority=PacketPriority.LOW,
-        )
-        self.payload_bytes = payload_bytes
+    __slots__ = ()
 
 
 class ConstantRateSource(NetworkEndpoint):
@@ -111,27 +101,24 @@ class ConstantRateSource(NetworkEndpoint):
         raise TypeError("ConstantRateSource does not expect inbound packets")
 
 
-class ConstantRateSink(NetworkEndpoint):
-    """Counts goodput: payload bytes of *untrimmed* packets that arrive."""
+class ConstantRateSink(FlowSink):
+    """Counts goodput: payload bytes of *untrimmed* packets that arrive.
+
+    The transfer is open-ended: nothing is expected, so the sink never
+    completes.
+    """
 
     def __init__(self, eventlist: EventList, flow_id: int, node_id: int,
                  name: Optional[str] = None) -> None:
-        super().__init__(eventlist, node_id, name or f"cbr-sink-{flow_id}")
-        self.flow_id = flow_id
-        self.record = FlowRecord(flow_id=flow_id, src=-1, dst=node_id, flow_size_bytes=0)
+        super().__init__(eventlist, flow_id, node_id, None, None, name or f"cbr-sink-{flow_id}")
         self.headers_received = 0
 
     def receive_packet(self, packet: Packet) -> None:
-        if self.record.start_time_ps is None:
-            self.record.start_time_ps = self.now()
-            self.record.src = packet.src
         if packet.is_header_only:
             self.headers_received += 1
             self.record.headers_received += 1
             return
-        payload = getattr(packet, "payload_bytes", packet.size)
-        self.record.bytes_delivered += payload
-        self.record.packets_delivered += 1
+        self._deliver(packet)
 
     def goodput_bps(self, duration_ps: int) -> float:
         """Delivered payload rate over *duration_ps*."""

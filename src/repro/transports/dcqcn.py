@@ -19,6 +19,11 @@ damage to innocent flows (Figures 14, 16, 19) — comes from the
 :class:`~repro.sim.queues.LosslessQueue` fabric, not from this rate
 controller, which is why the qualitative results survive this simplified
 reaction-point implementation.
+
+The flow lifecycle (sizing, records, ``start``, completion) is
+:class:`~repro.sim.network.FlowSource` / :class:`~repro.sim.network.FlowSink`'s;
+the pacing clock and the alpha/rate clock are two re-armable
+:class:`~repro.sim.eventlist.Timer` s.
 """
 
 from __future__ import annotations
@@ -27,10 +32,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.sim import units
-from repro.sim.eventlist import Event, EventList
-from repro.sim.logger import FlowRecord
-from repro.sim.network import NetworkEndpoint
-from repro.sim.packet import Packet, PacketPriority, Route
+from repro.sim.eventlist import EventList, Timer
+from repro.sim.network import FlowSink, FlowSource
+from repro.sim.packet import ControlPacket, DataPacket, Packet, PacketPriority, Route
 
 
 @dataclass
@@ -68,64 +72,32 @@ class DcqcnConfig:
         return self.mss_bytes + self.header_bytes
 
 
-class DcqcnDataPacket(Packet):
+class DcqcnDataPacket(DataPacket):
     """An ECN-capable RoCE-style data packet."""
 
-    __slots__ = ("payload_bytes", "last")
+    __slots__ = ("last",)
 
     def __init__(self, flow_id, src, dst, seqno, payload_bytes, header_bytes, last=False):
-        super().__init__(
-            flow_id=flow_id,
-            src=src,
-            dst=dst,
-            size=payload_bytes + header_bytes,
-            seqno=seqno,
-            priority=PacketPriority.LOW,
-            ecn_capable=True,
-        )
-        self.payload_bytes = payload_bytes
+        super().__init__(flow_id, src, dst, seqno, payload_bytes, header_bytes, ecn_capable=True)
         self.last = last
 
 
-class DcqcnCnp(Packet):
-    """A Congestion Notification Packet sent by the receiver."""
+class DcqcnCnp(ControlPacket):
+    """A Congestion Notification Packet sent by the receiver (high priority)."""
 
     __slots__ = ()
 
     def __init__(self, flow_id, src, dst, header_bytes=64):
-        super().__init__(
-            flow_id=flow_id,
-            src=src,
-            dst=dst,
-            size=header_bytes,
-            seqno=0,
-            priority=PacketPriority.HIGH,
-        )
-
-    def is_control(self) -> bool:
-        return True
+        super().__init__(flow_id, src, dst, 0, header_bytes, PacketPriority.HIGH)
 
 
-class DcqcnAck(Packet):
+class DcqcnAck(ControlPacket):
     """Per-packet acknowledgement used for delivery accounting."""
 
     __slots__ = ()
 
-    def __init__(self, flow_id, src, dst, seqno, header_bytes=64):
-        super().__init__(
-            flow_id=flow_id,
-            src=src,
-            dst=dst,
-            size=header_bytes,
-            seqno=seqno,
-            priority=PacketPriority.LOW,
-        )
 
-    def is_control(self) -> bool:
-        return True
-
-
-class DcqcnSink(NetworkEndpoint):
+class DcqcnSink(FlowSink):
     """Notification point: ACKs every packet, sends rate-limited CNPs."""
 
     def __init__(
@@ -139,28 +111,19 @@ class DcqcnSink(NetworkEndpoint):
         on_complete: Optional[Callable[["DcqcnSink"], None]] = None,
         name: Optional[str] = None,
     ) -> None:
-        super().__init__(eventlist, node_id, name or f"dcqcn-sink-{flow_id}")
-        self.flow_id = flow_id
-        self.config = config if config is not None else DcqcnConfig()
-        self.reverse_route = reverse_route
-        self.on_complete = on_complete
-        self.record = FlowRecord(
-            flow_id=flow_id, src=-1, dst=node_id, flow_size_bytes=expected_bytes
+        super().__init__(
+            eventlist, flow_id, node_id, config if config is not None else DcqcnConfig(),
+            on_complete, name or f"dcqcn-sink-{flow_id}",
         )
-        self._received: set[int] = set()
+        self.reverse_route = reverse_route
+        self.record.flow_size_bytes = expected_bytes
         self._last_cnp_time: Optional[int] = None
         self.cnps_sent = 0
 
     def receive_packet(self, packet: Packet) -> None:
         if not isinstance(packet, DcqcnDataPacket):
             raise TypeError(f"DcqcnSink got unexpected packet {packet!r}")
-        if self.record.start_time_ps is None:
-            self.record.start_time_ps = self.now()
-            self.record.src = packet.src
-        if packet.seqno not in self._received:
-            self._received.add(packet.seqno)
-            self.record.bytes_delivered += packet.payload_bytes
-            self.record.packets_delivered += 1
+        self._deliver(packet)
         if packet.ecn_ce:
             self._maybe_send_cnp(packet.src)
         self.inject(
@@ -168,14 +131,8 @@ class DcqcnSink(NetworkEndpoint):
                      header_bytes=self.config.header_bytes),
             self.reverse_route,
         )
-        if (
-            self.record.flow_size_bytes
-            and self.record.bytes_delivered >= self.record.flow_size_bytes
-            and self.record.finish_time_ps is None
-        ):
-            self.record.finish_time_ps = self.now()
-            if self.on_complete is not None:
-                self.on_complete(self)
+        if self.complete:
+            self._finish()
 
     def _maybe_send_cnp(self, dst: int) -> None:
         now = self.now()
@@ -192,7 +149,7 @@ class DcqcnSink(NetworkEndpoint):
         )
 
 
-class DcqcnSrc(NetworkEndpoint):
+class DcqcnSrc(FlowSource):
     """Reaction point: a rate-paced sender over the lossless fabric."""
 
     def __init__(
@@ -207,20 +164,12 @@ class DcqcnSrc(NetworkEndpoint):
         on_complete: Optional[Callable[["DcqcnSrc"], None]] = None,
         name: Optional[str] = None,
     ) -> None:
-        super().__init__(eventlist, node_id, name or f"dcqcn-src-{flow_id}")
-        if flow_size_bytes <= 0:
-            raise ValueError("flow size must be positive")
-        self.flow_id = flow_id
-        self.dst_node_id = dst_node_id
-        self.flow_size_bytes = flow_size_bytes
-        self.config = config if config is not None else DcqcnConfig()
-        self.route = route
-        self.on_complete = on_complete
-        mss = self.config.mss_bytes
-        self.total_packets = (flow_size_bytes + mss - 1) // mss
-        self.record = FlowRecord(
-            flow_id=flow_id, src=node_id, dst=dst_node_id, flow_size_bytes=flow_size_bytes
+        config = config if config is not None else DcqcnConfig()
+        super().__init__(
+            eventlist, flow_id, node_id, dst_node_id, flow_size_bytes, config,
+            config.mss_bytes, on_complete, name or f"dcqcn-src-{flow_id}",
         )
+        self.route = route
         # rate-control state
         self.current_rate_bps = float(self.config.line_rate_bps)
         self.target_rate_bps = float(self.config.line_rate_bps)
@@ -228,29 +177,20 @@ class DcqcnSrc(NetworkEndpoint):
         self._increase_rounds = 0
         self._next_seqno = 0
         self._acked: set[int] = set()
-        self._send_event: Optional[Event] = None
-        self._timer_event: Optional[Event] = None
+        self._send_timer = Timer(eventlist, self._send_one)
+        self._rate_timer = Timer(eventlist, self._timer_tick)
         self._cnp_since_last_timer = False
-        self._started = False
-        self.packets_sent = 0
         self.cnps_received = 0
 
     # --- lifecycle --------------------------------------------------------------------
 
-    def start(self, at_time_ps: Optional[int] = None) -> None:
-        """Begin transmitting at line rate at *at_time_ps*."""
-        when = self.now() if at_time_ps is None else at_time_ps
-        self.eventlist.schedule(when, self._begin)
-
     def _begin(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self.record.start_time_ps = self.now()
-        self._timer_event = self.eventlist.schedule_in(
-            self.config.timer_period_ps, self._timer_tick
-        )
+        """Start the alpha/rate timer and transmit at line rate."""
+        self._rate_timer.schedule_in(self.config.timer_period_ps)
         self._schedule_next_send(immediate=True)
+
+    def _release(self) -> None:
+        self._rate_timer.cancel()
 
     @property
     def complete(self) -> bool:
@@ -260,41 +200,32 @@ class DcqcnSrc(NetworkEndpoint):
     # --- sending -----------------------------------------------------------------------
 
     def _schedule_next_send(self, immediate: bool = False) -> None:
-        if self._send_event is not None or self._next_seqno >= self.total_packets:
+        if self._send_timer.armed or self._next_seqno >= self.total_packets:
             return
         if immediate:
             delay = 0
         else:
             rate = max(self.current_rate_bps, self.config.min_rate_bps)
             delay = int(self.config.packet_bytes * 8 * units.SECOND / rate)
-        self._send_event = self.eventlist.schedule_in(delay, self._send_one)
+        self._send_timer.schedule_in(delay)
 
     def _send_one(self) -> None:
-        self._send_event = None
         if self._next_seqno >= self.total_packets:
             return
         seqno = self._next_seqno
         self._next_seqno += 1
-        payload = self._payload_for(seqno)
         packet = DcqcnDataPacket(
             self.flow_id,
             self.node_id,
             self.dst_node_id,
             seqno,
-            payload,
+            self.payload_for(seqno),
             self.config.header_bytes,
             last=seqno == self.total_packets - 1,
         )
         self.packets_sent += 1
         self.inject(packet, self.route)
         self._schedule_next_send()
-
-    def _payload_for(self, seqno: int) -> int:
-        mss = self.config.mss_bytes
-        if seqno < self.total_packets - 1:
-            return mss
-        remainder = self.flow_size_bytes - (self.total_packets - 1) * mss
-        return remainder if remainder > 0 else mss
 
     # --- feedback -----------------------------------------------------------------------
 
@@ -321,18 +252,13 @@ class DcqcnSrc(NetworkEndpoint):
         if ack.seqno not in self._acked:
             self._acked.add(ack.seqno)
             self.record.packets_delivered += 1
-            self.record.bytes_delivered += self._payload_for(ack.seqno)
-        if self.complete and self.record.finish_time_ps is None:
-            self.record.finish_time_ps = self.now()
-            if self._timer_event is not None:
-                self._timer_event.cancel()
-            if self.on_complete is not None:
-                self.on_complete(self)
+            self.record.bytes_delivered += self.payload_for(ack.seqno)
+        if self.complete:
+            self._finish()
 
     # --- timers ---------------------------------------------------------------------------
 
     def _timer_tick(self) -> None:
-        self._timer_event = None
         if self.complete:
             return
         gain = self.config.alpha_gain
@@ -357,6 +283,4 @@ class DcqcnSrc(NetworkEndpoint):
                 float(self.config.line_rate_bps),
             )
         self._cnp_since_last_timer = False
-        self._timer_event = self.eventlist.schedule_in(
-            self.config.timer_period_ps, self._timer_tick
-        )
+        self._rate_timer.schedule_in(self.config.timer_period_ps)

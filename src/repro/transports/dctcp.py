@@ -84,7 +84,3 @@ class DctcpSrc(TcpSrc):
         effective_alpha = self.alpha if self.alpha > 0 else 1.0 / 16.0
         self.cwnd = max(1.0, self.cwnd * (1 - effective_alpha / 2))
         self.ssthresh = max(self.cwnd, 2.0)
-
-    def congestion_fraction(self) -> float:
-        """The current smoothed marked-packet fraction (alpha)."""
-        return self.alpha

@@ -28,8 +28,8 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.sim import units
 from repro.sim.eventlist import EventList
-from repro.sim.logger import FlowRecord
-from repro.sim.packet import Route
+from repro.sim.network import FlowSource
+from repro.sim.packet import Packet, Route
 from repro.transports.tcp import SequentialDataSource, TcpConfig, TcpSink, TcpSrc
 
 
@@ -52,14 +52,17 @@ class MptcpSubflow(TcpSrc):
     """A TCP sender whose congestion-avoidance increase is LIA-coupled."""
 
 
-class MptcpConnection:
+class MptcpConnection(FlowSource):
     """An MPTCP connection: several coupled subflows sharing one transfer.
 
     The connection object owns the shared
     :class:`~repro.transports.tcp.SequentialDataSource` (the un-sent part of
-    the transfer), a shared receiver-side :class:`FlowRecord`, and the LIA
-    coupling across subflows.  Subflow senders/sinks are ordinary TCP
-    endpoints wired by :meth:`build`.
+    the transfer), the one :class:`~repro.sim.logger.FlowRecord` every
+    subflow sink delivers into, and the LIA coupling across subflows.
+    Subflow senders/sinks are ordinary TCP endpoints wired by :meth:`build`;
+    the connection takes its identity, sizing and record from
+    :class:`~repro.sim.network.FlowSource` but sends and receives nothing
+    itself, so :meth:`start` fans out to the subflows.
     """
 
     def __init__(
@@ -72,27 +75,14 @@ class MptcpConnection:
         config: Optional[MptcpConfig] = None,
         on_complete: Optional[Callable[["MptcpConnection"], None]] = None,
     ) -> None:
-        if flow_size_bytes <= 0:
-            raise ValueError("flow size must be positive")
-        self.eventlist = eventlist
-        self.flow_id = flow_id
-        self.src_node = src_node
-        self.dst_node = dst_node
-        self.flow_size_bytes = flow_size_bytes
-        self.config = config if config is not None else MptcpConfig()
-        self.on_complete = on_complete
-        mss = self.config.mss_bytes
-        self.total_packets = (flow_size_bytes + mss - 1) // mss
-        self.data_source = SequentialDataSource(self.total_packets)
-        self.record = FlowRecord(
-            flow_id=flow_id,
-            src=src_node,
-            dst=dst_node,
-            flow_size_bytes=flow_size_bytes,
+        config = config if config is not None else MptcpConfig()
+        super().__init__(
+            eventlist, flow_id, src_node, dst_node, flow_size_bytes, config,
+            config.mss_bytes, on_complete, f"mptcp-{flow_id}",
         )
+        self.data_source = SequentialDataSource(self.total_packets)
         self.subflows: List[MptcpSubflow] = []
         self.sinks: List[TcpSink] = []
-        self._completed = False
 
     # --- wiring -------------------------------------------------------------------
 
@@ -120,18 +110,17 @@ class MptcpConnection:
             src = MptcpSubflow(
                 eventlist=self.eventlist,
                 flow_id=subflow_id,
-                node_id=self.src_node,
-                dst_node_id=self.dst_node,
+                node_id=self.node_id,
+                dst_node_id=self.dst_node_id,
                 flow_size_bytes=self.flow_size_bytes,
                 route=fwd,  # finalized below once the sink exists
                 config=self.config,
                 data_source=self.data_source,
-                on_complete=self._subflow_finished,
             )
             sink = TcpSink(
                 eventlist=self.eventlist,
                 flow_id=subflow_id,
-                node_id=self.dst_node,
+                node_id=self.dst_node_id,
                 reverse_route=rev.extended(src),
                 config=self.config,
                 shared_record=self.record,
@@ -175,24 +164,11 @@ class MptcpConnection:
         """True once the receiver has the whole transfer."""
         return self.record.finish_time_ps is not None
 
-    def aggregate_cwnd(self) -> float:
-        """Sum of the subflows' congestion windows (diagnostics)."""
-        return sum(s.cwnd for s in self.subflows)
-
-    def retransmit_queue_depth(self) -> int:
-        """Packets queued for retransmission across all subflows."""
-        return sum(s.retransmit_queue_depth() for s in self.subflows)
-
-    def total_retransmissions(self) -> int:
-        """Retransmissions across all subflows."""
-        return sum(s.retransmissions for s in self.subflows)
-
     def _receiver_finished(self, _sink: TcpSink) -> None:
-        if not self._completed:
-            self._completed = True
-            if self.on_complete is not None:
-                self.on_complete(self)
+        """The sink whose delivery completed the shared record reports here
+        (once: the stamped record stops every other sink's ``_finish``)."""
+        if self.on_complete is not None:
+            self.on_complete(self)
 
-    def _subflow_finished(self, _subflow: TcpSrc) -> None:
-        """Per-subflow completion is uninteresting; connection completion is
-        signalled by the shared receiver record."""
+    def receive_packet(self, packet: Packet) -> None:  # pragma: no cover - never on a route
+        raise TypeError("packets go to an MPTCP connection's subflows and sinks")

@@ -19,6 +19,11 @@ Protocol sketch implemented here:
 * if a flow has missing packets and nothing has arrived for
   ``retransmission_timeout``, the receiver assumes the corresponding packets
   (or their tokens) were dropped and issues fresh tokens.
+
+The flow lifecycle (sizing, records, ``start``, ``expect``, duplicate-safe
+delivery, completion) is :class:`~repro.sim.network.FlowSource` /
+:class:`~repro.sim.network.FlowSink`'s; the pacer tick and both timeouts are
+re-armable :class:`~repro.sim.eventlist.Timer` s.
 """
 
 from __future__ import annotations
@@ -29,10 +34,9 @@ from typing import Callable, Dict, Optional, Sequence
 
 from repro.core.path_manager import PathManager
 from repro.sim import units
-from repro.sim.eventlist import Event, EventList
-from repro.sim.logger import FlowRecord
-from repro.sim.network import NetworkEndpoint, PacketSink
-from repro.sim.packet import Packet, PacketPriority, Route
+from repro.sim.eventlist import EventList, Timer
+from repro.sim.network import FlowSink, FlowSource, PacketSink
+from repro.sim.packet import ControlPacket, DataPacket, Packet, Route
 
 
 @dataclass
@@ -67,45 +71,22 @@ class PHostConfig:
         return self.mss_bytes + self.header_bytes
 
 
-class PHostDataPacket(Packet):
+class PHostDataPacket(DataPacket):
     """A pHost data packet."""
 
-    __slots__ = ("payload_bytes",)
-
-    def __init__(self, flow_id, src, dst, seqno, payload_bytes, header_bytes):
-        super().__init__(
-            flow_id=flow_id,
-            src=src,
-            dst=dst,
-            size=payload_bytes + header_bytes,
-            seqno=seqno,
-            priority=PacketPriority.LOW,
-        )
-        self.payload_bytes = payload_bytes
+    __slots__ = ()
 
 
-class PHostAck(Packet):
+class PHostAck(ControlPacket):
     """Acknowledges one data packet."""
 
     __slots__ = ()
 
-    def __init__(self, flow_id, src, dst, seqno, header_bytes=64):
-        super().__init__(flow_id=flow_id, src=src, dst=dst, size=header_bytes, seqno=seqno)
 
-    def is_control(self) -> bool:
-        return True
-
-
-class PHostToken(Packet):
+class PHostToken(ControlPacket):
     """A token allowing the sender to transmit one more packet."""
 
     __slots__ = ()
-
-    def __init__(self, flow_id, src, dst, seqno, header_bytes=64):
-        super().__init__(flow_id=flow_id, src=src, dst=dst, size=header_bytes, seqno=seqno)
-
-    def is_control(self) -> bool:
-        return True
 
 
 class PHostTokenPacer:
@@ -118,7 +99,7 @@ class PHostTokenPacer:
         self._sinks: Dict[int, "PHostSink"] = {}
         self._order: list[int] = []
         self._next_allowed = 0
-        self._scheduled: Optional[Event] = None
+        self._tick = Timer(eventlist, self._send_one)
         self.tokens_sent = 0
 
     def request_tokens(self, sink: "PHostSink", count: int) -> None:
@@ -137,13 +118,11 @@ class PHostTokenPacer:
         self._pending.pop(flow_id, None)
 
     def _schedule(self) -> None:
-        if self._scheduled is not None or not any(self._pending.values()):
+        if self._tick.armed or not any(self._pending.values()):
             return
-        when = max(self.eventlist.now(), self._next_allowed)
-        self._scheduled = self.eventlist.schedule(when, self._send_one)
+        self._tick.schedule_at(max(self.eventlist.now(), self._next_allowed))
 
     def _send_one(self) -> None:
-        self._scheduled = None
         flow_id = None
         while self._order:
             candidate = self._order.pop(0)
@@ -160,7 +139,7 @@ class PHostTokenPacer:
         self._schedule()
 
 
-class PHostSink(NetworkEndpoint):
+class PHostSink(FlowSink):
     """pHost receiver: ACKs arrivals, paces tokens, times out losses."""
 
     def __init__(
@@ -176,57 +155,27 @@ class PHostSink(NetworkEndpoint):
         on_complete: Optional[Callable[["PHostSink"], None]] = None,
         name: Optional[str] = None,
     ) -> None:
-        super().__init__(eventlist, node_id, name or f"phost-sink-{flow_id}")
-        self.flow_id = flow_id
-        self.config = config if config is not None else PHostConfig()
+        super().__init__(
+            eventlist, flow_id, node_id, config if config is not None else PHostConfig(),
+            on_complete, name or f"phost-sink-{flow_id}",
+        )
         self.pacer = pacer
-        self.on_complete = on_complete
         self.rng = rng if rng is not None else random.Random(flow_id)
         # the fabric's shared path list, each path built to the source on first use
         self.reverse_paths = PathManager(
             reverse_routes, reverse_terminal, rng=self.rng, penalize=False
         )
-        self.record = FlowRecord(flow_id=flow_id, src=-1, dst=node_id, flow_size_bytes=0)
-        self.src_node_id = -1
-        self._expected_packets: Optional[int] = None
-        self._received: set[int] = set()
         self._tokens_outstanding = 0
         self._token_counter = 0
-        self._timeout_event: Optional[Event] = None
+        self._timeout = Timer(eventlist, self._handle_timeout)
         self.tokens_emitted = 0
         self.timeout_rounds = 0
-
-    def expect(self, src_node_id: int, flow_size_bytes: int, total_packets: int) -> None:
-        """Wire the expected transfer size (set by the connection helper)."""
-        self.src_node_id = src_node_id
-        self.record.src = src_node_id
-        self.record.flow_size_bytes = flow_size_bytes
-        self._expected_packets = total_packets
-
-    @property
-    def complete(self) -> bool:
-        """True once the whole transfer arrived."""
-        return (
-            self._expected_packets is not None
-            and len(self._received) >= self._expected_packets
-        )
-
-    def remaining_packets(self) -> int:
-        """Packets still missing."""
-        if self._expected_packets is None:
-            return 0
-        return self._expected_packets - len(self._received)
 
     def receive_packet(self, packet: Packet) -> None:
         if not isinstance(packet, PHostDataPacket):
             raise TypeError(f"PHostSink got unexpected packet {packet!r}")
-        if self.record.start_time_ps is None:
-            self.record.start_time_ps = self.now()
-        first_arrival = not self._received and self.record.packets_delivered == 0
-        if packet.seqno not in self._received:
-            self._received.add(packet.seqno)
-            self.record.bytes_delivered += packet.payload_bytes
-            self.record.packets_delivered += 1
+        first_arrival = not self._received
+        self._deliver(packet)
         if self._tokens_outstanding > 0:
             self._tokens_outstanding -= 1
         if first_arrival:
@@ -265,14 +214,9 @@ class PHostSink(NetworkEndpoint):
         )
 
     def _arm_timeout(self) -> None:
-        if self._timeout_event is not None:
-            self._timeout_event.cancel()
-        self._timeout_event = self.eventlist.schedule_in(
-            self.config.retransmission_timeout_ps, self._handle_timeout
-        )
+        self._timeout.schedule_in(self.config.retransmission_timeout_ps)
 
     def _handle_timeout(self) -> None:
-        self._timeout_event = None
         if self.complete:
             return
         # nothing arrived for a while: assume outstanding tokens (or the data
@@ -283,17 +227,12 @@ class PHostSink(NetworkEndpoint):
         self._request_more_tokens()
         self._arm_timeout()
 
-    def _finish(self) -> None:
-        if self.record.finish_time_ps is None:
-            self.record.finish_time_ps = self.now()
-            if self._timeout_event is not None:
-                self._timeout_event.cancel()
-            self.pacer.purge(self.flow_id)
-            if self.on_complete is not None:
-                self.on_complete(self)
+    def _release(self) -> None:
+        self._timeout.cancel()
+        self.pacer.purge(self.flow_id)
 
 
-class PHostSrc(NetworkEndpoint):
+class PHostSrc(FlowSource):
     """pHost sender: free first-RTT burst, then strictly token-clocked."""
 
     def __init__(
@@ -309,32 +248,22 @@ class PHostSrc(NetworkEndpoint):
         on_complete: Optional[Callable[["PHostSrc"], None]] = None,
         name: Optional[str] = None,
     ) -> None:
-        super().__init__(eventlist, node_id, name or f"phost-src-{flow_id}")
-        if flow_size_bytes <= 0:
-            raise ValueError("flow size must be positive")
-        self.flow_id = flow_id
-        self.dst_node_id = dst_node_id
-        self.flow_size_bytes = flow_size_bytes
-        self.config = config if config is not None else PHostConfig()
+        config = config if config is not None else PHostConfig()
+        super().__init__(
+            eventlist, flow_id, node_id, dst_node_id, flow_size_bytes, config,
+            config.mss_bytes, on_complete, name or f"phost-src-{flow_id}",
+        )
         self.rng = rng if rng is not None else random.Random(flow_id)
-        self.on_complete = on_complete
         # pHost sprays per packet at random (switch-style packet spraying)
         # over the fabric's shared path list; connect() installs the terminal
         self.paths = PathManager(routes, rng=self.rng, penalize=False, mode="random")
-        mss = self.config.mss_bytes
-        self.total_packets = (flow_size_bytes + mss - 1) // mss
-        self.record = FlowRecord(
-            flow_id=flow_id, src=node_id, dst=dst_node_id, flow_size_bytes=flow_size_bytes
-        )
         self.sink: Optional[PHostSink] = None
         self._next_new = 0
         self._acked: set[int] = set()
         self._rtx_pointer = 0
-        self._started = False
         self._heard_from_receiver = False
-        self._sender_timer: Optional[Event] = None
+        self._sender_timer = Timer(eventlist, self._sender_timeout)
         self._sender_timeout_ps = self.config.sender_timeout_ps
-        self.packets_sent = 0
         self.tokens_received = 0
         self.rts_retries = 0
 
@@ -344,75 +273,47 @@ class PHostSrc(NetworkEndpoint):
         self.paths.terminal = sink
         sink.expect(self.node_id, self.flow_size_bytes, self.total_packets)
 
-    def start(self, at_time_ps: Optional[int] = None) -> None:
-        """Schedule the free first-RTT burst."""
-        when = self.now() if at_time_ps is None else at_time_ps
-        self.eventlist.schedule(when, self._send_burst)
-
     @property
     def complete(self) -> bool:
         """True when every packet has been acknowledged."""
         return len(self._acked) >= self.total_packets
 
-    def _send_burst(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self.record.start_time_ps = self.now()
+    def _begin(self) -> None:
+        """The free first-RTT burst."""
         for _ in range(min(self.config.initial_window_packets, self.total_packets)):
             self._send_packet(self._next_new)
             self._next_new += 1
-        self._arm_sender_timer()
-
-    def _arm_sender_timer(self) -> None:
-        if self._sender_timer is not None:
-            self._sender_timer.cancel()
-        self._sender_timer = self.eventlist.schedule_in(
-            self._sender_timeout_ps, self._sender_timeout
-        )
+        self._sender_timer.schedule_in(self._sender_timeout_ps)
 
     def _sender_timeout(self) -> None:
         """The whole burst (and thus the implicit RTS) may have been lost."""
-        self._sender_timer = None
         if self._heard_from_receiver or self.complete:
             return
         self.rts_retries += 1
         self.record.rtx_from_timeout += 1
         self._send_packet(0)
         self._sender_timeout_ps = min(self._sender_timeout_ps * 2, units.milliseconds(64))
-        self._arm_sender_timer()
+        self._sender_timer.schedule_in(self._sender_timeout_ps)
 
     def _send_packet(self, seqno: int) -> None:
-        payload = self._payload_for(seqno)
         packet = PHostDataPacket(
-            self.flow_id, self.node_id, self.dst_node_id, seqno, payload,
+            self.flow_id, self.node_id, self.dst_node_id, seqno, self.payload_for(seqno),
             self.config.header_bytes,
         )
         self.packets_sent += 1
         self.inject(packet, self.paths.next_route())
 
-    def _payload_for(self, seqno: int) -> int:
-        mss = self.config.mss_bytes
-        if seqno < self.total_packets - 1:
-            return mss
-        remainder = self.flow_size_bytes - (self.total_packets - 1) * mss
-        return remainder if remainder > 0 else mss
-
     def receive_packet(self, packet: Packet) -> None:
         if not self._heard_from_receiver and isinstance(packet, (PHostAck, PHostToken)):
             self._heard_from_receiver = True
-            if self._sender_timer is not None:
-                self._sender_timer.cancel()
-                self._sender_timer = None
+            self._sender_timer.cancel()
         if isinstance(packet, PHostAck):
             if packet.seqno not in self._acked:
                 self._acked.add(packet.seqno)
                 self.record.packets_delivered += 1
-                self.record.bytes_delivered += self._payload_for(packet.seqno)
-            if self.complete and self.record.finish_time_ps is None:
-                self.record.finish_time_ps = self.now()
-                if self.on_complete is not None:
-                    self.on_complete(self)
+                self.record.bytes_delivered += self.payload_for(packet.seqno)
+            if self.complete:
+                self._finish()
         elif isinstance(packet, PHostToken):
             self.tokens_received += 1
             self._send_for_token()

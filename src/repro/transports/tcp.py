@@ -9,7 +9,10 @@ hashing the flow id over the available paths, which is what produces the
 ECMP collisions of Figure 14.
 
 The congestion window is maintained in packets (the simulator is
-packet-granular); DCTCP and MPTCP subclass/compose this sender.
+packet-granular); DCTCP and MPTCP subclass/compose this sender.  Sizing,
+records, ``start`` and completion are :class:`~repro.sim.network.FlowSource`
+/ :class:`~repro.sim.network.FlowSink`'s; the one retransmission deadline is
+a re-armable :class:`~repro.sim.eventlist.Timer`.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
 
-from repro.sim.eventlist import Event, EventList
+from repro.sim.eventlist import EventList, Timer
 from repro.sim.logger import FlowRecord
-from repro.sim.network import NetworkEndpoint
-from repro.sim.packet import Packet, PacketPriority, Route
+from repro.sim.network import FlowSink, FlowSource
+from repro.sim.packet import ControlPacket, DataPacket, Packet, Route
 from repro.sim import units
 
 
@@ -73,10 +76,10 @@ class TcpConfig:
         return self.mss_bytes + self.header_bytes
 
 
-class TcpPacket(Packet):
-    """A TCP data segment (packet-granular sequence numbers)."""
+class TcpPacket(DataPacket):
+    """A TCP data segment (packet-granular sequence numbers); a SYN carries no payload."""
 
-    __slots__ = ("syn", "fin", "payload_bytes", "global_index", "is_retransmit")
+    __slots__ = ("syn", "fin", "global_index", "is_retransmit")
 
     def __init__(
         self,
@@ -92,24 +95,14 @@ class TcpPacket(Packet):
         global_index: Optional[int] = None,
         is_retransmit: bool = False,
     ) -> None:
-        size = header_bytes if syn and payload_bytes == 0 else payload_bytes + header_bytes
-        super().__init__(
-            flow_id=flow_id,
-            src=src,
-            dst=dst,
-            size=size,
-            seqno=seqno,
-            priority=PacketPriority.LOW,
-            ecn_capable=ecn_capable,
-        )
+        super().__init__(flow_id, src, dst, seqno, payload_bytes, header_bytes, ecn_capable)
         self.syn = syn
         self.fin = fin
-        self.payload_bytes = payload_bytes
         self.global_index = global_index if global_index is not None else seqno
         self.is_retransmit = is_retransmit
 
 
-class TcpAck(Packet):
+class TcpAck(ControlPacket):
     """A (cumulative) TCP acknowledgement, possibly carrying an ECN echo."""
 
     __slots__ = ("ack_seqno", "ecn_echo", "echo_send_time", "syn")
@@ -125,21 +118,11 @@ class TcpAck(Packet):
         echo_send_time: int = 0,
         syn: bool = False,
     ) -> None:
-        super().__init__(
-            flow_id=flow_id,
-            src=src,
-            dst=dst,
-            size=header_bytes,
-            seqno=ack_seqno,
-            priority=PacketPriority.LOW,
-        )
+        super().__init__(flow_id, src, dst, ack_seqno, header_bytes)
         self.ack_seqno = ack_seqno
         self.ecn_echo = ecn_echo
         self.echo_send_time = echo_send_time
         self.syn = syn
-
-    def is_control(self) -> bool:
-        return True
 
 
 class SequentialDataSource:
@@ -173,8 +156,12 @@ class SequentialDataSource:
         return self.total_packets - self._next
 
 
-class TcpSink(NetworkEndpoint):
-    """TCP receiver: cumulative ACKs, per-packet ECN echo, delivery record."""
+class TcpSink(FlowSink):
+    """TCP receiver: cumulative ACKs, per-packet ECN echo.
+
+    MPTCP hands every subflow sink the connection's *shared_record*, so the
+    transfer is complete when their deliveries add up to it.
+    """
 
     def __init__(
         self,
@@ -188,44 +175,30 @@ class TcpSink(NetworkEndpoint):
         on_complete: Optional[Callable[["TcpSink"], None]] = None,
         name: Optional[str] = None,
     ) -> None:
-        super().__init__(eventlist, node_id, name or f"tcp-sink-{flow_id}")
-        self.flow_id = flow_id
-        self.config = config if config is not None else TcpConfig()
-        self.reverse_route = reverse_route
-        self.record = shared_record if shared_record is not None else FlowRecord(
-            flow_id=flow_id, src=-1, dst=node_id, flow_size_bytes=expected_bytes
+        super().__init__(
+            eventlist, flow_id, node_id, config if config is not None else TcpConfig(),
+            on_complete, name or f"tcp-sink-{flow_id}",
         )
+        self.reverse_route = reverse_route
+        if shared_record is not None:
+            self.record = shared_record
         if expected_bytes and not self.record.flow_size_bytes:
             self.record.flow_size_bytes = expected_bytes
-        self.on_complete = on_complete
         self.rcv_nxt = 0
-        self._received: set[int] = set()
         self.acks_sent = 0
 
     def receive_packet(self, packet: Packet) -> None:
         if not isinstance(packet, TcpPacket):
             raise TypeError(f"TcpSink got unexpected packet {packet!r}")
-        if self.record.start_time_ps is None:
-            self.record.start_time_ps = self.now()
-            self.record.src = packet.src
         if packet.syn and packet.payload_bytes == 0:
             self._send_ack(ecn_echo=False, echo_time=packet.send_time, syn=True)
             return
-        if packet.seqno not in self._received:
-            self._received.add(packet.seqno)
-            self.record.bytes_delivered += packet.payload_bytes
-            self.record.packets_delivered += 1
+        self._deliver(packet)
         while self.rcv_nxt in self._received:
             self.rcv_nxt += 1
         self._send_ack(ecn_echo=packet.ecn_ce, echo_time=packet.send_time)
-        if (
-            self.record.flow_size_bytes
-            and self.record.bytes_delivered >= self.record.flow_size_bytes
-            and self.record.finish_time_ps is None
-        ):
-            self.record.finish_time_ps = self.now()
-            if self.on_complete is not None:
-                self.on_complete(self)
+        if self.complete:
+            self._finish()
 
     def _send_ack(self, ecn_echo: bool, echo_time: int, syn: bool = False) -> None:
         ack = TcpAck(
@@ -242,7 +215,7 @@ class TcpSink(NetworkEndpoint):
         self.inject(ack, self.reverse_route)
 
 
-class TcpSrc(NetworkEndpoint):
+class TcpSrc(FlowSource):
     """TCP NewReno sender over a single (ECMP-chosen) path."""
 
     def __init__(
@@ -259,25 +232,15 @@ class TcpSrc(NetworkEndpoint):
         rng: Optional[random.Random] = None,
         name: Optional[str] = None,
     ) -> None:
-        super().__init__(eventlist, node_id, name or f"tcp-src-{flow_id}")
-        if flow_size_bytes <= 0:
-            raise ValueError("flow size must be positive")
-        self.flow_id = flow_id
-        self.dst_node_id = dst_node_id
-        self.flow_size_bytes = flow_size_bytes
-        self.config = config if config is not None else TcpConfig()
+        config = config if config is not None else TcpConfig()
+        super().__init__(
+            eventlist, flow_id, node_id, dst_node_id, flow_size_bytes, config,
+            config.mss_bytes, on_complete, name or f"tcp-src-{flow_id}",
+        )
         self.route = route
-        self.on_complete = on_complete
         self.rng = rng if rng is not None else random.Random(flow_id)
-
-        mss = self.config.mss_bytes
-        self.total_packets = (flow_size_bytes + mss - 1) // mss
         self.data_source = (
             data_source if data_source is not None else SequentialDataSource(self.total_packets)
-        )
-
-        self.record = FlowRecord(
-            flow_id=flow_id, src=node_id, dst=dst_node_id, flow_size_bytes=flow_size_bytes
         )
 
         # congestion control state (window in packets, possibly fractional)
@@ -298,25 +261,18 @@ class TcpSrc(NetworkEndpoint):
 
         # mapping subflow seqno -> (global packet index, payload bytes)
         self._segments: Dict[int, tuple[int, int]] = {}
-        self._rto_event: Optional[Event] = None
-        self._started = False
+        self._rto = Timer(eventlist, self._handle_rto)
         self._handshake_done = not self.config.handshake
         self._next_injection_time = 0
 
         # externally wired congestion-control coupler (used by MPTCP)
         self.coupled_increase: Optional[Callable[["TcpSrc", int], None]] = None
 
-        self.packets_sent = 0
         self.retransmissions = 0
         self.timeouts = 0
         self.fast_retransmits = 0
 
     # --- public API ---------------------------------------------------------------
-
-    def start(self, at_time_ps: Optional[int] = None) -> None:
-        """Schedule connection establishment (or first data for TFO)."""
-        when = self.now() if at_time_ps is None else at_time_ps
-        self.eventlist.schedule(when, self._begin)
 
     @property
     def complete(self) -> bool:
@@ -339,25 +295,25 @@ class TcpSrc(NetworkEndpoint):
     # --- connection startup ---------------------------------------------------------
 
     def _begin(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self.record.start_time_ps = self.now()
+        """Connection establishment, or the first data with TCP Fast Open."""
         if self.config.handshake:
-            syn = TcpPacket(
-                flow_id=self.flow_id,
-                src=self.node_id,
-                dst=self.dst_node_id,
-                seqno=0,
-                payload_bytes=0,
-                header_bytes=self.config.header_bytes,
-                syn=True,
-            )
-            self.packets_sent += 1
-            self._arm_rto()
-            self.inject(syn, self.route)
+            self._send_syn()
         else:
             self._try_send()
+
+    def _send_syn(self) -> None:
+        syn = TcpPacket(
+            flow_id=self.flow_id,
+            src=self.node_id,
+            dst=self.dst_node_id,
+            seqno=0,
+            payload_bytes=0,
+            header_bytes=self.config.header_bytes,
+            syn=True,
+        )
+        self.packets_sent += 1
+        self._arm_rto()
+        self.inject(syn, self.route)
 
     # --- sending --------------------------------------------------------------------
 
@@ -368,18 +324,10 @@ class TcpSrc(NetworkEndpoint):
             index = self.data_source.take_next()
             if index is None:
                 break
-            payload = self._payload_for_index(index)
             seqno = self.snd_nxt
             self.snd_nxt += 1
-            self._segments[seqno] = (index, payload)
+            self._segments[seqno] = (index, self.payload_for(index))
             self._send_segment(seqno, retransmit=False)
-
-    def _payload_for_index(self, index: int) -> int:
-        mss = self.config.mss_bytes
-        if index < self.data_source.total_packets - 1:
-            return mss
-        remainder = self.flow_size_bytes - (self.data_source.total_packets - 1) * mss
-        return remainder if remainder > 0 else mss
 
     def _send_segment(self, seqno: int, retransmit: bool) -> None:
         index, payload = self._segments[seqno]
@@ -398,7 +346,7 @@ class TcpSrc(NetworkEndpoint):
         if retransmit:
             self.retransmissions += 1
             self.record.retransmissions += 1
-        if self._rto_event is None:
+        if not self._rto.armed:
             self._arm_rto()
         self._inject_with_jitter(packet)
 
@@ -421,7 +369,7 @@ class TcpSrc(NetworkEndpoint):
             raise TypeError(f"TcpSrc got unexpected packet {packet!r}")
         if packet.syn and not self._handshake_done:
             self._handshake_done = True
-            self._cancel_rto()
+            self._rto.cancel()
             self._update_rtt(packet.echo_send_time)
             self._try_send()
             return
@@ -443,7 +391,7 @@ class TcpSrc(NetworkEndpoint):
                     self._send_segment(self.snd_una, retransmit=True)
             else:
                 self._increase_window(newly_acked)
-            self._cancel_rto()
+            self._rto.cancel()
             if self.packets_in_flight() > 0:
                 self._arm_rto()
             if self.complete:
@@ -496,7 +444,6 @@ class TcpSrc(NetworkEndpoint):
     # --- timers -------------------------------------------------------------------------
 
     def _arm_rto(self) -> None:
-        self._cancel_rto()
         timeout = self.current_rto_ps()
         if self.in_recovery and self.srtt_ps is not None:
             # loss-probe behaviour (a la Linux RACK/TLP): once fast recovery
@@ -505,20 +452,14 @@ class TcpSrc(NetworkEndpoint):
             # Pre-recovery tail losses still pay the full RTO, as real stacks
             # (and the paper's Figure 9 TCP results) do.
             timeout = min(timeout, max(4 * self.srtt_ps, units.milliseconds(2)))
-        self._rto_event = self.eventlist.schedule_in(timeout, self._handle_rto)
-
-    def _cancel_rto(self) -> None:
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-            self._rto_event = None
+        self._rto.schedule_in(timeout)
 
     def _handle_rto(self) -> None:
-        self._rto_event = None
         if not self._handshake_done:
             # SYN lost: resend it
             self.timeouts += 1
             self.rto_backoff = min(self.rto_backoff * 2, 64)
-            self._begin_retransmit_syn()
+            self._send_syn()
             return
         if self.packets_in_flight() == 0:
             return
@@ -531,20 +472,6 @@ class TcpSrc(NetworkEndpoint):
         self.rto_backoff = min(self.rto_backoff * 2, 64)
         self._send_segment(self.snd_una, retransmit=True)
         self._arm_rto()
-
-    def _begin_retransmit_syn(self) -> None:
-        syn = TcpPacket(
-            flow_id=self.flow_id,
-            src=self.node_id,
-            dst=self.dst_node_id,
-            seqno=0,
-            payload_bytes=0,
-            header_bytes=self.config.header_bytes,
-            syn=True,
-        )
-        self.packets_sent += 1
-        self._arm_rto()
-        self.inject(syn, self.route)
 
     def _update_rtt(self, echo_send_time: int) -> None:
         if echo_send_time <= 0:
@@ -561,10 +488,5 @@ class TcpSrc(NetworkEndpoint):
 
     # --- completion --------------------------------------------------------------------------
 
-    def _finish(self) -> None:
-        if self.record.finish_time_ps is not None:
-            return
-        self.record.finish_time_ps = self.now()
-        self._cancel_rto()
-        if self.on_complete is not None:
-            self.on_complete(self)
+    def _release(self) -> None:
+        self._rto.cancel()

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.sim.eventlist import EventList
 from repro.sim.units import SECOND, seconds
@@ -37,6 +37,9 @@ from repro.workloads.flowsize import FlowSizeDistribution
 #: keeps ``_next_gap`` total and deterministic; any clamped arrival lands
 #: far outside every simulated horizon anyway.
 MAX_ARRIVAL_GAP_PS = seconds(3600)
+
+#: window tags of an open-loop process, in chronological order
+WARMUP, MEASURE, DRAIN = "warmup", "measure", "drain"
 
 
 def poisson_gap_ps(rng: random.Random, rate_per_second: float) -> int:
@@ -55,6 +58,50 @@ def poisson_gap_ps(rng: random.Random, rate_per_second: float) -> int:
     if gap_ps >= MAX_ARRIVAL_GAP_PS:  # also catches float('inf')
         return MAX_ARRIVAL_GAP_PS
     return max(1, int(gap_ps))
+
+
+def window_of(arrival_ps: int, warmup_ps: int, measure_ps: int, start_ps: int = 0) -> str:
+    """Window tag of an arrival: warmup for the first ``warmup_ps`` after
+    ``start_ps``, measurement for the next ``measure_ps``, drain after."""
+    offset = arrival_ps - start_ps
+    if offset < warmup_ps:
+        return WARMUP
+    if offset < warmup_ps + measure_ps:
+        return MEASURE
+    return DRAIN
+
+
+def open_loop_rates(
+    target_load: float,
+    host_count: int,
+    link_rate_bps: int,
+    mean_bytes: float,
+    warmup_ps: int,
+    measure_ps: int,
+    drain_ps: int,
+) -> Tuple[float, float]:
+    """Check an open-loop process's load and windows; size its Poisson clock.
+
+    ``target_load`` is the offered byte rate as a fraction of the hosts'
+    aggregate access bandwidth, *mean_bytes* the mean size of one arrival::
+
+        offered [bit/s]      = target_load * host_count * link_rate_bps
+        arrivals [1/second]  = offered / (8 * mean_bytes)
+
+    Returns ``(offered_bps, arrivals_per_second)``.
+    """
+    if not (math.isfinite(target_load) and target_load > 0):
+        raise ValueError(f"target_load must be positive and finite, got {target_load!r}")
+    if link_rate_bps <= 0:
+        raise ValueError(f"link rate must be positive, got {link_rate_bps}")
+    if warmup_ps < 0 or drain_ps < 0:
+        raise ValueError("warmup/drain windows must be non-negative")
+    if measure_ps <= 0:
+        raise ValueError(f"measurement window must be positive, got {measure_ps}")
+    if not (math.isfinite(mean_bytes) and mean_bytes > 0):
+        raise ValueError(f"mean arrival size must be positive and finite, got {mean_bytes!r}")
+    offered_bps = target_load * host_count * link_rate_bps
+    return offered_bps, offered_bps / (8 * mean_bytes)
 
 
 class ClosedLoopGenerator:

@@ -40,17 +40,20 @@ assert it cheaply across cold / cached / parallel runs.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.sim.eventlist import EventList
 from repro.workloads.flowsize import FlowSizeDistribution
-from repro.workloads.generators import poisson_gap_ps as _gap_ps
-
-#: window tags, in chronological order
-WARMUP, MEASURE, DRAIN = "warmup", "measure", "drain"
+from repro.workloads.generators import (  # noqa: F401  (window tags re-exported)
+    DRAIN,
+    MEASURE,
+    WARMUP,
+    open_loop_rates,
+    poisson_gap_ps as _gap_ps,
+    window_of,
+)
 
 #: source/destination matrix modes
 ALL_TO_ALL, PER_HOST = "all_to_all", "per_host"
@@ -127,14 +130,6 @@ class OpenLoopGenerator:
         rng: Optional[random.Random] = None,
         max_flows: Optional[int] = None,
     ) -> None:
-        if not (math.isfinite(target_load) and target_load > 0):
-            raise ValueError(f"target_load must be positive and finite, got {target_load!r}")
-        if link_rate_bps <= 0:
-            raise ValueError(f"link rate must be positive, got {link_rate_bps}")
-        if warmup_ps < 0 or drain_ps < 0:
-            raise ValueError("warmup/drain windows must be non-negative")
-        if measure_ps <= 0:
-            raise ValueError(f"measurement window must be positive, got {measure_ps}")
         if matrix not in (ALL_TO_ALL, PER_HOST):
             raise ValueError(f"matrix must be {ALL_TO_ALL!r} or {PER_HOST!r}, got {matrix!r}")
         self.eventlist = eventlist
@@ -152,13 +147,12 @@ class OpenLoopGenerator:
         self.rng = rng if rng is not None else random.Random(0)
         self.max_flows = max_flows
 
-        mean_bytes = flow_sizes.mean_bytes()
-        if not (math.isfinite(mean_bytes) and mean_bytes > 0):
-            raise ValueError(f"flow-size mean must be positive and finite, got {mean_bytes!r}")
-        #: offered bits/second across all hosts
-        self.offered_load_bps = target_load * len(self.hosts) * link_rate_bps
-        #: aggregate Poisson arrival rate, flows/second
-        self.arrival_rate_per_second = self.offered_load_bps / (8 * mean_bytes)
+        #: offered bits/second across all hosts, and the aggregate Poisson
+        #: arrival rate in flows/second
+        self.offered_load_bps, self.arrival_rate_per_second = open_loop_rates(
+            target_load, len(self.hosts), link_rate_bps, flow_sizes.mean_bytes(),
+            warmup_ps, measure_ps, drain_ps,
+        )
 
         # per_host mode: one child RNG per host, derived in host order at
         # construction so the derivation itself is part of the seeded state
@@ -182,12 +176,7 @@ class OpenLoopGenerator:
 
     def window_of(self, time_ps: int) -> str:
         """Window tag for an absolute simulation time (arrival classification)."""
-        offset = time_ps - self._start_time_ps
-        if offset < self.warmup_ps:
-            return WARMUP
-        if offset < self.warmup_ps + self.measure_ps:
-            return MEASURE
-        return DRAIN
+        return window_of(time_ps, self.warmup_ps, self.measure_ps, self._start_time_ps)
 
     # --- arrival process -------------------------------------------------------
 

@@ -39,14 +39,17 @@ seeded networks produce equal :meth:`ServiceEngine.request_digest`\\ s.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.eventlist import EventList
-from repro.workloads.generators import poisson_gap_ps as _gap_ps
-from repro.workloads.openloop import DRAIN, MEASURE, WARMUP
+from repro.workloads.generators import (
+    MEASURE,
+    open_loop_rates,
+    poisson_gap_ps as _gap_ps,
+    window_of,
+)
 
 __all__ = [
     "TaskSpec",
@@ -326,18 +329,6 @@ class ReplicationFanoutTemplate(ServiceTemplate):
 # Open-loop synthesis: seeded Poisson request arrivals
 # ---------------------------------------------------------------------------
 
-def window_of(arrival_ps: int, warmup_ps: int, measure_ps: int, start_ps: int = 0) -> str:
-    """Window tag for an arrival time — same discipline as the open-loop
-    flow generator: warmup before ``warmup_ps``, measurement until
-    ``warmup_ps + measure_ps``, drain after."""
-    offset = arrival_ps - start_ps
-    if offset < warmup_ps:
-        return WARMUP
-    if offset < warmup_ps + measure_ps:
-        return MEASURE
-    return DRAIN
-
-
 def synthesize_requests(
     hosts: Sequence[int],
     templates: Sequence[ServiceTemplate],
@@ -368,14 +359,6 @@ def synthesize_requests(
     """
     if not templates:
         raise ValueError("need at least one service template")
-    if not (math.isfinite(target_load) and target_load > 0):
-        raise ValueError(f"target_load must be positive and finite, got {target_load!r}")
-    if link_rate_bps <= 0:
-        raise ValueError(f"link rate must be positive, got {link_rate_bps}")
-    if warmup_ps < 0 or drain_ps < 0:
-        raise ValueError("warmup/drain windows must be non-negative")
-    if measure_ps <= 0:
-        raise ValueError(f"measurement window must be positive, got {measure_ps}")
     hosts = list(hosts)
     for template in templates:
         if len(hosts) < template.min_hosts():
@@ -384,7 +367,9 @@ def synthesize_requests(
                 f"got {len(hosts)}"
             )
     mean_bytes = sum(t.mean_request_bytes() for t in templates) / len(templates)
-    rate_per_second = target_load * len(hosts) * link_rate_bps / (8 * mean_bytes)
+    _, rate_per_second = open_loop_rates(
+        target_load, len(hosts), link_rate_bps, mean_bytes, warmup_ps, measure_ps, drain_ps
+    )
     horizon_ps = warmup_ps + measure_ps + drain_ps
 
     specs: List[ServiceRequestSpec] = []
@@ -569,13 +554,6 @@ class ServiceEngine:
 
     def requests_in_window(self, window: str) -> List[ServiceRequestRun]:
         return [run for run in self.requests if run.window == window]
-
-    def measured_requests(self, completed_only: bool = True) -> List[ServiceRequestRun]:
-        """Measurement-window requests; censoring is the caller's to report."""
-        runs = self.requests_in_window(MEASURE)
-        if completed_only:
-            runs = [run for run in runs if run.completed]
-        return runs
 
     def request_digest(self) -> str:
         """SHA-256 over every request's structure *and* timing.

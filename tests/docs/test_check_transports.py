@@ -1,9 +1,11 @@
-"""Transport conformance: names live in the registry, wiring in ``Network``.
+"""Transport conformance: names live in the registry, wiring in ``Network``,
+the flow lifecycle in ``FlowSource`` / ``FlowSink``.
 
 Thin pytest wrapper around ``tools/check_transports.py`` (which CI also
 runs directly) so a stray ``"DCQCN"`` literal outside the transport
-registry, or a network class that re-forks ``create_flow`` / ``build``,
-fails the tier-1 suite, mirroring ``test_docs.py``.
+registry, a network class that re-forks ``create_flow`` / ``build`` or an
+endpoint that re-forks ``start`` / ``_finish`` fails the tier-1 suite,
+mirroring ``test_docs.py``.
 """
 
 from __future__ import annotations
@@ -73,3 +75,40 @@ def test_lint_flags_a_network_class_that_reforks_the_shared_wiring():
     assert len(problems) == 3
     assert "Forked.create_flow" in problems[0] and "Grandchild.build" in problems[1]
     assert "not a Network subclass" in problems[2]
+
+
+def test_lint_flags_an_endpoint_that_reforks_the_flow_lifecycle():
+    from repro.harness.baseline_networks import TcpNetwork
+    from repro.sim.logger import FlowRecord
+    from repro.sim.network import NetworkEndpoint
+    from repro.transports import registry
+    from repro.transports.tcp import TcpSrc
+
+    assert check_transports.check_endpoint_classes(registry.specs(include_variants=True)) == []
+
+    class ForkedSrc(TcpSrc):
+        def start(self, at_time_ps=None):
+            super().start(at_time_ps)
+
+    class LooseSink(NetworkEndpoint):
+        """Quacks enough to be wired, but keeps its own idea of a flow."""
+
+        def __init__(self, eventlist, flow_id, node_id, reverse_route, config, on_complete):
+            super().__init__(eventlist, node_id, "loose-sink")
+            self.record = FlowRecord(flow_id, -1, node_id, 0)
+
+        def expect(self, src_node_id, flow_size_bytes, total_packets):
+            pass
+
+        def receive_packet(self, packet):
+            pass
+
+    class ForkedNetwork(TcpNetwork):
+        SRC_CLS = ForkedSrc
+        SINK_CLS = LooseSink
+
+    spec = registry.TransportSpec(name="forked", display="Forked", network_cls=ForkedNetwork)
+    problems = check_transports.check_endpoint_classes([spec])
+    assert len(problems) == 2
+    assert "ForkedSrc.start overrides FlowSource.start" in problems[0]
+    assert "LooseSink is not a FlowSink" in problems[1]

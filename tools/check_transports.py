@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Two lints that keep each transport mechanism in its one home.
+"""Three lints that keep each transport mechanism in its one home.
 
 **Protocol-name string literals belong in the transport registry.**
 
@@ -27,6 +27,13 @@ are written once so that every transport is wired the same way; a class
 that overrides either has re-forked them.  :func:`check_network_classes`
 flags it — a transport varies through the ``_endpoints`` / ``_switch_queue``
 / ``_nic_queue`` / ``_post_build`` hooks instead.
+
+**Every registered transport's endpoints inherit the flow lifecycle unchanged.**
+``FlowSource`` / ``FlowSink`` (``repro.sim.network``) own how a transfer is
+sized, started, delivered and finished; :func:`check_endpoint_classes`
+builds one flow per transport and flags an endpoint that is not one of
+them, or that overrides a lifecycle method instead of the ``_begin`` /
+``_release`` / ``receive_packet`` hooks.
 
 Run from anywhere: ``python tools/check_transports.py``.  Exits non-zero
 and prints one line per problem; wired into the test suite and CI next to
@@ -120,6 +127,49 @@ def check_network_classes(specs) -> List[str]:
     return problems
 
 
+#: lifecycle methods an endpoint takes from its base, per base-class name
+LIFECYCLE = {
+    "FlowSource": ("start", "_start", "_finish", "payload_for"),
+    "FlowSink": ("expect", "_deliver", "_finish"),
+}
+
+
+def check_endpoint_classes(specs) -> List[str]:
+    """Every spec's endpoints must be a ``FlowSource`` / ``FlowSink`` with the
+    one lifecycle.  A connection that fans out (MPTCP) is held to it through
+    its ``subflows`` and ``sinks``."""
+    from repro.sim import network as sim_network
+    from repro.sim.eventlist import EventList
+    from repro.topology.simple import SingleSwitchTopology
+
+    problems = []
+    for spec in specs:
+        flow = spec.build(EventList(), SingleSwitchTopology, hosts=3).create_flow(
+            1, 0, 30_000, start=False
+        )
+        ends = (
+            ("FlowSource", getattr(flow.src, "subflows", [flow.src])),
+            ("FlowSink", getattr(flow.sink, "sinks", [flow.sink])),
+        )
+        for base_name, endpoints in ends:
+            base = getattr(sim_network, base_name)
+            for cls in sorted({type(end) for end in endpoints}, key=lambda c: c.__name__):
+                if not issubclass(cls, base):
+                    problems.append(
+                        f"transport {spec.name!r}: {cls.__name__} is not a {base_name}"
+                    )
+                    continue
+                for method in LIFECYCLE[base_name]:
+                    owner = next(b for b in cls.__mro__ if method in vars(b))
+                    if owner is not base:
+                        problems.append(
+                            f"transport {spec.name!r}: {owner.__name__}.{method} overrides "
+                            f"{base_name}.{method} — write the _begin / _release / "
+                            f"receive_packet hooks instead"
+                        )
+    return problems
+
+
 def main() -> int:
     sys.path.insert(0, os.path.join(ROOT, "src"))
     try:
@@ -129,7 +179,8 @@ def main() -> int:
         return 1
     literals = set(registry.protocol_literals())
     specs = registry.specs(include_variants=True)
-    problems = check_network_classes(specs)
+    # endpoints are only built once the network classes are sound
+    problems = check_network_classes(specs) or check_endpoint_classes(specs)
     for path in python_files():
         problems.extend(check_file(path, literals))
     for problem in problems:
@@ -140,7 +191,7 @@ def main() -> int:
     print(
         f"transports OK: {len(python_files())} python files checked against "
         f"{len(literals)} registered names; {len(specs)} registered transports "
-        f"share one create_flow and one build"
+        f"share one create_flow, one build and one endpoint lifecycle"
     )
     return 0
 
