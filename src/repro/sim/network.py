@@ -7,13 +7,14 @@ Three layers tie the simulator together:
 * :class:`NetworkEndpoint` — a protocol entity attached to a host; provides
   the plumbing shared by every sender/receiver implementation (clock access,
   packet injection onto a route).
-* :class:`FlowSource` / :class:`FlowSink` — the two ends of one transfer.
-  They own what a *flow* is on every transport: how it is sized into
-  packets, when its :class:`~repro.sim.logger.FlowRecord` starts and
-  finishes, who is told.  A transport's sender and receiver subclass them
-  and write only protocol logic: ``_begin`` (the first transmission),
-  ``receive_packet`` (feedback and retransmission) and ``_release`` (cancel
-  timers, drop per-transfer state).
+* :class:`FlowSource` / :class:`FlowSink` — the two ends of one transfer
+  (what they share is :class:`FlowEndpoint`).  They own what a *flow* is on
+  every transport: how it is sized into packets, when its
+  :class:`~repro.sim.logger.FlowRecord` starts and finishes, who is told.  A
+  transport's sender and receiver subclass them and write only protocol
+  logic: ``_begin`` (the first transmission), ``receive_packet`` (feedback
+  and retransmission) and ``_release`` (cancel timers, drop per-transfer
+  state).
 """
 
 from __future__ import annotations
@@ -105,7 +106,41 @@ class NetworkEndpoint(PacketSink):
         """Handle an arriving packet (protocol specific)."""
 
 
-class FlowSource(NetworkEndpoint):
+class FlowEndpoint(NetworkEndpoint):
+    """One end of one transfer: whose flow it is, its record, its once-only finish."""
+
+    __slots__ = ("flow_id", "config", "on_complete", "record")
+
+    def __init__(
+        self,
+        eventlist: EventList,
+        flow_id: int,
+        node_id: int,
+        config: object,
+        on_complete: Optional[Callable[["FlowEndpoint"], None]],
+        name: str,
+        record: FlowRecord,
+    ) -> None:
+        super().__init__(eventlist, node_id, name)
+        self.flow_id = flow_id
+        self.config = config
+        self.on_complete = on_complete
+        self.record = record
+
+    def _finish(self) -> None:
+        """Stamp the record, release the protocol's state, tell the owner — once."""
+        if self.record.finish_time_ps is not None:
+            return
+        self.record.finish_time_ps = self.now()
+        self._release()
+        if self.on_complete is not None:
+            self.on_complete(self)
+
+    def _release(self) -> None:
+        """Protocol hook: cancel timers and drop per-transfer state."""
+
+
+class FlowSource(FlowEndpoint):
     """Sending end of one transfer: identity, sizing, record and lifecycle.
 
     The transfer is cut into ``total_packets`` packets of
@@ -116,15 +151,11 @@ class FlowSource(NetworkEndpoint):
     """
 
     __slots__ = (
-        "flow_id",
         "dst_node_id",
         "flow_size_bytes",
-        "config",
-        "on_complete",
         "payload_per_packet",
         "total_packets",
         "_tail_payload",
-        "record",
         "packets_sent",
         "_started",
     )
@@ -141,20 +172,17 @@ class FlowSource(NetworkEndpoint):
         on_complete: Optional[Callable[["FlowSource"], None]],
         name: str,
     ) -> None:
-        super().__init__(eventlist, node_id, name)
         if flow_size_bytes <= 0:
             raise ValueError(f"flow size must be positive, got {flow_size_bytes}")
-        self.flow_id = flow_id
+        super().__init__(
+            eventlist, flow_id, node_id, config, on_complete, name,
+            FlowRecord(flow_id, node_id, dst_node_id, flow_size_bytes),
+        )
         self.dst_node_id = dst_node_id
         self.flow_size_bytes = flow_size_bytes
-        self.config = config
-        self.on_complete = on_complete
         self.payload_per_packet = payload_per_packet
         self.total_packets = (flow_size_bytes + payload_per_packet - 1) // payload_per_packet
         self._tail_payload = flow_size_bytes - (self.total_packets - 1) * payload_per_packet
-        self.record = FlowRecord(
-            flow_id=flow_id, src=node_id, dst=dst_node_id, flow_size_bytes=flow_size_bytes
-        )
         self.packets_sent = 0
         self._started = False
 
@@ -180,37 +208,18 @@ class FlowSource(NetworkEndpoint):
         """Protocol hook: make the first transmission."""
         raise NotImplementedError
 
-    def _finish(self) -> None:
-        """Stamp the record, release the protocol's state, tell the owner — once."""
-        if self.record.finish_time_ps is not None:
-            return
-        self.record.finish_time_ps = self.now()
-        self._release()
-        if self.on_complete is not None:
-            self.on_complete(self)
 
-    def _release(self) -> None:
-        """Protocol hook: cancel timers and drop per-transfer state."""
-
-
-class FlowSink(NetworkEndpoint):
+class FlowSink(FlowEndpoint):
     """Receiving end of one transfer: expectation, delivery accounting, completion.
 
     :meth:`expect` is called where the flow is wired and tells the sink who
     sends and how much; :meth:`_deliver` counts each distinct data packet
     once.  The protocol calls :meth:`_finish` when :attr:`complete` turns
-    true.
+    true.  Sinks given one shared *record* (MPTCP's subflow sinks) complete
+    when their deliveries add up to it.
     """
 
-    __slots__ = (
-        "flow_id",
-        "config",
-        "on_complete",
-        "record",
-        "src_node_id",
-        "_expected_packets",
-        "_received",
-    )
+    __slots__ = ("src_node_id", "_expected_packets", "_received")
 
     def __init__(
         self,
@@ -220,12 +229,12 @@ class FlowSink(NetworkEndpoint):
         config: object,
         on_complete: Optional[Callable[["FlowSink"], None]],
         name: str,
+        record: Optional[FlowRecord] = None,
     ) -> None:
-        super().__init__(eventlist, node_id, name)
-        self.flow_id = flow_id
-        self.config = config
-        self.on_complete = on_complete
-        self.record = FlowRecord(flow_id=flow_id, src=-1, dst=node_id, flow_size_bytes=0)
+        super().__init__(
+            eventlist, flow_id, node_id, config, on_complete, name,
+            record if record is not None else FlowRecord(flow_id, -1, node_id, 0),
+        )
         self.src_node_id = -1
         self._expected_packets: Optional[int] = None
         self._received: set[int] = set()
@@ -262,15 +271,3 @@ class FlowSink(NetworkEndpoint):
             self._received.add(seqno)
             record.bytes_delivered += packet.payload_bytes
             record.packets_delivered += 1
-
-    def _finish(self) -> None:
-        """Stamp the record, release the protocol's state, tell the owner — once."""
-        if self.record.finish_time_ps is not None:
-            return
-        self.record.finish_time_ps = self.now()
-        self._release()
-        if self.on_complete is not None:
-            self.on_complete(self)
-
-    def _release(self) -> None:
-        """Protocol hook: cancel timers and drop per-transfer state."""

@@ -157,11 +157,8 @@ class SequentialDataSource:
 
 
 class TcpSink(FlowSink):
-    """TCP receiver: cumulative ACKs, per-packet ECN echo.
-
-    MPTCP hands every subflow sink the connection's *shared_record*, so the
-    transfer is complete when their deliveries add up to it.
-    """
+    """TCP receiver: cumulative ACKs, per-packet ECN echo (MPTCP hands every
+    subflow sink the connection's *shared_record*)."""
 
     def __init__(
         self,
@@ -177,11 +174,9 @@ class TcpSink(FlowSink):
     ) -> None:
         super().__init__(
             eventlist, flow_id, node_id, config if config is not None else TcpConfig(),
-            on_complete, name or f"tcp-sink-{flow_id}",
+            on_complete, name or f"tcp-sink-{flow_id}", shared_record,
         )
         self.reverse_route = reverse_route
-        if shared_record is not None:
-            self.record = shared_record
         if expected_bytes and not self.record.flow_size_bytes:
             self.record.flow_size_bytes = expected_bytes
         self.rcv_nxt = 0

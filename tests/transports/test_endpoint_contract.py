@@ -167,8 +167,8 @@ def test_each_lifecycle_mechanism_exists_once():
         [bases, "transports/mptcp.py", "transports/constant_rate.py"]
     )
     assert homes(r"start_time_ps = self\.now\(\)") == [bases, bases]
-    assert homes(r"finish_time_ps = self\.now\(\)") == [bases, bases]
-    assert sorted(homes(r"self\.on_complete\(self\)")) == [bases, bases, "transports/mptcp.py"]
+    assert homes(r"finish_time_ps = self\.now\(\)") == [bases]
+    assert sorted(homes(r"self\.on_complete\(self\)")) == [bases, "transports/mptcp.py"]
     assert homes(r"def expect\(") == [bases]
     # timers: the re-armable Timer, never a held Event
     assert homes(r"Optional\[Event\]", "transports/") == []

@@ -29,11 +29,12 @@ flags it — a transport varies through the ``_endpoints`` / ``_switch_queue``
 / ``_nic_queue`` / ``_post_build`` hooks instead.
 
 **Every registered transport's endpoints inherit the flow lifecycle unchanged.**
-``FlowSource`` / ``FlowSink`` (``repro.sim.network``) own how a transfer is
-sized, started, delivered and finished; :func:`check_endpoint_classes`
-builds one flow per transport and flags an endpoint that is not one of
-them, or that overrides a lifecycle method instead of the ``_begin`` /
-``_release`` / ``receive_packet`` hooks.
+``FlowSource`` / ``FlowSink`` (``repro.sim.network``; ``_finish`` sits in
+their shared ``FlowEndpoint``) own how a transfer is sized, started,
+delivered and finished; :func:`check_endpoint_classes` builds one flow per
+transport and flags an endpoint that is not one of them, or that overrides a
+lifecycle method instead of the ``_begin`` / ``_release`` /
+``receive_packet`` hooks.
 
 Run from anywhere: ``python tools/check_transports.py``.  Exits non-zero
 and prints one line per problem; wired into the test suite and CI next to
@@ -161,7 +162,7 @@ def check_endpoint_classes(specs) -> List[str]:
                     continue
                 for method in LIFECYCLE[base_name]:
                     owner = next(b for b in cls.__mro__ if method in vars(b))
-                    if owner is not base:
+                    if owner.__module__ != sim_network.__name__:
                         problems.append(
                             f"transport {spec.name!r}: {owner.__name__}.{method} overrides "
                             f"{base_name}.{method} — write the _begin / _release / "
