@@ -5,13 +5,15 @@ Usage::
     python -m repro.cli list                 # show every available experiment
     python -m repro.cli fig14                # regenerate Figure 14 and print it
     python -m repro.cli fig21 fig10          # several experiments in one go
-    python -m repro.cli all --jobs 4         # every experiment, 4 workers
+    python -m repro.cli all                  # every experiment, one worker
+                                             #   process per available CPU
+    python -m repro.cli all --jobs 1         # the same, serially in-process
     python -m repro.cli fig16 --no-cache     # force a fresh simulation
     python -m repro.cli sweep fig16 --set response_bytes=90000,450000 \\
-        --set seed=1,2 --jobs 4              # user-defined parameter grid
+        --set seed=1,2                       # user-defined parameter grid
     python -m repro.cli render --out artifacts # every registered figure ->
                                              #   CSV + Vega-Lite + index.html
-    python -m repro.cli render fig16 fig12 --out artifacts --jobs 4
+    python -m repro.cli render fig16 fig12 --out artifacts
     python -m repro.cli shard fattree --shards 4 --seed 2   # partitioned run
     python -m repro.cli shard fattree --shards 2 --reference # + digest diff
 
@@ -25,8 +27,15 @@ determinism smoke check CI runs on every push.
 Each experiment name is a family declared in
 :data:`repro.harness.figures.FAMILIES` — the one table the catalogue,
 ``all``, ``sweep`` and ``render`` all read.  Experiments are decomposed
-into independent per-point runs (see :mod:`repro.harness.sweep`):
-``--jobs N`` fans those runs across worker processes, and results are
+into independent per-point runs (see :mod:`repro.harness.sweep`), which fan
+across worker processes: ``--jobs N`` sets how many, and defaults to the
+CPUs this process may use.  A pool starts only when two or more runs miss
+the cache, so a cached run, a single-run family, a one-CPU host and
+``--jobs 1`` all stay in this process (``--jobs 1`` is the run to debug or
+profile: one process, runs in plan order).  The first run to fail ends the
+batch (exit 1) after the runs already in flight have finished; Ctrl-C ends
+it at once (exit 130); either way every completed run is in the cache and
+the next invocation resumes from there.  Results are
 memoized in a persistent on-disk cache
 (``$REPRO_CACHE_DIR``, default ``~/.cache/repro``) keyed by experiment,
 parameters and a fingerprint of the simulator source — a second invocation
@@ -85,6 +94,15 @@ from repro.harness.metrics import ThroughputResult
 from repro.transports.registry import IncompatibleTransportError
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on — what ``--jobs`` defaults to."""
+    if hasattr(os, "process_cpu_count"):  # Python 3.13+
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the requested experiments and print their results."""
     parser = argparse.ArgumentParser(
@@ -98,8 +116,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         "'list' to enumerate them, or 'sweep EXPERIMENT' for a parameter grid",
     )
     parser.add_argument(
-        "--jobs", "-j", type=int, default=1, metavar="N",
-        help="fan independent simulation runs across N worker processes",
+        "--jobs", "-j", type=int, metavar="N",
+        help="fan independent simulation runs across N worker processes "
+        "(default: the CPUs this process may use; 1 runs serially in-process)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -137,7 +156,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.jobs < 1:
+    jobs = _available_cpus() if args.jobs is None else args.jobs
+    if jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
         return 2
     if args.shards is not None and args.shards < 1:
@@ -169,10 +189,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.experiments[0] == "render":
         return _run_render(
-            args.experiments[1:], args.out, args.jobs, cache, args.quiet, args.png
+            args.experiments[1:], args.out, jobs, cache, args.quiet, args.png
         )
     if args.experiments[0] == "sweep":
-        return _run_sweep(args.experiments[1:], args.grid, args.jobs, cache, args.quiet)
+        return _run_sweep(args.experiments[1:], args.grid, jobs, cache, args.quiet)
     if args.experiments[0] == "shard":
         return _run_shard(
             args.experiments[1:],
@@ -185,7 +205,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # (an unknown single name falls through to _run_sweep's usage line,
         # which lists the valid experiments)
         if len(args.experiments) == 1:
-            return _run_sweep(args.experiments, args.grid, args.jobs, cache, args.quiet)
+            return _run_sweep(args.experiments, args.grid, jobs, cache, args.quiet)
         print("--set needs a single experiment name (or the 'sweep' subcommand)",
               file=sys.stderr)
         return 2
@@ -208,8 +228,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     return _run_batch(
         [(f"{declared.name} — {declared.description}", declared.plan())
          for declared in families],
-        args.jobs, cache, args.quiet,
-        "(completed runs were cached and will be reused)" if cache is not None else None,
+        jobs, cache, args.quiet,
     )
 
 
@@ -218,27 +237,25 @@ def _run_batch(
     jobs: int,
     cache,
     quiet: bool,
-    failure_hint: Optional[str],
+    failure_hint: Optional[str] = None,
 ) -> int:
     """Run every plan of *entries* as one batch; print each under its heading.
 
     An entry is ``(heading, plan)``, or ``(heading, reason)`` for a grid
     point that was skipped before any run.  All the plans' specs fan across
     one worker pool (:func:`repro.harness.sweep.run_plans`); a failing spec
-    ends the batch with exit 1 and *failure_hint* after the error line.
+    ends the batch with exit 1 and *failure_hint* (default: that completed
+    runs were cached) after the error line.
     """
     plans = [plan for _heading, plan in entries if isinstance(plan, sweep.Plan)]
-    total = sum(len(plan.specs) for plan in plans)
-    started = time.time()
-    baseline = _cache_counters(cache)
-    progress = None if quiet else _progress_printer(total)
+    batch = _Batch(cache, jobs, quiet)
     try:
-        results = iter(sweep.run_plans(plans, jobs=jobs, cache=cache, on_result=progress))
-    except RuntimeError as error:
-        print(f"error: {error}", file=sys.stderr)
-        if failure_hint:
-            print(failure_hint, file=sys.stderr)
-        return 1
+        results = iter(sweep.run_plans(
+            plans, jobs=jobs, cache=cache,
+            on_result=batch.expecting(sum(len(plan.specs) for plan in plans)),
+        ))
+    except (RuntimeError, KeyboardInterrupt) as error:
+        return batch.stopped(error, failure_hint)
 
     for heading, plan in entries:
         if isinstance(plan, sweep.Plan):
@@ -252,7 +269,7 @@ def _run_batch(
             f"\n{skipped} of {len(entries)} grid points skipped "
             f"(incompatible protocol/family combinations)"
         )
-    _print_run_summary(total, cache, baseline, started)
+    batch.print_summary()
     return 0
 
 
@@ -406,18 +423,13 @@ def _run_render(
         )
         return 2
 
-    started = time.time()
-    baseline = _cache_counters(cache)
+    batch = _Batch(cache, jobs, quiet)
     try:
         report = analysis.render_figures(
-            names, out_dir, jobs=jobs, cache=cache,
-            progress=None if quiet else _progress_printer, png=png,
+            names, out_dir, jobs=jobs, cache=cache, progress=batch.expecting, png=png,
         )
-    except RuntimeError as error:
-        print(f"error: {error}", file=sys.stderr)
-        if cache is not None:
-            print("(completed runs were cached and will be reused)", file=sys.stderr)
-        return 1
+    except (RuntimeError, KeyboardInterrupt) as error:
+        return batch.stopped(error)
 
     for name in report.figures:
         print(f"  {name}: {name}.csv {name}.vl.json "
@@ -425,7 +437,7 @@ def _run_render(
     if report.png_note:
         print(f"note: {report.png_note}", file=sys.stderr)
     print(f"index: {os.path.join(report.out_dir, 'index.html')}")
-    _print_run_summary(report.runs, cache, baseline, started)
+    batch.print_summary()
     return 0
 
 
@@ -490,31 +502,64 @@ def _parse_value(piece: str) -> Any:
         return piece
 
 
-def _progress_printer(total: int) -> Callable[[sweep.RunSpec, int, str], None]:
-    state = {"done": 0}
+class _Batch:
+    """One batch as the user sees it: progress lines, then how it ended."""
 
-    def on_result(spec: sweep.RunSpec, _index: int, source: str) -> None:
-        state["done"] += 1
-        print(f"  [{state['done']}/{total}] {spec.experiment} ({source})", flush=True)
+    def __init__(self, cache, jobs: int, quiet: bool) -> None:
+        self.cache, self.jobs, self.quiet = cache, jobs, quiet
+        self.started = time.time()
+        self.baseline = self._counters()
+        self.total = 0
+        self.done = 0
+        self.simulated: set = set()  # cache keys: a run several specs share counts once
 
-    return on_result
+    def _counters(self) -> Tuple[int, int, int]:
+        cache = self.cache
+        return (cache.hits, cache.misses, cache.stores) if cache is not None else (0, 0, 0)
 
+    def expecting(self, total: int) -> Callable[[sweep.RunSpec, int, str], None]:
+        """The ``on_result`` callback for a batch of *total* specs."""
+        self.total = total
+        return self._on_result
 
-def _cache_counters(cache) -> tuple[int, int]:
-    return (cache.hits, cache.misses) if cache is not None else (0, 0)
+    def _on_result(self, spec: sweep.RunSpec, _index: int, source: str) -> None:
+        self.done += 1
+        if source == "run":
+            self.simulated.add(spec.cache_key())
+        if not self.quiet:
+            print(f"  [{self.done}/{self.total}] {spec.experiment} ({source})", flush=True)
 
+    def print_summary(self) -> None:
+        elapsed = time.time() - self.started
+        workers = sweep.pool_workers(self.jobs, len(self.simulated))
+        on_workers = f" on {workers} workers" if workers else ""
+        if self.cache is not None:
+            hits, misses, _stores = (
+                now - then for now, then in zip(self._counters(), self.baseline))
+            print(
+                f"\n{self.total} runs in {elapsed:.1f} s "
+                f"({hits} from cache, {misses} simulated{on_workers}; "
+                f"cache: {self.cache.root})"
+            )
+        else:
+            print(f"\n{self.total} runs in {elapsed:.1f} s (cache bypassed{on_workers})")
 
-def _print_run_summary(total: int, cache, baseline: tuple[int, int], started: float) -> None:
-    elapsed = time.time() - started
-    if cache is not None:
-        hits = cache.hits - baseline[0]
-        misses = cache.misses - baseline[1]
-        print(
-            f"\n{total} runs in {elapsed:.1f} s "
-            f"({hits} from cache, {misses} simulated; cache: {cache.root})"
-        )
-    else:
-        print(f"\n{total} runs in {elapsed:.1f} s (cache bypassed)")
+    def stopped(self, error: BaseException, failure_hint: Optional[str] = None) -> int:
+        """Report a failed (exit 1) or interrupted (exit 130) batch on stderr."""
+        if failure_hint is None and self.cache is not None:
+            failure_hint = "(completed runs were cached and will be reused)"
+        if isinstance(error, KeyboardInterrupt):
+            stored = self._counters()[2] - self.baseline[2]
+            kept = (f"{stored} completed runs are in the cache ({self.cache.root}) "
+                    "and will be reused" if self.cache is not None
+                    else "cache bypassed, nothing kept")
+            print(f"\ninterrupted after {self.done} of {self.total} runs: {kept}",
+                  file=sys.stderr)
+            return 130
+        print(f"error: {error}", file=sys.stderr)
+        if failure_hint:
+            print(failure_hint, file=sys.stderr)
+        return 1
 
 
 def _print_catalogue() -> None:
@@ -522,7 +567,7 @@ def _print_catalogue() -> None:
     print("available experiments:")
     for declared in figures.FAMILIES.values():
         print(f"  {declared.name:{width}s} {declared.description}")
-    print(f"\n  {'all':{width}s} run every experiment (combine with --jobs N)")
+    print(f"\n  {'all':{width}s} run every experiment (one worker per CPU; --jobs N to choose)")
     print(f"  {'sweep':{width}s} run one experiment over a parameter grid "
           "(--set key=v1,v2)")
     print(f"  {'render':{width}s} write figure artifacts (CSV + Vega-Lite + "

@@ -23,8 +23,8 @@ comparison) plus an ``assemble`` step that builds the public rows from the
 unit results.  :func:`~repro.harness.sweep.run_plan` executes it, consulting
 the persistent result cache (``$REPRO_CACHE_DIR``, default
 ``~/.cache/repro``; disable with ``REPRO_NO_CACHE=1``) and optionally
-fanning the units across worker processes (``python -m repro.cli all
---jobs 4``).
+fanning the units across worker processes (``jobs=N``; ``python -m
+repro.cli all`` does, one per available CPU).
 
 This module is *declarations*: names, numbers, row assembly and chart
 metadata.  What a spec executes lives in :mod:`repro.harness.unit_runs`;

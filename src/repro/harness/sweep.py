@@ -5,7 +5,12 @@ and ``python -m repro.cli``: every experiment is decomposed into independent
 :class:`RunSpec` units (one simulator run each), which can be
 
 * fanned across worker processes (``run_specs(specs, jobs=N)``; several
-  figures' plans at once through :func:`run_plans`, the one batch loop), and
+  figures' plans at once through :func:`run_plans`, the one batch loop).
+  Every call here defaults to ``jobs=1`` — in-process, nothing forks unasked;
+  ``python -m repro.cli`` passes the CPUs available unless told ``--jobs N``
+  — and a pool exists only while two or more distinct specs miss the cache
+  (:func:`pool_workers`).  A batch that fails, loses a worker or is
+  interrupted keeps every completed run (:class:`SpecFailedError`); and
 * memoized on disk across *processes* (:class:`ResultCache`), so a CI run,
   a benchmark session and an interactive CLI call all reuse each other's
   simulations.
@@ -68,7 +73,9 @@ __all__ = [
     "UnitRun",
     "Plan",
     "ResultCache",
+    "SpecFailedError",
     "run_specs",
+    "pool_workers",
     "run_plans",
     "run_plan",
     "default_cache",
@@ -463,6 +470,22 @@ def default_cache() -> Optional[ResultCache]:
 # Execution engine
 # ---------------------------------------------------------------------------
 
+class SpecFailedError(RuntimeError):
+    """A batch stopped early; ``labels`` names the specs to blame.
+
+    One label when a spec raised (``__cause__`` is what it raised, and the
+    message quotes it).  When a worker process died — killed, out of memory,
+    ``os._exit`` — the pool cannot say which run took it down, so ``labels``
+    lists every spec that had started and not finished.  Either way every
+    run that completed, before the failure or while it surfaced, is in the
+    cache and was reported through ``on_result``.
+    """
+
+    def __init__(self, message: str, labels: Sequence[str]) -> None:
+        super().__init__(message)
+        self.labels = tuple(labels)
+
+
 def _execute_spec_encoded(spec: RunSpec) -> Any:
     """Worker entry point: run the spec and return the *encoded* result."""
     return encode_result(spec.execute())
@@ -477,6 +500,83 @@ def _pool_context():
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return multiprocessing.get_context()
+
+
+def pool_workers(jobs: int, distinct_misses: int) -> int:
+    """Worker processes :func:`run_specs` starts for a batch; 0 means in-process.
+
+    A pool needs ``jobs`` > 1 and at least two distinct specs to simulate,
+    and never holds more workers than specs: a warm cache, a single-spec
+    family and a one-CPU host all run (or read) in the calling process.
+    """
+    return min(jobs, distinct_misses) if jobs > 1 and distinct_misses > 1 else 0
+
+
+def _run_pooled(
+    specs: Sequence[RunSpec],
+    leaders: Sequence[int],
+    workers: int,
+    finish: Callable[[int, Any], None],
+) -> None:
+    """Run ``specs[i]`` for *i* in *leaders* on *workers* processes, in order.
+
+    A spec is handed to the pool only when a worker is free to start it, so
+    the runs in flight are exactly the ones that have started: on the first
+    failure nothing else starts, the (at most ``workers - 1``) other runs in
+    flight finish and are kept, and a dead worker is blamed on the specs it
+    could have been running rather than on every spec still queued.
+    """
+    import concurrent.futures  # with multiprocessing, ~20 ms only this branch uses
+    import signal
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, mp_context=_pool_context(),
+        # a terminal's Ctrl-C signals the whole process group: the workers
+        # end at once without a traceback each, and the caller reports
+        initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_DFL),
+    )
+    waiting = iter(leaders)
+    running: Dict[Any, int] = {}
+    errors: Dict[int, BaseException] = {}
+
+    def collect(done) -> None:
+        for future in done:
+            index = running.pop(future)
+            error = future.exception()
+            if error is None:
+                finish(index, future.result())
+            else:
+                errors[index] = error
+
+    try:
+        while not errors:
+            for index in itertools.islice(waiting, workers - len(running)):
+                running[pool.submit(_execute_spec_encoded, specs[index])] = index
+            if not running:
+                break
+            collect(concurrent.futures.wait(
+                running, return_when=concurrent.futures.FIRST_COMPLETED).done)
+    finally:
+        # the runs in flight finish (or their worker is dead); keep what they return
+        pool.shutdown(wait=True)
+        collect(list(running))
+    if not errors:
+        return
+    dead = [index for index, error in errors.items() if isinstance(error, BrokenProcessPool)]
+    if dead:
+        labels = [specs[index].experiment for index in sorted(dead)]
+        raise SpecFailedError(
+            "a worker process died (killed, out of memory?) while running "
+            + ", ".join(map(repr, labels)), labels,
+        ) from errors[dead[0]]
+    index, error = next(iter(errors.items()))
+    raise _spec_failed(specs[index], error) from error
+
+
+def _spec_failed(spec: RunSpec, error: BaseException) -> SpecFailedError:
+    return SpecFailedError(
+        f"experiment {spec.experiment!r} failed: {error}", [spec.experiment])
 
 
 def run_specs(
@@ -497,9 +597,18 @@ def run_specs(
     results resolve with ``source`` in ``{"cache", "run"}``.
 
     Identical specs in one batch are simulated once (they are
-    deterministic), and each result is persisted *as it resolves*, so a
-    failing spec or an interrupt costs at most the in-flight runs — every
-    completed simulation is already on disk.
+    deterministic), and a pool is started only for two or more distinct
+    misses (:func:`pool_workers`): a warm cache or a single miss stays in
+    this process and imports no ``multiprocessing``.
+
+    Each result is persisted *as it resolves*, so a failing spec or an
+    interrupt costs at most the runs in flight — every completed simulation
+    is already on disk.  The first spec to raise ends the batch with one
+    :class:`SpecFailedError` naming it: serially at once; on a pool after the
+    other runs already in flight have finished and been stored, while specs
+    that had not started never do.  A worker process that dies raises the
+    same error naming the specs that were in flight.  ``KeyboardInterrupt``
+    passes through with the same guarantee about the cache.
     """
     if cache is USE_DEFAULT_CACHE:
         cache = default_cache()
@@ -537,34 +646,15 @@ def run_specs(
             if on_result is not None:
                 on_result(specs[index], index, "run")
 
-    if jobs > 1 and len(leaders) > 1:
-        import concurrent.futures  # with multiprocessing, ~20 ms only this branch uses
-
-        workers = min(jobs, len(leaders))
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=_pool_context()
-        ) as pool:
-            futures = {
-                pool.submit(_execute_spec_encoded, specs[index]): index
-                for index in leaders
-            }
-            for future in concurrent.futures.as_completed(futures):
-                index = futures[future]
-                try:
-                    payload = future.result()
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"experiment {specs[index].experiment!r} failed: {exc}"
-                    ) from exc
-                finish(index, payload)
+    workers = pool_workers(jobs, len(leaders))
+    if workers:
+        _run_pooled(specs, leaders, workers, finish)
     else:
         for index in leaders:
             try:
                 payload = _execute_spec_encoded(specs[index])
             except Exception as exc:
-                raise RuntimeError(
-                    f"experiment {specs[index].experiment!r} failed: {exc}"
-                ) from exc
+                raise _spec_failed(specs[index], exc) from exc
             finish(index, payload)
     return results
 

@@ -9,8 +9,8 @@
 simulator or pipeline change — rerun it and commit the diff).
 
 The suite renders the same two families three independent ways — cold
-(fresh cache), cached (reusing the cold run's cache), and ``--jobs 2``
-(parallel, another fresh cache) — and asserts every written byte is
+(fresh cache, ``--jobs 1``: serial), cached (reusing the cold run's cache,
+at the default ``--jobs``), and ``--jobs 2`` (parallel, another fresh cache) — and asserts every written byte is
 identical across all three *and* equal to the goldens.  This is the
 repository's determinism contract made enforceable: a change that alters
 seeded simulation results, float formatting, column ordering, or
@@ -68,7 +68,7 @@ def renders(tmp_path_factory):
     """The three renders the determinism contract quantifies over."""
     base = tmp_path_factory.mktemp("renders")
     cold_cache = str(base / "cache")
-    _render(str(base / "cold"), cold_cache)
+    _render(str(base / "cold"), cold_cache, extra=("--jobs", "1"))  # serial, in-process
     _render(str(base / "cached"), cold_cache)  # same cache: served from disk
     _render(str(base / "parallel"), str(base / "cache2"), extra=("--jobs", "2"))
     return {

@@ -68,7 +68,7 @@ class TestRun:
     def test_parallel_jobs_produce_the_same_rows(self, capsys):
         assert cli.main(["fig10", "--jobs", "2", "-q"]) == 0
         parallel_out = capsys.readouterr().out
-        assert cli.main(["fig10", "--no-cache", "-q"]) == 0
+        assert cli.main(["fig10", "--no-cache", "--jobs", "1", "-q"]) == 0
         serial_out = capsys.readouterr().out
         parallel_rows = [l for l in parallel_out.splitlines() if l.startswith("  ")]
         serial_rows = [l for l in serial_out.splitlines() if l.startswith("  ")]
@@ -107,6 +107,84 @@ class TestRun:
     def test_set_with_several_experiments_rejected(self, capsys):
         assert cli.main(["fig12", "fig10", "--set", "samples=10"]) == 2
         assert "sweep" in capsys.readouterr().err
+
+
+def _summary(out: str) -> str:
+    return next(line for line in out.splitlines() if " runs in " in line)
+
+
+def _rows(out: str) -> list:
+    return [line for line in out.splitlines() if " runs in " not in line]
+
+
+class TestJobsDefault:
+    """``--jobs`` defaults to the CPUs available; a pool needs two misses."""
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        def refuse():
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(sweep, "_pool_context", refuse)
+
+    def test_the_default_is_what_the_helper_reports(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+        assert cli.main(["fig10", "-q"]) == 0
+        assert "(0 from cache, 3 simulated on 2 workers; cache: " in _summary(
+            capsys.readouterr().out)
+        # served from the cache now: nothing to fan out, whatever the default
+        assert cli.main(["fig10", "-q"]) == 0
+        assert "(3 from cache, 0 simulated; cache: " in _summary(capsys.readouterr().out)
+
+    def test_the_helper_counts_the_cpus_this_process_may_use(self):
+        assert cli._available_cpus() >= 1
+        if hasattr(os, "process_cpu_count"):
+            assert cli._available_cpus() == os.process_cpu_count()
+        elif hasattr(os, "sched_getaffinity"):
+            assert cli._available_cpus() == len(os.sched_getaffinity(0))
+
+    def test_one_cpu_means_no_pool(self, capsys, monkeypatch, no_pool):
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
+        assert cli.main(["fig10", "-q"]) == 0
+        assert "(0 from cache, 3 simulated; cache: " in _summary(capsys.readouterr().out)
+
+    def test_fewer_than_two_misses_mean_no_pool(self, capsys, monkeypatch, no_pool):
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 4)
+        assert cli.main(["fig12", "-q"]) == 0  # a single-spec family
+        assert "(0 from cache, 1 simulated; cache: " in _summary(capsys.readouterr().out)
+        # four specs in two families, of which only fig10's first still misses
+        sweep.run_specs(figures.FAMILIES["fig10"].plan().specs[1:])
+        assert cli.main(["fig10", "fig12", "-q"]) == 0
+        assert "(3 from cache, 1 simulated; cache: " in _summary(capsys.readouterr().out)
+
+    def test_an_explicit_count_beats_a_smaller_default(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
+        assert cli.main(["fig10", "--jobs", "2", "--no-cache", "-q"]) == 0
+        assert "(cache bypassed on 2 workers)" in _summary(capsys.readouterr().out)
+
+    def test_jobs_1_is_serial_whatever_the_default(self, capsys, monkeypatch, no_pool):
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 4)
+        assert cli.main(["fig10", "--jobs", "1", "--no-cache", "-q"]) == 0
+        assert "(cache bypassed)" in _summary(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("argv", [
+        ["fig10", "fig12", "-q"],
+        ["sweep", "fig12", "--set", "samples=50,60", "--set", "seed=1,2", "-q"],
+        ["render", "fig10", "fig12", "-q"],
+    ])
+    def test_a_cold_default_run_prints_what_a_cold_serial_run_prints(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+        outputs = {}
+        for label, extra in (("default", []), ("serial", ["--jobs", "1"])):
+            monkeypatch.setenv(sweep.CACHE_DIR_ENV, str(tmp_path / f"cache-{label}"))
+            out_dir = ["--out", str(tmp_path / "artifacts")] if argv[0] == "render" else []
+            assert cli.main([*argv, *out_dir, *extra]) == 0
+            outputs[label] = capsys.readouterr().out
+        assert " on 2 workers; " in _summary(outputs["default"])
+        assert " workers" not in _summary(outputs["serial"])
+        assert _rows(outputs["default"]) == _rows(outputs["serial"])
 
 
 class TestSweep:
@@ -220,7 +298,8 @@ class TestClosedPipe:
         closed and the write raises ``BrokenPipeError`` inside the batch.
         """
         child = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "fig12", "fig10"],
+            # serially, so that fig12's run is the first to resolve
+            [sys.executable, "-m", "repro.cli", "fig12", "fig10", "--jobs", "1"],
             env=_child_env(tmp_path / "cache"),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
@@ -269,10 +348,6 @@ class TestImportBudget:
         ]
         return report
 
-    @staticmethod
-    def _rows(out: str) -> list:
-        return [line for line in out.splitlines() if " runs in " not in line]
-
     def test_cached_runs_load_no_engine_and_cold_runs_print_the_same(self, tmp_path):
         cache_dir = tmp_path / "cache"
         fill = self._cli_child(["fig12", "-q"], cache_dir)
@@ -291,4 +366,16 @@ class TestImportBudget:
 
         cold = self._cli_child(["fig12", "--no-cache", "-q"], cache_dir)
         assert {"repro.harness.unit_runs", "repro.sim.eventlist"} <= set(cold["engine"])
-        assert self._rows(cold["out"]) == self._rows(hit["out"]) == self._rows(fill["out"])
+        assert _rows(cold["out"]) == _rows(hit["out"]) == _rows(fill["out"])
+
+    def test_only_a_run_with_two_misses_loads_the_pool_machinery(self, tmp_path):
+        """At the default ``--jobs``, whatever the host's CPU count."""
+        cache_dir = tmp_path / "cache"
+        fill = self._cli_child(["fig10", "--jobs", "2", "-q"], cache_dir)
+        assert "0 from cache, 3 simulated on 2 workers" in fill["out"]
+        assert "concurrent.futures" in fill["engine"]
+        assert "repro.harness.unit_runs" not in fill["engine"]  # the workers ran them
+        assert self._cli_child(["fig10", "-q"], cache_dir)["engine"] == []
+        one_miss = self._cli_child(["fig10", "fig12", "-q"], cache_dir)
+        assert "3 from cache, 1 simulated;" in one_miss["out"]
+        assert not {"multiprocessing", "concurrent.futures"} & set(one_miss["engine"])

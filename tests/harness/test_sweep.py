@@ -171,6 +171,26 @@ class TestResultCache:
         leftovers = [f for f in os.listdir(tmp_path) if ".tmp." in f]
         assert leftovers == []
 
+    def test_an_interrupted_write_leaves_no_record_and_no_staging_file(
+        self, tmp_path, monkeypatch
+    ):
+        """Records are staged and renamed: a half-written one is never visible."""
+        cache = ResultCache(str(tmp_path))
+        spec = _cheap_spec()
+
+        def interrupted_dump(record, fh):
+            fh.write('{"experiment": "fig12", "result": [1, 2')
+            fh.flush()
+            assert not os.path.exists(cache._path(spec.cache_key()))  # staged elsewhere
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(sweep.json, "dump", interrupted_dump)
+        with pytest.raises(KeyboardInterrupt):
+            cache.store_spec(spec, {"ok": True})
+        monkeypatch.undo()
+        assert os.listdir(tmp_path) == [] and cache.stores == 0
+        assert cache.lookup_spec(spec) == (False, None)
+
     def test_prune_reclaims_only_old_records(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         spec = _cheap_spec()
@@ -255,6 +275,23 @@ class TestDeterminism:
         spec = RunSpec("boom", _always_failing, {})
         with pytest.raises(RuntimeError, match="boom"):
             sweep.run_specs([spec], cache=None)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_failure_names_its_spec_and_keeps_its_cause(self, tmp_path, jobs):
+        """Serial and pooled batches fail alike: one ``SpecFailedError``."""
+        cache = ResultCache(str(tmp_path))
+        specs = [_cheap_spec(50), RunSpec("boom", _always_failing, {}), _cheap_spec(60)]
+        with pytest.raises(sweep.SpecFailedError) as raised:
+            sweep.run_specs(specs, jobs=jobs, cache=cache)
+        error = raised.value
+        assert isinstance(error, RuntimeError) and error.labels == ("boom",)
+        assert str(error) == "experiment 'boom' failed: injected failure"
+        assert isinstance(error.__cause__, ValueError)
+        assert cache.lookup_spec(specs[0])[0]  # completed before the failure: kept
+
+    def test_a_pool_needs_two_distinct_misses_and_more_than_one_job(self):
+        assert [sweep.pool_workers(jobs, misses) for jobs, misses in
+                [(1, 8), (4, 0), (4, 1), (2, 2), (4, 3), (2, 8)]] == [0, 0, 0, 2, 3, 2]
 
     def test_completed_runs_are_persisted_before_a_later_spec_fails(self, tmp_path):
         cache = ResultCache(str(tmp_path))

@@ -16,13 +16,16 @@ in ``tests/harness/golden/family_digests.json``:
 
 Every problem is reported and the highest code wins; exit 2 is left to
 ``argparse``, and a CLI run that itself fails exits 1 with its stderr.  The
-run takes about a minute on two cores, which is why it is a CI step
-(``docs-and-sweep-smoke``) and not part of tier-1; tier-1 tests the
-split/compare logic on canned text (``tests/docs/test_check_families.py``).
+run uses the CLI's own ``--jobs`` default (the CPUs available) unless
+``--jobs N`` is given, and takes about a minute on two cores, which is why
+it is a CI step (``docs-and-sweep-smoke``) and not part of tier-1; tier-1
+tests the split/compare logic on canned text
+(``tests/docs/test_check_families.py``).
 
 Usage::
 
-    python tools/check_families.py --check --jobs 2   # the gate (default mode)
+    python tools/check_families.py --check            # the gate (default mode)
+    python tools/check_families.py --check --jobs 1   # the same, serial path
     python tools/check_families.py --capture          # re-pin after an
                                                       # *intended* change
 """
@@ -37,7 +40,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN_PATH = os.path.join(ROOT, "tests", "harness", "golden", "family_digests.json")
@@ -101,15 +104,16 @@ def compare(golden: Dict[str, str], measured: Dict[str, str]) -> Tuple[int, List
     return EXIT_OK, []
 
 
-def run_all(jobs: int) -> str:
-    """Stdout of ``python -m repro.cli all -q --jobs N`` from an empty cache."""
+def run_all(jobs: Optional[int]) -> str:
+    """Stdout of ``python -m repro.cli all -q [--jobs N]`` from an empty cache."""
     with tempfile.TemporaryDirectory(prefix="check-families-") as cache_dir:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(ROOT, "src")
         env["REPRO_CACHE_DIR"] = cache_dir
         env.pop("REPRO_NO_CACHE", None)
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "all", "-q", "--jobs", str(jobs)],
+            [sys.executable, "-m", "repro.cli", "all", "-q",
+             *([] if jobs is None else ["--jobs", str(jobs)])],
             env=env, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True, check=False,
         )
@@ -128,10 +132,11 @@ def main(argv=None) -> int:
     mode.add_argument("--capture", action="store_true",
                       help="write the current digests to the golden instead "
                            "of comparing against it")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes handed to `repro.cli all`")
+    parser.add_argument("--jobs", type=int, metavar="N",
+                        help="worker processes, forwarded to `repro.cli all` "
+                             "(default: the CLI's own, the CPUs available)")
     args = parser.parse_args(argv)
-    if args.jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         parser.error("--jobs must be >= 1")
 
     try:
