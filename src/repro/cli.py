@@ -14,6 +14,7 @@ Usage::
     python -m repro.cli render --out artifacts # every registered figure ->
                                              #   CSV + Vega-Lite + index.html
     python -m repro.cli render fig16 fig12 --out artifacts
+    python -m repro.cli claims fig14 fig16   # PASS|FAIL per paper claim
     python -m repro.cli shard fattree --shards 4 --seed 2   # partitioned run
     python -m repro.cli shard fattree --shards 2 --reference # + digest diff
 
@@ -73,6 +74,12 @@ them all into ``--out DIR``.  Renders consume the same result cache as
 plain runs, and the written artifacts are byte-identical across cold,
 cached and ``--jobs N`` executions (locked down by
 ``tests/analysis/test_golden.py``).
+
+The ``claims`` subcommand runs the named families (default: every family
+that states one) at the parameters their claims in
+:mod:`repro.harness.claims` are stated at — one batch, same cache and
+workers as any other run — prints each result and one ``PASS|FAIL  family:
+claim`` line per claim, and exits 1 if any claim is false.
 
 See ``docs/experiments.md`` for the catalogue of experiment families, the
 claims they pin and worked invocations.
@@ -193,6 +200,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
     if args.experiments[0] == "sweep":
         return _run_sweep(args.experiments[1:], args.grid, jobs, cache, args.quiet)
+    if args.experiments[0] == "claims":
+        return _run_claims(args.experiments[1:], args.grid, jobs, cache, args.quiet)
     if args.experiments[0] == "shard":
         return _run_shard(
             args.experiments[1:],
@@ -218,10 +227,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         names = list(figures.FAMILIES)
     else:
         names = list(dict.fromkeys(args.experiments))  # a repeated name runs once
-    unknown = [name for name in names if name not in figures.FAMILIES]
-    if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-        _print_catalogue()
+    if _unknown_experiments(names):
         return 2
 
     families = [figures.FAMILIES[name] for name in names]
@@ -232,12 +238,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
 
 
+def _unknown_experiments(names: Sequence[str]) -> List[str]:
+    """The *names* that are no family, reported on stderr with the catalogue."""
+    unknown = [name for name in names if name not in figures.FAMILIES]
+    if unknown:
+        print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
+        _print_catalogue()
+    return unknown
+
+
 def _run_batch(
     entries: List[Tuple[str, Union[sweep.Plan, str]]],
     jobs: int,
     cache,
     quiet: bool,
     failure_hint: Optional[str] = None,
+    judge: Callable[[List[Any]], int] = lambda results: 0,
 ) -> int:
     """Run every plan of *entries* as one batch; print each under its heading.
 
@@ -245,22 +261,24 @@ def _run_batch(
     point that was skipped before any run.  All the plans' specs fan across
     one worker pool (:func:`repro.harness.sweep.run_plans`); a failing spec
     ends the batch with exit 1 and *failure_hint* (default: that completed
-    runs were cached) after the error line.
+    runs were cached) after the error line.  *judge* sees the plans' results
+    once they are printed; what it returns is the exit status.
     """
     plans = [plan for _heading, plan in entries if isinstance(plan, sweep.Plan)]
     batch = _Batch(cache, jobs, quiet)
     try:
-        results = iter(sweep.run_plans(
+        results = sweep.run_plans(
             plans, jobs=jobs, cache=cache,
             on_result=batch.expecting(sum(len(plan.specs) for plan in plans)),
-        ))
+        )
     except (RuntimeError, KeyboardInterrupt) as error:
         return batch.stopped(error, failure_hint)
 
+    printed = iter(results)
     for heading, plan in entries:
         if isinstance(plan, sweep.Plan):
             print(f"\n### {heading}")
-            _print_result(next(results))
+            _print_result(next(printed))
         else:
             print(f"\n### {heading} — skipped: {plan}")
     skipped = len(entries) - len(plans)
@@ -269,8 +287,45 @@ def _run_batch(
             f"\n{skipped} of {len(entries)} grid points skipped "
             f"(incompatible protocol/family combinations)"
         )
+    status = judge(results)
     batch.print_summary()
-    return 0
+    return status
+
+
+def _heading(name: str, params: Mapping[str, Any]) -> str:
+    label = ", ".join(f"{key}={value}" for key, value in params.items()) or "defaults"
+    return f"{name} [{label}]"
+
+
+def _run_claims(
+    names: List[str], grid_args: List[str], jobs: int, cache, quiet: bool
+) -> int:
+    """Run *names* (default: every family) at their claims' parameters; judge each claim."""
+    if grid_args:
+        print("claims takes no --set: each claim names the parameters it is stated at",
+              file=sys.stderr)
+        return 2
+    if _unknown_experiments(names):
+        return 2
+    from repro.harness import claims  # here: ~550 lines no other command evaluates
+
+    selected = [c for c in claims.CLAIMS if not names or c.family in names]
+    for name in names:
+        if name in claims.EXEMPT:
+            print(f"{name} states no claim (EXEMPT in repro/harness/claims.py says why)")
+
+    def judge(results: List[Any]) -> int:
+        print()
+        judged = claims.verdicts(selected, results)
+        for declared, holds in judged:
+            print(f"{'PASS' if holds else 'FAIL'}  {declared.family}: {declared.name}")
+        return 0 if all(holds for _declared, holds in judged) else 1
+
+    return _run_batch(
+        [(_heading(family, params), figures.FAMILIES[family].plan(**params))
+         for family, params in claims.parameter_sets(selected)],
+        jobs, cache, quiet, judge=judge,
+    )
 
 
 def _run_sweep(
@@ -307,8 +362,7 @@ def _run_sweep(
     entries: List[Tuple[str, Union[sweep.Plan, str]]] = []
     for values in itertools.product(*(grid[key] for key in keys)):
         combo = dict(zip(keys, values))
-        label = ", ".join(f"{key}={value}" for key, value in combo.items()) or "defaults"
-        heading = f"{name} [{label}]"
+        heading = _heading(name, combo)
         try:
             entries.append((heading, plan_builder(**combo)))
         except IncompatibleTransportError as error:
@@ -572,6 +626,8 @@ def _print_catalogue() -> None:
           "(--set key=v1,v2)")
     print(f"  {'render':{width}s} write figure artifacts (CSV + Vega-Lite + "
           "index.html) to --out DIR")
+    print(f"  {'claims':{width}s} judge each family's paper claims at the parameters "
+          "they are stated at (PASS|FAIL lines, exit 1 on a FAIL)")
     print(f"  {'shard':{width}s} run a partitioned multi-process simulation "
           "(--shards N, --reference to diff against one process)")
 

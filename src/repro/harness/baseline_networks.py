@@ -20,7 +20,7 @@ from repro.harness.network import Network
 from repro.routing.ecmp import ecmp_path
 from repro.sim.queues import ECNQueue, LosslessQueue
 from repro.topology.base import Topology
-from repro.transports.capabilities import CapabilityError, TransportCapabilities
+from repro.transports.capabilities import CapabilityError
 from repro.transports.dcqcn import DcqcnConfig, DcqcnSink, DcqcnSrc
 from repro.transports.dctcp import DctcpConfig, DctcpSink, DctcpSrc
 from repro.transports.mptcp import MptcpConfig, MptcpConnection
@@ -76,7 +76,6 @@ class TcpNetwork(Network):
 class DctcpNetwork(TcpNetwork):
     """DCTCP over ECN-marking switches."""
 
-    CAPABILITIES = TransportCapabilities(uses_ecn=True)
     CONFIG_CLS = DctcpConfig
     SRC_CLS = DctcpSrc
     SINK_CLS = DctcpSink
@@ -92,7 +91,6 @@ class DctcpNetwork(TcpNetwork):
 class MptcpNetwork(TcpNetwork):
     """MPTCP (LIA) over drop-tail switches, one subflow per path."""
 
-    CAPABILITIES = TransportCapabilities(multipath=True)
     CONFIG_CLS = MptcpConfig
 
     def _endpoints(
@@ -115,7 +113,6 @@ class MptcpNetwork(TcpNetwork):
 class DcqcnNetwork(TcpNetwork):
     """DCQCN over a lossless (PFC) fabric with ECN marking."""
 
-    CAPABILITIES = TransportCapabilities(needs_lossless_fabric=True, uses_ecn=True)
     CONFIG_CLS = DcqcnConfig
     SRC_CLS = DcqcnSrc
     SINK_CLS = DcqcnSink
@@ -158,7 +155,6 @@ class DcqcnNetwork(TcpNetwork):
 class PHostNetwork(Network):
     """pHost over shallow drop-tail switches with per-packet spraying."""
 
-    CAPABILITIES = TransportCapabilities(per_packet_spraying=True, multipath=True)
     CONFIG_CLS = PHostConfig
     #: pHost runs the same tiny buffers as NDP (8 packets)
     BUFFER_PACKETS = 8

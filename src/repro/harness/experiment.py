@@ -2,8 +2,8 @@
 
 Every function takes a :class:`~repro.harness.network.Network` (NDP or a
 baseline) and drives it through one of the paper's workloads,
-returning plain result structures that the per-figure benchmarks format into
-the paper's tables.
+returning plain result structures that the experiment families
+(:mod:`repro.harness.figures`) assemble into the paper's tables.
 
 Public API at a glance:
 

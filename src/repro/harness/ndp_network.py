@@ -24,7 +24,6 @@ from repro.sim.network import PacketSink
 from repro.sim.pool import PacketPool
 from repro.sim.queues import DropTailQueue
 from repro.topology.base import Topology
-from repro.transports.capabilities import TransportCapabilities
 
 
 class NdpNetwork(Network):
@@ -34,9 +33,6 @@ class NdpNetwork(Network):
     :meth:`~repro.harness.network.Network.build` to construct both together.
     """
 
-    CAPABILITIES = TransportCapabilities(
-        supports_trimming=True, per_packet_spraying=True, multipath=True
-    )
     CONFIG_CLS = NdpConfig
     INIT_OPTIONS = ("pacer_factory", "fault_injector")
 

@@ -26,7 +26,6 @@ from repro.sim.eventlist import EventList
 from repro.sim.logger import FlowRecord
 from repro.sim.queues import DropTailQueue
 from repro.topology.base import Topology
-from repro.transports.capabilities import TransportCapabilities
 
 
 @dataclass(slots=True)
@@ -63,8 +62,6 @@ class Flow:
 class Network:
     """Bind one transport's endpoints to a topology (see the module docstring)."""
 
-    #: what the transport needs from — and does to — the fabric (see the registry)
-    CAPABILITIES = TransportCapabilities()
     #: the transport's config dataclass; ``CONFIG_CLS()`` is the default config
     CONFIG_CLS: type
     #: switch output-queue depth in packets, overridable per build with

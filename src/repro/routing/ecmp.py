@@ -2,16 +2,15 @@
 
 The simulator models routing by letting the *sender* attach an explicit
 route to each packet, so "switch ECMP" becomes a deterministic hash of the
-flow identifier over the available paths (per-flow ECMP) or a uniformly
-random choice per packet (per-packet ECMP).  Both reproduce the collision
-behaviour of the real mechanisms without modelling per-switch hash tables.
+flow identifier over the available paths (per-flow ECMP), which reproduces
+the collision behaviour of the real mechanism without modelling per-switch
+hash tables.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.sim.packet import Route
 
@@ -33,55 +32,3 @@ def ecmp_path(paths: Sequence[Route], flow_id: int, salt: int = 0) -> Route:
     if not paths:
         raise ValueError("ecmp_path needs at least one path")
     return paths[flow_hash(flow_id, salt) % len(paths)]
-
-
-class EcmpFlowSelector:
-    """Per-flow ECMP: every flow gets one fixed, hash-chosen path."""
-
-    def __init__(self, paths: Sequence[Route], salt: int = 0) -> None:
-        if not paths:
-            raise ValueError("EcmpFlowSelector needs at least one path")
-        self.paths = list(paths)
-        self.salt = salt
-
-    def path_for_flow(self, flow_id: int) -> Route:
-        """The path assigned to *flow_id* (stable across calls)."""
-        return ecmp_path(self.paths, flow_id, self.salt)
-
-    def update_paths(self, paths: Sequence[Route]) -> None:
-        """Re-hash over a new path set (link failed or recovered).
-
-        Models switches recomputing their ECMP groups: *subsequent* flows
-        hash over the surviving paths, while flows already assigned keep the
-        route they were given — per-flow ECMP does not move live flows,
-        which is exactly the stuck-on-a-dead-path behaviour the paper's
-        failure experiments demonstrate.
-        """
-        if not paths:
-            raise ValueError("EcmpFlowSelector needs at least one path")
-        self.paths = list(paths)
-
-
-class RandomPacketSelector:
-    """Per-packet ECMP: a uniformly random path for every packet."""
-
-    def __init__(self, paths: Sequence[Route], rng: Optional[random.Random] = None) -> None:
-        if not paths:
-            raise ValueError("RandomPacketSelector needs at least one path")
-        self.paths = list(paths)
-        self.rng = rng if rng is not None else random.Random(0)
-
-    def next_route(self) -> Route:
-        """A fresh random path (API-compatible with PathManager)."""
-        return self.rng.choice(self.paths)
-
-    def update_paths(self, paths: Sequence[Route]) -> None:
-        """Re-draw over a new path set (link failed or recovered).
-
-        The RNG stream is left untouched, so two selectors with identical
-        seeds that receive identical update sequences keep making identical
-        choices — the determinism contract of every seeded component.
-        """
-        if not paths:
-            raise ValueError("RandomPacketSelector needs at least one path")
-        self.paths = list(paths)

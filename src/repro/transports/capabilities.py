@@ -1,12 +1,12 @@
 """Capability flags transports advertise and experiment families consume.
 
-This tiny module exists so that both the network builders
-(:mod:`repro.harness.baseline_networks`, :mod:`repro.harness.ndp_network`)
-and the transport registry (:mod:`repro.transports.registry`) can share the
-capability vocabulary without importing each other: builders *declare* a
-:class:`TransportCapabilities` on the class, families *declare* a
-:class:`FamilyTraits` describing what they do to the fabric, and the
-registry decides whether a (transport, family) grid point is runnable.
+This tiny module holds the capability vocabulary apart from the simulator:
+a transport's registration (:mod:`repro.transports.registry`) *declares* its
+:class:`TransportCapabilities`, families *declare* a :class:`FamilyTraits`
+describing what they do to the fabric, and the registry decides whether a
+(transport, family) grid point is runnable — without importing a network
+class.  The network builders (:mod:`repro.harness.baseline_networks`) raise
+its :class:`CapabilityError`.
 
 ``CapabilityError`` is the hard failure for a *mis-wired build* (e.g. DCQCN
 endpoints on a fabric whose switch ports cannot pause) — it means the

@@ -2,11 +2,12 @@
 
 This module is the single place where a protocol *name* is bound to the
 machinery that runs it — the :class:`~repro.harness.network.Network`
-subclass, whose ``CAPABILITIES`` and ``CONFIG_CLS`` the spec reads, and an
-optional config factory for named variants (e.g. NDP with the path penalty
-disabled).  Everything above this layer — ``harness/figures.py`` plan
-builders, the sweep CLI, the examples, the perf benchmarks — resolves
-protocols through :func:`resolve` / :func:`build_network` instead of keeping
+subclass (whose ``CONFIG_CLS`` the spec reads), what the transport needs
+from the fabric, and an optional config factory for named variants (e.g.
+NDP with the path penalty disabled).  Everything above this layer —
+``harness/figures.py`` plan builders, the sweep CLI, the examples, the perf
+benchmarks — resolves protocols through :func:`resolve` /
+:func:`build_network` instead of keeping
 private ``{"NDP": NdpNetwork, ...}`` dicts, which is what lets any
 experiment family accept ``--set protocol=ndp,dctcp,dcqcn,phost,mptcp,tcp``.
 
@@ -127,17 +128,16 @@ class TransportSpec:
     #: the :class:`~repro.harness.network.Network` subclass that runs it,
     #: given as the class or as its ``"module:Class"`` path (see above)
     network_cls: Type[Network] = _NetworkClass()
+    #: what the transport needs from — and does to — the fabric.  Declared
+    #: here and nowhere else, so that asking (``require_compatible`` under a
+    #: link-severing family) imports no network class
+    capabilities: TransportCapabilities = TransportCapabilities()
     #: builds the default config for named variants; ``None`` means the
     #: network class's own ``CONFIG_CLS()``
     config_factory: Optional[Callable[[], object]] = None
     #: short id of the primary transport this is a variant of, if any
     variant_of: Optional[str] = None
     description: str = ""
-
-    @property
-    def capabilities(self) -> TransportCapabilities:
-        """What the transport needs from the fabric, as its class declares."""
-        return self.network_cls.CAPABILITIES
 
     def default_config(self) -> object:
         """The config this spec runs with when the caller passes none."""
@@ -275,11 +275,15 @@ def _ndp_without_path_penalty():
 
 def _register_builtins() -> None:
     ndp = "repro.harness.ndp_network:NdpNetwork"
+    ndp_capabilities = TransportCapabilities(
+        supports_trimming=True, per_packet_spraying=True, multipath=True
+    )
     baselines = "repro.harness.baseline_networks"
     register(TransportSpec(
         name="ndp",
         display=NDP,
         network_cls=ndp,
+        capabilities=ndp_capabilities,
         description="NDP: packet trimming, per-packet spraying, pull pacing (§3).",
     ))
     register(TransportSpec(
@@ -292,30 +296,35 @@ def _register_builtins() -> None:
         name="dctcp",
         display=DCTCP,
         network_cls=f"{baselines}:DctcpNetwork",
+        capabilities=TransportCapabilities(uses_ecn=True),
         description="DCTCP over ECN-marking switches (30-packet threshold).",
     ))
     register(TransportSpec(
         name="mptcp",
         display=MPTCP,
         network_cls=f"{baselines}:MptcpNetwork",
+        capabilities=TransportCapabilities(multipath=True),
         description="MPTCP (LIA), one subflow per ECMP path.",
     ))
     register(TransportSpec(
         name="dcqcn",
         display=DCQCN,
         network_cls=f"{baselines}:DcqcnNetwork",
+        capabilities=TransportCapabilities(needs_lossless_fabric=True, uses_ecn=True),
         description="DCQCN over a lossless PFC fabric with ECN marking.",
     ))
     register(TransportSpec(
         name="phost",
         display=PHOST,
         network_cls=f"{baselines}:PHostNetwork",
+        capabilities=TransportCapabilities(per_packet_spraying=True, multipath=True),
         description="pHost: receiver-driven tokens over shallow buffers.",
     ))
     register(TransportSpec(
         name="ndp_nopenalty",
         display=NDP_NO_PATH_PENALTY,
         network_cls=ndp,
+        capabilities=ndp_capabilities,
         config_factory=_ndp_without_path_penalty,
         variant_of="ndp",
         description="NDP with the trimming path penalty disabled (Figure 22).",

@@ -11,7 +11,7 @@ import pytest
 
 import repro
 from repro import cli
-from repro.harness import figures, sweep
+from repro.harness import claims, figures, sweep
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -34,6 +34,7 @@ class TestCatalogue:
         for declared in figures.FAMILIES.values():
             assert f"  {declared.name:{width}s} {declared.description}\n" in out
         assert f"  {'sweep':{width}s} run one experiment" in out
+        assert f"  {'claims':{width}s} judge each family's paper claims" in out
 
     def test_no_arguments_means_list(self, capsys):
         assert cli.main([]) == 0
@@ -312,11 +313,62 @@ class TestClosedPipe:
         assert stderr == b""
 
 
+_FORCE_THE_FIRST_FIG12_CLAIM_FALSE = """
+import sys
+from repro import cli
+from repro.harness import claims
+first = next(i for i, declared in enumerate(claims.CLAIMS) if declared.family == "fig12")
+claims.CLAIMS[first] = claims.CLAIMS[first]._replace(holds=lambda result: False)
+raise SystemExit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestClaims:
+    """``claims`` through the real CLI, in a child process."""
+
+    FIG12 = [declared.name for declared in claims.CLAIMS if declared.family == "fig12"]
+
+    @staticmethod
+    def _claims(tmp_path, *argv, launch=("-m", "repro.cli")):
+        done = subprocess.run(
+            [sys.executable, *launch, "claims", *argv], env=_child_env(tmp_path / "cache"),
+            capture_output=True, text=True, timeout=120,
+        )
+        verdicts = [l for l in done.stdout.splitlines() if l.startswith(("PASS", "FAIL"))]
+        return done, verdicts
+
+    def test_claims_that_hold_print_pass_and_exit_0(self, tmp_path):
+        done, verdicts = self._claims(tmp_path, "fig12", "-q")
+        assert done.returncode == 0
+        assert "### fig12 [samples=20000]" in done.stdout
+        assert verdicts == [f"PASS  fig12: {name}" for name in self.FIG12]
+
+    def test_a_false_claim_is_named_and_exits_1(self, tmp_path):
+        done, verdicts = self._claims(
+            tmp_path, "fig12", "-q", launch=("-c", _FORCE_THE_FIRST_FIG12_CLAIM_FALSE))
+        assert done.returncode == 1
+        assert verdicts == [f"FAIL  fig12: {self.FIG12[0]}"] + [
+            f"PASS  fig12: {name}" for name in self.FIG12[1:]]
+
+    def test_an_unknown_family_exits_2_with_the_catalogue(self, tmp_path):
+        done, verdicts = self._claims(tmp_path, "nosuch")
+        assert done.returncode == 2 and not verdicts
+        assert "unknown experiment(s): nosuch" in done.stderr
+        assert "available experiments:" in done.stdout
+
+    def test_set_is_refused(self, tmp_path):
+        done, verdicts = self._claims(tmp_path, "fig12", "--set", "samples=10")
+        assert done.returncode == 2 and not verdicts
+        assert "claims takes no --set" in done.stderr
+
+
 # what building, keying, reading, assembling, printing and rendering a cached
-# plan may not load: the unit runs, the engine beneath them, and the
-# process-pool machinery only a parallel run uses
+# plan may not load: the unit runs, the engine beneath them, the claims table
+# (~550 lines only `claims` evaluates) and the process-pool machinery only a
+# parallel run uses
 _ENGINE = (
     "repro.harness.unit_runs", "repro.harness.network", "repro.harness.experiment",
+    "repro.harness.claims",
     "repro.sim.eventlist", "repro.core", "repro.topology", "repro.workloads",
     "multiprocessing", "concurrent.futures",
 )
@@ -367,6 +419,14 @@ class TestImportBudget:
         cold = self._cli_child(["fig12", "--no-cache", "-q"], cache_dir)
         assert {"repro.harness.unit_runs", "repro.sim.eventlist"} <= set(cold["engine"])
         assert _rows(cold["out"]) == _rows(hit["out"]) == _rows(fill["out"])
+
+    def test_a_cached_link_severing_family_loads_no_engine(self, tmp_path):
+        """Its plan asks the registry whether each transport needs a lossless fabric."""
+        argv = ["failures_klinks", "--set", "flow_bytes=45000", "--jobs", "1", "-q"]
+        assert "repro.harness.unit_runs" in self._cli_child(argv, tmp_path)["engine"]
+        hit = self._cli_child(argv, tmp_path)
+        assert "2 from cache, 0 simulated" in hit["out"]
+        assert hit["engine"] == []
 
     def test_only_a_run_with_two_misses_loads_the_pool_machinery(self, tmp_path):
         """At the default ``--jobs``, whatever the host's CPU count."""

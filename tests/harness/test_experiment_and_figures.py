@@ -122,30 +122,6 @@ class TestFigureGenerators:
         for name in ("failures_degraded", "failures_recovery", "failures_klinks"):
             assert name in figures.FAMILIES
 
-    def test_failures_degraded_ndp_beats_per_flow_ecmp(self):
-        rows = figures.run(
-            "failures_degraded",
-            flow_bytes=200_000, cases=["NDP", "TCP"],
-            timeout_ps=units.milliseconds(40),
-        )
-        by_case = {row["case"]: row for row in rows}
-        assert by_case["NDP"]["completed"] == by_case["NDP"]["flows"]
-        # the degraded core stretches the ECMP control's tail well past NDP's
-        assert by_case["TCP"]["max_us"] > 2 * by_case["NDP"]["max_us"]
-
     def test_failures_klinks_validates_partitioning_grid(self):
         with pytest.raises(ValueError, match="links_down must be"):
             figures.failures_klinks_plan(links_down=4, k=4)
-
-    def test_failures_recovery_timeline_records_link_events(self):
-        result = figures.run(
-            "failures_recovery",
-            flow_bytes=500_000,
-            duration_ps=units.milliseconds(4),
-            protocols=["NDP"],
-        )
-        ndp = result["NDP"]
-        assert ndp["completed"] == ndp["flows"]
-        kinds = [event.split(" ")[1] for event in ndp["link_events"]]
-        assert kinds == ["fail", "fail", "recover", "recover"]
-        assert len(ndp["goodput"]) > 0

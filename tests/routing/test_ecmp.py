@@ -1,14 +1,10 @@
 """Coverage for :mod:`repro.routing.ecmp`.
 
-Three properties matter to the experiments built on these selectors:
-
-* :func:`~repro.routing.ecmp.flow_hash` must spread flow ids *uniformly*
-  over the path set for any salt — Python's identity hash of ints would
-  assign consecutive flows to consecutive paths and hide ECMP collisions;
-* selections must be deterministic for a given seed/salt, including across
-  a mid-run path-set update (the fabric-dynamics contract);
-* updating the path set must actually re-hash: flows map onto the
-  surviving paths only, while an unchanged set keeps every assignment.
+What matters to the experiments built on per-flow ECMP:
+:func:`~repro.routing.ecmp.flow_hash` must spread flow ids *uniformly* over
+the path set for any salt — Python's identity hash of ints would assign
+consecutive flows to consecutive paths and hide ECMP collisions — and a
+selection must be deterministic for a given salt.
 """
 
 from __future__ import annotations
@@ -16,14 +12,8 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
-import random
 
-from repro.routing.ecmp import (
-    EcmpFlowSelector,
-    RandomPacketSelector,
-    ecmp_path,
-    flow_hash,
-)
+from repro.routing.ecmp import ecmp_path, flow_hash
 from repro.sim.packet import Route
 
 
@@ -96,72 +86,3 @@ class TestEcmpPath:
         for flow_id in range(32):
             chosen = ecmp_path(paths, flow_id)
             assert chosen.path_id == flow_hash(flow_id) % 8
-
-
-class TestEcmpFlowSelector:
-    def test_stable_assignment(self):
-        selector = EcmpFlowSelector(make_paths(4))
-        first = [selector.path_for_flow(f).path_id for f in range(64)]
-        second = [selector.path_for_flow(f).path_id for f in range(64)]
-        assert first == second
-
-    def test_update_paths_rehashes_over_survivors(self):
-        paths = make_paths(4)
-        selector = EcmpFlowSelector(paths)
-        survivors = [p for p in paths if p.path_id != 2]
-        selector.update_paths(survivors)
-        assigned = {selector.path_for_flow(f).path_id for f in range(256)}
-        assert assigned == {0, 1, 3}
-
-    def test_update_paths_identical_set_keeps_assignments(self):
-        paths = make_paths(4)
-        selector = EcmpFlowSelector(paths)
-        before = [selector.path_for_flow(f).path_id for f in range(64)]
-        selector.update_paths(list(paths))
-        assert [selector.path_for_flow(f).path_id for f in range(64)] == before
-
-    def test_update_paths_rejects_empty(self):
-        selector = EcmpFlowSelector(make_paths(2))
-        with pytest.raises(ValueError):
-            selector.update_paths([])
-
-    def test_determinism_across_seeds_after_update(self):
-        """Two identically-constructed selectors stay in lockstep through updates."""
-        def drive(salt: int):
-            paths = make_paths(8)
-            selector = EcmpFlowSelector(paths, salt=salt)
-            trace = [selector.path_for_flow(f).path_id for f in range(32)]
-            selector.update_paths([p for p in paths if p.path_id not in (1, 5)])
-            trace += [selector.path_for_flow(f).path_id for f in range(32)]
-            selector.update_paths(paths)
-            trace += [selector.path_for_flow(f).path_id for f in range(32)]
-            return trace
-
-        assert drive(3) == drive(3)
-        assert drive(3) != drive(4)  # the salt matters
-
-
-class TestRandomPacketSelector:
-    def test_determinism_across_identical_seeds_after_update(self):
-        def drive():
-            paths = make_paths(8)
-            selector = RandomPacketSelector(paths, rng=random.Random(99))
-            trace = [selector.next_route().path_id for _ in range(32)]
-            selector.update_paths([p for p in paths if p.path_id != 3])
-            trace += [selector.next_route().path_id for _ in range(32)]
-            selector.update_paths(paths)
-            trace += [selector.next_route().path_id for _ in range(32)]
-            return trace
-
-        assert drive() == drive()
-
-    def test_update_paths_excludes_dead_path(self):
-        paths = make_paths(4)
-        selector = RandomPacketSelector(paths, rng=random.Random(1))
-        selector.update_paths([p for p in paths if p.path_id != 0])
-        assert all(selector.next_route().path_id != 0 for _ in range(128))
-
-    def test_update_paths_rejects_empty(self):
-        selector = RandomPacketSelector(make_paths(2))
-        with pytest.raises(ValueError):
-            selector.update_paths([])

@@ -26,6 +26,19 @@ class TestShardSubcommand:
         assert code == 0
         assert "reference digest matches" in out
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "parity holds unless two boundary packets reach one element in the same "
+        "picosecond: ~13 of 14 scenario seeds at k=8 (known bad: 5, 22, 36, 46, 48, "
+        "89); docs/architecture.md, 'Sharded simulation'"
+    ))
+    def test_reference_digest_matches_on_a_known_bad_seed(self, capsys) -> None:
+        """The hole in the parity guarantee, executable: ``DIGEST MISMATCH``, exit 1."""
+        code = cli.main([
+            "shard", "fattree", "--shards", "2", "--seed", "5", "--set", "k=8",
+            "--set", "flows_per_pod=16", "--set", "flow_size_bytes=900000", "--reference",
+        ])
+        assert code == 0
+
     def test_unknown_scenario_is_usage_error(self, capsys) -> None:
         code = cli.main(["shard", "nonsense"])
         err = capsys.readouterr().err

@@ -14,7 +14,7 @@ from repro.hosts.processing import (
     PullSpacingJitter,
     RpcStackModel,
 )
-from repro.routing import EcmpFlowSelector, RandomPacketSelector, ecmp_path, flow_hash
+from repro.routing import ecmp_path, flow_hash
 from repro.sim import units
 from repro.sim.eventlist import EventList
 from repro.sim.network import CountingSink
@@ -233,23 +233,3 @@ class TestRouting:
         assert ecmp_path(routes, 42).path_id == ecmp_path(routes, 42).path_id
         with pytest.raises(ValueError):
             ecmp_path([], 1)
-
-    def test_flow_selector_collisions_exist(self):
-        routes = self._routes(4)
-        selector = EcmpFlowSelector(routes)
-        chosen = [selector.path_for_flow(i).path_id for i in range(32)]
-        # with 32 flows over 4 paths there must be collisions (pigeonhole)
-        assert len(set(chosen)) <= 4
-        assert max(chosen.count(p) for p in set(chosen)) >= 8 - 4
-
-    def test_random_packet_selector_uses_all_paths(self):
-        routes = self._routes(4)
-        selector = RandomPacketSelector(routes, rng=random.Random(9))
-        used = {selector.next_route().path_id for _ in range(200)}
-        assert used == {0, 1, 2, 3}
-
-    def test_selector_validation(self):
-        with pytest.raises(ValueError):
-            EcmpFlowSelector([])
-        with pytest.raises(ValueError):
-            RandomPacketSelector([])

@@ -28,8 +28,13 @@ _SPECS = registry.specs(include_variants=True)
 
 
 @pytest.fixture(params=_SPECS, ids=lambda s: s.name)
-def network(request):
-    return request.param.build(EventList(), SingleSwitchTopology, seed=5, hosts=4)
+def spec(request):
+    return request.param
+
+
+@pytest.fixture
+def network(spec):
+    return spec.build(EventList(), SingleSwitchTopology, seed=5, hosts=4)
 
 
 def _sources(flow):
@@ -124,7 +129,7 @@ def _timers(endpoint, seen):
             pending.extend(value)
 
 
-def test_a_finished_flow_holds_no_armed_timer(network):
+def test_a_finished_flow_holds_no_armed_timer(network, spec):
     flows = [network.create_flow(src, 0, 60_000) for src in (1, 2, 3)]
     _settle(network, flows)
     held = 0
@@ -136,7 +141,7 @@ def test_a_finished_flow_holds_no_armed_timer(network):
                 held += 1
                 assert not timer.armed, (flow.flow_id, timer)
     # NDP drops its timers on release; every other transport keeps idle ones
-    assert held or network.CAPABILITIES.supports_trimming
+    assert held or spec.capabilities.supports_trimming
 
 
 def test_each_lifecycle_mechanism_exists_once():

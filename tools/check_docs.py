@@ -29,7 +29,7 @@ import sys
 from typing import List
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "node_modules", ".benchmarks"}
+SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "node_modules"}
 # (?<!!) skips image embeds: retrieved paper dumps (PAPERS.md) reference
 # figure bitmaps that are intentionally not vendored into the repo
 LINK_RE = re.compile(r"(?<!!)\[[^\]]*\]\(([^)\s]+)\)")

@@ -49,7 +49,7 @@ import sys
 from typing import List
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "node_modules", ".benchmarks"}
+SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "node_modules"}
 #: directories scanned for protocol-name literals
 SCAN_DIRS = ("src", "examples", "benchmarks", "tools")
 #: the sanctioned home of the literals, relative to the repo root
