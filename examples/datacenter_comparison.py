@@ -14,8 +14,9 @@ Run with::
 import random
 
 from repro.harness import experiment
-from repro.sim import EventList, units
-from repro.topology import FatTreeTopology
+from repro.sim import units
+from repro.sim.eventlist import EventList
+from repro.topology.fattree import FatTreeTopology
 from repro.transports import registry
 
 PROTOCOLS = (registry.NDP, registry.MPTCP, registry.DCTCP, registry.DCQCN)

@@ -22,8 +22,9 @@ import random
 from repro.core.config import NdpConfig
 from repro.harness import experiment
 from repro.harness.ndp_network import NdpNetwork
-from repro.sim import EventList, units
-from repro.topology import FatTreeTopology
+from repro.sim import units
+from repro.sim.eventlist import EventList
+from repro.topology.fattree import FatTreeTopology
 
 
 def run_case(label: str, degrade: bool, path_penalty: bool) -> None:

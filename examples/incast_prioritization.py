@@ -17,9 +17,11 @@ Run with::
     python examples/incast_prioritization.py
 """
 
-from repro.harness import NdpNetwork, metrics
-from repro.sim import EventList, units
-from repro.topology import SingleSwitchTopology
+from repro.harness import metrics
+from repro.harness.ndp_network import NdpNetwork
+from repro.sim import units
+from repro.sim.eventlist import EventList
+from repro.topology.simple import SingleSwitchTopology
 
 SENDERS = 32
 RESPONSE_BYTES = 450_000

@@ -12,10 +12,11 @@ Run with::
 """
 
 from repro.core.packets import NdpDataPacket
-from repro.harness import NdpNetwork
-from repro.sim import EventList, units
-from repro.topology import FatTreeTopology
-from repro.wire import encode_header, header_from_packet
+from repro.harness.ndp_network import NdpNetwork
+from repro.sim import units
+from repro.sim.eventlist import EventList
+from repro.topology.fattree import FatTreeTopology
+from repro.wire.codec import encode_header, header_from_packet
 
 
 def main() -> None:

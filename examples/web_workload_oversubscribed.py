@@ -19,8 +19,9 @@ import random
 
 from repro.core.config import NdpConfig
 from repro.harness import metrics
-from repro.sim import EventList, units
-from repro.topology import FatTreeTopology
+from repro.sim import units
+from repro.sim.eventlist import EventList
+from repro.topology.fattree import FatTreeTopology
 from repro.transports import registry
 from repro.workloads.flowsize import FacebookWebFlowSizes
 from repro.workloads.generators import ClosedLoopGenerator

@@ -18,11 +18,15 @@ The package is organised as follows:
 * :mod:`repro.wire` — the NDP wire format codec.
 * :mod:`repro.harness` — experiment builders and metrics.
 
+A package ``__init__`` is documentation only: every name is imported from the
+module that defines it.
+
 Quickstart::
 
-    from repro.sim import EventList, units
-    from repro.harness import NdpNetwork
-    from repro.topology import FatTreeTopology
+    from repro.sim import units
+    from repro.sim.eventlist import EventList
+    from repro.harness.ndp_network import NdpNetwork
+    from repro.topology.fattree import FatTreeTopology
 
     eventlist = EventList()
     network = NdpNetwork.build(eventlist, FatTreeTopology, k=4)
@@ -30,7 +34,3 @@ Quickstart::
     eventlist.run(until=units.milliseconds(10))
     print(flow.record.completion_time_ps() / units.MICROSECOND, "us")
 """
-
-__version__ = "1.0.0"
-
-__all__ = ["__version__"]

@@ -18,29 +18,3 @@ This package implements the three tightly coupled mechanisms of NDP
 The public entry points are :class:`NdpSrc`, :class:`NdpSink`,
 :class:`NdpPullPacer`, :class:`NdpSwitchQueue` and :class:`NdpConfig`.
 """
-
-from repro.core.config import NdpConfig
-from repro.core.packets import (
-    NdpAck,
-    NdpDataPacket,
-    NdpNack,
-    NdpPull,
-)
-from repro.core.path_manager import PathManager
-from repro.core.pull_queue import NdpPullPacer
-from repro.core.receiver import NdpSink
-from repro.core.sender import NdpSrc
-from repro.core.switch import NdpSwitchQueue
-
-__all__ = [
-    "NdpConfig",
-    "NdpDataPacket",
-    "NdpAck",
-    "NdpNack",
-    "NdpPull",
-    "PathManager",
-    "NdpPullPacer",
-    "NdpSink",
-    "NdpSrc",
-    "NdpSwitchQueue",
-]

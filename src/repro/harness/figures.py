@@ -770,7 +770,7 @@ def figure22_plan(
     cases = _protocols(
         cases, protocol,
         (registry.NDP, registry.NDP_NO_PATH_PENALTY, registry.MPTCP, registry.DCTCP),
-        FamilyTraits(family="fig22", mutates_link_rates=True),
+        FamilyTraits(family="fig22"),
     )
     return _per_protocol(
         "fig22", "_permutation_throughput", cases,
@@ -945,7 +945,7 @@ def failures_degraded_plan(
     """
     cases = _protocols(
         cases, protocol, _FAILURE_DEFAULT_CASES,
-        FamilyTraits(family="failures_degraded", mutates_link_rates=True),
+        FamilyTraits(family="failures_degraded"),
     )
     return _plan(
         "failures_degraded", "_permutation_fcts",

@@ -258,9 +258,9 @@ def binned_slowdown_summary(
         value = flow_slowdown(record, link_rate_bps, mtu_bytes, header_bytes, base_rtt_ps)
         by_bin[slowdown_bin(record.flow_size_bytes, bins)].append(value)
         everything.append(value)
-    summary = {"all": _slowdown_stats(everything)}
+    summary = {"all": population_stats(everything)}
     for label, _upper in bins:
-        summary[label] = _slowdown_stats(by_bin[label])
+        summary[label] = population_stats(by_bin[label])
     return summary
 
 
@@ -270,11 +270,6 @@ def population_stats(values: Sequence[float]) -> dict:
     The reporting block shared by the slowdown, CCT and request-latency
     summaries — ``{"count": 0}`` for an empty population.
     """
-    return _slowdown_stats(values)
-
-
-def _slowdown_stats(values: Sequence[float]) -> dict:
-    """count/p50/p99/p999/mean/max of one slowdown population (0-safe)."""
     if not values:
         return {"count": 0}
     ordered = sorted(values)  # one sort serves all three percentiles
@@ -315,9 +310,9 @@ def binned_cct_summary(
     for total_bytes, cct in sized_ccts:
         by_bin[slowdown_bin(total_bytes, bins)].append(cct)
         everything.append(cct)
-    summary = {"all": _slowdown_stats(everything)}
+    summary = {"all": population_stats(everything)}
     for label, _upper in bins:
-        summary[label] = _slowdown_stats(by_bin[label])
+        summary[label] = population_stats(by_bin[label])
     return summary
 
 

@@ -82,7 +82,6 @@ __all__ = [
     "SHARD_SCENARIOS",
     "run_sharded",
     "run_reference",
-    "run_shard_experiment",
     "digest_entries",
     "merge_digest",
 ]
@@ -751,27 +750,6 @@ class ShardRunResult:
             return 0.0
         return self.events_executed / self.wall_seconds
 
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "num_shards": self.num_shards,
-            "seed": self.seed,
-            "digest": self.digest,
-            "per_shard_digests": list(self.per_shard_digests),
-            "windows": self.windows,
-            "lookahead_ps": self.lookahead_ps,
-            "events_executed": self.events_executed,
-            "wall_seconds": round(self.wall_seconds, 4),
-            "events_per_second": round(self.events_per_second, 1),
-            "busy_seconds": [round(b, 4) for b in self.busy_seconds],
-            "completed_flows": self.completed_flows,
-            "total_flows": self.total_flows,
-            "final_time_ps": self.final_time_ps,
-            "peak_pending_events": self.peak_pending_events,
-            "boundary_packets": self.boundary_packets,
-            "slowdown_summary": self.slowdown_summary,
-        }
-
 
 def _recv_checked(
     conn: Connection,
@@ -976,21 +954,3 @@ def run_reference(
             break  # nothing left before the horizon
     digest = merge_digest([digest_entries(scn.network, scn.partition, None)])
     return digest, scn
-
-
-# ---------------------------------------------------------------------------
-# Sweep integration
-# ---------------------------------------------------------------------------
-
-def run_shard_experiment(
-    scenario: str, num_shards: int, seed: int = 1, **scenario_kwargs: Any
-) -> dict:
-    """Module-level sweep entry point (``RunSpec.fn``-compatible).
-
-    Returns the codec-friendly ``ShardRunResult.as_dict()`` so sharded runs
-    participate in the persistent result cache like any other experiment.
-    """
-    result = run_sharded(
-        scenario, num_shards, seed=seed, scenario_kwargs=scenario_kwargs or None
-    )
-    return result.as_dict()

@@ -39,13 +39,10 @@ from repro.hosts.processing import (
 from repro.sim import units
 from repro.sim.eventlist import EventList
 from repro.sim.logger import RateEstimator, TimeSeriesSampler
-from repro.topology import (
-    BackToBackTopology,
-    FabricController,
-    FatTreeTopology,
-    LeafSpineTopology,
-    SingleSwitchTopology,
-)
+from repro.topology.dynamics import FabricController
+from repro.topology.fattree import FatTreeTopology
+from repro.topology.leafspine import LeafSpineTopology
+from repro.topology.simple import BackToBackTopology, SingleSwitchTopology
 from repro.transports import registry
 from repro.transports.constant_rate import ConstantRateSink, ConstantRateSource
 from repro.workloads.flowsize import (

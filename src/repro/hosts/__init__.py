@@ -13,17 +13,3 @@ figures (8, 11, 12, 13) can be regenerated in simulation:
   pull spacing (Figure 12), and :class:`JitteredPullPacer`, a drop-in pull
   pacer that replays it (Figures 11 and 13).
 """
-
-from repro.hosts.processing import (
-    HostProcessingModel,
-    JitteredPullPacer,
-    PullSpacingJitter,
-    RpcStackModel,
-)
-
-__all__ = [
-    "HostProcessingModel",
-    "RpcStackModel",
-    "PullSpacingJitter",
-    "JitteredPullPacer",
-]

@@ -8,7 +8,3 @@ ECMP — what single-path TCP/DCTCP/DCQCN get from commodity switches: one
 hash-chosen path per flow, so two long flows can collide on a core link (the
 40% throughput loss cited in §2.2).
 """
-
-from repro.routing.ecmp import ecmp_path, flow_hash
-
-__all__ = ["ecmp_path", "flow_hash"]

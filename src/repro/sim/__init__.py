@@ -19,39 +19,3 @@ delay).  Packets carry an explicit route — an ordered list of sinks — chosen
 by the sending host, which is what lets NDP do per-packet source-routed
 multipath forwarding.
 """
-
-from repro._lazy import lazy_exports
-
-# exported name -> defining module, imported on first use: ``repro.sim.units``
-# alone costs neither the event list nor the queues
-_EXPORTS = {
-    "EventList": "repro.sim.eventlist",
-    "Event": "repro.sim.eventlist",
-    "Timer": "repro.sim.eventlist",
-    "Packet": "repro.sim.packet",
-    "Route": "repro.sim.packet",
-    "PacketPriority": "repro.sim.packet",
-    "DataPacket": "repro.sim.packet",
-    "ControlPacket": "repro.sim.packet",
-    "PacketSink": "repro.sim.network",
-    "NetworkEndpoint": "repro.sim.network",
-    "FlowSource": "repro.sim.network",
-    "FlowSink": "repro.sim.network",
-    "Pipe": "repro.sim.pipe",
-    "TappedPipe": "repro.sim.pipe",
-    "FaultInjector": "repro.sim.faults",
-    "FaultPoint": "repro.sim.faults",
-    "FaultRule": "repro.sim.faults",
-    "BaseQueue": "repro.sim.queues",
-    "DropTailQueue": "repro.sim.queues",
-    "ECNQueue": "repro.sim.queues",
-    "LosslessQueue": "repro.sim.queues",
-    "TappedQueue": "repro.sim.queues",
-    "PAUSE_THRESHOLD_FRACTION": "repro.sim.queues",
-    "RESUME_THRESHOLD_FRACTION": "repro.sim.queues",
-    "QueueStats": "repro.sim.logger",
-    "FlowRecord": "repro.sim.logger",
-    "TimeSeriesSampler": "repro.sim.logger",
-    "units": "repro.sim.units",
-}
-__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -36,7 +36,7 @@ entries and Python refuses to order a list against a tuple.
 
 The ``obj``/``gen`` slots are overloaded by entry kind:
 
-* **cancellable entries** (``obj`` is an :class:`Event` or :class:`Timer`)
+* **timer entries** (``obj`` is a :class:`Timer`, the one cancellable kind)
   use ``gen`` as the generation stamp — a cancelled or re-armed entry is
   recognised by a generation mismatch and skipped.  When cancelled entries
   pile up, the scheduler eagerly evicts them (:meth:`EventList._compact`)
@@ -53,10 +53,10 @@ The ``obj``/``gen`` slots are overloaded by entry kind:
 ``BaseQueue._start_service``.  It is hand-inlined in exactly two places, both
 inside the queue drain loop ``BaseQueue._complete_service`` (the fused pipe
 delivery and the next completion), which issue 55-88 % of all inserts on the
-measured workloads; docs/architecture.md carries the traffic table.  Use
-:meth:`EventList.schedule_raw` / :meth:`EventList.schedule_raw_in` to enqueue
-a bare callback without allocating an :class:`Event` handle, and the classic
-:meth:`EventList.schedule` whenever the caller may need to cancel.
+measured workloads; docs/architecture.md carries the traffic table.
+:meth:`EventList.schedule` and :meth:`EventList.schedule_raw` file the same
+raw entry (``*args`` against an argument tuple); a caller that may need to
+cancel holds a :class:`Timer`.
 
 While a batch drains, :attr:`EventList._cur_pos` / :attr:`EventList._spill_pos`
 are published *before every callback* and :attr:`EventList._ff_bound` folds
@@ -147,52 +147,13 @@ def _fmt_args(args: tuple) -> str:
     return ", ".join(parts)
 
 
-class Event:
-    """A scheduled callback.
-
-    Events are returned by :meth:`EventList.schedule` so callers can cancel
-    them (for example a retransmission timer that is no longer needed).
-    Cancellation is O(1); the scheduler evicts cancelled entries eagerly once
-    enough of them accumulate.
-    """
-
-    __slots__ = ("time", "callback", "args", "cancelled", "_gen", "_eventlist")
-
-    def __init__(
-        self,
-        time: int,
-        callback: Callable[..., Any],
-        args: tuple,
-        eventlist: Optional["EventList"] = None,
-    ):
-        self.time = time
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self._gen = 0
-        self._eventlist = eventlist
-
-    def cancel(self) -> None:
-        """Prevent the callback from running (no-op if it already ran)."""
-        if self._gen == 0:  # still pending (execution bumps the generation)
-            self.cancelled = True
-            self._gen = 1
-            if self._eventlist is not None:
-                self._eventlist._note_stale()
-
-    def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else ("done" if self._gen else "pending")
-        name = getattr(self.callback, "__name__", None) or repr(self.callback)
-        return f"Event(t={self.time}, {name}({_fmt_args(self.args)}), {state})"
-
-
 class Timer:
     """A reusable, cancellable one-shot timer.
 
-    Unlike :class:`Event`, a timer is allocated once and re-armed many
-    times — re-arming or cancelling never allocates and never leaves more
-    than a generation-stamped tombstone behind (evicted eagerly by the
-    scheduler).  This is the primitive behind the senders' RTO management:
+    A timer is allocated once and re-armed many times — re-arming or
+    cancelling never allocates and never leaves more than a
+    generation-stamped tombstone behind (evicted eagerly by the scheduler).
+    This is the primitive behind the senders' RTO management:
     arming a retransmission timer per packet used to push one heap entry per
     packet that lingered until it surfaced; a :class:`Timer` per sequence
     number keeps exactly one live entry and cancels in O(1).
@@ -263,7 +224,7 @@ class Timer:
 
 #: entry layout shared by all tiers: ``[when, seq, obj, gen, callback, arg]``
 #: (a recycled six-slot list; see the module docstring for the obj/gen
-#: overloading between cancellable and raw entries)
+#: overloading between timer and raw entries)
 _Entry = List[Any]
 
 
@@ -378,33 +339,20 @@ class EventList:
         else:
             _heappush(self._far, entry)
 
-    def schedule(self, when: int, callback: Callable[..., Any], *args: Any) -> Event:
-        """Schedule *callback(*args)* at absolute time *when* (picoseconds).
+    def schedule(self, when: int, callback: Callable[..., Any], *args: Any) -> None:
+        """Schedule *callback(*args)* at absolute time *when* (picoseconds)."""
+        self.schedule_raw(when, callback, args)
 
-        Returns a cancellable :class:`Event` handle.  Scheduling in the past
-        raises ``ValueError`` — that is always a bug in the caller, and
-        silently clamping it would mask protocol errors.
-        """
-        if when < self._now:
-            raise ValueError(
-                f"cannot schedule event at {when} ps: current time is {self._now} ps"
-            )
-        event = Event(when, callback, args, self)
-        self._insert(when, event, 0, callback, args)
-        return event
-
-    def schedule_in(self, delay: int, callback: Callable[..., Any], *args: Any) -> Event:
+    def schedule_in(self, delay: int, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule *callback(*args)* after *delay* picoseconds."""
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.schedule(self._now + delay, callback, *args)
+        self.schedule_raw_in(delay, callback, args)
 
     def schedule_raw(self, when: int, callback: Callable[..., Any], args: tuple = ()) -> None:
-        """Fast-path schedule: no :class:`Event` handle, not cancellable.
+        """:meth:`schedule` taking the arguments as one tuple; not cancellable.
 
-        Used where the callback always runs (pipe deliveries, pacer ticks,
-        fault re-admissions) and a handle per packet would be pure overhead.
-        The argument tuple is unpacked into the raw entry's arity encoding.
+        The tuple is unpacked into the raw entry's arity encoding.  Scheduling
+        in the past raises ``ValueError`` — that is always a bug in the
+        caller, and silently clamping it would mask protocol errors.
         """
         if when < self._now:
             raise ValueError(
@@ -419,7 +367,7 @@ class EventList:
             self._insert(when, None, 2, callback, args)
 
     def schedule_raw_in(self, delay: int, callback: Callable[..., Any], args: tuple = ()) -> None:
-        """Fast-path relative schedule (see :meth:`schedule_raw`)."""
+        """Relative :meth:`schedule_raw`."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
         self.schedule_raw(self._now + delay, callback, args)

@@ -25,31 +25,3 @@ subscribers, and :class:`~repro.topology.dynamics.FabricController`
 schedules those mutations deterministically on the simulation clock (shadow
 timers — zero perturbation when unused).
 """
-
-from repro.topology.base import (
-    LinkRecord,
-    LinkStateEvent,
-    QueueFactory,
-    Topology,
-)
-from repro.topology.dynamics import FabricController, ScheduledLinkEvent
-from repro.topology.fattree import FatTreeTopology
-from repro.topology.leafspine import LeafSpineTopology
-from repro.topology.route_table import NodePath, PathList, RouteTable
-from repro.topology.simple import BackToBackTopology, SingleSwitchTopology
-
-__all__ = [
-    "Topology",
-    "LinkRecord",
-    "LinkStateEvent",
-    "QueueFactory",
-    "RouteTable",
-    "PathList",
-    "NodePath",
-    "FabricController",
-    "ScheduledLinkEvent",
-    "FatTreeTopology",
-    "LeafSpineTopology",
-    "SingleSwitchTopology",
-    "BackToBackTopology",
-]

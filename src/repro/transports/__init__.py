@@ -24,27 +24,3 @@ so each module holds its protocol's logic and nothing else.
 The Cut Payload (CP) *switch* lives in :mod:`repro.core.switch` next to the
 NDP queue it is contrasted with.
 """
-
-from repro._lazy import lazy_exports
-
-# exported name -> defining module, imported on first use: the registry
-# (``repro.transports.registry``) is importable without any protocol
-_EXPORTS = {
-    "TcpConfig": "repro.transports.tcp",
-    "TcpSrc": "repro.transports.tcp",
-    "TcpSink": "repro.transports.tcp",
-    "DctcpConfig": "repro.transports.dctcp",
-    "DctcpSrc": "repro.transports.dctcp",
-    "DctcpSink": "repro.transports.dctcp",
-    "MptcpConfig": "repro.transports.mptcp",
-    "MptcpConnection": "repro.transports.mptcp",
-    "DcqcnConfig": "repro.transports.dcqcn",
-    "DcqcnSrc": "repro.transports.dcqcn",
-    "DcqcnSink": "repro.transports.dcqcn",
-    "PHostConfig": "repro.transports.phost",
-    "PHostSrc": "repro.transports.phost",
-    "PHostSink": "repro.transports.phost",
-    "ConstantRateSource": "repro.transports.constant_rate",
-    "ConstantRateSink": "repro.transports.constant_rate",
-}
-__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

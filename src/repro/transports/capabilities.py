@@ -29,24 +29,13 @@ class TransportCapabilities:
     ``needs_lossless_fabric``
         The protocol assumes no packet is ever dropped (PFC pause wiring);
         running it over drop-tail ports silently mis-simulates it.
-    ``uses_ecn``
-        Congestion feedback comes from ECN marks, so switch queues must mark.
-    ``per_packet_spraying``
-        Every packet may take a different path; the transport tolerates
-        reordering by design.
     ``supports_trimming``
         The protocol understands trimmed-to-header packets (return-to-sender
         / NACK semantics).
-    ``multipath``
-        The transport uses several paths concurrently (subflows or spraying)
-        rather than hashing each flow onto one.
     """
 
     needs_lossless_fabric: bool = False
-    uses_ecn: bool = False
-    per_packet_spraying: bool = False
     supports_trimming: bool = False
-    multipath: bool = False
 
 
 @dataclass(frozen=True)
@@ -58,14 +47,12 @@ class FamilyTraits:
         link of a lossless fabric invalidates its PFC pause graph — paused
         queues upstream of the cut can wedge forever — so transports with
         ``needs_lossless_fabric`` are incompatible with such families.
-    ``mutates_link_rates``
-        The scenario renegotiates link rates mid-run (degradation); the
-        path set is unchanged, so lossless fabrics remain valid.
+        Renegotiating link *rates* (degradation) leaves the path set
+        unchanged, so lossless fabrics remain valid there.
     """
 
     family: str
     severs_links: bool = False
-    mutates_link_rates: bool = False
 
 
 class CapabilityError(RuntimeError):

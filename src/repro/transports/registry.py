@@ -275,9 +275,7 @@ def _ndp_without_path_penalty():
 
 def _register_builtins() -> None:
     ndp = "repro.harness.ndp_network:NdpNetwork"
-    ndp_capabilities = TransportCapabilities(
-        supports_trimming=True, per_packet_spraying=True, multipath=True
-    )
+    ndp_capabilities = TransportCapabilities(supports_trimming=True)
     baselines = "repro.harness.baseline_networks"
     register(TransportSpec(
         name="ndp",
@@ -296,28 +294,25 @@ def _register_builtins() -> None:
         name="dctcp",
         display=DCTCP,
         network_cls=f"{baselines}:DctcpNetwork",
-        capabilities=TransportCapabilities(uses_ecn=True),
         description="DCTCP over ECN-marking switches (30-packet threshold).",
     ))
     register(TransportSpec(
         name="mptcp",
         display=MPTCP,
         network_cls=f"{baselines}:MptcpNetwork",
-        capabilities=TransportCapabilities(multipath=True),
         description="MPTCP (LIA), one subflow per ECMP path.",
     ))
     register(TransportSpec(
         name="dcqcn",
         display=DCQCN,
         network_cls=f"{baselines}:DcqcnNetwork",
-        capabilities=TransportCapabilities(needs_lossless_fabric=True, uses_ecn=True),
+        capabilities=TransportCapabilities(needs_lossless_fabric=True),
         description="DCQCN over a lossless PFC fabric with ECN marking.",
     ))
     register(TransportSpec(
         name="phost",
         display=PHOST,
         network_cls=f"{baselines}:PHostNetwork",
-        capabilities=TransportCapabilities(per_packet_spraying=True, multipath=True),
         description="pHost: receiver-driven tokens over shallow buffers.",
     ))
     register(TransportSpec(

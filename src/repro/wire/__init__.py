@@ -9,25 +9,3 @@ and provides conversion to and from the simulator's packet objects.  It is
 exercised by property-based round-trip tests and by the quickstart example's
 "what goes on the wire" dump.
 """
-
-from repro.wire.codec import (
-    HEADER_LENGTH,
-    NdpHeader,
-    NdpPacketType,
-    NdpWireError,
-    decode_header,
-    encode_header,
-    header_from_packet,
-    internet_checksum,
-)
-
-__all__ = [
-    "HEADER_LENGTH",
-    "NdpHeader",
-    "NdpPacketType",
-    "NdpWireError",
-    "encode_header",
-    "decode_header",
-    "header_from_packet",
-    "internet_checksum",
-]

@@ -22,65 +22,3 @@ The paper evaluates NDP under a handful of canonical datacenter workloads:
   record/replay (:mod:`repro.workloads.services`,
   :mod:`repro.workloads.trace`).
 """
-
-from repro.workloads.traffic_matrices import (
-    incast_pairs,
-    permutation_pairs,
-    random_pairs,
-)
-from repro.workloads.flowsize import (
-    DataMiningFlowSizes,
-    EmpiricalFlowSizes,
-    FacebookWebFlowSizes,
-    FixedFlowSizes,
-    FlowSizeDistribution,
-    WebSearchFlowSizes,
-)
-from repro.workloads.generators import (
-    MAX_ARRIVAL_GAP_PS,
-    ClosedLoopGenerator,
-    PoissonArrivals,
-)
-from repro.workloads.openloop import OpenLoopFlow, OpenLoopGenerator
-from repro.workloads.services import (
-    CoflowShuffleTemplate,
-    PartitionAggregateTemplate,
-    ReplicationFanoutTemplate,
-    ServiceEngine,
-    ServiceRequestRun,
-    ServiceRequestSpec,
-    ServiceTemplate,
-    TaskSpec,
-    synthesize_requests,
-)
-from repro.workloads.trace import TraceFile, read_trace, trace_digest, write_trace
-
-__all__ = [
-    "permutation_pairs",
-    "random_pairs",
-    "incast_pairs",
-    "FlowSizeDistribution",
-    "FixedFlowSizes",
-    "EmpiricalFlowSizes",
-    "FacebookWebFlowSizes",
-    "WebSearchFlowSizes",
-    "DataMiningFlowSizes",
-    "ClosedLoopGenerator",
-    "PoissonArrivals",
-    "MAX_ARRIVAL_GAP_PS",
-    "OpenLoopFlow",
-    "OpenLoopGenerator",
-    "TaskSpec",
-    "ServiceRequestSpec",
-    "ServiceTemplate",
-    "PartitionAggregateTemplate",
-    "CoflowShuffleTemplate",
-    "ReplicationFanoutTemplate",
-    "ServiceEngine",
-    "ServiceRequestRun",
-    "synthesize_requests",
-    "TraceFile",
-    "read_trace",
-    "write_trace",
-    "trace_digest",
-]

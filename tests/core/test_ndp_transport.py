@@ -5,15 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import NdpConfig
-from repro.harness import NdpNetwork, metrics
+from repro.harness import metrics
+from repro.harness.ndp_network import NdpNetwork
 from repro.sim import units
 from repro.sim.eventlist import EventList
-from repro.topology import (
-    BackToBackTopology,
-    FatTreeTopology,
-    LeafSpineTopology,
-    SingleSwitchTopology,
-)
+from repro.topology.fattree import FatTreeTopology
+from repro.topology.leafspine import LeafSpineTopology
+from repro.topology.simple import BackToBackTopology, SingleSwitchTopology
 
 
 def run_single_flow(topology_cls, size_bytes, until_ms=20, config=None, **topo_kwargs):

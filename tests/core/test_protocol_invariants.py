@@ -19,7 +19,7 @@ from repro.core.config import NdpConfig
 from repro.harness.ndp_network import NdpNetwork
 from repro.sim import units
 from repro.sim.eventlist import EventList
-from repro.topology import SingleSwitchTopology
+from repro.topology.simple import SingleSwitchTopology
 
 
 @settings(max_examples=12, deadline=None)

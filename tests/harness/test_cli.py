@@ -383,6 +383,13 @@ print(json.dumps({"status": status, "out": out.getvalue(), "modules": sorted(sys
 """
 
 
+def _engine(modules) -> list:
+    return [
+        module for module in modules
+        if module in _ENGINE or module.startswith(tuple(f"{name}." for name in _ENGINE))
+    ]
+
+
 class TestImportBudget:
     """A cache hit imports no simulator (and a miss still does)."""
 
@@ -394,11 +401,19 @@ class TestImportBudget:
         )
         report = json.loads(done.stdout)
         assert report["status"] == 0, argv
-        report["engine"] = [
-            module for module in report["modules"]
-            if module in _ENGINE or module.startswith(tuple(f"{name}." for name in _ENGINE))
-        ]
+        report["engine"] = _engine(report["modules"])
         return report
+
+    def test_the_leaves_a_hit_stands_on_import_no_sibling(self, tmp_path):
+        """A package ``__init__`` executes nothing, so a submodule costs only itself."""
+        leaves = "repro.sim.units, repro.harness.sweep, repro.transports.registry"
+        done = subprocess.run(
+            [sys.executable, "-c", f"import sys, {leaves}\nprint(*sys.modules)"],
+            env=_child_env(tmp_path), check=True, stdout=subprocess.PIPE, text=True,
+        )
+        loaded = done.stdout.split()
+        assert set(leaves.split(", ")) <= set(loaded)
+        assert _engine(loaded) == []
 
     def test_cached_runs_load_no_engine_and_cold_runs_print_the_same(self, tmp_path):
         cache_dir = tmp_path / "cache"

@@ -10,7 +10,8 @@ from repro.harness import experiment, figures, unit_runs
 from repro.harness.ndp_network import NdpNetwork
 from repro.sim import units
 from repro.sim.eventlist import EventList
-from repro.topology import FatTreeTopology, SingleSwitchTopology
+from repro.topology.fattree import FatTreeTopology
+from repro.topology.simple import SingleSwitchTopology
 
 
 @pytest.fixture

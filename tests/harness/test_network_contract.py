@@ -22,7 +22,8 @@ from repro.harness.network import Flow
 from repro.sim import units
 from repro.sim.eventlist import EventList
 from repro.sim.logger import FlowRecord
-from repro.topology import FatTreeTopology, SingleSwitchTopology
+from repro.topology.fattree import FatTreeTopology
+from repro.topology.simple import SingleSwitchTopology
 from repro.transports import registry
 
 _SPECS = registry.specs(include_variants=True)

@@ -23,7 +23,8 @@ from repro.harness.ndp_network import NdpNetwork
 from repro.harness.baseline_networks import TcpNetwork
 from repro.sim import units
 from repro.sim.eventlist import EventList
-from repro.topology import FabricController, FatTreeTopology
+from repro.topology.dynamics import FabricController
+from repro.topology.fattree import FatTreeTopology
 
 #: flows 0..3 live in pod 0, 12..15 in pod 3 of a k=4 FatTree, so every
 #: transfer crosses the core — where the failure experiments cut

@@ -1,6 +1,6 @@
 """Debug renderers versus flyweight packets.
 
-``Event.__repr__`` / ``Timer.__repr__`` and
+``Timer.__repr__`` and
 :func:`repro.sim.logger.describe_packet` are the places a packet gets
 rendered *outside* the protocol hot path — post-mortems, assertion
 messages, log lines.  With the slot pool recycling facades, any of these
@@ -12,7 +12,7 @@ through such a stale handle.
 from __future__ import annotations
 
 from repro.core.packets import NdpDataPacket
-from repro.sim.eventlist import Event, EventList, Timer
+from repro.sim.eventlist import EventList, Timer
 from repro.sim.logger import describe_packet
 from repro.sim.packet import Packet, PacketPriority
 from repro.sim.pool import PacketPool
@@ -70,23 +70,6 @@ class TestDescribePacket:
 
 
 class TestSchedulerReprs:
-    def test_event_repr_with_freed_packet_arg(self):
-        pool = PacketPool()
-        packet = _pooled_data(pool, seqno=13)
-        eventlist = EventList()
-        event = eventlist.schedule(50, lambda p: None, packet)
-        packet.release()
-        text = repr(event)
-        assert "freed slot" in text and "13" not in text
-        assert "pending" in text
-
-    def test_event_repr_states(self):
-        eventlist = EventList()
-        event = eventlist.schedule(10, lambda: None)
-        assert "pending" in repr(event)
-        event.cancel()
-        assert "cancelled" in repr(event)
-
     def test_timer_repr_with_freed_packet_arg(self):
         pool = PacketPool()
         packet = _pooled_data(pool, seqno=21)
@@ -95,6 +78,6 @@ class TestSchedulerReprs:
         timer.schedule_at(100)
         packet.release()
         text = repr(timer)
-        assert "freed slot" in text and "armed@100" in text
+        assert "freed slot" in text and "21" not in text and "armed@100" in text
         timer.cancel()
         assert "idle" in repr(timer)

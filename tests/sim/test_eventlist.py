@@ -132,9 +132,10 @@ class TestRunControl:
 
     def test_cancelled_events_do_not_run(self, eventlist):
         executed = []
-        event = eventlist.schedule(10, executed.append, "cancelled")
+        timer = eventlist.new_timer(executed.append, "cancelled")
+        timer.schedule_at(10)
         eventlist.schedule(20, executed.append, "kept")
-        event.cancel()
+        timer.cancel()
         eventlist.run()
         assert executed == ["kept"]
 

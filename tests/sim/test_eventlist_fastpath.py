@@ -219,13 +219,17 @@ class TestEagerEviction:
         assert eventlist.pending_events() == 0
 
     def test_cancelled_event_evicted_eventually(self, eventlist):
-        events = [eventlist.schedule(5 * SLOT, lambda: None) for _ in range(200)]
-        for event in events:
-            event.cancel()
-        keeper = eventlist.schedule(6 * SLOT, lambda: None)
+        timers = [eventlist.new_timer(lambda: None) for _ in range(200)]
+        kept = []
+        eventlist.schedule(6 * SLOT, kept.append, "kept")  # filed before the eviction
+        for timer in timers:
+            timer.schedule_at(5 * SLOT)
+        for timer in timers:
+            timer.cancel()
+        assert eventlist.pending_events() < 200
         eventlist.run()
         assert eventlist.now() == 6 * SLOT
-        assert keeper.cancelled is False
+        assert kept == ["kept"]
 
 
 class TestPendingAccounting:
@@ -239,9 +243,10 @@ class TestPendingAccounting:
         assert eventlist.pending_events() == 0
 
     def test_events_executed_excludes_cancelled(self, eventlist):
-        event = eventlist.schedule(10, lambda: None)
+        timer = eventlist.new_timer(lambda: None)
+        timer.schedule_at(10)
         eventlist.schedule(20, lambda: None)
-        event.cancel()
+        timer.cancel()
         eventlist.run()
         assert eventlist.events_executed == 1
 

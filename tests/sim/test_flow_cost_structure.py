@@ -13,7 +13,7 @@ import gc
 
 from repro.harness.ndp_network import NdpNetwork
 from repro.sim.eventlist import EventList
-from repro.topology import FatTreeTopology
+from repro.topology.fattree import FatTreeTopology
 
 #: parent commit: 207; the flow's own endpoints, records, RNGs and
 #: containers account for about 45 of what is left

@@ -14,12 +14,12 @@ from repro.hosts.processing import (
     PullSpacingJitter,
     RpcStackModel,
 )
-from repro.routing import ecmp_path, flow_hash
+from repro.routing.ecmp import ecmp_path, flow_hash
 from repro.sim import units
 from repro.sim.eventlist import EventList
 from repro.sim.network import CountingSink
 from repro.sim.packet import Packet, Route
-from repro.wire import (
+from repro.wire.codec import (
     HEADER_LENGTH,
     NdpHeader,
     NdpPacketType,

@@ -20,12 +20,10 @@ from repro.sim import units
 from repro.sim.eventlist import EventList
 from repro.sim.packet import Packet
 from repro.sim.queues import DropTailQueue
-from repro.topology import (
-    FabricController,
-    FatTreeTopology,
-    LeafSpineTopology,
-    SingleSwitchTopology,
-)
+from repro.topology.dynamics import FabricController
+from repro.topology.fattree import FatTreeTopology
+from repro.topology.leafspine import LeafSpineTopology
+from repro.topology.simple import SingleSwitchTopology
 
 
 @pytest.fixture

@@ -12,12 +12,9 @@ import pytest
 
 from repro.sim.eventlist import EventList
 from repro.sim.pipe import Pipe
-from repro.topology import (
-    BackToBackTopology,
-    FatTreeTopology,
-    LeafSpineTopology,
-    SingleSwitchTopology,
-)
+from repro.topology.fattree import FatTreeTopology
+from repro.topology.leafspine import LeafSpineTopology
+from repro.topology.simple import BackToBackTopology, SingleSwitchTopology
 from repro.topology.simple import IndependentPairsTopology
 
 

@@ -9,7 +9,8 @@ from repro.harness.ndp_network import NdpNetwork
 from repro.sim import units
 from repro.sim.eventlist import EventList
 from repro.sim.queues import LosslessQueue
-from repro.topology import BackToBackTopology, LeafSpineTopology, SingleSwitchTopology
+from repro.topology.leafspine import LeafSpineTopology
+from repro.topology.simple import BackToBackTopology, SingleSwitchTopology
 from repro.transports.constant_rate import ConstantRateSink, ConstantRateSource
 from repro.transports.dcqcn import DcqcnConfig
 from repro.transports.phost import PHostConfig

@@ -10,7 +10,8 @@ from repro.harness import experiment
 from repro.harness.baseline_networks import DctcpNetwork, MptcpNetwork, TcpNetwork
 from repro.sim import units
 from repro.sim.eventlist import EventList
-from repro.topology import BackToBackTopology, FatTreeTopology, SingleSwitchTopology
+from repro.topology.fattree import FatTreeTopology
+from repro.topology.simple import BackToBackTopology, SingleSwitchTopology
 from repro.transports.dctcp import DctcpConfig
 from repro.transports.mptcp import MptcpConfig, MptcpConnection
 

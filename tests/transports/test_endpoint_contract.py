@@ -21,7 +21,7 @@ from repro.harness import experiment
 from repro.sim import units
 from repro.sim.eventlist import EventList, Timer
 from repro.sim.network import FlowSink, FlowSource, NetworkEndpoint
-from repro.topology import SingleSwitchTopology
+from repro.topology.simple import SingleSwitchTopology
 from repro.transports import registry
 
 _SPECS = registry.specs(include_variants=True)

@@ -7,7 +7,7 @@ import pytest
 from repro.harness.baseline_networks import TcpNetwork
 from repro.sim import units
 from repro.sim.eventlist import EventList
-from repro.topology import BackToBackTopology, SingleSwitchTopology
+from repro.topology.simple import BackToBackTopology, SingleSwitchTopology
 from repro.transports.tcp import SequentialDataSource, TcpConfig
 
 
@@ -155,7 +155,7 @@ class TestCongestionAndLoss:
 
     def test_ecmp_collisions_reduce_minimum_throughput(self):
         # Figure 14's cause: several single-path flows hash onto one core link
-        from repro.topology import FatTreeTopology
+        from repro.topology.fattree import FatTreeTopology
         from repro.harness import experiment
         import random
 

@@ -16,7 +16,7 @@ from repro.harness import metrics
 from repro.harness.ndp_network import NdpNetwork
 from repro.sim import units
 from repro.sim.eventlist import EventList
-from repro.topology import SingleSwitchTopology
+from repro.topology.simple import SingleSwitchTopology
 from repro.workloads.flowsize import FacebookWebFlowSizes, FixedFlowSizes
 from repro.workloads.openloop import (
     ALL_TO_ALL,

@@ -22,7 +22,7 @@ import pytest
 from repro.harness.ndp_network import NdpNetwork
 from repro.sim import units
 from repro.sim.eventlist import EventList
-from repro.topology import SingleSwitchTopology
+from repro.topology.simple import SingleSwitchTopology
 from repro.workloads.openloop import DRAIN, MEASURE, WARMUP
 from repro.workloads.services import (
     CoflowShuffleTemplate,

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.harness.ndp_network import NdpNetwork
 from repro.sim import units
 from repro.sim.eventlist import EventList
-from repro.topology import SingleSwitchTopology
+from repro.topology.simple import SingleSwitchTopology
 from repro.workloads.flowsize import (
     DataMiningFlowSizes,
     EmpiricalFlowSizes,
