@@ -3,20 +3,18 @@
 
 Builds a 16-host FatTree whose switch ports are NDP trimming queues, runs a
 single 900 KB transfer between hosts in different pods, and prints what
-happened — completion time, goodput, how the packets were sprayed over the
-four core paths, and what an NDP header looks like on the wire.
+happened — completion time, goodput and how the packets were sprayed over the
+four core paths.
 
 Run with::
 
     python examples/quickstart.py
 """
 
-from repro.core.packets import NdpDataPacket
 from repro.harness.ndp_network import NdpNetwork
 from repro.sim import units
 from repro.sim.eventlist import EventList
 from repro.topology.fattree import FatTreeTopology
-from repro.wire.codec import encode_header, header_from_packet
 
 
 def main() -> None:
@@ -46,15 +44,6 @@ def main() -> None:
             if src == f"core{core}"
         )
         print(f"  core{core}: {forwarded} packets forwarded")
-
-    print("\n--- what goes on the wire ---")
-    packet = NdpDataPacket(
-        flow_id=flow.flow_id, src=0, dst=15, seqno=42, payload_bytes=8936, syn=True,
-        src_endpoint=flow.src,
-    )
-    header = header_from_packet(packet)
-    print(f"header fields: {header}")
-    print(f"encoded ({len(encode_header(header))} bytes): {encode_header(header).hex()}")
 
 
 if __name__ == "__main__":

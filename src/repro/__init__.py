@@ -15,7 +15,6 @@ The package is organised as follows:
 * :mod:`repro.routing` — ECMP path-selection helpers.
 * :mod:`repro.workloads` — traffic matrices and flow-size distributions.
 * :mod:`repro.hosts` — host processing-delay and pull-jitter models.
-* :mod:`repro.wire` — the NDP wire format codec.
 * :mod:`repro.harness` — experiment builders and metrics.
 
 A package ``__init__`` is documentation only: every name is imported from the

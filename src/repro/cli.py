@@ -182,6 +182,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         if given and subcommand != owner
     ]
+    if args.grid and subcommand == "render":
+        misplaced.append("--set (render draws every family at its defaults)")
     if misplaced:
         print(f"error: {', '.join(misplaced)} would be ignored here; an "
               "experiment family takes its seed as --set seed=N",

@@ -133,13 +133,3 @@ class NdpConfig:
     def data_queue_bytes(self) -> int:
         """Data queue capacity expressed in bytes."""
         return self.data_queue_packets * self.mtu_bytes
-
-    def header_queue_capacity_packets(self) -> int:
-        """How many trimmed headers fit in the header queue."""
-        return self.header_queue_bytes // self.header_bytes
-
-    def with_overrides(self, **overrides: object) -> "NdpConfig":
-        """Return a copy of this configuration with *overrides* applied."""
-        values = {f: getattr(self, f) for f in self.__dataclass_fields__}
-        values.update(overrides)
-        return NdpConfig(**values)  # type: ignore[arg-type]

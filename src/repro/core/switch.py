@@ -114,10 +114,6 @@ class NdpSwitchQueue(BaseQueue):
 
     # --- introspection --------------------------------------------------------
 
-    def data_queue_depth(self) -> int:
-        """Number of full data packets queued."""
-        return len(self._data_queue)
-
     def __len__(self) -> int:
         in_service = 1 if self._in_service is not None else 0
         return len(self._data_queue) + len(self._header_queue) + in_service
@@ -304,10 +300,6 @@ class CpSwitchQueue(BaseQueue):
         capacity = self.config.data_queue_bytes + self.config.header_queue_bytes
         super().__init__(eventlist, service_rate_bps, capacity, name)
         self._data_packets_queued = 0
-
-    def data_queue_depth(self) -> int:
-        """Number of untrimmed data packets in the FIFO."""
-        return self._data_packets_queued
 
     def receive_packet(self, packet: Packet) -> None:
         is_data = not (packet.priority == PacketPriority.HIGH or packet.is_header_only)

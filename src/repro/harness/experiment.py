@@ -13,8 +13,7 @@ Public API at a glance:
 * drivers — :func:`measure_throughput` (fixed-duration goodput study,
   returns a :class:`~repro.harness.metrics.ThroughputResult`, re-exported
   here), :func:`run_until_complete`
-  (completion study, returns an :class:`FctResult`), :func:`run_open_loop`
-  and :func:`run_service_requests` (open-loop flow and request arrivals);
+  (completion study, returns an :class:`FctResult`);
 * liveness — :func:`liveness_report` / :func:`assert_all_complete`: the
   conformance suite's completion + leak invariant over a set of flows.
 
@@ -51,13 +50,6 @@ class FctResult:
     def fcts_us(self) -> List[float]:
         """Completion times in microseconds."""
         return [r.completion_time_ps() / units.MICROSECOND for r in self.completed()]
-
-    def last_completion_us(self) -> float:
-        """Finish time of the last flow to complete (relative FCT), in us."""
-        fcts = self.fcts_us()
-        if not fcts:
-            raise ValueError("no flow completed")
-        return max(fcts)
 
     def summary(self) -> Dict[str, float]:
         """Median / p90 / p99 / max completion times in microseconds."""
@@ -212,37 +204,3 @@ def assert_all_complete(flows: Sequence[Flow]) -> LivenessReport:
             f"rtx_from_timeout={report.rtx_from_timeout}"
         )
     return report
-
-
-def run_open_loop(network, generator) -> List[FlowRecord]:
-    """Drive an open-loop generator through its full horizon.
-
-    Starts the generator at the event list's current time, runs the
-    simulation through warmup + measurement + drain, and returns the
-    completed measurement-window records — the population
-    :func:`~repro.harness.metrics.binned_slowdown_summary` consumes.
-    Censored flows (measured arrivals the drain failed to finish) remain
-    available via ``generator.measured_records(completed_only=False)``.
-    """
-    generator.start(at_time_ps=network.eventlist.now())
-    generator.run()
-    return generator.measured_records()
-
-
-def run_service_requests(network, specs, horizon_ps, window_fn=None):
-    """Execute service-request specs and run the simulation to a horizon.
-
-    Builds a :class:`~repro.workloads.services.ServiceEngine` over
-    *network*, submits every spec (tagged by *window_fn*, an
-    ``arrival_ps -> window`` mapping — all-measure when omitted), drives
-    the event list to the absolute *horizon_ps*, and returns the engine.
-    Requests whose final stage has not finished by the horizon remain
-    incomplete (censored) — report them, don't drop them.
-    """
-    from repro.workloads.services import ServiceEngine
-
-    engine = ServiceEngine(network.eventlist, network)
-    engine.submit_all(specs, window_fn=window_fn)
-    engine.run_until(horizon_ps)
-    return engine
-

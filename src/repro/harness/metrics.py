@@ -83,13 +83,6 @@ def _percentile_sorted(ordered: Sequence[float], fraction: float) -> float:
     return ordered[low] + (ordered[high] - ordered[low]) * weight
 
 
-def cdf_points(values: Sequence[float]) -> List[Tuple[float, float]]:
-    """Return ``(value, cumulative_fraction)`` points for plotting a CDF."""
-    ordered = sorted(values)
-    n = len(ordered)
-    return [(value, (index + 1) / n) for index, value in enumerate(ordered)]
-
-
 def ideal_transfer_time_ps(
     size_bytes: int,
     link_rate_bps: int,

@@ -55,6 +55,7 @@ from repro.workloads.openloop import MEASURE, OpenLoopGenerator
 from repro.workloads.services import (
     CoflowShuffleTemplate,
     PartitionAggregateTemplate,
+    ServiceEngine,
     synthesize_requests,
     window_of as service_window_of,
 )
@@ -638,7 +639,9 @@ def _load_fct_point(
         matrix=matrix,
         rng=random.Random(seed),
     )
-    completed = experiment.run_open_loop(network, generator)
+    generator.start(at_time_ps=network.eventlist.now())
+    generator.run()
+    completed = generator.measured_records()
     measured = generator.measured_records(completed_only=False)
     # one normalization across all protocols: jumbo framing and the fabric's
     # longest-path propagation RTT, so rows are comparable on a single axis
@@ -729,12 +732,12 @@ def _service_point(
         deadline_ps=deadline_ps,
     )
     horizon_ps = warmup_ps + measure_ps + drain_ps
-    engine = experiment.run_service_requests(
-        network,
+    engine = ServiceEngine(network.eventlist, network)
+    engine.submit_all(
         request_specs,
-        horizon_ps=horizon_ps,
         window_fn=lambda arrival: service_window_of(arrival, warmup_ps, measure_ps),
     )
+    engine.run_until(horizon_ps)
     measured = engine.requests_in_window(MEASURE)
     completed = [run for run in measured if run.completed]
     latencies_us = sorted(run.latency_ps / units.MICROSECOND for run in completed)

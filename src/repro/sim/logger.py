@@ -13,7 +13,7 @@ reading attributes of a stale handle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.sim.eventlist import EventList
@@ -165,14 +165,12 @@ class RateEstimator:
 
     last_time_ps: int = 0
     last_bytes: int = 0
-    rates: List[Tuple[int, float]] = field(default_factory=list)
 
     def update(self, time_ps: int, total_bytes: int) -> float:
         """Record a sample and return the rate since the previous sample."""
         delta_t = time_ps - self.last_time_ps
         delta_b = total_bytes - self.last_bytes
         rate = 0.0 if delta_t <= 0 else delta_b * 8 * 1_000_000_000_000 / delta_t
-        self.rates.append((time_ps, rate))
         self.last_time_ps = time_ps
         self.last_bytes = total_bytes
         return rate

@@ -176,12 +176,6 @@ class Packet:
         self.hop = hop + 1
         sink.receive_packet(self)
 
-    def remaining_hops(self) -> int:
-        """Number of elements left on the route (including the destination)."""
-        if self.route is None:
-            return 0
-        return len(self.route) - self.hop
-
     # --- switch operations ---------------------------------------------------
 
     def trim(self, header_bytes: int = HEADER_BYTES) -> None:

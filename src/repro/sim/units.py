@@ -14,26 +14,12 @@ from __future__ import annotations
 
 # --- time ------------------------------------------------------------------
 
-#: one picosecond (the base unit of simulated time)
-PICOSECOND = 1
-#: one nanosecond in picoseconds
-NANOSECOND = 1_000
 #: one microsecond in picoseconds
 MICROSECOND = 1_000_000
 #: one millisecond in picoseconds
 MILLISECOND = 1_000_000_000
 #: one second in picoseconds
 SECOND = 1_000_000_000_000
-
-
-def picoseconds(value: float) -> int:
-    """Return *value* picoseconds as an integer timestamp/duration."""
-    return int(round(value))
-
-
-def nanoseconds(value: float) -> int:
-    """Return *value* nanoseconds as picoseconds."""
-    return int(round(value * NANOSECOND))
 
 
 def microseconds(value: float) -> int:
@@ -51,25 +37,8 @@ def seconds(value: float) -> int:
     return int(round(value * SECOND))
 
 
-def to_microseconds(time_ps: int) -> float:
-    """Convert an internal picosecond timestamp to (float) microseconds."""
-    return time_ps / MICROSECOND
-
-
-def to_milliseconds(time_ps: int) -> float:
-    """Convert an internal picosecond timestamp to (float) milliseconds."""
-    return time_ps / MILLISECOND
-
-
-def to_seconds(time_ps: int) -> float:
-    """Convert an internal picosecond timestamp to (float) seconds."""
-    return time_ps / SECOND
-
-
 # --- rates -----------------------------------------------------------------
 
-#: one kilobit per second
-KBPS = 1_000
 #: one megabit per second
 MBPS = 1_000_000
 #: one gigabit per second
@@ -91,15 +60,8 @@ def mbps(value: float) -> int:
 
 # --- sizes -----------------------------------------------------------------
 
-#: bytes in a kilobyte (decimal, as used by the paper for transfer sizes)
-KILOBYTE = 1_000
-#: bytes in a megabyte
-MEGABYTE = 1_000_000
-
 #: jumbogram MTU used by NDP in the paper
 JUMBO_MTU_BYTES = 9_000
-#: conventional Ethernet MTU
-ETHERNET_MTU_BYTES = 1_500
 #: size of a trimmed NDP header (and of ACK/NACK/PULL control packets)
 HEADER_BYTES = 64
 
@@ -113,8 +75,3 @@ def serialization_time_ps(size_bytes: int, rate_bps: int) -> int:
     if rate_bps <= 0:
         raise ValueError(f"link rate must be positive, got {rate_bps}")
     return (size_bytes * 8 * SECOND + rate_bps // 2) // rate_bps
-
-
-def bytes_in_time(duration_ps: int, rate_bps: int) -> int:
-    """Number of whole bytes a link of *rate_bps* carries in *duration_ps*."""
-    return (duration_ps * rate_bps) // (8 * SECOND)

@@ -36,16 +36,13 @@ from typing import List, Optional
 from repro.sim.eventlist import EventList, Timer
 from repro.topology.base import Topology
 
-#: actions a controller can schedule, in the order they appear in reports
-ACTIONS = ("fail", "recover", "rate")
-
 
 @dataclass(frozen=True)
 class ScheduledLinkEvent:
     """One link change the controller will apply (or has applied)."""
 
     when_ps: int
-    #: one of :data:`ACTIONS`
+    #: ``"fail"``, ``"recover"`` or ``"rate"``
     action: str
     src_node: str
     dst_node: str

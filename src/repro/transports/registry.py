@@ -56,12 +56,9 @@ __all__ = [
     "resolve",
     "normalize",
     "build_network",
-    "names",
-    "displays",
     "specs",
     "registered_names",
     "protocol_literals",
-    "incompatibility",
     "require_compatible",
     "NDP",
     "TCP",
@@ -137,7 +134,6 @@ class TransportSpec:
     config_factory: Optional[Callable[[], object]] = None
     #: short id of the primary transport this is a variant of, if any
     variant_of: Optional[str] = None
-    description: str = ""
 
     def default_config(self) -> object:
         """The config this spec runs with when the caller passes none."""
@@ -214,16 +210,6 @@ def specs(include_variants: bool = False) -> List[TransportSpec]:
     return [s for s in _ORDER if include_variants or s.variant_of is None]
 
 
-def names(include_variants: bool = False) -> List[str]:
-    """Short ids in registration order."""
-    return [s.name for s in specs(include_variants)]
-
-
-def displays(include_variants: bool = False) -> List[str]:
-    """Canonical display names in registration order."""
-    return [s.display for s in specs(include_variants)]
-
-
 def registered_names() -> List[str]:
     """Every name a lookup accepts (ids and displays), for error messages."""
     out: List[str] = []
@@ -237,11 +223,6 @@ def registered_names() -> List[str]:
 def protocol_literals() -> List[str]:
     """Lowercased name set for the literal lint (``tools/check_transports.py``)."""
     return sorted({key for spec in _ORDER for key in _lookup_keys(spec)})
-
-
-def incompatibility(name: str, traits: FamilyTraits) -> Optional[str]:
-    """Why *name* cannot run under *traits*, or ``None`` if it can."""
-    return resolve(name).incompatibility(traits)
 
 
 def require_compatible(name: str, traits: FamilyTraits) -> TransportSpec:
@@ -282,38 +263,32 @@ def _register_builtins() -> None:
         display=NDP,
         network_cls=ndp,
         capabilities=ndp_capabilities,
-        description="NDP: packet trimming, per-packet spraying, pull pacing (§3).",
     ))
     register(TransportSpec(
         name="tcp",
         display=TCP,
         network_cls=f"{baselines}:TcpNetwork",
-        description="TCP NewReno over drop-tail switches, per-flow ECMP.",
     ))
     register(TransportSpec(
         name="dctcp",
         display=DCTCP,
         network_cls=f"{baselines}:DctcpNetwork",
-        description="DCTCP over ECN-marking switches (30-packet threshold).",
     ))
     register(TransportSpec(
         name="mptcp",
         display=MPTCP,
         network_cls=f"{baselines}:MptcpNetwork",
-        description="MPTCP (LIA), one subflow per ECMP path.",
     ))
     register(TransportSpec(
         name="dcqcn",
         display=DCQCN,
         network_cls=f"{baselines}:DcqcnNetwork",
         capabilities=TransportCapabilities(needs_lossless_fabric=True),
-        description="DCQCN over a lossless PFC fabric with ECN marking.",
     ))
     register(TransportSpec(
         name="phost",
         display=PHOST,
         network_cls=f"{baselines}:PHostNetwork",
-        description="pHost: receiver-driven tokens over shallow buffers.",
     ))
     register(TransportSpec(
         name="ndp_nopenalty",
@@ -322,7 +297,6 @@ def _register_builtins() -> None:
         capabilities=ndp_capabilities,
         config_factory=_ndp_without_path_penalty,
         variant_of="ndp",
-        description="NDP with the trimming path penalty disabled (Figure 22).",
     ))
 
 

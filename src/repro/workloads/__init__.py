@@ -16,9 +16,8 @@ The paper evaluates NDP under a handful of canonical datacenter workloads:
   bisection bandwidth, with warmup/measurement/drain windows
   (:class:`OpenLoopGenerator`, see :mod:`repro.workloads.openloop`);
 * **service-level workloads** (the ``rpc_deadline``/``coflow_ct`` families)
-  — partition-aggregate RPC trees, K-round shuffles and replication
-  fan-out composed as dependency DAGs with per-request latency and SLO
-  accounting, plus a versioned JSONL trace format for deterministic
-  record/replay (:mod:`repro.workloads.services`,
-  :mod:`repro.workloads.trace`).
+  — partition-aggregate RPCs and K-round shuffles composed as dependency
+  DAGs with per-request latency and SLO accounting
+  (:mod:`repro.workloads.services`), plus a canonical digest of the
+  synthesized request list (:mod:`repro.workloads.trace`).
 """

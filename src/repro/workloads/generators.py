@@ -1,14 +1,15 @@
 """Flow arrival processes.
 
-Three arrival models cover the paper's experiments and the load sweeps
-built on top of them:
+Two arrival models cover the paper's experiments, plus the load-sweep engine
+built on the second:
 
 * :class:`ClosedLoopGenerator` — each host keeps a fixed number of
   connections in flight; when one completes, the next starts after a think
   gap.  Figure 23 uses this with a median 1 ms inter-flow gap and 5 or 10
   simultaneous connections per host.
-* :class:`PoissonArrivals` — open-loop Poisson flow arrivals at an explicit
-  aggregate rate (flows/second), useful for background-load experiments.
+* open-loop Poisson arrivals — :func:`poisson_gap_ps`, :func:`window_of` and
+  :func:`open_loop_rates` are the clock, the window tags and the load sizing
+  every open-loop process shares.
 * :class:`~repro.workloads.openloop.OpenLoopGenerator` — the load-sweep
   engine: sizes the Poisson rate from a *target load fraction*, tags flows
   with warmup/measurement/drain windows, and exposes the seeded arrival
@@ -34,8 +35,8 @@ from repro.workloads.flowsize import FlowSizeDistribution
 #: hour).  Extremely low rates (or the far tail of ``expovariate``) can
 #: produce gaps beyond any experiment horizon — or, past ~1e292 seconds,
 #: a float overflow to ``inf`` that ``int()`` cannot represent.  Clamping
-#: keeps ``_next_gap`` total and deterministic; any clamped arrival lands
-#: far outside every simulated horizon anyway.
+#: keeps :func:`poisson_gap_ps` total and deterministic; any clamped arrival
+#: lands far outside every simulated horizon anyway.
 MAX_ARRIVAL_GAP_PS = seconds(3600)
 
 #: window tags of an open-loop process, in chronological order
@@ -46,10 +47,11 @@ def poisson_gap_ps(rng: random.Random, rate_per_second: float) -> int:
     """One exponential inter-arrival gap in whole picoseconds.
 
     The single clamp discipline shared by every open-loop arrival process
-    (:class:`PoissonArrivals`, :class:`~repro.workloads.openloop.
-    OpenLoopGenerator`): exactly one ``rng`` draw per call, floored at one
-    picosecond so extreme rates cannot schedule two arrivals at the same
-    instant in the wrong order, and capped at :data:`MAX_ARRIVAL_GAP_PS`
+    (:class:`~repro.workloads.openloop.OpenLoopGenerator`,
+    :func:`~repro.workloads.services.synthesize_requests`): exactly one
+    ``rng`` draw per call, floored at one picosecond so extreme rates cannot
+    schedule two arrivals at the same instant in the wrong order, and capped
+    at :data:`MAX_ARRIVAL_GAP_PS`
     (the ``>=`` comparison also catches a float overflow to ``inf``) so
     tail draws at extremely low rates stay representable.  Clamped or not,
     the arrival sequence stays seeded-identical.
@@ -176,69 +178,6 @@ class ClosedLoopGenerator:
             # desynchronized, approximating the paper's closed-loop arrivals
             gap = int(self.rng.expovariate(1.0 / gap))
         self.eventlist.schedule_in(max(gap, 1), self._start_flow, host)
-
-    def completed_records(self) -> List[object]:
-        """Flow records of every completed flow started by this generator."""
-        return [flow.record for flow in self.flows if flow.record.completed]
-
-
-class PoissonArrivals:
-    """Open-loop Poisson flow arrivals at a configurable aggregate rate.
-
-    One exponential clock drives the whole process; each arrival draws, in
-    this fixed order, the inter-arrival gap, the ``(src, dst)`` pair and
-    the flow size from the single ``rng`` — so two identically-seeded
-    generators over identical host lists replay the exact same arrival
-    sequence (asserted in ``tests/workloads``).  For load-targeted arrivals
-    with measurement windows use
-    :class:`~repro.workloads.openloop.OpenLoopGenerator`, which builds on
-    the same gap discipline.
-    """
-
-    def __init__(
-        self,
-        eventlist: EventList,
-        network,
-        hosts: Sequence[int],
-        flow_sizes: FlowSizeDistribution,
-        arrival_rate_per_second: float,
-        rng: Optional[random.Random] = None,
-        max_flows: Optional[int] = None,
-    ) -> None:
-        if not (math.isfinite(arrival_rate_per_second) and arrival_rate_per_second > 0):
-            raise ValueError(
-                f"arrival rate must be positive and finite, "
-                f"got {arrival_rate_per_second!r}"
-            )
-        self.eventlist = eventlist
-        self.network = network
-        self.hosts = list(hosts)
-        if len(self.hosts) < 2:
-            raise ValueError("need at least two hosts")
-        self.flow_sizes = flow_sizes
-        self.rate = arrival_rate_per_second
-        self.rng = rng if rng is not None else random.Random(0)
-        self.max_flows = max_flows
-        self.flows: List[object] = []
-        self.flows_started = 0
-
-    def start(self, at_time_ps: int = 0) -> None:
-        """Schedule the first arrival."""
-        self.eventlist.schedule(at_time_ps + self._next_gap(), self._arrival)
-
-    def _next_gap(self) -> int:
-        """Next inter-arrival gap (ps), via the shared :func:`poisson_gap_ps`."""
-        return poisson_gap_ps(self.rng, self.rate)
-
-    def _arrival(self) -> None:
-        if self.max_flows is not None and self.flows_started >= self.max_flows:
-            return
-        src, dst = self.rng.sample(self.hosts, 2)
-        size = self.flow_sizes.sample(self.rng)
-        self.flows_started += 1
-        flow = self.network.create_flow(src, dst, size, start_time_ps=self.eventlist.now())
-        self.flows.append(flow)
-        self.eventlist.schedule_in(self._next_gap(), self._arrival)
 
     def completed_records(self) -> List[object]:
         """Flow records of every completed flow started by this generator."""

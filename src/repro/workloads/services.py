@@ -3,8 +3,7 @@
 The open-loop engine (:mod:`repro.workloads.openloop`) drives *independent*
 flows; production services generate *structured* traffic.  A search query
 fans out over workers and cannot answer until the slowest leaf responds; a
-shuffle stage cannot start until every map output is in place; a replicated
-write is durable only when the last replica acknowledges.  This module
+shuffle stage cannot start until every map output is in place.  This module
 models those patterns as **service requests**: DAGs of flow tasks grouped
 into stages with barrier semantics —
 
@@ -16,8 +15,8 @@ into stages with barrier semantics —
 
 The split between *specs* and *execution* is deliberate.  A
 :class:`ServiceRequestSpec` is pure data — arrival time, deadline and the
-stage/task structure — so a synthesized workload can be written to a trace
-(:mod:`repro.workloads.trace`), read back, and replayed bit-identically:
+stage/task structure — so a synthesized workload has a digest of its own
+(:func:`repro.workloads.trace.trace_digest`) and replays bit-identically:
 the :class:`ServiceEngine` consumes only specs, and the underlying
 simulator is deterministic.
 
@@ -57,10 +56,8 @@ __all__ = [
     "ServiceTemplate",
     "PartitionAggregateTemplate",
     "CoflowShuffleTemplate",
-    "ReplicationFanoutTemplate",
     "partition_aggregate_stages",
     "shuffle_stages",
-    "replication_stages",
     "synthesize_requests",
     "window_of",
     "TaskRun",
@@ -70,7 +67,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Specs: pure data, the unit of trace record/replay
+# Specs: pure data, what the engine consumes and the trace digest hashes
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -96,10 +93,10 @@ Stage = Tuple[TaskSpec, ...]
 class ServiceRequestSpec:
     """One service request: stages of tasks separated by barriers.
 
-    Pure data — exactly what the JSONL trace format stores.  ``stages`` is
-    a tuple of stages; every task of stage ``N`` must complete before any
-    task of stage ``N+1`` starts, and the request completes when the
-    slowest task of the final stage is delivered.
+    Pure data — exactly what :func:`~repro.workloads.trace.trace_digest`
+    hashes.  ``stages`` is a tuple of stages; every task of stage ``N`` must
+    complete before any task of stage ``N+1`` starts, and the request
+    completes when the slowest task of the final stage is delivered.
     """
 
     request_id: int
@@ -125,9 +122,6 @@ class ServiceRequestSpec:
         """Sum of all task sizes — the coflow size for CCT binning."""
         return sum(task.size_bytes for stage in self.stages for task in stage)
 
-    def task_count(self) -> int:
-        return sum(len(stage) for stage in self.stages)
-
 
 # ---------------------------------------------------------------------------
 # Stage builders (explicit hosts) and templates (sampled hosts)
@@ -138,29 +132,14 @@ def partition_aggregate_stages(
     workers: Sequence[int],
     request_bytes: int,
     response_bytes: int,
-    aggregators: Sequence[int] = (),
 ) -> Tuple[Stage, ...]:
-    """Stages of a partition-aggregate RPC.
-
-    Flat (no aggregators): scatter ``frontend -> workers`` then the incast
-    gather ``workers -> frontend``.  With *aggregators*, the two-level tree
-    of web search: requests descend ``frontend -> aggregators -> workers``,
-    responses ascend ``workers -> aggregators -> frontend`` (four stages;
-    workers are assigned to aggregators round-robin).
-    """
+    """Stages of a partition-aggregate RPC: scatter ``frontend -> workers``
+    then the incast gather ``workers -> frontend``."""
     if not workers:
         raise ValueError("partition-aggregate needs at least one worker")
-    if not aggregators:
-        scatter = tuple(TaskSpec(frontend, w, request_bytes) for w in workers)
-        gather = tuple(TaskSpec(w, frontend, response_bytes) for w in workers)
-        return (scatter, gather)
-    assignment = [(aggregators[i % len(aggregators)], w) for i, w in enumerate(workers)]
-    return (
-        tuple(TaskSpec(frontend, agg, request_bytes) for agg in aggregators),
-        tuple(TaskSpec(agg, w, request_bytes) for agg, w in assignment),
-        tuple(TaskSpec(w, agg, response_bytes) for agg, w in assignment),
-        tuple(TaskSpec(agg, frontend, response_bytes) for agg in aggregators),
-    )
+    scatter = tuple(TaskSpec(frontend, w, request_bytes) for w in workers)
+    gather = tuple(TaskSpec(w, frontend, response_bytes) for w in workers)
+    return (scatter, gather)
 
 
 def shuffle_stages(
@@ -188,15 +167,6 @@ def shuffle_stages(
             tuple(TaskSpec(s, d, bytes_per_pair) for s in origin for d in target)
         )
     return tuple(stages)
-
-
-def replication_stages(
-    source: int, replicas: Sequence[int], size_bytes: int
-) -> Tuple[Stage, ...]:
-    """Replication fan-out: one stage, *source* writes every replica."""
-    if not replicas:
-        raise ValueError("replication needs at least one replica")
-    return (tuple(TaskSpec(source, r, size_bytes) for r in replicas),)
 
 
 class ServiceTemplate:
@@ -228,44 +198,30 @@ class ServiceTemplate:
 
 
 class PartitionAggregateTemplate(ServiceTemplate):
-    """Scatter/gather RPC: a frontend queries *fanout* workers (optionally
-    through a middle tier of *aggregators*) and waits for the slowest."""
+    """Scatter/gather RPC: a frontend queries *fanout* workers and waits
+    for the slowest."""
 
     name = "partition_aggregate"
 
-    def __init__(
-        self,
-        fanout: int,
-        request_bytes: int,
-        response_bytes: int,
-        aggregators: int = 0,
-    ) -> None:
+    def __init__(self, fanout: int, request_bytes: int, response_bytes: int) -> None:
         if fanout < 1:
             raise ValueError(f"fanout must be >= 1, got {fanout}")
         if request_bytes <= 0 or response_bytes <= 0:
             raise ValueError("request/response bytes must be positive")
-        if aggregators < 0:
-            raise ValueError(f"aggregators must be >= 0, got {aggregators}")
         self.fanout = fanout
         self.request_bytes = request_bytes
         self.response_bytes = response_bytes
-        self.aggregators = aggregators
 
     def min_hosts(self) -> int:
-        return 1 + self.aggregators + self.fanout
+        return 1 + self.fanout
 
     def mean_request_bytes(self) -> float:
-        per_edge = self.request_bytes + self.response_bytes
-        middle = self.aggregators * per_edge if self.aggregators else 0
-        return float(self.fanout * per_edge + middle)
+        return float(self.fanout * (self.request_bytes + self.response_bytes))
 
     def build(self, rng: random.Random, hosts: Sequence[int]) -> Tuple[Stage, ...]:
-        participants = self._sample(rng, hosts, self.min_hosts())
-        frontend = participants[0]
-        aggs = participants[1 : 1 + self.aggregators]
-        workers = participants[1 + self.aggregators :]
+        participants = self._sample(rng, hosts, 1 + self.fanout)
         return partition_aggregate_stages(
-            frontend, workers, self.request_bytes, self.response_bytes, aggs
+            participants[0], participants[1:], self.request_bytes, self.response_bytes
         )
 
 
@@ -301,30 +257,6 @@ class CoflowShuffleTemplate(ServiceTemplate):
         )
 
 
-class ReplicationFanoutTemplate(ServiceTemplate):
-    """A source writing *replicas* copies; durable when the last lands."""
-
-    name = "replication"
-
-    def __init__(self, replicas: int, size_bytes: int) -> None:
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
-        if size_bytes <= 0:
-            raise ValueError(f"size must be positive, got {size_bytes}")
-        self.replicas = replicas
-        self.size_bytes = size_bytes
-
-    def min_hosts(self) -> int:
-        return 1 + self.replicas
-
-    def mean_request_bytes(self) -> float:
-        return float(self.replicas * self.size_bytes)
-
-    def build(self, rng: random.Random, hosts: Sequence[int]) -> Tuple[Stage, ...]:
-        participants = self._sample(rng, hosts, 1 + self.replicas)
-        return replication_stages(participants[0], participants[1:], self.size_bytes)
-
-
 # ---------------------------------------------------------------------------
 # Open-loop synthesis: seeded Poisson request arrivals
 # ---------------------------------------------------------------------------
@@ -340,7 +272,6 @@ def synthesize_requests(
     rng: random.Random,
     deadline_ps: Optional[int] = None,
     start_ps: int = 0,
-    max_requests: Optional[int] = None,
 ) -> List[ServiceRequestSpec]:
     """Seeded open-loop request arrivals over *templates*.
 
@@ -355,7 +286,7 @@ def synthesize_requests(
     Per-arrival draw order (the determinism contract): inter-arrival gap,
     template choice (only when more than one template), template build.
     The full spec list is produced up front, with no simulation
-    interleaving, so it can be written to a trace and replayed verbatim.
+    interleaving, so equal seeds give equal spec lists whatever runs them.
     """
     if not templates:
         raise ValueError("need at least one service template")
@@ -375,8 +306,6 @@ def synthesize_requests(
     specs: List[ServiceRequestSpec] = []
     clock_ps = start_ps + _gap_ps(rng, rate_per_second)
     while clock_ps < start_ps + horizon_ps:
-        if max_requests is not None and len(specs) >= max_requests:
-            break
         template = templates[0] if len(templates) == 1 else rng.choice(list(templates))
         specs.append(
             ServiceRequestSpec(
@@ -441,22 +370,6 @@ class ServiceRequestRun:
         if self.completion_ps is None:
             return None
         return self.completion_ps - self.spec.arrival_ps
-
-    @property
-    def deadline_met(self) -> Optional[bool]:
-        """SLO verdict: ``None`` without a deadline; a request that never
-        completed (censored by the horizon) counts as a miss."""
-        if self.spec.deadline_ps is None:
-            return None
-        if self.latency_ps is None:
-            return False
-        return self.latency_ps <= self.spec.deadline_ps
-
-    def slowest_leaf_ps(self) -> int:
-        """Receiver-side finish time of the slowest final-stage task."""
-        if not self.completed:
-            raise ValueError("request has not completed")
-        return max(task.record.finish_time_ps for task in self.tasks[-1])
 
 
 class ServiceEngine:
@@ -562,7 +475,7 @@ class ServiceEngine:
         arrival, window, deadline), the completion time (-1 if censored),
         and per launched task its stage, endpoints, size and receiver-side
         finish time (-1 if unfinished).  Equal digests mean equal
-        per-request latencies — the handle trace-replay tests assert.
+        per-request latencies — the handle the determinism tests assert.
         """
         digest = hashlib.sha256()
         for run in self.requests:

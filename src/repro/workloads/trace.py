@@ -1,53 +1,26 @@
-"""Versioned JSONL traces of service-request workloads.
+"""A canonical digest of a service-request workload.
 
-A trace file freezes a workload — synthesized or recorded — so it replays
-bit-identically through the :class:`~repro.workloads.services.ServiceEngine`
-later, on another machine, or against a different transport.  The format is
-line-oriented JSON:
-
-* **header** (first line): ``{"schema": "repro.service-trace", "version": 1,
-  "requests": N, "meta": {...}}`` — ``meta`` is free-form caller context
-  (seed, load, fabric, ...);
-* **one record per request**, in arrival order: the canonical serialization
-  of a :class:`~repro.workloads.services.ServiceRequestSpec` (id, template,
-  arrival, deadline, stages as ``[src, dst, size_bytes]`` triples);
-* **footer** (last line): ``{"sha256": "<digest>"}`` over the canonical
-  request records, so corruption and truncation are detected on read.
-
-Canonical serialization means sorted keys and no whitespace — the digest
-of a spec list is well-defined independent of who wrote the file
-(:func:`trace_digest`), and ``write → read → write`` is byte-identical.
-
-Every malformed input raises :class:`ValueError` with a message naming the
-problem (empty file, bad header, unknown schema or version, truncation,
-digest mismatch, malformed record) — a trace that cannot be trusted must
-never half-load.
+:func:`trace_digest` is a SHA-256 over the canonical serialization of a
+:class:`~repro.workloads.services.ServiceRequestSpec` list (id, template,
+arrival, deadline, stages as ``[src, dst, size_bytes]`` triples), one record
+per request in arrival order.  Canonical means sorted keys and no
+whitespace, so the digest depends only on the specs: the ``rpc_deadline`` and
+``coflow_ct`` rows print it, and it is equal across protocols at one seed and
+load because the synthesized workload is.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
-from repro.workloads.services import ServiceRequestSpec, TaskSpec
+from repro.workloads.services import ServiceRequestSpec
 
 __all__ = [
-    "TRACE_SCHEMA",
-    "TRACE_VERSION",
-    "TraceFile",
     "request_to_record",
-    "record_to_request",
     "trace_digest",
-    "write_trace",
-    "read_trace",
 ]
-
-#: schema identifier in every trace header
-TRACE_SCHEMA = "repro.service-trace"
-#: current format version; readers reject anything else, loudly
-TRACE_VERSION = 1
 
 
 def request_to_record(spec: ServiceRequestSpec) -> Dict[str, object]:
@@ -66,26 +39,6 @@ def request_to_record(spec: ServiceRequestSpec) -> Dict[str, object]:
     return record
 
 
-def record_to_request(record: object) -> ServiceRequestSpec:
-    """Parse one request record back into a spec; ``ValueError`` if malformed."""
-    if not isinstance(record, dict):
-        raise ValueError(f"malformed trace record: expected an object, got {record!r}")
-    try:
-        stages = tuple(
-            tuple(TaskSpec(src, dst, size) for src, dst, size in stage)
-            for stage in record["stages"]
-        )
-        return ServiceRequestSpec(
-            request_id=record["id"],
-            template=record["template"],
-            arrival_ps=record["arrival_ps"],
-            stages=stages,
-            deadline_ps=record.get("deadline_ps"),
-        )
-    except (KeyError, TypeError, ValueError) as error:
-        raise ValueError(f"malformed trace record {record!r}: {error}") from error
-
-
 def _canonical_line(record: Dict[str, object]) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
@@ -94,100 +47,10 @@ def trace_digest(specs: Sequence[ServiceRequestSpec]) -> str:
     """SHA-256 over the canonical request records.
 
     Depends only on the specs — two identical workloads have equal digests
-    whether they came from synthesis or from a file round-trip.
+    however their spec lists were built.
     """
     digest = hashlib.sha256()
     for spec in specs:
         digest.update(_canonical_line(request_to_record(spec)).encode())
         digest.update(b"\n")
     return digest.hexdigest()
-
-
-@dataclass
-class TraceFile:
-    """A fully-validated trace: requests, caller metadata and the digest."""
-
-    requests: List[ServiceRequestSpec]
-    meta: Dict[str, object] = field(default_factory=dict)
-    sha256: str = ""
-
-
-def write_trace(
-    path: str,
-    specs: Sequence[ServiceRequestSpec],
-    meta: Optional[Dict[str, object]] = None,
-) -> str:
-    """Write *specs* as a versioned JSONL trace; returns the digest."""
-    digest = trace_digest(specs)
-    header = {
-        "schema": TRACE_SCHEMA,
-        "version": TRACE_VERSION,
-        "requests": len(specs),
-        "meta": meta or {},
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_canonical_line(header) + "\n")
-        for spec in specs:
-            handle.write(_canonical_line(request_to_record(spec)) + "\n")
-        handle.write(_canonical_line({"sha256": digest}) + "\n")
-    return digest
-
-
-def read_trace(path: str) -> TraceFile:
-    """Read and fully validate a trace written by :func:`write_trace`.
-
-    Raises ``ValueError`` for anything untrustworthy: empty file, missing
-    or foreign header, unsupported version, truncated body or missing
-    footer, and any digest mismatch (corruption).
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line for line in (raw.strip() for raw in handle) if line]
-    if not lines:
-        raise ValueError(f"empty trace file: {path}")
-
-    def parse(line: str, what: str) -> object:
-        try:
-            return json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ValueError(f"malformed trace {what} in {path}: {error}") from error
-
-    header = parse(lines[0], "header")
-    if not isinstance(header, dict) or "schema" not in header:
-        raise ValueError(f"not a service trace (no schema header): {path}")
-    if header["schema"] != TRACE_SCHEMA:
-        raise ValueError(
-            f"not a service trace (schema {header['schema']!r}, "
-            f"expected {TRACE_SCHEMA!r}): {path}"
-        )
-    if header.get("version") != TRACE_VERSION:
-        raise ValueError(
-            f"unsupported trace version {header.get('version')!r} "
-            f"(this reader supports version {TRACE_VERSION}): {path}"
-        )
-    expected = header.get("requests")
-    if not isinstance(expected, int) or expected < 0:
-        raise ValueError(f"malformed trace header (bad request count): {path}")
-
-    if len(lines) < 2:
-        raise ValueError(f"truncated trace (no digest footer): {path}")
-    footer = parse(lines[-1], "footer")
-    if not isinstance(footer, dict) or "sha256" not in footer:
-        raise ValueError(f"truncated trace (no digest footer): {path}")
-
-    body = lines[1:-1]
-    if len(body) != expected:
-        raise ValueError(
-            f"truncated trace: header promises {expected} requests, "
-            f"found {len(body)}: {path}"
-        )
-    specs = [record_to_request(parse(line, "record")) for line in body]
-    digest = trace_digest(specs)
-    if digest != footer["sha256"]:
-        raise ValueError(
-            f"trace digest mismatch (file corrupt?): recorded "
-            f"{footer['sha256']}, recomputed {digest}: {path}"
-        )
-    meta = header.get("meta") or {}
-    if not isinstance(meta, dict):
-        raise ValueError(f"malformed trace header (meta must be an object): {path}")
-    return TraceFile(requests=specs, meta=meta, sha256=digest)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import NdpConfig
@@ -26,7 +28,7 @@ class TestDefaults:
     def test_header_queue_capacity_matches_paper_figure(self):
         # §3.2.4: the same memory as eight 9KB packets holds 1125 64-byte headers
         config = NdpConfig()
-        assert config.header_queue_capacity_packets() == 1125
+        assert config.header_queue_bytes // config.header_bytes == 1125
 
 
 class TestValidation:
@@ -62,14 +64,14 @@ class TestValidation:
 
 
 class TestOverrides:
-    def test_with_overrides_returns_new_config(self):
+    def test_replace_returns_new_config(self):
         base = NdpConfig()
-        small = base.with_overrides(mtu_bytes=1500, initial_window_packets=12)
+        small = dataclasses.replace(base, mtu_bytes=1500, initial_window_packets=12)
         assert small.mtu_bytes == 1500
         assert small.initial_window_packets == 12
         assert base.mtu_bytes == 9000  # original untouched
         assert small.data_queue_packets == base.data_queue_packets
 
-    def test_with_overrides_validates(self):
+    def test_replace_validates(self):
         with pytest.raises(ValueError):
-            NdpConfig().with_overrides(initial_window_packets=-3)
+            dataclasses.replace(NdpConfig(), initial_window_packets=-3)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -174,7 +175,9 @@ class TestReturnToSender:
         assert all(p.bounced and p.is_header_only for p in sender.bounced)
 
     def test_bounce_disabled_drops_headers(self, eventlist):
-        config = self._tiny_header_queue_config().with_overrides(return_to_sender=False)
+        config = dataclasses.replace(
+            self._tiny_header_queue_config(), return_to_sender=False
+        )
         queue = NdpSwitchQueue(eventlist, gbps(10), config, random.Random(10))
         packets = [data_packet(i) for i in range(20)]
         push(queue, packets)

@@ -25,7 +25,7 @@ def test_a_package_init_is_a_docstring_and_names_come_from_their_defining_module
         path for path in sorted((SRC / "repro").rglob("__init__.py"))
         if path.parent.name not in EXCEPTIONS
     ]
-    assert len(inits) >= 10
+    assert len(inits) >= 9
     problems = []
     for path in inits:
         tree = ast.parse(path.read_text())

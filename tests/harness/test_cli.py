@@ -86,6 +86,7 @@ class TestRun:
         (["sweep", "fig12", "--png"], "--png"),
         (["render", "fig12", "--out", "unused", "--seed", "3"], "--seed"),
         (["shard", "pairs", "--png"], "--png"),
+        (["render", "fig12", "--out", "unused", "--set", "samples=100"], "--set (render"),
     ])
     def test_a_flag_outside_its_subcommand_is_rejected_not_ignored(
         self, capsys, argv, flag

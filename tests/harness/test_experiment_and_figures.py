@@ -55,14 +55,15 @@ class TestWorkloadRunners:
         assert all(record.completed for record in result.records)
         # far less than the full one-second horizon was simulated
         assert eventlist.now() < units.milliseconds(20)
-        assert result.last_completion_us() > 0
+        assert max(result.fcts_us()) > 0
         summary = result.summary()
         assert summary["count"] == 2
 
     def test_fct_result_requires_completions(self):
         result = experiment.FctResult(records=[])
+        assert result.fcts_us() == []
         with pytest.raises(ValueError):
-            result.last_completion_us()
+            max(result.fcts_us())
 
 
 class TestSharedUnitRuns:
@@ -117,7 +118,7 @@ class TestFigureGenerators:
         from repro.transports import registry
 
         assert set(figures.COMPARISON_PROTOCOLS) == {"NDP", "MPTCP", "DCTCP", "DCQCN"}
-        assert set(figures.COMPARISON_PROTOCOLS) <= set(registry.displays())
+        assert set(figures.COMPARISON_PROTOCOLS) <= {spec.display for spec in registry.specs()}
 
     def test_failures_experiments_registered(self):
         for name in ("failures_degraded", "failures_recovery", "failures_klinks"):

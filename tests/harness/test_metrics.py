@@ -68,13 +68,6 @@ class TestPercentiles:
 
 
 class TestCdf:
-    def test_cdf_points_are_monotone_and_end_at_one(self):
-        points = metrics.cdf_points([3, 1, 2])
-        values = [v for v, _ in points]
-        fractions = [f for _, f in points]
-        assert values == [1, 2, 3]
-        assert fractions == pytest.approx([1 / 3, 2 / 3, 1.0])
-
     def test_mean_of_empty_is_zero(self):
         assert metrics.mean([]) == 0.0
         assert metrics.mean([2, 4]) == 3.0

@@ -41,7 +41,7 @@ class TestPacketForwarding:
         packet.send_to_next_hop()
         packet.send_to_next_hop()
         assert [s.packets_received for s in sinks] == [1, 1, 1]
-        assert packet.remaining_hops() == 0
+        assert packet.hop == len(sinks)
 
     def test_running_off_route_raises(self):
         packet = Packet(flow_id=1, src=0, dst=1, size=100)

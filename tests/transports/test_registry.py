@@ -31,12 +31,13 @@ def _tiny_transfer_digest(spec: registry.TransportSpec, seed: int = 5):
 
 class TestRegistryContents:
     def test_builtin_transports_registered(self):
-        assert registry.names() == ["ndp", "tcp", "dctcp", "mptcp", "dcqcn", "phost"]
-        assert registry.displays() == [
-            registry.NDP, registry.TCP, registry.DCTCP,
-            registry.MPTCP, registry.DCQCN, registry.PHOST,
+        assert [(spec.name, spec.display) for spec in registry.specs()] == [
+            ("ndp", registry.NDP), ("tcp", registry.TCP), ("dctcp", registry.DCTCP),
+            ("mptcp", registry.MPTCP), ("dcqcn", registry.DCQCN), ("phost", registry.PHOST),
         ]
-        assert registry.NDP_NO_PATH_PENALTY in registry.displays(include_variants=True)
+        assert registry.NDP_NO_PATH_PENALTY in [
+            spec.display for spec in registry.specs(include_variants=True)
+        ]
 
     def test_capabilities_match_the_protocols(self):
         trimming = [s.name for s in registry.specs() if s.capabilities.supports_trimming]
@@ -106,7 +107,7 @@ class TestCapabilityValidation:
 
     def test_link_severing_families_reject_dcqcn(self):
         traits = FamilyTraits(family="failures_klinks", severs_links=True)
-        reason = registry.incompatibility("dcqcn", traits)
+        reason = registry.resolve("dcqcn").incompatibility(traits)
         assert reason is not None and "PFC" in reason
         with pytest.raises(registry.IncompatibleTransportError) as excinfo:
             registry.require_compatible("dcqcn", traits)
@@ -115,7 +116,7 @@ class TestCapabilityValidation:
 
     def test_rate_mutation_does_not_reject_dcqcn(self):
         traits = FamilyTraits(family="failures_degraded")
-        assert registry.incompatibility("dcqcn", traits) is None
+        assert registry.resolve("dcqcn").incompatibility(traits) is None
 
     def test_every_other_transport_is_compatible_everywhere(self):
         traits = FamilyTraits(family="failures_recovery", severs_links=True)

@@ -21,7 +21,7 @@ from repro.workloads.flowsize import (
 from repro.workloads.generators import (
     MAX_ARRIVAL_GAP_PS,
     ClosedLoopGenerator,
-    PoissonArrivals,
+    poisson_gap_ps,
 )
 from repro.workloads.traffic_matrices import incast_pairs, permutation_pairs, random_pairs
 
@@ -197,82 +197,16 @@ class TestGenerators:
                 connections_per_host=0,
             )
 
-    def test_poisson_arrivals(self):
-        eventlist, network = self._network(hosts=6)
-        arrivals = PoissonArrivals(
-            eventlist,
-            network,
-            hosts=network.topology.hosts(),
-            flow_sizes=FixedFlowSizes(9_000),
-            arrival_rate_per_second=200_000,
-            rng=random.Random(7),
-            max_flows=50,
-        )
-        arrivals.start()
-        eventlist.run(until=units.milliseconds(2))
-        assert arrivals.flows_started > 10
-        assert arrivals.flows_started <= 50
-
-    def test_poisson_validation(self):
-        eventlist, network = self._network()
-        for bad_rate in (0, -5, float("inf"), float("nan")):
-            with pytest.raises(ValueError):
-                PoissonArrivals(
-                    eventlist,
-                    network,
-                    hosts=network.topology.hosts(),
-                    flow_sizes=FixedFlowSizes(100),
-                    arrival_rate_per_second=bad_rate,
-                )
-
-    def _poisson(self, network, eventlist, rate, seed=21, max_flows=None):
-        return PoissonArrivals(
-            eventlist,
-            network,
-            hosts=network.topology.hosts(),
-            flow_sizes=FixedFlowSizes(9_000),
-            arrival_rate_per_second=rate,
-            rng=random.Random(seed),
-            max_flows=max_flows,
-        )
-
     def test_poisson_gap_is_always_at_least_one_picosecond(self):
         """Extreme rates must not schedule two arrivals at the same instant."""
-        eventlist, network = self._network()
-        arrivals = self._poisson(network, eventlist, rate=1e30)
-        assert all(arrivals._next_gap() >= 1 for _ in range(1000))
+        rng = random.Random(21)
+        assert all(poisson_gap_ps(rng, 1e30) >= 1 for _ in range(1000))
 
     def test_poisson_gap_is_capped_under_extreme_low_rates(self):
         """Rates near float underflow used to overflow int(seconds * 1e12)."""
-        eventlist, network = self._network()
-        arrivals = self._poisson(network, eventlist, rate=1e-300)
-        gaps = [arrivals._next_gap() for _ in range(100)]
+        rng = random.Random(21)
+        gaps = [poisson_gap_ps(rng, 1e-300) for _ in range(100)]
         assert all(gap == MAX_ARRIVAL_GAP_PS for gap in gaps)
         # a merely-low rate clamps the tail but still terminates
-        slow = self._poisson(network, eventlist, rate=1e-6)
-        assert all(1 <= slow._next_gap() <= MAX_ARRIVAL_GAP_PS for _ in range(100))
-
-    def test_poisson_arrival_sequence_is_seed_reproducible(self):
-        """Same seed, same hosts => byte-identical arrival sequences."""
-        def sequence(seed):
-            eventlist, network = self._network(hosts=6)
-            arrivals = PoissonArrivals(
-                eventlist,
-                network,
-                hosts=network.topology.hosts(),
-                flow_sizes=FacebookWebFlowSizes(),
-                arrival_rate_per_second=300_000,
-                rng=random.Random(seed),
-                max_flows=40,
-            )
-            arrivals.start()
-            eventlist.run(until=units.milliseconds(2))
-            return [
-                (f.record.start_time_ps, f.record.src, f.record.dst,
-                 f.record.flow_size_bytes)
-                for f in arrivals.flows
-            ]
-
-        first, second = sequence(33), sequence(33)
-        assert first and first == second
-        assert sequence(34) != first
+        slow = random.Random(21)
+        assert all(1 <= poisson_gap_ps(slow, 1e-6) <= MAX_ARRIVAL_GAP_PS for _ in range(100))
