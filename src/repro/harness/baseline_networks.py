@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.pull_queue import NdpPullPacer
 from repro.harness.network import Network
 from repro.routing.ecmp import ecmp_path
 from repro.sim.queues import ECNQueue, LosslessQueue
@@ -24,7 +25,7 @@ from repro.transports.capabilities import CapabilityError
 from repro.transports.dcqcn import DcqcnConfig, DcqcnSink, DcqcnSrc
 from repro.transports.dctcp import DctcpConfig, DctcpSink, DctcpSrc
 from repro.transports.mptcp import MptcpConfig, MptcpConnection
-from repro.transports.phost import PHostConfig, PHostSink, PHostSrc, PHostTokenPacer
+from repro.transports.phost import PHostConfig, PHostSink, PHostSrc
 from repro.transports.tcp import TcpConfig, TcpSink, TcpSrc
 
 
@@ -160,9 +161,9 @@ class PHostNetwork(Network):
     BUFFER_PACKETS = 8
     NIC_PACKETS = 512
 
-    def _make_pacer(self, host: int) -> PHostTokenPacer:
-        return PHostTokenPacer(
-            self.eventlist, self.topology.link_rate_bps, self.config.packet_bytes
+    def _make_pacer(self, host: int) -> NdpPullPacer:
+        return NdpPullPacer(
+            self.eventlist, self.topology.link_rate_bps, mtu_bytes=self.config.packet_bytes
         )
 
     def _endpoints(

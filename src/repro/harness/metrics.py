@@ -241,20 +241,18 @@ def binned_slowdown_summary(
     skipped — censoring is the caller's to report (e.g. via
     ``OpenLoopGenerator.measured_records(completed_only=False)``) — and an
     empty population yields ``{"count": 0}`` entries rather than raising,
-    so a measurement window with no completions is representable.
+    so a measurement window with no completions is representable.  The
+    binning is :func:`binned_cct_summary`'s, over ``(size, slowdown)`` pairs.
     """
-    by_bin: Dict[str, List[float]] = {label: [] for label, _upper in bins}
-    everything: List[float] = []
-    for record in records:
-        if not record.completed:
-            continue
-        value = flow_slowdown(record, link_rate_bps, mtu_bytes, header_bytes, base_rtt_ps)
-        by_bin[slowdown_bin(record.flow_size_bytes, bins)].append(value)
-        everything.append(value)
-    summary = {"all": population_stats(everything)}
-    for label, _upper in bins:
-        summary[label] = population_stats(by_bin[label])
-    return summary
+    return binned_cct_summary(
+        (
+            (record.flow_size_bytes,
+             flow_slowdown(record, link_rate_bps, mtu_bytes, header_bytes, base_rtt_ps))
+            for record in records
+            if record.completed
+        ),
+        bins,
+    )
 
 
 def population_stats(values: Sequence[float]) -> dict:
@@ -293,10 +291,10 @@ def binned_cct_summary(
     *sized_ccts* yields ``(total_coflow_bytes, completion_time)`` pairs —
     the coflow's size across all stages and its CCT in whatever unit the
     caller reports (the ``coflow_ct`` family uses microseconds).  Binning
-    reuses :func:`slowdown_bin` (inclusive upper bounds), and the returned
-    shape matches :func:`binned_slowdown_summary`: ``{"all": {...},
-    "<bin>": {...}}`` with ``count``/``p50``/``p99``/``p999``/``mean``/
-    ``max`` per population, ``{"count": 0}`` when empty.
+    reuses :func:`slowdown_bin` (inclusive upper bounds); the result is
+    ``{"all": {...}, "<bin>": {...}}`` with ``count``/``p50``/``p99``/
+    ``p999``/``mean``/``max`` per population, ``{"count": 0}`` when empty.
+    :func:`binned_slowdown_summary` is this over ``(size, slowdown)`` pairs.
     """
     by_bin: Dict[str, List[float]] = {label: [] for label, _upper in bins}
     everything: List[float] = []

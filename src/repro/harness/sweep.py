@@ -53,7 +53,7 @@ it into place, so concurrent writers — parallel workers, two CI jobs on a
 shared volume — can never interleave bytes; readers treat any unreadable or
 structurally invalid record as a miss and delete it.  Set ``REPRO_NO_CACHE=1``
 (or pass ``cache=None`` / ``--no-cache``) to bypass the cache entirely; the
-seeded digest scenarios (``benchmarks/perf/``) never consult it.
+seeded digest scenarios (``tools/check_digests.py``) never consult it.
 """
 
 from __future__ import annotations
@@ -202,6 +202,17 @@ def code_fingerprint() -> str:
     return _fingerprint_cache
 
 
+def record_key(
+    experiment: str, params: Mapping[str, Any], fingerprint: Optional[str] = None
+) -> str:
+    """Digest identifying one run's cache record (see the module docstring)."""
+    material = "\x00".join(
+        [experiment, canonical_params(params),
+         fingerprint if fingerprint is not None else code_fingerprint()]
+    )
+    return hashlib.sha256(material.encode()).hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # RunSpec / Plan — the unit-of-work contract
 # ---------------------------------------------------------------------------
@@ -243,12 +254,8 @@ class RunSpec:
     kwargs: Mapping[str, Any] = field(default_factory=dict)
 
     def cache_key(self, fingerprint: Optional[str] = None) -> str:
-        """Digest identifying this run (see the module docstring)."""
-        material = "\x00".join(
-            [self.experiment, canonical_params(self.kwargs),
-             fingerprint if fingerprint is not None else code_fingerprint()]
-        )
-        return hashlib.sha256(material.encode()).hexdigest()
+        """Digest identifying this run (:func:`record_key`)."""
+        return record_key(self.experiment, self.kwargs, fingerprint)
 
     def execute(self) -> Any:
         """Run the experiment (no cache involvement)."""
@@ -295,8 +302,7 @@ class ResultCache:
 
     def get(self, experiment: str, params: Mapping[str, Any]) -> Tuple[bool, Any]:
         """Return ``(hit, decoded_result)``; corrupt records become misses."""
-        key = self._record_key(experiment, params)
-        path = self._path(key)
+        path = self._path(record_key(experiment, params))
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 record = json.load(fh)
@@ -334,7 +340,7 @@ class ResultCache:
         Lets the sweep engine write worker payloads straight to disk
         without re-encoding multi-thousand-sample figures a second time.
         """
-        key = self._record_key(experiment, params)
+        key = record_key(experiment, params)
         record = {
             "experiment": experiment,
             "kwargs": encode_result(dict(params)),
@@ -422,25 +428,6 @@ class ResultCache:
         except OSError:
             return
         self.prune()
-
-    # RunSpec conveniences -------------------------------------------------
-
-    def lookup_spec(self, spec: RunSpec) -> Tuple[bool, Any]:
-        return self.get(spec.experiment, spec.kwargs)
-
-    def store_spec(self, spec: RunSpec, result: Any) -> None:
-        self.put(spec.experiment, spec.kwargs, result)
-
-    def store_spec_encoded(self, spec: RunSpec, encoded_result: Any) -> None:
-        self.put_encoded(spec.experiment, spec.kwargs, encoded_result)
-
-    @staticmethod
-    def _record_key(experiment: str, params: Mapping[str, Any]) -> str:
-        return RunSpec(experiment, _no_fn, params).cache_key()
-
-
-def _no_fn(**_kwargs: Any) -> None:  # placeholder for key-only RunSpecs
-    raise RuntimeError("key-only spec is not executable")
 
 
 #: sentinel meaning "use default_cache()" (distinct from None = disabled)
@@ -616,7 +603,7 @@ def run_specs(
     pending: List[int] = []
     for index, spec in enumerate(specs):
         if cache is not None:
-            hit, value = cache.lookup_spec(spec)
+            hit, value = cache.get(spec.experiment, spec.kwargs)
             if hit:
                 results[index] = value
                 if on_result is not None:
@@ -640,7 +627,7 @@ def run_specs(
         # goes straight to disk without a second encode pass
         value = decode_result(json.loads(json.dumps(payload)))
         if cache is not None:
-            cache.store_spec_encoded(specs[leader], payload)
+            cache.put_encoded(specs[leader].experiment, specs[leader].kwargs, payload)
         for index in groups[specs[leader].cache_key()]:
             results[index] = value
             if on_result is not None:

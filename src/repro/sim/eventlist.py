@@ -93,7 +93,7 @@ from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappus
 from typing import Any, Callable, List, Optional
 
 #: log2 of the wheel slot width: 2**23 ps ~ 8.4 us per slot (tuned on the
-#: benchmarks/perf scenarios: one slot comfortably covers an MTU
+#: tools/check_digests.py scenarios: one slot comfortably covers an MTU
 #: serialization time plus a propagation delay, so most inserts are O(1)
 #: appends, cursor advances stay rare, and — crucially for the batched
 #: drains — back-to-back jumbo completions (7.2 us apart at 10 Gbps) can

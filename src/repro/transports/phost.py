@@ -22,17 +22,20 @@ Protocol sketch implemented here:
 
 The flow lifecycle (sizing, records, ``start``, ``expect``, duplicate-safe
 delivery, completion) is :class:`~repro.sim.network.FlowSource` /
-:class:`~repro.sim.network.FlowSink`'s; the pacer tick and both timeouts are
-re-armable :class:`~repro.sim.eventlist.Timer` s.
+:class:`~repro.sim.network.FlowSink`'s; both timeouts are re-armable
+:class:`~repro.sim.eventlist.Timer` s.  Tokens are paced by the receiving
+host's :class:`~repro.core.pull_queue.NdpPullPacer`, exactly as NDP paces
+its PULLs: a pHost token is its pull.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.core.path_manager import PathManager
+from repro.core.pull_queue import NdpPullPacer
 from repro.sim import units
 from repro.sim.eventlist import EventList, Timer
 from repro.sim.network import FlowSink, FlowSource, PacketSink
@@ -89,65 +92,18 @@ class PHostToken(ControlPacket):
     __slots__ = ()
 
 
-class PHostTokenPacer:
-    """Per-receiving-host token pacer (analogous to NDP's pull pacer)."""
-
-    def __init__(self, eventlist: EventList, link_rate_bps: int, packet_bytes: int) -> None:
-        self.eventlist = eventlist
-        self.token_interval_ps = units.serialization_time_ps(packet_bytes, link_rate_bps)
-        self._pending: Dict[int, int] = {}
-        self._sinks: Dict[int, "PHostSink"] = {}
-        self._order: list[int] = []
-        self._next_allowed = 0
-        self._tick = Timer(eventlist, self._send_one)
-        self.tokens_sent = 0
-
-    def request_tokens(self, sink: "PHostSink", count: int) -> None:
-        """Queue *count* token grants for *sink*'s flow."""
-        if count <= 0:
-            return
-        flow_id = sink.flow_id
-        self._sinks[flow_id] = sink
-        if flow_id not in self._order:
-            self._order.append(flow_id)
-        self._pending[flow_id] = self._pending.get(flow_id, 0) + count
-        self._schedule()
-
-    def purge(self, flow_id: int) -> None:
-        """Drop queued tokens for a finished flow."""
-        self._pending.pop(flow_id, None)
-
-    def _schedule(self) -> None:
-        if self._tick.armed or not any(self._pending.values()):
-            return
-        self._tick.schedule_at(max(self.eventlist.now(), self._next_allowed))
-
-    def _send_one(self) -> None:
-        flow_id = None
-        while self._order:
-            candidate = self._order.pop(0)
-            if self._pending.get(candidate, 0) > 0:
-                flow_id = candidate
-                self._order.append(candidate)
-                break
-        if flow_id is None:
-            return
-        self._pending[flow_id] -= 1
-        self._next_allowed = self.eventlist.now() + self.token_interval_ps
-        self.tokens_sent += 1
-        self._sinks[flow_id].emit_token()
-        self._schedule()
-
-
 class PHostSink(FlowSink):
     """pHost receiver: ACKs arrivals, paces tokens, times out losses."""
+
+    #: the pacer serves every pHost flow in its one round-robin class
+    priority = False
 
     def __init__(
         self,
         eventlist: EventList,
         flow_id: int,
         node_id: int,
-        pacer: PHostTokenPacer,
+        pacer: NdpPullPacer,
         reverse_routes: Sequence[Route],
         reverse_terminal: Optional[PacketSink] = None,
         config: Optional[PHostConfig] = None,
@@ -199,10 +155,11 @@ class PHostSink(FlowSink):
         grant = min(want, allowed)
         if grant > 0:
             self._tokens_outstanding += grant
-            self.pacer.request_tokens(self, grant)
+            for _ in range(grant):
+                self.pacer.request_pull(self)
 
-    def emit_token(self) -> None:
-        """Called by the pacer: actually send one token to the sender."""
+    def emit_pull(self) -> None:
+        """Called by the pacer: send one token to the sender."""
         if self.complete:
             return
         self._token_counter += 1

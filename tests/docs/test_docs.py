@@ -24,7 +24,7 @@ def test_markdown_links_resolve():
 
 
 def test_readme_figure_index_is_complete():
-    assert [p for p in check_docs.check_families() if p.startswith("README.md")] == []
+    assert [p for p in check_docs.check_family_docs() if p.startswith("README.md")] == []
 
 
 def test_repo_has_the_documentation_front_door():
@@ -33,7 +33,7 @@ def test_repo_has_the_documentation_front_door():
 
 
 def test_experiments_handbook_is_complete():
-    assert check_docs.check_families() == []
+    assert check_docs.check_family_docs() == []
 
 
 def test_handbook_check_catches_an_undocumented_family(monkeypatch):
@@ -43,14 +43,14 @@ def test_handbook_check_catches_an_undocumented_family(monkeypatch):
 
     ghost = figures.Family("fig_unwritten", "ghost", lambda: None, None, list)
     monkeypatch.setitem(figures.FAMILIES, ghost.name, ghost)
-    problems = check_docs.check_families()
+    problems = check_docs.check_family_docs()
     assert any("docs/experiments.md" in p and "fig_unwritten" in p for p in problems)
     assert any("README.md" in p and "fig_unwritten" in p for p in problems)
     assert not any("rendered figure" in p for p in problems)
 
 
 def test_rendered_figures_are_documented_and_wired():
-    assert [p for p in check_docs.check_families() if "rendered figure" in p] == []
+    assert [p for p in check_docs.check_family_docs() if "rendered figure" in p] == []
 
 
 def test_sharded_docs_are_complete():
@@ -75,7 +75,7 @@ def test_family_check_catches_an_undocumented_chart(monkeypatch):
 
     charted = figures.FAMILIES["fig2"]._replace(chart=figures.FAMILIES["fig12"].chart)
     monkeypatch.setitem(figures.FAMILIES, "fig2", charted)
-    assert check_docs.check_families() == [
+    assert check_docs.check_family_docs() == [
         "docs/experiments.md: rendered figure 'fig2' missing from the "
         "handbook (From runs to figures)"
     ]

@@ -90,12 +90,12 @@ class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         spec = _cheap_spec()
-        hit, _ = cache.lookup_spec(spec)
+        hit, _ = cache.get(spec.experiment, spec.kwargs)
         assert not hit and cache.misses == 1
         result = spec.execute()
-        cache.store_spec(spec, result)
+        cache.put(spec.experiment, spec.kwargs, result)
         assert cache.stores == 1
-        hit, value = cache.lookup_spec(spec)
+        hit, value = cache.get(spec.experiment, spec.kwargs)
         assert hit and cache.hits == 1
         assert value == sweep.normalize_result(result)
 
@@ -115,16 +115,16 @@ class TestResultCache:
     def test_corrupt_record_recovers_as_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         spec = _cheap_spec()
-        cache.store_spec(spec, spec.execute())
+        cache.put(spec.experiment, spec.kwargs, spec.execute())
         path = cache._path(spec.cache_key())
         for garbage in ("{not json", json.dumps({"experiment": "fig12"}), ""):
             with open(path, "w") as fh:
                 fh.write(garbage)
-            hit, _ = cache.lookup_spec(spec)
+            hit, _ = cache.get(spec.experiment, spec.kwargs)
             assert not hit
             assert not os.path.exists(path)  # corrupt record was dropped
-            cache.store_spec(spec, spec.execute())  # cache heals itself
-        hit, _ = cache.lookup_spec(spec)
+            cache.put(spec.experiment, spec.kwargs, spec.execute())  # cache heals itself
+        hit, _ = cache.get(spec.experiment, spec.kwargs)
         assert hit
 
     def test_unwritable_cache_degrades_to_no_op(self, tmp_path):
@@ -132,9 +132,9 @@ class TestResultCache:
         blocked.write_text("a file, not a directory")
         cache = ResultCache(str(blocked))
         spec = _cheap_spec()
-        cache.store_spec(spec, spec.execute())  # must not raise
+        cache.put(spec.experiment, spec.kwargs, spec.execute())  # must not raise
         assert cache.stores == 0
-        hit, _ = cache.lookup_spec(spec)
+        hit, _ = cache.get(spec.experiment, spec.kwargs)
         assert not hit
 
     def test_concurrent_writers_never_corrupt_records(self, tmp_path):
@@ -149,8 +149,8 @@ class TestResultCache:
             "cache = ResultCache(sys.argv[1])\n"
             "result = spec.execute()\n"
             "for _ in range(25):\n"
-            "    cache.store_spec(spec, result)\n"
-            "    hit, value = cache.lookup_spec(spec)\n"
+            "    cache.put(spec.experiment, spec.kwargs, result)\n"
+            "    hit, value = cache.get(spec.experiment, spec.kwargs)\n"
             "    assert hit and value == result, 'read back a corrupt record'\n"
         )
         src = os.path.join(os.path.dirname(figures.__file__), "..", "..")
@@ -166,7 +166,7 @@ class TestResultCache:
             assert process.returncode == 0, err.decode()
         # afterwards the record is a single valid JSON file
         cache = ResultCache(str(tmp_path))
-        hit, value = cache.lookup_spec(_cheap_spec())
+        hit, value = cache.get("fig12", _cheap_spec().kwargs)
         assert hit and value == sweep.normalize_result(_cheap_spec().execute())
         leftovers = [f for f in os.listdir(tmp_path) if ".tmp." in f]
         assert leftovers == []
@@ -186,15 +186,15 @@ class TestResultCache:
 
         monkeypatch.setattr(sweep.json, "dump", interrupted_dump)
         with pytest.raises(KeyboardInterrupt):
-            cache.store_spec(spec, {"ok": True})
+            cache.put(spec.experiment, spec.kwargs, {"ok": True})
         monkeypatch.undo()
         assert os.listdir(tmp_path) == [] and cache.stores == 0
-        assert cache.lookup_spec(spec) == (False, None)
+        assert cache.get(spec.experiment, spec.kwargs) == (False, None)
 
     def test_prune_reclaims_only_old_records(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         spec = _cheap_spec()
-        cache.store_spec(spec, spec.execute())
+        cache.put(spec.experiment, spec.kwargs, spec.execute())
         path = cache._path(spec.cache_key())
         assert cache.prune() == 0  # fresh record survives
         os.utime(path, (1, 1))  # pretend it is decades old
@@ -207,10 +207,10 @@ class TestResultCache:
     def test_hits_keep_records_young(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         spec = _cheap_spec()
-        cache.store_spec(spec, spec.execute())
+        cache.put(spec.experiment, spec.kwargs, spec.execute())
         path = cache._path(spec.cache_key())
         os.utime(path, (1, 1))
-        hit, _ = cache.lookup_spec(spec)  # refreshes mtime
+        hit, _ = cache.get(spec.experiment, spec.kwargs)  # refreshes mtime
         assert hit
         assert cache.prune() == 0
 
@@ -220,7 +220,7 @@ class TestResultCache:
         stamp = tmp_path / ".last-prune"
         assert stamp.exists()
         spec = _cheap_spec()
-        cache.store_spec(spec, spec.execute())
+        cache.put(spec.experiment, spec.kwargs, spec.execute())
         os.utime(cache._path(spec.cache_key()), (1, 1))
         cache.maybe_prune()  # stamp is fresh: no walk, record survives
         assert os.path.exists(cache._path(spec.cache_key()))
@@ -287,7 +287,7 @@ class TestDeterminism:
         assert isinstance(error, RuntimeError) and error.labels == ("boom",)
         assert str(error) == "experiment 'boom' failed: injected failure"
         assert isinstance(error.__cause__, ValueError)
-        assert cache.lookup_spec(specs[0])[0]  # completed before the failure: kept
+        assert cache.get(specs[0].experiment, specs[0].kwargs)[0]  # finished first: kept
 
     def test_a_pool_needs_two_distinct_misses_and_more_than_one_job(self):
         assert [sweep.pool_workers(jobs, misses) for jobs, misses in
@@ -298,7 +298,7 @@ class TestDeterminism:
         good, bad = _cheap_spec(), RunSpec("boom", _always_failing, {})
         with pytest.raises(RuntimeError, match="boom"):
             sweep.run_specs([good, bad], cache=cache)
-        hit, _ = cache.lookup_spec(good)  # the finished run survived
+        hit, _ = cache.get(good.experiment, good.kwargs)  # the finished run survived
         assert hit
 
     def test_duplicate_specs_in_one_batch_simulate_once(self, tmp_path):

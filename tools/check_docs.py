@@ -82,7 +82,7 @@ def check_links() -> List[str]:
     return problems
 
 
-def check_families() -> List[str]:
+def check_family_docs() -> List[str]:
     """Every registered family must be documented where users look for it.
 
     ``repro.harness.figures.FAMILIES`` is the only experiment registry there
@@ -181,7 +181,7 @@ def check_sharded_docs() -> List[str]:
 def main() -> int:
     problems = (
         check_links()
-        + check_families()
+        + check_family_docs()
         + check_sharded_docs()
     )
     for problem in problems:
