@@ -1,45 +1,16 @@
-"""The seeded-digest gate of ``tools/check_perf.py``, run for real.
+"""The scenario half of ``tools/check_digests.py``, run for real.
 
-``test_the_tree_matches_the_committed_baseline`` *is* the gate: it runs the
-three scenarios and fails tier-1 on any drift, in any of the six transports.
-The other cases doctor a copy of the baseline (or the scenario table) and
-pin the exit code and the line a CI log would show; those that only need the
-comparison hand ``compare`` one shared measurement instead of re-simulating.
+``TestTheGate::test_the_tree_matches_the_committed_baseline`` *is* tier-1's
+gate: the session's one run of the three seeded scenarios must match
+``scenarios.json`` in every pinned value, in any of the six transports.  The
+other cases doctor a copy of the pins (or the scenario table) and pin the exit
+code and the line a CI log would show, replaying that one run.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import os
-
-import pytest
-
-from benchmarks.perf import scenarios
-
-_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-_spec = importlib.util.spec_from_file_location(
-    "check_perf", os.path.join(_ROOT, "tools", "check_perf.py")
-)
-check_perf = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(check_perf)
-
-
-def _committed() -> dict:
-    """The committed baseline's scenario -> pinned-values mapping (a copy)."""
-    with open(check_perf.BASELINE_PATH, "r", encoding="utf-8") as fh:
-        return json.load(fh)["scenarios"]
-
-
-@pytest.fixture(scope="module")
-def measured():
-    return check_perf.measure()
-
-
-def _write(tmp_path, pinned) -> str:
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({"scenarios": pinned}))
-    return str(path)
+from pathlib import Path
 
 
 def _flip_first_hex_digit(digest: str) -> str:
@@ -47,95 +18,70 @@ def _flip_first_hex_digit(digest: str) -> str:
 
 
 class TestTheGate:
-    def test_the_tree_matches_the_committed_baseline(self):
-        listing = sorted(os.listdir(_ROOT))
-        with open(check_perf.BASELINE_PATH, "rb") as fh:
-            pinned_bytes = fh.read()
-
-        assert check_perf.check() == (check_perf.EXIT_OK, [])
-
-        # the gate writes nothing into the checkout
-        assert sorted(os.listdir(_ROOT)) == listing
-        with open(check_perf.BASELINE_PATH, "rb") as fh:
-            assert fh.read() == pinned_bytes
+    def test_the_tree_matches_the_committed_baseline(
+        self, digest_tool, pinned_scenarios, measured_scenarios
+    ):
+        committed = Path(digest_tool.committed["scenarios"]).read_bytes()
+        assert digest_tool.compare("scenarios", pinned_scenarios, measured_scenarios) == []
+        assert Path(digest_tool.committed["scenarios"]).read_bytes() == committed
 
     def test_capture_reproduces_the_committed_file_byte_for_byte(
-        self, tmp_path, capsys
+        self, digest_gate, canned_all_q, capsys
     ):
-        path = str(tmp_path / "captured.json")
-        assert check_perf.main(["--capture-baseline", "--baseline", path]) == 0
-        assert f"baseline written to {path}" in capsys.readouterr().out
-        with open(path, "rb") as captured, \
-                open(check_perf.BASELINE_PATH, "rb") as committed:
-            assert captured.read() == committed.read()
+        Path(digest_gate.GOLDEN["families"]).write_text("{}")
+        assert digest_gate.main(["--capture"]) == 0
+        assert "scenarios: 3 entries written to" in capsys.readouterr().out
+        assert Path(digest_gate.GOLDEN["scenarios"]).read_bytes() == \
+            Path(digest_gate.committed["scenarios"]).read_bytes()
+        assert json.loads(Path(digest_gate.GOLDEN["families"]).read_text()) == \
+            digest_gate.family_digests(canned_all_q)
 
 
 class TestDigestDrift:
-    def test_one_changed_hex_digit_fails(self, tmp_path, capsys):
-        pinned = _committed()
-        real = pinned["incast"]["flow_digest"]
-        pinned["incast"]["flow_digest"] = _flip_first_hex_digit(real)
-        assert check_perf.main(["--baseline", _write(tmp_path, pinned)]) == \
-            check_perf.EXIT_DIGEST_DRIFT == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"digest drift: incast: flow_digest is {real}, " in captured.err
-        assert "seeded behaviour changed" in captured.err
-        assert "1 problem(s)" in captured.err
-
-    def test_one_transport_alone_fails_and_is_named(self, measured):
-        pinned = _committed()
-        real = pinned["transport_matrix"]["digest_tcp"]
-        pinned["transport_matrix"]["digest_tcp"] = _flip_first_hex_digit(real)
-        code, problems = check_perf.compare(pinned, measured)
-        assert code == 3
+    def test_one_transport_alone_fails_and_is_named(
+        self, digest_tool, pinned_scenarios, measured_scenarios
+    ):
+        real = pinned_scenarios["transport_matrix"]["digest_tcp"]
+        pinned_scenarios["transport_matrix"]["digest_tcp"] = _flip_first_hex_digit(real)
+        problems = digest_tool.compare("scenarios", pinned_scenarios, measured_scenarios)
         assert len(problems) == 1  # the chained aggregate still matches
-        assert problems[0].startswith(
-            f"digest drift: transport_matrix: digest_tcp is {real}, ")
-
-    def test_a_changed_event_or_flow_count_fails(self, measured):
-        pinned = _committed()
-        pinned["permutation"]["events_executed"] += 1
-        pinned["incast"]["completed_flows"] -= 1
-        code, problems = check_perf.compare(pinned, measured)
+        code, line = problems[0]
         assert code == 3
-        assert [line.split(" is ")[0] for line in problems] == [
-            "digest drift: incast: completed_flows",
-            "digest drift: permutation: events_executed",
+        assert line.startswith(
+            f"digest drift: scenarios transport_matrix: digest_tcp is {real}, ")
+
+    def test_a_changed_event_or_flow_count_fails(
+        self, digest_tool, pinned_scenarios, measured_scenarios
+    ):
+        pinned_scenarios["permutation"]["events_executed"] += 1
+        pinned_scenarios["incast"]["completed_flows"] -= 1
+        assert [(code, line.split(" is ")[0]) for code, line in
+                digest_tool.compare("scenarios", pinned_scenarios, measured_scenarios)] == [
+            (3, "digest drift: scenarios incast: completed_flows"),
+            (3, "digest drift: scenarios permutation: events_executed"),
         ]
 
 
 class TestMissingScenario:
-    def test_scenario_removed_from_the_baseline_fails(self, measured):
-        pinned = _committed()
-        del pinned["incast"]
-        code, problems = check_perf.compare(pinned, measured)
-        assert code == check_perf.EXIT_MISSING_SCENARIO == 4
-        assert problems == [
-            "missing scenario: 'incast' is in the scenario table but not "
-            "pinned in the baseline"
-        ]
-
-    def test_scenario_removed_from_the_table_fails(self, monkeypatch):
-        monkeypatch.delitem(scenarios.SCENARIOS, "incast")
-        code, problems = check_perf.check()
-        assert code == 4
-        assert problems == [
-            "missing scenario: 'incast' is in the baseline but no longer runs"
-        ]
+    def test_scenario_removed_from_the_table_fails(self, digest_gate, capsys):
+        del digest_gate.SCENARIOS["incast"]
+        assert digest_gate.main(["scenarios"]) == digest_gate.EXIT_MISSING == 4
+        assert capsys.readouterr().err == (
+            "missing: scenarios 'incast' is pinned in scenarios.json but no longer "
+            "measured\n1 problem(s)\n")
 
 
 class TestCombinedProblems:
     def test_highest_exit_code_wins_and_all_problems_print(
-        self, tmp_path, monkeypatch, capsys
+        self, digest_gate, canned_all_q, capsys
     ):
-        monkeypatch.delitem(scenarios.SCENARIOS, "incast")
-        pinned = _committed()
-        pinned["permutation"]["flow_digest"] = _flip_first_hex_digit(
-            pinned["permutation"]["flow_digest"])
-        assert check_perf.main(["--baseline", _write(tmp_path, pinned)]) == 4
-        err = capsys.readouterr().err
-        for fragment in ("missing scenario: 'incast'",
-                         "digest drift: permutation: flow_digest",
-                         "2 problem(s)"):
-            assert fragment in err
+        del digest_gate.SCENARIOS["incast"]  # missing from the table: exit 4
+        drifted = canned_all_q.replace("flows: 16", "flows: 15")
+        digest_gate.run_all = lambda jobs: drifted  # a family drifts: exit 3
+        assert digest_gate.main([]) == 4
+        assert capsys.readouterr().err == (
+            "missing: scenarios 'incast' is pinned in scenarios.json but no longer measured\n"
+            "digest drift: families failures_klinks: sha256 is "
+            f"{digest_gate.family_digests(drifted)['failures_klinks']}, family_digests.json "
+            f"pins {digest_gate.family_digests(canned_all_q)['failures_klinks']}\n"
+            "2 problem(s)\n")

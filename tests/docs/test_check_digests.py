@@ -1,159 +1,43 @@
-"""``tools/check_digests.py``: its scenario half runs once, in a module fixture, as
-tier-1's gate; every other case replays that run (or canned ``all -q`` text)
-against doctored temp goldens and pins the exit code and the line CI shows."""
+"""``tools/check_digests.py`` end to end through ``main``: a doctored pin, a
+missing entry and a family printed twice, each with its exit code and the line
+CI shows.  The scenario half is simulated once per session (``tests/conftest.py``);
+every case here replays that run, or canned ``all -q`` text, against temp goldens."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import os
 from pathlib import Path
 
-import pytest
-
 from repro.harness import figures
-
-_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-_spec = importlib.util.spec_from_file_location(
-    "check_digests", os.path.join(_ROOT, "tools", "check_digests.py"))
-tool = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tool)
-COMMITTED = dict(tool.GOLDEN)  # before any test points the tool at temp copies
-
-CANNED = (
-    "\n### fig12 — pull spacing distribution\n"
-    "  1500: {target_us: 1.200, median_us: 1.197}\n"
-    "  9000: {target_us: 7.200, median_us: 7.193}\n"
-    "\n### failures_klinks — permutation FCTs with k core links down\n"
-    "  {protocol: NDP, links_down: 1, flows: 16}\n"
-    "\n3 runs in 1.4 s (0 from cache, 3 simulated; cache: /somewhere/else)\n")
-
-
-def _load(path: str) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def _dump(path: str, pins: dict) -> None:
-    Path(path).write_text(json.dumps(pins), encoding="utf-8")
 
 
 def _flip(digest: str) -> str:
     return ("0" if digest[0] != "0" else "1") + digest[1:]
 
 
-@pytest.fixture(scope="module")
-def measured():
-    """The scenario half, run once; it writes nothing into the checkout."""
-    listing = sorted(os.listdir(_ROOT))
-    values = tool.measure("scenarios")
-    assert sorted(os.listdir(_ROOT)) == listing
-    return values
-
-
-@pytest.fixture
-def gate(monkeypatch, tmp_path, measured):
-    """The tool on temp goldens; its scenarios replay the module's run, ``all`` prints CANNED."""
-    for half, path in COMMITTED.items():
-        monkeypatch.setitem(tool.GOLDEN, half, str(tmp_path / os.path.basename(path)))
-    _dump(tool.GOLDEN["scenarios"], _load(COMMITTED["scenarios"]))
-    _dump(tool.GOLDEN["families"], tool.family_digests(CANNED))
-    monkeypatch.setattr(tool, "SCENARIOS", {
-        name: (lambda seed, pins=pins: dict(pins)) for name, pins in measured.items()})
-    monkeypatch.setattr(tool, "run_all", lambda jobs: CANNED)
-    return tool
-
-
-def test_the_tree_matches_the_pinned_scenarios(measured):
-    assert tool.compare("scenarios", _load(COMMITTED["scenarios"]), measured) == []
-    # every flow completes; a digest blind to its inputs would pin one value
-    assert [(v["completed_flows"], v["total_flows"]) for v in measured.values()] == [
-        (128, 128), (432, 432), (48, 48)]
-    assert len({v["flow_digest"] for v in measured.values()}) == 3
-
-
-def test_capture_reproduces_the_goldens_and_both_halves_then_pass(gate, capsys):
-    _dump(gate.GOLDEN["families"], {})
-    assert gate.main(["--capture"]) == 0
-    assert "scenarios: 3 entries written to" in capsys.readouterr().out
-    assert Path(gate.GOLDEN["scenarios"]).read_bytes() == Path(COMMITTED["scenarios"]).read_bytes()
-    assert _load(gate.GOLDEN["families"]) == gate.family_digests(CANNED)
-    assert gate.main([]) == 0 and capsys.readouterr().err == ""
-
-
-def test_one_changed_hex_digit_fails(gate, capsys):
-    pinned = _load(gate.GOLDEN["scenarios"])
-    real = pinned["incast"]["flow_digest"]
-    pinned["incast"]["flow_digest"] = _flip(real)
-    _dump(gate.GOLDEN["scenarios"], pinned)
-    assert gate.main(["scenarios"]) == gate.EXIT_DIGEST_DRIFT == 3
+def test_one_changed_hex_digit_fails(digest_gate, pinned_scenarios, capsys):
+    real = pinned_scenarios["incast"]["flow_digest"]
+    pinned_scenarios["incast"]["flow_digest"] = _flip(real)
+    Path(digest_gate.GOLDEN["scenarios"]).write_text(json.dumps(pinned_scenarios))
+    assert digest_gate.main(["scenarios"]) == digest_gate.EXIT_DIGEST_DRIFT == 3
     assert capsys.readouterr() == ("", (
         f"digest drift: scenarios incast: flow_digest is {real}, scenarios.json pins "
         f"{_flip(real)}\n1 problem(s)\n"))
 
 
-def test_a_changed_count_or_one_transport_alone_is_named(measured):
-    pinned = _load(COMMITTED["scenarios"])
-    pinned["permutation"]["events_executed"] += 1
-    pinned["incast"]["completed_flows"] -= 1
-    pinned["transport_matrix"]["digest_tcp"] = _flip(pinned["transport_matrix"]["digest_tcp"])
-    assert [(code, line.split(" is ")[0]) for code, line in
-            tool.compare("scenarios", pinned, measured)] == [
-        (3, "digest drift: scenarios incast: completed_flows"),
-        (3, "digest drift: scenarios permutation: events_executed"),
-        (3, "digest drift: scenarios transport_matrix: digest_tcp")]  # the aggregate matches
-
-
-def test_a_scenario_the_golden_lacks_is_an_error(measured):
-    pinned = _load(COMMITTED["scenarios"])
-    del pinned["incast"]
-    assert tool.compare("scenarios", pinned, measured) == [
+def test_a_scenario_the_golden_lacks_is_an_error(digest_tool, pinned_scenarios,
+                                                 measured_scenarios):
+    del pinned_scenarios["incast"]
+    assert digest_tool.compare("scenarios", pinned_scenarios, measured_scenarios) == [
         (4, "missing: scenarios 'incast' is measured but not pinned in scenarios.json")]
 
 
-def test_highest_exit_code_wins_across_both_halves(gate, capsys):
-    del gate.SCENARIOS["incast"]  # missing from the table: exit 4
-    gate.run_all = lambda jobs: CANNED.replace("flows: 16", "flows: 15")  # drift: exit 3
-    assert gate.main([]) == gate.EXIT_MISSING == 4
-    assert capsys.readouterr().err == (
-        "missing: scenarios 'incast' is pinned in scenarios.json but no longer measured\n"
-        "digest drift: families failures_klinks: sha256 is "
-        f"{tool.family_digests(gate.run_all(None))['failures_klinks']}, family_digests.json "
-        f"pins {tool.family_digests(CANNED)['failures_klinks']}\n2 problem(s)\n")
-
-
-def test_a_family_printed_twice_fails_the_run(gate, capsys):
-    gate.run_all = lambda jobs: CANNED + CANNED
-    assert gate.main(["families"]) == gate.EXIT_RUN_FAILED == 1
+def test_a_family_printed_twice_fails_the_run(digest_gate, canned_all_q, capsys):
+    digest_gate.run_all = lambda jobs: canned_all_q + canned_all_q
+    assert digest_gate.main(["families"]) == digest_gate.EXIT_RUN_FAILED == 1
     assert "error: families: family 'fig12' is printed twice" in capsys.readouterr().err
 
 
-def test_stdout_splits_at_the_family_headings():
-    sections = tool.split_families(CANNED)
-    assert list(sections) == ["fig12", "failures_klinks"]
-    assert sections["fig12"] == CANNED[1:CANNED.index("\n\n### failures_klinks")] + "\n"
-    # the summary line (wall time, cache path) belongs to no family, so the
-    # digests ignore timing and cache path, but not a row
-    assert " runs in " not in sections["failures_klinks"]
-    digests = tool.family_digests(CANNED)
-    elsewhere = CANNED.replace("1.4 s", "97.0 s").replace("/somewhere/else", "/tmp/x")
-    assert tool.family_digests(elsewhere) == digests
-    edited = tool.family_digests(CANNED.replace("7.193", "7.194"))
-    assert edited["fig12"] != digests["fig12"]
-    assert edited["failures_klinks"] == digests["failures_klinks"]
-
-
-def test_a_drifting_or_missing_family_is_named():
-    golden = tool.family_digests(CANNED)
-    drifted = tool.family_digests(CANNED.replace("flows: 16", "flows: 15"))
-    assert [line.split(" is ")[0] for _code, line in tool.compare("families", golden, drifted)] \
-        == ["digest drift: families failures_klinks: sha256"]
-    only_fig12 = {"fig12": golden["fig12"]}
-    assert tool.compare("families", golden, only_fig12) == [(4, (
-        "missing: families 'failures_klinks' is pinned in family_digests.json "
-        "but no longer measured"))]
-    assert tool.compare("families", only_fig12, golden)[0][1].endswith(
-        "measured but not pinned in family_digests.json")
-
-
-def test_the_committed_golden_pins_exactly_the_catalogue():
-    assert list(_load(COMMITTED["families"])) == list(figures.FAMILIES)
+def test_the_committed_golden_pins_exactly_the_catalogue(digest_tool):
+    golden = json.loads(Path(digest_tool.committed["families"]).read_text(encoding="utf-8"))
+    assert list(golden) == list(figures.FAMILIES)

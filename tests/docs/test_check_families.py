@@ -1,6 +1,6 @@
-"""The split/compare logic of ``tools/check_families.py``, on canned text.
+"""The families half of ``tools/check_digests.py``, on canned text.
 
-The gate itself (``python -m repro.cli all -q`` from an empty cache, about a
+The half itself (``python -m repro.cli all -q`` from an empty cache, about a
 minute) runs in the ``docs-and-sweep-smoke`` CI job; tier-1 pins how its
 stdout is cut into families, what a digest covers, and the exit code and
 line each kind of difference produces.
@@ -8,33 +8,9 @@ line each kind of difference produces.
 
 from __future__ import annotations
 
-import importlib.util
-import json
-import os
 
-import pytest
-
-from repro.harness import figures
-
-_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-_spec = importlib.util.spec_from_file_location(
-    "check_families", os.path.join(_ROOT, "tools", "check_families.py")
-)
-check_families = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(check_families)
-
-CANNED = (
-    "\n### fig12 — pull spacing distribution\n"
-    "  1500: {target_us: 1.200, median_us: 1.197}\n"
-    "  9000: {target_us: 7.200, median_us: 7.193}\n"
-    "\n### failures_klinks — permutation FCTs with k core links down\n"
-    "  {protocol: NDP, links_down: 1, flows: 16}\n"
-    "\n3 runs in 1.4 s (0 from cache, 3 simulated; cache: /somewhere/else)\n"
-)
-
-
-def test_stdout_splits_at_the_family_headings():
-    sections = check_families.split_families(CANNED)
+def test_stdout_splits_at_the_family_headings(digest_tool, canned_all_q):
+    sections = digest_tool.split_families(canned_all_q)
     assert list(sections) == ["fig12", "failures_klinks"]
     assert sections["fig12"] == (
         "### fig12 — pull spacing distribution\n"
@@ -45,48 +21,43 @@ def test_stdout_splits_at_the_family_headings():
     assert " runs in " not in sections["failures_klinks"]
 
 
-def test_a_family_printed_twice_is_an_error():
-    with pytest.raises(ValueError, match="fig12"):
-        check_families.split_families(CANNED + CANNED)
+def test_digests_ignore_timing_and_cache_path_but_not_a_row(digest_tool, canned_all_q):
+    digests = digest_tool.family_digests(canned_all_q)
+    elsewhere = canned_all_q.replace("1.4 s", "97.0 s").replace("/somewhere/else", "/tmp/x")
+    assert digest_tool.family_digests(elsewhere) == digests
 
-
-def test_digests_ignore_timing_and_cache_path_but_not_a_row():
-    digests = check_families.family_digests(CANNED)
-    elsewhere = CANNED.replace("1.4 s", "97.0 s").replace("/somewhere/else", "/tmp/x")
-    assert check_families.family_digests(elsewhere) == digests
-
-    edited = check_families.family_digests(CANNED.replace("7.193", "7.194"))
+    edited = digest_tool.family_digests(canned_all_q.replace("7.193", "7.194"))
     assert edited["fig12"] != digests["fig12"]
     assert edited["failures_klinks"] == digests["failures_klinks"]
 
 
-def test_equal_digests_pass():
-    digests = check_families.family_digests(CANNED)
-    assert check_families.compare(digests, dict(digests)) == (check_families.EXIT_OK, [])
+def test_equal_digests_pass(digest_gate, canned_all_q, capsys):
+    digests = digest_gate.family_digests(canned_all_q)
+    assert digest_gate.compare("families", digests, dict(digests)) == []
+    # and through main, both halves on their pins
+    assert digest_gate.main([]) == digest_gate.EXIT_OK == 0
+    assert capsys.readouterr().err == ""
 
 
-def test_drift_names_the_family():
-    golden = check_families.family_digests(CANNED)
-    measured = check_families.family_digests(CANNED.replace("flows: 16", "flows: 15"))
-    code, problems = check_families.compare(golden, measured)
-    assert code == check_families.EXIT_DIGEST_DRIFT
-    assert len(problems) == 1 and problems[0].startswith("digest drift: failures_klinks:")
+def test_drift_names_the_family(digest_tool, canned_all_q):
+    golden = digest_tool.family_digests(canned_all_q)
+    measured = digest_tool.family_digests(canned_all_q.replace("flows: 16", "flows: 15"))
+    problems = digest_tool.compare("families", golden, measured)
+    assert len(problems) == 1
+    code, line = problems[0]
+    assert code == digest_tool.EXIT_DIGEST_DRIFT
+    assert line.startswith("digest drift: families failures_klinks: sha256 is ")
 
 
-def test_a_family_missing_on_either_side_is_an_error():
-    digests = check_families.family_digests(CANNED)
+def test_a_family_missing_on_either_side_is_an_error(digest_tool, canned_all_q):
+    digests = digest_tool.family_digests(canned_all_q)
     only_fig12 = {"fig12": digests["fig12"]}
 
-    code, problems = check_families.compare(digests, only_fig12)
-    assert code == check_families.EXIT_MISSING_FAMILY
-    assert "no longer prints" in problems[0] and "failures_klinks" in problems[0]
-
-    code, problems = check_families.compare(only_fig12, digests)
-    assert code == check_families.EXIT_MISSING_FAMILY
-    assert "not pinned" in problems[0] and "failures_klinks" in problems[0]
-
-
-def test_the_committed_golden_pins_exactly_the_catalogue():
-    with open(check_families.GOLDEN_PATH, "r", encoding="utf-8") as fh:
-        golden = json.load(fh)
-    assert list(golden) == list(figures.FAMILIES)
+    assert digest_tool.compare("families", digests, only_fig12) == [(
+        digest_tool.EXIT_MISSING,
+        "missing: families 'failures_klinks' is pinned in family_digests.json "
+        "but no longer measured")]
+    assert digest_tool.compare("families", only_fig12, digests) == [(
+        digest_tool.EXIT_MISSING,
+        "missing: families 'failures_klinks' is measured but not pinned in "
+        "family_digests.json")]

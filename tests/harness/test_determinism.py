@@ -2,7 +2,7 @@
 
 Runs the same seeded workload twice in fresh simulators and requires
 bit-identical flow records and switch trim counters (the one digest
-definition, ``benchmarks.perf.scenarios.flow_digest``).  This is the regression
+definition, ``flow_digest`` in ``tools/check_digests.py``).  This is the regression
 net under the hybrid event engine: any change that perturbs event ordering
 (tie-breaking, timer eviction, recurring-service fast paths) shows up here
 as a diff long before it corrupts a paper figure.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 
-from benchmarks.perf.scenarios import flow_digest
 from repro.core.config import NdpConfig
 from repro.harness.experiment import start_incast, start_permutation
 from repro.harness.ndp_network import NdpNetwork
@@ -20,7 +19,7 @@ from repro.sim.eventlist import EventList
 from repro.topology.fattree import FatTreeTopology
 
 
-def _run_permutation(seed: int):
+def _run_permutation(flow_digest, seed: int):
     eventlist = EventList()
     network = NdpNetwork.build(
         eventlist, FatTreeTopology, config=NdpConfig(), seed=seed, k=4
@@ -32,7 +31,7 @@ def _run_permutation(seed: int):
     return flow_digest(network), eventlist.events_executed, flows
 
 
-def _run_incast(seed: int):
+def _run_incast(flow_digest, seed: int):
     eventlist = EventList()
     network = NdpNetwork.build(
         eventlist, FatTreeTopology, config=NdpConfig(), seed=seed, k=4
@@ -44,26 +43,27 @@ def _run_incast(seed: int):
 
 
 class TestSeededDeterminism:
-    def test_permutation_is_bit_identical_across_runs(self):
-        first = _run_permutation(seed=7)
-        second = _run_permutation(seed=7)
+    def test_permutation_is_bit_identical_across_runs(self, digest_tool):
+        first = _run_permutation(digest_tool.flow_digest, seed=7)
+        second = _run_permutation(digest_tool.flow_digest, seed=7)
         # flow records of both endpoints + per-switch trim counters, and
         # the executed event count
         assert first[:2] == second[:2]
 
-    def test_permutation_flows_complete(self):
-        _digest, _events, flows = _run_permutation(seed=7)
+    def test_permutation_flows_complete(self, digest_tool):
+        _digest, _events, flows = _run_permutation(digest_tool.flow_digest, seed=7)
         assert all(flow.complete for flow in flows)
 
-    def test_incast_is_bit_identical_across_runs(self):
-        first = _run_incast(seed=3)
-        second = _run_incast(seed=3)
+    def test_incast_is_bit_identical_across_runs(self, digest_tool):
+        first = _run_incast(digest_tool.flow_digest, seed=3)
+        second = _run_incast(digest_tool.flow_digest, seed=3)
         assert first[:2] == second[:2]
         # the 8:1 incast overflows the 8-packet data queues, so the trim
         # counters the digest covers are actually exercised
         assert first[2].topology.total_trimmed() > 0
 
-    def test_different_seeds_differ(self):
+    def test_different_seeds_differ(self, digest_tool):
         # sanity check that the digest actually depends on the seed (guards
         # against a digest that ignores its inputs)
-        assert _run_permutation(seed=7)[0] != _run_permutation(seed=8)[0]
+        digest = digest_tool.flow_digest
+        assert _run_permutation(digest, seed=7)[0] != _run_permutation(digest, seed=8)[0]

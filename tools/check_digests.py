@@ -7,7 +7,7 @@ Two halves, one protocol, pins beside the other goldens in
 
 * ``scenarios`` — the seeded ``permutation``, ``incast`` and
   ``transport_matrix`` runs, in this process (~1.3 s; tier-1 runs this half
-  in ``tests/docs/test_check_digests.py``), against ``scenarios.json``;
+  once per session, ``tests/conftest.py``), against ``scenarios.json``;
 * ``families`` — ``python -m repro.cli all -q`` on an empty scratch cache
   (about a minute on two cores), one SHA-256 per ``### name — `` section,
   against ``family_digests.json``.
