@@ -329,8 +329,9 @@ class EventList:
             entry = [when, seq, obj, gen, callback, arg]
         delta = (when >> _WHEEL_SHIFT) - self._cursor
         if delta <= 0:
-            # lands in the slot being drained: merge into the sorted spill
-            _insort(self._cur_spill, entry)
+            # lands in the slot being drained: merge into the live part of
+            # the sorted spill (an entry may sort before a consumed one)
+            _insort(self._cur_spill, entry, self._spill_pos)
             self._wheel_count += 1
         elif delta < _WHEEL_SLOTS:
             # future wheel slot: O(1) append, sorted lazily when drained
@@ -448,10 +449,10 @@ class EventList:
         Only called when the current batch and spill are exhausted, which is
         the one point where every entry list in both is provably consumed —
         so this is also where they are recycled into the free pool.  (They
-        must *not* be recycled at dispatch time: ``insort`` bisects over the
-        spill's consumed prefix, and a recycled-and-refilled entry there
-        would corrupt the ordering.)  Returns False when no events remain
-        anywhere.
+        must *not* be recycled at dispatch time: when ``until`` stops a run,
+        the run loop tells batch from spill by identity against the batch's
+        last consumed entry, which a recycled-and-refilled entry could
+        fool.)  Returns False when no events remain anywhere.
         """
         pool = self._entry_pool
         spill = self._cur_spill

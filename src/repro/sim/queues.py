@@ -327,7 +327,7 @@ class BaseQueue(PacketSink):
                                  elements[hop + 1].receive_packet, packet]
                     delta = (when >> _WHEEL_SHIFT) - eventlist._cursor
                     if delta <= 0:
-                        _insort(eventlist._cur_spill, entry)
+                        _insort(eventlist._cur_spill, entry, eventlist._spill_pos)
                         eventlist._wheel_count += 1
                     elif delta < _WHEEL_SLOTS:
                         eventlist._wheel[(when >> _WHEEL_SHIFT) & _WHEEL_MASK].append(entry)
@@ -398,7 +398,7 @@ class BaseQueue(PacketSink):
                 entry = [when, seq, None, 0, self._complete_cb, None]
             delta = (when >> _WHEEL_SHIFT) - eventlist._cursor
             if delta <= 0:
-                _insort(eventlist._cur_spill, entry)
+                _insort(eventlist._cur_spill, entry, eventlist._spill_pos)
                 eventlist._wheel_count += 1
             elif delta < _WHEEL_SLOTS:
                 eventlist._wheel[(when >> _WHEEL_SHIFT) & _WHEEL_MASK].append(entry)

@@ -306,6 +306,24 @@ class TestShadowTimer:
 
         assert run(False) == run(True)
 
+    def test_event_scheduled_at_now_by_a_shadow_callback_runs(self, eventlist):
+        # the new ordinary entry sorts before the shadow entry that is
+        # running: it must land in the live part of the spill, not in the
+        # consumed prefix (where it was lost and the shadow entry revisited)
+        fired = []
+        timer = eventlist.new_timer(
+            lambda: eventlist.schedule(eventlist.now(), fired.append, "follow-up"),
+            shadow=True,
+        )
+        timer.schedule_at(1000)
+        eventlist.schedule(1000 + SLOT // 2, fired.append, "later")
+        eventlist.run(max_events=1)
+        assert eventlist.pending_events() == 2
+        eventlist.run()
+        assert fired == ["follow-up", "later"]
+        assert eventlist.events_executed == 3
+        assert eventlist.pending_events() == 0
+
     def test_far_heap_and_wheel_paths(self, eventlist):
         fired = []
         timer_near = eventlist.new_timer(fired.append, "near", shadow=True)
