@@ -18,11 +18,21 @@ Internally the scheduler keeps two tiers:
 
 The slot under the cursor is drained in batch: the bucket is sorted once
 (C-speed timsort) and walked by index, so the common case costs no heap
-sifting at all.  Events scheduled *into* the slot currently being drained
-(e.g. a 64-byte control packet whose serialization time is shorter than one
-slot) go to a small spill list that is merged on the fly.
+sifting at all.  Events scheduled *into* the sub-slot currently being
+drained (e.g. a 64-byte control packet whose serialization time is shorter
+than one sub-slot) go to a sorted spill list that is merged on the fly.
 
-All three structures store uniform **six-slot list** entries
+The wheel is hierarchical where that pays.  A *sparse* cursor slot (an
+outer batch under :data:`_SPLIT_MIN` entries) drains whole, as one
+sub-slot.  A *dense* one — on a busy fat-tree a slot holds thousands of
+events, most of them filed while it drains — is divided into
+``2**(_WHEEL_SHIFT - _INNER_SHIFT)`` sub-slots of ``2**_INNER_SHIFT``
+picoseconds, drained in turn like little slots: an insert into a later
+sub-slot is an O(1) append to :attr:`EventList._inner`, so the spill only
+ever holds what lands in the sub-slot :attr:`EventList._subcursor`, instead
+of growing to the whole slot's worth of ``insort`` traffic.
+
+All these structures store uniform **six-slot list** entries
 ``[when, seq, obj, gen, callback, arg]``, where ``seq`` is a global
 insertion counter: merging the tiers by ``(when, seq)`` therefore reproduces
 exactly the execution order of the original single-heap implementation.
@@ -60,8 +70,9 @@ cancel holds a :class:`Timer`.
 
 While a batch drains, :attr:`EventList._cur_pos` / :attr:`EventList._spill_pos`
 are published *before every callback* and :attr:`EventList._ff_bound` folds
-the cursor slot's end, the active ``until`` bound and the stopped flag into
-one precomputed comparison.  Recurring-service callbacks (queue and
+the end of the sub-slot being drained (the slot's end in an undivided
+slot), the active ``until`` bound and the stopped flag into one
+precomputed comparison.  Recurring-service callbacks (queue and
 switch drains) use these to *fast-forward*: when the next completion of the
 same service provably precedes every other pending event (strictly — a
 timestamp tie always falls back to the scheduler, which preserves the
@@ -88,7 +99,7 @@ the simulator drops.
 from __future__ import annotations
 
 import gc as _gc
-from bisect import insort as _insort
+from bisect import bisect_left as _bisect_left, insort as _insort
 from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, List, Optional
 
@@ -98,12 +109,28 @@ from typing import Any, Callable, List, Optional
 #: appends, cursor advances stay rare, and — crucially for the batched
 #: drains — back-to-back jumbo completions (7.2 us apart at 10 Gbps) can
 #: land in the *same* slot and fast-forward instead of re-entering the
-#: scheduler.  Narrower slots were tried and lost: 4x the advance/sort
-#: calls and 4x the far-heap traffic for no batching at all at 9 kB MTU)
+#: scheduler.  Narrower slots were first measured on the sparse workloads
+#: and lost there: 4x the advance/sort calls and 4x the far-heap traffic
+#: for no batching at all at 9 kB MTU.  On the dense fat-tree workloads a
+#: 2**20 ps slot measured -17 % wall, which the sub-slots below deliver
+#: without narrowing the slot everywhere)
 _WHEEL_SHIFT = 23
 #: number of wheel slots; with the shift above the horizon is ~8.6 ms
 _WHEEL_SLOTS = 1024
 _WHEEL_MASK = _WHEEL_SLOTS - 1
+
+#: log2 of the sub-slot width: a dense cursor slot drains in
+#: 2**(_WHEEL_SHIFT - _INNER_SHIFT) = 8 sub-slots of 2**20 ps (~1.05 us), so
+#: an insert into it is an append to a later sub-slot, and the sorted spill
+#: only covers the sub-slot being drained (18-20 measured alike, 21 gave
+#: away two thirds of the gain)
+_INNER_SHIFT = 20
+_INNER_MASK = (1 << (_WHEEL_SHIFT - _INNER_SHIFT)) - 1
+
+#: an outer batch with fewer entries than this drains whole, as one
+#: sub-slot: dividing sparse slots multiplied the advances by eight and
+#: cost the incast workload 6 %
+_SPLIT_MIN = 64
 
 #: sentinel bound so the run loop avoids per-event ``is None`` tests (small
 #: enough to stay a cheap machine-word-ish comparison, ~146 years of sim time)
@@ -234,6 +261,8 @@ class EventList:
     __slots__ = (
         "_wheel",
         "_cursor",
+        "_inner",
+        "_subcursor",
         "_cur",
         "_cur_pos",
         "_cur_spill",
@@ -255,16 +284,24 @@ class EventList:
     def __init__(self) -> None:
         self._wheel: List[List[_Entry]] = [[] for _ in range(_WHEEL_SLOTS)]
         self._cursor: int = 0  # wheel slot currently being drained
-        self._cur: List[_Entry] = []  # sorted batch for the cursor slot
+        #: the cursor slot's sub-slot buckets, indexed by ``sub & _INNER_MASK``
+        #: (``sub = when >> _INNER_SHIFT``); only sub-slots after
+        #: ``_subcursor`` are ever filled
+        self._inner: List[List[_Entry]] = [[] for _ in range(_INNER_MASK + 1)]
+        #: absolute index of the sub-slot being drained; the slot's last
+        #: sub-slot while an undivided slot drains (slot 0 starts undivided)
+        self._subcursor: int = _INNER_MASK
+        self._cur: List[_Entry] = []  # sorted batch for the cursor sub-slot
         self._cur_pos: int = 0
-        # Entries landing in the slot currently being drained, kept as a
-        # sorted list consumed by index: such inserts arrive in near-ascending
-        # (when, seq) order, so insort is an O(1)-ish tail append and
-        # consumption avoids heap sifting entirely.
+        # Entries landing in the sub-slot currently being drained (or, after
+        # an ``until`` stop, before it), kept as a sorted list consumed by
+        # index and merged with the batch by (when, seq); consumption avoids
+        # heap sifting entirely.
         self._cur_spill: List[_Entry] = []
         self._spill_pos: int = 0
         self._far: List[_Entry] = []
-        #: entries anywhere in the wheel tier (buckets + current batch + spill)
+        #: entries anywhere in the wheel tier (buckets + sub-slot buckets +
+        #: current batch + spill)
         self._wheel_count: int = 0
         self._now: int = 0
         self._sequence: int = 0
@@ -277,7 +314,7 @@ class EventList:
         self._time_limit: int = _NO_LIMIT
         #: fast-forward bound: a batched completion at ``when`` may run
         #: inline only if ``when < _ff_bound`` (and the drain frontiers
-        #: agree).  Folds the cursor slot's end, the active ``until`` limit
+        #: agree).  Folds the cursor sub-slot's end, the active ``until`` limit
         #: and the stopped flag into one precomputed comparison; maintained
         #: at :meth:`run` entry, in :meth:`_advance` and by :meth:`stop`.
         #: Zero while no run is active, so the guard can never pass.
@@ -329,9 +366,15 @@ class EventList:
             entry = [when, seq, obj, gen, callback, arg]
         delta = (when >> _WHEEL_SHIFT) - self._cursor
         if delta <= 0:
-            # lands in the slot being drained: merge into the live part of
-            # the sorted spill (an entry may sort before a consumed one)
-            _insort(self._cur_spill, entry, self._spill_pos)
+            # lands in the slot being drained: in or before the sub-slot
+            # being drained, merge into the live part of the sorted spill
+            # (an entry may sort before a consumed one); later, append to
+            # its sub-slot bucket
+            sub = when >> _INNER_SHIFT
+            if sub <= self._subcursor:
+                _insort(self._cur_spill, entry, self._spill_pos)
+            else:
+                self._inner[sub & _INNER_MASK].append(entry)
             self._wheel_count += 1
         elif delta < _WHEEL_SLOTS:
             # future wheel slot: O(1) append, sorted lazily when drained
@@ -398,9 +441,10 @@ class EventList:
         """Eagerly evict cancelled/superseded entries from the lingering tiers.
 
         Only the future wheel buckets and the far heap are filtered: entries
-        in the slot currently being drained are gone within one slot width of
-        simulated time anyway, and skipping them lets the run loop keep plain
-        local views of its batch.  Evicted entry lists go back to the free
+        in the slot currently being drained (its batch, spill and sub-slot
+        buckets) are gone within one slot width of simulated time anyway,
+        and skipping them lets the run loop keep plain local views of its
+        batch.  Evicted entry lists go back to the free
         pool — they are provably unreachable by any other tier.
         """
         pool = self._entry_pool
@@ -444,7 +488,15 @@ class EventList:
         return self._wheel_count + len(self._far)
 
     def _advance(self) -> bool:
-        """Move the cursor to the next slot holding entries and sort its batch.
+        """Move to the next sub-slot or slot holding entries and sort its batch.
+
+        The cursor slot's later sub-slot buckets come first.  Once they are
+        empty the cursor moves to the next wheel slot holding entries (or
+        jumps to the far heap's first slot); that bucket plus the far
+        entries due within the slot form the outer batch.  A batch shorter
+        than :data:`_SPLIT_MIN` drains whole, as the slot's last sub-slot; a
+        longer one is split at the sub-slot edges into :attr:`_inner` and
+        drains sub-slot by sub-slot.
 
         Only called when the current batch and spill are exhausted, which is
         the one point where every entry list in both is provably consumed —
@@ -465,35 +517,67 @@ class EventList:
             pool.extend(cur)
         if len(pool) > _ENTRY_POOL_CAP:
             del pool[_ENTRY_POOL_CAP:]  # lazy cap: cheaper than per-batch room math
-        far = self._far
-        if self._wheel_count == 0:
-            if not far:
-                self._cur = []
-                self._cur_pos = 0
-                return False
-            self._cursor = far[0][0] >> _WHEEL_SHIFT
-        else:
-            cursor = self._cursor
-            wheel = self._wheel
-            limit = cursor + _WHEEL_SLOTS
-            if far:
-                far_slot = far[0][0] >> _WHEEL_SHIFT
-                if far_slot < limit:
-                    limit = far_slot
-            slot = cursor + 1
-            while slot < limit and not wheel[slot & _WHEEL_MASK]:
-                slot += 1
-            self._cursor = slot
-        index = self._cursor & _WHEEL_MASK
-        batch = self._wheel[index]
-        self._wheel[index] = []
+        inner = self._inner
+        sub = self._subcursor + 1
         slot_end = (self._cursor + 1) << _WHEEL_SHIFT
+        end = slot_end >> _INNER_SHIFT
+        while sub < end and not inner[sub & _INNER_MASK]:
+            sub += 1
+        if sub < end:
+            # a later sub-slot of the cursor slot
+            index = sub & _INNER_MASK
+            batch = inner[index]
+            inner[index] = []
+            batch.sort()
+        else:
+            far = self._far
+            if self._wheel_count == 0:
+                if not far:
+                    self._cur = []
+                    self._cur_pos = 0
+                    return False
+                self._cursor = far[0][0] >> _WHEEL_SHIFT
+            else:
+                cursor = self._cursor
+                wheel = self._wheel
+                limit = cursor + _WHEEL_SLOTS
+                if far:
+                    far_slot = far[0][0] >> _WHEEL_SHIFT
+                    if far_slot < limit:
+                        limit = far_slot
+                slot = cursor + 1
+                while slot < limit and not wheel[slot & _WHEEL_MASK]:
+                    slot += 1
+                self._cursor = slot
+            index = self._cursor & _WHEEL_MASK
+            batch = self._wheel[index]
+            self._wheel[index] = []
+            slot_end = (self._cursor + 1) << _WHEEL_SHIFT
+            while far and far[0][0] < slot_end:
+                batch.append(_heappop(far))
+                self._wheel_count += 1
+            batch.sort()
+            if len(batch) < _SPLIT_MIN:
+                sub = (slot_end >> _INNER_SHIFT) - 1  # sparse: drains whole
+            else:
+                # dense: split the sorted batch at the sub-slot edges and
+                # drain the first non-empty sub-slot
+                sub = (slot_end >> _INNER_SHIFT) - _INNER_MASK - 1
+                lo = 0
+                for index in range(_INNER_MASK):
+                    hi = _bisect_left(batch, [(sub + index + 1) << _INNER_SHIFT], lo)
+                    inner[index] = batch[lo:hi]
+                    lo = hi
+                inner[_INNER_MASK] = batch[lo:]
+                while not inner[sub & _INNER_MASK]:
+                    sub += 1
+                index = sub & _INNER_MASK
+                batch = inner[index]
+                inner[index] = []
+        self._subcursor = sub
+        bound = (sub + 1) << _INNER_SHIFT
         limit = self._time_limit
-        self._ff_bound = slot_end if slot_end <= limit else limit + 1
-        while far and far[0][0] < slot_end:
-            batch.append(_heappop(far))
-            self._wheel_count += 1
-        batch.sort()
+        self._ff_bound = bound if bound <= limit else limit + 1
         self._cur = batch
         self._cur_pos = 0
         return True
@@ -529,10 +613,10 @@ class EventList:
         self._stopped = False
         time_limit = _NO_LIMIT if until is None else until
         self._time_limit = time_limit
-        # fast-forward bound for the (possibly resumed) cursor slot; kept
+        # fast-forward bound for the (possibly resumed) cursor sub-slot; kept
         # current by _advance afterwards
-        slot_end = (self._cursor + 1) << _WHEEL_SHIFT
-        self._ff_bound = slot_end if slot_end <= time_limit else time_limit + 1
+        bound = (self._subcursor + 1) << _INNER_SHIFT
+        self._ff_bound = bound if bound <= time_limit else time_limit + 1
         budget = _NO_LIMIT if max_events is None else max_events
         executed = 0
         counted = 0  # scheduler dispatches already added to events_executed

@@ -24,7 +24,14 @@ from bisect import insort as _insort
 from heapq import heappush as _heappush
 from typing import Deque, Dict, Iterable, List, Optional
 
-from repro.sim.eventlist import _WHEEL_MASK, _WHEEL_SHIFT, _WHEEL_SLOTS, EventList
+from repro.sim.eventlist import (
+    _INNER_MASK,
+    _INNER_SHIFT,
+    _WHEEL_MASK,
+    _WHEEL_SHIFT,
+    _WHEEL_SLOTS,
+    EventList,
+)
 from repro.sim.logger import QueueStats
 from repro.sim.network import PacketSink
 from repro.sim.packet import Packet
@@ -327,7 +334,11 @@ class BaseQueue(PacketSink):
                                  elements[hop + 1].receive_packet, packet]
                     delta = (when >> _WHEEL_SHIFT) - eventlist._cursor
                     if delta <= 0:
-                        _insort(eventlist._cur_spill, entry, eventlist._spill_pos)
+                        sub = when >> _INNER_SHIFT
+                        if sub <= eventlist._subcursor:
+                            _insort(eventlist._cur_spill, entry, eventlist._spill_pos)
+                        else:
+                            eventlist._inner[sub & _INNER_MASK].append(entry)
                         eventlist._wheel_count += 1
                     elif delta < _WHEEL_SLOTS:
                         eventlist._wheel[(when >> _WHEEL_SHIFT) & _WHEEL_MASK].append(entry)
@@ -367,9 +378,10 @@ class BaseQueue(PacketSink):
                 delay += self._jitter_rng.randint(0, self.serialization_jitter_ps)
             when = eventlist._now + delay
             # fast-forward guard: the completion may run inline only if no
-            # other pending event is due at or before `when` — wheel buckets
-            # and the far heap are entirely beyond the cursor slot's end
-            # (folded into _ff_bound with the until-limit and stopped flag),
+            # other pending event is due at or before `when` — sub-slot and
+            # wheel buckets and the far heap are entirely beyond the cursor
+            # sub-slot's end (folded into _ff_bound with the until-limit and
+            # stopped flag),
             # and the published drain positions expose the batch/spill
             # frontier
             if when < eventlist._ff_bound:
@@ -398,7 +410,11 @@ class BaseQueue(PacketSink):
                 entry = [when, seq, None, 0, self._complete_cb, None]
             delta = (when >> _WHEEL_SHIFT) - eventlist._cursor
             if delta <= 0:
-                _insort(eventlist._cur_spill, entry, eventlist._spill_pos)
+                sub = when >> _INNER_SHIFT
+                if sub <= eventlist._subcursor:
+                    _insort(eventlist._cur_spill, entry, eventlist._spill_pos)
+                else:
+                    eventlist._inner[sub & _INNER_MASK].append(entry)
                 eventlist._wheel_count += 1
             elif delta < _WHEEL_SLOTS:
                 eventlist._wheel[(when >> _WHEEL_SHIFT) & _WHEEL_MASK].append(entry)

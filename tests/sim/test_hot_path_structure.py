@@ -1,8 +1,9 @@
 """Each hot-path mechanism exists once.
 
 Behaviour cannot tell one drain loop from two hand-synchronised copies, so
-this reads the source: the scheduler's internals are touched by the event
-list and by the one queue drain loop only, packet allocation by the pool
+this reads the source: the scheduler's internals (the sub-slot buckets
+included) are touched by the event list and by the one queue drain loop
+only, packet allocation by the pool
 only, and the NDP switch contributes its WRR rule and nothing else to the
 service loop.  docs/architecture.md names the inline copies that remain and
 the traffic that pays for them.
@@ -37,12 +38,17 @@ def _count(sources, pattern):
 def test_each_hot_path_mechanism_exists_once():
     sources = _sources()
     scheduler = {"sim/eventlist.py", "sim/queues.py"}
-    for name in ("_entry_pool", "_cur_spill", "_wheel_count", "_WHEEL_SHIFT"):
+    for name in ("_entry_pool", "_cur_spill", "_wheel_count", "_WHEEL_SHIFT",
+                 "_inner", "_subcursor"):
         assert _files_matching(sources, rf"\b{name}\b") <= scheduler, name
     # entry fill + tier routing: EventList._insert and the two inline sites
-    # of the drain loop, each recognisable by its one spill insort
+    # of the drain loop, each recognisable by its one spill insort and its
+    # one sub-slot routing compare
     assert _count(sources, r"_insort\(") == 3
     assert len(re.findall(r"_insort\(", sources["sim/queues.py"])) == 2
+    routing = r"sub <= (?:self|eventlist)\._subcursor:"
+    assert len(re.findall(routing, sources["sim/eventlist.py"])) == 1
+    assert len(re.findall(routing, sources["sim/queues.py"])) == 2
     # one drain loop, one fast-forward guard, one WRR rule
     assert _count(sources, r"def _complete_service\b") == 1
     assert _count(sources, r"def _maybe_start_service\b") == 1

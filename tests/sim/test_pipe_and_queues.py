@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import pytest
 
 from repro.core.switch import CpSwitchQueue, NdpSwitchQueue
-from repro.sim.eventlist import _WHEEL_SHIFT, EventList
+from repro.sim.eventlist import _INNER_SHIFT, _SPLIT_MIN, _WHEEL_SHIFT, EventList
 from repro.sim.network import CountingSink, PacketSink
 from repro.sim.packet import Packet, Route
 from repro.sim.pipe import Pipe
 from repro.sim.queues import DropTailQueue, ECNQueue, LosslessQueue
-from repro.sim.units import gbps, microseconds, serialization_time_ps
+from repro.sim.units import SECOND, gbps, microseconds, serialization_time_ps
 
 
 def _packet(size=9000, flow=1, ecn=False, seq=0):
@@ -217,10 +219,47 @@ _DRAIN_QUEUES = {
 }
 
 
+class _FfStart(NamedTuple):
+    at: int  # when the burst is injected
+    nbytes: int  # packet size
+    markers: int = 0  # inert events filed into the burst's slot before it
+
+
+#: packets small enough that the whole burst serializes in half a sub-slot
+_DENSE_BYTES = gbps(10) * (1 << _INNER_SHIFT) // (2 * _FF_BURST * 8 * SECOND)
+
 #: where the burst starts decides which tier holds the entries it races: at
 #: time 0 they land in the cursor slot's sorted spill, two slots later in a
-#: wheel bucket that becomes the sorted batch
-_FF_STARTS = {"spill": 0, "batch": 2 << _WHEEL_SHIFT}
+#: wheel bucket that becomes the sorted batch.  ``dense`` preloads that slot
+#: with enough markers to divide it, so the burst drains in a later sub-slot
+#: and every guard clause runs against the sub-slot bound
+_FF_STARTS = {
+    "spill": _FfStart(0, _FF_BYTES),
+    "batch": _FfStart(2 << _WHEEL_SHIFT, _FF_BYTES),
+    "dense": _FfStart((2 << _WHEEL_SHIFT) + (2 << _INNER_SHIFT), _DENSE_BYTES, _SPLIT_MIN),
+}
+
+
+def _ff_burst(eventlist, make_queue, start, *after_queue, stop_at_seqno=None):
+    """Inject the burst at *start*; returns the k-th completion time."""
+    slot_start = start.at >> _WHEEL_SHIFT << _WHEEL_SHIFT
+    for offset in range(start.markers):
+        eventlist.schedule_raw(slot_start + offset, lambda: None)
+    eventlist.run(until=start.at)
+    if start.markers:
+        # the markers' slot was divided: its sub-slot drained, the burst's
+        # is still ahead
+        assert eventlist._subcursor < start.at >> _INNER_SHIFT
+        eventlist.events_executed = 0  # count the burst only
+    queue = make_queue(eventlist)
+    sink = _RecordingSink(eventlist, stop_at_seqno)
+    route = Route([queue, *after_queue, sink])
+    for seq in range(_FF_BURST):
+        packet = _packet(start.nbytes, seq=seq)
+        packet.set_route(route)
+        packet.send_to_next_hop()
+    ser = queue.serialization_time(start.nbytes)
+    return queue, sink, lambda k: start.at + k * ser
 
 
 @pytest.mark.parametrize("start", _FF_STARTS.values(), ids=_FF_STARTS.keys())
@@ -231,21 +270,8 @@ class TestFastForwardGuard:
     ``run(max_events=1)`` exposes it: the budget counts scheduler dispatches,
     not fast-forwarded completions."""
 
-    def _burst(self, eventlist, make_queue, start, *after_queue, stop_at_seqno=None):
-        """Inject the burst at *start*; returns the k-th completion time."""
-        eventlist.run(until=start)
-        queue = make_queue(eventlist)
-        sink = _RecordingSink(eventlist, stop_at_seqno)
-        route = Route([queue, *after_queue, sink])
-        for seq in range(_FF_BURST):
-            packet = _packet(_FF_BYTES, seq=seq)
-            packet.set_route(route)
-            packet.send_to_next_hop()
-        ser = queue.serialization_time(_FF_BYTES)
-        return queue, sink, lambda k: start + k * ser
-
     def test_uncontended_burst_drains_in_one_dispatch(self, eventlist, make_queue, start):
-        queue, sink, done = self._burst(eventlist, make_queue, start)
+        queue, sink, done = _ff_burst(eventlist, make_queue, start)
         eventlist.run(max_events=1)
         assert sink.log == [(seq, done(seq + 1)) for seq in range(_FF_BURST)]
         assert eventlist.events_executed == _FF_BURST  # inline completions count
@@ -254,7 +280,7 @@ class TestFastForwardGuard:
     def test_timestamp_tie_goes_through_the_scheduler_in_insertion_order(
         self, eventlist, make_queue, start
     ):
-        queue, sink, done = self._burst(eventlist, make_queue, start)
+        queue, sink, done = _ff_burst(eventlist, make_queue, start)
         eventlist.schedule_raw(done(2), sink.log.append, ("marker",))
         eventlist.run(max_events=1)
         assert sink.log == [(0, done(1))]  # the tied completion was not run inline
@@ -267,7 +293,7 @@ class TestFastForwardGuard:
     def test_strictly_later_entry_lets_the_completion_run_inline(
         self, eventlist, make_queue, start
     ):
-        queue, sink, done = self._burst(eventlist, make_queue, start)
+        queue, sink, done = _ff_burst(eventlist, make_queue, start)
         eventlist.schedule_raw(done(2) + 1, sink.log.append, ("marker",))
         eventlist.run(max_events=1)
         assert sink.log == [(0, done(1)), (1, done(2))]
@@ -278,7 +304,7 @@ class TestFastForwardGuard:
         assert eventlist.events_executed == _FF_BURST + 1
 
     def test_until_bound_is_never_passed_mid_burst(self, eventlist, make_queue, start):
-        queue, sink, done = self._burst(eventlist, make_queue, start)
+        queue, sink, done = _ff_burst(eventlist, make_queue, start)
         bound = done(2) + 1
         assert eventlist.run(until=bound) == bound
         assert sink.log == [(0, done(1)), (1, done(2))]
@@ -288,7 +314,7 @@ class TestFastForwardGuard:
         assert len(sink.log) == _FF_BURST
 
     def test_stop_from_the_sink_ends_fast_forwarding(self, eventlist, make_queue, start):
-        queue, sink, done = self._burst(eventlist, make_queue, start, stop_at_seqno=1)
+        queue, sink, done = _ff_burst(eventlist, make_queue, start, stop_at_seqno=1)
         assert eventlist.run() == done(2)
         assert sink.log == [(0, done(1)), (1, done(2))]
         assert len(queue) == _FF_BURST - 2
@@ -304,11 +330,11 @@ class TestFastForwardGuard:
         downstream = LosslessQueue(
             eventlist,
             gbps(1),
-            max_queue_bytes=100 * _FF_BYTES,
-            pause_threshold_bytes=2 * _FF_BYTES,
-            resume_threshold_bytes=_FF_BYTES,
+            max_queue_bytes=100 * start.nbytes,
+            pause_threshold_bytes=2 * start.nbytes,
+            resume_threshold_bytes=start.nbytes,
         )
-        queue, sink, done = self._burst(eventlist, make_queue, start, downstream)
+        queue, sink, done = _ff_burst(eventlist, make_queue, start, downstream)
         downstream.register_upstream(queue)
         eventlist.run(max_events=1)
         assert queue.paused
@@ -318,3 +344,18 @@ class TestFastForwardGuard:
         eventlist.run()
         assert not queue.paused
         assert [seq for seq, _when in sink.log] == list(range(_FF_BURST))
+
+
+@pytest.mark.parametrize("make_queue", _DRAIN_QUEUES.values(), ids=_DRAIN_QUEUES.keys())
+def test_a_divided_slot_bounds_fast_forwards_at_the_sub_slot_end(eventlist, make_queue):
+    # full-size completions cross the end of the burst's sub-slot; a marker
+    # just past it waits in the next sub-slot's bucket, which the guard does
+    # not read, so only the bound keeps the drain from overtaking it
+    start = _FF_STARTS["dense"]._replace(nbytes=_FF_BYTES)
+    queue, sink, done = _ff_burst(eventlist, make_queue, start)
+    sub_end = ((start.at >> _INNER_SHIFT) + 1) << _INNER_SHIFT
+    assert done(2) < sub_end < done(3)
+    eventlist.schedule_raw(sub_end + 1, sink.log.append, ("marker",))
+    eventlist.run()
+    assert sink.log[:4] == [(0, done(1)), (1, done(2)), "marker", (2, done(3))]
+    assert len(sink.log) == _FF_BURST + 1
