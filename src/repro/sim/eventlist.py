@@ -111,9 +111,9 @@ from typing import Any, Callable, List, Optional
 #: land in the *same* slot and fast-forward instead of re-entering the
 #: scheduler.  Narrower slots were first measured on the sparse workloads
 #: and lost there: 4x the advance/sort calls and 4x the far-heap traffic
-#: for no batching at all at 9 kB MTU.  On the dense fat-tree workloads a
-#: 2**20 ps slot measured -17 % wall, which the sub-slots below deliver
-#: without narrowing the slot everywhere)
+#: for no batching at all at 9 kB MTU.  The dense fat-tree workloads, whose
+#: cursor slot used to spill thousands of entries, get narrower slots from
+#: the sub-slots below, only where a slot is dense)
 _WHEEL_SHIFT = 23
 #: number of wheel slots; with the shift above the horizon is ~8.6 ms
 _WHEEL_SLOTS = 1024
@@ -122,14 +122,16 @@ _WHEEL_MASK = _WHEEL_SLOTS - 1
 #: log2 of the sub-slot width: a dense cursor slot drains in
 #: 2**(_WHEEL_SHIFT - _INNER_SHIFT) = 8 sub-slots of 2**20 ps (~1.05 us), so
 #: an insert into it is an append to a later sub-slot, and the sorted spill
-#: only covers the sub-slot being drained (18-20 measured alike, 21 gave
-#: away two thirds of the gain)
+#: only covers the sub-slot being drained.  Measured on the perf ledger (8 s
+#: runs, 2-vCPU VM), 2**18 ps read ~7 % faster on the permutation workload
+#: and ~2 % slower on the incast, inside their run-to-run spread; 2**21 ps
+#: read like 2**20 ps
 _INNER_SHIFT = 20
 _INNER_MASK = (1 << (_WHEEL_SHIFT - _INNER_SHIFT)) - 1
 
 #: an outer batch with fewer entries than this drains whole, as one
-#: sub-slot: dividing sparse slots multiplied the advances by eight and
-#: cost the incast workload 6 %
+#: sub-slot: dividing every slot would turn the incast workload's 7,785
+#: sorted drains (perf ledger, seed 1) into 61,927 of about four entries
 _SPLIT_MIN = 64
 
 #: sentinel bound so the run loop avoids per-event ``is None`` tests (small
@@ -444,8 +446,8 @@ class EventList:
         in the slot currently being drained (its batch, spill and sub-slot
         buckets) are gone within one slot width of simulated time anyway,
         and skipping them lets the run loop keep plain local views of its
-        batch.  Evicted entry lists go back to the free
-        pool — they are provably unreachable by any other tier.
+        batch.  Evicted entry lists go back to the free pool — they are
+        provably unreachable by any other tier.
         """
         pool = self._entry_pool
         wheel_removed = 0
@@ -519,8 +521,7 @@ class EventList:
             del pool[_ENTRY_POOL_CAP:]  # lazy cap: cheaper than per-batch room math
         inner = self._inner
         sub = self._subcursor + 1
-        slot_end = (self._cursor + 1) << _WHEEL_SHIFT
-        end = slot_end >> _INNER_SHIFT
+        end = (self._cursor + 1) << (_WHEEL_SHIFT - _INNER_SHIFT)  # next slot's first sub-slot
         while sub < end and not inner[sub & _INNER_MASK]:
             sub += 1
         if sub < end:
@@ -557,12 +558,13 @@ class EventList:
                 batch.append(_heappop(far))
                 self._wheel_count += 1
             batch.sort()
+            end = slot_end >> _INNER_SHIFT
             if len(batch) < _SPLIT_MIN:
-                sub = (slot_end >> _INNER_SHIFT) - 1  # sparse: drains whole
+                sub = end - 1  # sparse: drains whole, as the last sub-slot
             else:
                 # dense: split the sorted batch at the sub-slot edges and
                 # drain the first non-empty sub-slot
-                sub = (slot_end >> _INNER_SHIFT) - _INNER_MASK - 1
+                sub = end - _INNER_MASK - 1
                 lo = 0
                 for index in range(_INNER_MASK):
                     hi = _bisect_left(batch, [(sub + index + 1) << _INNER_SHIFT], lo)

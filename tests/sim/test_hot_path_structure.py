@@ -3,9 +3,8 @@
 Behaviour cannot tell one drain loop from two hand-synchronised copies, so
 this reads the source: the scheduler's internals (the sub-slot buckets
 included) are touched by the event list and by the one queue drain loop
-only, packet allocation by the pool
-only, and the NDP switch contributes its WRR rule and nothing else to the
-service loop.  docs/architecture.md names the inline copies that remain and
+only, packet allocation by the pool only, and the NDP switch contributes
+its WRR rule and nothing else to the service loop.  docs/architecture.md names the inline copies that remain and
 the traffic that pays for them.
 """
 

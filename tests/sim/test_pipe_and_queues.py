@@ -348,10 +348,11 @@ class TestFastForwardGuard:
 
 @pytest.mark.parametrize("make_queue", _DRAIN_QUEUES.values(), ids=_DRAIN_QUEUES.keys())
 def test_a_divided_slot_bounds_fast_forwards_at_the_sub_slot_end(eventlist, make_queue):
-    # full-size completions cross the end of the burst's sub-slot; a marker
-    # just past it waits in the next sub-slot's bucket, which the guard does
-    # not read, so only the bound keeps the drain from overtaking it
-    start = _FF_STARTS["dense"]._replace(nbytes=_FF_BYTES)
+    # completions 0.4 sub-slots apart cross the end of the burst's sub-slot;
+    # a marker just past it waits in the next sub-slot's bucket, which the
+    # guard does not read, so only the bound keeps the drain from overtaking it
+    nbytes = gbps(10) * (2 << _INNER_SHIFT) // (5 * 8 * SECOND)
+    start = _FF_STARTS["dense"]._replace(nbytes=nbytes)
     queue, sink, done = _ff_burst(eventlist, make_queue, start)
     sub_end = ((start.at >> _INNER_SHIFT) + 1) << _INNER_SHIFT
     assert done(2) < sub_end < done(3)
