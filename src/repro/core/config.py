@@ -80,9 +80,6 @@ class NdpConfig:
     path_penalty_nack_ratio:
         A path is penalized when its NACK fraction exceeds this multiple of
         the mean NACK fraction across paths.
-    pull_rate_fraction:
-        Fraction of the receiver's link rate at which PULLs are clocked; 1.0
-        paces aggregate arrivals to exactly the link rate.
     path_selection_mode:
         ``"permutation"`` for the paper's sender-driven path permutation, or
         ``"random"`` to model switch-driven per-packet ECMP (the §3.1.1
@@ -104,7 +101,6 @@ class NdpConfig:
     path_penalty: bool = True
     path_penalty_min_samples: int = 16
     path_penalty_nack_ratio: float = 2.0
-    pull_rate_fraction: float = 1.0
     path_selection_mode: str = "permutation"
 
     def __post_init__(self) -> None:
@@ -122,8 +118,6 @@ class NdpConfig:
             raise ValueError("trim_arriving_probability must be a probability")
         if self.wrr_headers_per_data < 1:
             raise ValueError("wrr_headers_per_data must be at least 1")
-        if not 0.0 < self.pull_rate_fraction <= 1.0:
-            raise ValueError("pull_rate_fraction must be in (0, 1]")
         if self.pull_rto_ps <= 0:
             raise ValueError("pull_rto_ps must be positive")
         if self.max_pull_retries < 0:

@@ -2,10 +2,12 @@
 
 Four packet types make up the NDP wire protocol (§3.2 of the paper):
 
-* :class:`NdpDataPacket` — carries payload, a packet sequence number, a SYN
-  flag on every first-RTT packet (so connection state can be established by
-  whichever packet arrives first) and a LAST flag on the final packet of a
-  transfer.  Switches may trim it to a bare header.
+* :class:`NdpDataPacket` — carries payload and a packet sequence number.
+  Switches may trim it to a bare header.  The paper's SYN flag (first-RTT
+  packets, so whichever arrives first creates the receiver's state) and
+  LAST flag (the final packet) are not modelled: the simulator tells the
+  sink its source and size through ``FlowSink.expect`` when the flow is
+  wired, so nothing would read them.
 * :class:`NdpAck` — sent immediately by the receiver for every data packet
   that arrives intact, so the sender can free the buffer.
 * :class:`NdpNack` — sent immediately for every trimmed header, telling the
@@ -35,7 +37,7 @@ _HIGH = PacketPriority.HIGH
 class NdpDataPacket(Packet):
     """A data packet (or, once trimmed, just its header)."""
 
-    __slots__ = ("syn", "last", "payload_bytes", "src_endpoint", "is_retransmit")
+    __slots__ = ("payload_bytes", "src_endpoint", "is_retransmit")
 
     def __init__(
         self,
@@ -45,8 +47,6 @@ class NdpDataPacket(Packet):
         seqno: int,
         payload_bytes: int,
         header_bytes: int = HEADER_BYTES,
-        syn: bool = False,
-        last: bool = False,
         src_endpoint: Optional["NdpSrc"] = None,
         is_retransmit: bool = False,
     ) -> None:
@@ -73,8 +73,6 @@ class NdpDataPacket(Packet):
         self.ecn_ce = False
         self.path_id = 0
         self.send_time = 0
-        self.syn = syn
-        self.last = last
         self.payload_bytes = payload_bytes
         self.src_endpoint = src_endpoint
         self.is_retransmit = is_retransmit

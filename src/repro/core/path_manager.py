@@ -105,7 +105,6 @@ class PathManager:
         "_terminated",
         "_permutation",
         "_position",
-        "permutations_generated",
         "currently_excluded",
     )
 
@@ -131,7 +130,6 @@ class PathManager:
         #: per-path feedback counters; a path absent here is unsampled
         self.scores: Dict[int, PathScore] = {}
         self._path_ids: Tuple[int, ...] = ()
-        self.permutations_generated = 0
         self.currently_excluded: List[int] = []
         self.update_routes(routes)
 
@@ -233,7 +231,6 @@ class PathManager:
         self.rng.shuffle(permutation)
         self._permutation = permutation
         self._position = 0
-        self.permutations_generated += 1
 
     def _usable_paths(self) -> Sequence[int]:
         path_ids = self._path_ids

@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class NdpPullPacer:
-    """Drains a host's shared pull queue at (a fraction of) its link rate."""
+    """Drains a host's shared pull queue at its link rate."""
 
     __slots__ = (
         "eventlist",
@@ -51,22 +51,13 @@ class NdpPullPacer:
         eventlist: EventList,
         link_rate_bps: int,
         mtu_bytes: int = 9000,
-        rate_fraction: float = 1.0,
         name: str = "pull-pacer",
     ) -> None:
-        if not 0.0 < rate_fraction <= 1.0:
-            raise ValueError("rate_fraction must be in (0, 1]")
         self.eventlist = eventlist
         self.link_rate_bps = link_rate_bps
         self.mtu_bytes = mtu_bytes
         self.name = name
-        # Round half-up: plain int() truncates toward zero, which makes the
-        # pacer run slightly *faster* than the configured fraction and the
-        # error compounds over a long run (one pull interval is short, but a
-        # Figure-12-style run sends hundreds of thousands of pulls).
-        self.pull_interval_ps = int(
-            serialization_time_ps(mtu_bytes, link_rate_bps) / rate_fraction + 0.5
-        )
+        self.pull_interval_ps = serialization_time_ps(mtu_bytes, link_rate_bps)
         # Per-connection FIFO credit counts.
         self._pending: Dict[int, int] = {}
         self._sinks: Dict[int, "NdpSink"] = {}

@@ -28,16 +28,19 @@ packets (up to ``max_pull_retries`` consecutive rounds without progress).
 Shadow timers never perturb the event order of a healthy run (see
 :mod:`repro.sim.eventlist`).
 
-The flow record, ``expect`` and the once-only ``_finish`` come from
-:class:`~repro.sim.network.FlowSink`; the arrival path below (completion
-test, delivery accounting, pooled control emission) is NDP's own — measured
-hot path, one call per packet.
+The flow record, ``expect``, ``complete``, ``remaining_packets`` and the
+once-only ``_finish`` come from :class:`~repro.sim.network.FlowSink`: the
+sink learns its source and transfer size from ``expect`` when the flow is
+wired, before any packet can arrive, exactly as every other sink does.  The
+arrival path below (delivery accounting, pooled control emission, the
+completion and pull gates inlined as ``expected - received``) is NDP's own —
+measured hot path, one call per packet.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.core.config import NdpConfig
 from repro.core.packets import NdpAck, NdpDataPacket, NdpNack, NdpPull
@@ -60,14 +63,9 @@ class NdpSink(FlowSink):
         "rng",
         "reverse_paths",
         "_pull_counter",
-        "_saw_last",
-        "_highest_seqno_seen",
         "_retry_timer",
         "_retries",
         "_activity_ps",
-        "acks_sent",
-        "nacks_sent",
-        "pulls_emitted",
         "pool",
     )
 
@@ -99,14 +97,9 @@ class NdpSink(FlowSink):
             reverse_routes, reverse_terminal, rng=self.rng, penalize=False
         )
         self._pull_counter = 0
-        self._saw_last = False
-        self._highest_seqno_seen = -1
         self._retry_timer: Optional[Timer] = None
         self._retries = 0
         self._activity_ps = -1
-        self.acks_sent = 0
-        self.nacks_sent = 0
-        self.pulls_emitted = 0
         # slot pool for outgoing control packets (shared network-wide when
         # the harness provides one)
         self.pool = pool if pool is not None else PacketPool()
@@ -120,31 +113,15 @@ class NdpSink(FlowSink):
 
     # --- protocol state ------------------------------------------------------------
 
-    @property
-    def complete(self) -> bool:
-        """True once every data packet of the transfer has been received."""
-        if self._expected_packets is not None:
-            return len(self._received) >= self._expected_packets
-        return self._saw_last and len(self._received) == self._highest_seqno_seen + 1
-
     def packets_received(self) -> int:
         """Number of distinct data packets received in full."""
         return len(self._received)
-
-    def remaining_packets(self) -> Optional[int]:
-        """Packets still missing, or ``None`` if the total is not yet known."""
-        if self._expected_packets is None:
-            if not self._saw_last:
-                return None
-            return self._highest_seqno_seen + 1 - len(self._received)
-        return self._expected_packets - len(self._received)
 
     # --- packet handling -------------------------------------------------------------
 
     def receive_packet(self, packet: Packet) -> None:
         if not isinstance(packet, NdpDataPacket):
             raise TypeError(f"NdpSink received unexpected packet type {type(packet)!r}")
-        record = self.record
         if self._activity_ps < 0:
             # First arrival: arm the pull-retry watchdog for the rest of the
             # transfer.  Not at connect time — a flow scheduled to start
@@ -157,18 +134,6 @@ class NdpSink(FlowSink):
                 )
                 timer.schedule_at(self.eventlist._now + self.config.pull_rto_ps)
         self._activity_ps = self.eventlist._now
-        if record.start_time_ps is None:
-            record.start_time_ps = self.eventlist._now
-        if packet.syn and self.src_node_id < 0:
-            # Zero-RTT connection establishment: whichever first-RTT packet
-            # arrives first creates the connection state.
-            self.src_node_id = packet.src
-            record.src = packet.src
-        seqno = packet.seqno
-        if seqno > self._highest_seqno_seen:
-            self._highest_seqno_seen = seqno
-        if packet.last:
-            self._saw_last = True
         if packet.is_header_only:
             self._handle_header(packet)
         else:
@@ -204,25 +169,14 @@ class NdpSink(FlowSink):
         ack.ecn_ce = False
         ack.data_path_id = packet.path_id
         self._send_control(ack)
-        self.acks_sent += 1
         # inlined completeness / pull-gate checks (once per data arrival):
-        # semantics match the `complete` property and the pacer pull gate
-        # (ask for a pull only while outstanding pulls < packets still needed)
-        expected = self._expected_packets
-        received = len(self._received)
-        if expected is not None:
-            remaining = expected - received
-            if remaining <= 0:
-                self._finish()
-                return
-        else:
-            if self._saw_last and received == self._highest_seqno_seen + 1:
-                self._finish()
-                return
-            remaining = (
-                self._highest_seqno_seen + 1 - received if self._saw_last else None
-            )
-        if remaining is not None and self.pacer._pending.get(self.flow_id, 0) >= remaining:
+        # `remaining_packets()` and the pacer pull gate (ask for a pull only
+        # while outstanding pulls < packets still needed)
+        remaining = self._expected_packets - len(self._received)
+        if remaining <= 0:
+            self._finish()
+            return
+        if self.pacer._pending.get(self.flow_id, 0) >= remaining:
             return
         self.pacer.request_pull(self)
 
@@ -244,21 +198,9 @@ class NdpSink(FlowSink):
         nack.ecn_ce = False
         nack.data_path_id = packet.path_id
         self._send_control(nack)
-        self.nacks_sent += 1
         # inlined completeness / pull-gate (matches _handle_data above)
-        expected = self._expected_packets
-        received = len(self._received)
-        if expected is not None:
-            remaining = expected - received
-            if remaining <= 0:
-                return
-        else:
-            if self._saw_last and received == self._highest_seqno_seen + 1:
-                return
-            remaining = (
-                self._highest_seqno_seen + 1 - received if self._saw_last else None
-            )
-        if remaining is not None and self.pacer._pending.get(self.flow_id, 0) >= remaining:
+        remaining = self._expected_packets - len(self._received)
+        if remaining <= 0 or self.pacer._pending.get(self.flow_id, 0) >= remaining:
             return
         self.pacer.request_pull(self)
 
@@ -266,15 +208,10 @@ class NdpSink(FlowSink):
 
     def emit_pull(self) -> None:
         """Called by the pacer when it is this connection's turn to pull."""
-        # inlined `complete` property (once per emitted PULL)
-        expected = self._expected_packets
-        if expected is not None:
-            if len(self._received) >= expected:
-                return
-        elif self._saw_last and len(self._received) == self._highest_seqno_seen + 1:
+        # inlined completeness test (once per emitted PULL)
+        if len(self._received) >= self._expected_packets:
             return
         self._pull_counter += 1
-        self.pulls_emitted += 1
         # slot-pool allocation: one PULL per pacer grant (see _handle_data)
         pull = self.pool.get(NdpPull)
         header_bytes = self.config.header_bytes
@@ -340,7 +277,7 @@ class NdpSink(FlowSink):
         self._retries += 1
         self.record.pull_retries += 1
         remaining = self.remaining_packets()
-        need = remaining if remaining is not None and remaining > 0 else 1
+        need = remaining if remaining > 0 else 1
         if need > config.initial_window_packets:
             need = config.initial_window_packets
         for _ in range(need):

@@ -2,9 +2,11 @@
 
 The sender's job is deliberately simple (§3.2 of the paper):
 
-* on start, push a full initial window at line rate — zero-RTT, no handshake,
-  every first-window packet carries the SYN flag and its offset so the
-  connection can be established by whichever packet arrives first;
+* on start, push a full initial window at line rate — zero-RTT, no
+  handshake (in a deployment the first-window packets carry SYN so that
+  whichever arrives first creates the receiver's state; here
+  :meth:`NdpSrc.connect` hands the sink its source and size through
+  ``expect`` when the flow is wired, so the packets carry no flags);
 * after that, only transmit when pulled: each PULL advances a cumulative pull
   counter and the sender sends as many packets as the counter advanced by,
   retransmissions (NACKed packets) first, then new data;
@@ -195,7 +197,7 @@ class NdpSrc(FlowSource):
         for _ in range(window):
             seqno = self._next_new_seqno
             self._next_new_seqno += 1
-            self._transmit(seqno, is_retransmit=False, syn=True)
+            self._transmit(seqno, is_retransmit=False)
         # standing keepalive for the whole transfer: it must cover not just
         # queued retransmissions but also a never-pulled unsent tail
         self._arm_keepalive()
@@ -204,7 +206,6 @@ class NdpSrc(FlowSource):
         self,
         seqno: int,
         is_retransmit: bool,
-        syn: bool = False,
         route: Optional[Route] = None,
     ) -> None:
         if route is None:
@@ -228,8 +229,6 @@ class NdpSrc(FlowSource):
         packet.bounced = False
         packet.ecn_capable = False
         packet.ecn_ce = False
-        packet.syn = syn
-        packet.last = is_last
         packet.payload_bytes = payload
         packet.src_endpoint = self
         packet.is_retransmit = is_retransmit

@@ -219,7 +219,6 @@ class NdpSwitchQueue(BaseQueue):
         ):
             packet.bounced = True
             self.headers_bounced += 1
-            self.stats.packets_bounced += 1
             # the endpoint owns the delivery mechanics: an in-process NdpSrc
             # schedules a raw entry on its own event list, while a sharded
             # run substitutes a proxy that marshals the bounce back to the

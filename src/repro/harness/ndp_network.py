@@ -77,7 +77,6 @@ class NdpNetwork(Network):
             self.eventlist,
             link_rate_bps=self.topology.link_rate_bps,
             mtu_bytes=self.config.mtu_bytes,
-            rate_fraction=self.config.pull_rate_fraction,
             name=f"pull-pacer-host{host}",
         )
 

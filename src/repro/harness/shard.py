@@ -58,9 +58,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.config import NdpConfig
 from repro.core.packets import NdpAck, NdpDataPacket, NdpNack, NdpPull
 from repro.core.switch import NdpSwitchQueue
+from repro.harness import metrics
 from repro.harness.ndp_network import NdpNetwork
 from repro.harness.network import Flow
-from repro.harness.sketch import StreamingSlowdownBins
 from repro.harness.sweep import decode_result, encode_result
 from repro.sim.eventlist import EventList
 from repro.sim.packet import PacketPriority
@@ -312,7 +312,7 @@ SHARD_SCENARIOS: Dict[str, Callable[..., ShardScenario]] = {
 #    next_hop, link_seq, payload)
 # payload per kind:
 #   DATA/BOUNCE: (size, original_size, is_header_only, priority, send_time,
-#                 syn, last, payload_bytes, ecn_capable, ecn_ce)
+#                 payload_bytes, ecn_capable, ecn_ce)
 #   ACK/NACK:    (size, original_size, priority, send_time, data_path_id,
 #                 ecn_capable, ecn_ce)
 #   PULL:        (size, original_size, priority, send_time, data_path_id,
@@ -322,8 +322,7 @@ def _marshal_packet(packet, kind: int, next_hop: int, deliver_at: int, link_seq:
     if kind in (_KIND_DATA, _KIND_BOUNCE):
         payload = (
             packet.size, packet.original_size, int(packet.is_header_only),
-            int(packet.priority), packet.send_time, int(packet.syn),
-            int(packet.last), packet.payload_bytes,
+            int(packet.priority), packet.send_time, packet.payload_bytes,
             int(packet.ecn_capable), int(packet.ecn_ce),
         )
         is_retransmit = int(packet.is_retransmit)
@@ -491,7 +490,7 @@ class _ShardWorker:
         pool = self.pool
         if kind in (_KIND_DATA, _KIND_BOUNCE):
             (size, original_size, header_only, priority, send_time,
-             syn, last, payload_bytes, ecn_capable, ecn_ce) = payload
+             payload_bytes, ecn_capable, ecn_ce) = payload
             packet = pool.get(NdpDataPacket)
             packet.flow_id = flow_id
             packet.src = flow.src_host
@@ -505,8 +504,6 @@ class _ShardWorker:
             packet.ecn_ce = bool(ecn_ce)
             packet.path_id = path_id
             packet.send_time = send_time
-            packet.syn = bool(syn)
-            packet.last = bool(last)
             packet.payload_bytes = payload_bytes
             packet.is_retransmit = bool(is_rtx)
             packet.route = flow.src.paths.route_for_path(path_id)
@@ -578,21 +575,23 @@ class _ShardWorker:
     # --- results -----------------------------------------------------------------------
 
     def finish_payload(self) -> dict:
-        topology = self.network.topology
-        sketch = StreamingSlowdownBins()
-        for flow in self.owned_sink_flows:
-            sketch.add_record(
-                flow.record,
-                link_rate_bps=topology.link_rate_bps,
-                mtu_bytes=self.network.config.mtu_bytes,
-                header_bytes=self.network.config.header_bytes,
-            )
+        link_rate_bps = self.network.topology.link_rate_bps
+        config = self.network.config
         entries = digest_entries(self.network, self.partition, self.shard_id)
         return {
             "shard_id": self.shard_id,
             "digest_entries": entries,
             "shard_digest": merge_digest([entries]),
-            "sketch_state": sketch.state(),
+            # (flow_id, size, slowdown) of every completed flow this shard
+            # receives; the driver merges them in flow-id order
+            "slowdowns": [
+                (flow.flow_id, flow.record.flow_size_bytes,
+                 metrics.flow_slowdown(
+                     flow.record, link_rate_bps, config.mtu_bytes, config.header_bytes
+                 ))
+                for flow in self.owned_sink_flows
+                if flow.record.completed
+            ],
             "busy_seconds": self.busy_seconds,
             "events_executed": self.eventlist.events_executed,
             "peak_pending_events": self.peak_pending,
@@ -800,7 +799,12 @@ def run_sharded(
     traffic (each marshalled entry is tagged with its destination shard),
     the driver only enforces the window barrier — all shards finish window
     ``w`` before any entry produced in it is delivered — and merges the
-    per-shard digests, sketches and counters at the end.
+    per-shard digests, slowdowns and counters at the end.  The slowdown
+    summary is exact: every shard reports ``(flow_id, size, slowdown)`` for
+    the completed flows it receives, and the driver bins them in flow-id
+    order with :func:`~repro.harness.metrics.binned_cct_summary`, so it
+    equals :func:`~repro.harness.metrics.binned_slowdown_summary` over the
+    same records in one process.
 
     ``_fail_shard`` / ``_fail_window`` are test hooks: the named worker
     calls ``os._exit(1)`` at the start of that window, which must surface
@@ -899,9 +903,7 @@ def run_sharded(
             conn.close()
 
     payloads.sort(key=lambda payload: payload["shard_id"])
-    sketch = StreamingSlowdownBins()
-    for payload in payloads:
-        sketch.merge(StreamingSlowdownBins.from_state(payload["sketch_state"]))
+    slowdowns = sorted(entry for payload in payloads for entry in payload["slowdowns"])
     return ShardRunResult(
         scenario=scenario,
         num_shards=num_shards,
@@ -918,7 +920,9 @@ def run_sharded(
         final_time_ps=max(payload["final_time_ps"] for payload in payloads),
         peak_pending_events=max(payload["peak_pending_events"] for payload in payloads),
         boundary_packets=boundary_packets,
-        slowdown_summary=sketch.summary(),
+        slowdown_summary=metrics.binned_cct_summary(
+            (size, slowdown) for _flow_id, size, slowdown in slowdowns
+        ),
     )
 
 

@@ -52,12 +52,10 @@ class QueueStats:
     packets_enqueued: int = 0
     packets_forwarded: int = 0
     bytes_forwarded: int = 0
-    data_bytes_forwarded: int = 0
     packets_dropped: int = 0
     bytes_dropped: int = 0
     packets_trimmed: int = 0
     packets_marked: int = 0
-    packets_bounced: int = 0
     max_queue_bytes: int = 0
     pause_events: int = 0
 

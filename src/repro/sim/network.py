@@ -48,12 +48,10 @@ class CountingSink(PacketSink):
     def __init__(self, name: str = "counting-sink") -> None:
         self.name = name
         self.packets_received = 0
-        self.bytes_received = 0
         self.last_packet: Optional[Packet] = None
 
     def receive_packet(self, packet: Packet) -> None:
         self.packets_received += 1
-        self.bytes_received += packet.size
         self.last_packet = packet
 
 

@@ -17,7 +17,7 @@ from repro.sim.packet import Packet
 class Pipe(PacketSink):
     """A link with fixed one-way propagation delay."""
 
-    __slots__ = ("eventlist", "delay_ps", "name", "packets_carried", "bytes_carried")
+    __slots__ = ("eventlist", "delay_ps", "name")
 
     def __init__(self, eventlist: EventList, delay_ps: int, name: str = "pipe") -> None:
         if delay_ps < 0:
@@ -25,8 +25,6 @@ class Pipe(PacketSink):
         self.eventlist = eventlist
         self.delay_ps = delay_ps
         self.name = name
-        self.packets_carried = 0
-        self.bytes_carried = 0
 
     def set_delay_ps(self, delay_ps: int) -> None:
         """Change the propagation delay (cable swap / reroute mid-run).
@@ -40,8 +38,6 @@ class Pipe(PacketSink):
 
     def receive_packet(self, packet: Packet) -> None:
         """Deliver *packet* to its next hop after the propagation delay."""
-        self.packets_carried += 1
-        self.bytes_carried += packet.size
         # The hop pointer is advanced now (the route cannot change in
         # flight), so the delivery event calls the downstream element
         # directly: a raw arity-1 entry carrying the bare (callback, packet)
@@ -87,8 +83,6 @@ class TappedPipe(Pipe):
             return
         if verdict == "delay":
             self.packets_delayed += 1
-            self.packets_carried += 1
-            self.bytes_carried += packet.size
             hop = packet.hop
             sink = packet.route.elements[hop]
             packet.hop = hop + 1

@@ -298,24 +298,19 @@ class BaseQueue(PacketSink):
             self._busy = False
             if packet is not None:
                 stats = self.stats
-                size = packet.size
                 stats.packets_forwarded += 1
-                stats.bytes_forwarded += size
-                if not packet.is_header_only:
-                    stats.data_bytes_forwarded += size
+                stats.bytes_forwarded += packet.size
                 if self._has_departed_hook:
                     self._packet_departed(packet)
                 # inlined send_to_next_hop (once per serialized packet); when
                 # the next element is a Pipe — as it is for every fabric
-                # link — the pipe hop is fused in as well: count it and
-                # schedule the delayed delivery at the element after the pipe
-                # directly, exactly as Pipe.receive_packet would
+                # link — the pipe hop is fused in as well: schedule the
+                # delayed delivery at the element after the pipe directly,
+                # exactly as Pipe.receive_packet would
                 hop = packet.hop
                 elements = packet.route.elements
                 nxt = elements[hop]
                 if type(nxt) is Pipe:
-                    nxt.packets_carried += 1
-                    nxt.bytes_carried += size
                     packet.hop = hop + 2
                     when = eventlist._now + nxt.delay_ps
                     seq = eventlist._sequence = eventlist._sequence + 1
@@ -484,7 +479,7 @@ class TappedQueue(DropTailQueue):
     spot, preserving the untapped schedule bit-for-bit.
     """
 
-    __slots__ = ("tap", "faults_dropped", "faults_delayed")
+    __slots__ = ("tap", "faults_dropped")
 
     def __init__(
         self,
@@ -497,7 +492,6 @@ class TappedQueue(DropTailQueue):
         super().__init__(eventlist, service_rate_bps, max_queue_bytes, name=name)
         self.tap = tap
         self.faults_dropped = 0
-        self.faults_delayed = 0
 
     def receive_packet(self, packet: Packet) -> None:
         verdict, extra_ps = self.tap(packet)
@@ -508,7 +502,6 @@ class TappedQueue(DropTailQueue):
             packet.release()  # slot pool: a dropped packet dies here
             return
         if verdict == "delay":
-            self.faults_delayed += 1
             self.eventlist.schedule_raw_in(extra_ps, self._admit_delayed, (packet,))
             return
         DropTailQueue.receive_packet(self, packet)

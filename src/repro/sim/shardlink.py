@@ -57,8 +57,6 @@ class ShardEgressPipe(Pipe):
         self.departures = 0
 
     def receive_packet(self, packet: Packet) -> None:
-        self.packets_carried += 1
-        self.bytes_carried += packet.size
         link_seq = self.departures
         self.departures = link_seq + 1
         # packet.hop indexes the element after this pipe (both the fused

@@ -118,8 +118,6 @@ class Topology:
         self.route_version = 0
         #: resolves symbolic node paths to routes against the live link state
         self.route_table = RouteTable(self)
-        #: bumped on *every* link-state change (rate/delay included)
-        self.link_state_version = 0
         self._link_subscribers: List[Callable[[LinkStateEvent], None]] = []
 
     # --- construction helpers ----------------------------------------------------
@@ -171,8 +169,7 @@ class Topology:
         return record
 
     def _link_state_changed(self, event: LinkStateEvent, reroutes: bool) -> None:
-        """Version the change and broadcast it to subscribers (post-apply)."""
-        self.link_state_version += 1
+        """Bump the route version if the path set changed, then tell subscribers."""
         if reroutes:
             self.route_version += 1
         for callback in list(self._link_subscribers):

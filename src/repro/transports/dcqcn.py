@@ -75,11 +75,10 @@ class DcqcnConfig:
 class DcqcnDataPacket(DataPacket):
     """An ECN-capable RoCE-style data packet."""
 
-    __slots__ = ("last",)
+    __slots__ = ()
 
-    def __init__(self, flow_id, src, dst, seqno, payload_bytes, header_bytes, last=False):
+    def __init__(self, flow_id, src, dst, seqno, payload_bytes, header_bytes):
         super().__init__(flow_id, src, dst, seqno, payload_bytes, header_bytes, ecn_capable=True)
-        self.last = last
 
 
 class DcqcnCnp(ControlPacket):
@@ -107,7 +106,6 @@ class DcqcnSink(FlowSink):
         node_id: int,
         reverse_route: Route,
         config: Optional[DcqcnConfig] = None,
-        expected_bytes: int = 0,
         on_complete: Optional[Callable[["DcqcnSink"], None]] = None,
         name: Optional[str] = None,
     ) -> None:
@@ -116,9 +114,7 @@ class DcqcnSink(FlowSink):
             on_complete, name or f"dcqcn-sink-{flow_id}",
         )
         self.reverse_route = reverse_route
-        self.record.flow_size_bytes = expected_bytes
         self._last_cnp_time: Optional[int] = None
-        self.cnps_sent = 0
 
     def receive_packet(self, packet: Packet) -> None:
         if not isinstance(packet, DcqcnDataPacket):
@@ -142,7 +138,6 @@ class DcqcnSink(FlowSink):
         ):
             return
         self._last_cnp_time = now
-        self.cnps_sent += 1
         self.inject(
             DcqcnCnp(self.flow_id, self.node_id, dst, header_bytes=self.config.header_bytes),
             self.reverse_route,
@@ -221,7 +216,6 @@ class DcqcnSrc(FlowSource):
             seqno,
             self.payload_for(seqno),
             self.config.header_bytes,
-            last=seqno == self.total_packets - 1,
         )
         self.packets_sent += 1
         self.inject(packet, self.route)

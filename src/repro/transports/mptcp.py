@@ -124,9 +124,11 @@ class MptcpConnection(FlowSource):
                 reverse_route=rev.extended(src),
                 config=self.config,
                 shared_record=self.record,
-                expected_bytes=self.flow_size_bytes,
                 on_complete=self._receiver_finished,
             )
+            # every subflow sink expects the whole transfer: they deliver
+            # into the one shared record
+            sink.expect(self.node_id, self.flow_size_bytes, self.total_packets)
             src.route = fwd.extended(sink)
             src.coupled_increase = self._lia_increase
             self.subflows.append(src)

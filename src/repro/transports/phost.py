@@ -124,8 +124,6 @@ class PHostSink(FlowSink):
         self._tokens_outstanding = 0
         self._token_counter = 0
         self._timeout = Timer(eventlist, self._handle_timeout)
-        self.tokens_emitted = 0
-        self.timeout_rounds = 0
 
     def receive_packet(self, packet: Packet) -> None:
         if not isinstance(packet, PHostDataPacket):
@@ -163,7 +161,6 @@ class PHostSink(FlowSink):
         if self.complete:
             return
         self._token_counter += 1
-        self.tokens_emitted += 1
         self.inject(
             PHostToken(self.flow_id, self.node_id, self.src_node_id, self._token_counter,
                        header_bytes=self.config.header_bytes),
@@ -178,7 +175,6 @@ class PHostSink(FlowSink):
             return
         # nothing arrived for a while: assume outstanding tokens (or the data
         # they elicited) were lost and issue a fresh batch
-        self.timeout_rounds += 1
         self.record.rtx_from_timeout += 1
         self._tokens_outstanding = 0
         self._request_more_tokens()
@@ -221,8 +217,6 @@ class PHostSrc(FlowSource):
         self._heard_from_receiver = False
         self._sender_timer = Timer(eventlist, self._sender_timeout)
         self._sender_timeout_ps = self.config.sender_timeout_ps
-        self.tokens_received = 0
-        self.rts_retries = 0
 
     def connect(self, sink: PHostSink) -> None:
         """Associate the sender with its sink: every forward route ends there."""
@@ -246,7 +240,6 @@ class PHostSrc(FlowSource):
         """The whole burst (and thus the implicit RTS) may have been lost."""
         if self._heard_from_receiver or self.complete:
             return
-        self.rts_retries += 1
         self.record.rtx_from_timeout += 1
         self._send_packet(0)
         self._sender_timeout_ps = min(self._sender_timeout_ps * 2, units.milliseconds(64))
@@ -272,7 +265,6 @@ class PHostSrc(FlowSource):
             if self.complete:
                 self._finish()
         elif isinstance(packet, PHostToken):
-            self.tokens_received += 1
             self._send_for_token()
         else:
             raise TypeError(f"PHostSrc got unexpected packet {packet!r}")

@@ -79,7 +79,7 @@ class TcpConfig:
 class TcpPacket(DataPacket):
     """A TCP data segment (packet-granular sequence numbers); a SYN carries no payload."""
 
-    __slots__ = ("syn", "fin", "global_index", "is_retransmit")
+    __slots__ = ("syn",)
 
     def __init__(
         self,
@@ -90,16 +90,10 @@ class TcpPacket(DataPacket):
         payload_bytes: int,
         header_bytes: int,
         syn: bool = False,
-        fin: bool = False,
         ecn_capable: bool = False,
-        global_index: Optional[int] = None,
-        is_retransmit: bool = False,
     ) -> None:
         super().__init__(flow_id, src, dst, seqno, payload_bytes, header_bytes, ecn_capable)
         self.syn = syn
-        self.fin = fin
-        self.global_index = global_index if global_index is not None else seqno
-        self.is_retransmit = is_retransmit
 
 
 class TcpAck(ControlPacket):
@@ -168,7 +162,6 @@ class TcpSink(FlowSink):
         reverse_route: Route,
         config: Optional[TcpConfig] = None,
         shared_record: Optional[FlowRecord] = None,
-        expected_bytes: int = 0,
         on_complete: Optional[Callable[["TcpSink"], None]] = None,
         name: Optional[str] = None,
     ) -> None:
@@ -177,10 +170,7 @@ class TcpSink(FlowSink):
             on_complete, name or f"tcp-sink-{flow_id}", shared_record,
         )
         self.reverse_route = reverse_route
-        if expected_bytes and not self.record.flow_size_bytes:
-            self.record.flow_size_bytes = expected_bytes
         self.rcv_nxt = 0
-        self.acks_sent = 0
 
     def receive_packet(self, packet: Packet) -> None:
         if not isinstance(packet, TcpPacket):
@@ -206,7 +196,6 @@ class TcpSink(FlowSink):
             echo_send_time=echo_time,
             syn=syn,
         )
-        self.acks_sent += 1
         self.inject(ack, self.reverse_route)
 
 
@@ -254,8 +243,8 @@ class TcpSrc(FlowSource):
         self.srtt_ps: Optional[int] = None
         self.rttvar_ps: int = 0
 
-        # mapping subflow seqno -> (global packet index, payload bytes)
-        self._segments: Dict[int, tuple[int, int]] = {}
+        # mapping subflow seqno -> payload bytes of the packet it carries
+        self._segments: Dict[int, int] = {}
         self._rto = Timer(eventlist, self._handle_rto)
         self._handshake_done = not self.config.handshake
         self._next_injection_time = 0
@@ -321,21 +310,18 @@ class TcpSrc(FlowSource):
                 break
             seqno = self.snd_nxt
             self.snd_nxt += 1
-            self._segments[seqno] = (index, self.payload_for(index))
+            self._segments[seqno] = self.payload_for(index)
             self._send_segment(seqno, retransmit=False)
 
     def _send_segment(self, seqno: int, retransmit: bool) -> None:
-        index, payload = self._segments[seqno]
         packet = TcpPacket(
             flow_id=self.flow_id,
             src=self.node_id,
             dst=self.dst_node_id,
             seqno=seqno,
-            payload_bytes=payload,
+            payload_bytes=self._segments[seqno],
             header_bytes=self.config.header_bytes,
             ecn_capable=self.config.ecn_enabled,
-            global_index=index,
-            is_retransmit=retransmit,
         )
         self.packets_sent += 1
         if retransmit:

@@ -330,9 +330,6 @@ class TaskRun:
 
     spec: TaskSpec
     flow: object = None
-    #: simulation time the completion callback fired (sender-side for NDP,
-    #: receiver-side for the baselines; always >= the record finish time)
-    done_ps: Optional[int] = None
 
     @property
     def record(self):
@@ -389,8 +386,6 @@ class ServiceEngine:
         self.eventlist = eventlist
         self.network = network
         self.requests: List[ServiceRequestRun] = []
-        self.tasks_launched = 0
-        self.requests_completed = 0
 
     # --- submission ------------------------------------------------------------
 
@@ -445,10 +440,8 @@ class ServiceEngine:
                     self._task_done(run, idx, t)
                 ),
             )
-            self.tasks_launched += 1
 
     def _task_done(self, run: ServiceRequestRun, stage_index: int, task: TaskRun) -> None:
-        task.done_ps = self.eventlist.now()
         run._pending -= 1
         if run._pending > 0:
             return
@@ -461,7 +454,6 @@ class ServiceEngine:
             run.completion_ps = max(
                 task.record.finish_time_ps for task in run.tasks[-1]
             )
-            self.requests_completed += 1
 
     # --- analysis --------------------------------------------------------------
 

@@ -52,12 +52,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             NdpConfig(wrr_headers_per_data=0)
 
-    def test_pull_rate_fraction_range(self):
-        with pytest.raises(ValueError):
-            NdpConfig(pull_rate_fraction=0.0)
-        with pytest.raises(ValueError):
-            NdpConfig(pull_rate_fraction=1.5)
-
     def test_path_mode_validated(self):
         with pytest.raises(ValueError):
             NdpConfig(path_selection_mode="round-robin")

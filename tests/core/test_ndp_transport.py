@@ -58,13 +58,18 @@ class TestSingleFlow:
         with pytest.raises(ValueError):
             network.create_flow(0, 1, 0)
 
-    def test_first_rtt_packets_carry_syn(self):
+    def test_the_sink_knows_its_source_and_size_before_any_packet_arrives(self):
         eventlist = EventList()
         network = NdpNetwork.build(eventlist, BackToBackTopology)
         flow = network.create_flow(0, 1, 500_000)
-        eventlist.run(until=units.microseconds(50))
-        # the sink learned the source from SYN packets before being told
-        assert flow.sink.record.src == 0
+        sink = flow.sink
+        assert eventlist.events_executed == 0
+        assert (sink.src_node_id, sink.record.src) == (0, 0)
+        assert sink.record.flow_size_bytes == 500_000
+        assert sink.remaining_packets() == flow.src.total_packets
+        assert sink.record.start_time_ps == 0
+        eventlist.run(until=units.milliseconds(20))
+        assert flow.complete and sink.remaining_packets() == 0
 
 
 class TestMultipath:

@@ -45,10 +45,6 @@ class TestPacing:
         interval = pacer.pull_interval_ps
         assert sink.pull_times == [0, interval, 2 * interval, 3 * interval, 4 * interval]
 
-    def test_rate_fraction_slows_the_clock(self, eventlist):
-        pacer = NdpPullPacer(eventlist, gbps(10), mtu_bytes=9000, rate_fraction=0.5)
-        assert pacer.pull_interval_ps == 2 * serialization_time_ps(9000, gbps(10))
-
     def test_idle_period_does_not_accumulate_credit(self, eventlist, pacer):
         sink = FakeSink(eventlist, 1)
         pacer.request_pull(sink)
@@ -59,26 +55,6 @@ class TestPacing:
         eventlist.run()
         assert sink.pull_times[1] == 10 * pacer.pull_interval_ps
         assert sink.pull_times[2] == 11 * pacer.pull_interval_ps
-
-    def test_invalid_rate_fraction(self, eventlist):
-        with pytest.raises(ValueError):
-            NdpPullPacer(eventlist, gbps(10), rate_fraction=0.0)
-
-    def test_rate_fraction_interval_rounds_half_up(self, eventlist):
-        # Regression: int() truncation made the pacer run slightly *fast* at
-        # fractional rates.  At Figure 12's operating point (0.95) with a
-        # 1.5 kB MTU the exact interval is 1_200_000 / 0.95 = 1_263_157.89 ps;
-        # round-half-up gives ..158, truncation gave ..157.
-        pacer = NdpPullPacer(eventlist, gbps(10), mtu_bytes=1500, rate_fraction=0.95)
-        assert pacer.pull_interval_ps == 1_263_158
-
-    def test_rate_fraction_095_is_never_faster_than_configured(self, eventlist):
-        # the paced rate must be <= 0.95 of the link rate, i.e. the interval
-        # must be >= the exact (real-valued) spacing
-        for mtu in (1500, 9000):
-            pacer = NdpPullPacer(eventlist, gbps(10), mtu_bytes=mtu, rate_fraction=0.95)
-            exact = serialization_time_ps(mtu, gbps(10)) / 0.95
-            assert pacer.pull_interval_ps >= exact - 0.5
 
 
 class TestFairness:

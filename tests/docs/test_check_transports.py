@@ -82,7 +82,7 @@ def test_lint_flags_an_endpoint_that_reforks_the_flow_lifecycle():
     from repro.sim.logger import FlowRecord
     from repro.sim.network import NetworkEndpoint
     from repro.transports import registry
-    from repro.transports.tcp import TcpSrc
+    from repro.transports.tcp import TcpSink, TcpSrc
 
     assert check_transports.check_endpoint_classes(registry.specs(include_variants=True)) == []
 
@@ -100,6 +100,13 @@ def test_lint_flags_an_endpoint_that_reforks_the_flow_lifecycle():
         def expect(self, src_node_id, flow_size_bytes, total_packets):
             pass
 
+        @property
+        def complete(self):
+            return False
+
+        def remaining_packets(self):
+            return 0
+
         def receive_packet(self, packet):
             pass
 
@@ -112,3 +119,22 @@ def test_lint_flags_an_endpoint_that_reforks_the_flow_lifecycle():
     assert len(problems) == 2
     assert "ForkedSrc.start overrides FlowSource.start" in problems[0]
     assert "LooseSink is not a FlowSink" in problems[1]
+
+    class SecondRuleSink(TcpSink):
+        """A sink with its own completion rule beside the one FlowSink states."""
+
+        @property
+        def complete(self):
+            return len(self._received) >= self._expected_packets
+
+        def remaining_packets(self):
+            return max(self._expected_packets - len(self._received), 0)
+
+    class SecondRuleNetwork(TcpNetwork):
+        SINK_CLS = SecondRuleSink
+
+    spec = registry.TransportSpec(name="second", display="Second", network_cls=SecondRuleNetwork)
+    problems = check_transports.check_endpoint_classes([spec])
+    assert len(problems) == 2
+    assert "SecondRuleSink.complete overrides FlowSink.complete" in problems[0]
+    assert "SecondRuleSink.remaining_packets overrides FlowSink.remaining_packets" in problems[1]

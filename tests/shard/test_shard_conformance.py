@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.harness import metrics
 from repro.harness.shard import (
     digest_entries,
     merge_digest,
@@ -104,6 +105,23 @@ class TestFatTreeConformance:
         one = run_sharded("fattree", 2, seed=1, scenario_kwargs=FATTREE_KW)
         two = run_sharded("fattree", 2, seed=2, scenario_kwargs=FATTREE_KW)
         assert one.digest != two.digest
+
+
+class TestSlowdownSummary:
+    """Every shard reports its completed flows' slowdowns; the driver bins
+    them exactly, so the summary cannot depend on the shard count."""
+
+    def test_summary_equals_the_single_process_summary(self) -> None:
+        _digest, scenario = run_reference("fattree", seed=1, scenario_kwargs=FATTREE_KW)
+        network = scenario.network
+        expected = metrics.binned_slowdown_summary(
+            network.records(), network.topology.link_rate_bps,
+            network.config.mtu_bytes, network.config.header_bytes,
+        )
+        assert expected["all"]["count"] == len(network.flows)
+        for shards in (1, 2, 4):
+            result = run_sharded("fattree", shards, seed=1, scenario_kwargs=FATTREE_KW)
+            assert result.slowdown_summary == expected, f"{shards} shards"
 
 
 class TestIncastConformance:

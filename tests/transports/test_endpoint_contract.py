@@ -67,6 +67,17 @@ def test_payloads_sum_to_the_flow_size(network):
         network.create_flow(1, 0, 0)
 
 
+def test_every_sink_knows_its_transfer_before_any_event(network):
+    """``expect`` runs where the flow is wired, so no sink has to learn its
+    source or size from arriving packets."""
+    flow = network.create_flow(1, 0, 30_000)
+    assert network.eventlist.events_executed == 0
+    for sink in _sinks(flow):
+        assert sink.src_node_id == 1
+        assert sink.record.flow_size_bytes == 30_000
+        assert sink._expected_packets == flow.src.total_packets
+
+
 def test_starting_twice_begins_once(network):
     flow = network.create_flow(1, 0, 30_000, start=False)
     begins = []

@@ -31,7 +31,8 @@ flags it — a transport varies through the ``_endpoints`` / ``_switch_queue``
 **Every registered transport's endpoints inherit the flow lifecycle unchanged.**
 ``FlowSource`` / ``FlowSink`` (``repro.sim.network``; ``_finish`` sits in
 their shared ``FlowEndpoint``) own how a transfer is sized, started,
-delivered and finished; :func:`check_endpoint_classes` builds one flow per
+delivered and finished, and when a sink counts it complete
+(``complete`` / ``remaining_packets``); :func:`check_endpoint_classes` builds one flow per
 transport and flags an endpoint that is not one of them, or that overrides a
 lifecycle method instead of the ``_begin`` / ``_release`` /
 ``receive_packet`` hooks.
@@ -131,7 +132,7 @@ def check_network_classes(specs) -> List[str]:
 #: lifecycle methods an endpoint takes from its base, per base-class name
 LIFECYCLE = {
     "FlowSource": ("start", "_start", "_finish", "payload_for"),
-    "FlowSink": ("expect", "_deliver", "_finish"),
+    "FlowSink": ("expect", "_deliver", "_finish", "complete", "remaining_packets"),
 }
 
 
