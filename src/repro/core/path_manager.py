@@ -78,7 +78,9 @@ class PathManager:
         reproducibility).
     penalize:
         Enable outlier exclusion (the paper's path-penalty mechanism).  With
-        a single path the scoreboard is kept but never excludes anything.
+        a single path the scoreboard is kept but never excludes anything;
+        without the penalty a path's first use files no score (only explicit
+        ``record_*`` feedback does), since nothing judges it.
     min_samples:
         Minimum feedback observations on a path before it can be judged.
     nack_ratio:
@@ -196,6 +198,16 @@ class PathManager:
             return self.route_for_path(avoid_path_id)
         return self.route_for_path(self.rng.choice(candidates))
 
+    def forget_routes(self) -> None:
+        """Drop the built routes; a later use rebuilds an identical one.
+
+        For an owner that may still send but rarely will (a finished sink
+        still ACKs a late duplicate): the selection state — RNG,
+        permutation, position — is untouched, so the paths drawn stay
+        exactly those of a manager that kept its routes.
+        """
+        self._terminated.clear()
+
     def retire(self) -> None:
         """The owner will never ask for a route again (its flow is done).
 
@@ -203,7 +215,7 @@ class PathManager:
         generator state — so they are freed now.  The scoreboard stays: late
         feedback still lands on it.
         """
-        self._terminated.clear()
+        self.forget_routes()
         self._permutation = ()
         self.rng = None
 
@@ -212,7 +224,7 @@ class PathManager:
         return len(self._path_ids)
 
     def _terminate(self, path_id: int) -> Route:
-        """First use of a current path: build its route and its score."""
+        """First use of a current path: build its route (and its score, if judged)."""
         try:
             index = self._path_ids.index(path_id)
         except ValueError:
@@ -222,7 +234,8 @@ class PathManager:
         else:
             route = self.routes.terminated(index, self.terminal)
         self._terminated[path_id] = route
-        if path_id not in self.scores:
+        # a manager that never penalizes never reads its scoreboard
+        if self.penalize and path_id not in self.scores:
             self.scores[path_id] = PathScore()
         return route
 

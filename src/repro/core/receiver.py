@@ -296,7 +296,19 @@ class NdpSink(FlowSink):
         route.elements[0].receive_packet(packet)
 
     def _release(self) -> None:
+        """Purge the pulls, cancel the watchdog, drop what a finished sink never reads.
+
+        The sink finishes only once every seqno below ``_expected_packets``
+        has arrived, so ``_received`` becomes the ``range`` it then equals,
+        and the built reverse routes go.  The sink itself stays live: a late
+        duplicate is still ACKed (``_handle_data`` skips its accounting,
+        then sends the ACK on a route rebuilt on demand and drawn from the
+        kept RNG and permutation), a late trimmed header is still NACKed,
+        and ``emit_pull`` sends nothing.
+        """
         self.pacer.purge(self.flow_id)
         if self._retry_timer is not None:
             self._retry_timer.cancel()
             self._retry_timer = None
+        self._received = range(self._expected_packets)
+        self.reverse_paths.forget_routes()

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from types import MappingProxyType
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set
 
 from repro.core.config import NdpConfig
@@ -51,6 +52,11 @@ from repro.sim.pool import PacketPool
 from repro.core.receiver import NdpSink
 
 _LOW = PacketPriority.LOW
+
+#: what a finished sender's per-seqno containers become (see ``_release``):
+#: one shared instance each, since ``frozenset()`` is not a singleton on 3.11
+_NO_SEQNOS = frozenset()
+_NO_ENTRIES = MappingProxyType({})
 
 
 class NdpSrc(FlowSource):
@@ -477,25 +483,32 @@ class NdpSrc(FlowSource):
     # --- completion ----------------------------------------------------------------------
 
     def _release(self) -> None:
+        """Cancel the timers and swap the per-seqno state for immutable stand-ins.
+
+        Every packet is ACKed, so ``_acked`` is exactly
+        ``range(total_packets)``, and nothing is ever transmitted again:
+        every late ACK, NACK, bounce and timeout tests ``seqno in _acked``
+        before it mutates anything, and a late PULL finds no retransmission
+        queued and no new seqno left.  The stand-ins answer every such read
+        exactly as the old containers did, without keeping an emptied
+        container's allocation per finished flow to the horizon (most flows
+        of a churn workload finish long before it); a write that got past
+        those tests raises instead of growing state silently.  The path
+        manager drops its routes and RNG; its scoreboard stays, because late
+        feedback lands on it.
+        """
         for timer in self._rto_timers.values():
             timer.cancel()
-        self._rto_timers.clear()
         if self._keepalive_timer is not None:
             self._keepalive_timer.cancel()
             self._keepalive_timer = None
-        # Everything is ACKed, so any remaining retransmission-queue entries
-        # are stale duplicates (a second copy beat the queued one); drop them
-        # so a completed sender never looks deadlocked.
-        self._rtx_queue.clear()
-        self._rtx_queued.clear()
-        self._nacked.clear()
-        # ... and nothing is ever transmitted again: a late NACK, bounce,
-        # timeout or pull returns before it picks a path.  What only
-        # transmission needs is released now, while dropping the reference
-        # frees it, rather than kept to the horizon for every collection to
-        # walk (most flows of a churn workload finish long before the run).
-        self._last_path_used.clear()
-        self._first_send_time.clear()
+        self._acked = range(self.total_packets)
+        # queued retransmissions are stale duplicates (a second copy beat
+        # the queued one): dropping them keeps a finished sender from
+        # looking deadlocked
+        self._nacked = self._rtx_queued = _NO_SEQNOS
+        self._rtx_queue = ()
+        self._rto_timers = self._last_path_used = self._first_send_time = _NO_ENTRIES
         self.paths.retire()
 
 

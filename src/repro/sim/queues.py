@@ -110,9 +110,14 @@ class BaseQueue(PacketSink):
         # FIFO order and throughput are unaffected — restores realistic
         # desynchronization where an experiment asks for it.
         self.serialization_jitter_ps = serialization_jitter_ps
-        # seed from a stable digest of the name so runs are reproducible
-        # across processes (str hash() is salted per interpreter run)
-        self._jitter_rng = rng if rng is not None else random.Random(zlib.crc32(name.encode()))
+        #: the jitter draws' generator: *rng*, else one seeded from a stable
+        #: digest of the name so runs are reproducible across processes
+        #: (str hash() is salted per interpreter run).  ``None`` on a port
+        #: without jitter, which never draws: the jitter is set here only,
+        #: and a Mersenne state is 2.5 kB per port.
+        if rng is None and serialization_jitter_ps > 0:
+            rng = random.Random(zlib.crc32(name.encode()))
+        self._jitter_rng = rng
         self.stats = QueueStats()
         self.queue_bytes = 0
         self._busy = False

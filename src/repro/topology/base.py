@@ -119,6 +119,8 @@ class Topology:
         #: resolves symbolic node paths to routes against the live link state
         self.route_table = RouteTable(self)
         self._link_subscribers: List[Callable[[LinkStateEvent], None]] = []
+        # one string object per node name (see _node)
+        self._names: Dict[str, str] = {}
 
     # --- construction helpers ----------------------------------------------------
 
@@ -282,9 +284,18 @@ class Topology:
 
     # --- queries -----------------------------------------------------------------
 
+    def _node(self, name: str) -> str:
+        """The one string object this topology uses for node *name*.
+
+        Every name a topology hands out goes through here, so the link
+        keys, the symbolic paths and whatever the route table keeps of them
+        share one object per node instead of one per enumerated path.
+        """
+        return self._names.setdefault(name, name)
+
     def host_name(self, host: int) -> str:
         """Canonical node name of host number *host*."""
-        return f"host{host}"
+        return self._node(f"host{host}")
 
     def hosts(self) -> List[int]:
         """All host identifiers in the topology."""

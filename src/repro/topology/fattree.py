@@ -116,13 +116,13 @@ class FatTreeTopology(Topology):
         return (host % self.hosts_per_pod) // self.hosts_per_tor
 
     def _tor_name(self, pod: int, tor_index: int) -> str:
-        return f"pod{pod}_tor{tor_index}"
+        return self._node(f"pod{pod}_tor{tor_index}")
 
     def _agg_name(self, pod: int, agg_index: int) -> str:
-        return f"pod{pod}_agg{agg_index}"
+        return self._node(f"pod{pod}_agg{agg_index}")
 
     def _core_name(self, core: int) -> str:
-        return f"core{core}"
+        return self._node(f"core{core}")
 
     def tor_of_host(self, host: int) -> str:
         """Node name of the ToR switch serving *host*."""

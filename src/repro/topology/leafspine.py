@@ -64,10 +64,10 @@ class LeafSpineTopology(Topology):
                 self.add_link(spine, leaf, rate_bps=uplink_rate)
 
     def _leaf_name(self, leaf_index: int) -> str:
-        return f"leaf{leaf_index}"
+        return self._node(f"leaf{leaf_index}")
 
     def _spine_name(self, spine_index: int) -> str:
-        return f"spine{spine_index}"
+        return self._node(f"spine{spine_index}")
 
     def leaf_of_host(self, host: int) -> str:
         """Node name of the leaf (ToR) switch serving *host*."""
