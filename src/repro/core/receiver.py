@@ -115,7 +115,7 @@ class NdpSink(FlowSink):
 
     def packets_received(self) -> int:
         """Number of distinct data packets received in full."""
-        return len(self._received)
+        return self._received_count
 
     # --- packet handling -------------------------------------------------------------
 
@@ -145,10 +145,14 @@ class NdpSink(FlowSink):
             pool.release(packet)
 
     def _handle_data(self, packet: NdpDataPacket) -> None:
+        # every copy counts here (the digests hash it); a seqno's first
+        # arrival also counts in `_received_count` and delivers its bytes
         self.record.packets_delivered += 1
         seqno = packet.seqno
-        if seqno not in self._received:
-            self._received.add(seqno)
+        received = self._received
+        if not received[seqno]:
+            received[seqno] = 1
+            self._received_count += 1
             self.record.bytes_delivered += packet.payload_bytes
         # slot-pool allocation: one ACK per arriving data packet.  Every
         # protocol-visible field is written (a revived facade carries its
@@ -172,7 +176,7 @@ class NdpSink(FlowSink):
         # inlined completeness / pull-gate checks (once per data arrival):
         # `remaining_packets()` and the pacer pull gate (ask for a pull only
         # while outstanding pulls < packets still needed)
-        remaining = self._expected_packets - len(self._received)
+        remaining = self._expected_packets - self._received_count
         if remaining <= 0:
             self._finish()
             return
@@ -199,7 +203,7 @@ class NdpSink(FlowSink):
         nack.data_path_id = packet.path_id
         self._send_control(nack)
         # inlined completeness / pull-gate (matches _handle_data above)
-        remaining = self._expected_packets - len(self._received)
+        remaining = self._expected_packets - self._received_count
         if remaining <= 0 or self.pacer._pending.get(self.flow_id, 0) >= remaining:
             return
         self.pacer.request_pull(self)
@@ -209,7 +213,7 @@ class NdpSink(FlowSink):
     def emit_pull(self) -> None:
         """Called by the pacer when it is this connection's turn to pull."""
         # inlined completeness test (once per emitted PULL)
-        if len(self._received) >= self._expected_packets:
+        if self._received_count >= self._expected_packets:
             return
         self._pull_counter += 1
         # slot-pool allocation: one PULL per pacer grant (see _handle_data)
@@ -299,16 +303,15 @@ class NdpSink(FlowSink):
         """Purge the pulls, cancel the watchdog, drop what a finished sink never reads.
 
         The sink finishes only once every seqno below ``_expected_packets``
-        has arrived, so ``_received`` becomes the ``range`` it then equals,
-        and the built reverse routes go.  The sink itself stays live: a late
-        duplicate is still ACKed (``_handle_data`` skips its accounting,
-        then sends the ACK on a route rebuilt on demand and drawn from the
-        kept RNG and permutation), a late trimmed header is still NACKed,
-        and ``emit_pull`` sends nothing.
+        has arrived; ``_received`` stays as it is (one byte per packet, all
+        set), and the built reverse routes go.  The sink itself stays live:
+        a late duplicate is still ACKed (``_handle_data`` skips its
+        accounting, then sends the ACK on a route rebuilt on demand and
+        drawn from the kept RNG and permutation), a late trimmed header is
+        still NACKed, and ``emit_pull`` sends nothing.
         """
         self.pacer.purge(self.flow_id)
         if self._retry_timer is not None:
             self._retry_timer.cancel()
             self._retry_timer = None
-        self._received = range(self._expected_packets)
         self.reverse_paths.forget_routes()

@@ -68,6 +68,7 @@ class NdpSrc(FlowSource):
         "sink",
         "_next_new_seqno",
         "_acked",
+        "_acked_count",
         "_nacked",
         "_rtx_queue",
         "_rtx_queued",
@@ -127,18 +128,23 @@ class NdpSrc(FlowSource):
 
         self.sink: Optional[NdpSink] = None
         self._next_new_seqno = 0
-        self._acked: Set[int] = set()
+        # one byte per packet: 1 once ACKed (a set spends ~50 B a seqno)
+        self._acked = bytearray(self.total_packets)
+        self._acked_count = 0
         self._nacked: Set[int] = set()
         self._rtx_queue: Deque[int] = deque()
         self._rtx_queued: Set[int] = set()
         self._last_pull_counter = 0
+        # The per-seqno maps hold sent, not yet ACKed seqnos only: the ACK
+        # pops them, and every later reader tests `_acked` first.  The first
+        # send time is kept only while per-packet latencies are recorded.
         self._last_path_used: Dict[int, int] = {}
         self._first_send_time: Dict[int, int] = {}
-        # RTO timers: one reusable cancellable Timer per seqno.  Re-arming on
-        # retransmit and cancelling on ACK/NACK are O(1) generation bumps —
-        # the scheduler eagerly evicts the dead entries, so cancelled RTOs no
-        # longer pile up in the pending queue the way per-packet heap events
-        # used to.
+        # RTO timers: one reusable cancellable Timer per seqno in flight.
+        # Re-arming on retransmit and cancelling on ACK/NACK are O(1)
+        # generation bumps — the scheduler eagerly evicts the dead entries,
+        # so cancelled RTOs no longer pile up in the pending queue the way
+        # per-packet heap events used to.
         self._rto_timers: Dict[int, Timer] = {}
         # Last-resort keepalive (see the module docstring): created lazily on
         # the first NACK/bounce that queues a retransmission, then reused.
@@ -184,7 +190,7 @@ class NdpSrc(FlowSource):
     @property
     def complete(self) -> bool:
         """True once every packet of the transfer has been ACKed."""
-        return len(self._acked) >= self.total_packets
+        return self._acked_count >= self.total_packets
 
     def retransmit_queue_depth(self) -> int:
         """Packets waiting to be retransmitted on the next PULLs."""
@@ -239,8 +245,8 @@ class NdpSrc(FlowSource):
         packet.src_endpoint = self
         packet.is_retransmit = is_retransmit
         self._last_path_used[seqno] = route.path_id
-        if seqno not in self._first_send_time:
-            self._first_send_time[seqno] = self.now()
+        if self.record_packet_latencies and seqno not in self._first_send_time:
+            self._first_send_time[seqno] = self.eventlist._now
         if is_retransmit:
             self.record.retransmissions += 1
         self.packets_sent += 1
@@ -258,7 +264,7 @@ class NdpSrc(FlowSource):
                 seqno = self._rtx_queue.popleft()
                 self._rtx_queued.discard(seqno)
                 self._nacked.discard(seqno)
-                if seqno in self._acked:
+                if self._acked[seqno]:
                     continue
                 route = self.paths.alternative_route(self._last_path_used.get(seqno, -1))
                 self._transmit(seqno, is_retransmit=True, route=route)
@@ -301,20 +307,27 @@ class NdpSrc(FlowSource):
         if score is not None:
             score.acks += 1
         seqno = ack.seqno
-        if seqno in self._acked:
+        acked = self._acked
+        if acked[seqno]:
             return
-        self._acked.add(seqno)
+        acked[seqno] = 1
+        self._acked_count += 1
         self._nacked.discard(seqno)
-        # inlined _cancel_rto/Timer.cancel (once per delivered packet)
-        timer = self._rto_timers.get(seqno)
+        # the seqno leaves flight: its timer and last path go with it.
+        # Inlined _cancel_rto/Timer.cancel (once per delivered packet); the
+        # cancelled entry stays behind as the scheduler's tombstone.
+        timer = self._rto_timers.pop(seqno, None)
         if timer is not None and timer._gen == timer._armed_gen:
             timer._gen += 1
             self.eventlist._note_stale()
+        self._last_path_used.pop(seqno, None)
         self.record.bytes_delivered += self.payload_for(seqno)
         self.record.packets_delivered += 1
-        if self.record_packet_latencies and seqno in self._first_send_time:
-            self.packet_latencies_ps.append(self.now() - self._first_send_time[seqno])
-        if self.complete:
+        if self.record_packet_latencies:
+            sent_ps = self._first_send_time.pop(seqno, None)
+            if sent_ps is not None:
+                self.packet_latencies_ps.append(self.eventlist._now - sent_ps)
+        if self._acked_count >= self.total_packets:
             self._finish()
 
     def _handle_nack(self, nack: NdpNack) -> None:
@@ -325,12 +338,13 @@ class NdpSrc(FlowSource):
         if score is not None:
             score.nacks += 1
         seqno = nack.seqno
-        # inlined _cancel_rto/Timer.cancel (once per trimmed packet)
+        # inlined _cancel_rto/Timer.cancel (once per trimmed packet); an
+        # ACKed seqno has no timer left, as a fired or cancelled one is idle
         timer = self._rto_timers.get(seqno)
         if timer is not None and timer._gen == timer._armed_gen:
             timer._gen += 1
             self.eventlist._note_stale()
-        if seqno in self._acked or seqno in self._rtx_queued:
+        if self._acked[seqno] or seqno in self._rtx_queued:
             return
         self._nacked.add(seqno)
         self._rtx_queue.append(seqno)
@@ -366,7 +380,7 @@ class NdpSrc(FlowSource):
         path_id = packet.path_id
         self.paths.record_loss(path_id)
         self._cancel_rto(seqno)
-        if seqno in self._acked or seqno in self._rtx_queued:
+        if self._acked[seqno] or seqno in self._rtx_queued:
             return
         feedback_received = self.acks_received + self.nacks_received
         expecting_more_pulls = feedback_received > self._last_pull_counter
@@ -399,7 +413,7 @@ class NdpSrc(FlowSource):
             timer.cancel()
 
     def _handle_timeout(self, seqno: int) -> None:
-        if seqno in self._acked or seqno in self._nacked or seqno in self._rtx_queued:
+        if self._acked[seqno] or seqno in self._nacked or seqno in self._rtx_queued:
             return  # fate already known; the pull clock will handle it
         self.record.rtx_from_timeout += 1
         self.paths.record_loss(self._last_path_used.get(seqno, -1))
@@ -461,7 +475,7 @@ class NdpSrc(FlowSource):
             seqno = self._rtx_queue.popleft()
             self._rtx_queued.discard(seqno)
             self._nacked.discard(seqno)
-            if seqno in self._acked:
+            if self._acked[seqno]:
                 continue
             self.record.keepalive_retransmits += 1
             route = self.paths.alternative_route(self._last_path_used.get(seqno, -1))
@@ -483,26 +497,24 @@ class NdpSrc(FlowSource):
     # --- completion ----------------------------------------------------------------------
 
     def _release(self) -> None:
-        """Cancel the timers and swap the per-seqno state for immutable stand-ins.
+        """Cancel the keepalive and swap the emptied containers for immutable stand-ins.
 
-        Every packet is ACKed, so ``_acked`` is exactly
-        ``range(total_packets)``, and nothing is ever transmitted again:
-        every late ACK, NACK, bounce and timeout tests ``seqno in _acked``
-        before it mutates anything, and a late PULL finds no retransmission
-        queued and no new seqno left.  The stand-ins answer every such read
-        exactly as the old containers did, without keeping an emptied
-        container's allocation per finished flow to the horizon (most flows
-        of a churn workload finish long before it); a write that got past
-        those tests raises instead of growing state silently.  The path
-        manager drops its routes and RNG; its scoreboard stays, because late
-        feedback lands on it.
+        Every packet is ACKed, and each ACK already cancelled its RTO timer
+        and popped its seqno from the per-seqno maps, so they are empty,
+        but a dict keeps the table of its largest size; ``_acked`` stays as
+        it is, one byte per packet, all set.  Nothing is ever transmitted again: every late ACK, NACK,
+        bounce and timeout tests ``_acked[seqno]`` before it mutates
+        anything, and a late PULL finds no retransmission queued and no new
+        seqno left.  The stand-ins answer every such read exactly as the
+        emptied containers did, without keeping their allocation per
+        finished flow to the horizon (most flows of a churn workload finish
+        long before it); a write that got past those tests raises instead
+        of growing state silently.  The path manager drops its routes and
+        RNG; its scoreboard stays, because late feedback lands on it.
         """
-        for timer in self._rto_timers.values():
-            timer.cancel()
         if self._keepalive_timer is not None:
             self._keepalive_timer.cancel()
             self._keepalive_timer = None
-        self._acked = range(self.total_packets)
         # queued retransmissions are stale duplicates (a second copy beat
         # the queued one): dropping them keeps a finished sender from
         # looking deadlocked

@@ -62,7 +62,6 @@ class NdpSwitchQueue(BaseQueue):
         "config",
         "rng",
         "bounce_delay_ps",
-        "_data_queue",
         "_header_queue",
         "_data_bytes",
         "_header_bytes",
@@ -94,7 +93,9 @@ class NdpSwitchQueue(BaseQueue):
         self.bounce_delay_ps = (
             bounce_delay_ps if bounce_delay_ps is not None else _default_bounce_delay()
         )
-        self._data_queue: Deque[Packet] = deque()
+        # the data class queues in the base's `_fifo`, beside the header
+        # class: every base method that reads `_fifo` is overridden here, and
+        # `_plain_fifo` is false, so the base drain calls `_select_next`
         self._header_queue: Deque[Packet] = deque()
         self._data_bytes = 0
         self._header_bytes = 0
@@ -116,7 +117,7 @@ class NdpSwitchQueue(BaseQueue):
 
     def __len__(self) -> int:
         in_service = 1 if self._in_service is not None else 0
-        return len(self._data_queue) + len(self._header_queue) + in_service
+        return len(self._fifo) + len(self._header_queue) + in_service
 
     def backlog_bytes(self) -> int:
         backlog = self._data_bytes + self._header_bytes
@@ -139,7 +140,7 @@ class NdpSwitchQueue(BaseQueue):
                 if (
                     not self._busy
                     and not self._header_queue
-                    and not self._data_queue
+                    and not self._fifo
                     and not self._paused
                 ):
                     # idle port: serve directly, skipping the queue round-trip
@@ -159,13 +160,13 @@ class NdpSwitchQueue(BaseQueue):
                     self._maybe_start_service()
             else:
                 self._admit_header(packet)
-        elif len(self._data_queue) < self._data_cap_packets:
+        elif len(self._fifo) < self._data_cap_packets:
             stats = self.stats
             stats.packets_enqueued += 1
             if (
                 not self._busy
                 and not self._header_queue
-                and not self._data_queue
+                and not self._fifo
                 and not self._paused
             ):
                 queue_bytes = self._data_bytes + self._header_bytes + size
@@ -174,7 +175,7 @@ class NdpSwitchQueue(BaseQueue):
                 self._headers_since_data = 0
                 self._start_service(packet)
                 return
-            self._data_queue.append(packet)
+            self._fifo.append(packet)
             data_bytes = self._data_bytes = self._data_bytes + size
             queue_bytes = self.queue_bytes = data_bytes + self._header_bytes
             if queue_bytes > stats.max_queue_bytes:
@@ -191,9 +192,9 @@ class NdpSwitchQueue(BaseQueue):
             victim = packet
             self.trimmed_arriving += 1
         else:
-            victim = self._data_queue.pop()
+            victim = self._fifo.pop()
             self._data_bytes -= victim.size
-            self._data_queue.append(packet)
+            self._fifo.append(packet)
             self._data_bytes += packet.size
             self._record_enqueue(packet)
             self.trimmed_from_tail += 1
@@ -233,8 +234,8 @@ class NdpSwitchQueue(BaseQueue):
     def _purge_backlog(self) -> None:
         # link-down (BaseQueue.sever): both priority queues are lost
         stats = self.stats
-        while self._data_queue:
-            packet = self._data_queue.popleft()
+        while self._fifo:
+            packet = self._fifo.popleft()
             stats.record_drop(packet.size)
             packet.release()  # slot pool: dies with the link
         while self._header_queue:
@@ -258,7 +259,7 @@ class NdpSwitchQueue(BaseQueue):
         # the 10:1 WRR of §3.1: headers first, but at most `_wrr_ratio` of
         # them between two data packets while data is waiting
         header_queue = self._header_queue
-        data_queue = self._data_queue
+        data_queue = self._fifo
         if header_queue and (
             not data_queue or self._headers_since_data < self._wrr_ratio
         ):

@@ -447,7 +447,10 @@ class EventList:
         buckets) are gone within one slot width of simulated time anyway,
         and skipping them lets the run loop keep plain local views of its
         batch.  Evicted entry lists go back to the free pool — they are
-        provably unreachable by any other tier.
+        provably unreachable by any other tier — with their timer, callback
+        and argument cleared: a pooled entry may wait long for its refill,
+        and a cancelled timer's bound callback would keep its owner (a whole
+        sender, for an RTO) reachable until then.
         """
         pool = self._entry_pool
         wheel_removed = 0
@@ -460,6 +463,7 @@ class EventList:
                 if obj is None or obj._gen == e[3]:
                     kept.append(e)
                 elif len(pool) < _ENTRY_POOL_CAP:
+                    e[2] = e[4] = e[5] = None
                     pool.append(e)
             if len(kept) != len(bucket):
                 wheel_removed += len(bucket) - len(kept)
@@ -470,6 +474,7 @@ class EventList:
             if obj is None or obj._gen == e[3]:
                 kept.append(e)
             elif len(pool) < _ENTRY_POOL_CAP:
+                e[2] = e[4] = e[5] = None
                 pool.append(e)
         if len(kept) != len(self._far):
             _heapify(kept)

@@ -215,9 +215,14 @@ class FlowSink(FlowEndpoint):
     once.  The protocol calls :meth:`_finish` when :attr:`complete` turns
     true.  Sinks given one shared *record* (MPTCP's subflow sinks) complete
     when their deliveries add up to it.
+
+    Arrivals cost one byte per packet of the transfer: ``_received[seqno]``
+    is 1 once the seqno has arrived, and ``_received_count`` counts the
+    distinct arrivals.  ``expect`` sizes the map; a sink nobody ``expect``s
+    (the open-ended constant-rate one) grows it as seqnos arrive.
     """
 
-    __slots__ = ("src_node_id", "_expected_packets", "_received")
+    __slots__ = ("src_node_id", "_expected_packets", "_received", "_received_count")
 
     def __init__(
         self,
@@ -235,7 +240,8 @@ class FlowSink(FlowEndpoint):
         )
         self.src_node_id = -1
         self._expected_packets: Optional[int] = None
-        self._received: set[int] = set()
+        self._received = bytearray()
+        self._received_count = 0
 
     def expect(self, src_node_id: int, flow_size_bytes: int, total_packets: int) -> None:
         """Tell the sink who sends the transfer and how large it is.
@@ -247,6 +253,7 @@ class FlowSink(FlowEndpoint):
         self.record.src = src_node_id
         self.record.flow_size_bytes = flow_size_bytes
         self._expected_packets = total_packets
+        self._received = bytearray(total_packets)
 
     @property
     def complete(self) -> bool:
@@ -256,7 +263,7 @@ class FlowSink(FlowEndpoint):
 
     def remaining_packets(self) -> int:
         """Packets of the expected transfer still missing."""
-        return self._expected_packets - len(self._received)
+        return self._expected_packets - self._received_count
 
     def _deliver(self, packet: Packet) -> None:
         """Account one arriving data packet; a duplicate seqno counts once."""
@@ -265,7 +272,11 @@ class FlowSink(FlowEndpoint):
             record.start_time_ps = self.now()
             record.src = packet.src
         seqno = packet.seqno
-        if seqno not in self._received:
-            self._received.add(seqno)
+        received = self._received
+        if seqno >= len(received):
+            received.extend(bytes(seqno + 1 - len(received)))
+        if not received[seqno]:
+            received[seqno] = 1
+            self._received_count += 1
             record.bytes_delivered += packet.payload_bytes
             record.packets_delivered += 1

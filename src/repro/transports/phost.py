@@ -128,7 +128,7 @@ class PHostSink(FlowSink):
     def receive_packet(self, packet: Packet) -> None:
         if not isinstance(packet, PHostDataPacket):
             raise TypeError(f"PHostSink got unexpected packet {packet!r}")
-        first_arrival = not self._received
+        first_arrival = not self._received_count
         self._deliver(packet)
         if self._tokens_outstanding > 0:
             self._tokens_outstanding -= 1

@@ -179,8 +179,10 @@ class TcpSink(FlowSink):
             self._send_ack(ecn_echo=False, echo_time=packet.send_time, syn=True)
             return
         self._deliver(packet)
-        while self.rcv_nxt in self._received:
-            self.rcv_nxt += 1
+        # the first seqno not yet arrived: a zero byte, else past the map
+        received = self._received
+        nxt = received.find(0, self.rcv_nxt)
+        self.rcv_nxt = nxt if nxt >= 0 else len(received)
         self._send_ack(ecn_echo=packet.ecn_ce, echo_time=packet.send_time)
         if self.complete:
             self._finish()

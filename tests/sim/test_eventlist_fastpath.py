@@ -7,6 +7,8 @@ fast-path rework and the invariants the rework must preserve.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.sim.eventlist import (
@@ -230,6 +232,24 @@ class TestEagerEviction:
         eventlist.run()
         assert eventlist.now() == 6 * SLOT
         assert kept == ["kept"]
+
+    @pytest.mark.parametrize("when", [10 * SLOT, 2 * HORIZON], ids=["wheel", "far"])
+    def test_an_evicted_entry_is_pooled_without_its_timer(self, eventlist, when):
+        # a pooled entry may wait long for its refill; meanwhile it must not
+        # keep the cancelled timer, its bound callback's owner or its argument
+        class Owner:
+            def due(self, seqno):
+                pass
+
+        owner, argument = Owner(), ("seqno",)
+        timer = Timer(eventlist, owner.due, argument)
+        timer.schedule_at(when)
+        timer.cancel()
+        eventlist._compact()
+        assert eventlist.pending_events() == 0 and eventlist._entry_pool
+        pooled = {id(entry) for entry in eventlist._entry_pool}
+        for referent in (timer, owner, argument):
+            assert not [r for r in gc.get_referrers(referent) if id(r) in pooled], referent
 
 
 class TestPendingAccounting:

@@ -7,12 +7,17 @@ list is shared and each endpoint builds a route the first time it sends on
 it — docs/architecture.md, "What a flow costs".  A finished flow keeps only
 what late packets and the results read, and the fabric itself holds one
 string per node name and no jitter generator on a port that never jitters.
+A running flow keeps per-packet state only for the packets in flight.
 """
 
 from __future__ import annotations
 
 import gc
+import tracemalloc
+from collections import deque
 
+from repro.core.config import NdpConfig
+from repro.core.switch import NdpSwitchQueue
 from repro.harness.ndp_network import NdpNetwork
 from repro.sim.eventlist import EventList
 from repro.topology.fattree import FatTreeTopology
@@ -25,6 +30,11 @@ _MAX_OBJECTS_PER_FLOW = 70
 #: fabric: 30 while a finished endpoint kept its emptied containers, its
 #: built reverse route and a never-read sink scoreboard; 20 now
 _MAX_OBJECTS_AFTER_FINISH = 22
+#: bytes traced beyond the fabric while one 2,000-packet flow runs on a k=4
+#: fat-tree: 1.1 MB while the sender kept a timer, a last path and a first
+#: send time for every packet it had sent (and both ends a set entry per
+#: packet), 84 kB now that only the packets in flight hold any
+_MAX_GROWTH_WHILE_RUNNING = 256 * 1024
 
 
 def test_a_one_packet_flow_builds_one_route_per_direction(monkeypatch):
@@ -123,3 +133,40 @@ def test_every_node_name_is_one_object():
         for src, dst in ((0, 1), (0, topology.host_count - 1)):
             for nodes in topology.node_paths(src, dst):
                 assert all(names[name] is name for name in nodes), nodes
+
+
+def test_a_running_flow_keeps_per_packet_state_only_for_packets_in_flight():
+    eventlist = EventList()
+    network = NdpNetwork.build(eventlist, FatTreeTopology, seed=1, k=4)
+    config = NdpConfig()
+    flow = network.create_flow(0, 15, 2000 * (config.mtu_bytes - config.header_bytes))
+    src = flow.src
+    assert src.total_packets == 2000 and not src.record_packet_latencies
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        growth = chunks = 0
+        while not flow.complete:
+            eventlist.run(max_events=5000)
+            chunks += 1
+            growth = max(growth, tracemalloc.get_traced_memory()[0] - base)
+            in_flight = {
+                seqno for seqno in range(src._next_new_seqno) if not src._acked[seqno]
+            }
+            assert set(src._rto_timers) <= in_flight
+            assert set(src._last_path_used) <= in_flight
+            assert not src._first_send_time
+    finally:
+        tracemalloc.stop()
+    assert chunks >= 10 and src.complete
+    assert growth <= _MAX_GROWTH_WHILE_RUNNING, growth
+
+
+def test_an_ndp_port_owns_two_deques():
+    network = NdpNetwork.build(EventList(), FatTreeTopology, seed=1, k=4)
+    ports = [record.queue for record in network.topology.links.values()]
+    ports = [port for port in ports if isinstance(port, NdpSwitchQueue)]
+    assert ports
+    for port in ports:
+        assert sum(isinstance(field, deque) for field in gc.get_referents(port)) == 2

@@ -23,6 +23,7 @@ from repro.sim.eventlist import EventList, Timer
 from repro.sim.network import FlowSink, FlowSource, NetworkEndpoint
 from repro.topology.simple import SingleSwitchTopology
 from repro.transports import registry
+from repro.transports.constant_rate import ConstantRatePacket, ConstantRateSink
 
 _SPECS = registry.specs(include_variants=True)
 
@@ -97,6 +98,7 @@ def test_a_duplicated_data_packet_is_delivered_twice_and_counted_once(network):
     fired = []
     flow = network.create_flow(1, 0, 30_000, on_complete=fired.append)
     duplicated = []
+    counted = []  # per sink: (packets fewer remaining, bytes more delivered, payload)
 
     def deliver_first_data_packet_twice(sink):
         receive = sink.receive_packet
@@ -104,9 +106,18 @@ def test_a_duplicated_data_packet_is_delivered_twice_and_counted_once(network):
         def receive_packet(packet):
             if sink not in duplicated and getattr(packet, "payload_bytes", 0):
                 duplicated.append(sink)
+                remaining, delivered = sink.remaining_packets(), sink.record.bytes_delivered
+                payload = packet.payload_bytes
                 twin = copy.copy(packet)
                 twin._pool = None  # the copy is nobody's pool slot to release
                 receive(twin)
+                receive(packet)
+                counted.append((
+                    remaining - sink.remaining_packets(),
+                    sink.record.bytes_delivered - delivered,
+                    payload,
+                ))
+                return
             receive(packet)
 
         sink.receive_packet = receive_packet
@@ -116,7 +127,33 @@ def test_a_duplicated_data_packet_is_delivered_twice_and_counted_once(network):
         deliver_first_data_packet_twice(sink)
     _settle(network, [flow])
     assert duplicated and flow.record.bytes_delivered == 30_000
+    assert counted == [(1, payload, payload) for _, _, payload in counted]
     assert len(fired) == 1
+
+
+def test_an_open_ended_sink_takes_any_seqno():
+    """Nobody ``expect``s a constant-rate sink: its arrival map grows."""
+    sink = ConstantRateSink(EventList(), flow_id=7, node_id=0)
+    for seqno in (0, 5, 5, 10_000, 3):
+        sink.receive_packet(ConstantRatePacket(7, 1, 0, seqno, 1000, header_bytes=64))
+    assert sink.record.bytes_delivered == 4000
+    assert sink.record.packets_delivered == 4
+
+
+def test_phost_arms_its_timeout_on_the_first_arrival_only():
+    network = registry.resolve(registry.PHOST).build(
+        EventList(), SingleSwitchTopology, seed=5, hosts=4
+    )
+    flow = network.create_flow(1, 0, 60_000)
+    sink = flow.sink
+    arms = []
+    arm = sink._arm_timeout
+    sink._arm_timeout = lambda: (arms.append(sink.record.packets_delivered), arm())
+    _settle(network, [flow])
+    # the first arrival arms it once as the flow's discovery and once as
+    # progress; every later one but the last only as progress
+    assert arms[:2] == [1, 1]
+    assert arms[2:] == list(range(2, flow.src.total_packets))
 
 
 def _timers(endpoint, seen):
