@@ -50,6 +50,15 @@ class PathScore:
 _UNSCORED = PathScore()
 
 
+class RetiredPathsError(RuntimeError):
+    """A retired :class:`PathManager` was asked to choose a path.
+
+    Retirement is for an owner that can prove it never sends again; a
+    request afterwards means that proof was broken (a packet reached the
+    owner that was never in flight).
+    """
+
+
 class PathManager:
     """Chooses the path for each outgoing packet.
 
@@ -209,11 +218,16 @@ class PathManager:
         self._terminated.clear()
 
     def retire(self) -> None:
-        """The owner will never ask for a route again (its flow is done).
+        """The owner will never ask for a path again: free the selection state.
 
-        Drops the built routes, the permutation and the RNG — 2.5 kB of
-        generator state — so they are freed now.  The scoreboard stays: late
-        feedback still lands on it.
+        Called by an NDP sender when it finishes, and by its sink once the
+        flow is drained (no data copy can still arrive, see
+        :meth:`repro.core.receiver.NdpSink.drain`).  Drops the built routes,
+        the permutation and the RNG — 2.5 kB of generator state — so they
+        are freed now.  The scoreboard stays: late feedback still lands on
+        it.  A later :meth:`next_route` raises :class:`RetiredPathsError`
+        (the emptied permutation sends it to :meth:`_generate_permutation`);
+        :meth:`route_for_path` still works, as it draws nothing.
         """
         self.forget_routes()
         self._permutation = ()
@@ -240,6 +254,9 @@ class PathManager:
         return route
 
     def _generate_permutation(self) -> None:
+        if self.rng is None:
+            name = getattr(self.terminal, "name", None)
+            raise RetiredPathsError(f"the path manager towards {name} was retired")
         permutation = list(self._usable_paths())
         self.rng.shuffle(permutation)
         self._permutation = permutation

@@ -60,8 +60,8 @@ class NdpSink(FlowSink):
     __slots__ = (
         "pacer",
         "priority",
-        "rng",
         "reverse_paths",
+        "_in_flight",
         "_pull_counter",
         "_retry_timer",
         "_retries",
@@ -90,12 +90,18 @@ class NdpSink(FlowSink):
         )
         self.pacer = pacer
         self.priority = priority
-        self.rng = rng if rng is not None else random.Random(flow_id)
         # control packets travel the reverse fabric routes and are delivered
-        # to reverse_terminal: the source, or the fault tap in front of it
+        # to reverse_terminal: the source, or the fault tap in front of it;
+        # the path manager owns the generator its routes are drawn from
         self.reverse_paths = PathManager(
-            reverse_routes, reverse_terminal, rng=self.rng, penalize=False
+            reverse_routes,
+            reverse_terminal,
+            rng=rng if rng is not None else random.Random(flow_id),
+            penalize=False,
         )
+        #: data copies of a finished sender still travelling (see drain);
+        #: -1 while the sender runs
+        self._in_flight = -1
         self._pull_counter = 0
         self._retry_timer: Optional[Timer] = None
         self._retries = 0
@@ -179,6 +185,7 @@ class NdpSink(FlowSink):
         remaining = self._expected_packets - self._received_count
         if remaining <= 0:
             self._finish()
+            self.landed()
             return
         if self.pacer._pending.get(self.flow_id, 0) >= remaining:
             return
@@ -204,7 +211,10 @@ class NdpSink(FlowSink):
         self._send_control(nack)
         # inlined completeness / pull-gate (matches _handle_data above)
         remaining = self._expected_packets - self._received_count
-        if remaining <= 0 or self.pacer._pending.get(self.flow_id, 0) >= remaining:
+        if remaining <= 0:
+            self.landed()
+            return
+        if self.pacer._pending.get(self.flow_id, 0) >= remaining:
             return
         self.pacer.request_pull(self)
 
@@ -308,10 +318,41 @@ class NdpSink(FlowSink):
         a late duplicate is still ACKed (``_handle_data`` skips its
         accounting, then sends the ACK on a route rebuilt on demand and
         drawn from the kept RNG and permutation), a late trimmed header is
-        still NACKed, and ``emit_pull`` sends nothing.
+        still NACKed, and ``emit_pull`` sends nothing.  The RNG and the
+        permutation go only once the flow is drained (:meth:`drain`).
         """
         self.pacer.purge(self.flow_id)
         if self._retry_timer is not None:
             self._retry_timer.cancel()
             self._retry_timer = None
         self.reverse_paths.forget_routes()
+
+    # --- drain -------------------------------------------------------------------------
+
+    def drain(self, in_flight: int) -> None:
+        """The sender has finished with *in_flight* data copies still travelling.
+
+        Every copy the sender transmitted has exactly one fate: it arrives
+        in full, arrives trimmed, bounces back to the sender, or is dropped.
+        A finished sender transmits nothing more, so *in_flight* — copies
+        sent, less those bounced, delivered or arrived as headers — can only
+        fall: each later arrival here lowers it once its ACK or NACK has
+        drawn its path (:meth:`landed`), and so does each bounce that
+        reaches the sender.  At zero no packet of the flow can reach this
+        sink again, and its reverse-path selection is retired
+        (:meth:`~repro.core.path_manager.PathManager.retire`).  A dropped
+        copy never lands, so the count stays above zero and the generator
+        is kept.  In a sharded run the sink's replica in the sender's shard
+        counts no arrivals, so it never retires either.
+        """
+        self._in_flight = in_flight
+        if in_flight <= 0:
+            self.reverse_paths.retire()
+
+    def landed(self) -> None:
+        """A data copy met its fate: once the sender has finished, one fewer travels."""
+        in_flight = self._in_flight
+        if in_flight > 0:
+            self._in_flight = in_flight - 1
+            if in_flight == 1:
+                self.reverse_paths.retire()

@@ -376,6 +376,9 @@ class NdpSrc(FlowSource):
         """A trimmed header was returned to sender by an overflowing switch."""
         self.bounces_received += 1
         self.record.rtx_from_bounce += 1
+        # a bounced copy never reaches the sink: once this sender has
+        # finished, the sink counts one fewer in flight
+        self.sink.landed()
         seqno = packet.seqno
         path_id = packet.path_id
         self.paths.record_loss(path_id)
@@ -511,6 +514,12 @@ class NdpSrc(FlowSource):
         long before it); a write that got past those tests raises instead
         of growing state silently.  The path manager drops its routes and
         RNG; its scoreboard stays, because late feedback lands on it.
+
+        The sink is told how many data copies are still in flight: every
+        copy sent that has neither bounced back here nor arrived at the
+        sink, in full or trimmed.  Nothing is sent from now on, so the count
+        only falls, and at zero the sink retires its reverse-path generator
+        too (:meth:`~repro.core.receiver.NdpSink.drain`).
         """
         if self._keepalive_timer is not None:
             self._keepalive_timer.cancel()
@@ -522,6 +531,9 @@ class NdpSrc(FlowSource):
         self._rtx_queue = ()
         self._rto_timers = self._last_path_used = self._first_send_time = _NO_ENTRIES
         self.paths.retire()
+        sink = self.sink
+        arrived = sink.record.packets_delivered + sink.record.headers_received
+        sink.drain(self.packets_sent - self.bounces_received - arrived)
 
 
 #: exact-type dispatch for :meth:`NdpSrc.receive_packet` (cheaper than an

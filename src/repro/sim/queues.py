@@ -42,6 +42,11 @@ from repro.sim.units import SECOND, serialization_time_ps
 #: serialization-time formula, hoisted out of the per-packet fast path)
 _BITS_PS = 8 * SECOND
 
+#: line rate -> {packet size -> serialization time}: one memo per rate,
+#: shared by every port serving at it (the values are a pure function of
+#: size and rate), so a fabric's memory does not grow with ports x sizes
+_SER_MEMOS: Dict[int, Dict[int, int]] = {}
+
 #: fraction of the buffer at which a PFC queue asks its upstream ports to pause
 PAUSE_THRESHOLD_FRACTION = 0.75
 #: fraction of the buffer at which a PFC queue lets paused upstream ports resume
@@ -125,10 +130,10 @@ class BaseQueue(PacketSink):
         self._in_service: Optional[Packet] = None
         self._fifo: Deque[Packet] = deque()
         # hot-path constants: the service loop runs once per packet, so the
-        # rounding half, a size -> serialization-time memo and the completion
-        # callback are all hoisted out of it
+        # rounding half, the rate's size -> serialization-time memo and the
+        # completion callback are all hoisted out of it
         self._rate_half = service_rate_bps // 2
-        self._ser_cache: Dict[int, int] = {}
+        self._ser_cache = _SER_MEMOS.setdefault(service_rate_bps, {})
         self._complete_cb = self._complete_service
         self._has_departed_hook = (
             type(self)._packet_departed is not BaseQueue._packet_departed
@@ -162,16 +167,17 @@ class BaseQueue(PacketSink):
         """Re-rate the port mid-run (link degradation / renegotiation).
 
         Besides ``service_rate_bps`` itself, the serialization-time memo and
-        the rounding half hoisted out of the service loop must be refreshed —
-        mutating the rate attribute alone would keep serving every
-        already-seen packet size at the old speed.  The packet currently
-        being serialized (if any) completes at the rate it started at.
+        the rounding half hoisted out of the service loop must follow — the
+        port switches to the new rate's shared memo, since keeping the old
+        one would serve every already-seen packet size at the old speed.
+        The packet currently being serialized (if any) completes at the rate
+        it started at.
         """
         if rate_bps <= 0:
             raise ValueError(f"service rate must be positive, got {rate_bps}")
         self.service_rate_bps = rate_bps
         self._rate_half = rate_bps // 2
-        self._ser_cache.clear()
+        self._ser_cache = _SER_MEMOS.setdefault(rate_bps, {})
 
     @property
     def severed(self) -> bool:

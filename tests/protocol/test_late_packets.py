@@ -7,15 +7,26 @@ that was ACKed long ago, a PULL the sink sent before it finished, a header a
 switch bounced back.  Once a flow finishes, its endpoints drop the
 per-packet state nothing reads any more, so this pins what every such late
 arrival must still do — through the real NIC, switch and pipe elements.
+
+The late duplicate and the late header at the sink are copies the sender
+really sent, held back by fault rules past the RTO so that the flow finishes
+with them in flight: the sink retires its path generator once no copy is
+left (see ``NdpSink.drain``), so a data packet that was never sent finds no
+path to answer on.
 """
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.config import NdpConfig
 from repro.core.packets import NdpAck, NdpDataPacket, NdpNack, NdpPull
+from repro.core.path_manager import RetiredPathsError
 from repro.harness.ndp_network import NdpNetwork
 from repro.sim.eventlist import EventList
+from repro.sim.faults import FaultInjector
 from repro.sim.packet import PacketPriority
+from repro.sim.queues import TappedQueue
 from repro.topology.fattree import FatTreeTopology
 
 from tests.protocol.scenarios import assert_no_leaks, run_to_quiescence
@@ -89,23 +100,57 @@ def _feedback(src):
     return (src.acks_received, src.nacks_received, src.pulls_received, src.bounces_received)
 
 
-def test_late_packets_at_a_finished_flow_change_nothing_but_their_counters():
+def _first_copy(seqno):
+    return lambda packet: packet.seqno == seqno and not packet.is_retransmit
+
+
+def _finished_with_two_copies_in_flight():
+    """A seeded 4-packet flow whose sender finishes while two copies travel.
+
+    The first copy of seqno 2 is trimmed at the sending NIC and its header
+    held at the sink's tap, the first copy of seqno 3 held there in full,
+    both for three RTOs: the sender's RTOs resend both on other paths and
+    the flow finishes before the held copies arrive.  Returns with the run
+    stopped at the sender's finish.
+    """
+    config = NdpConfig()
+    nic_faults, sink_faults = FaultInjector(), FaultInjector()
+    nic_faults.trim(classes={"data"}, predicate=_first_copy(2), max_count=1)
+    sink_faults.delay(3 * config.rto_ps, classes={"header"}, max_count=1)
+    sink_faults.delay(
+        3 * config.rto_ps, classes={"data"}, predicate=_first_copy(3), max_count=1
+    )
+
+    class TrimmingNicNetwork(NdpNetwork):
+        @classmethod
+        def _nic_queue(cls, eventlist, rate_bps, name, config):
+            capacity = max(512, 4 * config.initial_window_packets) * config.mtu_bytes
+            return TappedQueue(eventlist, rate_bps, capacity, nic_faults.inspect, name=name)
+
     eventlist = EventList()
-    network = NdpNetwork.build(eventlist, FatTreeTopology, config=NdpConfig(), seed=3, k=4)
-    flow = network.create_flow(_SRC, _DST, 30_000)
-    run_to_quiescence(eventlist)
+    network = TrimmingNicNetwork.build(
+        eventlist, FatTreeTopology, config=config, seed=3, k=4, fault_injector=sink_faults
+    )
+    flow = network.create_flow(_SRC, _DST, 30_000, on_complete=lambda _: eventlist.stop())
+    eventlist.run()
+    assert flow.complete and flow.src.complete and flow.src.total_packets == 4
+    assert nic_faults.trimmed == {"data": 1}
+    assert sink_faults.delayed == {"header": 1, "data": 1}
+    return eventlist, network, flow
+
+
+def test_late_packets_at_a_finished_flow_change_nothing_but_their_counters():
+    eventlist, network, flow = _finished_with_two_copies_in_flight()
     src, sink = flow.src, flow.sink
-    assert flow.complete and src.complete and src.total_packets == 4
     sink_record, src_record = _fields(flow.record), _fields(flow.sender_record)
     feedback = _feedback(src)
     sent = src.packets_sent
+    # the held duplicate of seqno 3 and header of seqno 2 arrive now
+    assert sink.reverse_paths.rng is not None
+    run_to_quiescence(eventlist)
+    assert sink.reverse_paths.rng is None
 
-    topology = network.topology
-    forward = topology.get_paths(_SRC, _DST).terminated(2, sink)
-    reverse = topology.get_paths(_DST, _SRC).terminated(3, src)
-    # the last seqno: the edge of what a finished endpoint still knows
-    _send(_data(network, flow, seqno=3), forward)
-    _send(_data(network, flow, seqno=2, trimmed=True), forward)
+    reverse = network.topology.get_paths(_DST, _SRC).terminated(3, src)
     _send(_control(network, flow, NdpAck, seqno=3), reverse)
     _send(_control(network, flow, NdpNack, seqno=0), reverse)
     pull = src._last_pull_counter + 5
@@ -133,3 +178,12 @@ def test_late_packets_at_a_finished_flow_change_nothing_but_their_counters():
     assert src.retransmit_queue_depth() == 0 and src.complete
     assert network.pool.live() == 0
     assert_no_leaks(network)
+
+
+def test_a_data_packet_never_sent_at_a_drained_flow_raises():
+    eventlist, network, flow = _finished_with_two_copies_in_flight()
+    run_to_quiescence(eventlist)
+    forward = network.topology.get_paths(_SRC, _DST).terminated(2, flow.sink)
+    _send(_data(network, flow, seqno=3), forward)
+    with pytest.raises(RetiredPathsError):
+        run_to_quiescence(eventlist)

@@ -7,7 +7,8 @@ list is shared and each endpoint builds a route the first time it sends on
 it — docs/architecture.md, "What a flow costs".  A finished flow keeps only
 what late packets and the results read, and the fabric itself holds one
 string per node name and no jitter generator on a port that never jitters.
-A running flow keeps per-packet state only for the packets in flight.
+A running flow keeps per-packet state only for the packets in flight, and a
+drained one no path generator at either end.
 """
 
 from __future__ import annotations
@@ -28,8 +29,13 @@ from repro.topology.leafspine import LeafSpineTopology
 _MAX_OBJECTS_PER_FLOW = 70
 #: GC-tracked objects a finished one-packet flow still reaches beyond the
 #: fabric: 30 while a finished endpoint kept its emptied containers, its
-#: built reverse route and a never-read sink scoreboard; 20 now
-_MAX_OBJECTS_AFTER_FINISH = 22
+#: built reverse route and a never-read sink scoreboard; 20 while the
+#: drained sink kept its permutation; 18 now
+_MAX_OBJECTS_AFTER_FINISH = 19
+#: bytes traced per drained one-packet flow, averaged over a run of them on
+#: a k=8 fat-tree: 6.0 kB while each sink kept its 2.5 kB path generator to
+#: the horizon, 2.7 kB now
+_MAX_BYTES_AFTER_DRAIN = 4096
 #: bytes traced beyond the fabric while one 2,000-packet flow runs on a k=4
 #: fat-tree: 1.1 MB while the sender kept a timer, a last path and a first
 #: send time for every packet it had sent (and both ends a set entry per
@@ -114,6 +120,29 @@ def test_a_finished_one_packet_flow_keeps_only_what_late_packets_read():
             gc.enable()
     assert flow.complete and flow.src.complete
     assert retained <= _MAX_OBJECTS_AFTER_FINISH, retained
+
+
+def test_a_drained_one_packet_flow_retains_no_path_generator():
+    eventlist = EventList()
+    network = NdpNetwork.build(eventlist, FatTreeTopology, seed=1, k=8)
+    for src, dst in [(4, 101), (5, 101), (4, 100), (5, 100)]:
+        network.create_flow(src, dst, 600)
+    eventlist.run()
+    flows = 50
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(flows):
+            flow = network.create_flow(5, 100, 600, start_time_ps=eventlist.now())
+            eventlist.run()
+            assert flow.complete and flow.src.complete
+            assert flow.src.paths.rng is None and flow.sink.reverse_paths.rng is None
+        gc.collect()
+        retained = (tracemalloc.get_traced_memory()[0] - base) // flows
+    finally:
+        tracemalloc.stop()
+    assert retained <= _MAX_BYTES_AFTER_DRAIN, retained
 
 
 def test_a_port_without_jitter_has_no_jitter_generator():

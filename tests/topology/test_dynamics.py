@@ -18,7 +18,8 @@ import pytest
 
 from repro.sim import units
 from repro.sim.eventlist import EventList
-from repro.sim.packet import Packet
+from repro.sim.network import CountingSink
+from repro.sim.packet import Packet, Route
 from repro.sim.queues import DropTailQueue
 from repro.topology.dynamics import FabricController
 from repro.topology.fattree import FatTreeTopology
@@ -65,23 +66,40 @@ class TestLinkStateApi:
         assert record.delay_ps == units.microseconds(7)
 
     def test_mid_run_rate_change_slows_subsequent_serialization(self, eventlist):
-        """Regression: re-rating must invalidate the serialization-time memo.
+        """Regression: re-rating must not serve a memoised size at the old rate.
 
         The pre-dynamics ``set_link_rate`` mutated ``service_rate_bps`` in
         place; the queue's per-size memo (and its hoisted rounding half)
         kept serving every already-seen packet size at the old rate, so a
-        mid-run degradation was silently ignored.
+        mid-run degradation was silently ignored.  Ports share one memo per
+        rate, so the re-rated port's memo may already hold the sizes other
+        ports served: each entry must be the exact time at the new rate.
         """
         queue = DropTailQueue(eventlist, units.gbps(10), 10 * 9000, name="q")
+        route = Route([queue, CountingSink()])
         fast = queue.serialization_time(9000)
-        # prime the memo at the fast rate, exactly as forwarding a packet does
-        assert queue._ser_cache == {} or True
-        queue._ser_cache[9000] = (9000 * 8 * units.SECOND + queue._rate_half) // queue.service_rate_bps
+
+        def serve_one() -> int:
+            start = eventlist.now()
+            packet = Packet(flow_id=0, src=0, dst=1, size=9000, seqno=0)
+            packet.set_route(route)
+            packet.send_to_next_hop()
+            eventlist.run()
+            return eventlist.now() - start
+
+        # prime the memo at the fast rate by forwarding a packet
+        assert serve_one() == fast and queue._ser_cache[9000] == fast
         queue.set_service_rate(units.gbps(1))
         assert queue.service_rate_bps == units.gbps(1)
-        assert queue._ser_cache == {}  # memo flushed
+        stale = {
+            size: time_ps
+            for size, time_ps in queue._ser_cache.items()
+            if time_ps != units.serialization_time_ps(size, units.gbps(1))
+        }
+        assert not stale
         slow = queue.serialization_time(9000)
         assert slow == pytest.approx(10 * fast, rel=0.01)
+        assert serve_one() == slow
         # the hoisted rounding half follows the new rate too
         assert queue._rate_half == units.gbps(1) // 2
 

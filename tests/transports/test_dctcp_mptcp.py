@@ -76,7 +76,10 @@ class TestDctcpBehaviour:
             short = network.create_flow(
                 2, 0, 90_000, start_time_ps=eventlist.now()
             )
-            eventlist.run(until=eventlist.now() + units.milliseconds(200))
+            # run until the short flow is done; 200 ms bounds a livelock
+            deadline = eventlist.now() + units.milliseconds(200)
+            while not short.complete and eventlist.now() < deadline:
+                eventlist.run(until=min(eventlist.now() + units.microseconds(100), deadline))
             assert short.complete
             return short.record.completion_time_ps()
 
