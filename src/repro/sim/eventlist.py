@@ -61,24 +61,16 @@ The ``obj``/``gen`` slots are overloaded by entry kind:
 (ordinary or shadow), entry fill, tier routing — behind every public
 ``schedule*`` method, :meth:`Timer.schedule_at`, ``Pipe.receive_packet`` and
 ``BaseQueue._start_service``.  It is hand-inlined in exactly two places, both
-inside the queue drain loop ``BaseQueue._complete_service`` (the fused pipe
+inside the queue drain ``BaseQueue._complete_service`` (the fused pipe
 delivery and the next completion), which issue 55-88 % of all inserts on the
 measured workloads; docs/architecture.md carries the traffic table.
 :meth:`EventList.schedule` and :meth:`EventList.schedule_raw` file the same
 raw entry (``*args`` against an argument tuple); a caller that may need to
 cancel holds a :class:`Timer`.
 
-While a batch drains, :attr:`EventList._cur_pos` / :attr:`EventList._spill_pos`
-are published *before every callback* and :attr:`EventList._ff_bound` folds
-the end of the sub-slot being drained (the slot's end in an undivided
-slot), the active ``until`` bound and the stopped flag into one
-precomputed comparison.  Recurring-service callbacks (queue and
-switch drains) use these to *fast-forward*: when the next completion of the
-same service provably precedes every other pending event (strictly — a
-timestamp tie always falls back to the scheduler, which preserves the
-baseline tie order), the callback services it inline without scheduling at
-all.  Such batched completions advance :attr:`EventList.events_executed`
-so event counts stay comparable with the unbatched engine.
+While a batch drains, :attr:`EventList._spill_pos` is published before
+every callback, because an insert into the sub-slot being drained bisects
+the spill from it.
 
 Watchdog-style timers (pull-retry, sender keepalive) are created with
 ``shadow=True``: they draw their tie-breaking sequence numbers from a
@@ -106,12 +98,9 @@ from typing import Any, Callable, List, Optional
 #: log2 of the wheel slot width: 2**23 ps ~ 8.4 us per slot (tuned on the
 #: tools/check_digests.py scenarios: one slot comfortably covers an MTU
 #: serialization time plus a propagation delay, so most inserts are O(1)
-#: appends, cursor advances stay rare, and — crucially for the batched
-#: drains — back-to-back jumbo completions (7.2 us apart at 10 Gbps) can
-#: land in the *same* slot and fast-forward instead of re-entering the
-#: scheduler.  Narrower slots were first measured on the sparse workloads
-#: and lost there: 4x the advance/sort calls and 4x the far-heap traffic
-#: for no batching at all at 9 kB MTU.  The dense fat-tree workloads, whose
+#: appends and cursor advances stay rare.  Narrower slots were first
+#: measured on the sparse workloads and lost there: 4x the advance/sort
+#: calls and 4x the far-heap traffic.  The dense fat-tree workloads, whose
 #: cursor slot used to spill thousands of entries, get narrower slots from
 #: the sub-slots below, only where a slot is dense)
 _WHEEL_SHIFT = 23
@@ -276,8 +265,6 @@ class EventList:
         "_shadow_sequence",
         "_stopped",
         "_stale",
-        "_time_limit",
-        "_ff_bound",
         "_entry_pool",
         "entry_allocs",
         "events_executed",
@@ -310,17 +297,6 @@ class EventList:
         self._shadow_sequence: int = _SHADOW_SEQ_BASE
         self._stopped: bool = False
         self._stale: int = 0
-        #: active ``until`` bound of the running :meth:`run` call; consulted
-        #: by fast-forwarding service callbacks so a batched completion never
-        #: runs past the requested stop time
-        self._time_limit: int = _NO_LIMIT
-        #: fast-forward bound: a batched completion at ``when`` may run
-        #: inline only if ``when < _ff_bound`` (and the drain frontiers
-        #: agree).  Folds the cursor sub-slot's end, the active ``until`` limit
-        #: and the stopped flag into one precomputed comparison; maintained
-        #: at :meth:`run` entry, in :meth:`_advance` and by :meth:`stop`.
-        #: Zero while no run is active, so the guard can never pass.
-        self._ff_bound: int = 0
         #: free pool of consumed six-slot entry lists (bounded)
         self._entry_pool: List[_Entry] = []
         #: entries newly allocated because the free pool was empty (the
@@ -487,7 +463,6 @@ class EventList:
     def stop(self) -> None:
         """Stop the run loop after the currently executing event returns."""
         self._stopped = True
-        self._ff_bound = 0  # no further fast-forwards either
 
     def pending_events(self) -> int:
         """Number of events still queued (cancelled entries may be counted
@@ -582,9 +557,6 @@ class EventList:
                 batch = inner[index]
                 inner[index] = []
         self._subcursor = sub
-        bound = (sub + 1) << _INNER_SHIFT
-        limit = self._time_limit
-        self._ff_bound = bound if bound <= limit else limit + 1
         self._cur = batch
         self._cur_pos = 0
         return True
@@ -602,11 +574,9 @@ class EventList:
             the clock at the last dispatched event, so it is never ahead of
             an event still pending.
         max_events:
-            Optional limit on the number of callbacks *dispatched by the
-            scheduler* (``0`` dispatches none).  Completions fast-forwarded
-            inside a recurring service callback count toward
-            :attr:`events_executed` but not toward this limit (they never
-            re-enter the scheduler).
+            Optional limit on the number of callbacks dispatched (``0``
+            dispatches none).  Every executed event is one dispatch, so this
+            is also what the run adds to :attr:`events_executed`.
 
         Returns
         -------
@@ -619,15 +589,9 @@ class EventList:
         """:meth:`run`, parking the clock at *park_at* if the bound ended it."""
         self._stopped = False
         time_limit = _NO_LIMIT if until is None else until
-        self._time_limit = time_limit
-        # fast-forward bound for the (possibly resumed) cursor sub-slot; kept
-        # current by _advance afterwards
-        bound = (self._subcursor + 1) << _INNER_SHIFT
-        self._ff_bound = bound if bound <= time_limit else time_limit + 1
         budget = _NO_LIMIT if max_events is None else max_events
         executed = 0
-        counted = 0  # scheduler dispatches already added to events_executed
-        base_executed = self.events_executed  # fast-forwards add here directly
+        counted = 0  # dispatches already added to events_executed
         spill = self._cur_spill
         done = budget <= 0
         gc_was_enabled = _gc.isenabled()
@@ -681,9 +645,8 @@ class EventList:
                                 continue  # cancelled or superseded: dropped here
                             obj._gen = gen + 1
                             self._now = when
-                            # publish drain positions so service callbacks can
-                            # fast-forward against the true pending frontier
-                            self._cur_pos = pos
+                            # inserts into this sub-slot bisect the spill
+                            # from here
                             self._spill_pos = spos
                             if arg:
                                 callback(*arg)
@@ -691,7 +654,6 @@ class EventList:
                                 callback()
                         else:
                             self._now = when
-                            self._cur_pos = pos
                             self._spill_pos = spos
                             if gen == 1:
                                 callback(arg)
@@ -710,11 +672,9 @@ class EventList:
                     # accurate)
                     self._cur_pos = pos
                     self._spill_pos = spos
-                    base_executed = self.events_executed  # may have grown via fast-forward
-                    self.events_executed = base_executed + (executed - counted)
+                    self.events_executed += executed - counted
                     counted = executed
         finally:
-            self._ff_bound = 0  # fast-forwards are only legal mid-run
             if gc_was_enabled:
                 _gc.enable()
         # only the bound (or exhaustion) parks the clock: after a budget or

@@ -289,145 +289,120 @@ class BaseQueue(PacketSink):
         eventlist._insert(eventlist._now + delay, None, 0, self._complete_cb, None)
 
     def _complete_service(self) -> None:
-        # The one drain loop of every queue discipline (subclasses vary
-        # admission and _select_next only).  Each iteration is one service
-        # completion: it forwards the serialized packet, then selects and
-        # starts the next — _maybe_start_service + _start_service fused in,
-        # with EventList._insert hand-inlined at the two sites below (pipe
-        # delivery, next completion), because this loop issues the majority
-        # of all scheduler inserts (traffic table: docs/architecture.md).  The
-        # first iteration is the one the scheduler dispatched; the rest are
-        # *fast-forwarded* completions — when the next packet's completion
-        # time provably precedes every other pending event (strictly: a
-        # timestamp tie falls back to the scheduler, which preserves the
-        # baseline tie-breaking order), the drain advances the clock and
-        # services it inline without a scheduler round-trip.
+        # The one drain of every queue discipline (subclasses vary admission
+        # and _select_next only).  Each call is one service completion, and
+        # one scheduler dispatch: it forwards the serialized packet, then
+        # selects and starts the next — _maybe_start_service + _start_service
+        # fused in, with EventList._insert hand-inlined at the two sites
+        # below (pipe delivery, next completion), because this method issues
+        # the majority of all scheduler inserts (traffic table:
+        # docs/architecture.md).
         eventlist = self.eventlist
-        while True:
-            packet = self._in_service
-            self._in_service = None
-            self._busy = False
-            if packet is not None:
-                stats = self.stats
-                stats.packets_forwarded += 1
-                stats.bytes_forwarded += packet.size
-                if self._has_departed_hook:
-                    self._packet_departed(packet)
-                # inlined send_to_next_hop (once per serialized packet); when
-                # the next element is a Pipe — as it is for every fabric
-                # link — the pipe hop is fused in as well: schedule the
-                # delayed delivery at the element after the pipe directly,
-                # exactly as Pipe.receive_packet would
-                hop = packet.hop
-                elements = packet.route.elements
-                nxt = elements[hop]
-                if type(nxt) is Pipe:
-                    packet.hop = hop + 2
-                    when = eventlist._now + nxt.delay_ps
-                    seq = eventlist._sequence = eventlist._sequence + 1
-                    pool = eventlist._entry_pool
-                    if pool:
-                        entry = pool.pop()
-                        entry[0] = when
-                        entry[1] = seq
-                        entry[2] = None
-                        entry[3] = 1
-                        entry[4] = elements[hop + 1].receive_packet
-                        entry[5] = packet
-                    else:
-                        eventlist.entry_allocs += 1
-                        entry = [when, seq, None, 1,
-                                 elements[hop + 1].receive_packet, packet]
-                    delta = (when >> _WHEEL_SHIFT) - eventlist._cursor
-                    if delta <= 0:
-                        sub = when >> _INNER_SHIFT
-                        if sub <= eventlist._subcursor:
-                            _insort(eventlist._cur_spill, entry, eventlist._spill_pos)
-                        else:
-                            eventlist._inner[sub & _INNER_MASK].append(entry)
-                        eventlist._wheel_count += 1
-                    elif delta < _WHEEL_SLOTS:
-                        eventlist._wheel[(when >> _WHEEL_SHIFT) & _WHEEL_MASK].append(entry)
-                        eventlist._wheel_count += 1
-                    else:
-                        _heappush(eventlist._far, entry)
+        packet = self._in_service
+        self._in_service = None
+        self._busy = False
+        if packet is not None:
+            stats = self.stats
+            stats.packets_forwarded += 1
+            stats.bytes_forwarded += packet.size
+            if self._has_departed_hook:
+                self._packet_departed(packet)
+            # inlined send_to_next_hop (once per serialized packet); when
+            # the next element is a Pipe — as it is for every fabric
+            # link — the pipe hop is fused in as well: schedule the
+            # delayed delivery at the element after the pipe directly,
+            # exactly as Pipe.receive_packet would
+            hop = packet.hop
+            elements = packet.route.elements
+            nxt = elements[hop]
+            if type(nxt) is Pipe:
+                packet.hop = hop + 2
+                when = eventlist._now + nxt.delay_ps
+                seq = eventlist._sequence = eventlist._sequence + 1
+                pool = eventlist._entry_pool
+                if pool:
+                    entry = pool.pop()
+                    entry[0] = when
+                    entry[1] = seq
+                    entry[2] = None
+                    entry[3] = 1
+                    entry[4] = elements[hop + 1].receive_packet
+                    entry[5] = packet
                 else:
-                    packet.hop = hop + 1
-                    nxt.receive_packet(packet)
-            # start the next service; the re-check of _busy/_paused is not
-            # redundant — forwarding above can re-enter this queue (it may
-            # start service for a newly enqueued packet) or pause it via PFC
-            if self._busy or self._paused:
-                return
-            if self._plain_fifo:
-                # inlined BaseQueue._select_next, for every discipline that
-                # keeps the plain FIFO policy
-                fifo = self._fifo
-                if not fifo:
-                    return
-                packet = fifo.popleft()
-                self.queue_bytes -= packet.size
-            else:
-                packet = self._select_next()
-                if packet is None:
-                    return
-            self._busy = True
-            self._in_service = packet
-            size = packet.size
-            try:
-                delay = self._ser_cache[size]
-            except KeyError:
-                delay = self._ser_cache[size] = (
-                    size * _BITS_PS + self._rate_half
-                ) // self.service_rate_bps
-            if self.serialization_jitter_ps:
-                delay += self._jitter_rng.randint(0, self.serialization_jitter_ps)
-            when = eventlist._now + delay
-            # fast-forward guard: the completion may run inline only if no
-            # other pending event is due at or before `when` — sub-slot and
-            # wheel buckets and the far heap are entirely beyond the cursor
-            # sub-slot's end (folded into _ff_bound with the until-limit and
-            # stopped flag),
-            # and the published drain positions expose the batch/spill
-            # frontier
-            if when < eventlist._ff_bound:
-                cur = eventlist._cur
-                pos = eventlist._cur_pos
-                if pos >= len(cur) or cur[pos][0] > when:
-                    spill = eventlist._cur_spill
-                    spos = eventlist._spill_pos
-                    if spos >= len(spill) or spill[spos][0] > when:
-                        eventlist._now = when
-                        eventlist.events_executed += 1
-                        continue
-            # something intervenes (or the run is bounded): schedule normally
-            seq = eventlist._sequence = eventlist._sequence + 1
-            pool = eventlist._entry_pool
-            if pool:
-                entry = pool.pop()
-                entry[0] = when
-                entry[1] = seq
-                entry[2] = None
-                entry[3] = 0
-                entry[4] = self._complete_cb
-                entry[5] = None
-            else:
-                eventlist.entry_allocs += 1
-                entry = [when, seq, None, 0, self._complete_cb, None]
-            delta = (when >> _WHEEL_SHIFT) - eventlist._cursor
-            if delta <= 0:
-                sub = when >> _INNER_SHIFT
-                if sub <= eventlist._subcursor:
-                    _insort(eventlist._cur_spill, entry, eventlist._spill_pos)
+                    eventlist.entry_allocs += 1
+                    entry = [when, seq, None, 1,
+                             elements[hop + 1].receive_packet, packet]
+                delta = (when >> _WHEEL_SHIFT) - eventlist._cursor
+                if delta <= 0:
+                    sub = when >> _INNER_SHIFT
+                    if sub <= eventlist._subcursor:
+                        _insort(eventlist._cur_spill, entry, eventlist._spill_pos)
+                    else:
+                        eventlist._inner[sub & _INNER_MASK].append(entry)
+                    eventlist._wheel_count += 1
+                elif delta < _WHEEL_SLOTS:
+                    eventlist._wheel[(when >> _WHEEL_SHIFT) & _WHEEL_MASK].append(entry)
+                    eventlist._wheel_count += 1
                 else:
-                    eventlist._inner[sub & _INNER_MASK].append(entry)
-                eventlist._wheel_count += 1
-            elif delta < _WHEEL_SLOTS:
-                eventlist._wheel[(when >> _WHEEL_SHIFT) & _WHEEL_MASK].append(entry)
-                eventlist._wheel_count += 1
+                    _heappush(eventlist._far, entry)
             else:
-                _heappush(eventlist._far, entry)
+                packet.hop = hop + 1
+                nxt.receive_packet(packet)
+        # start the next service; the re-check of _busy/_paused is not
+        # redundant — forwarding above can re-enter this queue (it may
+        # start service for a newly enqueued packet) or pause it via PFC
+        if self._busy or self._paused:
             return
+        if self._plain_fifo:
+            # inlined BaseQueue._select_next, for every discipline that
+            # keeps the plain FIFO policy
+            fifo = self._fifo
+            if not fifo:
+                return
+            packet = fifo.popleft()
+            self.queue_bytes -= packet.size
+        else:
+            packet = self._select_next()
+            if packet is None:
+                return
+        self._busy = True
+        self._in_service = packet
+        size = packet.size
+        try:
+            delay = self._ser_cache[size]
+        except KeyError:
+            delay = self._ser_cache[size] = (
+                size * _BITS_PS + self._rate_half
+            ) // self.service_rate_bps
+        if self.serialization_jitter_ps:
+            delay += self._jitter_rng.randint(0, self.serialization_jitter_ps)
+        when = eventlist._now + delay
+        seq = eventlist._sequence = eventlist._sequence + 1
+        pool = eventlist._entry_pool
+        if pool:
+            entry = pool.pop()
+            entry[0] = when
+            entry[1] = seq
+            entry[2] = None
+            entry[3] = 0
+            entry[4] = self._complete_cb
+            entry[5] = None
+        else:
+            eventlist.entry_allocs += 1
+            entry = [when, seq, None, 0, self._complete_cb, None]
+        delta = (when >> _WHEEL_SHIFT) - eventlist._cursor
+        if delta <= 0:
+            sub = when >> _INNER_SHIFT
+            if sub <= eventlist._subcursor:
+                _insort(eventlist._cur_spill, entry, eventlist._spill_pos)
+            else:
+                eventlist._inner[sub & _INNER_MASK].append(entry)
+            eventlist._wheel_count += 1
+        elif delta < _WHEEL_SLOTS:
+            eventlist._wheel[(when >> _WHEEL_SHIFT) & _WHEEL_MASK].append(entry)
+            eventlist._wheel_count += 1
+        else:
+            _heappush(eventlist._far, entry)
 
     def _packet_departed(self, packet: Packet) -> None:
         """Hook called just before a packet is forwarded (PFC bookkeeping)."""

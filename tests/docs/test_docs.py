@@ -1,4 +1,5 @@
-"""Documentation conformance: markdown links resolve, figure index complete.
+"""Documentation conformance: markdown links resolve, figure index complete,
+named tests exist.
 
 Thin pytest wrapper around ``tools/check_docs.py`` (which CI also runs
 directly) so broken doc links fail the tier-1 suite, not just the docs job.
@@ -78,4 +79,31 @@ def test_family_check_catches_an_undocumented_chart(monkeypatch):
     assert check_docs.check_family_docs() == [
         "docs/experiments.md: rendered figure 'fig2' missing from the "
         "handbook (From runs to figures)"
+    ]
+
+
+def test_docs_name_only_tests_that_exist():
+    assert check_docs.check_test_references() == []
+
+
+def test_test_reference_check_catches_a_renamed_test(tmp_path):
+    """A doc still naming a test, or a test file, that was renamed away is
+    reported; module names, defined names and the change logs pass."""
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_drain.py").write_text(
+        "class TestDrainThroughTheScheduler:\n"
+        "    def test_each_completion_is_one_dispatch(self):\n"
+        "        pass\n"
+    )
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "architecture.md").write_text(
+        "`TestFastForwardGuard` in `tests/test_queues.py` and\n"
+        "`tests/test_drain.py::TestDrainThroughTheScheduler::"
+        "test_each_completion_is_one_dispatch` (module `test_drain`, "
+        "`test_drain.py`)\n"
+    )
+    (tmp_path / "CHANGES.md").write_text("Renamed `TestFastForwardGuard`.\n")
+    assert check_docs.check_test_references(str(tmp_path)) == [
+        "docs/architecture.md: undefined test name -> TestFastForwardGuard",
+        "docs/architecture.md: missing test file -> tests/test_queues.py",
     ]

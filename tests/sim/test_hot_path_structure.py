@@ -48,10 +48,12 @@ def test_each_hot_path_mechanism_exists_once():
     routing = r"sub <= (?:self|eventlist)\._subcursor:"
     assert len(re.findall(routing, sources["sim/eventlist.py"])) == 1
     assert len(re.findall(routing, sources["sim/queues.py"])) == 2
-    # one drain loop, one fast-forward guard, one WRR rule
+    # one drain, one WRR rule; only the scheduler dispatches events,
+    # so only it counts them or reads its own drain position
     assert _count(sources, r"def _complete_service\b") == 1
     assert _count(sources, r"def _maybe_start_service\b") == 1
-    assert _count(sources, r"< eventlist\._ff_bound") == 1
+    for pattern in (r"\.events_executed \+=", r"\b_cur_pos\b"):
+        assert _files_matching(sources, pattern) == {"sim/eventlist.py"}, pattern
     assert _count(sources, r"< self\._wrr_ratio") == 1
     for method in ("_complete_service", "_maybe_start_service"):
         assert method not in NdpSwitchQueue.__dict__, method

@@ -14,7 +14,12 @@ Checks, without any network access:
 3. every markdown anchor referenced as ``path#anchor`` exists as a heading
    in the target file (GitHub-style slugs);
 4. the sharded-simulation surface (``shard`` subcommand, every scenario,
-   the two architecture rules) stays documented.
+   the two architecture rules) stays documented;
+5. every backticked ``tests/...py`` path names an existing file, and every
+   backticked ``Test...`` / ``test_...`` identifier is defined under
+   ``tests/`` or ``benchmarks/`` — a renamed or deleted test cannot linger
+   in the docs (root-level records such as the change log are exempt:
+   they name removed tests on purpose).
 
 Run from anywhere: ``python tools/check_docs.py``.  Exits non-zero and
 prints one line per problem; also exercised by ``tests/docs/test_docs.py``
@@ -26,7 +31,7 @@ from __future__ import annotations
 import os
 import re
 import sys
-from typing import List
+from typing import List, Set
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "node_modules"}
@@ -34,11 +39,20 @@ SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "node_modules"}
 # figure bitmaps that are intentionally not vendored into the repo
 LINK_RE = re.compile(r"(?<!!)\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+TEST_PATH_RE = re.compile(r"(?<![\w./-])tests/[\w./-]*?\.py\b")
+# a name followed by ``.py`` is a module file, not a test name
+TEST_NAME_RE = re.compile(r"\b(Test[A-Z]\w*|test_\w+)\b(?!\.py)")
+DEFINITION_RE = re.compile(r"^\s*(?:async\s+)?(?:def|class)\s+(\w+)", re.MULTILINE)
+#: the root-level markdown held to the test-reference check; the other root
+#: files are records (the change log, the paper, related work) that name
+#: removed tests on purpose or quote other code
+ROOT_DOCUMENTS = {"README.md", "ROADMAP.md"}
 
 
-def markdown_files() -> List[str]:
+def markdown_files(root: str = ROOT) -> List[str]:
     found = []
-    for directory, subdirs, filenames in os.walk(ROOT):
+    for directory, subdirs, filenames in os.walk(root):
         subdirs[:] = [d for d in subdirs if d not in SKIP_DIRS]
         for filename in filenames:
             if filename.endswith(".md"):
@@ -178,11 +192,46 @@ def check_sharded_docs() -> List[str]:
     return problems
 
 
+def defined_test_names(root: str = ROOT) -> Set[str]:
+    """Every class, function and module name under ``tests/`` and ``benchmarks/``."""
+    names = set()
+    for top in ("tests", "benchmarks"):
+        for directory, subdirs, filenames in os.walk(os.path.join(root, top)):
+            subdirs[:] = [d for d in subdirs if d not in SKIP_DIRS]
+            for filename in filenames:
+                if filename.endswith(".py"):
+                    names.add(filename[:-3])
+                    with open(os.path.join(directory, filename), "r", encoding="utf-8") as fh:
+                        names.update(DEFINITION_RE.findall(fh.read()))
+    return names
+
+
+def check_test_references(root: str = ROOT) -> List[str]:
+    """Backticked test paths and test names in the docs must still exist."""
+    defined = defined_test_names(root)
+    problems = []
+    for path in markdown_files(root):
+        relpath = os.path.relpath(path, root)
+        if os.sep not in relpath and relpath not in ROOT_DOCUMENTS:
+            continue
+        with open(path, "r", encoding="utf-8") as fh:
+            spans = CODE_SPAN_RE.findall(fh.read())
+        for span in spans:
+            for test_path in TEST_PATH_RE.findall(span):
+                if not os.path.isfile(os.path.join(root, test_path)):
+                    problems.append(f"{relpath}: missing test file -> {test_path}")
+            for name in TEST_NAME_RE.findall(span):
+                if name not in defined:
+                    problems.append(f"{relpath}: undefined test name -> {name}")
+    return problems
+
+
 def main() -> int:
     problems = (
         check_links()
         + check_family_docs()
         + check_sharded_docs()
+        + check_test_references()
     )
     for problem in problems:
         print(problem, file=sys.stderr)
