@@ -90,7 +90,7 @@ def canonical_json(value: Any, indent: Optional[int] = None) -> str:
     return json.dumps(value, sort_keys=True, indent=indent, separators=separators)
 
 
-def flatten_row(row: Mapping[str, Any], separator: str = ".") -> Dict[str, Any]:
+def flatten_row(row: Mapping[str, Any]) -> Dict[str, Any]:
     """Flatten nested mappings into dotted columns, leaves untouched.
 
     ``{"slowdown": {"all": {"p99": 3.2}}}`` becomes
@@ -102,8 +102,8 @@ def flatten_row(row: Mapping[str, Any], separator: str = ".") -> Dict[str, Any]:
     for key, value in row.items():
         name = key if isinstance(key, str) else canonical_cell(key)
         if isinstance(value, Mapping):
-            for subkey, subvalue in flatten_row(value, separator).items():
-                flat[f"{name}{separator}{subkey}"] = subvalue
+            for subkey, subvalue in flatten_row(value).items():
+                flat[f"{name}.{subkey}"] = subvalue
         else:
             flat[name] = value
     return flat

@@ -40,12 +40,12 @@ the next invocation resumes from there.  Results are
 memoized in a persistent on-disk cache
 (``$REPRO_CACHE_DIR``, default ``~/.cache/repro``) keyed by experiment,
 parameters and a fingerprint of the simulator source — a second invocation
-of ``all`` is served from disk in seconds.  ``--no-cache`` (or
-``REPRO_NO_CACHE=1``) bypasses the cache; results are bit-identical either
-way.  A run served from the cache does not import the simulator: this module
-loads the family declarations, the sweep engine and the transport registry,
-and the engine arrives with :mod:`repro.harness.unit_runs` when the first
-spec has to execute (``docs/architecture.md``, "Import layering").
+of ``all`` is served from disk in seconds.  ``--no-cache`` bypasses the
+cache; results are bit-identical either way.  A run served from the cache
+does not import the simulator: this module loads the family declarations,
+the sweep engine and the transport registry, and the engine arrives with
+:mod:`repro.harness.unit_runs` when the first spec has to execute
+(``docs/architecture.md``, "Import layering").
 
 The ``sweep`` subcommand runs one experiment over the cartesian product of
 user-supplied parameter values.  ``--set key=v1,v2`` sweeps ``key`` over

@@ -22,7 +22,7 @@ be lost (dropped from an overflowing header queue).  If the *final* PULLs of
 a transfer are lost, the sender — whose per-packet RTOs were cancelled by the
 NACKs — would wait forever.  Each sink therefore keeps a *pull-retry
 watchdog*: a shadow :class:`~repro.sim.eventlist.Timer` that fires when the
-transfer has been idle for ``pull_rto_ps`` with packets still missing and no
+transfer has been idle for ``PULL_RTO_PS`` with packets still missing and no
 pull requests queued at the pacer, and re-emits PULLs for the outstanding
 packets (up to ``max_pull_retries`` consecutive rounds without progress).
 Shadow timers never perturb the event order of a healthy run (see
@@ -42,7 +42,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional, Sequence
 
-from repro.core.config import NdpConfig
+from repro.core.config import PULL_RTO_PS, NdpConfig
 from repro.core.packets import NdpAck, NdpDataPacket, NdpNack, NdpPull
 from repro.core.path_manager import PathManager
 from repro.core.pull_queue import NdpPullPacer
@@ -138,7 +138,7 @@ class NdpSink(FlowSink):
                 timer = self._retry_timer = Timer(
                     self.eventlist, self._pull_retry_due, shadow=True
                 )
-                timer.schedule_at(self.eventlist._now + self.config.pull_rto_ps)
+                timer.schedule_at(self.eventlist._now + PULL_RTO_PS)
         self._activity_ps = self.eventlist._now
         if packet.is_header_only:
             self._handle_header(packet)
@@ -251,7 +251,7 @@ class NdpSink(FlowSink):
         """Pull-retry watchdog: re-emit PULLs when the transfer stalls.
 
         A transfer counts as *stalled* when nothing has arrived for a full
-        stall horizon (``pull_rto_ps`` plus the pacer's current backlog
+        stall horizon (``PULL_RTO_PS`` plus the pacer's current backlog
         drain time) and no pull requests for this connection are queued at
         the pacer; anything else just pushes the deadline out.  Each stalled
         round tops the pull queue back up to the number of missing packets
@@ -271,7 +271,7 @@ class NdpSink(FlowSink):
         # whole backlog drain time — the stall horizon must stretch with it
         # or the watchdog would re-pull flows that are merely waiting their
         # turn.  The receiver owns the pacer, so the horizon is exact.
-        horizon_ps = config.pull_rto_ps + pacer._total_pending * pacer.pull_interval_ps
+        horizon_ps = PULL_RTO_PS + pacer._total_pending * pacer.pull_interval_ps
         idle_ps = now - self._activity_ps if self._activity_ps >= 0 else horizon_ps
         if pending > 0 or idle_ps < horizon_ps:
             # The pull clock is alive (queued requests or a recent-enough
@@ -283,7 +283,7 @@ class NdpSink(FlowSink):
                 self._retries = 0
             when = self._activity_ps + horizon_ps
             if when <= now:
-                when = now + config.pull_rto_ps
+                when = now + PULL_RTO_PS
             timer.schedule_at(when)
             return
         if self._retries >= config.max_pull_retries:
@@ -296,7 +296,7 @@ class NdpSink(FlowSink):
             need = config.initial_window_packets
         for _ in range(need):
             self.pacer.request_pull(self)
-        timer.schedule_at(now + config.pull_rto_ps)
+        timer.schedule_at(now + PULL_RTO_PS)
 
     # --- helpers -----------------------------------------------------------------------
 

@@ -41,7 +41,7 @@ from collections import deque
 from types import MappingProxyType
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set
 
-from repro.core.config import NdpConfig
+from repro.core.config import RTO_PS, NdpConfig
 from repro.core.packets import NdpAck, NdpDataPacket, NdpNack, NdpPull
 from repro.core.path_manager import PathManager
 from repro.sim.eventlist import EventList, Timer
@@ -121,8 +121,6 @@ class NdpSrc(FlowSource):
             routes,
             rng=rng if rng is not None else random.Random(flow_id),
             penalize=config.path_penalty,
-            min_samples=config.path_penalty_min_samples,
-            nack_ratio=config.path_penalty_nack_ratio,
             mode=config.path_selection_mode,
         )
 
@@ -408,7 +406,7 @@ class NdpSrc(FlowSource):
                 self.eventlist, self._handle_timeout, seqno
             )
         # re-arming supersedes any pending arm for this seqno in O(1)
-        timer.schedule_at(self.eventlist._now + self.config.rto_ps)
+        timer.schedule_at(self.eventlist._now + RTO_PS)
 
     def _cancel_rto(self, seqno: int) -> None:
         timer = self._rto_timers.get(seqno)
@@ -433,12 +431,12 @@ class NdpSrc(FlowSource):
                 self.eventlist, self._keepalive_due, shadow=True
             )
         if timer._gen != timer._armed_gen:  # inlined `not timer.armed`
-            timer.schedule_at(self.eventlist._now + self.config.rto_ps)
+            timer.schedule_at(self.eventlist._now + RTO_PS)
 
     def _keepalive_due(self) -> None:
         """Last-resort send when the pull clock dies with work outstanding.
 
-        The stall threshold is ``rto_ps`` stretched to twice the largest
+        The stall threshold is ``RTO_PS`` stretched to twice the largest
         pull gap seen so far — on a busy receiver the legitimate spacing
         between two pulls of one flow is the receiver's whole round-robin
         cycle, and a slow clock must not be mistaken for a dead one.  If
@@ -455,16 +453,15 @@ class NdpSrc(FlowSource):
         if self.complete:
             return  # defensive; _finish cancels the standing timer
         now = self.eventlist._now
-        rto = self.config.rto_ps
         if self.pulls_received >= 2:
             # two pulls establish the receiver's true service cycle
-            threshold = max(rto, 2 * self._max_pull_gap_ps)
+            threshold = max(RTO_PS, 2 * self._max_pull_gap_ps)
         else:
             # Before that, the receiver may simply not have completed its
             # first round-robin cycle over a large incast (several RTOs per
             # cycle), so be extra patient before pushing unpulled
             # retransmissions into the congested port.
-            threshold = max(4 * rto, 2 * self._max_pull_gap_ps)
+            threshold = max(4 * RTO_PS, 2 * self._max_pull_gap_ps)
         if self._activity_ps >= 0 and now - self._activity_ps < threshold:
             self._ka_period_ps = 0
             self._keepalive_timer.schedule_at(self._activity_ps + threshold)

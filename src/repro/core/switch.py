@@ -23,8 +23,9 @@ import random
 from collections import deque
 from typing import Deque, Optional
 
-from repro.core.config import NdpConfig
+from repro.core.config import WRR_HEADERS_PER_DATA, NdpConfig
 from repro.core.packets import NdpDataPacket
+from repro.sim import units
 from repro.sim.eventlist import EventList
 from repro.sim.packet import Packet, PacketPriority
 from repro.sim.queues import BaseQueue
@@ -44,24 +45,22 @@ class NdpSwitchQueue(BaseQueue):
         Line rate of the port.
     config:
         The :class:`~repro.core.config.NdpConfig` providing queue sizes, the
-        WRR ratio, the trim-choice probability and whether return-to-sender
-        is enabled.
+        trim-choice probability and whether return-to-sender is enabled.
     rng:
         Randomness source for the 50% trim choice.
-    bounce_delay_ps:
-        Modelled latency for a returned-to-sender header to travel back to
-        the source.  The real switch swaps the L3 addresses and the header is
-        routed back through the fabric; since the reverse hop-by-hop route
-        from an interior switch is topology specific, the simulator delivers
-        the bounced header directly to the source endpoint after this delay
-        (defaulting to a one-way fabric delay).  DESIGN.md documents the
-        substitution.
     """
+
+    #: Modelled latency for a returned-to-sender header to travel back to the
+    #: source, a conservative one-way fabric latency.  The real switch swaps
+    #: the L3 addresses and the header is routed back through the fabric;
+    #: since the reverse hop-by-hop route from an interior switch is topology
+    #: specific, the simulator delivers the bounced header directly to the
+    #: source endpoint after this delay.
+    bounce_delay_ps = units.microseconds(5)
 
     __slots__ = (
         "config",
         "rng",
-        "bounce_delay_ps",
         "_header_queue",
         "_data_bytes",
         "_header_bytes",
@@ -72,7 +71,6 @@ class NdpSwitchQueue(BaseQueue):
         "control_dropped",
         "_data_cap_packets",
         "_header_cap_bytes",
-        "_wrr_ratio",
         "_trim_arriving_p",
         "_trim_header_bytes",
     )
@@ -84,15 +82,11 @@ class NdpSwitchQueue(BaseQueue):
         config: Optional[NdpConfig] = None,
         rng: Optional[random.Random] = None,
         name: str = "ndp-queue",
-        bounce_delay_ps: Optional[int] = None,
     ) -> None:
         self.config = config if config is not None else NdpConfig()
         capacity_bytes = self.config.data_queue_bytes + self.config.header_queue_bytes
         super().__init__(eventlist, service_rate_bps, capacity_bytes, name)
         self.rng = rng if rng is not None else random.Random(0)
-        self.bounce_delay_ps = (
-            bounce_delay_ps if bounce_delay_ps is not None else _default_bounce_delay()
-        )
         # the data class queues in the base's `_fifo`, beside the header
         # class: every base method that reads `_fifo` is overridden here, and
         # `_plain_fifo` is false, so the base drain calls `_select_next`
@@ -104,7 +98,6 @@ class NdpSwitchQueue(BaseQueue):
         # dataclass are measurable at one admission + one selection per packet)
         self._data_cap_packets = self.config.data_queue_packets
         self._header_cap_bytes = self.config.header_queue_bytes
-        self._wrr_ratio = self.config.wrr_headers_per_data
         self._trim_arriving_p = self.config.trim_arriving_probability
         self._trim_header_bytes = self.config.header_bytes
         # detailed counters beyond the generic QueueStats
@@ -256,12 +249,13 @@ class NdpSwitchQueue(BaseQueue):
     # --- scheduling -----------------------------------------------------------
 
     def _select_next(self) -> Optional[Packet]:
-        # the 10:1 WRR of §3.1: headers first, but at most `_wrr_ratio` of
-        # them between two data packets while data is waiting
+        # the 10:1 WRR of §3.1: headers first, but at most
+        # `WRR_HEADERS_PER_DATA` of them between two data packets while data
+        # is waiting
         header_queue = self._header_queue
         data_queue = self._fifo
         if header_queue and (
-            not data_queue or self._headers_since_data < self._wrr_ratio
+            not data_queue or self._headers_since_data < WRR_HEADERS_PER_DATA
         ):
             packet = header_queue.popleft()
             self._header_bytes -= packet.size
@@ -320,10 +314,3 @@ class CpSwitchQueue(BaseQueue):
         if packet is not None and not packet.is_header_only and not packet.is_control():
             self._data_packets_queued -= 1
         return packet
-
-
-def _default_bounce_delay() -> int:
-    """A conservative one-way fabric latency for returned headers (~5 us)."""
-    from repro.sim import units
-
-    return units.microseconds(5)

@@ -13,8 +13,8 @@ independent :class:`~repro.harness.sweep.RunSpec` units (one plan builder
 per family, all declared in :data:`repro.harness.figures.FAMILIES`, each
 naming a unit run of :mod:`repro.harness.unit_runs` by reference) that
 can be fanned across worker processes and are memoized in a persistent on-disk result cache
-(``$REPRO_CACHE_DIR``, default ``~/.cache/repro``; ``REPRO_NO_CACHE=1``
-disables).  See ``python -m repro.cli all`` (one worker per available CPU;
+(``$REPRO_CACHE_DIR``, default ``~/.cache/repro``; ``cache=None``
+bypasses it).  See ``python -m repro.cli all`` (one worker per available CPU;
 the library calls default to ``jobs=1``).
 
 Importing this package imports none of its modules, so ``sweep``,

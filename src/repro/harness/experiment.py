@@ -123,19 +123,17 @@ def measure_throughput(
     )
 
 
-def run_until_complete(
-    network,
-    flows: Sequence[object],
-    timeout_ps: int,
-    check_interval_ps: int = units.milliseconds(1),
-) -> FctResult:
-    """Run until every flow in *flows* completes (or *timeout_ps* elapses)."""
+def run_until_complete(network, flows: Sequence[object], timeout_ps: int) -> FctResult:
+    """Run until every flow in *flows* completes (or *timeout_ps* elapses).
+
+    Completion is checked every simulated millisecond.
+    """
     eventlist = network.eventlist
     deadline = eventlist.now() + timeout_ps
     while eventlist.now() < deadline:
         if all(flow.complete for flow in flows):
             break
-        next_stop = min(deadline, eventlist.now() + check_interval_ps)
+        next_stop = min(deadline, eventlist.now() + units.MILLISECOND)
         eventlist.run(until=next_stop)
         if eventlist.pending_events() == 0:
             break

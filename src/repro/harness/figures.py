@@ -22,7 +22,7 @@ simulator run each — a single point of a sweep, one protocol of a
 comparison) plus an ``assemble`` step that builds the public rows from the
 unit results.  :func:`~repro.harness.sweep.run_plan` executes it, consulting
 the persistent result cache (``$REPRO_CACHE_DIR``, default
-``~/.cache/repro``; disable with ``REPRO_NO_CACHE=1``) and optionally
+``~/.cache/repro``; bypass it with ``cache=None``) and optionally
 fanning the units across worker processes (``jobs=N``; ``python -m
 repro.cli all`` does, one per available CPU).
 

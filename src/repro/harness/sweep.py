@@ -51,8 +51,8 @@ Records are one JSON file per key under ``$REPRO_CACHE_DIR`` (default
 ``~/.cache/repro``).  Writers stage to a unique temp file and ``os.replace``
 it into place, so concurrent writers — parallel workers, two CI jobs on a
 shared volume — can never interleave bytes; readers treat any unreadable or
-structurally invalid record as a miss and delete it.  Set ``REPRO_NO_CACHE=1``
-(or pass ``cache=None`` / ``--no-cache``) to bypass the cache entirely; the
+structurally invalid record as a miss and delete it.  Pass ``cache=None``
+(``--no-cache`` on the CLI) to bypass the cache entirely; the
 seeded digest scenarios (``tools/check_digests.py``) never consult it.
 """
 
@@ -86,8 +86,6 @@ __all__ = [
 
 #: environment variable overriding the cache directory
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-#: environment variable disabling the persistent cache entirely
-NO_CACHE_ENV = "REPRO_NO_CACHE"
 
 _TYPE_TAG = "__repro__"
 
@@ -376,8 +374,8 @@ class ResultCache:
     #: how often :meth:`maybe_prune` actually walks the directory
     PRUNE_INTERVAL_SECONDS = 24 * 3600
 
-    def prune(self, ttl_seconds: Optional[int] = None) -> int:
-        """Delete records not read/written for *ttl_seconds*; return count.
+    def prune(self) -> int:
+        """Delete records untouched for :data:`PRUNE_TTL_SECONDS`; return count.
 
         Cache keys embed the code fingerprint, so records from older source
         trees become unreachable rather than stale — this reclaims them.
@@ -388,7 +386,7 @@ class ResultCache:
         """
         import time as _time
 
-        ttl = self.PRUNE_TTL_SECONDS if ttl_seconds is None else ttl_seconds
+        ttl = self.PRUNE_TTL_SECONDS
         removed = 0
         try:
             now = _time.time()
@@ -436,14 +434,9 @@ USE_DEFAULT_CACHE = object()
 _default_cache: Optional[ResultCache] = None
 
 
-def default_cache() -> Optional[ResultCache]:
-    """The process-wide :class:`ResultCache`, or ``None`` if disabled.
-
-    Honors ``REPRO_NO_CACHE=1`` (disable) and ``REPRO_CACHE_DIR`` (location).
-    """
+def default_cache() -> ResultCache:
+    """The process-wide :class:`ResultCache` under ``$REPRO_CACHE_DIR``."""
     global _default_cache
-    if os.environ.get(NO_CACHE_ENV, "").strip() in ("1", "true", "yes", "on"):
-        return None
     root = os.environ.get(CACHE_DIR_ENV) or os.path.join(
         os.path.expanduser("~"), ".cache", "repro"
     )

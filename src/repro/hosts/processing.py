@@ -144,22 +144,17 @@ class PullSpacingJitter:
 
     The prototype's measured spacing has its median at the target (1.2 us for
     1500 B, 7.2 us for 9 KB) with some variance, larger for small packets.
-    ``sigma`` is the log-normal shape parameter; ``floor_fraction`` prevents
-    samples collapsing to zero.
+    ``sigma`` is the log-normal shape parameter; a sample never falls below
+    :data:`FLOOR_FRACTION` of the target, so none collapses to zero.
     """
 
-    def __init__(
-        self,
-        sigma: float = 0.25,
-        floor_fraction: float = 0.2,
-        rng: Optional[random.Random] = None,
-    ) -> None:
+    #: smallest spacing drawn, as a fraction of the target
+    FLOOR_FRACTION = 0.2
+
+    def __init__(self, sigma: float = 0.25, rng: Optional[random.Random] = None) -> None:
         if sigma < 0:
             raise ValueError("sigma must be non-negative")
-        if not 0.0 <= floor_fraction <= 1.0:
-            raise ValueError("floor_fraction must be in [0, 1]")
         self.sigma = sigma
-        self.floor_fraction = floor_fraction
         self.rng = rng if rng is not None else random.Random(0)
 
     def sample(self, target_ps: int) -> int:
@@ -167,7 +162,7 @@ class PullSpacingJitter:
         if target_ps <= 0:
             return 0
         factor = math.exp(self.rng.gauss(0.0, self.sigma))
-        return max(int(self.floor_fraction * target_ps), int(target_ps * factor))
+        return max(int(self.FLOOR_FRACTION * target_ps), int(target_ps * factor))
 
     def sample_many(self, target_ps: int, count: int) -> List[int]:
         """Sample *count* spacings (used to plot the Figure 12 CDF)."""

@@ -83,7 +83,7 @@ class FlowRecord:
     rtx_from_bounce: int = 0
     rtx_from_timeout: int = 0
     #: receiver-side liveness: pull-retry rounds triggered by a stalled
-    #: transfer (the pull_rto_ps watchdog re-emitting lost PULLs)
+    #: transfer (the PULL_RTO_PS watchdog re-emitting lost PULLs)
     pull_retries: int = 0
     #: sender-side liveness: last-resort retransmissions sent because the
     #: pull clock went silent with packets still queued for retransmission
@@ -112,23 +112,16 @@ class TimeSeriesSampler:
     """Periodically sample a callable and store ``(time, value)`` points.
 
     Used for goodput-versus-time plots (Figure 19) and queue occupancy
-    traces.  The sampler reschedules itself until :meth:`stop` is called or
-    the event list runs out of other work past ``stop_after``.
+    traces.  The sampler reschedules itself until :meth:`stop` is called, so
+    the event list it samples must run with an ``until`` bound.
     """
 
-    def __init__(
-        self,
-        eventlist: EventList,
-        period_ps: int,
-        probe: Callable[[], float],
-        stop_after: Optional[int] = None,
-    ) -> None:
+    def __init__(self, eventlist: EventList, period_ps: int, probe: Callable[[], float]) -> None:
         if period_ps <= 0:
             raise ValueError(f"sampling period must be positive, got {period_ps}")
         self.eventlist = eventlist
         self.period_ps = period_ps
         self.probe = probe
-        self.stop_after = stop_after
         self.samples: List[Tuple[int, float]] = []
         self._running = False
 
@@ -144,11 +137,7 @@ class TimeSeriesSampler:
     def _tick(self) -> None:
         if not self._running:
             return
-        now = self.eventlist.now()
-        if self.stop_after is not None and now > self.stop_after:
-            self._running = False
-            return
-        self.samples.append((now, self.probe()))
+        self.samples.append((self.eventlist.now(), self.probe()))
         self.eventlist.schedule_in(self.period_ps, self._tick)
 
 

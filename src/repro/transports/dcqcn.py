@@ -7,7 +7,7 @@ based rather than window based:
 
 * the switch marks packets above a shallow ECN threshold;
 * the notification point (receiver) sends at most one CNP every
-  ``cnp_interval`` while marked packets keep arriving;
+  ``CNP_INTERVAL_PS`` while marked packets keep arriving;
 * on a CNP the sender remembers its current rate as the *target rate*,
   multiplicatively reduces the *current rate* by ``alpha/2`` and bumps
   ``alpha``;
@@ -37,34 +37,36 @@ from repro.sim.network import FlowSink, FlowSource
 from repro.sim.packet import ControlPacket, DataPacket, Packet, PacketPriority, Route
 
 
+#: floor of the reaction point's current rate
+MIN_RATE_BPS = units.mbps(10)
+#: additive increase step
+RATE_AI_BPS = units.mbps(40)
+#: hyper (fast) additive increase step used after many increase rounds
+RATE_HAI_BPS = units.mbps(200)
+#: EWMA gain for alpha
+ALPHA_GAIN = 1.0 / 16.0
+#: minimum spacing between CNPs generated by the receiver
+CNP_INTERVAL_PS = units.microseconds(50)
+#: alpha-decay / rate-increase timer period
+TIMER_PERIOD_PS = units.microseconds(55)
+#: rounds of fast recovery before additive increase starts
+FAST_RECOVERY_ROUNDS = 5
+
+
 @dataclass
 class DcqcnConfig:
-    """DCQCN parameters (defaults follow the DCQCN paper's recommendations)."""
+    """DCQCN's wire sizes.
+
+    The rate controller's constants (the DCQCN paper's recommendations) are
+    module constants, and a sender's line rate is the rate of its NIC.
+    """
 
     mss_bytes: int = 1436
     header_bytes: int = 64
-    line_rate_bps: int = units.gbps(10)
-    min_rate_bps: int = units.mbps(10)
-    #: additive increase step
-    rate_ai_bps: int = units.mbps(40)
-    #: hyper (fast) additive increase step used after many increase rounds
-    rate_hai_bps: int = units.mbps(200)
-    #: EWMA gain for alpha
-    alpha_gain: float = 1.0 / 16.0
-    #: minimum spacing between CNPs generated by the receiver
-    cnp_interval_ps: int = units.microseconds(50)
-    #: alpha-decay / rate-increase timer period
-    timer_period_ps: int = units.microseconds(55)
-    #: rounds of fast recovery before additive increase starts
-    fast_recovery_rounds: int = 5
 
     def __post_init__(self) -> None:
         if self.mss_bytes <= 0:
             raise ValueError("mss_bytes must be positive")
-        if not 0 < self.min_rate_bps <= self.line_rate_bps:
-            raise ValueError("rates are inconsistent")
-        if not 0.0 < self.alpha_gain <= 1.0:
-            raise ValueError("alpha_gain must be in (0, 1]")
 
     @property
     def packet_bytes(self) -> int:
@@ -134,7 +136,7 @@ class DcqcnSink(FlowSink):
         now = self.now()
         if (
             self._last_cnp_time is not None
-            and now - self._last_cnp_time < self.config.cnp_interval_ps
+            and now - self._last_cnp_time < CNP_INTERVAL_PS
         ):
             return
         self._last_cnp_time = now
@@ -165,9 +167,10 @@ class DcqcnSrc(FlowSource):
             config.mss_bytes, on_complete, name or f"dcqcn-src-{flow_id}",
         )
         self.route = route
-        # rate-control state
-        self.current_rate_bps = float(self.config.line_rate_bps)
-        self.target_rate_bps = float(self.config.line_rate_bps)
+        # rate-control state: start at, and never exceed, the NIC's rate
+        self.line_rate_bps = float(route.elements[0].service_rate_bps)
+        self.current_rate_bps = self.line_rate_bps
+        self.target_rate_bps = self.line_rate_bps
         self.alpha = 1.0
         self._increase_rounds = 0
         self._next_seqno = 0
@@ -181,7 +184,7 @@ class DcqcnSrc(FlowSource):
 
     def _begin(self) -> None:
         """Start the alpha/rate timer and transmit at line rate."""
-        self._rate_timer.schedule_in(self.config.timer_period_ps)
+        self._rate_timer.schedule_in(TIMER_PERIOD_PS)
         self._schedule_next_send(immediate=True)
 
     def _release(self) -> None:
@@ -200,7 +203,7 @@ class DcqcnSrc(FlowSource):
         if immediate:
             delay = 0
         else:
-            rate = max(self.current_rate_bps, self.config.min_rate_bps)
+            rate = max(self.current_rate_bps, MIN_RATE_BPS)
             delay = int(self.config.packet_bytes * 8 * units.SECOND / rate)
         self._send_timer.schedule_in(delay)
 
@@ -236,10 +239,9 @@ class DcqcnSrc(FlowSource):
         self._cnp_since_last_timer = True
         self.target_rate_bps = self.current_rate_bps
         self.current_rate_bps = max(
-            self.current_rate_bps * (1 - self.alpha / 2), self.config.min_rate_bps
+            self.current_rate_bps * (1 - self.alpha / 2), MIN_RATE_BPS
         )
-        gain = self.config.alpha_gain
-        self.alpha = (1 - gain) * self.alpha + gain
+        self.alpha = (1 - ALPHA_GAIN) * self.alpha + ALPHA_GAIN
         self._increase_rounds = 0
 
     def _handle_ack(self, ack: DcqcnAck) -> None:
@@ -255,26 +257,22 @@ class DcqcnSrc(FlowSource):
     def _timer_tick(self) -> None:
         if self.complete:
             return
-        gain = self.config.alpha_gain
         if not self._cnp_since_last_timer:
             # decay alpha and raise the rate back towards (then past) target
-            self.alpha = (1 - gain) * self.alpha
+            self.alpha = (1 - ALPHA_GAIN) * self.alpha
             self._increase_rounds += 1
-            if self._increase_rounds <= self.config.fast_recovery_rounds:
+            if self._increase_rounds <= FAST_RECOVERY_ROUNDS:
                 pass  # fast recovery: converge on the target rate
-            elif self._increase_rounds <= 3 * self.config.fast_recovery_rounds:
+            elif self._increase_rounds <= 3 * FAST_RECOVERY_ROUNDS:
                 self.target_rate_bps = min(
-                    self.target_rate_bps + self.config.rate_ai_bps,
-                    float(self.config.line_rate_bps),
+                    self.target_rate_bps + RATE_AI_BPS, self.line_rate_bps
                 )
             else:
                 self.target_rate_bps = min(
-                    self.target_rate_bps + self.config.rate_hai_bps,
-                    float(self.config.line_rate_bps),
+                    self.target_rate_bps + RATE_HAI_BPS, self.line_rate_bps
                 )
             self.current_rate_bps = min(
-                (self.current_rate_bps + self.target_rate_bps) / 2,
-                float(self.config.line_rate_bps),
+                (self.current_rate_bps + self.target_rate_bps) / 2, self.line_rate_bps
             )
         self._cnp_since_last_timer = False
-        self._rate_timer.schedule_in(self.config.timer_period_ps)
+        self._rate_timer.schedule_in(TIMER_PERIOD_PS)

@@ -22,21 +22,18 @@ from repro.sim import units
 from repro.transports.tcp import TcpAck, TcpConfig, TcpSink, TcpSrc
 
 
+#: EWMA gain `g` for the marked fraction estimator
+ALPHA_GAIN = 1.0 / 16.0
+
+
 @dataclass
 class DctcpConfig(TcpConfig):
-    """TCP configuration plus DCTCP's estimation gain."""
+    """TCP configuration with DCTCP's small timers and ECN on."""
 
-    #: EWMA gain `g` for the marked fraction estimator
-    alpha_gain: float = 1.0 / 16.0
     #: datacenter-appropriate minimum RTO (the paper's DCTCP uses small timers)
     min_rto_ps: int = units.milliseconds(10)
     #: DCTCP requires ECN
     ecn_enabled: bool = True
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 0.0 < self.alpha_gain <= 1.0:
-            raise ValueError("alpha_gain must be in (0, 1]")
 
 
 class DctcpSink(TcpSink):
@@ -71,8 +68,7 @@ class DctcpSrc(TcpSrc):
     def _end_of_window(self) -> None:
         if self._acked_in_window > 0:
             fraction = self._marked_in_window / self._acked_in_window
-            gain = self.config.alpha_gain
-            self.alpha = (1 - gain) * self.alpha + gain * fraction
+            self.alpha = (1 - ALPHA_GAIN) * self.alpha + ALPHA_GAIN * fraction
         self._acked_in_window = 0
         self._marked_in_window = 0
         self._cwnd_reduced_this_window = False

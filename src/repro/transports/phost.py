@@ -42,6 +42,19 @@ from repro.sim.network import FlowSink, FlowSource, PacketSink
 from repro.sim.packet import ControlPacket, DataPacket, Packet, Route
 
 
+#: receiver-side timeout after which missing packets get fresh tokens.  pHost
+#: cannot use NDP-style aggressive timers: with drop-tail switches a short
+#: timeout floods the network with duplicates, so it is a conservative couple
+#: of milliseconds.
+RETRANSMISSION_TIMEOUT_PS = units.milliseconds(2)
+#: sender-side timeout for retrying when the whole first burst (the implicit
+#: RTS) was lost and the receiver does not even know the flow exists; doubles
+#: on every retry.
+SENDER_TIMEOUT_PS = units.milliseconds(1)
+#: cap on tokens outstanding (unanswered) per flow
+MAX_OUTSTANDING_TOKENS = 8
+
+
 @dataclass
 class PHostConfig:
     """pHost parameters."""
@@ -50,17 +63,6 @@ class PHostConfig:
     header_bytes: int = 64
     #: free tokens: packets the sender may burst in the first RTT
     initial_window_packets: int = 30
-    #: receiver-side timeout after which missing packets get fresh tokens.
-    #: pHost cannot use NDP-style aggressive timers: with drop-tail switches a
-    #: short timeout floods the network with duplicates, so the default is a
-    #: conservative couple of milliseconds.
-    retransmission_timeout_ps: int = units.milliseconds(2)
-    #: sender-side timeout for retrying when the whole first burst (the
-    #: implicit RTS) was lost and the receiver does not even know the flow
-    #: exists; doubles on every retry.
-    sender_timeout_ps: int = units.milliseconds(1)
-    #: cap on tokens outstanding (unanswered) per flow
-    max_outstanding_tokens: int = 8
 
     def __post_init__(self) -> None:
         if self.mss_bytes <= 0:
@@ -149,7 +151,7 @@ class PHostSink(FlowSink):
 
     def _request_more_tokens(self) -> None:
         want = self.remaining_packets() - self._tokens_outstanding
-        allowed = self.config.max_outstanding_tokens - self._tokens_outstanding
+        allowed = MAX_OUTSTANDING_TOKENS - self._tokens_outstanding
         grant = min(want, allowed)
         if grant > 0:
             self._tokens_outstanding += grant
@@ -168,7 +170,7 @@ class PHostSink(FlowSink):
         )
 
     def _arm_timeout(self) -> None:
-        self._timeout.schedule_in(self.config.retransmission_timeout_ps)
+        self._timeout.schedule_in(RETRANSMISSION_TIMEOUT_PS)
 
     def _handle_timeout(self) -> None:
         if self.complete:
@@ -216,7 +218,7 @@ class PHostSrc(FlowSource):
         self._rtx_pointer = 0
         self._heard_from_receiver = False
         self._sender_timer = Timer(eventlist, self._sender_timeout)
-        self._sender_timeout_ps = self.config.sender_timeout_ps
+        self._sender_timeout_ps = SENDER_TIMEOUT_PS
 
     def connect(self, sink: PHostSink) -> None:
         """Associate the sender with its sink: every forward route ends there."""

@@ -28,6 +28,21 @@ from repro.sim.packet import ControlPacket, DataPacket, Packet, Route
 from repro.sim import units
 
 
+#: slow-start threshold at connection start, packets
+INITIAL_SSTHRESH_PACKETS = 1_000_000
+#: duplicate ACKs that trigger fast retransmit
+DUPACK_THRESHOLD = 3
+#: upper bound on the retransmission timeout
+MAX_RTO_PS = units.seconds(2)
+#: maximum random per-segment send jitter, picoseconds.  Real senders'
+#: transmission times vary slightly with OS scheduling; a deterministic
+#: simulator without this exhibits the pathological phase effects the paper
+#: discusses (two flows locked so that one always wins the last buffer
+#: slot).  300 ns of jitter is far below a packet serialization time, so it
+#: does not change throughput — it only breaks the lockstep.
+SEND_JITTER_PS = 300_000
+
+
 @dataclass
 class TcpConfig:
     """Tunables of the TCP baseline (and defaults for its derivatives)."""
@@ -38,36 +53,21 @@ class TcpConfig:
     header_bytes: int = 64
     #: initial congestion window, packets (RFC 6928)
     initial_window_packets: int = 10
-    #: slow-start threshold at connection start, packets
-    initial_ssthresh_packets: int = 1_000_000
-    #: duplicate ACKs that trigger fast retransmit
-    dupack_threshold: int = 3
     #: lower bound on the retransmission timeout (Linux default: 200 ms)
     min_rto_ps: int = units.milliseconds(200)
-    #: upper bound on the retransmission timeout
-    max_rto_ps: int = units.seconds(2)
     #: perform the three-way handshake before sending data (False = TFO)
     handshake: bool = True
     #: set the ECN-capable codepoint on data packets (DCTCP turns this on)
     ecn_enabled: bool = False
     #: hard cap on the congestion window, packets (models the receive window)
     max_cwnd_packets: int = 1_000
-    #: maximum random per-segment send jitter, picoseconds.  Real senders'
-    #: transmission times vary slightly with OS scheduling; a deterministic
-    #: simulator without this exhibits the pathological phase effects the
-    #: paper discusses (two flows locked so that one always wins the last
-    #: buffer slot).  300 ns of jitter is far below a packet serialization
-    #: time, so it does not change throughput — it only breaks the lockstep.
-    send_jitter_ps: int = 300_000
 
     def __post_init__(self) -> None:
         if self.mss_bytes <= 0:
             raise ValueError("mss_bytes must be positive")
         if self.initial_window_packets < 1:
             raise ValueError("initial window must be at least one packet")
-        if self.dupack_threshold < 1:
-            raise ValueError("dupack_threshold must be at least 1")
-        if self.min_rto_ps <= 0 or self.max_rto_ps < self.min_rto_ps:
+        if not 0 < self.min_rto_ps <= MAX_RTO_PS:
             raise ValueError("RTO bounds are inconsistent")
 
     @property
@@ -231,7 +231,7 @@ class TcpSrc(FlowSource):
 
         # congestion control state (window in packets, possibly fractional)
         self.cwnd = float(self.config.initial_window_packets)
-        self.ssthresh = float(self.config.initial_ssthresh_packets)
+        self.ssthresh = float(INITIAL_SSTHRESH_PACKETS)
         self.snd_una = 0  # oldest unacknowledged subflow sequence number
         self.snd_nxt = 0  # next subflow sequence number to send
         self.dupacks = 0
@@ -276,7 +276,7 @@ class TcpSrc(FlowSource):
         else:
             base = self.srtt_ps + 4 * self.rttvar_ps
         rto = max(self.config.min_rto_ps, base) * self.rto_backoff
-        return min(rto, self.config.max_rto_ps)
+        return min(rto, MAX_RTO_PS)
 
     # --- connection startup ---------------------------------------------------------
 
@@ -339,9 +339,7 @@ class TcpSrc(FlowSource):
         The jitter models OS-scheduling variability; injections stay strictly
         ordered per flow so it never reorders a flow's own segments.
         """
-        jitter = self.config.send_jitter_ps
-        offset = self.rng.randint(0, jitter) if jitter > 0 else 0
-        when = max(self.now() + offset, self._next_injection_time + 1)
+        when = max(self.now() + self.rng.randint(0, SEND_JITTER_PS), self._next_injection_time + 1)
         self._next_injection_time = when
         self.eventlist.schedule(when, self.inject, packet, self.route)
 
@@ -383,7 +381,7 @@ class TcpSrc(FlowSource):
             self._try_send()
         elif ack_no == self.snd_una and self.packets_in_flight() > 0:
             self.dupacks += 1
-            if self.dupacks == self.config.dupack_threshold and not self.in_recovery:
+            if self.dupacks == DUPACK_THRESHOLD and not self.in_recovery:
                 self._enter_fast_retransmit()
             elif self.in_recovery:
                 # window inflation during recovery (bounded by the receive window)
@@ -414,7 +412,7 @@ class TcpSrc(FlowSource):
     def _enter_fast_retransmit(self) -> None:
         self.fast_retransmits += 1
         self.ssthresh = max(self.cwnd / 2.0, 2.0)
-        self.cwnd = self.ssthresh + self.config.dupack_threshold
+        self.cwnd = self.ssthresh + DUPACK_THRESHOLD
         self.in_recovery = True
         self.recovery_point = self.snd_nxt
         self._recovery_flight = self.packets_in_flight()

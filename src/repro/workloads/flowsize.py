@@ -30,7 +30,7 @@ from __future__ import annotations
 import abc
 import bisect
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 class FlowSizeDistribution(abc.ABC):
@@ -135,7 +135,7 @@ class FacebookWebFlowSizes(EmpiricalFlowSizes):
     that a few simulated milliseconds contain hundreds of arrivals.
     """
 
-    DEFAULT_POINTS: Sequence[Tuple[int, float]] = (
+    POINTS: Sequence[Tuple[int, float]] = (
         (64, 0.00),
         (200, 0.15),
         (400, 0.35),
@@ -151,8 +151,8 @@ class FacebookWebFlowSizes(EmpiricalFlowSizes):
         (3_000_000, 1.00),
     )
 
-    def __init__(self, points: Optional[Sequence[Tuple[int, float]]] = None) -> None:
-        super().__init__(points if points is not None else self.DEFAULT_POINTS)
+    def __init__(self) -> None:
+        super().__init__(self.POINTS)
 
 
 class WebSearchFlowSizes(EmpiricalFlowSizes):
@@ -167,7 +167,7 @@ class WebSearchFlowSizes(EmpiricalFlowSizes):
     by the pFabric/pHost evaluation harnesses.
     """
 
-    DEFAULT_POINTS: Sequence[Tuple[int, float]] = (
+    POINTS: Sequence[Tuple[int, float]] = (
         (5_000, 0.00),
         (10_000, 0.15),
         (20_000, 0.20),
@@ -182,8 +182,8 @@ class WebSearchFlowSizes(EmpiricalFlowSizes):
         (30_000_000, 1.00),
     )
 
-    def __init__(self, points: Optional[Sequence[Tuple[int, float]]] = None) -> None:
-        super().__init__(points if points is not None else self.DEFAULT_POINTS)
+    def __init__(self) -> None:
+        super().__init__(self.POINTS)
 
 
 class DataMiningFlowSizes(EmpiricalFlowSizes):
@@ -198,7 +198,7 @@ class DataMiningFlowSizes(EmpiricalFlowSizes):
     CDF as popularised by the pFabric/pHost evaluation harnesses.
     """
 
-    DEFAULT_POINTS: Sequence[Tuple[int, float]] = (
+    POINTS: Sequence[Tuple[int, float]] = (
         (100, 0.00),
         (180, 0.10),
         (250, 0.20),
@@ -214,5 +214,5 @@ class DataMiningFlowSizes(EmpiricalFlowSizes):
         (1_000_000_000, 1.00),
     )
 
-    def __init__(self, points: Optional[Sequence[Tuple[int, float]]] = None) -> None:
-        super().__init__(points if points is not None else self.DEFAULT_POINTS)
+    def __init__(self) -> None:
+        super().__init__(self.POINTS)

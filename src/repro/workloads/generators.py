@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.sim.eventlist import EventList
 from repro.sim.units import SECOND, seconds
@@ -125,8 +125,6 @@ class ClosedLoopGenerator:
         connections_per_host: int = 1,
         think_time_ps: int = 0,
         rng: Optional[random.Random] = None,
-        destination_picker: Optional[Callable[[int, random.Random], int]] = None,
-        max_flows: Optional[int] = None,
     ) -> None:
         if connections_per_host < 1:
             raise ValueError("connections_per_host must be at least 1")
@@ -139,8 +137,6 @@ class ClosedLoopGenerator:
         self.connections_per_host = connections_per_host
         self.think_time_ps = think_time_ps
         self.rng = rng if rng is not None else random.Random(0)
-        self.destination_picker = destination_picker or self._random_destination
-        self.max_flows = max_flows
         self.flows: List[object] = []
         self.flows_started = 0
         self.flows_completed = 0
@@ -151,16 +147,10 @@ class ClosedLoopGenerator:
             for _ in range(self.connections_per_host):
                 self.eventlist.schedule(at_time_ps, self._start_flow, host)
 
-    def _random_destination(self, src: int, rng: random.Random) -> int:
+    def _start_flow(self, src: int) -> None:
         dst = src
         while dst == src:
-            dst = rng.choice(self.hosts)
-        return dst
-
-    def _start_flow(self, src: int) -> None:
-        if self.max_flows is not None and self.flows_started >= self.max_flows:
-            return
-        dst = self.destination_picker(src, self.rng)
+            dst = self.rng.choice(self.hosts)
         size = self.flow_sizes.sample(self.rng)
         self.flows_started += 1
         flow = self.network.create_flow(

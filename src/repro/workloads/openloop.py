@@ -110,9 +110,6 @@ class OpenLoopGenerator:
         destinations).
     rng:
         Seeded master RNG; defaults to ``random.Random(0)``.
-    max_flows:
-        Optional safety cap on total arrivals (the generator goes quiet
-        once reached).
     """
 
     def __init__(
@@ -128,7 +125,6 @@ class OpenLoopGenerator:
         drain_ps: int = 0,
         matrix: str = ALL_TO_ALL,
         rng: Optional[random.Random] = None,
-        max_flows: Optional[int] = None,
     ) -> None:
         if matrix not in (ALL_TO_ALL, PER_HOST):
             raise ValueError(f"matrix must be {ALL_TO_ALL!r} or {PER_HOST!r}, got {matrix!r}")
@@ -145,7 +141,6 @@ class OpenLoopGenerator:
         self.drain_ps = drain_ps
         self.matrix = matrix
         self.rng = rng if rng is not None else random.Random(0)
-        self.max_flows = max_flows
 
         #: offered bits/second across all hosts, and the aggregate Poisson
         #: arrival rate in flows/second
@@ -215,9 +210,7 @@ class OpenLoopGenerator:
         order — part of the determinism contract — cannot diverge between
         the two matrix modes.
         """
-        if self._past_horizon() or (
-            self.max_flows is not None and self.flows_started >= self.max_flows
-        ):
+        if self._past_horizon():
             return
         if index is None:
             rng, rate = self.rng, self.arrival_rate_per_second

@@ -44,7 +44,6 @@ def _render(out_dir, cache_dir, extra=()):
     """Run the real CLI in a subprocess with an isolated cache."""
     env = dict(os.environ)
     env["REPRO_CACHE_DIR"] = cache_dir
-    env.pop("REPRO_NO_CACHE", None)
     env["PYTHONPATH"] = os.path.join(_ROOT, "src")
     completed = subprocess.run(
         [sys.executable, "-m", "repro.cli", "render", *GOLDEN_FIGURES,

@@ -29,7 +29,6 @@ from repro.harness.figures import FAMILIES
 def isolated_environment(tmp_path, monkeypatch):
     """Throwaway result cache for every test."""
     monkeypatch.setenv(sweep.CACHE_DIR_ENV, str(tmp_path / "cache"))
-    monkeypatch.delenv(sweep.NO_CACHE_ENV, raising=False)
     yield
 
 

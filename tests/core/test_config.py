@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.config import NdpConfig
+from repro.core.config import RTO_PS, WRR_HEADERS_PER_DATA, NdpConfig
 from repro.sim import units
 
 
@@ -17,9 +17,9 @@ class TestDefaults:
         assert config.header_bytes == 64
         assert config.initial_window_packets == 30
         assert config.data_queue_packets == 8
-        assert config.wrr_headers_per_data == 10
+        assert WRR_HEADERS_PER_DATA == 10
         assert config.return_to_sender is True
-        assert config.rto_ps == units.milliseconds(1)
+        assert RTO_PS == units.milliseconds(1)
 
     def test_data_queue_bytes(self):
         config = NdpConfig()
@@ -47,10 +47,6 @@ class TestValidation:
     def test_trim_probability_range(self):
         with pytest.raises(ValueError):
             NdpConfig(trim_arriving_probability=1.5)
-
-    def test_wrr_ratio_positive(self):
-        with pytest.raises(ValueError):
-            NdpConfig(wrr_headers_per_data=0)
 
     def test_path_mode_validated(self):
         with pytest.raises(ValueError):

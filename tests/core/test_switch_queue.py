@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.core.config import NdpConfig
+from repro.core.config import WRR_HEADERS_PER_DATA, NdpConfig
 from repro.core.packets import NdpAck, NdpDataPacket, NdpPull
 from repro.core.switch import CpSwitchQueue, NdpSwitchQueue
 from repro.sim.eventlist import EventList
@@ -116,8 +116,7 @@ class TestPriorityScheduling:
         assert arrival_order.index(ack) == 1
 
     def test_wrr_prevents_header_starvation_of_data(self, eventlist):
-        config = NdpConfig(wrr_headers_per_data=10)
-        queue = NdpSwitchQueue(eventlist, gbps(10), config, random.Random(7))
+        queue = NdpSwitchQueue(eventlist, gbps(10), NdpConfig(), random.Random(7))
         recorder = []
 
         class Recorder(CountingSink):
@@ -133,10 +132,10 @@ class TestPriorityScheduling:
         push(queue, controls, sink=sink)
         eventlist.run()
         # data packets must not wait for all 50 control packets: each can be
-        # preceded by at most wrr_headers_per_data control packets (plus the
+        # preceded by at most WRR_HEADERS_PER_DATA control packets (plus the
         # one in service / already counted).
         second_data_position = [i for i, p in enumerate(recorder) if isinstance(p, NdpDataPacket)][1]
-        assert second_data_position <= 2 + 2 * config.wrr_headers_per_data
+        assert second_data_position <= 2 + 2 * WRR_HEADERS_PER_DATA
 
     def test_headers_get_share_even_under_data_load(self, eventlist):
         config = NdpConfig()

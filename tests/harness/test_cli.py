@@ -20,7 +20,6 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 def isolated_cache(tmp_path, monkeypatch):
     """Point the persistent cache at a throwaway directory for every test."""
     monkeypatch.setenv(sweep.CACHE_DIR_ENV, str(tmp_path / "cache"))
-    monkeypatch.delenv(sweep.NO_CACHE_ENV, raising=False)
     yield
 
 
@@ -287,7 +286,6 @@ class TestGridParsing:
 def _child_env(cache_dir) -> dict:
     env = dict(os.environ, PYTHONPATH=SRC)
     env[sweep.CACHE_DIR_ENV] = str(cache_dir)
-    env.pop(sweep.NO_CACHE_ENV, None)
     return env
 
 

@@ -32,7 +32,6 @@ class _Sandbox:
         self.cache_dir = str(root / "cache")
         self.log = str(root / "started.log")
         self.env = dict(os.environ, PYTHONPATH=_SRC, REPRO_CACHE_DIR=self.cache_dir)
-        self.env.pop("REPRO_NO_CACHE", None)
 
     def argv(self, steps, *extra):
         return [sys.executable, _FAULTY_CLI, "faulty", "--set", f"steps={json.dumps(steps)}",

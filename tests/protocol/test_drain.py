@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 from collections import defaultdict
 
-from repro.core.config import NdpConfig
+from repro.core.config import RTO_PS, NdpConfig
 from repro.core.path_manager import PathManager
 from repro.core.receiver import NdpSink
 from repro.core.sender import NdpSrc
@@ -59,7 +59,7 @@ class _Witness(PacketSink):
 def test_a_copy_held_past_the_finish_keeps_the_generator_until_it_lands(monkeypatch):
     config = NdpConfig()
     injector = FaultInjector()
-    injector.delay(3 * config.rto_ps, classes={"data"}, every_kth=5)
+    injector.delay(3 * RTO_PS, classes={"data"}, every_kth=5)
     eventlist, network, flows = build_incast(config=config, injector=injector)
 
     # one log per flow, in event order: the sender's finish ("drain", n),

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import NdpConfig
+from repro.core.config import RTO_PS, NdpConfig
 from repro.core.packets import NdpAck, NdpDataPacket, NdpNack, NdpPull
 from repro.core.path_manager import RetiredPathsError
 from repro.harness.ndp_network import NdpNetwork
@@ -116,9 +116,9 @@ def _finished_with_two_copies_in_flight():
     config = NdpConfig()
     nic_faults, sink_faults = FaultInjector(), FaultInjector()
     nic_faults.trim(classes={"data"}, predicate=_first_copy(2), max_count=1)
-    sink_faults.delay(3 * config.rto_ps, classes={"header"}, max_count=1)
+    sink_faults.delay(3 * RTO_PS, classes={"header"}, max_count=1)
     sink_faults.delay(
-        3 * config.rto_ps, classes={"data"}, predicate=_first_copy(3), max_count=1
+        3 * RTO_PS, classes={"data"}, predicate=_first_copy(3), max_count=1
     )
 
     class TrimmingNicNetwork(NdpNetwork):

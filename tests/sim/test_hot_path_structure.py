@@ -54,7 +54,7 @@ def test_each_hot_path_mechanism_exists_once():
     assert _count(sources, r"def _maybe_start_service\b") == 1
     for pattern in (r"\.events_executed \+=", r"\b_cur_pos\b"):
         assert _files_matching(sources, pattern) == {"sim/eventlist.py"}, pattern
-    assert _count(sources, r"< self\._wrr_ratio") == 1
+    assert _count(sources, r"< WRR_HEADERS_PER_DATA\b") == 1
     for method in ("_complete_service", "_maybe_start_service"):
         assert method not in NdpSwitchQueue.__dict__, method
     # one allocation path, no write-only columns

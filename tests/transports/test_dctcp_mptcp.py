@@ -17,10 +17,6 @@ from repro.transports.mptcp import MptcpConfig, MptcpConnection
 
 
 class TestDctcpConfig:
-    def test_requires_valid_gain(self):
-        with pytest.raises(ValueError):
-            DctcpConfig(alpha_gain=0.0)
-
     def test_ecn_enabled_by_default(self):
         assert DctcpConfig().ecn_enabled is True
 

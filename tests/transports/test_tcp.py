@@ -31,8 +31,6 @@ class TestConfig:
             TcpConfig(initial_window_packets=0)
         with pytest.raises(ValueError):
             TcpConfig(min_rto_ps=0)
-        with pytest.raises(ValueError):
-            TcpConfig(dupack_threshold=0)
 
 
 class TestDataSource:

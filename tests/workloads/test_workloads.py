@@ -168,20 +168,6 @@ class TestGenerators:
         assert generator.flows_completed > 0
         assert len(generator.completed_records()) == generator.flows_completed
 
-    def test_closed_loop_respects_max_flows(self):
-        eventlist, network = self._network()
-        generator = ClosedLoopGenerator(
-            eventlist,
-            network,
-            hosts=network.topology.hosts(),
-            flow_sizes=FixedFlowSizes(9_000),
-            max_flows=6,
-            rng=random.Random(6),
-        )
-        generator.start()
-        eventlist.run(until=units.milliseconds(10))
-        assert generator.flows_started <= 6
-
     def test_closed_loop_validation(self):
         eventlist, network = self._network()
         with pytest.raises(ValueError):

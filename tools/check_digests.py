@@ -247,7 +247,6 @@ def run_all(jobs: Optional[int]) -> str:
     with tempfile.TemporaryDirectory(prefix="check-digests-") as cache_dir:
         env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
                    REPRO_CACHE_DIR=cache_dir)
-        env.pop("REPRO_NO_CACHE", None)
         proc = subprocess.run(
             [sys.executable, "-m", "repro.cli", "all", "-q",
              *([] if jobs is None else ["--jobs", str(jobs)])],
