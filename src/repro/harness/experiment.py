@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.harness import metrics
 from repro.harness.metrics import ThroughputResult
@@ -56,46 +56,22 @@ class FctResult:
         return metrics.summarize_fcts_us(self.records)
 
 
-def start_permutation(
-    network,
-    flow_size_bytes: int,
-    rng: Optional[random.Random] = None,
-    start_time_ps: int = 0,
-) -> List[object]:
-    """Start one flow per host according to a random permutation matrix."""
-    rng = rng if rng is not None else random.Random(1)
-    pairs = permutation_pairs(network.topology.hosts(), rng)
+def start_permutation(network, flow_size_bytes: int, rng: random.Random) -> List[object]:
+    """Start one flow per host, at time 0, along a random permutation matrix."""
     return [
-        network.create_flow(src, dst, flow_size_bytes, start_time_ps=start_time_ps)
-        for src, dst in pairs
+        network.create_flow(src, dst, flow_size_bytes)
+        for src, dst in permutation_pairs(network.topology.hosts(), rng)
     ]
 
 
 def start_incast(
-    network,
-    receiver: int,
-    senders: Sequence[int],
-    bytes_per_sender: int,
-    start_time_ps: int = 0,
-    priority_sender: Optional[int] = None,
+    network, receiver: int, senders: Sequence[int], bytes_per_sender: int
 ) -> List[object]:
-    """Start a synchronized incast of *senders* towards *receiver*.
-
-    If *priority_sender* is given and the network supports receiver-side
-    prioritization (NDP does), that sender's flow is marked high priority.
-    """
-    flows = []
-    for src, dst in incast_pairs(receiver, senders):
-        flows.append(
-            network.create_flow(
-                src,
-                dst,
-                bytes_per_sender,
-                start_time_ps=start_time_ps,
-                priority=(src == priority_sender),
-            )
-        )
-    return flows
+    """Start a synchronized incast of *senders* towards *receiver* at time 0."""
+    return [
+        network.create_flow(src, dst, bytes_per_sender)
+        for src, dst in incast_pairs(receiver, senders)
+    ]
 
 
 def measure_throughput(

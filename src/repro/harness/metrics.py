@@ -108,11 +108,10 @@ def ideal_incast_completion_ps(
     link_rate_bps: int,
     mtu_bytes: int,
     header_bytes: int,
-    base_rtt_ps: int = 0,
 ) -> int:
     """Best-case completion time of an incast: the receiver link never idles."""
     return ideal_transfer_time_ps(
-        senders * bytes_per_sender, link_rate_bps, mtu_bytes, header_bytes, base_rtt_ps
+        senders * bytes_per_sender, link_rate_bps, mtu_bytes, header_bytes
     )
 
 
@@ -161,11 +160,11 @@ def goodput_bps(record: FlowRecord, duration_ps: int) -> float:
     return record.bytes_delivered * 8 * SECOND / duration_ps
 
 
-#: default flow-size bins for slowdown reporting: ``(label, inclusive upper
-#: bound in bytes)`` in ascending order, final bound ``None`` = unbounded.
-#: "small" covers single-RTT RPC traffic (the paper's short-flow-latency
-#: claims), "large" the megabyte-plus tail that dominates bytes in the
-#: empirical mixes; everything between is "medium".
+#: the flow-size bins of slowdown and CCT reporting: ``(label, inclusive
+#: upper bound in bytes)`` in ascending order, final bound ``None`` =
+#: unbounded.  "small" covers single-RTT RPC traffic (the paper's
+#: short-flow-latency claims), "large" the megabyte-plus tail that dominates
+#: bytes in the empirical mixes; everything between is "medium".
 DEFAULT_SLOWDOWN_BINS: Tuple[Tuple[str, Optional[int]], ...] = (
     ("small", 100_000),
     ("medium", 1_000_000),
@@ -204,25 +203,16 @@ def flow_slowdown(
     return record.completion_time_ps() / ideal
 
 
-def slowdown_bin(
-    size_bytes: int,
-    bins: Sequence[Tuple[str, Optional[int]]] = DEFAULT_SLOWDOWN_BINS,
-) -> str:
+def slowdown_bin(size_bytes: int) -> str:
     """The bin label for a flow of *size_bytes*.
 
-    Bounds are **inclusive upper bounds**: with the default bins a
-    100 000-byte flow is "small" and a 100 001-byte flow is "medium".  The
-    final bin's bound may be ``None`` (unbounded); a size beyond every
-    finite bound raises ``ValueError`` so mis-specified custom bins fail
-    loudly instead of silently dropping the tail.
+    Bounds are **inclusive upper bounds**: a 100 000-byte flow is "small"
+    and a 100 001-byte flow is "medium"; the last bin is unbounded.
     """
-    for label, upper in bins:
-        if upper is None or size_bytes <= upper:
+    for label, upper in DEFAULT_SLOWDOWN_BINS[:-1]:
+        if size_bytes <= upper:
             return label
-    raise ValueError(
-        f"flow size {size_bytes} exceeds every bin bound "
-        f"(make the last bin unbounded with upper=None)"
-    )
+    return DEFAULT_SLOWDOWN_BINS[-1][0]
 
 
 def binned_slowdown_summary(
@@ -231,7 +221,6 @@ def binned_slowdown_summary(
     mtu_bytes: int,
     header_bytes: int,
     base_rtt_ps: int = 0,
-    bins: Sequence[Tuple[str, Optional[int]]] = DEFAULT_SLOWDOWN_BINS,
 ) -> Dict[str, dict]:
     """Per-size-bin slowdown percentiles over the *completed* flows.
 
@@ -250,8 +239,7 @@ def binned_slowdown_summary(
              flow_slowdown(record, link_rate_bps, mtu_bytes, header_bytes, base_rtt_ps))
             for record in records
             if record.completed
-        ),
-        bins,
+        )
     )
 
 
@@ -274,18 +262,7 @@ def population_stats(values: Sequence[float]) -> dict:
     }
 
 
-#: size bins for coflow-completion-time reporting.  Deliberately *the same
-#: object* as :data:`DEFAULT_SLOWDOWN_BINS`: the 100 kB / 1 MB inclusive
-#: upper bounds are a single source of truth, so the flow-slowdown layer and
-#: the service-level CCT layer can never disagree on an edge case
-#: (pinned by tests/harness/test_metrics.py).
-DEFAULT_CCT_BINS: Tuple[Tuple[str, Optional[int]], ...] = DEFAULT_SLOWDOWN_BINS
-
-
-def binned_cct_summary(
-    sized_ccts: Iterable[Tuple[int, float]],
-    bins: Sequence[Tuple[str, Optional[int]]] = DEFAULT_CCT_BINS,
-) -> Dict[str, dict]:
+def binned_cct_summary(sized_ccts: Iterable[Tuple[int, float]]) -> Dict[str, dict]:
     """Per-size-bin coflow completion time stats.
 
     *sized_ccts* yields ``(total_coflow_bytes, completion_time)`` pairs —
@@ -296,13 +273,13 @@ def binned_cct_summary(
     ``p999``/``mean``/``max`` per population, ``{"count": 0}`` when empty.
     :func:`binned_slowdown_summary` is this over ``(size, slowdown)`` pairs.
     """
-    by_bin: Dict[str, List[float]] = {label: [] for label, _upper in bins}
+    by_bin: Dict[str, List[float]] = {label: [] for label, _upper in DEFAULT_SLOWDOWN_BINS}
     everything: List[float] = []
     for total_bytes, cct in sized_ccts:
-        by_bin[slowdown_bin(total_bytes, bins)].append(cct)
+        by_bin[slowdown_bin(total_bytes)].append(cct)
         everything.append(cct)
     summary = {"all": population_stats(everything)}
-    for label, _upper in bins:
+    for label in by_bin:
         summary[label] = population_stats(by_bin[label])
     return summary
 

@@ -664,11 +664,6 @@ def run_plans(
     ]
 
 
-def run_plan(
-    plan: Plan,
-    jobs: int = 1,
-    cache: Any = USE_DEFAULT_CACHE,
-    on_result: Optional[Callable[[RunSpec, int, str], None]] = None,
-) -> Any:
+def run_plan(plan: Plan, jobs: int = 1, cache: Any = USE_DEFAULT_CACHE) -> Any:
     """Execute a figure plan and assemble its public result."""
-    return run_plans([plan], jobs=jobs, cache=cache, on_result=on_result)[0]
+    return run_plans([plan], jobs=jobs, cache=cache)[0]

@@ -39,6 +39,7 @@ from repro.hosts.processing import (
 from repro.sim import units
 from repro.sim.eventlist import EventList
 from repro.sim.logger import RateEstimator, TimeSeriesSampler
+from repro.topology.base import LINK_DELAY_PS
 from repro.topology.dynamics import FabricController
 from repro.topology.fattree import FatTreeTopology
 from repro.topology.leafspine import LeafSpineTopology
@@ -610,7 +611,7 @@ def _open_loop_base_rtt_ps(topology) -> int:
     hosts = topology.hosts()
     paths = topology.node_paths(hosts[0], hosts[-1])
     hops = max(len(path) - 1 for path in paths)
-    return 2 * hops * topology.link_delay_ps
+    return 2 * hops * LINK_DELAY_PS
 
 
 def _load_fct_point(

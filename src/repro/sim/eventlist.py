@@ -688,10 +688,6 @@ class EventList:
             self._now = park_at
         return self._now
 
-    def run_until(self, when: int, max_events: Optional[int] = None) -> int:
-        """Batch-execute every event up to and including *when* (see :meth:`run`)."""
-        return self.run(until=when, max_events=max_events)
-
     def run_window(self, end_ps: int, max_events: Optional[int] = None) -> int:
         """Execute every event in the half-open window ``[now, end_ps)``.
 

@@ -11,10 +11,10 @@ first-class, fully seeded layer:
   arbitrary predicate, optionally skipping the first *n* matches, acting on
   every *k*-th match, capping the number of injections, or acting with a
   seeded probability.  The first rule that claims a packet wins.
-* **Taps** are the attachment points.  :meth:`FaultInjector.tap` wraps a
-  delivery target (normally a protocol endpoint) in a :class:`FaultPoint`;
-  :class:`~repro.sim.pipe.TappedPipe` and
-  :class:`~repro.sim.queues.TappedQueue` put the same hook mid-fabric.
+* **Taps** are the attachment points, two of them.  :meth:`FaultInjector.tap`
+  wraps a delivery target (normally a protocol endpoint) in a
+  :class:`FaultPoint`; :class:`~repro.sim.queues.TappedQueue` puts the same
+  hook at a port's admission (a host NIC or a switch port).
 
 Determinism is a hard requirement: the injector must not perturb the event
 schedule of packets it leaves alone.  A :class:`FaultPoint` therefore

@@ -53,41 +53,3 @@ class Pipe(PacketSink):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Pipe({self.name}, {self.delay_ps} ps)"
 
-
-class TappedPipe(Pipe):
-    """A pipe with a per-packet fault tap (see :mod:`repro.sim.faults`).
-
-    ``tap`` is called with each arriving packet and returns a
-    ``(verdict, extra_delay_ps)`` pair — the contract of
-    :meth:`repro.sim.faults.FaultInjector.inspect`.  Deliberately a distinct
-    type from :class:`Pipe`: the queues' fused forwarding fast path only
-    triggers on ``type(next) is Pipe``, so a tapped pipe always receives the
-    virtual :meth:`receive_packet` call.  Passed packets take exactly the
-    same scheduling path as an untapped pipe, so installing a tap that
-    matches nothing leaves a seeded run bit-identical.
-    """
-
-    __slots__ = ("tap", "packets_dropped", "packets_delayed")
-
-    def __init__(self, eventlist: EventList, delay_ps: int, tap, name: str = "tapped-pipe") -> None:
-        super().__init__(eventlist, delay_ps, name=name)
-        self.tap = tap
-        self.packets_dropped = 0
-        self.packets_delayed = 0
-
-    def receive_packet(self, packet: Packet) -> None:
-        verdict, extra_ps = self.tap(packet)
-        if verdict == "drop":
-            self.packets_dropped += 1
-            packet.release()  # slot pool: a dropped packet dies here
-            return
-        if verdict == "delay":
-            self.packets_delayed += 1
-            hop = packet.hop
-            sink = packet.route.elements[hop]
-            packet.hop = hop + 1
-            self.eventlist.schedule_raw_in(
-                self.delay_ps + extra_ps, sink.receive_packet, (packet,)
-            )
-            return
-        Pipe.receive_packet(self, packet)

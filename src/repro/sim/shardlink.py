@@ -14,9 +14,8 @@ whose endpoints live in different shards is split into two halves:
   conservative lookahead guarantees is still in the shard's future.
 
 Both halves are deliberately *distinct types* from :class:`Pipe`: the
-queues' fused forwarding fast path only triggers on ``type(next) is Pipe``
-(see :class:`~repro.sim.pipe.TappedPipe` for the same trick), so a boundary
-pipe always receives the virtual :meth:`receive_packet` call.
+queues' fused forwarding fast path only triggers on ``type(next) is Pipe``,
+so a boundary pipe always receives the virtual :meth:`receive_packet` call.
 """
 
 from __future__ import annotations

@@ -37,6 +37,10 @@ from repro.sim.queues import BaseQueue, DropTailQueue, LosslessQueue
 from repro.sim.units import DEFAULT_LINK_RATE_BPS, JUMBO_MTU_BYTES, microseconds
 from repro.topology.route_table import NodePath, RouteTable
 
+#: one-way propagation delay of every link a topology builds (changed only
+#: mid-run, through :meth:`Topology.set_link_delay_ps`)
+LINK_DELAY_PS = microseconds(1)
+
 #: signature of the callables used to create per-port queues
 QueueFactory = Callable[[EventList, int, str], BaseQueue]
 
@@ -103,13 +107,11 @@ class Topology:
         self,
         eventlist: EventList,
         link_rate_bps: int = DEFAULT_LINK_RATE_BPS,
-        link_delay_ps: int = microseconds(1),
         queue_factory: Optional[QueueFactory] = None,
         host_nic_factory: Optional[QueueFactory] = None,
     ) -> None:
         self.eventlist = eventlist
         self.link_rate_bps = link_rate_bps
-        self.link_delay_ps = link_delay_ps
         self.queue_factory: QueueFactory = queue_factory or default_queue_factory
         self.host_nic_factory: QueueFactory = host_nic_factory or host_queue_factory
         self.links: Dict[Tuple[str, str], LinkRecord] = {}
@@ -129,20 +131,18 @@ class Topology:
         src_node: str,
         dst_node: str,
         rate_bps: Optional[int] = None,
-        delay_ps: Optional[int] = None,
         is_host_uplink: bool = False,
     ) -> LinkRecord:
         """Create the queue+pipe pair for the directed link *src*→*dst*."""
         if (src_node, dst_node) in self.links:
             raise ValueError(f"link {src_node}->{dst_node} already exists")
         rate = rate_bps if rate_bps is not None else self.link_rate_bps
-        delay = delay_ps if delay_ps is not None else self.link_delay_ps
         factory = self.host_nic_factory if is_host_uplink else self.queue_factory
         queue = factory(self.eventlist, rate, f"{src_node}->{dst_node}")
-        pipe = Pipe(self.eventlist, delay, name=f"pipe:{src_node}->{dst_node}")
+        pipe = Pipe(self.eventlist, LINK_DELAY_PS, name=f"pipe:{src_node}->{dst_node}")
         record = LinkRecord(
             src_node, dst_node, queue, pipe,
-            rate_bps=rate, nominal_rate_bps=rate, delay_ps=delay,
+            rate_bps=rate, nominal_rate_bps=rate, delay_ps=LINK_DELAY_PS,
         )
         self.links[(src_node, dst_node)] = record
         return record

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.sim.eventlist import EventList, Timer
+from repro.sim.eventlist import Timer
 from repro.topology.base import Topology
 
 
@@ -62,10 +62,8 @@ class FabricController:
     Parameters
     ----------
     topology:
-        The fabric to mutate; link names are validated at scheduling time so
-        a typo fails fast instead of at t₁.
-    eventlist:
-        Defaults to the topology's event list.
+        The fabric to mutate, on its own event list; link names are
+        validated at scheduling time so a typo fails fast instead of at t₁.
 
     All ``schedule_*`` methods take the two endpoint node names and default
     to ``bidirectional=True`` — a cut cable, a renegotiated SerDes or a
@@ -73,9 +71,8 @@ class FabricController:
     unidirectional fault.
     """
 
-    def __init__(self, topology: Topology, eventlist: Optional[EventList] = None) -> None:
+    def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self.eventlist = eventlist if eventlist is not None else topology.eventlist
         #: every event ever scheduled, in scheduling order
         self.scheduled: List[ScheduledLinkEvent] = []
         #: events applied so far, in application order
@@ -156,7 +153,7 @@ class FabricController:
             self.topology.link(src_node, dst_node)
             event = ScheduledLinkEvent(when_ps, action, src_node, dst_node, rate_bps=rate_bps)
             self.scheduled.append(event)
-            timer = self.eventlist.new_timer(self._fire, event, shadow=True)
+            timer = self.topology.eventlist.new_timer(self._fire, event, shadow=True)
             timer.schedule_at(when_ps)
             self._timers.append(timer)
 

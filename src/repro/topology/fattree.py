@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.sim.eventlist import EventList
-from repro.sim.units import DEFAULT_LINK_RATE_BPS, microseconds
+from repro.sim.units import DEFAULT_LINK_RATE_BPS
 from repro.topology.base import QueueFactory, Topology
 from repro.topology.route_table import NodePath
 
@@ -38,8 +38,6 @@ class FatTreeTopology(Topology):
     link_rate_bps:
         Rate of host-facing links (and, divided by *oversubscription*, of the
         ToR uplinks).
-    link_delay_ps:
-        One-way propagation delay per hop.
     oversubscription:
         Ratio of host-facing to uplink bandwidth at the ToR layer; 1 means a
         fully provisioned Clos.
@@ -54,7 +52,6 @@ class FatTreeTopology(Topology):
         eventlist: EventList,
         k: int = 4,
         link_rate_bps: int = DEFAULT_LINK_RATE_BPS,
-        link_delay_ps: int = microseconds(1),
         oversubscription: float = 1.0,
         queue_factory: Optional[QueueFactory] = None,
         host_nic_factory: Optional[QueueFactory] = None,
@@ -66,7 +63,6 @@ class FatTreeTopology(Topology):
         super().__init__(
             eventlist,
             link_rate_bps=link_rate_bps,
-            link_delay_ps=link_delay_ps,
             queue_factory=queue_factory,
             host_nic_factory=host_nic_factory,
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.sim.eventlist import EventList
-from repro.sim.units import DEFAULT_LINK_RATE_BPS, microseconds
+from repro.sim.units import DEFAULT_LINK_RATE_BPS
 from repro.topology.base import QueueFactory, Topology
 from repro.topology.route_table import NodePath
 
@@ -26,7 +26,6 @@ class LeafSpineTopology(Topology):
         spines: int = 2,
         hosts_per_leaf: int = 2,
         link_rate_bps: int = DEFAULT_LINK_RATE_BPS,
-        link_delay_ps: int = microseconds(1),
         oversubscription: float = 1.0,
         queue_factory: Optional[QueueFactory] = None,
         host_nic_factory: Optional[QueueFactory] = None,
@@ -38,7 +37,6 @@ class LeafSpineTopology(Topology):
         super().__init__(
             eventlist,
             link_rate_bps=link_rate_bps,
-            link_delay_ps=link_delay_ps,
             queue_factory=queue_factory,
             host_nic_factory=host_nic_factory,
         )

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.sim.eventlist import EventList
-from repro.sim.units import DEFAULT_LINK_RATE_BPS, microseconds
+from repro.sim.units import DEFAULT_LINK_RATE_BPS
 from repro.topology.base import QueueFactory, Topology
 from repro.topology.route_table import NodePath
 
@@ -35,7 +35,6 @@ class SingleSwitchTopology(Topology):
         eventlist: EventList,
         hosts: int = 2,
         link_rate_bps: int = DEFAULT_LINK_RATE_BPS,
-        link_delay_ps: int = microseconds(1),
         queue_factory: Optional[QueueFactory] = None,
         host_nic_factory: Optional[QueueFactory] = None,
     ) -> None:
@@ -44,7 +43,6 @@ class SingleSwitchTopology(Topology):
         super().__init__(
             eventlist,
             link_rate_bps=link_rate_bps,
-            link_delay_ps=link_delay_ps,
             queue_factory=queue_factory,
             host_nic_factory=host_nic_factory,
         )
@@ -74,14 +72,12 @@ class BackToBackTopology(Topology):
         self,
         eventlist: EventList,
         link_rate_bps: int = DEFAULT_LINK_RATE_BPS,
-        link_delay_ps: int = microseconds(1),
         queue_factory: Optional[QueueFactory] = None,
         host_nic_factory: Optional[QueueFactory] = None,
     ) -> None:
         super().__init__(
             eventlist,
             link_rate_bps=link_rate_bps,
-            link_delay_ps=link_delay_ps,
             queue_factory=queue_factory,
             host_nic_factory=host_nic_factory,
         )
@@ -111,7 +107,6 @@ class IndependentPairsTopology(Topology):
         eventlist: EventList,
         pairs: int = 2,
         link_rate_bps: int = DEFAULT_LINK_RATE_BPS,
-        link_delay_ps: int = microseconds(1),
         queue_factory: Optional[QueueFactory] = None,
         host_nic_factory: Optional[QueueFactory] = None,
     ) -> None:
@@ -120,7 +115,6 @@ class IndependentPairsTopology(Topology):
         super().__init__(
             eventlist,
             link_rate_bps=link_rate_bps,
-            link_delay_ps=link_delay_ps,
             queue_factory=queue_factory,
             host_nic_factory=host_nic_factory,
         )

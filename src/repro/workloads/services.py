@@ -271,9 +271,8 @@ def synthesize_requests(
     drain_ps: int,
     rng: random.Random,
     deadline_ps: Optional[int] = None,
-    start_ps: int = 0,
 ) -> List[ServiceRequestSpec]:
-    """Seeded open-loop request arrivals over *templates*.
+    """Seeded open-loop request arrivals over *templates*, from time 0.
 
     The aggregate Poisson request rate is sized the same way the flow-level
     generator sizes flows — ``target_load`` is offered bytes as a fraction
@@ -304,8 +303,8 @@ def synthesize_requests(
     horizon_ps = warmup_ps + measure_ps + drain_ps
 
     specs: List[ServiceRequestSpec] = []
-    clock_ps = start_ps + _gap_ps(rng, rate_per_second)
-    while clock_ps < start_ps + horizon_ps:
+    clock_ps = _gap_ps(rng, rate_per_second)
+    while clock_ps < horizon_ps:
         template = templates[0] if len(templates) == 1 else rng.choice(list(templates))
         specs.append(
             ServiceRequestSpec(

@@ -29,13 +29,12 @@ class TestWorkloadRunners:
         assert sources == set(range(16))
         assert destinations == set(range(16))
 
-    def test_start_incast_marks_priority_sender(self, small_network):
+    def test_start_incast_flow_per_sender(self, small_network):
         flows = experiment.start_incast(
-            small_network, receiver=0, senders=[1, 2, 3], bytes_per_sender=9_000,
-            priority_sender=2,
+            small_network, receiver=0, senders=[1, 2, 3], bytes_per_sender=9_000
         )
-        assert len(flows) == 3
-        assert [flow.sink.priority for flow in flows] == [False, True, False]
+        assert [flow.src.node_id for flow in flows] == [1, 2, 3]
+        assert {flow.sink.node_id for flow in flows} == {0}
 
     def test_measure_throughput_reports_utilization_and_counts(self, small_network):
         flows = experiment.start_permutation(small_network, 10_000_000, rng=random.Random(2))

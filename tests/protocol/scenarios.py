@@ -31,7 +31,6 @@ def build_incast(
     config: Optional[NdpConfig] = None,
     injector: Optional[FaultInjector] = None,
     seed: int = 1,
-    priority_sender: Optional[int] = None,
 ) -> Tuple[EventList, NdpNetwork, List[Flow]]:
     """A seeded single-switch incast: hosts 1..senders each send to host 0.
 
@@ -53,7 +52,6 @@ def build_incast(
         0,
         list(range(1, senders + 1)),
         bytes_per_sender=bytes_per_sender,
-        priority_sender=priority_sender,
     )
     return eventlist, network, flows
 

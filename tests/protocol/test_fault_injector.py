@@ -1,8 +1,8 @@
 """Unit tests for the fault-injection layer itself.
 
 Covers packet classification, rule gating semantics (skip / every_kth /
-max_count / probability), the three tap types (endpoint FaultPoint,
-TappedPipe, TappedQueue) and the layer's cardinal property: an installed
+max_count / probability), the two tap types (endpoint FaultPoint and
+TappedQueue at a port) and the layer's cardinal property: an installed
 injector that faults nothing leaves a seeded simulation bit-for-bit
 identical.
 """
@@ -16,9 +16,8 @@ from repro.sim.eventlist import EventList
 from repro.sim.faults import DELAY, DROP, PASS, FaultInjector, FaultRule, classify
 from repro.sim.network import CountingSink
 from repro.sim.packet import Packet, Route
-from repro.sim.pipe import TappedPipe
 from repro.sim.queues import TappedQueue
-from repro.sim.units import gbps, microseconds
+from repro.sim.units import gbps
 
 from tests.protocol.scenarios import build_incast, record_tuples, run_to_quiescence
 
@@ -110,25 +109,6 @@ class TestRuleGating:
 
 
 class TestTappedElements:
-    def test_tapped_pipe_drop_delay_and_pass(self):
-        eventlist = EventList()
-        injector = FaultInjector()
-        injector.drop(classes={"data"}, max_count=1)
-        injector.delay(microseconds(10), classes={"data"}, max_count=1)
-        sink = CountingSink()
-        pipe = TappedPipe(eventlist, microseconds(1), injector.inspect)
-        route = Route([pipe, sink])
-        for seqno in range(3):  # dropped, delayed, passed
-            packet = data_packet(seqno)
-            packet.set_route(route)
-            packet.send_to_next_hop()
-        eventlist.run()
-        assert pipe.packets_dropped == 1
-        assert pipe.packets_delayed == 1
-        assert sink.packets_received == 2
-        # the delayed packet defines the drain time: propagation + extra
-        assert eventlist.now() == microseconds(11)
-
     def test_tapped_queue_admission_faults(self):
         eventlist = EventList()
         injector = FaultInjector()

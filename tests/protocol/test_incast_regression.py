@@ -66,7 +66,7 @@ def test_small_seeded_incasts_remain_deterministic_with_liveness_counters():
             hosts_per_leaf=4,
         )
         senders = [h for h in network.topology.hosts() if h != 0][:12]
-        flows = start_incast(network, 0, senders, bytes_per_sender=90_000, start_time_ps=0)
+        flows = start_incast(network, 0, senders, bytes_per_sender=90_000)
         run_to_quiescence(eventlist)
         assert_no_leaks(network)
         return [

@@ -270,13 +270,6 @@ class TestPendingAccounting:
         eventlist.run()
         assert eventlist.events_executed == 1
 
-    def test_run_until_alias(self, eventlist):
-        seen = []
-        eventlist.schedule(10, seen.append, "a")
-        eventlist.schedule(100, seen.append, "b")
-        assert eventlist.run_until(50) == 50
-        assert seen == ["a"]
-
 
 class TestShadowTimer:
     """Shadow timers (liveness watchdogs) must never perturb ordinary order."""

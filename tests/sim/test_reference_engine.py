@@ -1,17 +1,25 @@
-"""The production scheduler against the reference engine, on the digest pins.
+"""The production scheduler against the reference engine.
 
-``tools/check_digests.py scenarios`` runs in a child process whose
-``repro.sim.eventlist.EventList`` is :class:`ReferenceEventList`, rebound
-before any other ``repro`` module is imported.  Every seeded digest, event
-count and flow count must match ``tests/harness/golden/scenarios.json``, the
-pins the production engine is checked against in this same suite: a pin
-captured from a wrong fast path fails here even though the production gate
-passes.
+Each check runs in a child process whose ``repro.sim.eventlist.EventList`` is
+:class:`ReferenceEventList`, rebound before any other ``repro`` module is
+imported:
+
+* ``tools/check_digests.py scenarios``: every seeded digest, event count and
+  flow count must match ``tests/harness/golden/scenarios.json``, the pins the
+  production engine is checked against in this same suite, so a pin captured
+  from a wrong fast path fails here even though the production gate passes;
+* the fault-injection conformance suite, ``tests/protocol``, through the
+  ``tests.sim.on_reference_engine`` plugin: it must pass exactly as it does
+  on the production engine.
+
+The families half runs on the reference engine in CI
+(``python tests/sim/on_reference_engine.py``): it takes minutes.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 
@@ -38,3 +46,27 @@ def test_the_reference_engine_matches_every_scenario_pin():
     )
     assert child.returncode == 0, child.stdout + child.stderr
     assert child.stdout.startswith("digests OK: 3 scenarios match")
+
+
+def _outcomes(child: subprocess.Popen) -> tuple:
+    """pytest's closing counts (``{"passed": 59}``) and the child's output."""
+    output, _ = child.communicate(timeout=300)
+    summary = output.rstrip().splitlines()[-1]
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) ([a-z]+)", summary)}
+    return counts, output
+
+
+def test_the_protocol_suite_passes_on_the_reference_engine():
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", *plugin,
+             os.path.join("tests", "protocol")],
+            cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        for plugin in ([], ["-p", "tests.sim.on_reference_engine"])
+    ]
+    (production, _), (reference, output) = (_outcomes(child) for child in children)
+    assert children[1].returncode == 0, output
+    assert reference == production and production.get("passed", 0) > 0, output
+    built = re.search(r"^reference engines built: (\d+)$", output, re.MULTILINE)
+    assert built is not None and int(built.group(1)) > 0, output

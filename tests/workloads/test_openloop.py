@@ -133,7 +133,7 @@ class TestWindows:
         )
         assert summary["all"] == {"count": 0}
 
-    def test_arrivals_stop_at_the_horizon_and_max_flows(self):
+    def test_arrivals_stop_at_the_horizon(self):
         eventlist, network = _network()
         generator = _generator(eventlist, network, target_load=0.8)
         generator.start()
