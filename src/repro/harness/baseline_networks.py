@@ -21,7 +21,6 @@ from repro.harness.network import Network
 from repro.routing.ecmp import ecmp_path
 from repro.sim.queues import ECNQueue, LosslessQueue
 from repro.topology.base import Topology
-from repro.transports.capabilities import CapabilityError
 from repro.transports.dcqcn import DcqcnConfig, DcqcnSink, DcqcnSrc
 from repro.transports.dctcp import DctcpConfig, DctcpSink, DctcpSrc
 from repro.transports.mptcp import MptcpConfig, MptcpConnection
@@ -109,6 +108,12 @@ class MptcpNetwork(TcpNetwork):
         )
         connection.build(forward, reverse, rng=self._child_rng())
         return connection, connection
+
+
+class CapabilityError(RuntimeError):
+    """A network was wired onto a fabric that violates its protocol's needs
+    (e.g. DCQCN endpoints on switch ports that cannot pause).  Never a
+    skippable grid point: the run would silently model the wrong protocol."""
 
 
 class DcqcnNetwork(TcpNetwork):

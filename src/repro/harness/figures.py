@@ -47,7 +47,6 @@ from repro.harness import metrics
 from repro.harness.sweep import Plan, RunSpec, UnitRun, run_plan
 from repro.sim import units
 from repro.transports import registry
-from repro.transports.capabilities import FamilyTraits
 
 #: default comparison set of the large-scale simulations (Figures 14/15/16)
 COMPARISON_PROTOCOLS = (registry.NDP, registry.MPTCP, registry.DCTCP, registry.DCQCN)
@@ -123,14 +122,14 @@ def run(name: str, **kwargs: Any) -> Any:
     return run_plan(FAMILIES[name].plan(**kwargs))
 
 
-def _protocols(protocols, protocol, default, traits: FamilyTraits) -> List[str]:
+def _protocols(protocols, protocol, default, family: str, severs_links: bool = False) -> List[str]:
     """Canonical display names for a family's protocol axis.
 
     ``protocol`` (a single transport — the axis ``sweep`` grids over)
     overrides ``protocols``, which falls back to the family's *default*
     set.  Accepts any registered spelling (``ndp``, ``NDP``, ``PHOST``, ...)
-    and validates each protocol against the family's :class:`FamilyTraits`
-    — an incompatible (protocol, family) pair raises
+    and validates each protocol against *family* (which may sever links) —
+    an incompatible (protocol, family) pair raises
     :class:`~repro.transports.registry.IncompatibleTransportError` at plan
     build time, which the sweep CLI reports as a skipped grid point.
     """
@@ -138,7 +137,7 @@ def _protocols(protocols, protocol, default, traits: FamilyTraits) -> List[str]:
         protocols = (protocol,)
     names = registry.normalize(protocols if protocols is not None else default)
     for name in names:
-        registry.require_compatible(name, traits)
+        registry.require_compatible(name, family, severs_links)
     return names
 
 
@@ -503,7 +502,7 @@ def figure14_plan(
     One spec per protocol (``protocol`` narrows the set to one for sweeps).
     """
     protocols = _protocols(
-        protocols, protocol, COMPARISON_PROTOCOLS, FamilyTraits(family="fig14")
+        protocols, protocol, COMPARISON_PROTOCOLS, "fig14"
     )
     return _per_protocol(
         "fig14", "_permutation_throughput", protocols,
@@ -534,7 +533,7 @@ def figure15_plan(
     spec per protocol (``protocol`` narrows the set to one for sweeps).
     """
     protocols = _protocols(
-        protocols, protocol, COMPARISON_PROTOCOLS, FamilyTraits(family="fig15")
+        protocols, protocol, COMPARISON_PROTOCOLS, "fig15"
     )
     return _per_protocol(
         "fig15", "_figure15_protocol", protocols,
@@ -588,7 +587,7 @@ def figure16_plan(
     """
     sender_counts = tuple(sender_counts)
     protocols = _protocols(
-        protocols, protocol, COMPARISON_PROTOCOLS, FamilyTraits(family="fig16")
+        protocols, protocol, COMPARISON_PROTOCOLS, "fig16"
     )
     cases = [(senders, name) for senders in sender_counts for name in protocols]
 
@@ -698,7 +697,7 @@ def figure19_plan(
     """
     protocols = _protocols(
         protocols, protocol, (registry.NDP, registry.DCTCP, registry.DCQCN),
-        FamilyTraits(family="fig19"),
+        "fig19",
     )
     return _per_protocol(
         "fig19", "_figure19_protocol", protocols,
@@ -770,7 +769,7 @@ def figure22_plan(
     cases = _protocols(
         cases, protocol,
         (registry.NDP, registry.NDP_NO_PATH_PENALTY, registry.MPTCP, registry.DCTCP),
-        FamilyTraits(family="fig22"),
+        "fig22",
     )
     return _per_protocol(
         "fig22", "_permutation_throughput", cases,
@@ -802,7 +801,7 @@ def figure23_plan(
     connections_per_host = tuple(connections_per_host)
     protocols = _protocols(
         protocols, protocol, (registry.NDP, registry.DCTCP),
-        FamilyTraits(family="fig23"),
+        "fig23",
     )
     return _plan(
         "fig23", "_figure23_point",
@@ -833,7 +832,7 @@ def phost_plan(
     """
     cases = _protocols(
         protocols, protocol, (registry.NDP, registry.PHOST),
-        FamilyTraits(family="phost"),  # transport-name-ok: experiment family
+        "phost",  # transport-name-ok: experiment family
     )
 
     def assemble(results: List[Dict[str, float]]) -> Dict[str, float]:
@@ -945,7 +944,7 @@ def failures_degraded_plan(
     """
     cases = _protocols(
         cases, protocol, _FAILURE_DEFAULT_CASES,
-        FamilyTraits(family="failures_degraded"),
+        "failures_degraded",
     )
     return _plan(
         "failures_degraded", "_permutation_fcts",
@@ -979,7 +978,7 @@ def failures_recovery_plan(
     """
     protocols = _protocols(
         protocols, protocol, (registry.NDP, registry.TCP),
-        FamilyTraits(family="failures_recovery", severs_links=True),
+        "failures_recovery", severs_links=True,
     )
     return _per_protocol(
         "failures_recovery", "_failures_recovery_case", protocols,
@@ -1017,7 +1016,7 @@ def failures_klinks_plan(
         )
     protocols = _protocols(
         protocols, protocol, (registry.NDP, registry.TCP),
-        FamilyTraits(family="failures_klinks", severs_links=True),
+        "failures_klinks", severs_links=True,
     )
     return _plan(
         "failures_klinks", "_permutation_fcts",
@@ -1101,7 +1100,7 @@ def load_fct_plan(
         )
     protocols = _protocols(
         protocols, protocol, _LOAD_FCT_DEFAULT_PROTOCOLS,
-        FamilyTraits(family="load_fct"),
+        "load_fct",
     )
     return _plan(
         "load_fct", "_load_fct_point",
@@ -1166,7 +1165,7 @@ def rpc_deadline_plan(
         raise ValueError(f"deadline_us must be positive and finite, got {deadline_us!r}")
     protocols = _protocols(
         protocols, protocol, _SERVICE_DEFAULT_PROTOCOLS,
-        FamilyTraits(family="rpc_deadline"),
+        "rpc_deadline",
     )
     return _plan(
         "rpc_deadline", "_rpc_deadline_point",
@@ -1208,7 +1207,7 @@ def coflow_ct_plan(
         raise ValueError(f"bytes_per_pair must be positive, got {bytes_per_pair}")
     protocols = _protocols(
         protocols, protocol, _SERVICE_DEFAULT_PROTOCOLS,
-        FamilyTraits(family="coflow_ct"),
+        "coflow_ct",
     )
     return _plan(
         "coflow_ct", "_coflow_ct_point",

@@ -278,18 +278,15 @@ class Plan(NamedTuple):
 class ResultCache:
     """Concurrent-writer-safe, per-record JSON cache of experiment results.
 
-    One file per record under *root* (``$REPRO_CACHE_DIR`` or
-    ``~/.cache/repro``).  All I/O failures degrade to cache misses — a
-    read-only or corrupt cache never breaks an experiment, it only makes
-    it slower.  ``hits`` / ``misses`` / ``stores`` count this instance's
-    traffic (used by tests and the CLI summary).
+    One file per record under *root* (:func:`default_cache` picks
+    ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``).  All I/O failures degrade
+    to cache misses — a read-only or corrupt cache never breaks an
+    experiment, it only makes it slower.  ``hits`` / ``misses`` /
+    ``stores`` count this instance's traffic (used by tests and the CLI
+    summary).
     """
 
-    def __init__(self, root: Optional[str] = None) -> None:
-        if root is None:
-            root = os.environ.get(CACHE_DIR_ENV) or os.path.join(
-                os.path.expanduser("~"), ".cache", "repro"
-            )
+    def __init__(self, root: str) -> None:
         self.root = root
         self.hits = 0
         self.misses = 0
@@ -435,7 +432,8 @@ _default_cache: Optional[ResultCache] = None
 
 
 def default_cache() -> ResultCache:
-    """The process-wide :class:`ResultCache` under ``$REPRO_CACHE_DIR``."""
+    """The process-wide :class:`ResultCache` under ``$REPRO_CACHE_DIR``, else
+    ``~/.cache/repro``: the one place the cache root is chosen."""
     global _default_cache
     root = os.environ.get(CACHE_DIR_ENV) or os.path.join(
         os.path.expanduser("~"), ".cache", "repro"

@@ -738,7 +738,7 @@ def _service_point(
         request_specs,
         window_fn=lambda arrival: service_window_of(arrival, warmup_ps, measure_ps),
     )
-    engine.run_until(horizon_ps)
+    network.eventlist.run(until=horizon_ps)
     measured = engine.requests_in_window(MEASURE)
     completed = [run for run in measured if run.completed]
     latencies_us = sorted(run.latency_ps / units.MICROSECOND for run in completed)

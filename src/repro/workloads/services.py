@@ -378,7 +378,9 @@ class ServiceEngine:
     stage task — "a request is only as fast as its slowest leaf".
 
     Submit every spec before running (arrivals must not be in the past),
-    then drive the event list — directly or via :meth:`run_until`.
+    then drive the event list: ``eventlist.run(until=horizon_ps)``.  A request
+    whose final stage has not finished by the horizon stays incomplete
+    (censored).
     """
 
     def __init__(self, eventlist: EventList, network) -> None:
@@ -412,11 +414,6 @@ class ServiceEngine:
             )
             for spec in specs
         ]
-
-    def run_until(self, horizon_ps: int) -> None:
-        """Drive the simulation to an absolute horizon; requests whose final
-        stage has not finished by then stay incomplete (censored)."""
-        self.eventlist.run(until=horizon_ps)
 
     # --- execution -------------------------------------------------------------
 

@@ -26,7 +26,7 @@ _spec.loader.exec_module(check_transports)
 def test_no_protocol_literals_outside_the_registry():
     from repro.transports import registry
 
-    literals = set(registry.protocol_literals())
+    literals = set(registry.BY_NAME)
     problems = []
     for path in check_transports.python_files():
         problems.extend(check_transports.check_file(path, literals))
@@ -51,7 +51,7 @@ def test_lint_flags_a_network_class_that_reforks_the_shared_wiring():
     from repro.harness.baseline_networks import TcpNetwork
     from repro.transports import registry
 
-    assert check_transports.check_network_classes(registry.specs(include_variants=True)) == []
+    assert check_transports.check_network_classes(registry.ALL_TRANSPORTS) == []
 
     class Forked(TcpNetwork):
         def create_flow(self, *args, **kwargs):
@@ -63,9 +63,9 @@ def test_lint_flags_a_network_class_that_reforks_the_shared_wiring():
             return super().build(*args, **kwargs)
 
     def spec(cls):
-        return registry.TransportSpec(name="forked", display="Forked", network_cls=cls)
+        return registry.TransportSpec(name="forked", display="Forked", network=cls)
 
-    # a class named by its "module:Class" path (how the built-ins register)
+    # a class named by its "module:Class" path (how the table names the built-ins)
     # is checked as the class it imports to
     by_path = spec(f"{TcpNetwork.__module__}:{TcpNetwork.__name__}")
     assert by_path.network_cls is TcpNetwork
@@ -84,7 +84,7 @@ def test_lint_flags_an_endpoint_that_reforks_the_flow_lifecycle():
     from repro.transports import registry
     from repro.transports.tcp import TcpSink, TcpSrc
 
-    assert check_transports.check_endpoint_classes(registry.specs(include_variants=True)) == []
+    assert check_transports.check_endpoint_classes(registry.ALL_TRANSPORTS) == []
 
     class ForkedSrc(TcpSrc):
         def start(self, at_time_ps=None):
@@ -114,7 +114,7 @@ def test_lint_flags_an_endpoint_that_reforks_the_flow_lifecycle():
         SRC_CLS = ForkedSrc
         SINK_CLS = LooseSink
 
-    spec = registry.TransportSpec(name="forked", display="Forked", network_cls=ForkedNetwork)
+    spec = registry.TransportSpec(name="forked", display="Forked", network=ForkedNetwork)
     problems = check_transports.check_endpoint_classes([spec])
     assert len(problems) == 2
     assert "ForkedSrc.start overrides FlowSource.start" in problems[0]
@@ -133,7 +133,7 @@ def test_lint_flags_an_endpoint_that_reforks_the_flow_lifecycle():
     class SecondRuleNetwork(TcpNetwork):
         SINK_CLS = SecondRuleSink
 
-    spec = registry.TransportSpec(name="second", display="Second", network_cls=SecondRuleNetwork)
+    spec = registry.TransportSpec(name="second", display="Second", network=SecondRuleNetwork)
     problems = check_transports.check_endpoint_classes([spec])
     assert len(problems) == 2
     assert "SecondRuleSink.complete overrides FlowSink.complete" in problems[0]

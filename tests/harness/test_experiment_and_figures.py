@@ -117,7 +117,7 @@ class TestFigureGenerators:
         from repro.transports import registry
 
         assert set(figures.COMPARISON_PROTOCOLS) == {"NDP", "MPTCP", "DCTCP", "DCQCN"}
-        assert set(figures.COMPARISON_PROTOCOLS) <= {spec.display for spec in registry.specs()}
+        assert set(figures.COMPARISON_PROTOCOLS) <= {spec.display for spec in registry.TRANSPORTS}
 
     def test_failures_experiments_registered(self):
         for name in ("failures_degraded", "failures_recovery", "failures_klinks"):

@@ -26,7 +26,7 @@ from repro.topology.fattree import FatTreeTopology
 from repro.topology.simple import SingleSwitchTopology
 from repro.transports import registry
 
-_SPECS = registry.specs(include_variants=True)
+_SPECS = registry.ALL_TRANSPORTS
 _FABRICS = {
     "star": (SingleSwitchTopology, {"hosts": 6}),
     "fattree": (FatTreeTopology, {"k": 4}),

@@ -18,6 +18,7 @@ import pytest
 
 import repro
 from repro.harness import experiment
+from repro.harness.ndp_network import NdpNetwork
 from repro.sim import units
 from repro.sim.eventlist import EventList, Timer
 from repro.sim.network import FlowSink, FlowSource, NetworkEndpoint
@@ -25,7 +26,7 @@ from repro.topology.simple import SingleSwitchTopology
 from repro.transports import registry
 from repro.transports.constant_rate import ConstantRatePacket, ConstantRateSink
 
-_SPECS = registry.specs(include_variants=True)
+_SPECS = registry.ALL_TRANSPORTS
 
 
 @pytest.fixture(params=_SPECS, ids=lambda s: s.name)
@@ -189,7 +190,7 @@ def test_a_finished_flow_holds_no_armed_timer(network, spec):
                 held += 1
                 assert not timer.armed, (flow.flow_id, timer)
     # NDP drops its timers on release; every other transport keeps idle ones
-    assert held or spec.capabilities.supports_trimming
+    assert held or spec.network_cls is NdpNetwork
 
 
 def test_each_lifecycle_mechanism_exists_once():

@@ -1,4 +1,4 @@
-"""Tests for the transport registry: lookup, capabilities, bake-off matrix."""
+"""Tests for the transport registry: the table, lookup, compatibility, bake-off matrix."""
 
 from __future__ import annotations
 
@@ -6,12 +6,11 @@ import pytest
 
 from repro.core.config import NdpConfig
 from repro.harness import figures
-from repro.harness.baseline_networks import DcqcnNetwork
+from repro.harness.baseline_networks import CapabilityError, DcqcnNetwork
 from repro.sim import units
 from repro.sim.eventlist import EventList
 from repro.topology.simple import SingleSwitchTopology
 from repro.transports import registry
-from repro.transports.capabilities import CapabilityError, FamilyTraits
 
 
 def _tiny_transfer_digest(spec: registry.TransportSpec, seed: int = 5):
@@ -31,22 +30,31 @@ def _tiny_transfer_digest(spec: registry.TransportSpec, seed: int = 5):
 
 class TestRegistryContents:
     def test_builtin_transports_registered(self):
-        assert [(spec.name, spec.display) for spec in registry.specs()] == [
+        assert [(spec.name, spec.display) for spec in registry.TRANSPORTS] == [
             ("ndp", registry.NDP), ("tcp", registry.TCP), ("dctcp", registry.DCTCP),
             ("mptcp", registry.MPTCP), ("dcqcn", registry.DCQCN), ("phost", registry.PHOST),
         ]
-        assert registry.NDP_NO_PATH_PENALTY in [
-            spec.display for spec in registry.specs(include_variants=True)
-        ]
+        assert registry.ALL_TRANSPORTS[len(registry.TRANSPORTS):] == (
+            registry.resolve(registry.NDP_NO_PATH_PENALTY),
+        )
 
     def test_capabilities_match_the_protocols(self):
-        trimming = [s.name for s in registry.specs() if s.capabilities.supports_trimming]
-        lossless = [s.name for s in registry.specs() if s.capabilities.needs_lossless_fabric]
-        assert (trimming, lossless) == (["ndp"], ["dcqcn"])
+        lossless = [s.name for s in registry.ALL_TRANSPORTS if s.needs_lossless_fabric]
+        assert lossless == ["dcqcn"]
+
+    def test_every_spec_resolves_by_id_and_display_and_no_key_is_shared(self):
+        keys = []
+        for spec in registry.ALL_TRANSPORTS:
+            own = {spec.name.lower(), spec.display.lower()}
+            keys.extend(own)
+            for key in own:
+                for spelling in (key, key.upper(), f"  {key.title()}\t"):
+                    assert registry.resolve(spelling) is spec, (spelling, spec.name)
+        assert len(keys) == len(set(keys)) == len(registry.BY_NAME)
 
     def test_variant_carries_its_config_factory(self):
         spec = registry.resolve("ndp_nopenalty")
-        assert spec.variant_of == "ndp"
+        assert spec.network_cls is registry.resolve("ndp").network_cls
         assert spec.default_config().path_penalty is False
         # primaries have no factory: the network class's own default config
         assert registry.resolve("ndp").default_config() == NdpConfig()
@@ -83,7 +91,7 @@ class TestLookup:
 
 class TestEveryTransportRuns:
     @pytest.mark.parametrize(
-        "name", [spec.name for spec in registry.specs(include_variants=True)]
+        "name", [spec.name for spec in registry.ALL_TRANSPORTS]
     )
     def test_tiny_transfer_completes_with_stable_digest(self, name):
         spec = registry.resolve(name)
@@ -106,24 +114,23 @@ class TestCapabilityValidation:
         assert network.topology.total_dropped() == 0
 
     def test_link_severing_families_reject_dcqcn(self):
-        traits = FamilyTraits(family="failures_klinks", severs_links=True)
-        reason = registry.resolve("dcqcn").incompatibility(traits)
-        assert reason is not None and "PFC" in reason
         with pytest.raises(registry.IncompatibleTransportError) as excinfo:
-            registry.require_compatible("dcqcn", traits)
+            registry.require_compatible("dcqcn", "failures_klinks", severs_links=True)
+        assert "PFC" in excinfo.value.reason
         assert excinfo.value.protocol == registry.DCQCN
         assert excinfo.value.family == "failures_klinks"
 
     def test_rate_mutation_does_not_reject_dcqcn(self):
-        traits = FamilyTraits(family="failures_degraded")
-        assert registry.resolve("dcqcn").incompatibility(traits) is None
+        spec = registry.require_compatible("dcqcn", "failures_degraded")
+        assert spec.display == registry.DCQCN
 
     def test_every_other_transport_is_compatible_everywhere(self):
-        traits = FamilyTraits(family="failures_recovery", severs_links=True)
-        for spec in registry.specs(include_variants=True):
-            if spec.capabilities.needs_lossless_fabric:
+        for spec in registry.ALL_TRANSPORTS:
+            if spec.needs_lossless_fabric:
                 continue
-            assert spec.incompatibility(traits) is None
+            assert registry.require_compatible(
+                spec.name, "failures_recovery", severs_links=True
+            ) is spec
 
 
 class TestGridExpansion:

@@ -67,7 +67,7 @@ def _run_one(spec: ServiceRequestSpec, hosts: int = 10, horizon_ps: int = 50 * M
     eventlist, network = _ndp_network(hosts)
     engine = ServiceEngine(eventlist, network)
     run = engine.submit(spec)
-    engine.run_until(horizon_ps)
+    eventlist.run(until=horizon_ps)
     return engine, run
 
 
@@ -220,7 +220,7 @@ class TestDagSemantics:
         engine.submit(
             ServiceRequestSpec(0, "t", MS, ((TaskSpec(0, 1, 1_000),),))
         )
-        engine.run_until(5 * MS)
+        eventlist.run(until=5 * MS)
         with pytest.raises(ValueError):
             engine.submit(
                 ServiceRequestSpec(1, "t", MS, ((TaskSpec(2, 3, 1_000),),))
@@ -284,7 +284,7 @@ class TestSynthesisDeterminism:
             eventlist, network = _ndp_network()
             engine = ServiceEngine(eventlist, network)
             engine.submit_all(specs)
-            engine.run_until(10 * MS)
+            eventlist.run(until=10 * MS)
             assert any(run.completed for run in engine.requests)
             digests.append(engine.request_digest())
         assert digests[0] == digests[1]

@@ -181,7 +181,7 @@ def run_transport_matrix(seed: int = 1) -> Pinned:
     events_total = completed = total = 0
     per_transport: Pinned = {}
     hasher = hashlib.sha256()
-    for spec in registry.specs():
+    for spec in registry.TRANSPORTS:
         eventlist = EventList()
         network = spec.build(eventlist, SingleSwitchTopology, seed=seed, hosts=9)
         flows = start_incast(network, 0, list(range(1, 9)), bytes_per_sender=45_000)

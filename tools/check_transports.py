@@ -179,8 +179,8 @@ def main() -> int:
     except Exception as error:  # pragma: no cover - import environment issue
         print(f"could not import the transport registry: {error}", file=sys.stderr)
         return 1
-    literals = set(registry.protocol_literals())
-    specs = registry.specs(include_variants=True)
+    literals = set(registry.BY_NAME)
+    specs = registry.ALL_TRANSPORTS
     # endpoints are only built once the network classes are sound
     problems = check_network_classes(specs) or check_endpoint_classes(specs)
     for path in python_files():
