@@ -123,7 +123,8 @@ class PathManager:
         self,
         routes: Sequence[Route],
         terminal: Optional["PacketSink"] = None,
-        rng: Optional[random.Random] = None,
+        *,
+        rng: random.Random,
         penalize: bool = True,
         min_samples: int = 16,
         nack_ratio: float = 2.0,
@@ -132,7 +133,7 @@ class PathManager:
         if mode not in ("permutation", "random"):
             raise ValueError(f"unknown path selection mode {mode!r}")
         self.terminal = terminal
-        self.rng = rng if rng is not None else random.Random(0)
+        self.rng = rng
         self.mode = mode
         self._random_mode = mode == "random"
         self.penalize = penalize

@@ -40,7 +40,7 @@ measured hot path, one call per packet.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.config import PULL_RTO_PS, NdpConfig
 from repro.core.packets import NdpAck, NdpDataPacket, NdpNack, NdpPull
@@ -76,18 +76,14 @@ class NdpSink(FlowSink):
         node_id: int,
         pacer: NdpPullPacer,
         reverse_routes: Sequence[Route],
-        reverse_terminal: Optional[PacketSink] = None,
-        config: Optional[NdpConfig] = None,
-        rng: Optional[random.Random] = None,
-        priority: bool = False,
-        on_complete: Optional[Callable[["NdpSink"], None]] = None,
-        name: Optional[str] = None,
-        pool: Optional[PacketPool] = None,
+        reverse_terminal: PacketSink,
+        config: NdpConfig,
+        rng: random.Random,
+        priority: bool,
+        pool: PacketPool,
     ) -> None:
-        super().__init__(
-            eventlist, flow_id, node_id, config if config is not None else NdpConfig(),
-            on_complete, name or f"ndp-sink-{flow_id}",
-        )
+        # the sender fires the flow's on_complete, never the sink
+        super().__init__(eventlist, flow_id, node_id, config, None, f"ndp-sink-{flow_id}")
         self.pacer = pacer
         self.priority = priority
         # control packets travel the reverse fabric routes and are delivered
@@ -96,7 +92,7 @@ class NdpSink(FlowSink):
         self.reverse_paths = PathManager(
             reverse_routes,
             reverse_terminal,
-            rng=rng if rng is not None else random.Random(flow_id),
+            rng=rng,
             penalize=False,
         )
         #: data copies of a finished sender still travelling (see drain);
@@ -106,9 +102,8 @@ class NdpSink(FlowSink):
         self._retry_timer: Optional[Timer] = None
         self._retries = 0
         self._activity_ps = -1
-        # slot pool for outgoing control packets (shared network-wide when
-        # the harness provides one)
-        self.pool = pool if pool is not None else PacketPool()
+        # slot pool for outgoing control packets, shared network-wide
+        self.pool = pool
         self.pacer.register(self)
 
     # --- wiring -----------------------------------------------------------------

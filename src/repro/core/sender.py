@@ -98,28 +98,26 @@ class NdpSrc(FlowSource):
         dst_node_id: int,
         flow_size_bytes: int,
         routes: Sequence[Route],
-        config: Optional[NdpConfig] = None,
-        rng: Optional[random.Random] = None,
-        on_complete: Optional[Callable[["NdpSrc"], None]] = None,
-        record_packet_latencies: bool = False,
-        name: Optional[str] = None,
-        pool: Optional[PacketPool] = None,
+        config: NdpConfig,
+        rng: random.Random,
+        on_complete: Optional[Callable[["NdpSrc"], None]],
+        record_packet_latencies: bool,
+        pool: PacketPool,
     ) -> None:
-        config = config if config is not None else NdpConfig()
         super().__init__(
             eventlist, flow_id, node_id, dst_node_id, flow_size_bytes, config,
-            config.mtu_bytes - config.header_bytes, on_complete, name or f"ndp-src-{flow_id}",
+            config.mtu_bytes - config.header_bytes, on_complete, f"ndp-src-{flow_id}",
         )
         self.record_packet_latencies = record_packet_latencies
-        # slot pool for outgoing data packets; shared network-wide when the
-        # harness provides one (sinks revive what other sources freed)
-        self.pool = pool if pool is not None else PacketPool()
+        # slot pool for outgoing data packets, shared network-wide (sinks
+        # revive what other sources freed)
+        self.pool = pool
 
         # the terminal (the sink, or the tap in front of it) arrives with
         # connect(): the sink cannot exist before its source does
         self.paths = PathManager(
             routes,
-            rng=rng if rng is not None else random.Random(flow_id),
+            rng=rng,
             penalize=config.path_penalty,
             mode=config.path_selection_mode,
         )
@@ -160,14 +158,14 @@ class NdpSrc(FlowSource):
 
     # --- wiring -----------------------------------------------------------------
 
-    def connect(self, sink: NdpSink, entry: Optional[PacketSink] = None) -> None:
+    def connect(self, sink: NdpSink, entry: PacketSink) -> None:
         """Associate this sender with its receiving sink.
 
         Every forward route ends at *entry* — the element data packets are
-        delivered to, *sink* itself unless a fault tap sits in front of it.
+        delivered to: *sink* itself, or a fault tap in front of it.
         """
         self.sink = sink
-        self.paths.terminal = entry if entry is not None else sink
+        self.paths.terminal = entry
         sink.expect(self.node_id, self.flow_size_bytes, self.total_packets)
 
     def update_routes(self, routes: Sequence[Route]) -> None:

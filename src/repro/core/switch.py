@@ -79,14 +79,14 @@ class NdpSwitchQueue(BaseQueue):
         self,
         eventlist: EventList,
         service_rate_bps: int,
-        config: Optional[NdpConfig] = None,
-        rng: Optional[random.Random] = None,
+        config: NdpConfig,
+        rng: random.Random,
         name: str = "ndp-queue",
     ) -> None:
-        self.config = config if config is not None else NdpConfig()
-        capacity_bytes = self.config.data_queue_bytes + self.config.header_queue_bytes
+        self.config = config
+        capacity_bytes = config.data_queue_bytes + config.header_queue_bytes
         super().__init__(eventlist, service_rate_bps, capacity_bytes, name)
-        self.rng = rng if rng is not None else random.Random(0)
+        self.rng = rng
         # the data class queues in the base's `_fifo`, beside the header
         # class: every base method that reads `_fifo` is overridden here, and
         # `_plain_fifo` is false, so the base drain calls `_select_next`
@@ -287,11 +287,11 @@ class CpSwitchQueue(BaseQueue):
         self,
         eventlist: EventList,
         service_rate_bps: int,
-        config: Optional[NdpConfig] = None,
+        config: NdpConfig,
         name: str = "cp-queue",
     ) -> None:
-        self.config = config if config is not None else NdpConfig()
-        capacity = self.config.data_queue_bytes + self.config.header_queue_bytes
+        self.config = config
+        capacity = config.data_queue_bytes + config.header_queue_bytes
         super().__init__(eventlist, service_rate_bps, capacity, name)
         self._data_packets_queued = 0
 

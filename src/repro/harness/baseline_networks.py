@@ -106,7 +106,7 @@ class MptcpNetwork(TcpNetwork):
             config=self.config,
             on_complete=on_complete,
         )
-        connection.build(forward, reverse, rng=self._child_rng())
+        connection.build(forward, reverse)
         return connection, connection
 
 

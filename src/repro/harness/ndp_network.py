@@ -7,6 +7,12 @@ are plain FIFOs, every receiving host has one
 queue per interface), both endpoints spray over the fabric's shared path
 lists and re-read them when a link fails or recovers, and every packet
 comes from one network-wide :class:`~repro.sim.pool.PacketPool`.
+
+``_endpoints`` is the one place an :class:`~repro.core.sender.NdpSrc` /
+:class:`~repro.core.receiver.NdpSink` pair is built, and it passes every
+choice the pair needs: the network's config, a child RNG each, the pool,
+the priority, the sender's ``on_complete`` and the fault-tap entries.
+Neither constructor falls back on a default of its own.
 """
 
 from __future__ import annotations
@@ -83,14 +89,12 @@ class NdpNetwork(Network):
     def _endpoints(
         self, flow_id, src_host, dst_host, size_bytes, forward, reverse, priority, on_complete,
         record_packet_latencies: bool = False,
-        config: Optional[NdpConfig] = None,
     ):
         """An :class:`NdpSrc` / :class:`NdpSink` pair; the *sender* fires *on_complete*.
 
         Each endpoint terminates the shared fabric paths it actually sends
-        on.  ``config`` overrides the network's config for this flow.
+        on.
         """
-        flow_config = config if config is not None else self.config
         src = NdpSrc(
             eventlist=self.eventlist,
             flow_id=flow_id,
@@ -98,7 +102,7 @@ class NdpNetwork(Network):
             dst_node_id=dst_host,
             flow_size_bytes=size_bytes,
             routes=forward,
-            config=flow_config,
+            config=self.config,
             rng=self._child_rng(),
             on_complete=on_complete,
             record_packet_latencies=record_packet_latencies,
@@ -116,7 +120,7 @@ class NdpNetwork(Network):
             pacer=self.pacer_for(dst_host),
             reverse_routes=reverse,
             reverse_terminal=src_entry,
-            config=flow_config,
+            config=self.config,
             rng=self._child_rng(),
             priority=priority,
             pool=self.pool,

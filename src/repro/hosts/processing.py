@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.core.pull_queue import NdpPullPacer
 from repro.sim import units
-from repro.sim.eventlist import EventList
 
 
 @dataclass
@@ -151,11 +150,11 @@ class PullSpacingJitter:
     #: smallest spacing drawn, as a fraction of the target
     FLOOR_FRACTION = 0.2
 
-    def __init__(self, sigma: float = 0.25, rng: Optional[random.Random] = None) -> None:
+    def __init__(self, sigma: float = 0.25, *, rng: random.Random) -> None:
         if sigma < 0:
             raise ValueError("sigma must be non-negative")
         self.sigma = sigma
-        self.rng = rng if rng is not None else random.Random(0)
+        self.rng = rng
 
     def sample(self, target_ps: int) -> int:
         """One jittered spacing whose median is *target_ps*."""
@@ -179,9 +178,9 @@ class JitteredPullPacer(NdpPullPacer):
     change the results (Figures 11 and 13).
     """
 
-    def __init__(self, *args, jitter: Optional[PullSpacingJitter] = None, **kwargs) -> None:
+    def __init__(self, *args, jitter: PullSpacingJitter, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.jitter = jitter if jitter is not None else PullSpacingJitter()
+        self.jitter = jitter
 
     def _next_interval(self) -> int:
         return self.jitter.sample(self.pull_interval_ps)

@@ -4,11 +4,6 @@ These helpers deliberately stay out of the forwarding fast path: queues own a
 :class:`QueueStats` object and bump plain integer counters; experiments that
 need time series (for example the goodput plots of Figure 19) attach a
 :class:`TimeSeriesSampler` which polls a callable at a fixed period.
-
-:func:`describe_packet` is the logging-side debug renderer for flyweight
-packets: it goes through the facade for live packets and through the pool's
-release-time snapshot (``REPRO_POOL_DEBUG`` pools only) for freed ones, never
-reading attributes of a stale handle.
 """
 
 from __future__ import annotations
@@ -17,32 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.sim.eventlist import EventList
-
-
-def describe_packet(packet) -> str:
-    """One-line debug rendering of *packet*, safe on freed flyweights.
-
-    Live packets (pooled or not) render through their facade ``__repr__``.
-    A *freed* flyweight — one whose generation stamp no longer matches its
-    slot (see :mod:`repro.sim.pool`) — must never have its facade attributes
-    read: the slot may already belong to another packet, or the facade may
-    be debug-poisoned.  For those this helper reads the snapshot a debug
-    pool (``REPRO_POOL_DEBUG=1``) takes of the slot's last on-wire state at
-    release, so a log line written after the fact still says what the
-    packet was; an ordinary pool keeps no snapshot and the line says so.
-    """
-    pool = getattr(packet, "_pool", None)
-    if pool is not None and packet._gen != pool.generation[packet._handle]:
-        state = pool.slot_state(packet._handle)
-        freed = f"{type(packet).__name__}(FREED slot {packet._handle} gen {state['generation']}"
-        if "seqno" not in state:
-            return f"{freed}; last on-wire state not recorded, set REPRO_POOL_DEBUG=1)"
-        header = " hdr" if state["is_header_only"] else ""
-        return (
-            f"{freed}; last on-wire: flow={state['flow_id']}, "
-            f"seq={state['seqno']}, {state['size']}B{header})"
-        )
-    return repr(packet)
 
 
 @dataclass(slots=True)

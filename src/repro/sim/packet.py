@@ -223,7 +223,7 @@ class Packet:
         pool = self._pool
         if pool is not None and self._gen != pool.generation[self._handle]:
             # never read field values through a stale handle: the slot may
-            # already belong to another packet (or be debug-poisoned)
+            # already belong to another packet
             return f"{kind}(<freed slot {self._handle}>)"
         extra = " hdr" if self.is_header_only else ""
         return (

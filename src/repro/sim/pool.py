@@ -8,9 +8,8 @@ of the hot scenarios.  The :class:`PacketPool` replaces it with a slot pool:
   *handle*; ``generation[h]`` is bumped on every :meth:`~PacketPool.release`.
   A facade whose ``_gen`` no longer matches its slot's generation is
   *stale*: releasing it again raises (double-free detection),
-  :meth:`~repro.sim.packet.Packet.is_freed` reports it, and the debug
-  renderers (``repr``, :func:`repro.sim.logger.describe_packet`) refuse to
-  show its field values.
+  :meth:`~repro.sim.packet.Packet.is_freed` reports it, and its ``repr``
+  shows its class and slot only, never its field values.
 * **Flyweight facades.** Packet *objects* are recycled alongside their
   slots: each per-class free list holds fully-built facade instances
   (``NdpDataPacket`` etc.), so an allocation is a ``list.pop()`` plus plain
@@ -42,20 +41,10 @@ Ownership rules (documented for callers; see docs/architecture.md):
 * unpooled packets (TCP, DCTCP — anything built through ``__init__``) have
   ``_pool is None`` and :meth:`Packet.release` is a no-op for them, so
   shared drop paths call ``packet.release()`` unconditionally.
-
-Set ``REPRO_POOL_DEBUG=1`` (or build the pool with ``debug=True``) to
-debug use-after-free: every release then snapshots the packet's last
-on-wire state (what :meth:`PacketPool.slot_state` returns and
-``describe_packet`` renders for a freed packet) and poisons the freed
-facade (size/seqno/flow id/hop forced to ``-1``, route detached), so a
-stale read either crashes immediately or shows sentinel values instead of
-silently reading recycled state.  Without it a freed packet renders as its
-class, slot and generation only.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -79,24 +68,17 @@ class PacketPool:
         "generation",
         "live_cls",
         "_free",
-        "_last_wire",
         "constructed",
         "reused",
         "freed",
-        "debug",
     )
 
-    def __init__(self, debug: Optional[bool] = None) -> None:
-        if debug is None:
-            debug = os.environ.get("REPRO_POOL_DEBUG", "") not in ("", "0")
-        self.debug = debug
+    def __init__(self) -> None:
         #: generation stamp per slot; bumped on every release
         self.generation: List[int] = []
         #: class of the facade currently live in each slot, or None if free
         self.live_cls: List[Optional[type]] = []
         self._free: Dict[type, List["Packet"]] = {}
-        #: handle -> last on-wire field snapshot; filled only when ``debug``
-        self._last_wire: Dict[int, Dict[str, int]] = {}
         #: pool misses — real ``__new__`` allocations (one new slot each)
         self.constructed = 0
         #: revivals from a free list
@@ -151,24 +133,6 @@ class PacketPool:
         cls = type(packet)
         self.live_cls[handle] = None
         self.freed += 1
-        if self.debug:
-            # the slot's last on-wire state, readable afterwards without
-            # touching the facade attributes poisoned just below
-            self._last_wire[handle] = {
-                "size": packet.size,
-                "seqno": packet.seqno,
-                "flow_id": packet.flow_id,
-                "path_id": packet.path_id,
-                "priority": packet.priority,
-                "is_header_only": packet.is_header_only,
-                "hop": packet.hop,
-            }
-            packet.size = -1
-            packet.seqno = -1
-            packet.flow_id = -1
-            packet.hop = -1
-            packet.path_id = -1
-            packet.route = None
         free = self._free.get(cls)
         if free is None:
             free = self._free[cls] = []
@@ -191,28 +155,6 @@ class PacketPool:
             for handle, cls in enumerate(self.live_cls)
             if cls is not None
         ]
-
-    def slot_state(self, handle: int) -> Dict[str, int]:
-        """One slot's generation plus, on a ``debug`` pool, the field
-        snapshot its last release took (absent before the first release)."""
-        return {**self._last_wire.get(handle, {}), "generation": self.generation[handle]}
-
-    def reserve(self, cls: type, count: int) -> None:
-        """Preallocate *count* free slots (and facades) for *cls*.
-
-        Lets setup code pay the construction cost up front so the measured
-        region runs entirely on revivals.  Reserved slots start on the free
-        list with ``generation == 1`` (born-freed).
-        """
-        free = self._free.setdefault(cls, [])
-        for _ in range(count):
-            packet = cls.__new__(cls)
-            packet._pool = self
-            packet._handle = len(self.generation)
-            packet._gen = 0  # stale vs generation 1: the slot is free
-            self.generation.append(1)
-            self.live_cls.append(None)
-            free.append(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

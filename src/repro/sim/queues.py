@@ -95,7 +95,6 @@ class BaseQueue(PacketSink):
         max_queue_bytes: int,
         name: str = "queue",
         serialization_jitter_ps: int = 0,
-        rng: Optional[random.Random] = None,
     ) -> None:
         if service_rate_bps <= 0:
             raise ValueError(f"service rate must be positive, got {service_rate_bps}")
@@ -115,14 +114,14 @@ class BaseQueue(PacketSink):
         # FIFO order and throughput are unaffected — restores realistic
         # desynchronization where an experiment asks for it.
         self.serialization_jitter_ps = serialization_jitter_ps
-        #: the jitter draws' generator: *rng*, else one seeded from a stable
-        #: digest of the name so runs are reproducible across processes
-        #: (str hash() is salted per interpreter run).  ``None`` on a port
-        #: without jitter, which never draws: the jitter is set here only,
-        #: and a Mersenne state is 2.5 kB per port.
-        if rng is None and serialization_jitter_ps > 0:
-            rng = random.Random(zlib.crc32(name.encode()))
-        self._jitter_rng = rng
+        #: the jitter draws' generator, seeded from a stable digest of the
+        #: name so runs are reproducible across processes (str hash() is
+        #: salted per interpreter run).  ``None`` on a port without jitter,
+        #: which never draws: the jitter is set here only, and a Mersenne
+        #: state is 2.5 kB per port.
+        self._jitter_rng = (
+            random.Random(zlib.crc32(name.encode())) if serialization_jitter_ps > 0 else None
+        )
         self.stats = QueueStats()
         self.queue_bytes = 0
         self._busy = False

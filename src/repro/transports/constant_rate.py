@@ -12,7 +12,7 @@ open-ended — no size, no record, no completion — so only the sink shares the
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.sim import units
 from repro.sim.eventlist import EventList
@@ -29,6 +29,9 @@ class ConstantRatePacket(DataPacket):
 class ConstantRateSource(NetworkEndpoint):
     """Sends fixed-size packets at a fixed rate forever (or until stopped)."""
 
+    #: bytes of every packet that are header, not payload
+    header_bytes = 64
+
     def __init__(
         self,
         eventlist: EventList,
@@ -37,16 +40,14 @@ class ConstantRateSource(NetworkEndpoint):
         dst_node_id: int,
         route: Route,
         rate_bps: int,
-        packet_bytes: int = 9000,
-        header_bytes: int = 64,
-        jitter_fraction: float = 0.0,
-        rng: Optional[random.Random] = None,
-        name: Optional[str] = None,
+        packet_bytes: int,
+        jitter_fraction: float,
+        rng: random.Random,
     ) -> None:
-        super().__init__(eventlist, node_id, name or f"cbr-src-{flow_id}")
+        super().__init__(eventlist, node_id, f"cbr-src-{flow_id}")
         if rate_bps <= 0:
             raise ValueError("rate must be positive")
-        if packet_bytes <= header_bytes:
+        if packet_bytes <= self.header_bytes:
             raise ValueError("packet must be larger than its header")
         if not 0.0 <= jitter_fraction < 1.0:
             raise ValueError("jitter_fraction must be in [0, 1)")
@@ -55,14 +56,13 @@ class ConstantRateSource(NetworkEndpoint):
         self.route = route
         self.rate_bps = rate_bps
         self.packet_bytes = packet_bytes
-        self.header_bytes = header_bytes
         self.interval_ps = units.serialization_time_ps(packet_bytes, rate_bps)
         #: per-packet inter-departure jitter as a fraction of the interval.
         #: Real traffic sources are never picosecond-periodic; a little jitter
         #: prevents the artificial lockstep a deterministic simulator would
         #: otherwise impose on perfectly synchronized unresponsive senders.
         self.jitter_fraction = jitter_fraction
-        self.rng = rng if rng is not None else random.Random(flow_id)
+        self.rng = rng
         self._seqno = 0
         self._running = False
         self.packets_sent = 0
@@ -108,9 +108,8 @@ class ConstantRateSink(FlowSink):
     completes.
     """
 
-    def __init__(self, eventlist: EventList, flow_id: int, node_id: int,
-                 name: Optional[str] = None) -> None:
-        super().__init__(eventlist, flow_id, node_id, None, None, name or f"cbr-sink-{flow_id}")
+    def __init__(self, eventlist: EventList, flow_id: int, node_id: int) -> None:
+        super().__init__(eventlist, flow_id, node_id, None, None, f"cbr-sink-{flow_id}")
         self.headers_received = 0
 
     def receive_packet(self, packet: Packet) -> None:

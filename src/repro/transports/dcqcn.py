@@ -107,14 +107,10 @@ class DcqcnSink(FlowSink):
         flow_id: int,
         node_id: int,
         reverse_route: Route,
-        config: Optional[DcqcnConfig] = None,
-        on_complete: Optional[Callable[["DcqcnSink"], None]] = None,
-        name: Optional[str] = None,
+        config: DcqcnConfig,
+        on_complete: Optional[Callable[["DcqcnSink"], None]],
     ) -> None:
-        super().__init__(
-            eventlist, flow_id, node_id, config if config is not None else DcqcnConfig(),
-            on_complete, name or f"dcqcn-sink-{flow_id}",
-        )
+        super().__init__(eventlist, flow_id, node_id, config, on_complete, f"dcqcn-sink-{flow_id}")
         self.reverse_route = reverse_route
         self._last_cnp_time: Optional[int] = None
 
@@ -157,14 +153,12 @@ class DcqcnSrc(FlowSource):
         dst_node_id: int,
         flow_size_bytes: int,
         route: Route,
-        config: Optional[DcqcnConfig] = None,
-        on_complete: Optional[Callable[["DcqcnSrc"], None]] = None,
-        name: Optional[str] = None,
+        config: DcqcnConfig,
     ) -> None:
-        config = config if config is not None else DcqcnConfig()
+        # the sink fires the flow's on_complete, never the sender
         super().__init__(
             eventlist, flow_id, node_id, dst_node_id, flow_size_bytes, config,
-            config.mss_bytes, on_complete, name or f"dcqcn-src-{flow_id}",
+            config.mss_bytes, None, f"dcqcn-src-{flow_id}",
         )
         self.route = route
         # rate-control state: start at, and never exceed, the NIC's rate

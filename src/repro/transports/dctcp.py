@@ -16,7 +16,6 @@ unnecessary).  The paper runs DCTCP with 200-packet switch buffers and a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.sim import units
 from repro.transports.tcp import TcpAck, TcpConfig, TcpSink, TcpSrc
@@ -44,9 +43,6 @@ class DctcpSrc(TcpSrc):
     """TCP NewReno sender with DCTCP's proportional ECN response."""
 
     def __init__(self, *args, **kwargs) -> None:
-        config = kwargs.get("config")
-        if config is None:
-            kwargs["config"] = DctcpConfig()
         super().__init__(*args, **kwargs)
         self.alpha = 0.0
         self._acked_in_window = 0

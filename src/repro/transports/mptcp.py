@@ -22,7 +22,6 @@ paper measures (aggregate throughput, ECMP-collision avoidance, incast FCT).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -72,10 +71,9 @@ class MptcpConnection(FlowSource):
         src_node: int,
         dst_node: int,
         flow_size_bytes: int,
-        config: Optional[MptcpConfig] = None,
-        on_complete: Optional[Callable[["MptcpConnection"], None]] = None,
+        config: MptcpConfig,
+        on_complete: Optional[Callable[["MptcpConnection"], None]],
     ) -> None:
-        config = config if config is not None else MptcpConfig()
         super().__init__(
             eventlist, flow_id, src_node, dst_node, flow_size_bytes, config,
             config.mss_bytes, on_complete, f"mptcp-{flow_id}",
@@ -86,12 +84,7 @@ class MptcpConnection(FlowSource):
 
     # --- wiring -------------------------------------------------------------------
 
-    def build(
-        self,
-        forward_paths: Sequence[Route],
-        reverse_paths: Sequence[Route],
-        rng: Optional[random.Random] = None,
-    ) -> None:
+    def build(self, forward_paths: Sequence[Route], reverse_paths: Sequence[Route]) -> None:
         """Create one subflow per chosen path.
 
         ``forward_paths[i]`` must end at nothing (fabric route); this method
@@ -101,7 +94,6 @@ class MptcpConnection(FlowSource):
         """
         if not forward_paths or not reverse_paths:
             raise ValueError("MPTCP needs at least one forward and reverse path")
-        rng = rng if rng is not None else random.Random(self.flow_id)
         count = self.config.subflows
         chosen = [forward_paths[i % len(forward_paths)] for i in range(count)]
         reverse = [reverse_paths[i % len(reverse_paths)] for i in range(count)]

@@ -107,18 +107,14 @@ class PHostSink(FlowSink):
         node_id: int,
         pacer: NdpPullPacer,
         reverse_routes: Sequence[Route],
-        reverse_terminal: Optional[PacketSink] = None,
-        config: Optional[PHostConfig] = None,
-        rng: Optional[random.Random] = None,
-        on_complete: Optional[Callable[["PHostSink"], None]] = None,
-        name: Optional[str] = None,
+        reverse_terminal: PacketSink,
+        config: PHostConfig,
+        rng: random.Random,
+        on_complete: Optional[Callable[["PHostSink"], None]],
     ) -> None:
-        super().__init__(
-            eventlist, flow_id, node_id, config if config is not None else PHostConfig(),
-            on_complete, name or f"phost-sink-{flow_id}",
-        )
+        super().__init__(eventlist, flow_id, node_id, config, on_complete, f"phost-sink-{flow_id}")
         self.pacer = pacer
-        self.rng = rng if rng is not None else random.Random(flow_id)
+        self.rng = rng
         # the fabric's shared path list, each path built to the source on first use
         self.reverse_paths = PathManager(
             reverse_routes, reverse_terminal, rng=self.rng, penalize=False
@@ -198,17 +194,15 @@ class PHostSrc(FlowSource):
         dst_node_id: int,
         flow_size_bytes: int,
         routes: Sequence[Route],
-        config: Optional[PHostConfig] = None,
-        rng: Optional[random.Random] = None,
-        on_complete: Optional[Callable[["PHostSrc"], None]] = None,
-        name: Optional[str] = None,
+        config: PHostConfig,
+        rng: random.Random,
     ) -> None:
-        config = config if config is not None else PHostConfig()
+        # the sink fires the flow's on_complete, never the sender
         super().__init__(
             eventlist, flow_id, node_id, dst_node_id, flow_size_bytes, config,
-            config.mss_bytes, on_complete, name or f"phost-src-{flow_id}",
+            config.mss_bytes, None, f"phost-src-{flow_id}",
         )
-        self.rng = rng if rng is not None else random.Random(flow_id)
+        self.rng = rng
         # pHost sprays per packet at random (switch-style packet spraying)
         # over the fabric's shared path list; connect() installs the terminal
         self.paths = PathManager(routes, rng=self.rng, penalize=False, mode="random")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 from repro.sim.eventlist import EventList, Timer
 from repro.sim.logger import FlowRecord
@@ -160,14 +160,13 @@ class TcpSink(FlowSink):
         flow_id: int,
         node_id: int,
         reverse_route: Route,
-        config: Optional[TcpConfig] = None,
+        config: TcpConfig,
+        on_complete: Optional[Callable[["TcpSink"], None]],
         shared_record: Optional[FlowRecord] = None,
-        on_complete: Optional[Callable[["TcpSink"], None]] = None,
-        name: Optional[str] = None,
     ) -> None:
         super().__init__(
-            eventlist, flow_id, node_id, config if config is not None else TcpConfig(),
-            on_complete, name or f"tcp-sink-{flow_id}", shared_record,
+            eventlist, flow_id, node_id, config, on_complete, f"tcp-sink-{flow_id}",
+            shared_record,
         )
         self.reverse_route = reverse_route
         self.rcv_nxt = 0
@@ -212,19 +211,17 @@ class TcpSrc(FlowSource):
         dst_node_id: int,
         flow_size_bytes: int,
         route: Route,
-        config: Optional[TcpConfig] = None,
+        config: TcpConfig,
         data_source: Optional[SequentialDataSource] = None,
-        on_complete: Optional[Callable[["TcpSrc"], None]] = None,
-        rng: Optional[random.Random] = None,
-        name: Optional[str] = None,
     ) -> None:
-        config = config if config is not None else TcpConfig()
+        # the sink fires the flow's on_complete, never the sender
         super().__init__(
             eventlist, flow_id, node_id, dst_node_id, flow_size_bytes, config,
-            config.mss_bytes, on_complete, name or f"tcp-src-{flow_id}",
+            config.mss_bytes, None, f"tcp-src-{flow_id}",
         )
         self.route = route
-        self.rng = rng if rng is not None else random.Random(flow_id)
+        # the send-jitter stream, seeded by the flow id
+        self.rng = random.Random(flow_id)
         self.data_source = (
             data_source if data_source is not None else SequentialDataSource(self.total_packets)
         )

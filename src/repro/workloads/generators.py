@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.sim.eventlist import EventList
 from repro.sim.units import SECOND, seconds
@@ -124,7 +124,8 @@ class ClosedLoopGenerator:
         flow_sizes: FlowSizeDistribution,
         connections_per_host: int = 1,
         think_time_ps: int = 0,
-        rng: Optional[random.Random] = None,
+        *,
+        rng: random.Random,
     ) -> None:
         if connections_per_host < 1:
             raise ValueError("connections_per_host must be at least 1")
@@ -136,7 +137,7 @@ class ClosedLoopGenerator:
         self.flow_sizes = flow_sizes
         self.connections_per_host = connections_per_host
         self.think_time_ps = think_time_ps
-        self.rng = rng if rng is not None else random.Random(0)
+        self.rng = rng
         self.flows: List[object] = []
         self.flows_started = 0
         self.flows_completed = 0

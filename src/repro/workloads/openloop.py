@@ -109,7 +109,7 @@ class OpenLoopGenerator:
         ``1/len(hosts)`` of the aggregate rate, uniformly random
         destinations).
     rng:
-        Seeded master RNG; defaults to ``random.Random(0)``.
+        Seeded master RNG; the caller chooses its seed.
     """
 
     def __init__(
@@ -124,7 +124,8 @@ class OpenLoopGenerator:
         measure_ps: int,
         drain_ps: int = 0,
         matrix: str = ALL_TO_ALL,
-        rng: Optional[random.Random] = None,
+        *,
+        rng: random.Random,
     ) -> None:
         if matrix not in (ALL_TO_ALL, PER_HOST):
             raise ValueError(f"matrix must be {ALL_TO_ALL!r} or {PER_HOST!r}, got {matrix!r}")
@@ -140,7 +141,7 @@ class OpenLoopGenerator:
         self.measure_ps = measure_ps
         self.drain_ps = drain_ps
         self.matrix = matrix
-        self.rng = rng if rng is not None else random.Random(0)
+        self.rng = rng
 
         #: offered bits/second across all hosts, and the aggregate Poisson
         #: arrival rate in flows/second

@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 
 
 def permutation_pairs(
-    hosts: Sequence[int], rng: Optional[random.Random] = None
+    hosts: Sequence[int], rng: random.Random
 ) -> List[Tuple[int, int]]:
     """A random permutation traffic matrix.
 
@@ -23,7 +23,6 @@ def permutation_pairs(
     hosts = list(hosts)
     if len(hosts) < 2:
         raise ValueError("a permutation needs at least two hosts")
-    rng = rng if rng is not None else random.Random(0)
     destinations = hosts[:]
     # A random derangement: shuffle until no host maps to itself.  For n >= 2
     # the expected number of attempts is about e, so this terminates quickly.
@@ -36,7 +35,7 @@ def permutation_pairs(
 
 def random_pairs(
     hosts: Sequence[int],
-    rng: Optional[random.Random] = None,
+    rng: random.Random,
     flows_per_host: int = 1,
 ) -> List[Tuple[int, int]]:
     """Each host sends to uniformly random other hosts.
@@ -49,7 +48,6 @@ def random_pairs(
         raise ValueError("need at least two hosts")
     if flows_per_host < 1:
         raise ValueError("flows_per_host must be at least 1")
-    rng = rng if rng is not None else random.Random(0)
     pairs = []
     for src in hosts:
         for _ in range(flows_per_host):

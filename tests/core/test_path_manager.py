@@ -45,7 +45,7 @@ class TestPermutation:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            PathManager(make_routes(2), mode="weird")
+            PathManager(make_routes(2), rng=random.Random(0), mode="weird")
 
     @given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=10**6))
     def test_permutation_property_every_path_once_per_round(self, n_paths, seed):

@@ -208,7 +208,7 @@ class TestLaziness:
         assert manager.route_for_path(route.path_id) is route
 
     def test_unknown_path_is_a_key_error(self):
-        manager = PathManager([Route([CountingSink()], path_id=4)])
+        manager = PathManager([Route([CountingSink()], path_id=4)], rng=random.Random(0))
         with pytest.raises(KeyError):
             manager.route_for_path(0)
         manager.record_ack(0)  # feedback for a path that never existed: ignored

@@ -138,3 +138,33 @@ def test_lint_flags_an_endpoint_that_reforks_the_flow_lifecycle():
     assert len(problems) == 2
     assert "SecondRuleSink.complete overrides FlowSink.complete" in problems[0]
     assert "SecondRuleSink.remaining_packets overrides FlowSink.remaining_packets" in problems[1]
+
+
+def test_lint_flags_an_endpoint_default_outside_the_allowlist(monkeypatch):
+    from repro.harness.baseline_networks import TcpNetwork
+    from repro.transports import registry
+    from repro.transports.tcp import TcpSrc
+
+    assert check_transports.check_endpoint_defaults(registry.ALL_TRANSPORTS) == []
+
+    class NamedSrc(TcpSrc):
+        """A sender with a fallback name that no network passes."""
+
+        def __init__(self, *args, name=None, **kwargs):
+            super().__init__(*args, **kwargs)
+            if name is not None:
+                self.name = name
+
+    class NamedNetwork(TcpNetwork):
+        SRC_CLS = NamedSrc
+
+    spec = registry.TransportSpec(name="named", display="Named", network=NamedNetwork)
+    assert check_transports.check_endpoint_defaults([spec]) == [
+        "transport 'named': NamedSrc.name has a default — "
+        "the network's _endpoints passes every choice"
+    ]
+    # an allowlist entry that matches no default is stale
+    monkeypatch.setitem(check_transports.ENDPOINT_DEFAULTS, "TcpSrc.rng", "gone")
+    assert check_transports.check_endpoint_defaults(registry.ALL_TRANSPORTS) == [
+        "ENDPOINT_DEFAULTS names TcpSrc.rng, which no registered endpoint declares"
+    ]

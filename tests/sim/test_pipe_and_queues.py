@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import random
 from typing import NamedTuple
 
 import pytest
 
+from repro.core.config import NdpConfig
 from repro.core.switch import CpSwitchQueue, NdpSwitchQueue
 from repro.sim.eventlist import _INNER_SHIFT, _SPLIT_MIN, _WHEEL_SHIFT, EventList
 from repro.sim.network import CountingSink, PacketSink
@@ -214,8 +216,8 @@ _BURST_BYTES = 640
 _DRAIN_QUEUES = {
     "droptail": lambda el: DropTailQueue(el, gbps(10), 1_000_000),
     "lossless": lambda el: LosslessQueue(el, gbps(10), 1_000_000),
-    "cp": lambda el: CpSwitchQueue(el, gbps(10)),
-    "ndp": lambda el: NdpSwitchQueue(el, gbps(10)),
+    "cp": lambda el: CpSwitchQueue(el, gbps(10), NdpConfig()),
+    "ndp": lambda el: NdpSwitchQueue(el, gbps(10), NdpConfig(), random.Random(0)),
 }
 
 

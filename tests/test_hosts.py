@@ -42,7 +42,7 @@ class TestHostModels:
         with pytest.raises(ValueError):
             HostProcessingModel(sleep_wake_probability=1.5)
         with pytest.raises(ValueError):
-            PullSpacingJitter(sigma=-1)
+            PullSpacingJitter(sigma=-1, rng=random.Random(0))
 
     def test_rpc_model_orders_the_stacks_like_figure_8(self):
         rng = random.Random(3)

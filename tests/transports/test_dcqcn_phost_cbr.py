@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.harness.baseline_networks import DcqcnNetwork, PHostNetwork
@@ -139,6 +141,7 @@ class TestConstantRate:
         source = ConstantRateSource(
             eventlist, flow_id=1, node_id=0, dst_node_id=1,
             route=Route([sink]), rate_bps=units.gbps(1), packet_bytes=9000,
+            jitter_fraction=0.0, rng=random.Random(1),
         )
         source.start(0)
         eventlist.run(until=units.milliseconds(1))
@@ -163,5 +166,6 @@ class TestConstantRate:
 
         with pytest.raises(ValueError):
             ConstantRateSource(
-                eventlist, 1, 0, 1, Route([CountingSink()]), rate_bps=0
+                eventlist, 1, 0, 1, Route([CountingSink()]), rate_bps=0,
+                packet_bytes=9000, jitter_fraction=0.0, rng=random.Random(1),
             )

@@ -91,7 +91,7 @@ class TestMptcpConfig:
 class TestMptcpBehaviour:
     def test_connection_requires_build_before_start(self):
         eventlist = EventList()
-        connection = MptcpConnection(eventlist, 1, 0, 1, 100_000)
+        connection = MptcpConnection(eventlist, 1, 0, 1, 100_000, MptcpConfig(), None)
         with pytest.raises(RuntimeError):
             connection.start()
 

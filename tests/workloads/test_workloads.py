@@ -37,7 +37,7 @@ class TestPermutationPairs:
 
     def test_needs_two_hosts(self):
         with pytest.raises(ValueError):
-            permutation_pairs([1])
+            permutation_pairs([1], random.Random(0))
 
     def test_two_hosts_swap(self):
         assert permutation_pairs([0, 1], random.Random(0)) == [(0, 1), (1, 0)]
@@ -59,9 +59,9 @@ class TestRandomAndIncastPairs:
 
     def test_random_pairs_validation(self):
         with pytest.raises(ValueError):
-            random_pairs([1])
+            random_pairs([1], random.Random(0))
         with pytest.raises(ValueError):
-            random_pairs(range(4), flows_per_host=0)
+            random_pairs(range(4), random.Random(0), flows_per_host=0)
 
     def test_incast_pairs(self):
         pairs = incast_pairs(0, range(8), fan_in=5)
@@ -172,7 +172,8 @@ class TestGenerators:
         eventlist, network = self._network()
         with pytest.raises(ValueError):
             ClosedLoopGenerator(
-                eventlist, network, hosts=[0], flow_sizes=FixedFlowSizes(100)
+                eventlist, network, hosts=[0], flow_sizes=FixedFlowSizes(100),
+                rng=random.Random(0),
             )
         with pytest.raises(ValueError):
             ClosedLoopGenerator(
@@ -181,6 +182,7 @@ class TestGenerators:
                 hosts=network.topology.hosts(),
                 flow_sizes=FixedFlowSizes(100),
                 connections_per_host=0,
+                rng=random.Random(0),
             )
 
     def test_poisson_gap_is_always_at_least_one_picosecond(self):

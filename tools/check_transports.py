@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Three lints that keep each transport mechanism in its one home.
+"""Four lints that keep each transport mechanism in its one home.
 
 **Protocol-name string literals belong in the transport registry.**
 
@@ -37,6 +37,14 @@ transport and flags an endpoint that is not one of them, or that overrides a
 lifecycle method instead of the ``_begin`` / ``_release`` /
 ``receive_packet`` hooks.
 
+**Every registered transport's endpoints are built one way.**  A network's
+``_endpoints`` is the only place a transport's endpoints are constructed,
+and it chooses their config, RNG, pool and callbacks.  A default on an
+endpoint's ``__init__`` is a second choice that only a caller omitting the
+parameter would take; :func:`check_endpoint_defaults` flags every default
+outside :data:`ENDPOINT_DEFAULTS`, which names, for each one kept, the
+caller that omits it.
+
 Run from anywhere: ``python tools/check_transports.py``.  Exits non-zero
 and prints one line per problem; wired into the test suite and CI next to
 ``check_docs.py`` via ``tests/docs/test_check_transports.py``.
@@ -45,6 +53,7 @@ and prints one line per problem; wired into the test suite and CI next to
 from __future__ import annotations
 
 import ast
+import inspect
 import os
 import sys
 from typing import List
@@ -136,19 +145,24 @@ LIFECYCLE = {
 }
 
 
+def _one_flow(spec):
+    """One unstarted flow of *spec*'s transport on a three-host switch."""
+    from repro.sim.eventlist import EventList
+    from repro.topology.simple import SingleSwitchTopology
+
+    network = spec.build(EventList(), SingleSwitchTopology, hosts=3)
+    return network.create_flow(1, 0, 30_000, start=False)
+
+
 def check_endpoint_classes(specs) -> List[str]:
     """Every spec's endpoints must be a ``FlowSource`` / ``FlowSink`` with the
     one lifecycle.  A connection that fans out (MPTCP) is held to it through
     its ``subflows`` and ``sinks``."""
     from repro.sim import network as sim_network
-    from repro.sim.eventlist import EventList
-    from repro.topology.simple import SingleSwitchTopology
 
     problems = []
     for spec in specs:
-        flow = spec.build(EventList(), SingleSwitchTopology, hosts=3).create_flow(
-            1, 0, 30_000, start=False
-        )
+        flow = _one_flow(spec)
         ends = (
             ("FlowSource", getattr(flow.src, "subflows", [flow.src])),
             ("FlowSink", getattr(flow.sink, "sinks", [flow.sink])),
@@ -172,6 +186,58 @@ def check_endpoint_classes(specs) -> List[str]:
     return problems
 
 
+#: the endpoint ``__init__`` defaults that stay, as ``Class.parameter``: one
+#: caller passes the parameter and another omits it
+ENDPOINT_DEFAULTS = {
+    "TcpSrc.data_source": "MptcpConnection.build passes the connection's shared "
+    "source; TcpNetwork._endpoints omits it and the sender sends its own transfer",
+    "TcpSink.shared_record": "MptcpConnection.build passes the connection's record; "
+    "TcpNetwork._endpoints omits it and the sink keeps its own",
+}
+
+
+def _endpoint_classes(spec) -> List[type]:
+    """The classes of one flow's endpoints, an MPTCP connection's subflows
+    and subflow sinks included."""
+    flow = _one_flow(spec)
+    ends = [flow.src, flow.sink]
+    ends += getattr(flow.src, "subflows", []) + getattr(flow.sink, "sinks", [])
+    return sorted({type(end) for end in ends}, key=lambda cls: cls.__name__)
+
+
+def check_endpoint_defaults(specs) -> List[str]:
+    """No endpoint ``__init__`` of a registered transport declares a default
+    outside :data:`ENDPOINT_DEFAULTS`.  Every class of an endpoint's MRO that
+    defines ``__init__`` is read, except the shared ``repro.sim.network``
+    bases; an entry of the allowlist that matches nothing is a problem too."""
+    from repro.sim import network as sim_network
+
+    problems, seen = [], set()
+    for spec in specs:
+        for cls in _endpoint_classes(spec):
+            for owner in cls.__mro__:
+                if "__init__" not in vars(owner) or owner.__module__ in (
+                    sim_network.__name__, "builtins"
+                ):
+                    continue
+                parameters = inspect.signature(vars(owner)["__init__"]).parameters
+                for name, parameter in parameters.items():
+                    key = f"{owner.__name__}.{name}"
+                    if parameter.default is inspect.Parameter.empty or key in seen:
+                        continue
+                    seen.add(key)
+                    if key not in ENDPOINT_DEFAULTS:
+                        problems.append(
+                            f"transport {spec.name!r}: {key} has a default — the "
+                            f"network's _endpoints passes every choice"
+                        )
+    problems.extend(
+        f"ENDPOINT_DEFAULTS names {key}, which no registered endpoint declares"
+        for key in sorted(set(ENDPOINT_DEFAULTS) - seen)
+    )
+    return problems
+
+
 def main() -> int:
     sys.path.insert(0, os.path.join(ROOT, "src"))
     try:
@@ -182,7 +248,9 @@ def main() -> int:
     literals = set(registry.BY_NAME)
     specs = registry.ALL_TRANSPORTS
     # endpoints are only built once the network classes are sound
-    problems = check_network_classes(specs) or check_endpoint_classes(specs)
+    problems = check_network_classes(specs) or (
+        check_endpoint_classes(specs) + check_endpoint_defaults(specs)
+    )
     for path in python_files():
         problems.extend(check_file(path, literals))
     for problem in problems:
@@ -193,7 +261,8 @@ def main() -> int:
     print(
         f"transports OK: {len(python_files())} python files checked against "
         f"{len(literals)} registered names; {len(specs)} registered transports "
-        f"share one create_flow, one build and one endpoint lifecycle"
+        f"share one create_flow, one build, one endpoint lifecycle and "
+        f"{len(ENDPOINT_DEFAULTS)} endpoint defaults"
     )
     return 0
 
