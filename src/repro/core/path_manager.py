@@ -49,6 +49,12 @@ class PathScore:
 #: what an unsampled path looks like to the outlier test
 _UNSCORED = PathScore()
 
+#: feedback observations (ACKs + NACKs) on a path before it can be judged
+MIN_SAMPLES = 16
+#: a judged path is excluded while its NACK fraction (or loss count) exceeds
+#: this multiple of the mean over the judged paths (and is non-trivial)
+NACK_RATIO = 2.0
+
 
 class RetiredPathsError(RuntimeError):
     """A retired :class:`PathManager` was asked to choose a path.
@@ -89,12 +95,9 @@ class PathManager:
         Enable outlier exclusion (the paper's path-penalty mechanism).  With
         a single path the scoreboard is kept but never excludes anything;
         without the penalty a path's first use files no score (only explicit
-        ``record_*`` feedback does), since nothing judges it.
-    min_samples:
-        Minimum feedback observations on a path before it can be judged.
-    nack_ratio:
-        A path is excluded while its NACK fraction exceeds ``nack_ratio``
-        times the mean NACK fraction of all paths (and is non-trivial).
+        ``record_*`` feedback does), since nothing judges it.  A path is
+        judged once it has :data:`MIN_SAMPLES` observations, against
+        :data:`NACK_RATIO` times the mean of the judged paths.
     mode:
         ``"permutation"`` (the paper's sender-driven scheme: walk a random
         permutation, one packet per path, re-permute when exhausted) or
@@ -109,8 +112,6 @@ class PathManager:
         "mode",
         "_random_mode",
         "penalize",
-        "min_samples",
-        "nack_ratio",
         "scores",
         "_path_ids",
         "_terminated",
@@ -126,8 +127,6 @@ class PathManager:
         *,
         rng: random.Random,
         penalize: bool = True,
-        min_samples: int = 16,
-        nack_ratio: float = 2.0,
         mode: str = "permutation",
     ) -> None:
         if mode not in ("permutation", "random"):
@@ -137,8 +136,6 @@ class PathManager:
         self.mode = mode
         self._random_mode = mode == "random"
         self.penalize = penalize
-        self.min_samples = min_samples
-        self.nack_ratio = nack_ratio
         #: per-path feedback counters; a path absent here is unsampled
         self.scores: Dict[int, PathScore] = {}
         self._path_ids: Tuple[int, ...] = ()
@@ -282,22 +279,20 @@ class PathManager:
         # the means) would disable the penalty for the survivors.
         scores = self.scores
         current = {p: scores.get(p, _UNSCORED) for p in self._path_ids}
-        sampled = [s for s in current.values() if s.samples >= self.min_samples]
+        sampled = [s for s in current.values() if s.samples >= MIN_SAMPLES]
         if len(sampled) < 2:
             return []
         mean_nack = sum(s.nack_fraction for s in sampled) / len(sampled)
         mean_loss = sum(s.losses for s in sampled) / len(sampled)
         outliers = []
         for path_id, score in current.items():
-            if score.samples < self.min_samples:
+            if score.samples < MIN_SAMPLES:
                 continue
             bad_nacks = (
                 score.nack_fraction > 0.05
-                and score.nack_fraction > self.nack_ratio * max(mean_nack, 1e-9)
+                and score.nack_fraction > NACK_RATIO * max(mean_nack, 1e-9)
             )
-            bad_losses = score.losses > 2 and score.losses > self.nack_ratio * max(
-                mean_loss, 1e-9
-            )
+            bad_losses = score.losses > 2 and score.losses > NACK_RATIO * max(mean_loss, 1e-9)
             if bad_nacks or bad_losses:
                 outliers.append(path_id)
         # Keep at least half of the paths in play.

@@ -81,7 +81,7 @@ class NdpSwitchQueue(BaseQueue):
         service_rate_bps: int,
         config: NdpConfig,
         rng: random.Random,
-        name: str = "ndp-queue",
+        name: str,
     ) -> None:
         self.config = config
         capacity_bytes = config.data_queue_bytes + config.header_queue_bytes
@@ -288,7 +288,7 @@ class CpSwitchQueue(BaseQueue):
         eventlist: EventList,
         service_rate_bps: int,
         config: NdpConfig,
-        name: str = "cp-queue",
+        name: str,
     ) -> None:
         self.config = config
         capacity = config.data_queue_bytes + config.header_queue_bytes

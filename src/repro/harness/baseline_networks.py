@@ -14,8 +14,6 @@ packets respectively.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.pull_queue import NdpPullPacer
 from repro.harness.network import Network
 from repro.routing.ecmp import ecmp_path
@@ -125,7 +123,7 @@ class DcqcnNetwork(TcpNetwork):
     #: ECN marking threshold, packets (the paper uses 20 for DCQCN)
     MARKING_THRESHOLD_PACKETS = 20
 
-    def __init__(self, topology: Topology, config: Optional[DcqcnConfig] = None, seed: int = 1):
+    def __init__(self, topology: Topology, config: DcqcnConfig, seed: int = 1):
         """Refuse fabrics whose switch ports can drop (silent mis-simulation).
 
         DCQCN's congestion control assumes PFC guarantees zero loss; on a

@@ -45,7 +45,7 @@ class NdpNetwork(Network):
     def __init__(
         self,
         topology: Topology,
-        config: Optional[NdpConfig] = None,
+        config: NdpConfig,
         seed: int = 1,
         pacer_factory: Optional[Callable[[int], NdpPullPacer]] = None,
         fault_injector: Optional[FaultInjector] = None,

@@ -62,7 +62,8 @@ class Flow:
 class Network:
     """Bind one transport's endpoints to a topology (see the module docstring)."""
 
-    #: the transport's config dataclass; ``CONFIG_CLS()`` is the default config
+    #: the transport's config dataclass; ``build`` uses ``CONFIG_CLS()`` when
+    #: given no config, the constructor needs one
     CONFIG_CLS: type
     #: switch output-queue depth in packets, overridable per build with
     #: ``buffer_packets=``; ``None`` when the config sizes the ports (NDP)
@@ -72,10 +73,10 @@ class Network:
     #: ``build`` keywords handed to the constructor rather than the topology
     INIT_OPTIONS: Tuple[str, ...] = ()
 
-    def __init__(self, topology: Topology, config: Optional[object] = None, seed: int = 1) -> None:
+    def __init__(self, topology: Topology, config: object, seed: int = 1) -> None:
         self.topology = topology
         self.eventlist = topology.eventlist
-        self.config = config if config is not None else self.CONFIG_CLS()
+        self.config = config
         self.rng = random.Random(seed)
         self.flows: List[Flow] = []
         self._next_flow_id = 0

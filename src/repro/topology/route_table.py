@@ -15,20 +15,29 @@ topology's :class:`RouteTable`.  The table is what makes the fabric a
   enumeration, so a path keeps its identity across failure and recovery
   (the NDP path scoreboard keys on it) and pruning never renumbers the
   survivors;
-* **sharing** — a path is the source host's uplink, a switch-to-switch
-  *segment*, and the destination host's downlink.  The segment is the same
-  for every host pair behind the same two edge switches (a k=8 fat-tree has
-  1,024 edge-switch pairs against 16,256 host pairs), so it is resolved
-  once per (first hop, last hop) and link-state version and shared; a host
-  pair costs one :class:`PathList`, whose individual routes are assembled
-  on first use.  A host-to-host cable has no segment: its single link is
-  the whole path;
-* **caching** — the symbolic segments are immutable for a topology's
-  lifetime and kept forever; everything resolved against the link state
-  belongs to one :attr:`~repro.topology.base.Topology.route_version` and is
-  dropped as a whole when a ``fail``/``recover`` event moves it on.  On a
-  static fabric repeated ``get_paths`` calls return the same
-  :class:`PathList`.
+* **sharing** — a path is the source host's uplink, an *up-half*, a
+  *down-half* and the destination host's downlink.  Its switch-only middle
+  splits at its middle node (the apex: a core, an aggregation or a spine
+  switch, or the edge switch itself when both hosts hang off it) into the
+  half that climbs from the first edge switch to the apex and the half that
+  descends to the last one.  A half depends on one edge switch and one apex,
+  so a k=8 fat-tree has 1,312 of them against 14,752 paths between its
+  1,024 edge-switch pairs (and 16,256 host pairs); each is resolved once
+  per link-state version and shared.  Per edge-switch pair the table keeps
+  only the surviving path ids and references to the halves (equal tuples
+  of either interned, since every ToR climbs to the same cores), per host
+  the (queue, pipe) pair of its first and last link, and per host pair one
+  :class:`PathList`, whose individual routes are assembled on first use.
+  A host-to-host cable has no middle: both halves are empty and its single
+  link is the whole path;
+* **caching** — only each host's first and last link key is kept for the
+  topology's lifetime.  Everything else belongs to one
+  :attr:`~repro.topology.base.Topology.route_version` and is dropped as a
+  whole when a ``fail``/``recover`` event moves it on: the resolved halves,
+  link ends and path lists, and the symbolic paths too, which are never
+  kept once their halves are resolved (the next query after a bump asks the
+  topology again).  On a static fabric repeated ``get_paths`` calls return
+  the same :class:`PathList`.
 """
 
 from __future__ import annotations
@@ -54,22 +63,26 @@ class PathList(_SequenceABC):
     Behaves as an immutable sequence of fabric :class:`Route` objects in
     path-id order.  :attr:`path_ids` names them without building any, which
     is what lets a path manager hold sixteen paths and pay for the one it
-    sends on.
+    sends on.  Route *i* is ``head + ups[i] + downs[i] + tail``: the source
+    host's link, the two shared halves of path *i*, the destination host's
+    link.
     """
 
-    __slots__ = ("path_ids", "_head", "_segments", "_tail", "_routes")
+    __slots__ = ("path_ids", "_head", "_ups", "_downs", "_tail", "_routes")
 
     def __init__(
         self,
         path_ids: Tuple[int, ...],
         head: tuple,
-        segments: Tuple[tuple, ...],
+        ups: Tuple[tuple, ...],
+        downs: Tuple[tuple, ...],
         tail: tuple,
     ) -> None:
         #: path id of every route, in sequence order (shared, never mutated)
         self.path_ids = path_ids
         self._head = head
-        self._segments = segments
+        self._ups = ups
+        self._downs = downs
         self._tail = tail
         self._routes: Optional[List[Optional[Route]]] = None
 
@@ -85,7 +98,7 @@ class PathList(_SequenceABC):
         route = routes[index]
         if route is None:
             route = routes[index] = Route(
-                self._head + self._segments[index] + self._tail,
+                self._head + self._ups[index] + self._downs[index] + self._tail,
                 path_id=self.path_ids[index],
             )
         return route
@@ -97,7 +110,7 @@ class PathList(_SequenceABC):
         and building it does not assemble the bare fabric route.
         """
         return Route(
-            self._head + self._segments[index] + self._tail + (terminal,),
+            self._head + self._ups[index] + self._downs[index] + self._tail + (terminal,),
             path_id=self.path_ids[index],
         )
 
@@ -110,22 +123,29 @@ class PathList(_SequenceABC):
         return f"PathList(path_ids={self.path_ids})"
 
 
+#: what an edge-switch pair keeps: surviving path ids, up-halves, down-halves
+EdgePair = Tuple[Tuple[int, ...], Tuple[tuple, ...], Tuple[tuple, ...]]
+
+
 class RouteTable:
     """Resolve a topology's symbolic node paths into live :class:`Route` lists."""
 
     def __init__(self, topology: "Topology") -> None:
         self._topology = topology
         # Learned from the symbolic enumerations, kept for the topology's
-        # lifetime: each host's first and last link, and the switch-only
-        # middle of every path between two edge switches.
+        # lifetime: each host's first and last link.
         self._uplink: Dict[int, LinkKey] = {}
         self._downlink: Dict[int, LinkKey] = {}
-        self._interiors: Dict[LinkKey, List[NodePath]] = {}
-        # Resolved against the link state at ``_version``: per edge-switch
-        # pair the surviving (path ids, segment elements), per host pair
-        # the path list handed out.
+        # Resolved against the link state at ``_version``: the elements of
+        # every host link in use (absent while it is down) and of every
+        # half (``None`` while it crosses a dead link), one object per
+        # distinct tuple of path ids or of halves, per edge-switch pair its
+        # surviving paths, per host pair the path list handed out.
         self._version = topology.route_version
-        self._segments: Dict[LinkKey, Tuple[Tuple[int, ...], Tuple[tuple, ...]]] = {}
+        self._ends: Dict[LinkKey, tuple] = {}
+        self._halves: Dict[NodePath, Optional[tuple]] = {}
+        self._interned: Dict[tuple, tuple] = {}
+        self._edge_pairs: Dict[LinkKey, EdgePair] = {}
         self._resolved: Dict[Tuple[int, int], PathList] = {}
 
     # --- queries ---------------------------------------------------------------
@@ -164,69 +184,90 @@ class RouteTable:
     def _resolve_pair(self, src_host: int, dst_host: int) -> PathList:
         if src_host == dst_host:
             raise ValueError("source and destination host must differ")
+        paths = None
         uplink = self._uplink.get(src_host)
         downlink = self._downlink.get(dst_host)
         if uplink is None or downlink is None:
-            uplink, downlink = self._learn(src_host, dst_host)
+            paths = self.node_paths(src_host, dst_host)
+            uplink = self._uplink[src_host] = paths[0][:2]
+            downlink = self._downlink[dst_host] = paths[0][-2:]
         edges = (uplink[1], downlink[0])
-        shared = self._segments.get(edges)
+        shared = self._edge_pairs.get(edges)
         if shared is None:
-            if edges not in self._interiors:
-                self._learn(src_host, dst_host)
-            shared = self._segments[edges] = self._resolve_segments(edges)
-        links = self._topology.links
-        head = links[uplink]
-        if uplink == downlink:
-            # a host-to-host cable: the one link is the whole path
-            up, tail = head.up, ()
-        else:
-            last = links[downlink]
-            up, tail = head.up and last.up, last.elements()
-        if not up:
-            return PathList((), (), (), ())
-        path_ids, segments = shared
-        return PathList(path_ids, head.elements(), segments, tail)
+            if paths is None:
+                paths = self.node_paths(src_host, dst_host)
+            shared = self._edge_pairs[edges] = self._resolve_edge_pair(paths)
+        head = self._end(uplink)
+        # a host-to-host cable: the one link is the whole path
+        tail = () if uplink == downlink else self._end(downlink)
+        if head is None or tail is None:
+            return PathList((), (), (), (), ())
+        path_ids, ups, downs = shared
+        return PathList(path_ids, head, ups, downs, tail)
 
-    def _learn(self, src_host: int, dst_host: int) -> Tuple[LinkKey, LinkKey]:
-        """Split this pair's symbolic paths into uplink, interiors, downlink."""
-        paths = self.node_paths(src_host, dst_host)
-        uplink = self._uplink[src_host] = paths[0][:2]
-        downlink = self._downlink[dst_host] = paths[0][-2:]
-        self._interiors.setdefault(
-            (uplink[1], downlink[0]), [nodes[1:-1] for nodes in paths]
-        )
-        return uplink, downlink
+    def _end(self, link: LinkKey) -> Optional[tuple]:
+        """The elements of a host's first or last link; ``None`` while down."""
+        elements = self._ends.get(link)
+        if elements is None:
+            record = self._topology.links[link]
+            if not record.up:
+                return None
+            elements = self._ends[link] = record.elements()
+        return elements
 
-    def _resolve_segments(
-        self, edges: LinkKey
-    ) -> Tuple[Tuple[int, ...], Tuple[tuple, ...]]:
-        """Surviving switch-to-switch segments between two edge switches."""
-        links = self._topology.links
+    def _resolve_edge_pair(self, paths: List[NodePath]) -> EdgePair:
+        """Split one edge-switch pair's paths at their apex into shared halves."""
         path_ids: List[int] = []
-        segments: List[tuple] = []
-        for path_id, interior in enumerate(self._interiors[edges]):
-            elements: List[object] = []
-            for hop in zip(interior, interior[1:]):
-                record = links[hop]
-                if not record.up:
-                    break
-                elements.append(record.queue)
-                elements.append(record.pipe)
-            else:
+        ups: List[tuple] = []
+        downs: List[tuple] = []
+        for path_id, nodes in enumerate(paths):
+            interior = nodes[1:-1]
+            middle = len(interior) // 2
+            up = self._half(interior[: middle + 1])
+            down = self._half(interior[middle:])
+            if up is not None and down is not None:
                 path_ids.append(path_id)
-                segments.append(tuple(elements))
-        return tuple(path_ids), tuple(segments)
+                ups.append(up)
+                downs.append(down)
+        return self._intern(path_ids), self._intern(ups), self._intern(downs)
+
+    def _intern(self, items: list) -> tuple:
+        """One shared tuple per distinct sequence of path ids or halves."""
+        shared = tuple(items)
+        return self._interned.setdefault(shared, shared)
+
+    def _half(self, nodes: NodePath) -> Optional[tuple]:
+        """The elements along *nodes*, resolved once; ``None`` over a dead link."""
+        try:
+            return self._halves[nodes]
+        except KeyError:
+            pass
+        links = self._topology.links
+        elements: List[object] = []
+        for hop in zip(nodes, nodes[1:]):
+            record = links[hop]
+            if not record.up:
+                self._halves[nodes] = None
+                return None
+            elements.append(record.queue)
+            elements.append(record.pipe)
+        half = self._halves[nodes] = tuple(elements)
+        return half
 
     # --- cache control -----------------------------------------------------------
 
     def invalidate(self) -> None:
         """Drop everything resolved against the link state.
 
-        Path lists *and* the shared segments go (both embed queue and pipe
-        objects); what was learned from the symbolic enumerations stays.
-        Called on the first query after a ``route_version`` bump, and by
-        hand after swapping a link's elements in place.
+        Path lists, halves and host link ends go (all embed queue and pipe
+        objects); only each host's first and last link key stays, and an
+        edge-switch pair's symbolic paths are asked for again.  Called on
+        the first query after a ``route_version`` bump, and by hand after
+        swapping a link's elements in place.
         """
         self._version = self._topology.route_version
-        self._segments.clear()
+        self._ends.clear()
+        self._halves.clear()
+        self._interned.clear()
+        self._edge_pairs.clear()
         self._resolved.clear()

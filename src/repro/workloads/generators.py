@@ -122,8 +122,8 @@ class ClosedLoopGenerator:
         network,
         hosts: Sequence[int],
         flow_sizes: FlowSizeDistribution,
-        connections_per_host: int = 1,
-        think_time_ps: int = 0,
+        connections_per_host: int,
+        think_time_ps: int,
         *,
         rng: random.Random,
     ) -> None:

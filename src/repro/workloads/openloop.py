@@ -122,8 +122,8 @@ class OpenLoopGenerator:
         link_rate_bps: int,
         warmup_ps: int,
         measure_ps: int,
-        drain_ps: int = 0,
-        matrix: str = ALL_TO_ALL,
+        drain_ps: int,
+        matrix: str,
         *,
         rng: random.Random,
     ) -> None:

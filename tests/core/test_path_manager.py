@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.path_manager import PathManager, PathScore
+from repro.core.path_manager import MIN_SAMPLES, NACK_RATIO, PathManager, PathScore
 from repro.sim.network import CountingSink
 from repro.sim.packet import Route
 
@@ -87,7 +87,7 @@ class TestScoreboard:
         assert all(score.acks == 0 for score in manager.scores.values())
 
     def test_bad_path_is_excluded_from_permutations(self):
-        manager = PathManager(make_routes(4), rng=random.Random(10), min_samples=10)
+        manager = PathManager(make_routes(4), rng=random.Random(10))
         # paths 0-2 are healthy, path 3 sees 50% trimming
         for path in range(3):
             for _ in range(50):
@@ -100,9 +100,7 @@ class TestScoreboard:
         assert manager.currently_excluded == [3]
 
     def test_penalty_disabled_keeps_all_paths(self):
-        manager = PathManager(
-            make_routes(4), rng=random.Random(11), penalize=False, min_samples=10
-        )
+        manager = PathManager(make_routes(4), rng=random.Random(11), penalize=False)
         for _ in range(25):
             manager.record_ack(3)
             manager.record_nack(3)
@@ -113,37 +111,37 @@ class TestScoreboard:
         assert used == {0, 1, 2, 3}
 
     def test_min_samples_boundary_exactly_at_threshold_is_judged(self):
-        # samples == min_samples must be enough to judge a path; one fewer
-        # must not be (the comparison is `samples >= min_samples`)
-        manager = PathManager(make_routes(4), rng=random.Random(30), min_samples=10)
+        # samples == MIN_SAMPLES must be enough to judge a path; one fewer
+        # must not be (the comparison is `samples >= MIN_SAMPLES`)
+        manager = PathManager(make_routes(4), rng=random.Random(30))
         for path in range(3):
-            for _ in range(10):
+            for _ in range(MIN_SAMPLES):
                 manager.record_ack(path)
-        for _ in range(5):
+        assert MIN_SAMPLES % 2 == 0
+        for _ in range(MIN_SAMPLES // 2):
             manager.record_ack(3)
             manager.record_nack(3)
         manager.next_route()  # refresh the scoreboard
         assert manager.currently_excluded == [3]
 
     def test_min_samples_boundary_one_below_threshold_is_not_judged(self):
-        manager = PathManager(make_routes(4), rng=random.Random(31), min_samples=11)
+        manager = PathManager(make_routes(4), rng=random.Random(31))
         for path in range(3):
-            for _ in range(11):
+            for _ in range(MIN_SAMPLES):
                 manager.record_ack(path)
-        # path 3: 10 samples, all negative — still one short of judgement
-        for _ in range(10):
+        # path 3: all negative, but still one sample short of judgement
+        for _ in range(MIN_SAMPLES - 1):
             manager.record_nack(3)
         manager.next_route()
         assert manager.currently_excluded == []
 
     def test_nack_ratio_boundary_exactly_at_ratio_is_kept(self):
         # exclusion requires the NACK fraction to strictly *exceed*
-        # nack_ratio times the mean.  With paths at 0% and 20% the mean is
+        # NACK_RATIO times the mean.  With paths at 0% and 20% the mean is
         # 10%, so the bad path sits exactly at 2.0x the mean (the halving
         # and doubling are exact in binary) and must stay in play.
-        manager = PathManager(
-            make_routes(2), rng=random.Random(32), min_samples=10, nack_ratio=2.0
-        )
+        assert NACK_RATIO == 2.0
+        manager = PathManager(make_routes(2), rng=random.Random(32))
         for _ in range(100):
             manager.record_ack(0)
         for _ in range(80):
@@ -162,9 +160,7 @@ class TestScoreboard:
     def test_nack_fraction_below_absolute_floor_never_excluded(self):
         # the scoreboard ignores NACK fractions under its 5% floor even when
         # they are many multiples of the (tiny) mean
-        manager = PathManager(
-            make_routes(2), rng=random.Random(33), min_samples=10, nack_ratio=2.0
-        )
+        manager = PathManager(make_routes(2), rng=random.Random(33))
         for _ in range(1000):
             manager.record_ack(0)
         for _ in range(960):
@@ -175,8 +171,8 @@ class TestScoreboard:
         assert manager.currently_excluded == []
 
     def test_paths_below_min_samples_are_not_judged(self):
-        manager = PathManager(make_routes(3), rng=random.Random(12), min_samples=100)
-        for _ in range(20):
+        manager = PathManager(make_routes(3), rng=random.Random(12))
+        for _ in range(MIN_SAMPLES - 1):
             manager.record_nack(2)
             manager.record_ack(0)
             manager.record_ack(1)
@@ -184,17 +180,17 @@ class TestScoreboard:
         assert used == {0, 1, 2}
 
     def test_never_excludes_every_path(self):
-        manager = PathManager(make_routes(2), rng=random.Random(13), min_samples=4)
-        for _ in range(20):
+        manager = PathManager(make_routes(2), rng=random.Random(13))
+        for _ in range(MIN_SAMPLES):
             manager.record_nack(0)
             manager.record_nack(1)
         # both look terrible; the manager must still return something
         assert manager.next_route().path_id in (0, 1)
 
     def test_loss_outlier_excluded(self):
-        manager = PathManager(make_routes(4), rng=random.Random(14), min_samples=8)
+        manager = PathManager(make_routes(4), rng=random.Random(14))
         for path in range(4):
-            for _ in range(20):
+            for _ in range(MIN_SAMPLES):
                 manager.record_ack(path)
         for _ in range(10):
             manager.record_loss(1)

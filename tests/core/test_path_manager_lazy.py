@@ -16,14 +16,12 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.core.path_manager import PathManager, PathScore
+from repro.core.path_manager import MIN_SAMPLES, NACK_RATIO, PathManager, PathScore
 from repro.sim.network import CountingSink
 from repro.sim.packet import Route
 from repro.topology.route_table import PathList
 
 _PATHS = 6
-_MIN_SAMPLES = 3
-_NACK_RATIO = 2.0
 
 
 class EagerPathManager:
@@ -76,20 +74,20 @@ class EagerPathManager:
 
     def _outlier_paths(self):
         current = {r.path_id: self.scores[r.path_id] for r in self.routes}
-        sampled = [s for s in current.values() if s.samples >= _MIN_SAMPLES]
+        sampled = [s for s in current.values() if s.samples >= MIN_SAMPLES]
         if len(sampled) < 2:
             return []
         mean_nack = sum(s.nack_fraction for s in sampled) / len(sampled)
         mean_loss = sum(s.losses for s in sampled) / len(sampled)
         outliers = []
         for path_id, score in current.items():
-            if score.samples < _MIN_SAMPLES:
+            if score.samples < MIN_SAMPLES:
                 continue
             bad_nacks = (
                 score.nack_fraction > 0.05
-                and score.nack_fraction > _NACK_RATIO * max(mean_nack, 1e-9)
+                and score.nack_fraction > NACK_RATIO * max(mean_nack, 1e-9)
             )
-            bad_losses = score.losses > 2 and score.losses > _NACK_RATIO * max(mean_loss, 1e-9)
+            bad_losses = score.losses > 2 and score.losses > NACK_RATIO * max(mean_loss, 1e-9)
             if bad_nacks or bad_losses:
                 outliers.append(path_id)
         return outliers[: max(0, len(self.routes) // 2)]
@@ -109,26 +107,30 @@ class _LazyVersusEager(RuleBasedStateMachine):
         self.terminal = CountingSink("endpoint")
         self.head = (CountingSink("nic-queue"), CountingSink("nic-pipe"))
         self.tail = (CountingSink("tor-queue"), CountingSink("tor-pipe"))
-        self.segments = [
-            (CountingSink(f"up{i}"), CountingSink(f"core{i}"), CountingSink(f"down{i}"))
-            for i in range(_PATHS)
-        ]
+        # each path climbs to its own core and descends from it
+        self.ups = [(CountingSink(f"up{i}"), CountingSink(f"core{i}")) for i in range(_PATHS)]
+        self.downs = [(CountingSink(f"down{i}"),) for i in range(_PATHS)]
         ids = tuple(range(_PATHS))
         self.lazy = PathManager(
             self._fabric(ids), self.terminal, rng=random.Random(7),
-            penalize=self.penalize, min_samples=_MIN_SAMPLES,
-            nack_ratio=_NACK_RATIO, mode=self.mode,
+            penalize=self.penalize, mode=self.mode,
         )
         self.eager = EagerPathManager(
             self._extended(ids), random.Random(7), self.penalize, self.mode
         )
 
     def _fabric(self, ids):
-        return PathList(ids, self.head, tuple(self.segments[i] for i in ids), self.tail)
+        return PathList(
+            ids, self.head, tuple(self.ups[i] for i in ids),
+            tuple(self.downs[i] for i in ids), self.tail,
+        )
 
     def _extended(self, ids):
         return [
-            Route(self.head + self.segments[i] + self.tail + (self.terminal,), path_id=i)
+            Route(
+                self.head + self.ups[i] + self.downs[i] + self.tail + (self.terminal,),
+                path_id=i,
+            )
             for i in ids
         ]
 
@@ -151,12 +153,16 @@ class _LazyVersusEager(RuleBasedStateMachine):
         getattr(self.lazy, record[kind])(path_id)
         self.eager.record(kind, path_id)
 
-    # a burst makes one path an outlier quickly (min_samples is small)
-    @rule(path_id=st.integers(0, _PATHS - 1), nacks=st.integers(3, 8))
-    def nack_burst(self, path_id, nacks):
-        for _ in range(nacks):
-            self.lazy.record_nack(path_id)
-            self.eager.record("nacks", path_id)
+    # bursts of a quarter to all of MIN_SAMPLES get paths judged, and one
+    # an outlier, within a few steps
+    @rule(
+        kind=st.sampled_from(["acks", "nacks", "losses"]),
+        path_id=st.integers(0, _PATHS - 1),
+        count=st.integers(MIN_SAMPLES // 4, MIN_SAMPLES),
+    )
+    def burst(self, kind, path_id, count):
+        for _ in range(count):
+            self.feedback(kind, path_id)
 
     @rule(ids=st.sets(st.integers(0, _PATHS - 1), min_size=1))
     def prune_or_restore(self, ids):
@@ -197,7 +203,8 @@ class TestLaziness:
         sink = CountingSink("endpoint")
         fabric = PathList(
             (0, 1, 2, 3), (CountingSink("nic"),),
-            tuple((CountingSink(f"seg{i}"),) for i in range(4)), (CountingSink("tor"),),
+            tuple((CountingSink(f"up{i}"),) for i in range(4)),
+            tuple((CountingSink(f"down{i}"),) for i in range(4)), (CountingSink("tor"),),
         )
         manager = PathManager(fabric, sink, rng=random.Random(1))
         assert manager.scores == {} and fabric._routes is None

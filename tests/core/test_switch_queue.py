@@ -49,7 +49,7 @@ def push(queue, packets, sink=None):
 
 class TestTrimming:
     def test_no_trimming_below_capacity(self, eventlist):
-        queue = NdpSwitchQueue(eventlist, gbps(10), NdpConfig(), random.Random(1))
+        queue = NdpSwitchQueue(eventlist, gbps(10), NdpConfig(), random.Random(1), "ndp-queue")
         sink = push(queue, [data_packet(i) for i in range(8)])
         eventlist.run()
         assert queue.stats.packets_trimmed == 0
@@ -57,7 +57,7 @@ class TestTrimming:
         assert all(not p.is_header_only for p in [sink.last_packet])
 
     def test_overflow_trims_but_never_drops_data(self, eventlist):
-        queue = NdpSwitchQueue(eventlist, gbps(10), NdpConfig(), random.Random(2))
+        queue = NdpSwitchQueue(eventlist, gbps(10), NdpConfig(), random.Random(2), "ndp-queue")
         packets = [data_packet(i) for i in range(30)]
         sink = push(queue, packets)
         eventlist.run()
@@ -67,7 +67,7 @@ class TestTrimming:
         assert queue.stats.packets_dropped == 0
 
     def test_trimmed_packets_keep_sequence_numbers(self, eventlist):
-        queue = NdpSwitchQueue(eventlist, gbps(10), NdpConfig(), random.Random(3))
+        queue = NdpSwitchQueue(eventlist, gbps(10), NdpConfig(), random.Random(3), "ndp-queue")
         packets = [data_packet(i) for i in range(20)]
         push(queue, packets)
         eventlist.run()
@@ -77,7 +77,7 @@ class TestTrimming:
         assert len({p.seqno for p in trimmed}) == len(trimmed)
 
     def test_trim_choice_uses_both_arriving_and_tail(self, eventlist):
-        queue = NdpSwitchQueue(eventlist, gbps(10), NdpConfig(), random.Random(4))
+        queue = NdpSwitchQueue(eventlist, gbps(10), NdpConfig(), random.Random(4), "ndp-queue")
         push(queue, [data_packet(i) for i in range(200)])
         eventlist.run()
         # with 50% probability both victims should occur over 190 trims
@@ -87,7 +87,7 @@ class TestTrimming:
 
     def test_trim_probability_one_always_trims_arrival(self, eventlist):
         config = NdpConfig(trim_arriving_probability=1.0)
-        queue = NdpSwitchQueue(eventlist, gbps(10), config, random.Random(5))
+        queue = NdpSwitchQueue(eventlist, gbps(10), config, random.Random(5), "ndp-queue")
         push(queue, [data_packet(i) for i in range(50)])
         eventlist.run()
         assert queue.trimmed_from_tail == 0
@@ -96,7 +96,7 @@ class TestTrimming:
 
 class TestPriorityScheduling:
     def test_control_packets_bypass_data_backlog(self, eventlist):
-        queue = NdpSwitchQueue(eventlist, gbps(10), NdpConfig(), random.Random(6))
+        queue = NdpSwitchQueue(eventlist, gbps(10), NdpConfig(), random.Random(6), "ndp-queue")
         sink = CountingSink()
         arrival_order = []
 
@@ -116,7 +116,7 @@ class TestPriorityScheduling:
         assert arrival_order.index(ack) == 1
 
     def test_wrr_prevents_header_starvation_of_data(self, eventlist):
-        queue = NdpSwitchQueue(eventlist, gbps(10), NdpConfig(), random.Random(7))
+        queue = NdpSwitchQueue(eventlist, gbps(10), NdpConfig(), random.Random(7), "ndp-queue")
         recorder = []
 
         class Recorder(CountingSink):
@@ -139,7 +139,7 @@ class TestPriorityScheduling:
 
     def test_headers_get_share_even_under_data_load(self, eventlist):
         config = NdpConfig()
-        queue = NdpSwitchQueue(eventlist, gbps(10), config, random.Random(8))
+        queue = NdpSwitchQueue(eventlist, gbps(10), config, random.Random(8), "ndp-queue")
         order = []
 
         class Recorder(CountingSink):
@@ -165,7 +165,7 @@ class TestReturnToSender:
     def test_headers_bounced_when_header_queue_overflows(self, eventlist):
         sender = FakeSender(eventlist)
         config = self._tiny_header_queue_config()
-        queue = NdpSwitchQueue(eventlist, gbps(10), config, random.Random(9))
+        queue = NdpSwitchQueue(eventlist, gbps(10), config, random.Random(9), "ndp-queue")
         packets = [data_packet(i, src_endpoint=sender) for i in range(20)]
         push(queue, packets)
         eventlist.run()
@@ -177,7 +177,7 @@ class TestReturnToSender:
         config = dataclasses.replace(
             self._tiny_header_queue_config(), return_to_sender=False
         )
-        queue = NdpSwitchQueue(eventlist, gbps(10), config, random.Random(10))
+        queue = NdpSwitchQueue(eventlist, gbps(10), config, random.Random(10), "ndp-queue")
         packets = [data_packet(i) for i in range(20)]
         push(queue, packets)
         eventlist.run()
@@ -186,7 +186,7 @@ class TestReturnToSender:
 
     def test_control_packets_dropped_not_bounced_on_overflow(self, eventlist):
         config = self._tiny_header_queue_config()
-        queue = NdpSwitchQueue(eventlist, gbps(10), config, random.Random(11))
+        queue = NdpSwitchQueue(eventlist, gbps(10), config, random.Random(11), "ndp-queue")
         acks = [NdpAck(flow_id=5, src=1, dst=0, seqno=i) for i in range(40)]
         push(queue, acks)
         eventlist.run()
@@ -196,7 +196,7 @@ class TestReturnToSender:
 
 class TestCpQueue:
     def test_cp_trims_into_single_fifo(self, eventlist):
-        queue = CpSwitchQueue(eventlist, gbps(10), NdpConfig())
+        queue = CpSwitchQueue(eventlist, gbps(10), NdpConfig(), "cp-queue")
         order = []
 
         class Recorder(CountingSink):
@@ -215,7 +215,7 @@ class TestCpQueue:
 
     def test_cp_drops_when_completely_full(self, eventlist):
         config = NdpConfig(data_queue_packets=2, header_queue_bytes=128)
-        queue = CpSwitchQueue(eventlist, gbps(10), config)
+        queue = CpSwitchQueue(eventlist, gbps(10), config, "cp-queue")
         push(queue, [data_packet(i) for i in range(50)])
         eventlist.run()
         assert queue.stats.packets_dropped > 0
@@ -225,7 +225,7 @@ class TestTiming:
     def test_trimmed_header_forwarded_quickly(self, eventlist):
         """A trimmed header leaves far sooner than the data queue drain time."""
         config = NdpConfig()
-        queue = NdpSwitchQueue(eventlist, gbps(10), config, random.Random(12))
+        queue = NdpSwitchQueue(eventlist, gbps(10), config, random.Random(12), "ndp-queue")
         arrivals = {}
 
         class Recorder(CountingSink):

@@ -216,8 +216,8 @@ _BURST_BYTES = 640
 _DRAIN_QUEUES = {
     "droptail": lambda el: DropTailQueue(el, gbps(10), 1_000_000),
     "lossless": lambda el: LosslessQueue(el, gbps(10), 1_000_000),
-    "cp": lambda el: CpSwitchQueue(el, gbps(10), NdpConfig()),
-    "ndp": lambda el: NdpSwitchQueue(el, gbps(10), NdpConfig(), random.Random(0)),
+    "cp": lambda el: CpSwitchQueue(el, gbps(10), NdpConfig(), "cp-queue"),
+    "ndp": lambda el: NdpSwitchQueue(el, gbps(10), NdpConfig(), random.Random(0), "ndp-queue"),
 }
 
 

@@ -11,6 +11,7 @@ from repro.sim import units
 from repro.sim.eventlist import EventList
 from repro.topology.simple import SingleSwitchTopology
 from repro.transports import registry
+from repro.transports.dcqcn import DcqcnConfig
 
 
 def _tiny_transfer_digest(spec: registry.TransportSpec, seed: int = 5):
@@ -106,7 +107,7 @@ class TestCapabilityValidation:
         eventlist = EventList()
         topology = SingleSwitchTopology(eventlist, hosts=4)
         with pytest.raises(CapabilityError, match="lossless"):
-            DcqcnNetwork(topology)
+            DcqcnNetwork(topology, DcqcnConfig())
 
     def test_dcqcn_via_registry_gets_a_lossless_fabric(self):
         eventlist = EventList()

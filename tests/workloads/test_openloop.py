@@ -43,6 +43,7 @@ def _generator(eventlist, network, **overrides):
         warmup_ps=units.microseconds(100),
         measure_ps=units.microseconds(300),
         drain_ps=units.microseconds(100),
+        matrix=ALL_TO_ALL,
         rng=random.Random(5),
     )
     kwargs.update(overrides)

@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from repro.core.config import NdpConfig
 from repro.harness import metrics
 from repro.harness.ndp_network import NdpNetwork
 from repro.sim import units
@@ -44,7 +45,7 @@ MS = units.milliseconds(1)
 def _ndp_network(hosts: int = 10, seed: int = 1):
     eventlist = EventList()
     topology = SingleSwitchTopology(eventlist, hosts=hosts)
-    return eventlist, NdpNetwork(topology, seed=seed)
+    return eventlist, NdpNetwork(topology, NdpConfig(), seed=seed)
 
 
 def _two_level_tree_spec() -> ServiceRequestSpec:

@@ -173,7 +173,7 @@ class TestGenerators:
         with pytest.raises(ValueError):
             ClosedLoopGenerator(
                 eventlist, network, hosts=[0], flow_sizes=FixedFlowSizes(100),
-                rng=random.Random(0),
+                connections_per_host=1, think_time_ps=0, rng=random.Random(0),
             )
         with pytest.raises(ValueError):
             ClosedLoopGenerator(
@@ -182,6 +182,7 @@ class TestGenerators:
                 hosts=network.topology.hosts(),
                 flow_sizes=FixedFlowSizes(100),
                 connections_per_host=0,
+                think_time_ps=0,
                 rng=random.Random(0),
             )
 
