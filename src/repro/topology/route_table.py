@@ -24,20 +24,22 @@ topology's :class:`RouteTable`.  The table is what makes the fabric a
   so a k=8 fat-tree has 1,312 of them against 14,752 paths between its
   1,024 edge-switch pairs (and 16,256 host pairs); each is resolved once
   per link-state version and shared.  Per edge-switch pair the table keeps
-  only the surviving path ids and references to the halves (equal tuples
-  of either interned, since every ToR climbs to the same cores), per host
+  references to the keys of its halves and, per version, the surviving
+  path ids and references to the resolved halves (equal tuples of any of
+  these interned, since every ToR climbs to the same cores), per host
   the (queue, pipe) pair of its first and last link, and per host pair one
   :class:`PathList`, whose individual routes are assembled on first use.
   A host-to-host cable has no middle: both halves are empty and its single
   link is the whole path;
-* **caching** — only each host's first and last link key is kept for the
-  topology's lifetime.  Everything else belongs to one
+* **caching** — what the symbolic enumerations taught is kept for the
+  topology's lifetime: each host's first and last link key and, per
+  edge-switch pair, the node tuples of its halves (interned, so a ToR's
+  climbs to the cores are held once).  Everything else belongs to one
   :attr:`~repro.topology.base.Topology.route_version` and is dropped as a
   whole when a ``fail``/``recover`` event moves it on: the resolved halves,
-  link ends and path lists, and the symbolic paths too, which are never
-  kept once their halves are resolved (the next query after a bump asks the
-  topology again).  On a static fabric repeated ``get_paths`` calls return
-  the same :class:`PathList`.
+  link ends and path lists.  Re-resolving after a bump is then one lookup
+  per half, never a new enumeration.  On a static fabric repeated
+  ``get_paths`` calls return the same :class:`PathList`.
 """
 
 from __future__ import annotations
@@ -125,6 +127,8 @@ class PathList(_SequenceABC):
 
 #: what an edge-switch pair keeps: surviving path ids, up-halves, down-halves
 EdgePair = Tuple[Tuple[int, ...], Tuple[tuple, ...], Tuple[tuple, ...]]
+#: the node tuples of an edge-switch pair's up-halves and down-halves
+Split = Tuple[Tuple[NodePath, ...], Tuple[NodePath, ...]]
 
 
 class RouteTable:
@@ -133,9 +137,13 @@ class RouteTable:
     def __init__(self, topology: "Topology") -> None:
         self._topology = topology
         # Learned from the symbolic enumerations, kept for the topology's
-        # lifetime: each host's first and last link.
+        # lifetime: each host's first and last link, and per edge-switch
+        # pair the node tuples of its paths' up- and down-halves (equal
+        # tuples of nodes or of halves interned, so each is held once).
         self._uplink: Dict[int, LinkKey] = {}
         self._downlink: Dict[int, LinkKey] = {}
+        self._splits: Dict[LinkKey, Split] = {}
+        self._symbols: Dict[tuple, tuple] = {}
         # Resolved against the link state at ``_version``: the elements of
         # every host link in use (absent while it is down) and of every
         # half (``None`` while it crosses a dead link), one object per
@@ -194,9 +202,12 @@ class RouteTable:
         edges = (uplink[1], downlink[0])
         shared = self._edge_pairs.get(edges)
         if shared is None:
-            if paths is None:
-                paths = self.node_paths(src_host, dst_host)
-            shared = self._edge_pairs[edges] = self._resolve_edge_pair(paths)
+            split = self._splits.get(edges)
+            if split is None:
+                if paths is None:
+                    paths = self.node_paths(src_host, dst_host)
+                split = self._splits[edges] = self._split(paths)
+            shared = self._edge_pairs[edges] = self._resolve_edge_pair(*split)
         head = self._end(uplink)
         # a host-to-host cable: the one link is the whole path
         tail = () if uplink == downlink else self._end(downlink)
@@ -215,16 +226,31 @@ class RouteTable:
             elements = self._ends[link] = record.elements()
         return elements
 
-    def _resolve_edge_pair(self, paths: List[NodePath]) -> EdgePair:
-        """Split one edge-switch pair's paths at their apex into shared halves."""
+    def _split(self, paths: List[NodePath]) -> Split:
+        """Split one edge-switch pair's paths at their apex into half keys."""
+        ups: List[NodePath] = []
+        downs: List[NodePath] = []
+        symbol = self._symbols.setdefault
+        for nodes in paths:
+            interior = nodes[1:-1]
+            middle = len(interior) // 2
+            up, down = interior[: middle + 1], interior[middle:]
+            ups.append(symbol(up, up))
+            downs.append(symbol(down, down))
+        ups_key, downs_key = tuple(ups), tuple(downs)
+        return symbol(ups_key, ups_key), symbol(downs_key, downs_key)
+
+    def _resolve_edge_pair(
+        self, up_keys: Tuple[NodePath, ...], down_keys: Tuple[NodePath, ...]
+    ) -> EdgePair:
+        """The surviving paths of one edge-switch pair, as shared halves."""
         path_ids: List[int] = []
         ups: List[tuple] = []
         downs: List[tuple] = []
-        for path_id, nodes in enumerate(paths):
-            interior = nodes[1:-1]
-            middle = len(interior) // 2
-            up = self._half(interior[: middle + 1])
-            down = self._half(interior[middle:])
+        half = self._half
+        for path_id, (up_key, down_key) in enumerate(zip(up_keys, down_keys)):
+            up = half(up_key)
+            down = half(down_key)
             if up is not None and down is not None:
                 path_ids.append(path_id)
                 ups.append(up)
@@ -260,10 +286,10 @@ class RouteTable:
         """Drop everything resolved against the link state.
 
         Path lists, halves and host link ends go (all embed queue and pipe
-        objects); only each host's first and last link key stays, and an
-        edge-switch pair's symbolic paths are asked for again.  Called on
-        the first query after a ``route_version`` bump, and by hand after
-        swapping a link's elements in place.
+        objects); what was learned from the symbolic enumerations (each
+        host's first and last link key, each edge-switch pair's half keys)
+        stays.  Called on the first query after a ``route_version`` bump,
+        and by hand after swapping a link's elements in place.
         """
         self._version = self._topology.route_version
         self._ends.clear()

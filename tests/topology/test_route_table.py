@@ -175,8 +175,8 @@ class TestLazyPathList:
         topo = _fattree()
         topo.get_paths(0, 15)
         table = topo.route_table
-        # nothing new resolved but the new hosts' link ends
-        shared = ("_halves", "_interned", "_edge_pairs")
+        # nothing new learned or resolved but the new hosts' link ends
+        shared = ("_splits", "_symbols", "_halves", "_interned", "_edge_pairs")
         before = {name: dict(getattr(table, name)) for name in shared}
         topo.get_paths(1, 14)
         topo.get_paths(0, 14)
@@ -213,7 +213,8 @@ def _cache_sizes(table):
     return {
         name: len(getattr(table, name))
         for name in (
-            "_uplink", "_downlink", "_ends", "_halves", "_interned", "_edge_pairs", "_resolved"
+            "_uplink", "_downlink", "_splits", "_symbols",
+            "_ends", "_halves", "_interned", "_edge_pairs", "_resolved",
         )
     }
 
@@ -251,11 +252,32 @@ class TestCachesFollowTheLinkState:
         topo = _fattree()
         for src, dst in _all_pairs(topo):
             topo.get_paths(src, dst)
+        learned = _cache_sizes(topo.route_table)
         topo.fail_core_link(core=0, pod=0)
         topo.get_paths(0, 15)  # first query at the new version
         sizes = _cache_sizes(topo.route_table)
         assert sizes["_resolved"] == sizes["_edge_pairs"] == 1
         assert sizes["_ends"] == 2 and sizes["_halves"] == 8  # 4 paths, 2 halves each
+        # what the symbolic enumerations taught outlives the version
+        for name in ("_uplink", "_downlink", "_splits", "_symbols"):
+            assert sizes[name] == learned[name]
+
+    def test_a_version_bump_re_resolves_without_enumerating(self, monkeypatch):
+        """A link flap costs one lookup per half, not a new enumeration."""
+        topo = _fattree()
+        pairs = _all_pairs(topo)
+        for src, dst in pairs:
+            topo.get_paths(src, dst)
+        calls = []
+        enumerate_paths = topo.node_paths
+        monkeypatch.setattr(
+            topo, "node_paths", lambda *pair: calls.append(pair) or enumerate_paths(*pair)
+        )
+        for change in (topo.fail_core_link, topo.recover_core_link):
+            change(core=1, pod=2)
+            for src, dst in pairs:
+                topo.get_paths(src, dst)
+        assert calls == []
 
     def test_invalidate_drops_shared_segments_too(self):
         """The shard harness swaps a pipe in place, then invalidates."""
