@@ -15,15 +15,6 @@ Usage::
                                              #   CSV + Vega-Lite + index.html
     python -m repro.cli render fig16 fig12 --out artifacts
     python -m repro.cli claims fig14 fig16   # PASS|FAIL per paper claim
-    python -m repro.cli shard fattree --shards 4 --seed 2   # partitioned run
-    python -m repro.cli shard fattree --shards 2 --reference # + digest diff
-
-The ``shard`` subcommand runs a scenario from
-:mod:`repro.harness.shard` partitioned across ``--shards`` worker
-processes in conservative lookahead-bounded time windows; with
-``--reference`` it re-runs the scenario in a single process and fails
-(exit 1) unless the merged shard digest matches bit-for-bit — the
-determinism smoke check CI runs on every push.
 
 Each experiment name is a family declared in
 :data:`repro.harness.figures.FAMILIES` — the one table the catalogue,
@@ -147,28 +138,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--png", action="store_true",
         help="(render only) also rasterize plots, when matplotlib is available",
     )
-    parser.add_argument(
-        "--shards", type=int, metavar="N",
-        help="(shard only) number of worker processes to partition across "
-        "(default 2)",
-    )
-    parser.add_argument(
-        "--seed", type=int,
-        help="(shard only) seed for the sharded scenario (default 1)",
-    )
-    parser.add_argument(
-        "--reference", action="store_true",
-        help="(shard only) also run the single-process reference and fail "
-        "unless its digest matches the sharded run bit-for-bit",
-    )
     args = parser.parse_args(argv)
 
     jobs = _available_cpus() if args.jobs is None else args.jobs
     if jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
-        return 2
-    if args.shards is not None and args.shards < 1:
-        print("--shards must be >= 1", file=sys.stderr)
         return 2
     subcommand = args.experiments[0] if args.experiments else None
     misplaced = [
@@ -176,18 +150,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         for flag, owner, given in (
             ("--out", "render", args.out is not None),
             ("--png", "render", args.png),
-            ("--shards", "shard", args.shards is not None),
-            ("--seed", "shard", args.seed is not None),
-            ("--reference", "shard", args.reference),
         )
         if given and subcommand != owner
     ]
     if args.grid and subcommand == "render":
         misplaced.append("--set (render draws every family at its defaults)")
     if misplaced:
-        print(f"error: {', '.join(misplaced)} would be ignored here; an "
-              "experiment family takes its seed as --set seed=N",
-              file=sys.stderr)
+        print(f"error: {', '.join(misplaced)} would be ignored here", file=sys.stderr)
         return 2
 
     if not args.experiments or args.experiments == ["list"]:
@@ -204,13 +173,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _run_sweep(args.experiments[1:], args.grid, jobs, cache, args.quiet)
     if args.experiments[0] == "claims":
         return _run_claims(args.experiments[1:], args.grid, jobs, cache, args.quiet)
-    if args.experiments[0] == "shard":
-        return _run_shard(
-            args.experiments[1:],
-            2 if args.shards is None else args.shards,
-            1 if args.seed is None else args.seed,
-            args.grid, args.reference,
-        )
     if args.grid:
         # shorthand: `load_fct --set load=0.3,0.6` == `sweep load_fct --set ...`
         # (an unknown single name falls through to _run_sweep's usage line,
@@ -378,83 +340,6 @@ def _run_sweep(
         "(check the swept values match the parameter's expected shape; "
         "completed runs were cached)",
     )
-
-
-def _run_shard(
-    positional: List[str],
-    num_shards: int,
-    seed: int,
-    grid_args: List[str],
-    reference: bool,
-) -> int:
-    """Run one sharded scenario; optionally diff against the reference.
-
-    ``--set key=value`` forwards scenario keyword arguments (single values,
-    not sweeps).  With ``--reference``, the same scenario also runs in one
-    process and the merged N-shard digest must match it bit-for-bit — the
-    CI smoke invocation.
-    """
-    from repro.harness.shard import SHARD_SCENARIOS, run_reference, run_sharded
-    from repro.sim.eventlist import EventList
-
-    if len(positional) != 1 or positional[0] not in SHARD_SCENARIOS:
-        known = ", ".join(SHARD_SCENARIOS)
-        print(f"usage: shard SCENARIO [--shards N] [--seed S] [--reference] "
-              f"[--set key=value] (scenarios: {known})", file=sys.stderr)
-        return 2
-    name = positional[0]
-    builder = SHARD_SCENARIOS[name]
-    valid = set(inspect.signature(builder).parameters) - {
-        "eventlist", "num_shards", "seed", "owned_shard"
-    }
-    try:
-        grid = _parse_grid(grid_args)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    problems = [key for key in grid if key not in valid]
-    if problems:
-        print(f"unknown parameter(s) for {name}: {', '.join(problems)} "
-              f"(valid: {', '.join(sorted(valid))})", file=sys.stderr)
-        return 2
-    multi = [key for key, values in grid.items() if len(values) != 1]
-    if multi:
-        print(f"shard takes a single value per --set key, got several for: "
-              f"{', '.join(multi)}", file=sys.stderr)
-        return 2
-    kwargs = {key: values[0] for key, values in grid.items()}
-    try:
-        # a shape the builder rejects (shards that do not divide the pods, an
-        # odd or non-numeric k) is reported from this process, once, rather
-        # than as a traceback out of every forked worker
-        builder(EventList(), num_shards, seed, **kwargs)
-    except (ValueError, TypeError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    started = time.time()
-    result = run_sharded(name, num_shards, seed=seed, scenario_kwargs=kwargs)
-    print(f"scenario: {name} (seed {seed}, {num_shards} shard(s))")
-    print(f"  digest: {result.digest}")
-    print(f"  windows: {result.windows} (lookahead {result.lookahead_ps} ps)")
-    print(f"  events: {result.events_executed} "
-          f"({result.events_per_second:,.0f} ev/s wall)")
-    print(f"  flows: {result.completed_flows}/{result.total_flows} complete, "
-          f"{result.boundary_packets} boundary packets")
-    for label, stats in result.slowdown_summary.items():
-        print(f"  slowdown[{label}]: {_summarize(stats)}")
-
-    if reference:
-        reference_digest, _scenario = run_reference(
-            name, seed=seed, scenario_kwargs=kwargs
-        )
-        if reference_digest != result.digest:
-            print(f"DIGEST MISMATCH: reference {reference_digest} != "
-                  f"{num_shards}-shard {result.digest}", file=sys.stderr)
-            return 1
-        print(f"  reference digest matches ({num_shards}-shard == 1-process)")
-    print(f"\ndone in {time.time() - started:.1f} s")
-    return 0
 
 
 def _run_render(
@@ -630,8 +515,6 @@ def _print_catalogue() -> None:
           "index.html) to --out DIR")
     print(f"  {'claims':{width}s} judge each family's paper claims at the parameters "
           "they are stated at (PASS|FAIL lines, exit 1 on a FAIL)")
-    print(f"  {'shard':{width}s} run a partitioned multi-process simulation "
-          "(--shards N, --reference to diff against one process)")
 
 
 def _print_result(result: object) -> None:

@@ -50,7 +50,7 @@ import os
 import random
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import get_context
 from multiprocessing.connection import Connection, wait as _connection_wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -58,7 +58,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.config import NdpConfig
 from repro.core.packets import NdpAck, NdpDataPacket, NdpNack, NdpPull
 from repro.core.switch import NdpSwitchQueue
-from repro.harness import metrics
 from repro.harness.ndp_network import NdpNetwork
 from repro.harness.network import Flow
 from repro.harness.sweep import decode_result, encode_result
@@ -72,14 +71,12 @@ from repro.topology.partition import (
     ShardPartition,
     boundary_links,
     min_boundary_delay_ps,
-    partition_topology,
+    partition_fattree,
 )
-from repro.topology.simple import IndependentPairsTopology
 
 __all__ = [
     "ShardFailedError",
     "ShardRunResult",
-    "SHARD_SCENARIOS",
     "run_sharded",
     "run_reference",
     "digest_entries",
@@ -178,60 +175,6 @@ def _jitter_link_delays(topology) -> None:
         topology.set_link_delay_ps(src_node, dst_node, record.delay_ps + jitter)
 
 
-def _start_flow(
-    network: NdpNetwork,
-    partition: ShardPartition,
-    owned_shard: Optional[int],
-    src_host: int,
-    dst_host: int,
-    size_bytes: int,
-    start_time_ps: int,
-) -> Flow:
-    """Create one flow, arming the sender only if this shard owns it.
-
-    Every worker calls this for every flow in the same order, so the seeded
-    RNG streams ``create_flow`` consumes stay aligned across shards.
-    """
-    start = owned_shard is None or partition.owner_of_host(src_host) == owned_shard
-    return network.create_flow(
-        src_host, dst_host, size_bytes, start_time_ps=start_time_ps, start=start
-    )
-
-
-def build_pairs(
-    eventlist: EventList,
-    num_shards: int,
-    seed: int,
-    owned_shard: Optional[int] = None,
-    *,
-    pairs: int = 8,
-    flows_per_pair: int = 2,
-    flow_size_bytes: int = 1_500_000,
-    stagger_ps: int = microseconds(3),
-    horizon_ps: int = milliseconds(100),
-) -> ShardScenario:
-    """Degenerate scaling workload: disjoint back-to-back host pairs.
-
-    No boundary links, so the shards never exchange traffic — this isolates
-    the window-barrier and digest-merge machinery (conformance).
-    """
-    config = NdpConfig()
-    network = _ShardNdpNetwork.build(
-        eventlist, IndependentPairsTopology, config, seed, pairs=pairs
-    )
-    partition = partition_topology(network.topology, num_shards)
-    for round_index in range(flows_per_pair):
-        for pair in range(pairs):
-            src = 2 * pair + (round_index % 2)
-            dst = 2 * pair + 1 - (round_index % 2)
-            start_time = round_index * stagger_ps + pair * 7 * stagger_ps // 5
-            _start_flow(
-                network, partition, owned_shard, src, dst,
-                flow_size_bytes, start_time,
-            )
-    return ShardScenario(network, partition, horizon_ps)
-
-
 def build_fattree(
     eventlist: EventList,
     num_shards: int,
@@ -272,7 +215,7 @@ def build_fattree(
     if header_queue_bytes is not None:
         config.header_queue_bytes = header_queue_bytes
     network = _ShardNdpNetwork.build(eventlist, FatTreeTopology, config, seed, k=k)
-    partition = partition_topology(network.topology, num_shards)
+    partition = partition_fattree(network.topology, num_shards)
     topology = network.topology
     flow_index = 0
     for pod in range(topology.pods):
@@ -285,22 +228,20 @@ def build_fattree(
             else:
                 dst_pod = (pod + 1) % topology.pods
                 dst = dst_pod * topology.hosts_per_pod + (i * 5 + 1) % topology.hosts_per_pod
-            start_time = flow_index * stagger_ps
-            _start_flow(
-                network, partition, owned_shard, src, dst,
-                flow_size_bytes, start_time,
+            # every worker creates every flow in the same order, so the seeded
+            # streams create_flow draws from stay aligned; only the owner arms it
+            network.create_flow(
+                src, dst, flow_size_bytes, start_time_ps=flow_index * stagger_ps,
+                start=owned_shard is None or partition.owner_of_host(src) == owned_shard,
             )
             flow_index += 1
     return ShardScenario(network, partition, horizon_ps)
 
 
-#: fork-safe scenario registry: name -> builder(eventlist, num_shards, seed,
-#: owned_shard=None, **kwargs) -> ShardScenario.  Module-level so worker
-#: processes resolve builders by name after the fork.
-SHARD_SCENARIOS: Dict[str, Callable[..., ShardScenario]] = {
-    "pairs": build_pairs,
-    "fattree": build_fattree,
-}
+def _check_scenario(scenario: str) -> None:
+    """``"fattree"`` is the one scenario; the name stays in the signature."""
+    if scenario != "fattree":
+        raise ValueError(f"unknown shard scenario {scenario!r} (known: fattree)")
 
 
 # ---------------------------------------------------------------------------
@@ -394,14 +335,12 @@ class _ShardWorker:
         self,
         shard_id: int,
         num_shards: int,
-        scenario: str,
         seed: int,
         scenario_kwargs: Dict[str, Any],
     ) -> None:
         self.shard_id = shard_id
         self.eventlist = EventList()
-        builder = SHARD_SCENARIOS[scenario]
-        scn = builder(
+        scn = build_fattree(
             self.eventlist, num_shards, seed, owned_shard=shard_id,
             **scenario_kwargs,
         )
@@ -448,7 +387,6 @@ class _ShardWorker:
             f for f in self.network.flows if owner(f.dst_host) == shard_id
         ]
         self.busy_seconds = 0.0
-        self.peak_pending = 0
 
     # --- construction helpers ---------------------------------------------------------
 
@@ -516,7 +454,6 @@ class _ShardWorker:
                 self.eventlist.schedule_raw(
                     deliver_at, flow.src.receive_packet, (packet,)
                 )
-                self.ingress.packets_delivered += 1
                 return
             packet.bounced = False
             # a revived data packet is in transit away from its source; if a
@@ -560,9 +497,6 @@ class _ShardWorker:
             self._revive(entry)
         self.eventlist.run_window(end_ps)
         self.busy_seconds += time.process_time() - started
-        pending = self.eventlist.pending_events()
-        if pending > self.peak_pending:
-            self.peak_pending = pending
         # drain in place: the egress capture closures hold a reference to
         # this exact list, so rebinding self.outbox would orphan them
         outbox = self.outbox[:]
@@ -575,30 +509,11 @@ class _ShardWorker:
     # --- results -----------------------------------------------------------------------
 
     def finish_payload(self) -> dict:
-        link_rate_bps = self.network.topology.link_rate_bps
-        config = self.network.config
-        entries = digest_entries(self.network, self.partition, self.shard_id)
         return {
             "shard_id": self.shard_id,
-            "digest_entries": entries,
-            "shard_digest": merge_digest([entries]),
-            # (flow_id, size, slowdown) of every completed flow this shard
-            # receives; the driver merges them in flow-id order
-            "slowdowns": [
-                (flow.flow_id, flow.record.flow_size_bytes,
-                 metrics.flow_slowdown(
-                     flow.record, link_rate_bps, config.mtu_bytes, config.header_bytes
-                 ))
-                for flow in self.owned_sink_flows
-                if flow.record.completed
-            ],
+            "digest_entries": digest_entries(self.network, self.partition, self.shard_id),
             "busy_seconds": self.busy_seconds,
-            "events_executed": self.eventlist.events_executed,
-            "peak_pending_events": self.peak_pending,
-            "final_time_ps": self.eventlist.now(),
-            "owned_flows": len(self.owned_sink_flows),
             "completed_flows": sum(1 for f in self.owned_sink_flows if f.complete),
-            "boundary_packets_in": self.ingress.packets_delivered,
         }
 
 
@@ -678,14 +593,13 @@ def _shard_worker_main(
     conn: Connection,
     shard_id: int,
     num_shards: int,
-    scenario: str,
     seed: int,
     scenario_kwargs: Dict[str, Any],
     fail_shard: Optional[int],
     fail_window: Optional[int],
 ) -> None:
     try:
-        worker = _ShardWorker(shard_id, num_shards, scenario, seed, scenario_kwargs)
+        worker = _ShardWorker(shard_id, num_shards, seed, scenario_kwargs)
         conn.send(
             (
                 "ready", shard_id, worker.lookahead_ps, worker.horizon_ps,
@@ -725,11 +639,7 @@ def _shard_worker_main(
 class ShardRunResult:
     """Merged outcome of one sharded run."""
 
-    scenario: str
-    num_shards: int
-    seed: int
     digest: str
-    per_shard_digests: List[str]
     windows: int
     lookahead_ps: int
     events_executed: int
@@ -737,17 +647,7 @@ class ShardRunResult:
     busy_seconds: List[float]
     completed_flows: int
     total_flows: int
-    final_time_ps: int
-    peak_pending_events: int
     boundary_packets: int
-    slowdown_summary: Dict[str, dict] = field(default_factory=dict)
-
-    @property
-    def events_per_second(self) -> float:
-        """Wall-clock event rate (bounded by the machine's real cores)."""
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.events_executed / self.wall_seconds
 
 
 def _recv_checked(
@@ -799,22 +699,13 @@ def run_sharded(
     traffic (each marshalled entry is tagged with its destination shard),
     the driver only enforces the window barrier — all shards finish window
     ``w`` before any entry produced in it is delivered — and merges the
-    per-shard digests, slowdowns and counters at the end.  The slowdown
-    summary is exact: every shard reports ``(flow_id, size, slowdown)`` for
-    the completed flows it receives, and the driver bins them in flow-id
-    order with :func:`~repro.harness.metrics.binned_cct_summary`, so it
-    equals :func:`~repro.harness.metrics.binned_slowdown_summary` over the
-    same records in one process.
+    per-shard digest entries and counters at the end.
 
     ``_fail_shard`` / ``_fail_window`` are test hooks: the named worker
     calls ``os._exit(1)`` at the start of that window, which must surface
     as :class:`ShardFailedError` rather than a hang.
     """
-    if scenario not in SHARD_SCENARIOS:
-        raise ValueError(
-            f"unknown shard scenario {scenario!r} "
-            f"(known: {sorted(SHARD_SCENARIOS)})"
-        )
+    _check_scenario(scenario)
     if num_shards < 1:
         raise ValueError("need at least one shard")
     kwargs = dict(scenario_kwargs or {})
@@ -828,7 +719,7 @@ def run_sharded(
             proc = context.Process(
                 target=_shard_worker_main,
                 args=(
-                    child_conn, shard_id, num_shards, scenario, seed, kwargs,
+                    child_conn, shard_id, num_shards, seed, kwargs,
                     _fail_shard, _fail_window,
                 ),
                 daemon=True,
@@ -903,13 +794,8 @@ def run_sharded(
             conn.close()
 
     payloads.sort(key=lambda payload: payload["shard_id"])
-    slowdowns = sorted(entry for payload in payloads for entry in payload["slowdowns"])
     return ShardRunResult(
-        scenario=scenario,
-        num_shards=num_shards,
-        seed=seed,
         digest=merge_digest([payload["digest_entries"] for payload in payloads]),
-        per_shard_digests=[payload["shard_digest"] for payload in payloads],
         windows=windows,
         lookahead_ps=lookahead_ps,
         events_executed=events_executed,
@@ -917,12 +803,7 @@ def run_sharded(
         busy_seconds=[payload["busy_seconds"] for payload in payloads],
         completed_flows=sum(payload["completed_flows"] for payload in payloads),
         total_flows=total_flows,
-        final_time_ps=max(payload["final_time_ps"] for payload in payloads),
-        peak_pending_events=max(payload["peak_pending_events"] for payload in payloads),
         boundary_packets=boundary_packets,
-        slowdown_summary=metrics.binned_cct_summary(
-            (size, slowdown) for _flow_id, size, slowdown in slowdowns
-        ),
     )
 
 
@@ -942,9 +823,9 @@ def run_reference(
     same stop condition as the sharded driver (every source *and* sink
     complete), so its digest is directly comparable.
     """
+    _check_scenario(scenario)
     eventlist = EventList()
-    builder = SHARD_SCENARIOS[scenario]
-    scn = builder(
+    scn = build_fattree(
         eventlist, num_shards=1, seed=seed, owned_shard=None,
         **(scenario_kwargs or {}),
     )

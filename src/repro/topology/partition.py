@@ -12,16 +12,10 @@ arrive in shard B before ``t + min_boundary_delay_ps``, so advancing every
 shard in lockstep windows of that length guarantees no shard ever receives
 a packet in its past.
 
-Two concrete partitioners are provided:
-
-* :func:`partition_fattree` — the paper-scale case: pods map to shards
-  (contiguous pod blocks), core switches round-robin across shards.  Every
-  aggregation↔core link whose endpoints land in different shards becomes a
-  boundary link.
-* :func:`partition_pairs` — the degenerate case for
-  :class:`~repro.topology.simple.IndependentPairsTopology`: each cable pair
-  stays whole, pairs round-robin across shards, and the boundary set is
-  empty (pure scaling, no cross-shard traffic).
+:func:`partition_fattree` is the partitioner: pods map to shards
+(contiguous pod blocks), core switches round-robin across shards.  Every
+aggregation↔core link whose endpoints land in different shards becomes a
+boundary link; one shard has none.
 """
 
 from __future__ import annotations
@@ -31,7 +25,6 @@ from typing import Dict, List, Tuple
 
 from repro.topology.base import LinkRecord, Topology
 from repro.topology.fattree import FatTreeTopology
-from repro.topology.simple import IndependentPairsTopology
 
 BoundaryKey = Tuple[str, str]
 
@@ -85,37 +78,6 @@ def partition_fattree(topology: FatTreeTopology, num_shards: int) -> ShardPartit
     for core in range(topology.core_count):
         node_owner[topology._core_name(core)] = core % num_shards
     return ShardPartition(num_shards, node_owner, host_owner)
-
-
-def partition_pairs(
-    topology: IndependentPairsTopology, num_shards: int
-) -> ShardPartition:
-    """Round-robin whole cable pairs across shards (no boundary links)."""
-    if num_shards < 1:
-        raise ValueError("need at least one shard")
-    if num_shards > topology.pairs:
-        raise ValueError(
-            f"{num_shards} shards but only {topology.pairs} host pairs"
-        )
-    node_owner: Dict[str, int] = {}
-    host_owner: Dict[int, int] = {}
-    for pair in range(topology.pairs):
-        shard = pair % num_shards
-        for host in (2 * pair, 2 * pair + 1):
-            host_owner[host] = shard
-            node_owner[topology.host_name(host)] = shard
-    return ShardPartition(num_shards, node_owner, host_owner)
-
-
-def partition_topology(topology: Topology, num_shards: int) -> ShardPartition:
-    """Dispatch to the partitioner matching *topology*'s concrete type."""
-    if isinstance(topology, FatTreeTopology):
-        return partition_fattree(topology, num_shards)
-    if isinstance(topology, IndependentPairsTopology):
-        return partition_pairs(topology, num_shards)
-    raise TypeError(
-        f"no partitioner for topology type {type(topology).__name__}"
-    )
 
 
 def boundary_links(

@@ -89,47 +89,3 @@ class BackToBackTopology(Topology):
         if src_host == dst_host:
             raise ValueError("source and destination host must differ")
         return [(self.host_name(src_host), self.host_name(dst_host))]
-
-
-class IndependentPairsTopology(Topology):
-    """*pairs* disjoint back-to-back cables: host ``2i`` ↔ host ``2i+1``.
-
-    The degenerate sharding benchmark: the pairs share no queue, pipe or
-    switch, so a pod-style partition that keeps each pair in one shard has
-    zero boundary links and the shards never need to exchange traffic.
-    This isolates the window-barrier machinery's overhead (and, in the
-    conformance suite, pins the digest-merge rule on a topology where the
-    1-shard and N-shard executions are trivially event-identical).
-    """
-
-    def __init__(
-        self,
-        eventlist: EventList,
-        pairs: int = 2,
-        link_rate_bps: int = DEFAULT_LINK_RATE_BPS,
-        queue_factory: Optional[QueueFactory] = None,
-        host_nic_factory: Optional[QueueFactory] = None,
-    ) -> None:
-        if pairs < 1:
-            raise ValueError("need at least one host pair")
-        super().__init__(
-            eventlist,
-            link_rate_bps=link_rate_bps,
-            queue_factory=queue_factory,
-            host_nic_factory=host_nic_factory,
-        )
-        self.pairs = pairs
-        self.host_count = 2 * pairs
-        for pair in range(pairs):
-            left, right = self.host_name(2 * pair), self.host_name(2 * pair + 1)
-            self.add_link(left, right, is_host_uplink=True)
-            self.add_link(right, left, is_host_uplink=True)
-
-    def node_paths(self, src_host: int, dst_host: int) -> List[NodePath]:
-        if src_host == dst_host:
-            raise ValueError("source and destination host must differ")
-        if src_host // 2 != dst_host // 2:
-            raise ValueError(
-                f"hosts {src_host} and {dst_host} are on disjoint cables"
-            )
-        return [(self.host_name(src_host), self.host_name(dst_host))]

@@ -58,14 +58,16 @@ def test_sharded_docs_are_complete():
     assert check_docs.check_sharded_docs() == []
 
 
-def test_sharded_check_catches_an_undocumented_scenario(monkeypatch):
-    from repro.harness import shard
-
-    monkeypatch.setitem(shard.SHARD_SCENARIOS, "torus_unwritten", lambda: None)
-    problems = check_docs.check_sharded_docs()
-    assert any(
-        "docs/experiments.md" in p and "torus_unwritten" in p for p in problems
+def test_sharded_check_catches_a_dropped_rule(tmp_path):
+    """An architecture text that stops naming the digest-merge rule fails."""
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "architecture.md").write_text(
+        "## Sharded simulation\n\nWindows are one lookahead long.\n"
     )
+    assert check_docs.check_sharded_docs(str(tmp_path)) == [
+        "docs/architecture.md: sharded-simulation section no longer explains "
+        "the digest-merge rule"
+    ]
 
 
 def test_family_check_catches_an_undocumented_chart(monkeypatch):

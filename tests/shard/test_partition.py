@@ -7,14 +7,10 @@ import pytest
 from repro.sim.eventlist import EventList
 from repro.topology.fattree import FatTreeTopology
 from repro.topology.partition import (
-    ShardPartition,
     boundary_links,
     min_boundary_delay_ps,
     partition_fattree,
-    partition_pairs,
-    partition_topology,
 )
-from repro.topology.simple import BackToBackTopology, IndependentPairsTopology
 
 
 class TestFatTreePartition:
@@ -71,38 +67,7 @@ class TestFatTreePartition:
         assert keys == {(dst, src) for src, dst in keys}
 
 
-class TestPairsPartition:
-    def test_round_robin_keeps_pairs_whole(self) -> None:
-        topology = IndependentPairsTopology(EventList(), pairs=5)
-        partition = partition_pairs(topology, 2)
-        for pair in range(5):
-            left = partition.owner_of_host(2 * pair)
-            right = partition.owner_of_host(2 * pair + 1)
-            assert left == right == pair % 2
-
-    def test_no_boundary_links(self) -> None:
-        topology = IndependentPairsTopology(EventList(), pairs=4)
-        partition = partition_pairs(topology, 4)
-        assert boundary_links(topology, partition) == []
-
-    def test_more_shards_than_pairs_rejected(self) -> None:
-        topology = IndependentPairsTopology(EventList(), pairs=2)
-        with pytest.raises(ValueError, match="host pairs"):
-            partition_pairs(topology, 3)
-
-
-class TestDispatchAndLookahead:
-    def test_dispatcher_matches_type(self) -> None:
-        fattree = FatTreeTopology(EventList(), k=4)
-        assert isinstance(partition_topology(fattree, 2), ShardPartition)
-        pairs = IndependentPairsTopology(EventList(), pairs=2)
-        assert isinstance(partition_topology(pairs, 2), ShardPartition)
-
-    def test_dispatcher_rejects_unknown_topology(self) -> None:
-        topology = BackToBackTopology(EventList())
-        with pytest.raises(TypeError, match="no partitioner"):
-            partition_topology(topology, 2)
-
+class TestLookahead:
     def test_lookahead_is_min_boundary_delay(self) -> None:
         topology = FatTreeTopology(EventList(), k=4)
         partition = partition_fattree(topology, 2)

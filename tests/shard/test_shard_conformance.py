@@ -3,9 +3,9 @@
 The contract under test: for a fixed scenario and seed, the merged global
 digest of an N-shard run is **bit-identical** to the single-process
 reference — flow-by-flow transmit/receive records and per-switch trim and
-bounce counters all included — for every shard count, on both the
-degenerate no-boundary topology (independent host pairs) and a real
-pod-partitioned k=4 fat-tree where every flow crosses shard boundaries.
+bounce counters all included — for every shard count, on a pod-partitioned
+k=4 fat-tree where every flow crosses shard boundaries (and which one shard
+runs in a single window, with no boundary at all).
 
 These runs fork worker processes; configs are sized to keep each case in
 the low seconds while still pushing thousands of events (and, for the
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness import metrics
 from repro.harness.shard import (
     digest_entries,
     merge_digest,
@@ -36,8 +35,6 @@ INCAST_KW = {
     "header_queue_bytes": 6 * 64,
 }
 
-PAIRS_KW = {"pairs": 4, "flows_per_pair": 1, "flow_size_bytes": 200_000}
-
 
 def _queue_counters(scenario):
     entries = digest_entries(scenario.network, scenario.partition, None)
@@ -46,38 +43,31 @@ def _queue_counters(scenario):
     return trims, bounces
 
 
-class TestPairsConformance:
-    """Degenerate topology: disjoint cables, zero boundary links."""
+class TestOneShardConformance:
+    """One shard owns every node: no boundary link, so no lookahead."""
 
     def test_one_shard_matches_reference(self) -> None:
-        reference, _scn = run_reference("pairs", seed=3, scenario_kwargs=PAIRS_KW)
-        result = run_sharded("pairs", 1, seed=3, scenario_kwargs=PAIRS_KW)
+        reference, _scn = run_reference("fattree", seed=3, scenario_kwargs=FATTREE_KW)
+        result = run_sharded("fattree", 1, seed=3, scenario_kwargs=FATTREE_KW)
         assert result.digest == reference
-        assert result.completed_flows == result.total_flows
-        assert result.boundary_packets == 0
-
-    def test_worker_count_invariance(self) -> None:
-        reference, _scn = run_reference("pairs", seed=3, scenario_kwargs=PAIRS_KW)
-        two = run_sharded("pairs", 2, seed=3, scenario_kwargs=PAIRS_KW)
-        four = run_sharded("pairs", 4, seed=3, scenario_kwargs=PAIRS_KW)
-        assert two.digest == reference
-        assert four.digest == reference
-        assert two.events_executed == four.events_executed
-
-    def test_zero_lookahead_runs_single_window(self) -> None:
-        result = run_sharded("pairs", 2, seed=3, scenario_kwargs=PAIRS_KW)
         assert result.lookahead_ps == 0
-        assert result.windows == 1
+        assert result.windows == 1, "an empty boundary runs one window to the horizon"
+        assert result.boundary_packets == 0
+        assert result.completed_flows == result.total_flows == 8
 
 
 class TestFatTreeConformance:
     """Real partition: pod-sharded k=4 fat-tree, all flows cross the core."""
 
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_sharded_matches_reference(self, seed: int) -> None:
-        reference, _scn = run_reference("fattree", seed=seed, scenario_kwargs=FATTREE_KW)
-        two = run_sharded("fattree", 2, seed=seed, scenario_kwargs=FATTREE_KW)
-        four = run_sharded("fattree", 4, seed=seed, scenario_kwargs=FATTREE_KW)
+    @pytest.mark.parametrize("seed, kwargs", [
+        pytest.param(1, FATTREE_KW, id="1"),
+        pytest.param(2, FATTREE_KW, id="2"),
+        pytest.param(1, {}, id="defaults"),
+    ])
+    def test_sharded_matches_reference(self, seed: int, kwargs: dict) -> None:
+        reference, _scn = run_reference("fattree", seed=seed, scenario_kwargs=kwargs)
+        two = run_sharded("fattree", 2, seed=seed, scenario_kwargs=kwargs)
+        four = run_sharded("fattree", 4, seed=seed, scenario_kwargs=kwargs)
         assert two.digest == reference, "2-shard digest diverged from reference"
         assert four.digest == reference, "4-shard digest diverged from reference"
         # the partition actually cut the traffic: every flow crosses the core
@@ -90,38 +80,32 @@ class TestFatTreeConformance:
         two = run_sharded("fattree", 2, seed=1, scenario_kwargs=FATTREE_KW)
         four = run_sharded("fattree", 4, seed=1, scenario_kwargs=FATTREE_KW)
         assert two.events_executed == four.events_executed
-        # final_time_ps is NOT asserted: the clock parks at the last window
-        # edge, which depends on the partition's lookahead — the digest is
-        # the invariant, not the parked clock.
-        assert two.per_shard_digests != four.per_shard_digests
 
     def test_repeat_run_is_bit_stable(self) -> None:
         first = run_sharded("fattree", 2, seed=2, scenario_kwargs=FATTREE_KW)
         second = run_sharded("fattree", 2, seed=2, scenario_kwargs=FATTREE_KW)
         assert first.digest == second.digest
-        assert first.per_shard_digests == second.per_shard_digests
 
     def test_different_seeds_differ(self) -> None:
         one = run_sharded("fattree", 2, seed=1, scenario_kwargs=FATTREE_KW)
         two = run_sharded("fattree", 2, seed=2, scenario_kwargs=FATTREE_KW)
         assert one.digest != two.digest
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "parity holds unless two boundary packets reach one element in the same "
+        "picosecond: ~13 of 14 scenario seeds at k=8 (known bad: 5, 22, 36, 46, 48, "
+        "89); docs/architecture.md, 'Sharded simulation'"
+    ))
+    def test_reference_digest_matches_on_a_known_bad_seed(self) -> None:
+        """The hole in the parity guarantee, executable: the digests differ."""
+        kwargs = {"k": 8, "flows_per_pod": 16, "flow_size_bytes": 900_000}
+        reference, _scn = run_reference("fattree", seed=5, scenario_kwargs=kwargs)
+        assert run_sharded("fattree", 2, seed=5, scenario_kwargs=kwargs).digest == reference
 
-class TestSlowdownSummary:
-    """Every shard reports its completed flows' slowdowns; the driver bins
-    them exactly, so the summary cannot depend on the shard count."""
-
-    def test_summary_equals_the_single_process_summary(self) -> None:
-        _digest, scenario = run_reference("fattree", seed=1, scenario_kwargs=FATTREE_KW)
-        network = scenario.network
-        expected = metrics.binned_slowdown_summary(
-            network.records(), network.topology.link_rate_bps,
-            network.config.mtu_bytes, network.config.header_bytes,
-        )
-        assert expected["all"]["count"] == len(network.flows)
-        for shards in (1, 2, 4):
-            result = run_sharded("fattree", shards, seed=1, scenario_kwargs=FATTREE_KW)
-            assert result.slowdown_summary == expected, f"{shards} shards"
+    def test_only_the_fattree_scenario_exists(self) -> None:
+        for run in (lambda: run_reference("pairs"), lambda: run_sharded("pairs", 2)):
+            with pytest.raises(ValueError, match="known: fattree"):
+                run()
 
 
 class TestIncastConformance:

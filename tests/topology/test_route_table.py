@@ -25,7 +25,6 @@ from repro.sim.queues import BaseQueue
 from repro.topology.fattree import FatTreeTopology
 from repro.topology.leafspine import LeafSpineTopology
 from repro.topology.simple import BackToBackTopology, SingleSwitchTopology
-from repro.topology.simple import IndependentPairsTopology
 from repro.topology.route_table import PathList
 
 #: what one host pair per ToR pair of a k=12 fat-tree may allocate in the
@@ -96,13 +95,6 @@ class TestRoutesEqualHopByHopResolution:
         for src, dst in [(0, 1), (1, 0)]:
             (route,) = _assert_matches_resolve(topo, src, dst)
             assert len(route) == 2  # one queue, one pipe: the cable itself
-
-    def test_independent_pairs(self):
-        topo = IndependentPairsTopology(EventList(), pairs=3)
-        for src, dst in [(0, 1), (3, 2), (4, 5)]:
-            assert len(_assert_matches_resolve(topo, src, dst)) == 1
-        with pytest.raises(ValueError):
-            topo.get_paths(0, 2)
 
     def test_failed_first_hop_core_and_last_hop_links(self):
         topo = _fattree()
