@@ -43,17 +43,21 @@ def _queue_counters(scenario):
     return trims, bounces
 
 
-class TestOneShardConformance:
-    """One shard owns every node: no boundary link, so no lookahead."""
+class TestPairsConformance:
+    """Boundary-free runs: one shard owns every node, so no link crosses a
+    shard and the run has no lookahead to window on."""
 
     def test_one_shard_matches_reference(self) -> None:
         reference, _scn = run_reference("fattree", seed=3, scenario_kwargs=FATTREE_KW)
         result = run_sharded("fattree", 1, seed=3, scenario_kwargs=FATTREE_KW)
         assert result.digest == reference
-        assert result.lookahead_ps == 0
-        assert result.windows == 1, "an empty boundary runs one window to the horizon"
         assert result.boundary_packets == 0
         assert result.completed_flows == result.total_flows == 8
+
+    def test_zero_lookahead_runs_single_window(self) -> None:
+        result = run_sharded("fattree", 1, seed=3, scenario_kwargs=FATTREE_KW)
+        assert result.lookahead_ps == 0
+        assert result.windows == 1, "an empty boundary runs one window to the horizon"
 
 
 class TestFatTreeConformance:
