@@ -1,7 +1,7 @@
 """The scenario half of ``tools/check_digests.py``, run for real.
 
 ``TestTheGate::test_the_tree_matches_the_committed_baseline`` *is* tier-1's
-gate: the session's one run of the three seeded scenarios must match
+gate: the session's one run of the four seeded scenarios must match
 ``scenarios.json`` in every pinned value, in any of the six transports.  The
 other cases doctor a copy of the pins (or the scenario table) and pin the exit
 code and the line a CI log would show, replaying that one run.
@@ -30,7 +30,7 @@ class TestTheGate:
     ):
         Path(digest_gate.GOLDEN["families"]).write_text("{}")
         assert digest_gate.main(["--capture"]) == 0
-        assert "scenarios: 3 entries written to" in capsys.readouterr().out
+        assert "scenarios: 4 entries written to" in capsys.readouterr().out
         assert Path(digest_gate.GOLDEN["scenarios"]).read_bytes() == \
             Path(digest_gate.committed["scenarios"]).read_bytes()
         assert json.loads(Path(digest_gate.GOLDEN["families"]).read_text()) == \

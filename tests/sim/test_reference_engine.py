@@ -45,7 +45,7 @@ def test_the_reference_engine_matches_every_scenario_pin():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
     )
     assert child.returncode == 0, child.stdout + child.stderr
-    assert child.stdout.startswith("digests OK: 3 scenarios match")
+    assert child.stdout.startswith("digests OK: 4 scenarios match")
 
 
 def _outcomes(child: subprocess.Popen) -> tuple:

@@ -5,9 +5,10 @@ Two halves, one protocol, pins beside the other goldens in
 ``tests/harness/golden/`` (what each digest hashes: ``docs/architecture.md``,
 "Seeded digests"):
 
-* ``scenarios`` — the seeded ``permutation``, ``incast`` and
-  ``transport_matrix`` runs, in this process (~1.3 s; tier-1 runs this half
-  once per session, ``tests/conftest.py``), against ``scenarios.json``;
+* ``scenarios`` — the seeded ``permutation``, ``incast``,
+  ``transport_matrix`` and ``baseline_recovery`` runs, in this process
+  (~1.8 s; tier-1 runs this half once per session, ``tests/conftest.py``),
+  against ``scenarios.json``;
 * ``families`` — ``python -m repro.cli all -q`` on an empty scratch cache
   (about a minute on two cores), one SHA-256 per ``### name — `` section,
   against ``family_digests.json``.
@@ -33,7 +34,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if os.path.join(ROOT, "src") not in sys.path:
@@ -41,13 +42,17 @@ if os.path.join(ROOT, "src") not in sys.path:
 
 from repro.core.config import NdpConfig  # noqa: E402
 from repro.core.switch import NdpSwitchQueue  # noqa: E402
+from repro.harness.baseline_networks import TcpNetwork  # noqa: E402
 from repro.harness.experiment import start_incast, start_permutation  # noqa: E402
 from repro.harness.ndp_network import NdpNetwork  # noqa: E402
+from repro.sim import units  # noqa: E402
 from repro.sim.eventlist import EventList  # noqa: E402
+from repro.sim.queues import TappedQueue  # noqa: E402
 from repro.topology.fattree import FatTreeTopology  # noqa: E402
 from repro.topology.leafspine import LeafSpineTopology  # noqa: E402
 from repro.topology.simple import SingleSwitchTopology  # noqa: E402
 from repro.transports import registry  # noqa: E402
+from repro.transports.dcqcn import DcqcnConfig  # noqa: E402
 
 #: half -> the golden file its values are pinned in
 GOLDEN = {
@@ -202,10 +207,156 @@ def run_transport_matrix(seed: int = 1) -> Pinned:
     }
 
 
+class _LossyTcpNetwork(TcpNetwork):
+    """Plain TCP whose switch ports also drop data segments at random.
+
+    Windows stay small, so fast recovery often starts with eight or fewer
+    segments in flight, and now and then its retransmission is lost too.
+    The drops draw from the ports' seeded stream.
+    """
+
+    #: probability that a switch port drops an arriving data segment
+    LOSS = 0.05
+
+    @classmethod
+    def _switch_queue(cls, eventlist, rate_bps, name, config, depth, rng):
+        def tap(packet):
+            if not packet.is_control() and rng.random() < cls.LOSS:
+                return "drop", 0
+            return "pass", 0
+
+        return TappedQueue(eventlist, rate_bps, depth * config.packet_bytes, tap, name=name)
+
+
+class _RecoveryRun(NamedTuple):
+    """One transport's part of ``baseline_recovery``: sender 1 sends
+    *long_packets*, every other sender i sends 20 + 10 i packets into host 0."""
+
+    #: ``None``: the registered network class
+    network_cls: Optional[type] = None
+    #: ``None``: the registered default config
+    config: Optional[object] = None
+    #: switch output buffer in packets (``None``: the network's default)
+    buffer_packets: Optional[int] = None
+    senders: int = 12
+    long_packets: int = 400
+    #: one-way propagation delay of host 0's link, both directions
+    receiver_delay_ps: int = 0
+    #: rate of the switch port into host 0 (``None``: the line rate)
+    receiver_rate_bps: Optional[int] = None
+
+
+_RECOVERY_RUNS = {
+    # random loss: fast recovery, lost retransmissions, 200 ms timeouts
+    registry.TCP: _RecoveryRun(_LossyTcpNetwork, senders=4, long_packets=1000),
+    # ECN marks at 30 packets, drops at 40; host 0's long link makes the RTO
+    # follow srtt + 4 rttvar instead of its 10 ms floor
+    registry.DCTCP: _RecoveryRun(
+        buffer_packets=40, receiver_delay_ps=units.microseconds(4500)),
+    # eight LIA-coupled subflows per connection over the same long link
+    registry.MPTCP: _RecoveryRun(
+        buffer_packets=12, receiver_delay_ps=units.microseconds(4500)),
+    # PFC pauses and CNPs: 1,250 B packets through a 5 Gb/s port arrive on a
+    # 2 us grid, so a marked packet can land exactly CNP_INTERVAL_PS after
+    # the last CNP; sender 1 runs on alone into rate recovery
+    registry.DCQCN: _RecoveryRun(
+        config=DcqcnConfig(mss_bytes=1186), buffer_packets=40, long_packets=2000,
+        receiver_rate_bps=5 * units.GBPS),
+    # the free first-RTT bursts overflow 8-packet buffers: receiver timeouts
+    registry.PHOST: _RecoveryRun(),
+}
+
+
+def _endpoint_records(flow) -> list:
+    """The receiver's record, then every sender's own: an MPTCP connection's
+    subflows count their retransmissions beside the shared record."""
+    records = [flow.record]
+    for src in getattr(flow.src, "subflows", [flow.src]):
+        if src.record is not flow.record:
+            records.append(src.record)
+    return records
+
+
+def _recovery_pins(network, flows) -> Pinned:
+    """One transport's digest over every endpoint record and the fabric's
+    counters, and how often it dropped, marked, paused, timed out and (for
+    DCQCN) sent CNPs."""
+    records = [record for flow in flows for record in _endpoint_records(flow)]
+    queues = list(network.topology.all_queues())
+    reached = {
+        "drops": sum(q.stats.packets_dropped for q in queues),
+        "marks": sum(q.stats.packets_marked for q in queues),
+        "pauses": sum(q.stats.pause_events for q in queues),
+        "timeouts": sum(record.rtx_from_timeout for record in records),
+    }
+    if hasattr(flows[0].src, "cnps_received"):
+        reached["cnps"] = sum(flow.src.cnps_received for flow in flows)
+    hasher = hashlib.sha256()
+    for record in records:
+        hasher.update(repr(_record_tuple(record)).encode())
+    hasher.update(repr(sorted(reached.items())).encode())
+    return {"digest": hasher.hexdigest(), **reached}
+
+
+def run_baseline_recovery(seed: int = 1) -> Pinned:
+    """``baseline_recovery``: every baseline transport through its recovery paths.
+
+    An incast into host 0 of a star per transport, staggered by 3 us:
+    TCP's fast retransmit, lost-retransmission resend and RTO, DCTCP's
+    ECN response, MPTCP's LIA coupling, DCQCN's PFC pause / resume, CNPs and
+    rate recovery, and pHost's timeouts.  Each transport's digest covers
+    every endpoint's own record (an MPTCP subflow's retransmission counters
+    too), and how often it dropped, marked, paused, timed out and sent
+    CNPs is pinned beside it, so a gate that stopped reaching a mechanism
+    shows as a zero.
+    """
+    events_total = completed = total = 0
+    pinned: Pinned = {}
+    hasher = hashlib.sha256()
+    for display, run in _RECOVERY_RUNS.items():
+        spec = registry.resolve(display)
+        eventlist = EventList()
+        network = (run.network_cls or spec.network_cls).build(
+            eventlist, SingleSwitchTopology, config=run.config or spec.default_config(),
+            seed=seed, buffer_packets=run.buffer_packets, hosts=run.senders + 1,
+        )
+        topology = network.topology
+        receiver = topology.host_name(0)
+        if run.receiver_delay_ps:
+            for link in ((topology.SWITCH, receiver), (receiver, topology.SWITCH)):
+                topology.set_link_delay_ps(*link, run.receiver_delay_ps)
+        if run.receiver_rate_bps is not None:
+            topology.set_link_rate(topology.SWITCH, receiver, run.receiver_rate_bps)
+        mss = network.config.mss_bytes
+        flows = [
+            network.create_flow(
+                i, 0, (run.long_packets if i == 1 else 20 + 10 * i) * mss - 100,
+                start_time_ps=(i % 4) * units.microseconds(3),
+            )
+            for i in range(1, run.senders + 1)
+        ]
+        events = _run_to_completion(eventlist, flows, until_ps=60_000_000_000_000)
+        values = _recovery_pins(network, flows)
+        hasher.update(f"{spec.display}:{values['digest']}".encode())
+        events_total += events
+        completed += sum(1 for f in flows if f.complete)
+        total += len(flows)
+        pinned[f"events_{spec.name}"] = events
+        pinned.update((f"{key}_{spec.name}", value) for key, value in values.items())
+    return {
+        "events_executed": events_total,
+        "completed_flows": completed,
+        "total_flows": total,
+        "flow_digest": hasher.hexdigest(),
+        **pinned,
+    }
+
+
 SCENARIOS = {
     "permutation": run_permutation,
     "incast": run_incast,
     "transport_matrix": run_transport_matrix,
+    "baseline_recovery": run_baseline_recovery,
 }
 
 # --- families ----------------------------------------------------------------
