@@ -11,9 +11,9 @@ Protocol packages subclass :class:`Packet` to add protocol fields; the switch
 and link code only relies on the base attributes defined here (size,
 priority, ECN bits, trimming support).  The unpooled transports build on two
 ready-made shapes, :class:`DataPacket` (payload plus header) and
-:class:`ControlPacket` (a bare header), and declare only their own fields;
-NDP's pooled packets (``repro.core.packets``) flatten their constructors
-instead, because one is filled per transmitted packet.
+:class:`ControlPacket` (a bare header), and declare only their own fields.
+Both set every slot in their own constructor, as NDP's pooled packets
+(``repro.core.packets``) do, because one is built per transmitted packet.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ class PacketPriority(enum.IntEnum):
 
     LOW = 0
     HIGH = 1
+
+
+#: the data packets' priority, read once per built packet
+_LOW = PacketPriority.LOW
 
 
 class Route:
@@ -233,7 +237,12 @@ class Packet:
 
 
 class DataPacket(Packet):
-    """A packet carrying *payload_bytes* of a transfer behind a header."""
+    """A packet carrying *payload_bytes* of a transfer behind a header.
+
+    Built once per transmitted segment, so the constructor sets every slot
+    itself rather than through ``Packet.__init__``; callers pass the fields
+    positionally.
+    """
 
     __slots__ = ("payload_bytes",)
 
@@ -247,14 +256,33 @@ class DataPacket(Packet):
         header_bytes: int,
         ecn_capable: bool = False,
     ) -> None:
-        super().__init__(
-            flow_id, src, dst, payload_bytes + header_bytes, seqno, ecn_capable=ecn_capable
-        )
+        size = payload_bytes + header_bytes
+        if size <= 0:
+            raise ValueError(f"packet size must be positive, got {size}")
+        self._pool = None
+        self._handle = -1
+        self._gen = 0
+        self.flow_id = flow_id
+        self.src = src
+        self.dst = dst
+        self.size = size
+        self.original_size = size
+        self.seqno = seqno
+        self.route = None
+        self.hop = 0
+        self.priority = _LOW
+        self.is_header_only = False
+        self.bounced = False
+        self.ecn_capable = ecn_capable
+        self.ecn_ce = False
+        self.path_id = 0
+        self.send_time = 0
         self.payload_bytes = payload_bytes
 
 
 class ControlPacket(Packet):
-    """A header-sized feedback packet (ACK, CNP, token)."""
+    """A header-sized feedback packet (ACK, CNP, token); slots set as in
+    :class:`DataPacket`."""
 
     __slots__ = ()
 
@@ -267,7 +295,26 @@ class ControlPacket(Packet):
         header_bytes: int = HEADER_BYTES,
         priority: PacketPriority = PacketPriority.LOW,
     ) -> None:
-        super().__init__(flow_id, src, dst, header_bytes, seqno, priority=priority)
+        if header_bytes <= 0:
+            raise ValueError(f"packet size must be positive, got {header_bytes}")
+        self._pool = None
+        self._handle = -1
+        self._gen = 0
+        self.flow_id = flow_id
+        self.src = src
+        self.dst = dst
+        self.size = header_bytes
+        self.original_size = header_bytes
+        self.seqno = seqno
+        self.route = None
+        self.hop = 0
+        self.priority = priority
+        self.is_header_only = False
+        self.bounced = False
+        self.ecn_capable = False
+        self.ecn_ce = False
+        self.path_id = 0
+        self.send_time = 0
 
     def is_control(self) -> bool:
         return True

@@ -282,8 +282,11 @@ class BaseQueue(PacketSink):
             delay = self._ser_cache[size] = (
                 size * _BITS_PS + self._rate_half
             ) // self.service_rate_bps
-        if self.serialization_jitter_ps:
-            delay += self._jitter_rng.randint(0, self.serialization_jitter_ps)
+        jitter = self.serialization_jitter_ps
+        if jitter:
+            # the draw randint(0, jitter) makes, without its two outer frames
+            # (tests/sim/test_jitter_draw.py holds it to that)
+            delay += self._jitter_rng._randbelow(jitter + 1)
         eventlist = self.eventlist
         eventlist._insert(eventlist._now + delay, None, 0, self._complete_cb, None)
 
@@ -373,8 +376,9 @@ class BaseQueue(PacketSink):
             delay = self._ser_cache[size] = (
                 size * _BITS_PS + self._rate_half
             ) // self.service_rate_bps
-        if self.serialization_jitter_ps:
-            delay += self._jitter_rng.randint(0, self.serialization_jitter_ps)
+        jitter = self.serialization_jitter_ps
+        if jitter:
+            delay += self._jitter_rng._randbelow(jitter + 1)  # randint(0, jitter)
         when = eventlist._now + delay
         seq = eventlist._sequence = eventlist._sequence + 1
         pool = eventlist._entry_pool
@@ -446,7 +450,15 @@ class DropTailQueue(BaseQueue):
                 stats.max_queue_bytes = size
             self._start_service(packet)
             return
-        self._enqueue(packet)
+        # inlined _enqueue
+        self._fifo.append(packet)
+        queue_bytes = self.queue_bytes = self.queue_bytes + size
+        stats = self.stats
+        stats.packets_enqueued += 1
+        if queue_bytes > stats.max_queue_bytes:
+            stats.max_queue_bytes = queue_bytes
+        if not self._busy and not self._paused:
+            self._maybe_start_service()
 
     def _notify_drop(self, packet: Packet) -> None:
         """Hook for tests and derived queues that track individual drops."""
@@ -521,11 +533,12 @@ class ECNQueue(DropTailQueue):
         self.marking_threshold_bytes = marking_threshold_bytes
 
     def receive_packet(self, packet: Packet) -> None:
-        will_exceed = self.queue_bytes + packet.size > self.marking_threshold_bytes
-        if will_exceed and packet.ecn_capable:
-            packet.mark_ecn()
+        if packet.ecn_capable and (
+            self.queue_bytes + packet.size > self.marking_threshold_bytes
+        ):
+            packet.ecn_ce = True
             self.stats.packets_marked += 1
-        super().receive_packet(packet)
+        DropTailQueue.receive_packet(self, packet)
 
 
 class LosslessQueue(BaseQueue):
@@ -587,21 +600,33 @@ class LosslessQueue(BaseQueue):
         return tuple(self._upstream)
 
     def receive_packet(self, packet: Packet) -> None:
-        if (
-            self.marking_threshold_bytes is not None
-            and packet.ecn_capable
-            and self.queue_bytes + packet.size > self.marking_threshold_bytes
-        ):
-            packet.mark_ecn()
-            self.stats.packets_marked += 1
-        if self.queue_bytes + packet.size > self.max_queue_bytes:
+        size = packet.size
+        queue_bytes = self.queue_bytes + size
+        stats = self.stats
+        marking = self.marking_threshold_bytes
+        if marking is not None and packet.ecn_capable and queue_bytes > marking:
+            packet.ecn_ce = True
+            stats.packets_marked += 1
+        if queue_bytes > self.max_queue_bytes:
             # PFC headroom should prevent this; record it rather than drop so
             # experiments can detect a mis-tuned configuration.
             self.overflow_events += 1
-        self._enqueue(packet)
-        self._update_pause_state()
-
-    def _packet_departed(self, packet: Packet) -> None:
+        # inlined _enqueue; an idle port serves at once, skipping the FIFO
+        # round-trip with the same bookkeeping (as DropTailQueue does)
+        stats.packets_enqueued += 1
+        if queue_bytes > stats.max_queue_bytes:
+            stats.max_queue_bytes = queue_bytes
+        fifo = self._fifo
+        if not self._busy and not self._paused:
+            if fifo:
+                fifo.append(packet)
+                self.queue_bytes = queue_bytes
+                self._maybe_start_service()
+            else:
+                self._start_service(packet)
+        else:
+            fifo.append(packet)
+            self.queue_bytes = queue_bytes
         self._update_pause_state()
 
     def _purge_backlog(self) -> None:
@@ -610,7 +635,10 @@ class LosslessQueue(BaseQueue):
         super()._purge_backlog()
         self._update_pause_state()
 
-    def _update_pause_state(self) -> None:
+    def _update_pause_state(self, _departed: Optional[Packet] = None) -> None:
+        """Pause the upstream ports at the pause threshold, resume them at
+        the resume threshold; run after every arrival and, as the departure
+        hook, after every departure."""
         if not self._upstream_paused and self.queue_bytes >= self.pause_threshold_bytes:
             self._upstream_paused = True
             for queue in self._upstream:
@@ -619,3 +647,5 @@ class LosslessQueue(BaseQueue):
             self._upstream_paused = False
             for queue in self._upstream:
                 queue.resume()
+
+    _packet_departed = _update_pause_state

@@ -23,7 +23,8 @@ reaction-point implementation.
 The flow lifecycle (sizing, records, ``start``, completion) is
 :class:`~repro.sim.network.FlowSource` / :class:`~repro.sim.network.FlowSink`'s;
 the pacing clock and the alpha/rate clock are two re-armable
-:class:`~repro.sim.eventlist.Timer` s.
+:class:`~repro.sim.eventlist.Timer` s.  The pacing, ACK and CNP paths follow
+the per-packet rule of ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -79,23 +80,21 @@ class DcqcnDataPacket(DataPacket):
 
     __slots__ = ()
 
-    def __init__(self, flow_id, src, dst, seqno, payload_bytes, header_bytes):
-        super().__init__(flow_id, src, dst, seqno, payload_bytes, header_bytes, ecn_capable=True)
-
 
 class DcqcnCnp(ControlPacket):
     """A Congestion Notification Packet sent by the receiver (high priority)."""
 
     __slots__ = ()
 
-    def __init__(self, flow_id, src, dst, header_bytes=64):
-        super().__init__(flow_id, src, dst, 0, header_bytes, PacketPriority.HIGH)
-
 
 class DcqcnAck(ControlPacket):
     """Per-packet acknowledgement used for delivery accounting."""
 
     __slots__ = ()
+
+
+#: the CNPs' queueing priority, read once per CNP
+_HIGH = PacketPriority.HIGH
 
 
 class DcqcnSink(FlowSink):
@@ -118,28 +117,30 @@ class DcqcnSink(FlowSink):
         if not isinstance(packet, DcqcnDataPacket):
             raise TypeError(f"DcqcnSink got unexpected packet {packet!r}")
         self._deliver(packet)
+        eventlist = self.eventlist
+        header_bytes = self.config.header_bytes
+        route = self.reverse_route
         if packet.ecn_ce:
-            self._maybe_send_cnp(packet.src)
-        self.inject(
-            DcqcnAck(self.flow_id, self.node_id, packet.src, packet.seqno,
-                     header_bytes=self.config.header_bytes),
-            self.reverse_route,
-        )
-        if self.complete:
+            # at most one CNP per CNP_INTERVAL_PS while marked packets arrive
+            now = eventlist._now
+            last = self._last_cnp_time
+            if last is None or now - last >= CNP_INTERVAL_PS:
+                self._last_cnp_time = now
+                self.inject(
+                    DcqcnCnp(self.flow_id, self.node_id, packet.src, 0, header_bytes, _HIGH),
+                    route,
+                )
+        ack = DcqcnAck(self.flow_id, self.node_id, packet.src, packet.seqno, header_bytes)
+        # inlined NetworkEndpoint.inject (one call per ACK)
+        ack.route = route
+        ack.path_id = route.path_id
+        ack.hop = 1
+        ack.send_time = eventlist._now
+        route.elements[0].receive_packet(ack)
+        # FlowSink.complete, inlined
+        record = self.record
+        if 0 < record.flow_size_bytes <= record.bytes_delivered:
             self._finish()
-
-    def _maybe_send_cnp(self, dst: int) -> None:
-        now = self.now()
-        if (
-            self._last_cnp_time is not None
-            and now - self._last_cnp_time < CNP_INTERVAL_PS
-        ):
-            return
-        self._last_cnp_time = now
-        self.inject(
-            DcqcnCnp(self.flow_id, self.node_id, dst, header_bytes=self.config.header_bytes),
-            self.reverse_route,
-        )
 
 
 class DcqcnSrc(FlowSource):
@@ -168,7 +169,12 @@ class DcqcnSrc(FlowSource):
         self.alpha = 1.0
         self._increase_rounds = 0
         self._next_seqno = 0
-        self._acked: set[int] = set()
+        # one byte per packet, 1 once ACKed, and the count of ones
+        self._acked = bytearray(self.total_packets)
+        self._acked_count = 0
+        #: bits of one packet times picoseconds per second: the numerator of
+        #: the pacing gap at a given rate
+        self._packet_bit_ps = config.packet_bytes * 8 * units.SECOND
         self._send_timer = Timer(eventlist, self._send_one)
         self._rate_timer = Timer(eventlist, self._timer_tick)
         self._cnp_since_last_timer = False
@@ -179,7 +185,7 @@ class DcqcnSrc(FlowSource):
     def _begin(self) -> None:
         """Start the alpha/rate timer and transmit at line rate."""
         self._rate_timer.schedule_in(TIMER_PERIOD_PS)
-        self._schedule_next_send(immediate=True)
+        self._send_timer.schedule_in(0)
 
     def _release(self) -> None:
         self._rate_timer.cancel()
@@ -187,48 +193,46 @@ class DcqcnSrc(FlowSource):
     @property
     def complete(self) -> bool:
         """True once every packet has been acknowledged."""
-        return len(self._acked) >= self.total_packets
+        return self._acked_count >= self.total_packets
 
     # --- sending -----------------------------------------------------------------------
 
-    def _schedule_next_send(self, immediate: bool = False) -> None:
-        if self._send_timer.armed or self._next_seqno >= self.total_packets:
-            return
-        if immediate:
-            delay = 0
-        else:
-            rate = max(self.current_rate_bps, MIN_RATE_BPS)
-            delay = int(self.config.packet_bytes * 8 * units.SECOND / rate)
-        self._send_timer.schedule_in(delay)
-
     def _send_one(self) -> None:
-        if self._next_seqno >= self.total_packets:
-            return
+        """The pacing clock: send the next packet, arm the gap after it."""
         seqno = self._next_seqno
-        self._next_seqno += 1
+        total = self.total_packets
+        if seqno >= total:
+            return
+        self._next_seqno = seqno + 1
         packet = DcqcnDataPacket(
-            self.flow_id,
-            self.node_id,
-            self.dst_node_id,
-            seqno,
-            self.payload_for(seqno),
-            self.config.header_bytes,
+            self.flow_id, self.node_id, self.dst_node_id, seqno,
+            self.payload_per_packet if seqno < total - 1 else self._tail_payload,
+            self.config.header_bytes, True,
         )
         self.packets_sent += 1
-        self.inject(packet, self.route)
-        self._schedule_next_send()
+        # inlined NetworkEndpoint.inject (one call per packet)
+        eventlist = self.eventlist
+        route = self.route
+        packet.route = route
+        packet.path_id = route.path_id
+        packet.hop = 1
+        packet.send_time = eventlist._now
+        route.elements[0].receive_packet(packet)
+        timer = self._send_timer
+        if timer._gen == timer._armed_gen or seqno + 1 >= total:
+            return
+        rate = max(self.current_rate_bps, MIN_RATE_BPS)
+        timer.schedule_at(eventlist._now + int(self._packet_bit_ps / rate))
 
     # --- feedback -----------------------------------------------------------------------
 
     def receive_packet(self, packet: Packet) -> None:
-        if isinstance(packet, DcqcnCnp):
-            self._handle_cnp()
-        elif isinstance(packet, DcqcnAck):
-            self._handle_ack(packet)
-        else:
+        handler = _SRC_HANDLERS.get(type(packet))
+        if handler is None:
             raise TypeError(f"DcqcnSrc got unexpected packet {packet!r}")
+        handler(self, packet)
 
-    def _handle_cnp(self) -> None:
+    def _handle_cnp(self, cnp: DcqcnCnp) -> None:
         self.cnps_received += 1
         self._cnp_since_last_timer = True
         self.target_rate_bps = self.current_rate_bps
@@ -239,17 +243,23 @@ class DcqcnSrc(FlowSource):
         self._increase_rounds = 0
 
     def _handle_ack(self, ack: DcqcnAck) -> None:
-        if ack.seqno not in self._acked:
-            self._acked.add(ack.seqno)
-            self.record.packets_delivered += 1
-            self.record.bytes_delivered += self.payload_for(ack.seqno)
-        if self.complete:
+        seqno = ack.seqno
+        acked = self._acked
+        if not acked[seqno]:
+            acked[seqno] = 1
+            self._acked_count += 1
+            record = self.record
+            record.packets_delivered += 1
+            record.bytes_delivered += (
+                self.payload_per_packet if seqno < self.total_packets - 1 else self._tail_payload
+            )
+        if self._acked_count >= self.total_packets:
             self._finish()
 
     # --- timers ---------------------------------------------------------------------------
 
     def _timer_tick(self) -> None:
-        if self.complete:
+        if self._acked_count >= self.total_packets:
             return
         if not self._cnp_since_last_timer:
             # decay alpha and raise the rate back towards (then past) target
@@ -270,3 +280,11 @@ class DcqcnSrc(FlowSource):
             )
         self._cnp_since_last_timer = False
         self._rate_timer.schedule_in(TIMER_PERIOD_PS)
+
+
+#: exact-type dispatch for :meth:`DcqcnSrc.receive_packet` (NDP's idiom: one
+#: table for the class, one lookup per arriving feedback packet)
+_SRC_HANDLERS = {
+    DcqcnAck: DcqcnSrc._handle_ack,
+    DcqcnCnp: DcqcnSrc._handle_cnp,
+}

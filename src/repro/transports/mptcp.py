@@ -32,6 +32,10 @@ from repro.sim.packet import Packet, Route
 from repro.transports.tcp import SequentialDataSource, TcpConfig, TcpSink, TcpSrc
 
 
+#: the RTT LIA assumes for a subflow that has no sample yet
+_UNMEASURED_RTT_PS = units.microseconds(10)
+
+
 @dataclass
 class MptcpConfig(TcpConfig):
     """TCP configuration plus the number of subflows to open."""
@@ -136,13 +140,26 @@ class MptcpConnection(FlowSource):
     # --- LIA coupling -----------------------------------------------------------------
 
     def _lia_increase(self, subflow: TcpSrc, newly_acked: int) -> None:
-        windows = [s.cwnd for s in self.subflows]
-        rtts = [max(s.srtt_ps or units.microseconds(10), 1) for s in self.subflows]
-        total_window = sum(windows)
+        # one pass over the subflows (called per ACK in congestion
+        # avoidance).  The sums accumulate left to right from 0, as sum()
+        # does on CPython 3.11; 3.12's sum() compensates float rounding, so
+        # a change of interpreter moves these digests either way.
+        total_window = 0
+        weighted = 0
+        best = 0.0  # every window is at least one packet, so the max is positive
+        for s in self.subflows:
+            window = s.cwnd
+            rtt = s.srtt_ps or _UNMEASURED_RTT_PS
+            if rtt < 1:
+                rtt = 1
+            total_window += window
+            ratio = window / (rtt * rtt)
+            if ratio > best:
+                best = ratio
+            weighted += window / rtt
         if total_window <= 0:
             return
-        best = max(w / (rtt * rtt) for w, rtt in zip(windows, rtts))
-        denominator = sum(w / rtt for w, rtt in zip(windows, rtts)) ** 2
+        denominator = weighted ** 2
         if denominator <= 0:
             return
         aggressiveness = total_window * best / denominator

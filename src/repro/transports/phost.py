@@ -25,7 +25,8 @@ delivery, completion) is :class:`~repro.sim.network.FlowSource` /
 :class:`~repro.sim.network.FlowSink`'s; both timeouts are re-armable
 :class:`~repro.sim.eventlist.Timer` s.  Tokens are paced by the receiving
 host's :class:`~repro.core.pull_queue.NdpPullPacer`, exactly as NDP paces
-its PULLs: a pHost token is its pull.
+its PULLs: a pHost token is its pull.  The data, ACK and token paths follow
+the per-packet rule of ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -130,43 +131,58 @@ class PHostSink(FlowSink):
         self._deliver(packet)
         if self._tokens_outstanding > 0:
             self._tokens_outstanding -= 1
+        eventlist = self.eventlist
         if first_arrival:
             # The receiver only learns of the flow's existence from its first
             # arriving packet; only then can it start timing out losses.
-            self._arm_timeout()
-        self.inject(
-            PHostAck(self.flow_id, self.node_id, packet.src, packet.seqno,
-                     header_bytes=self.config.header_bytes),
-            self.reverse_paths.next_route(),
+            self._timeout.schedule_at(eventlist._now + RETRANSMISSION_TIMEOUT_PS)
+        ack = PHostAck(
+            self.flow_id, self.node_id, packet.src, packet.seqno, self.config.header_bytes
         )
-        if self.complete:
+        # inlined NetworkEndpoint.inject (one call per ACK)
+        route = self.reverse_paths.next_route()
+        ack.route = route
+        ack.path_id = route.path_id
+        ack.hop = 1
+        ack.send_time = eventlist._now
+        route.elements[0].receive_packet(ack)
+        # FlowSink.complete, inlined
+        record = self.record
+        if 0 < record.flow_size_bytes <= record.bytes_delivered:
             self._finish()
             return
         self._request_more_tokens()
-        self._arm_timeout()
+        self._timeout.schedule_at(eventlist._now + RETRANSMISSION_TIMEOUT_PS)
 
     def _request_more_tokens(self) -> None:
-        want = self.remaining_packets() - self._tokens_outstanding
-        allowed = MAX_OUTSTANDING_TOKENS - self._tokens_outstanding
+        outstanding = self._tokens_outstanding
+        # remaining_packets(), inlined
+        want = self._expected_packets - self._received_count - outstanding
+        allowed = MAX_OUTSTANDING_TOKENS - outstanding
         grant = min(want, allowed)
         if grant > 0:
-            self._tokens_outstanding += grant
+            self._tokens_outstanding = outstanding + grant
+            pacer = self.pacer
             for _ in range(grant):
-                self.pacer.request_pull(self)
+                pacer.request_pull(self)
 
     def emit_pull(self) -> None:
         """Called by the pacer: send one token to the sender."""
-        if self.complete:
+        record = self.record
+        if 0 < record.flow_size_bytes <= record.bytes_delivered:  # `complete`
             return
         self._token_counter += 1
-        self.inject(
-            PHostToken(self.flow_id, self.node_id, self.src_node_id, self._token_counter,
-                       header_bytes=self.config.header_bytes),
-            self.reverse_paths.next_route(),
+        token = PHostToken(
+            self.flow_id, self.node_id, self.src_node_id, self._token_counter,
+            self.config.header_bytes,
         )
-
-    def _arm_timeout(self) -> None:
-        self._timeout.schedule_in(RETRANSMISSION_TIMEOUT_PS)
+        # inlined NetworkEndpoint.inject (one call per token)
+        route = self.reverse_paths.next_route()
+        token.route = route
+        token.path_id = route.path_id
+        token.hop = 1
+        token.send_time = self.eventlist._now
+        route.elements[0].receive_packet(token)
 
     def _handle_timeout(self) -> None:
         if self.complete:
@@ -176,7 +192,7 @@ class PHostSink(FlowSink):
         self.record.rtx_from_timeout += 1
         self._tokens_outstanding = 0
         self._request_more_tokens()
-        self._arm_timeout()
+        self._timeout.schedule_at(self.eventlist._now + RETRANSMISSION_TIMEOUT_PS)
 
     def _release(self) -> None:
         self._timeout.cancel()
@@ -208,7 +224,9 @@ class PHostSrc(FlowSource):
         self.paths = PathManager(routes, rng=self.rng, penalize=False, mode="random")
         self.sink: Optional[PHostSink] = None
         self._next_new = 0
-        self._acked: set[int] = set()
+        # one byte per packet, 1 once ACKed, and the count of ones
+        self._acked = bytearray(self.total_packets)
+        self._acked_count = 0
         self._rtx_pointer = 0
         self._heard_from_receiver = False
         self._sender_timer = Timer(eventlist, self._sender_timeout)
@@ -223,7 +241,7 @@ class PHostSrc(FlowSource):
     @property
     def complete(self) -> bool:
         """True when every packet has been acknowledged."""
-        return len(self._acked) >= self.total_packets
+        return self._acked_count >= self.total_packets
 
     def _begin(self) -> None:
         """The free first-RTT burst."""
@@ -234,7 +252,7 @@ class PHostSrc(FlowSource):
 
     def _sender_timeout(self) -> None:
         """The whole burst (and thus the implicit RTS) may have been lost."""
-        if self._heard_from_receiver or self.complete:
+        if self._heard_from_receiver or self._acked_count >= self.total_packets:
             return
         self.record.rtx_from_timeout += 1
         self._send_packet(0)
@@ -243,39 +261,63 @@ class PHostSrc(FlowSource):
 
     def _send_packet(self, seqno: int) -> None:
         packet = PHostDataPacket(
-            self.flow_id, self.node_id, self.dst_node_id, seqno, self.payload_for(seqno),
+            self.flow_id, self.node_id, self.dst_node_id, seqno,
+            self.payload_per_packet if seqno < self.total_packets - 1 else self._tail_payload,
             self.config.header_bytes,
         )
         self.packets_sent += 1
-        self.inject(packet, self.paths.next_route())
+        # inlined NetworkEndpoint.inject (one call per packet)
+        route = self.paths.next_route()
+        packet.route = route
+        packet.path_id = route.path_id
+        packet.hop = 1
+        packet.send_time = self.eventlist._now
+        route.elements[0].receive_packet(packet)
 
     def receive_packet(self, packet: Packet) -> None:
-        if not self._heard_from_receiver and isinstance(packet, (PHostAck, PHostToken)):
+        handler = _SRC_HANDLERS.get(type(packet))
+        if handler is None:
+            raise TypeError(f"PHostSrc got unexpected packet {packet!r}")
+        if not self._heard_from_receiver:
             self._heard_from_receiver = True
             self._sender_timer.cancel()
-        if isinstance(packet, PHostAck):
-            if packet.seqno not in self._acked:
-                self._acked.add(packet.seqno)
-                self.record.packets_delivered += 1
-                self.record.bytes_delivered += self.payload_for(packet.seqno)
-            if self.complete:
-                self._finish()
-        elif isinstance(packet, PHostToken):
-            self._send_for_token()
-        else:
-            raise TypeError(f"PHostSrc got unexpected packet {packet!r}")
+        handler(self, packet)
 
-    def _send_for_token(self) -> None:
-        if self._next_new < self.total_packets:
+    def _handle_ack(self, ack: PHostAck) -> None:
+        seqno = ack.seqno
+        acked = self._acked
+        if not acked[seqno]:
+            acked[seqno] = 1
+            self._acked_count += 1
+            record = self.record
+            record.packets_delivered += 1
+            record.bytes_delivered += (
+                self.payload_per_packet if seqno < self.total_packets - 1 else self._tail_payload
+            )
+        if self._acked_count >= self.total_packets:
+            self._finish()
+
+    def _handle_token(self, token: PHostToken) -> None:
+        total = self.total_packets
+        if self._next_new < total:
             self._send_packet(self._next_new)
             self._next_new += 1
             return
         # no new data: retransmit unacknowledged packets, rotating through
         # them so successive tokens do not all resend the same packet
-        for _ in range(self.total_packets):
+        acked = self._acked
+        for _ in range(total):
             seqno = self._rtx_pointer
-            self._rtx_pointer = (self._rtx_pointer + 1) % self.total_packets
-            if seqno not in self._acked:
+            self._rtx_pointer = (seqno + 1) % total
+            if not acked[seqno]:
                 self.record.retransmissions += 1
                 self._send_packet(seqno)
                 return
+
+
+#: exact-type dispatch for :meth:`PHostSrc.receive_packet` (NDP's idiom: one
+#: table for the class, one lookup per arriving feedback packet)
+_SRC_HANDLERS = {
+    PHostAck: PHostSrc._handle_ack,
+    PHostToken: PHostSrc._handle_token,
+}

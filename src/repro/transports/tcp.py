@@ -12,14 +12,17 @@ The congestion window is maintained in packets (the simulator is
 packet-granular); DCTCP and MPTCP subclass/compose this sender.  Sizing,
 records, ``start`` and completion are :class:`~repro.sim.network.FlowSource`
 / :class:`~repro.sim.network.FlowSink`'s; the one retransmission deadline is
-a re-armable :class:`~repro.sim.eventlist.Timer`.
+a re-armable :class:`~repro.sim.eventlist.Timer`.  The per-segment and
+per-ACK methods follow the per-packet rule of ``docs/architecture.md``:
+injection, RTO arming and cancelling, the in-flight and completion tests
+are written out in place.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, List, Optional
 
 from repro.sim.eventlist import EventList, Timer
 from repro.sim.logger import FlowRecord
@@ -41,6 +44,8 @@ MAX_RTO_PS = units.seconds(2)
 #: slot).  300 ns of jitter is far below a packet serialization time, so it
 #: does not change throughput — it only breaks the lockstep.
 SEND_JITTER_PS = 300_000
+#: lower bound on the loss-probe timeout that replaces the RTO in recovery
+_LOSS_PROBE_FLOOR_PS = units.milliseconds(2)
 
 
 @dataclass
@@ -77,29 +82,29 @@ class TcpConfig:
 
 
 class TcpPacket(DataPacket):
-    """A TCP data segment (packet-granular sequence numbers); a SYN carries no payload."""
+    """A TCP data segment (packet-granular sequence numbers)."""
 
-    __slots__ = ("syn",)
+    __slots__ = ()
 
-    def __init__(
-        self,
-        flow_id: int,
-        src: int,
-        dst: int,
-        seqno: int,
-        payload_bytes: int,
-        header_bytes: int,
-        syn: bool = False,
-        ecn_capable: bool = False,
-    ) -> None:
-        super().__init__(flow_id, src, dst, seqno, payload_bytes, header_bytes, ecn_capable)
-        self.syn = syn
+    #: a connection-opening segment (:class:`TcpSyn`), which carries no payload
+    syn = False
+
+
+class TcpSyn(TcpPacket):
+    """The SYN of the three-way handshake: a payload-free segment."""
+
+    __slots__ = ()
+
+    syn = True
 
 
 class TcpAck(ControlPacket):
     """A (cumulative) TCP acknowledgement, possibly carrying an ECN echo."""
 
-    __slots__ = ("ack_seqno", "ecn_echo", "echo_send_time", "syn")
+    __slots__ = ("ack_seqno", "ecn_echo", "echo_send_time")
+
+    #: acknowledges a SYN (:class:`TcpSynAck`)
+    syn = False
 
     def __init__(
         self,
@@ -107,16 +112,22 @@ class TcpAck(ControlPacket):
         src: int,
         dst: int,
         ack_seqno: int,
-        header_bytes: int = 64,
-        ecn_echo: bool = False,
-        echo_send_time: int = 0,
-        syn: bool = False,
+        header_bytes: int,
+        ecn_echo: bool,
+        echo_send_time: int,
     ) -> None:
-        super().__init__(flow_id, src, dst, ack_seqno, header_bytes)
+        ControlPacket.__init__(self, flow_id, src, dst, ack_seqno, header_bytes)
         self.ack_seqno = ack_seqno
         self.ecn_echo = ecn_echo
         self.echo_send_time = echo_send_time
-        self.syn = syn
+
+
+class TcpSynAck(TcpAck):
+    """The receiver's answer to a SYN."""
+
+    __slots__ = ()
+
+    syn = True
 
 
 class SequentialDataSource:
@@ -174,30 +185,32 @@ class TcpSink(FlowSink):
     def receive_packet(self, packet: Packet) -> None:
         if not isinstance(packet, TcpPacket):
             raise TypeError(f"TcpSink got unexpected packet {packet!r}")
-        if packet.syn and packet.payload_bytes == 0:
-            self._send_ack(ecn_echo=False, echo_time=packet.send_time, syn=True)
+        if packet.syn:
+            self.inject(TcpSynAck(
+                self.flow_id, self.node_id, self.record.src, self.rcv_nxt,
+                self.config.header_bytes, False, packet.send_time,
+            ), self.reverse_route)
             return
         self._deliver(packet)
         # the first seqno not yet arrived: a zero byte, else past the map
         received = self._received
         nxt = received.find(0, self.rcv_nxt)
-        self.rcv_nxt = nxt if nxt >= 0 else len(received)
-        self._send_ack(ecn_echo=packet.ecn_ce, echo_time=packet.send_time)
-        if self.complete:
-            self._finish()
-
-    def _send_ack(self, ecn_echo: bool, echo_time: int, syn: bool = False) -> None:
+        record = self.record
+        self.rcv_nxt = nxt = nxt if nxt >= 0 else len(received)
         ack = TcpAck(
-            flow_id=self.flow_id,
-            src=self.node_id,
-            dst=self.record.src,
-            ack_seqno=self.rcv_nxt,
-            header_bytes=self.config.header_bytes,
-            ecn_echo=ecn_echo,
-            echo_send_time=echo_time,
-            syn=syn,
+            self.flow_id, self.node_id, record.src, nxt, self.config.header_bytes,
+            packet.ecn_ce, packet.send_time,
         )
-        self.inject(ack, self.reverse_route)
+        # inlined NetworkEndpoint.inject (one call per ACK)
+        route = self.reverse_route
+        ack.route = route
+        ack.path_id = route.path_id
+        ack.hop = 1
+        ack.send_time = self.eventlist._now
+        route.elements[0].receive_packet(ack)
+        # FlowSink.complete, inlined
+        if 0 < record.flow_size_bytes <= record.bytes_delivered:
+            self._finish()
 
 
 class TcpSrc(FlowSource):
@@ -242,11 +255,13 @@ class TcpSrc(FlowSource):
         self.srtt_ps: Optional[int] = None
         self.rttvar_ps: int = 0
 
-        # mapping subflow seqno -> payload bytes of the packet it carries
-        self._segments: Dict[int, int] = {}
+        # subflow seqno -> payload bytes of the packet it carries; seqnos are
+        # handed out densely from 0, so the list index is the seqno
+        self._segments: List[int] = []
         self._rto = Timer(eventlist, self._handle_rto)
         self._handshake_done = not self.config.handshake
         self._next_injection_time = 0
+        self._inject_cb = self._inject_segment
 
         # externally wired congestion-control coupler (used by MPTCP)
         self.coupled_increase: Optional[Callable[["TcpSrc", int], None]] = None
@@ -255,25 +270,16 @@ class TcpSrc(FlowSource):
         self.timeouts = 0
         self.fast_retransmits = 0
 
+    #: per-ACK ECN hook, a method taking the ACK; plain TCP ignores ECN
+    #: echoes, so it has none (DCTCP defines it)
+    _on_ecn_feedback: Optional[Callable[["TcpAck"], None]] = None
+
     # --- public API ---------------------------------------------------------------
 
     @property
     def complete(self) -> bool:
         """True when every handed-out segment has been cumulatively ACKed."""
         return self.data_source.exhausted() and self.snd_una >= self.snd_nxt and self._started
-
-    def packets_in_flight(self) -> int:
-        """Outstanding (sent but unacknowledged) segments."""
-        return self.snd_nxt - self.snd_una
-
-    def current_rto_ps(self) -> int:
-        """Current retransmission timeout with backoff applied."""
-        if self.srtt_ps is None:
-            base = self.config.min_rto_ps
-        else:
-            base = self.srtt_ps + 4 * self.rttvar_ps
-        rto = max(self.config.min_rto_ps, base) * self.rto_backoff
-        return min(rto, MAX_RTO_PS)
 
     # --- connection startup ---------------------------------------------------------
 
@@ -285,15 +291,7 @@ class TcpSrc(FlowSource):
             self._try_send()
 
     def _send_syn(self) -> None:
-        syn = TcpPacket(
-            flow_id=self.flow_id,
-            src=self.node_id,
-            dst=self.dst_node_id,
-            seqno=0,
-            payload_bytes=0,
-            header_bytes=self.config.header_bytes,
-            syn=True,
-        )
+        syn = TcpSyn(self.flow_id, self.node_id, self.dst_node_id, 0, 0, self.config.header_bytes)
         self.packets_sent += 1
         self._arm_rto()
         self.inject(syn, self.route)
@@ -303,80 +301,117 @@ class TcpSrc(FlowSource):
     def _try_send(self) -> None:
         if not self._handshake_done:
             return
-        while self.packets_in_flight() < int(self.cwnd):
-            index = self.data_source.take_next()
-            if index is None:
+        source = self.data_source
+        segments = self._segments
+        while self.snd_nxt - self.snd_una < int(self.cwnd):
+            # inlined SequentialDataSource.take_next and payload_for
+            index = source._next
+            if index >= source.total_packets:
                 break
+            source._next = index + 1
             seqno = self.snd_nxt
-            self.snd_nxt += 1
-            self._segments[seqno] = self.payload_for(index)
-            self._send_segment(seqno, retransmit=False)
+            self.snd_nxt = seqno + 1
+            segments.append(
+                self.payload_per_packet if index < self.total_packets - 1 else self._tail_payload
+            )
+            self._send_segment(seqno, False)
 
     def _send_segment(self, seqno: int, retransmit: bool) -> None:
+        config = self.config
         packet = TcpPacket(
-            flow_id=self.flow_id,
-            src=self.node_id,
-            dst=self.dst_node_id,
-            seqno=seqno,
-            payload_bytes=self._segments[seqno],
-            header_bytes=self.config.header_bytes,
-            ecn_capable=self.config.ecn_enabled,
+            self.flow_id, self.node_id, self.dst_node_id, seqno, self._segments[seqno],
+            config.header_bytes, config.ecn_enabled,
         )
         self.packets_sent += 1
         if retransmit:
             self.retransmissions += 1
             self.record.retransmissions += 1
-        if not self._rto.armed:
+        rto = self._rto
+        if rto._gen != rto._armed_gen:  # inlined `not rto.armed`
             self._arm_rto()
-        self._inject_with_jitter(packet)
-
-    def _inject_with_jitter(self, packet: TcpPacket) -> None:
-        """Hand the segment to the NIC after a tiny randomized delay.
-
-        The jitter models OS-scheduling variability; injections stay strictly
-        ordered per flow so it never reorders a flow's own segments.
-        """
-        when = max(self.now() + self.rng.randint(0, SEND_JITTER_PS), self._next_injection_time + 1)
+        # Hand the segment to the NIC after a tiny randomized delay (OS
+        # scheduling variability); injections stay strictly ordered per flow
+        # so the jitter never reorders a flow's own segments.
+        # _randbelow(J + 1) is the draw randint(0, J) makes, without its two
+        # outer frames (tests/sim/test_jitter_draw.py holds it to that).
+        eventlist = self.eventlist
+        when = max(
+            eventlist._now + self.rng._randbelow(SEND_JITTER_PS + 1),
+            self._next_injection_time + 1,
+        )
         self._next_injection_time = when
-        self.eventlist.schedule(when, self.inject, packet, self.route)
+        eventlist._insert(when, None, 1, self._inject_cb, packet)
+
+    def _inject_segment(self, packet: TcpPacket) -> None:
+        # inlined NetworkEndpoint.inject (one call per segment)
+        route = self.route
+        packet.route = route
+        packet.path_id = route.path_id
+        packet.hop = 1
+        packet.send_time = self.eventlist._now
+        route.elements[0].receive_packet(packet)
 
     # --- receiving ACKs -----------------------------------------------------------------
 
     def receive_packet(self, packet: Packet) -> None:
         if not isinstance(packet, TcpAck):
             raise TypeError(f"TcpSrc got unexpected packet {packet!r}")
+        # RTT sample (Jacobson), from the send time the ACK echoes
+        echo = packet.echo_send_time
+        if echo > 0:
+            sample = self.eventlist._now - echo
+            if sample > 0:
+                srtt = self.srtt_ps
+                if srtt is None:
+                    self.srtt_ps = sample
+                    self.rttvar_ps = sample // 2
+                else:
+                    self.rttvar_ps = int(0.75 * self.rttvar_ps + 0.25 * abs(srtt - sample))
+                    self.srtt_ps = int(0.875 * srtt + 0.125 * sample)
         if packet.syn and not self._handshake_done:
             self._handshake_done = True
             self._rto.cancel()
-            self._update_rtt(packet.echo_send_time)
             self._try_send()
             return
-        self._update_rtt(packet.echo_send_time)
-        self._on_ecn_feedback(packet)
+        feedback = self._on_ecn_feedback
+        if feedback is not None:
+            feedback(packet)
         ack_no = packet.ack_seqno
-        if ack_no > self.snd_una:
-            newly_acked = ack_no - self.snd_una
-            self.snd_una = ack_no
+        snd_una = self.snd_una
+        if ack_no > snd_una:
+            newly_acked = ack_no - snd_una
+            self.snd_una = snd_una = ack_no
             self.dupacks = 0
             self.rto_backoff = 1
             self.record.packets_delivered += newly_acked
             if self.in_recovery:
-                if self.snd_una >= self.recovery_point:
+                if snd_una >= self.recovery_point:
                     self.in_recovery = False
                     self.cwnd = self.ssthresh
                 else:
                     # NewReno partial ACK: retransmit the next hole straight away
-                    self._send_segment(self.snd_una, retransmit=True)
+                    self._send_segment(snd_una, True)
             else:
-                self._increase_window(newly_acked)
-            self._rto.cancel()
-            if self.packets_in_flight() > 0:
+                cwnd = self.cwnd
+                coupled = self.coupled_increase
+                if coupled is not None and cwnd >= self.ssthresh:
+                    coupled(self, newly_acked)
+                elif cwnd < self.ssthresh:
+                    self.cwnd = min(cwnd + newly_acked, self.config.max_cwnd_packets)
+                else:
+                    self.cwnd = min(cwnd + newly_acked / cwnd, self.config.max_cwnd_packets)
+            # re-arming supersedes the pending deadline, as cancelling it first would
+            if self.snd_nxt > snd_una:
                 self._arm_rto()
-            if self.complete:
+            else:
+                self._rto.cancel()
+            # inlined `complete`
+            source = self.data_source
+            if source._next >= source.total_packets and snd_una >= self.snd_nxt and self._started:
                 self._finish()
                 return
             self._try_send()
-        elif ack_no == self.snd_una and self.packets_in_flight() > 0:
+        elif ack_no == snd_una and self.snd_nxt > snd_una:
             self.dupacks += 1
             if self.dupacks == DUPACK_THRESHOLD and not self.in_recovery:
                 self._enter_fast_retransmit()
@@ -390,21 +425,8 @@ class TcpSrc(FlowSource):
                     # (Linux detects this too); resend it rather than stalling
                     # until the RTO.
                     self._dupacks_since_rtx = 0
-                    self._send_segment(self.snd_una, retransmit=True)
+                    self._send_segment(snd_una, True)
                 self._try_send()
-
-    def _increase_window(self, newly_acked: int) -> None:
-        if self.coupled_increase is not None and self.cwnd >= self.ssthresh:
-            self.coupled_increase(self, newly_acked)
-        elif self.cwnd < self.ssthresh:
-            self.cwnd = min(self.cwnd + newly_acked, self.config.max_cwnd_packets)
-        else:
-            self.cwnd = min(
-                self.cwnd + newly_acked / self.cwnd, self.config.max_cwnd_packets
-            )
-
-    def _on_ecn_feedback(self, ack: TcpAck) -> None:
-        """Hook for DCTCP; plain TCP ignores ECN echoes."""
 
     def _enter_fast_retransmit(self) -> None:
         self.fast_retransmits += 1
@@ -412,9 +434,9 @@ class TcpSrc(FlowSource):
         self.cwnd = self.ssthresh + DUPACK_THRESHOLD
         self.in_recovery = True
         self.recovery_point = self.snd_nxt
-        self._recovery_flight = self.packets_in_flight()
+        self._recovery_flight = self.snd_nxt - self.snd_una
         self._dupacks_since_rtx = 0
-        self._send_segment(self.snd_una, retransmit=True)
+        self._send_segment(self.snd_una, True)
         # while in recovery, fall back on a fast loss-probe timer rather than
         # the full (200 ms minimum) RTO if the retransmission itself is lost
         self._arm_rto()
@@ -422,15 +444,19 @@ class TcpSrc(FlowSource):
     # --- timers -------------------------------------------------------------------------
 
     def _arm_rto(self) -> None:
-        timeout = self.current_rto_ps()
-        if self.in_recovery and self.srtt_ps is not None:
+        """(Re-)arm the retransmission timeout, backoff applied."""
+        srtt = self.srtt_ps
+        min_rto = self.config.min_rto_ps
+        base = min_rto if srtt is None else srtt + 4 * self.rttvar_ps
+        timeout = min(max(min_rto, base) * self.rto_backoff, MAX_RTO_PS)
+        if self.in_recovery and srtt is not None:
             # loss-probe behaviour (a la Linux RACK/TLP): once fast recovery
             # has started, a lost retransmission is detected on an RTT
             # timescale instead of stalling for the conservative minimum RTO.
             # Pre-recovery tail losses still pay the full RTO, as real stacks
             # (and the paper's Figure 9 TCP results) do.
-            timeout = min(timeout, max(4 * self.srtt_ps, units.milliseconds(2)))
-        self._rto.schedule_in(timeout)
+            timeout = min(timeout, max(4 * srtt, _LOSS_PROBE_FLOOR_PS))
+        self._rto.schedule_at(self.eventlist._now + timeout)
 
     def _handle_rto(self) -> None:
         if not self._handshake_done:
@@ -439,7 +465,7 @@ class TcpSrc(FlowSource):
             self.rto_backoff = min(self.rto_backoff * 2, 64)
             self._send_syn()
             return
-        if self.packets_in_flight() == 0:
+        if self.snd_nxt == self.snd_una:
             return
         self.timeouts += 1
         self.record.rtx_from_timeout += 1
@@ -448,21 +474,8 @@ class TcpSrc(FlowSource):
         self.dupacks = 0
         self.in_recovery = False
         self.rto_backoff = min(self.rto_backoff * 2, 64)
-        self._send_segment(self.snd_una, retransmit=True)
+        self._send_segment(self.snd_una, True)
         self._arm_rto()
-
-    def _update_rtt(self, echo_send_time: int) -> None:
-        if echo_send_time <= 0:
-            return
-        sample = self.now() - echo_send_time
-        if sample <= 0:
-            return
-        if self.srtt_ps is None:
-            self.srtt_ps = sample
-            self.rttvar_ps = sample // 2
-        else:
-            self.rttvar_ps = int(0.75 * self.rttvar_ps + 0.25 * abs(self.srtt_ps - sample))
-            self.srtt_ps = int(0.875 * self.srtt_ps + 0.125 * sample)
 
     # --- completion --------------------------------------------------------------------------
 

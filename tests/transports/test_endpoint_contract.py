@@ -148,8 +148,13 @@ def test_phost_arms_its_timeout_on_the_first_arrival_only():
     flow = network.create_flow(1, 0, 60_000)
     sink = flow.sink
     arms = []
-    arm = sink._arm_timeout
-    sink._arm_timeout = lambda: (arms.append(sink.record.packets_delivered), arm())
+
+    class RecordingTimer(Timer):
+        def schedule_at(self, when):
+            arms.append(sink.record.packets_delivered)
+            super().schedule_at(when)
+
+    sink._timeout = RecordingTimer(sink.eventlist, sink._handle_timeout)
     _settle(network, [flow])
     # the first arrival arms it once as the flow's discovery and once as
     # progress; every later one but the last only as progress
