@@ -131,11 +131,13 @@ class TcpSynAck(TcpAck):
 
 
 class SequentialDataSource:
-    """Hands out packet indices 0..total-1 in order (single-path TCP).
+    """Packet indices 0..total-1, handed out in order (single-path TCP).
 
-    MPTCP shares one instance of this across all of a connection's subflows,
-    which is what turns several single-path senders into one multipath
-    transfer.
+    ``_next`` is the next index not yet handed to a sender;
+    :meth:`TcpSrc._try_send` takes indices by advancing it, once per
+    segment.  MPTCP shares one instance of this across all of a
+    connection's subflows, which is what turns several single-path senders
+    into one multipath transfer.
     """
 
     def __init__(self, total_packets: int) -> None:
@@ -143,14 +145,6 @@ class SequentialDataSource:
             raise ValueError("a transfer needs at least one packet")
         self.total_packets = total_packets
         self._next = 0
-
-    def take_next(self) -> Optional[int]:
-        """The next unsent packet index, or ``None`` when all data is taken."""
-        if self._next >= self.total_packets:
-            return None
-        index = self._next
-        self._next += 1
-        return index
 
     def exhausted(self) -> bool:
         """True once every packet index has been handed out."""
@@ -304,7 +298,7 @@ class TcpSrc(FlowSource):
         source = self.data_source
         segments = self._segments
         while self.snd_nxt - self.snd_una < int(self.cwnd):
-            # inlined SequentialDataSource.take_next and payload_for
+            # take the next index from the (possibly shared) source; payload_for inlined
             index = source._next
             if index >= source.total_packets:
                 break

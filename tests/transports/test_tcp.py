@@ -36,7 +36,8 @@ class TestConfig:
 class TestDataSource:
     def test_sequential_handout(self):
         source = SequentialDataSource(3)
-        assert [source.take_next() for _ in range(4)] == [0, 1, 2, None]
+        assert (source._next, source.remaining(), source.exhausted()) == (0, 3, False)
+        source._next = 3  # what TcpSrc._try_send leaves once it took every index
         assert source.exhausted()
         assert source.remaining() == 0
 
